@@ -9,8 +9,8 @@ Forward in time the events propagate types (advantaged through both arrow
 kinds, disadvantaged through neutral only); backward in time they drive the
 potential-ancestor sweep: lines hit by a neutral arrow always merge into the
 reproducer line, lines hit by a selective arrow stay and the reproducer line
-is added.  The count of potential ancestors is Markov; its rates are exposed
-here as an oracle and as a standalone simulator.
+is added.  The count of potential ancestors is Markov; its rates (see
+:mod:`lambda_asg.rates`) are exposed here as an oracle and as a simulator.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import SizeLimit
 from .measures import CoupledMeasure
 from .paths import FrequencyPath
+from .rates import AncestorChain, MixtureTables, simulate_ancestor_path
 from .rng import (
     TAG_ASG,
     TAG_CONSISTENCY,
@@ -235,29 +235,14 @@ def line_count_rates(
 
     Returns ``(coalesce, branch)``: ``coalesce[k]`` is the rate of
     ``n -> n - k`` for k = 1..n-1 (index 0 unused), ``branch`` the rate of
-    ``n -> n + 1``.  A coalescence by k happens when a member reproducer hits
-    k of the other n-1 member lines neutrally, or an outside reproducer hits
-    k+1 member lines neutrally; a branch needs an outside reproducer with no
-    neutral hit and at least one selective hit among the n lines.
+    ``n -> n + 1``; :mod:`lambda_asg.rates` derives them.
     """
     if not 1 <= n <= N:
         raise ValueError("need 1 <= n <= N")
-    c = coupling
-    coalesce = np.zeros(max(n, 1))
-    branch = 0.0
-    if len(c) == 0:
-        return coalesce, branch
-    if n >= 2:
-        ks = np.arange(1, n)
-        inside = (n / N) * (binom.pmf(ks[:, None], n - 1, c.ys[None, :]) @ c.masses)
-        outside = (1.0 - n / N) * (
-            binom.pmf(ks[:, None] + 1, n, c.ys[None, :]) @ c.masses
-        )
-        coalesce[1:] = inside + outside
-    branch = float(
-        (1.0 - n / N) * (c.masses @ ((1.0 - c.ys) ** n - (1.0 - c.ys - c.zs) ** n))
-    )
-    return coalesce, branch
+    rates = MixtureTables(coupling, n).ancestor_rates(n, N)[n]
+    coalesce = np.zeros(n)
+    coalesce[1:] = rates[1:n]
+    return coalesce, float(rates[0])
 
 
 def simulate_line_count(
@@ -268,31 +253,8 @@ def simulate_line_count(
     if not 1 <= n0 <= N:
         raise ValueError("need 1 <= n0 <= N")
     rng = substream(seed, TAG_LINECOUNT_PATH, replicate)
-    rate_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-
-    def state_rates(n: int) -> tuple[np.ndarray, np.ndarray, float]:
-        if n not in rate_cache:
-            coalesce, branch = line_count_rates(N, coupling, n)
-            targets = np.concatenate([n - np.arange(1, n), [n + 1]])
-            rates = np.concatenate([coalesce[1:], [branch]])
-            rate_cache[n] = (targets, rates, float(rates.sum()))
-        return rate_cache[n]
-
-    t = 0.0
-    n = n0
-    times = [0.0]
-    values = [n0]
-    while True:
-        targets, rates, total = state_rates(n)
-        if total <= 0.0:
-            break
-        t += rng.exponential(1.0 / total)
-        if t > horizon:
-            break
-        n = int(rng.choice(targets, p=rates / total))
-        times.append(t)
-        values.append(n)
-    return FrequencyPath(times=np.asarray(times), values=np.asarray(values, dtype=np.int64))
+    chain = AncestorChain(coupling, max(n0 + 8, 16), N=N)
+    return simulate_ancestor_path(chain, n0, horizon, rng, state_cap=N)
 
 
 def _consistency_chunk(args: tuple) -> tuple[int, int]:

@@ -497,9 +497,7 @@ def check_measures(cfg: dict) -> dict:
         return report
     record = measures.normalize_pair(lm, lp)
     coupling = measures.quantile_coupling(record.mu_minus, record.mu_plus).scaled(record.rate_scale)
-    mismatch = measures.marginal_mismatch(
-        coupling, lm.scaled(1.0), lp.scaled(1.0), ignore_zero=True
-    )
+    mismatch = measures.marginal_mismatch(coupling, lm, lp, ignore_zero=True)
     report.update({
         "rate_scale": record.rate_scale,
         "zero_compensator_mass": record.c,

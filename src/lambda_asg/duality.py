@@ -20,9 +20,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import limits
-from .asg import generate_asg, line_count_rates, potential_ancestors, propagate_forward, TypeAssignment
+from .asg import generate_asg, potential_ancestors, propagate_forward, TypeAssignment
+from .errors import SizeLimit
 from .measures import CoupledMeasure
-from .moran import MoranConfig, generator_matrix
+from .moran import MAX_DUALITY_N, MoranConfig, generator_matrix
+from .rates import MixtureTables
 from .rng import TAG_PATHWISE, pathwise_chunks, run_jobs, substream
 
 
@@ -51,21 +53,20 @@ def sampling_matrix(N: int) -> np.ndarray:
 def line_count_generator(N: int, coupling: CoupledMeasure) -> np.ndarray:
     """Generator of the ancestor count on states 0..N; row 0 is inert padding
     (the constant column of the duality function lies in the kernel of B)."""
+    rates = MixtureTables(coupling, N).ancestor_rates(N, N)
     A = np.zeros((N + 1, N + 1))
     for n in range(1, N + 1):
-        coalesce, branch = line_count_rates(N, coupling, n)
-        for k in range(1, n):
-            A[n, n - k] = coalesce[k]
+        A[n, n - 1 : 0 : -1] = rates[n, 1:n]
         if n < N:
-            A[n, n + 1] = branch
-        A[n, n] = -(coalesce[1:].sum() + (branch if n < N else 0.0))
+            A[n, n + 1] = rates[n, 0]
+        A[n, n] = -rates[n].sum()
     return A
 
 
 def generator_duality_check(N: int, coupling: CoupledMeasure) -> float:
     """Max abs entry of B D - D A^T; exactly 0 in exact arithmetic."""
-    if N > 300:
-        raise ValueError("matrix duality check limited to N <= 300")
+    if N > MAX_DUALITY_N:
+        raise SizeLimit(f"matrix duality check limited to N <= {MAX_DUALITY_N}, got {N}")
     cfg = MoranConfig(N=N, coupling=coupling, initial_count=0)
     B = generator_matrix(cfg)
     A = line_count_generator(N, coupling)
@@ -180,14 +181,15 @@ def limit_generator_duality(
 ) -> float:
     """Max residual of the closed-form limit generator identity.
 
-    Applies the frequency generator to x -> x^n and the ancestor-count
-    generator to n -> x^n; both reduce to the same atom sums, so the residual
-    is pure floating-point error.
+    Applies the frequency generator to x -> x^n and the limit ancestor chain's
+    generator, with rates from :mod:`lambda_asg.rates`, to n -> x^n; both
+    reduce to the same atom sums, so the residual is pure floating-point error.
     """
     if n_max > 12:
         raise ValueError("n_max limited to 12")
     xs = np.linspace(0.0, 1.0, grid)
     c = coupling
+    rates = MixtureTables(c, n_max).ancestor_rates(n_max, None)
     worst = 0.0
     for n in range(1, n_max + 1):
         # frequency side: sum over atoms of
@@ -196,15 +198,9 @@ def limit_generator_duality(
         dn = np.power(xs[:, None] * (1.0 - c.ys - c.zs)[None, :], n)
         xn = xs**n
         bh = (xs[:, None] * up + (1.0 - xs[:, None]) * dn - xn[:, None]) @ c.masses
-        # count side: coalescences k = 1..n send x^n to x^{n-k+1}, a branch
-        # sends it to x^{n+1}
-        ah = np.zeros_like(xs)
-        for k in range(1, n + 1):
-            rate = float(
-                c.masses @ (math.comb(n, k) * c.ys**k * (1.0 - c.ys) ** (n - k))
-            )
-            ah += (xs ** (n - k + 1) - xn) * rate
-        branch = float(c.masses @ ((1.0 - c.ys) ** n - (1.0 - c.ys - c.zs) ** n))
-        ah += (xs ** (n + 1) - xn) * branch
+        # count side: the limit chain's branch sends x^n to x^{n+1}, its
+        # coalescence to n - j lines sends it to x^{n-j}
+        targets = np.concatenate([[n + 1], np.arange(n - 1, 0, -1)])
+        ah = (xs[:, None] ** targets - xn[:, None]) @ rates[n, :n]
         worst = max(worst, float(np.abs(bh - ah).max()))
     return worst

@@ -10,8 +10,8 @@ are.  Measures meant to model infinite activity enter through
 population size N.
 
 The limit ancestor count coalesces from m to m - k + 1 when k of m lines are
-hit neutrally and branches to m + 1 on selective-only events; its branch rate
-is at most ``m * integral(z)``.
+hit neutrally and branches to m + 1 on selective-only events (rates in
+:mod:`lambda_asg.rates`); its branch rate is at most ``m * integral(z)``.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import InfiniteMass, NotConverged, StateCapReached
 from .measures import CoupledMeasure
 from .moran import MoranConfig, simulate_final_counts
 from .paths import FrequencyPath
+from .rates import AncestorChain, MixtureTables, simulate_ancestor_path
 from .rng import (
     TAG_CHAIN_PATH,
     TAG_CONVERGENCE_MORAN,
@@ -34,6 +34,7 @@ from .rng import (
     TAG_KS_BOOTSTRAP,
     TAG_LIMIT_CHAIN,
     TAG_SDE,
+    TAG_SDE_ABSORPTION,
     TAG_SDE_PATH,
     chunk_bounds,
     substream,
@@ -181,7 +182,7 @@ def sde_absorption(
     seed: int,
     threshold: float = 1e-9,
     max_events: int = 10**5,
-    key: tuple[int, ...] = (TAG_SDE,),
+    key: tuple[int, ...] = (TAG_SDE_ABSORPTION,),
 ) -> np.ndarray:
     """Run each replicate until it leaves (threshold, 1 - threshold).
 
@@ -221,47 +222,10 @@ def limit_chain_rates(coupling: CoupledMeasure, m: int) -> tuple[np.ndarray, flo
     k = 2..m (indices 0 and 1 unused), ``branch`` sends m to m + 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    c = coupling
+    rates = MixtureTables(coupling, m).ancestor_rates(m, None)[m]
     coalesce = np.zeros(m + 1)
-    if len(c) == 0:
-        return coalesce, 0.0
-    if m >= 2:
-        ks = np.arange(2, m + 1)
-        coalesce[2:] = binom.pmf(ks[:, None], m, c.ys[None, :]) @ c.masses
-    branch = float(c.masses @ ((1.0 - c.ys) ** m - (1.0 - c.ys - c.zs) ** m))
-    return coalesce, branch
-
-
-class _ChainTable:
-    """Cumulative transition rows for states 1..size, grown on demand.
-
-    Row layout for state s: index 0 is the branch (target s + 1), index
-    j >= 1 is the coalescence to target s - j.
-    """
-
-    def __init__(self, coupling: CoupledMeasure, size: int) -> None:
-        self.coupling = coupling
-        self.total = np.zeros(1)
-        self.cum = np.zeros((1, 1))
-        self.grow(size)
-
-    def grow(self, size: int) -> None:
-        if size < len(self.total) - 1:
-            return
-        total = np.zeros(size + 1)
-        cum = np.ones((size + 1, size + 1))
-        for s in range(1, size + 1):
-            coalesce, branch = limit_chain_rates(self.coupling, s)
-            # rates in row order: branch, then k = 2..s (targets s-1 .. 1)
-            rates = np.concatenate([[branch], coalesce[2:]])
-            tot = rates.sum()
-            total[s] = tot
-            if tot > 0.0:
-                row = np.cumsum(rates) / tot
-                row[-1] = 1.0
-                cum[s, : len(row)] = row
-        self.total = total
-        self.cum = cum
+    coalesce[2:] = rates[1:m]
+    return coalesce, float(rates[0])
 
 
 def simulate_limit_chain(
@@ -281,28 +245,8 @@ def simulate_limit_chain(
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
     rng = substream(seed, TAG_CHAIN_PATH, replicate)
-    t = 0.0
-    n = n0
-    times = [0.0]
-    values = [n0]
-    table = _ChainTable(coupling, max(n0 + 8, 16))
-    while True:
-        if n >= len(table.total) - 1:
-            table.grow(2 * n)
-        total = table.total[n]
-        if total <= 0.0:
-            break
-        t += rng.exponential(1.0 / total)
-        if t > horizon:
-            break
-        u = rng.random()
-        j = int(np.searchsorted(table.cum[n], u, side="right"))
-        n = n + 1 if j == 0 else n - j
-        if n > state_cap:
-            raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
-        times.append(t)
-        values.append(n)
-    return FrequencyPath(times=np.asarray(times), values=np.asarray(values, dtype=np.int64))
+    chain = AncestorChain(coupling, max(n0 + 8, 16))
+    return simulate_ancestor_path(chain, n0, horizon, rng, state_cap)
 
 
 def chain_final_states(
@@ -318,7 +262,7 @@ def chain_final_states(
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
     out = np.empty(replicates, dtype=np.int64)
-    table = _ChainTable(coupling, max(n0 + 8, 16))
+    table = AncestorChain(coupling, max(n0 + 8, 16))
     for chunk_idx, start, stop in chunk_bounds(replicates):
         rng = substream(seed, *key, chunk_idx)
         out[start:stop] = _chain_chunk(
@@ -328,7 +272,7 @@ def chain_final_states(
 
 
 def _chain_chunk(
-    table: _ChainTable,
+    table: AncestorChain,
     n0: int,
     horizon: float,
     n_paths: int,

@@ -8,7 +8,7 @@ individuals, absorbing at 0 and N.
 
 Besides the event-driven simulator this module builds the exact dense
 generator matrix and the absorption-probability oracle used to verify
-simulation output and fixation formulas.
+simulation output and fixation formulas; :mod:`lambda_asg.rates` has the rates.
 """
 
 from __future__ import annotations
@@ -17,14 +17,16 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import SingularSystem, SizeLimit
 from .measures import CoupledMeasure
 from .paths import FrequencyPath
-from .rng import TAG_MORAN, TAG_MORAN_PATH, chunk_bounds, substream
+from .rates import MixtureTables
+from .rng import TAG_EVENT_JUMPS, TAG_MORAN, TAG_MORAN_PATH, chunk_bounds, substream
 
 MAX_DENSE_N = 2000
+# largest N for the dense matrix duality check B D = D A^T
+MAX_DUALITY_N = 300
 
 
 @dataclass(frozen=True)
@@ -46,27 +48,11 @@ def jump_rates(cfg: MoranConfig, count: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(up, down)`` with ``up[k]`` the rate of ``count -> count + k``
     for k = 1..N-count and ``down[k]`` the rate of ``count -> count - k`` for
     k = 1..count (index 0 of each array is unused and zero).
-
-    A jump of +k needs a disadvantaged reproducer (probability count/N) and
-    exactly k of the N-count advantaged individuals hit, Binomial(N-count, y);
-    -k symmetrically with success probability y + z.
     """
     if not 0 <= count <= cfg.N:
         raise ValueError("count out of range")
-    N, c = cfg.N, cfg.coupling
-    x = count / N
-    up = np.zeros(N - count + 1)
-    down = np.zeros(count + 1)
-    if len(c) == 0:
-        return up, down
-    if count > 0 and count < N:
-        ks = np.arange(1, N - count + 1)
-        up[1:] = x * (binom.pmf(ks[:, None], N - count, c.ys[None, :]) @ c.masses)
-        ks = np.arange(1, count + 1)
-        down[1:] = (1.0 - x) * (
-            binom.pmf(ks[:, None], count, (c.ys + c.zs)[None, :]) @ c.masses
-        )
-    return up, down
+    tables = MixtureTables(cfg.coupling, max(count, cfg.N - count))
+    return tables.moran_jumps(cfg.N, count)
 
 
 def generator_matrix(cfg: MoranConfig) -> np.ndarray:
@@ -74,9 +60,10 @@ def generator_matrix(cfg: MoranConfig) -> np.ndarray:
     N = cfg.N
     if N > MAX_DENSE_N:
         raise SizeLimit(f"dense generator limited to N <= {MAX_DENSE_N}, got {N}")
+    tables = MixtureTables(cfg.coupling, N)
     Q = np.zeros((N + 1, N + 1))
     for i in range(1, N):
-        up, down = jump_rates(cfg, i)
+        up, down = tables.moran_jumps(N, i)
         Q[i, i + 1 :] = up[1:]
         Q[i, i - 1 :: -1] = down[1:]
         Q[i, i] = -(up[1:].sum() + down[1:].sum())
@@ -212,7 +199,7 @@ def sample_event_jumps(
 ) -> np.ndarray:
     """Signed jump sizes of ``n_events`` independent single events at a pinned
     count (the state is reset after each event); oracle for the jump law."""
-    rng = substream(seed, TAG_MORAN, 0)
+    rng = substream(seed, TAG_EVENT_JUMPS, 0)
     c = cfg.coupling
     if c.total_mass == 0.0:
         return np.zeros(n_events, dtype=np.int64)

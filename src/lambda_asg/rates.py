@@ -1,0 +1,132 @@
+"""Jump rates of every chain the coupling drives, as slices of one binomial mixture.
+
+``T_p[m, k] = sum_a mass_a Binom(m, p_a)(k)`` at ``p = y`` and ``p = y + z``:
+
+- Moran chain at i of N, ``x = i / N``: ``i -> i + k`` at ``x T_y[N - i, k]``
+  (a disadvantaged reproducer hits k advantaged individuals) and ``i -> i - k``
+  at ``(1 - x) T_{y+z}[i, k]``.
+- Ancestor counts at n lines, ``x = n / N`` for the potential ancestors in a
+  population of N and ``x = 0`` for the limit chain: ``n -> n - j`` at
+  ``x T_y[n - 1, j] + (1 - x) T_y[n, j + 1]`` (a member reproducer hits j other
+  lines neutrally, or an outside one hits j + 1) and ``n -> n + 1`` at
+  ``(1 - x) (T_y[n, 0] - T_{y+z}[n, 0])`` (an outside reproducer whose hits
+  are all selective).
+
+Rows follow the Pascal recurrence ``B(m + 1, k) = (1 - p) B(m, k) + p B(m, k - 1)``,
+vectorized over atoms: every term is nonnegative, so relative accuracy holds in
+the tails, and ``p = 0`` or ``1`` gives exact 0/1 entries.  The branch column is
+differenced per atom before mixing: never negative, exactly 0 when neutral.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import StateCapReached
+from .measures import CoupledMeasure
+from .paths import FrequencyPath
+
+
+class MixtureTables:
+    """``y = T_y``, ``s = T_{y+z}`` (zero for ``k > m``) and ``branch[m] =
+    T_y[m, 0] - T_{y+z}[m, 0]`` for rows ``m = 0..size``."""
+
+    def __init__(self, coupling: CoupledMeasure, size: int) -> None:
+        c = coupling
+        p = np.concatenate([c.ys, c.ys + c.zs])[:, None]
+        q = 1.0 - p
+        # one row of weights per table over the stacked (y, y + z) atoms
+        weights = np.kron(np.eye(2), c.masses)
+        # Binom(m, p_a)(k) sits in column k + 1; column 0 stays 0, so one
+        # update also covers k = 0
+        rows = np.zeros((len(p), size + 2))
+        rows[:, 1] = 1.0
+        self.y, self.s = mix = np.zeros((2, size + 1, size + 1))
+        for m in range(size + 1):
+            if m > 0:
+                rows[:, 1 : m + 2] = q * rows[:, 1 : m + 2] + p * rows[:, : m + 1]
+            mix[:, m, : m + 1] = weights @ rows[:, 1 : m + 2]
+        # (1 - p)^m by the same products as column k = 0 of the rows
+        powers = np.cumprod(np.vstack([np.ones(len(p)), np.repeat(q.T, size, axis=0)]), axis=0)
+        self.branch = (powers[:, : len(c)] - powers[:, len(c) :]) @ c.masses
+
+    def moran_jumps(self, N: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(up, down)``: rates of ``count -> count + k`` and ``count -> count - k``
+        at index k (index 0 zero).  Needs rows up to ``max(count, N - count)``."""
+        x = count / N
+        up = np.zeros(N - count + 1)
+        down = np.zeros(count + 1)
+        if 0 < count < N:
+            up[1:] = x * self.y[N - count, 1 : N - count + 1]
+            down[1:] = (1.0 - x) * self.s[count, 1 : count + 1]
+        return up, down
+
+    def ancestor_rates(self, size: int, N: int | None) -> np.ndarray:
+        """Rates of an ancestor count at states ``0..size``, one row each:
+        column 0 the branch ``n -> n + 1``, column ``j >= 1`` the coalescence
+        ``n -> n - j``.  ``N`` is the population size, None the limit chain."""
+        rates = np.zeros((size + 1, size + 1))
+        x = np.arange(1, size + 1)[:, None] / N if N is not None else 0.0
+        rates[1:, :1] = (1.0 - x) * self.branch[1 : size + 1, None]
+        rates[1:, 1:size] = (
+            x * self.y[:size, 1:size] + (1.0 - x) * self.y[1 : size + 1, 2 : size + 1]
+        )
+        return rates
+
+
+class AncestorChain:
+    """Cumulative jump rows ``cum`` and total rates ``total`` of an ancestor
+    count.  Row s holds the branch (target s + 1) at index 0, then targets
+    s - 1 .. 1, and 1 from index s - 1 on.  A finite ``N`` caps the rows at
+    N; the limit chain (``N=None``) grows them on demand by rebuilding its
+    tables at the larger size."""
+
+    def __init__(self, coupling: CoupledMeasure, size: int, N: int | None = None) -> None:
+        self.coupling = coupling
+        self.N = N
+        self.total = np.zeros(0)
+        self.grow(size)
+
+    def grow(self, size: int) -> None:
+        size = size if self.N is None else min(size, self.N)
+        if size < len(self.total):
+            return
+        rates = MixtureTables(self.coupling, size).ancestor_rates(size, self.N)
+        self.total = rates.sum(axis=1)
+        self.cum = np.divide(
+            np.cumsum(rates, axis=1), self.total[:, None],
+            out=np.ones_like(rates), where=self.total[:, None] > 0.0,
+        )
+        self.cum[~np.tri(size + 1, k=-2, dtype=bool)] = 1.0
+
+
+def simulate_ancestor_path(
+    chain: AncestorChain, n0: int, horizon: float, rng: np.random.Generator,
+    state_cap: int,
+) -> FrequencyPath:
+    """One path from ``n0`` up to ``horizon``: per step an exponential holding
+    time at the total rate, then one uniform against the cumulative row.
+
+    Raises:
+        StateCapReached: if the count exceeds ``state_cap``.
+    """
+    t = 0.0
+    n = n0
+    times = [0.0]
+    values = [n0]
+    while True:
+        if n >= len(chain.total) - 1:
+            chain.grow(2 * n)
+        total = chain.total[n]
+        if total <= 0.0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t > horizon:
+            break
+        j = int(np.searchsorted(chain.cum[n], rng.random(), side="right"))
+        n = n + 1 if j == 0 else n - j
+        if n > state_cap:
+            raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
+        times.append(t)
+        values.append(n)
+    return FrequencyPath(times=np.asarray(times), values=np.asarray(values, dtype=np.int64))

@@ -25,13 +25,14 @@ TAG_SDE = 4
 TAG_LIMIT_CHAIN = 5
 TAG_CONVERGENCE_MORAN = 6
 TAG_CONVERGENCE_SDE = 7
-TAG_FIXATION_MC = 8
 TAG_KS_BOOTSTRAP = 9
 TAG_MORAN_PATH = 10
 TAG_SDE_PATH = 11
 TAG_CHAIN_PATH = 12
 TAG_CONSISTENCY = 13
 TAG_LINECOUNT_PATH = 14
+TAG_EVENT_JUMPS = 15
+TAG_SDE_ABSORPTION = 16
 
 # Chunk size for per-replicate (non-vectorized) Monte Carlo loops.
 PATHWISE_CHUNK = 2048

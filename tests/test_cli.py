@@ -1,7 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import lambda_asg
 
 from lambda_asg.cli import main
 
@@ -42,6 +48,19 @@ class TestRun:
         assert manifest["experiment"] == "duality_matrix"
         assert manifest["seed"] == 1
         assert "residual.json" in manifest["outputs"]
+
+    def test_oversized_duality_matrix_is_a_size_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": "duality_matrix",
+            "measures": PAIR,
+            "params": {"N": [10, 400]},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "N <= 300" in err
+        assert "Traceback" not in err
 
     def test_unknown_experiment_lists_names(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
@@ -272,3 +291,17 @@ class TestCheck:
         assert main(["check", cfg]) == 1
         report = json.loads(capsys.readouterr().out)
         assert "y + z" in report["issues"][0]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of start-up; only tests may load it
+    src = str(Path(lambda_asg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    code = "import sys, lambda_asg.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"
