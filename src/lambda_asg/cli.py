@@ -275,6 +275,8 @@ def run_convergence(coupling, params, seed, outdir: Path, threads: int = 1) -> t
     alpha = _opt(params, "alpha", float, 0.4)
     replicates = _opt(params, "replicates", int, 10000)
     bootstrap = _opt(params, "bootstrap", int, 1000)
+    if bootstrap < 2:
+        raise ConfigError(f"params.bootstrap must be at least 2, got {bootstrap}")
     max_final_ks = _opt(params, "max_final_ks", float, None)
     schemes = [limits.TruncationScheme(alpha=alpha, N=n) for n in sizes]
     rows = limits.convergence_study(
@@ -338,16 +340,13 @@ def run_fixation(coupling, params, seed, outdir: Path, threads: int = 1) -> tupl
         return 0, ["fixation.csv", "fixation.json"]
     solver = fixation.build_fixation_solver(coupling, nmax=nmax)
     residuals = fixation.harmonicity_values(solver.seq, coupling, xs)
-    rows = []
-    exit_code = 0
-    for x, resid in zip(xs, residuals):
-        try:
-            p, last = fixation.fixation_probability(solver.seq, float(x), nmax)
-        except NotConverged:
-            p, last = _partial_series(solver.seq, float(x), nmax)
-            exit_code = 2
-        rows.append([x, p, last, abs(resid)])
-    write_csv(outdir / "fixation.csv", ["x", "p", "last_term", "residual"], rows)
+    values, lasts = fixation.fixation_series(solver.seq, xs, nmax)
+    # rows whose series has not converged keep their partial sums; exit 2
+    exit_code = 2 if np.any(lasts > fixation.SERIES_TOL * np.abs(values)) else 0
+    write_csv(
+        outdir / "fixation.csv", ["x", "p", "last_term", "residual"],
+        zip(xs, values, lasts, np.abs(residuals)),
+    )
     write_json(outdir / "polynomials.json", {
         "nmax": nmax,
         "coefficients": [a.tolist() for a in solver.seq.coeffs],
@@ -368,24 +367,9 @@ def run_fixation(coupling, params, seed, outdir: Path, threads: int = 1) -> tupl
         write_csv(outdir / "absorption.csv", ["i", "h"], enumerate(h))
         outputs.append("absorption.csv")
         oracle = np.interp(xs, np.arange(compare_N + 1) / compare_N, h)
-        payload["max_abs_diff_vs_absorption"] = float(
-            np.abs(np.array([r[1] for r in rows]) - oracle).max()
-        )
+        payload["max_abs_diff_vs_absorption"] = float(np.abs(values - oracle).max())
     write_json(outdir / "fixation.json", payload)
     return exit_code, outputs
-
-
-def _partial_series(seq, x: float, nmax: int) -> tuple[float, float]:
-    import math as _math
-
-    scale = 1.0 / _math.expm1(2.0)
-    value = 0.0
-    last = 0.0
-    for n in range(1, nmax + 1):
-        hn = np.polynomial.polynomial.polyval(x, seq.antiderivative_coeffs(n))
-        last = scale * 2.0**n / _math.factorial(n) * float(hn)
-        value += last
-    return value, abs(last)
 
 
 def run_line_count_sim(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:

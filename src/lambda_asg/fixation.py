@@ -44,6 +44,9 @@ from .measures import CoupledMeasure
 from .quadrature import gauss_legendre_01
 
 PIVOT_TOL = 1e-13
+# the series counts as converged when its last term is at most this share of
+# its value
+SERIES_TOL = 1e-10
 _QUAD_ORDER = 64  # exact for polynomial integrands up to degree 127
 
 
@@ -190,28 +193,44 @@ def fixation_series_coeffs(seq: PolySeq, nmax: int) -> np.ndarray:
     return out
 
 
-def fixation_probability(seq: PolySeq, x: float, nmax: int) -> tuple[float, float]:
-    """Truncated series value and the magnitude of its last term.
+def fixation_series(
+    seq: PolySeq, xs: np.ndarray, nmax: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated series values on ``xs`` and the magnitudes of their last
+    terms.
 
-    Raises:
-        NotConverged: if the last term exceeds 1e-10 of the value.
+    Each antiderivative is evaluated once for the whole grid and the orders
+    are summed in increasing n, so every entry equals the one-point sum.
+    Convergence is left to the caller (see :data:`SERIES_TOL`).
     """
-    if not 0.0 <= x <= 1.0:
+    xs = np.asarray(xs, dtype=float)
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
     if nmax > seq.nmax:
         raise ValueError("sequence not built far enough")
     scale = 1.0 / math.expm1(2.0)
-    value = 0.0
-    last = 0.0
+    value = np.zeros_like(xs)
+    last = np.zeros_like(xs)
     for n in range(1, nmax + 1):
-        hn = np.polynomial.polynomial.polyval(x, seq.antiderivative_coeffs(n))
-        last = scale * 2.0**n / math.factorial(n) * float(hn)
+        hn = np.polynomial.polynomial.polyval(xs, seq.antiderivative_coeffs(n))
+        last = scale * 2.0**n / math.factorial(n) * hn
         value += last
-    if abs(last) > 1e-10 * abs(value):
+    return value, np.abs(last)
+
+
+def fixation_probability(seq: PolySeq, x: float, nmax: int) -> tuple[float, float]:
+    """Truncated series value and the magnitude of its last term.
+
+    Raises:
+        NotConverged: if the last term exceeds :data:`SERIES_TOL` of the value.
+    """
+    values, lasts = fixation_series(seq, np.array([x]), nmax)
+    value, last = float(values[0]), float(lasts[0])
+    if last > SERIES_TOL * abs(value):
         raise NotConverged(
-            f"last series term {last:.3e} exceeds 1e-10 of p({x}) = {value:.6e}"
+            f"last series term {last:.3e} exceeds {SERIES_TOL} of p({x}) = {value:.6e}"
         )
-    return value, abs(last)
+    return value, last
 
 
 def p_neutral(x: float) -> float:

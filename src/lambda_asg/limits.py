@@ -309,26 +309,61 @@ def _chain_chunk(
 # -- convergence of truncated models to the SDE --------------------------------
 
 
+def _pooled_ranks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rank of every value of ``a`` and of ``b`` among the K distinct pooled
+    values, and K."""
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError("KS needs two non-empty samples")
+    support, ranks = np.unique(np.concatenate([a, b]), return_inverse=True)
+    return ranks[: len(a)], ranks[len(a):], len(support)
+
+
+def _ks_counted(ra: np.ndarray, rb: np.ndarray, k: int) -> float:
+    """KS statistic of two samples given as ranks into a support of size k."""
+    na, nb = len(ra), len(rb)
+    gap = np.bincount(ra, minlength=k) * nb - np.bincount(rb, minlength=k) * na
+    return float(np.abs(np.cumsum(gap)).max()) / (na * nb)
+
+
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic (tie-aware)."""
-    data = np.concatenate([a, b])
-    order = np.argsort(data, kind="mergesort")
-    steps = np.where(order < len(a), 1.0 / len(a), -1.0 / len(b))
-    cum = np.cumsum(steps)
-    sorted_data = data[order]
-    # only evaluate where the pooled value changes (handles ties)
-    boundary = np.append(sorted_data[1:] != sorted_data[:-1], True)
-    return float(np.abs(cum[boundary]).max())
+    """Two-sample Kolmogorov-Smirnov statistic, exact and tie-aware.
+
+    Both samples are counted over the distinct pooled values; ``na nb``
+    times the gap of the empirical CDFs at each such value is the integer
+    ``cumsum(ca nb - cb na)``, so the only rounding is the final division.
+
+    Raises:
+        ValueError: if either sample is empty.
+    """
+    return _ks_counted(*_pooled_ranks(a, b))
 
 
 def ks_bootstrap_stderr(
     a: np.ndarray, b: np.ndarray, resamples: int, rng: np.random.Generator
 ) -> float:
+    """Standard deviation of the KS statistic over bootstrap resamples.
+
+    Each resample draws ``rng.integers(0, len(a), len(a))`` and then
+    ``rng.integers(0, len(b), len(b))``, exactly the draws of indexing the
+    values themselves, so a generator state fixes the resamples.  The pooled
+    sample is ranked once; a resample indexes the ranks and is counted as in
+    :func:`ks_distance`, so nothing is sorted again and every statistic is
+    exact.
+
+    Raises:
+        ValueError: if ``resamples < 2`` (no standard deviation) or either
+            sample is empty.
+    """
+    if resamples < 2:
+        raise ValueError(f"bootstrap needs at least 2 resamples, got {resamples}")
+    ra, rb, k = _pooled_ranks(a, b)
     stats = np.empty(resamples)
     for r in range(resamples):
-        ra = a[rng.integers(0, len(a), len(a))]
-        rb = b[rng.integers(0, len(b), len(b))]
-        stats[r] = ks_distance(ra, rb)
+        stats[r] = _ks_counted(
+            ra[rng.integers(0, len(ra), len(ra))],
+            rb[rng.integers(0, len(rb), len(rb))],
+            k,
+        )
     return float(stats.std(ddof=1))
 
 

@@ -1,15 +1,19 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lambda_asg
 
-from lambda_asg.cli import main
+from lambda_asg.cli import main, write_csv
+from lambda_asg.fixation import build_fixation_solver, harmonicity_values
+from lambda_asg.measures import CoupledMeasure
 
 PAIR = {
     "lambda_minus": {"atoms": [[0.25, 0.5], [0.5, 0.5]]},
@@ -30,6 +34,19 @@ def write_config(tmp_path, name, payload):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def per_x_series(seq, x: float, nmax: int) -> tuple[float, float]:
+    """The fixation series summed one point at a time: the slow reference for
+    the CLI's one-pass grid."""
+    scale = 1.0 / math.expm1(2.0)
+    value = 0.0
+    last = 0.0
+    for n in range(1, nmax + 1):
+        hn = np.polynomial.polynomial.polyval(x, seq.antiderivative_coeffs(n))
+        last = scale * 2.0**n / math.factorial(n) * float(hn)
+        value += last
+    return value, abs(last)
 
 
 class TestRun:
@@ -126,6 +143,48 @@ class TestRun:
         assert main(["run", cfg]) == 2
         payload = json.loads((tmp_path / "out" / "fixation.json").read_text())
         assert payload["converged"] is False
+
+    @pytest.mark.parametrize("atoms, code", [
+        (SELECTIVE["coupling"]["atoms"], 0),
+        ([[0.5, 0.25, 1.0]], 2),  # series not converged at nmax = 30
+    ])
+    def test_fixation_csv_matches_the_per_x_series(self, tmp_path, atoms, code):
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": "fixation",
+            "measures": {"coupling": {"atoms": atoms}},
+            "params": {"grid": 41, "nmax": 30},
+            "seed": 5,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", cfg]) == code
+        coupling = CoupledMeasure.from_atoms(atoms)
+        solver = build_fixation_solver(coupling, nmax=30)
+        xs = np.linspace(0.0, 1.0, 41)
+        residuals = harmonicity_values(solver.seq, coupling, xs)
+        rows = [
+            [x, *per_x_series(solver.seq, float(x), 30), abs(resid)]
+            for x, resid in zip(xs, residuals)
+        ]
+        write_csv(tmp_path / "expected.csv", ["x", "p", "last_term", "residual"], rows)
+        assert (tmp_path / "out" / "fixation.csv").read_bytes() == \
+            (tmp_path / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize("bootstrap", [0, 1])
+    def test_convergence_needs_two_bootstrap_resamples(self, tmp_path, capsys, bootstrap):
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": "convergence",
+            "measures": SELECTIVE,
+            "params": {
+                "x0": 0.5, "t": 1.0, "N_list": [20], "replicates": 50,
+                "bootstrap": bootstrap,
+            },
+            "seed": 6,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "bootstrap" in err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_moran_sim_outputs(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

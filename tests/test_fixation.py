@@ -6,11 +6,13 @@ import pytest
 from helpers import rational_moment_table, rational_polynomials
 from lambda_asg.errors import DegenerateSelection, NearSingular, NotConverged, ZeroMass
 from lambda_asg.fixation import (
+    SERIES_TOL,
     build_fixation_solver,
     build_moment_table,
     build_polynomials,
     defining_identity_residual,
     fixation_probability,
+    fixation_series,
     fixation_series_coeffs,
     harmonicity_residual,
     p_neutral,
@@ -147,6 +149,22 @@ class TestFixationProbability:
         seq = build_polynomials(t, 30)
         with pytest.raises(NotConverged):
             fixation_probability(seq, 0.5, 30)
+
+    def test_grid_series_equals_pointwise_values(self, mild_selective_coupling):
+        solver = build_fixation_solver(mild_selective_coupling, nmax=30)
+        xs = np.linspace(0.0, 1.0, 101)
+        values, lasts = fixation_series(solver.seq, xs, 30)
+        pointwise = [fixation_probability(solver.seq, float(x), 30) for x in xs]
+        assert values.tolist() == [p for p, _ in pointwise]
+        assert lasts.tolist() == [last for _, last in pointwise]
+        assert values.tolist() == [solver.p(float(x)) for x in xs]
+
+    def test_grid_series_returns_unconverged_partial_sums(self):
+        seq = build_polynomials(build_moment_table(SINGLE, 29, 29), 30)
+        values, lasts = fixation_series(seq, np.array([0.25, 0.5]), 30)
+        assert np.all(lasts > SERIES_TOL * np.abs(values))
+        with pytest.raises(ValueError):
+            fixation_series(seq, np.array([0.5, 1.5]), 30)
 
     def test_agrees_with_absorption_oracle(self, mild_selective_coupling):
         solver = build_fixation_solver(mild_selective_coupling, nmax=30)

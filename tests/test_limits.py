@@ -232,6 +232,77 @@ class TestKs:
         assert 0.0 < se < 0.1
 
 
+def _sorted_ks_distance(a, b):
+    """The sort-based KS statistic the counting version replaced."""
+    data = np.concatenate([a, b])
+    order = np.argsort(data, kind="mergesort")
+    steps = np.where(order < len(a), 1.0 / len(a), -1.0 / len(b))
+    cum = np.cumsum(steps)
+    sorted_data = data[order]
+    boundary = np.append(sorted_data[1:] != sorted_data[:-1], True)
+    return float(np.abs(cum[boundary]).max())
+
+
+def _sorted_ks_bootstrap_stderr(a, b, resamples, rng):
+    stats = np.empty(resamples)
+    for r in range(resamples):
+        ra = a[rng.integers(0, len(a), len(a))]
+        rb = b[rng.integers(0, len(b), len(b))]
+        stats[r] = _sorted_ks_distance(ra, rb)
+    return float(stats.std(ddof=1))
+
+
+def _ks_cases():
+    rng = np.random.default_rng(21)
+    x = rng.random(300)
+    return {
+        # Moran-like frequencies: few distinct values, many ties
+        "ties": (rng.binomial(40, 0.5, 500) / 40, rng.binomial(40, 0.45, 400) / 40),
+        "continuous": (rng.normal(size=400), rng.normal(0.1, 1.0, size=350)),
+        "disjoint": (rng.random(200), 2.0 + rng.random(150)),
+        "identical": (x, x.copy()),
+        "single_vs_single": (np.array([0.3]), np.array([0.7])),
+        "single_vs_many": (np.array([0.5]), rng.random(60)),
+    }
+
+
+class TestKsCounting:
+    @pytest.mark.parametrize("case", list(_ks_cases()))
+    def test_distance_matches_sorted_reference(self, case):
+        a, b = _ks_cases()[case]
+        assert ks_distance(a, b) == pytest.approx(_sorted_ks_distance(a, b), abs=1e-12)
+
+    def test_exact_values_at_the_extremes(self):
+        cases = _ks_cases()
+        assert ks_distance(*cases["disjoint"]) == 1.0
+        assert ks_distance(*cases["identical"]) == 0.0
+
+    @pytest.mark.parametrize("case", list(_ks_cases()))
+    def test_bootstrap_matches_sorted_reference_with_the_same_draws(self, case):
+        a, b = _ks_cases()[case]
+        fast_rng, slow_rng = np.random.default_rng(5), np.random.default_rng(5)
+        fast = ks_bootstrap_stderr(a, b, 40, fast_rng)
+        slow = _sorted_ks_bootstrap_stderr(a, b, 40, slow_rng)
+        assert fast == pytest.approx(slow, rel=1e-10)
+        # both consumed exactly the same draws
+        assert fast_rng.random() == slow_rng.random()
+
+    @pytest.mark.parametrize("resamples", [0, 1])
+    def test_bootstrap_needs_two_resamples(self, resamples):
+        a, b = _ks_cases()["continuous"]
+        with pytest.raises(ValueError, match="at least 2 resamples"):
+            ks_bootstrap_stderr(a, b, resamples, np.random.default_rng(0))
+
+    def test_empty_sample_is_a_value_error(self):
+        a = np.random.default_rng(22).random(10)
+        with pytest.raises(ValueError, match="non-empty"):
+            ks_distance(a, np.array([]))
+        with pytest.raises(ValueError, match="non-empty"):
+            ks_distance(np.array([]), a)
+        with pytest.raises(ValueError, match="non-empty"):
+            ks_bootstrap_stderr(np.array([]), a, 10, np.random.default_rng(0))
+
+
 class TestConvergence:
     def test_reproducible(self):
         schemes = [TruncationScheme(alpha=0.4, N=n) for n in (50, 100)]
