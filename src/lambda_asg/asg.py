@@ -44,14 +44,9 @@ MAX_IN_MEMORY_OUTCOMES = 10**7
 
 LOG_MAGIC = b"ASG1"
 
-
-@dataclass(frozen=True)
-class AsgEvent:
-    t: float
-    reproducer: int
-    y: float
-    z: float
-    outcome: np.ndarray  # (N,) uint8 arrow labels; self-entry is inert
+# Largest number of arrow labels drawn in one block of events (8 MB of
+# float64 uniforms).
+BLOCK_LABELS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,18 +63,6 @@ class AsgRealization:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def event(self, idx: int) -> AsgEvent:
-        return AsgEvent(
-            t=float(self.times[idx]),
-            reproducer=int(self.reproducers[idx]),
-            y=float(self.ys[idx]),
-            z=float(self.zs[idx]),
-            outcome=self.outcomes[idx],
-        )
-
-    def events(self) -> Iterator[AsgEvent]:
-        return (self.event(i) for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -122,58 +105,77 @@ def generate_asg(
     Inter-event times are exponential at the coupling's total mass; the
     reproducer is uniform, the strength pair is an atom drawn by mass, and
     each individual's arrow label is sampled independently from (y, z).
+    The events come from the same block generator as
+    :func:`stream_asg_to_log`, so for a seed, ``write_event_log`` of this
+    realization writes the bytes that ``stream_asg_to_log`` writes.
 
     Raises:
         SizeLimit: if the realization would store more than
             ``MAX_IN_MEMORY_OUTCOMES`` labels; use :func:`stream_asg_to_log`.
     """
-    if N < 2:
-        raise ValueError("need at least two individuals")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_size(N, horizon)
     if rng is None:
         if seed is None:
             raise ValueError("pass a seed or an explicit generator")
         rng = substream(seed, TAG_ASG, 0)
+    blocks = []
+    events = 0
+    for block in _event_blocks(N, coupling, horizon, rng):
+        events += len(block[0])
+        if events * N > MAX_IN_MEMORY_OUTCOMES:
+            raise SizeLimit(
+                f"at least {events} events x {N} individuals exceed the in-memory "
+                "cap; stream to disk with stream_asg_to_log"
+            )
+        blocks.append(block)
+    return AsgRealization(N, horizon, *(np.concatenate(col) for col in zip(*blocks)))
+
+
+def _check_size(N: int, horizon: float) -> None:
+    if N < 2:
+        raise ValueError("need at least two individuals")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+
+
+def _event_blocks(
+    N: int, coupling: CoupledMeasure, horizon: float, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Columns (times, reproducers, ys, zs, outcomes) of one realization on
+    [0, horizon], block by block.
+
+    A block draws its exponential gaps, then the reproducers (``integers``),
+    the atoms (``choice``) and the ``(E, N)`` label uniforms (``random``), in
+    that order, and keeps the E events up to the horizon; a full block is
+    followed by the next.  The block size is the expected event count plus
+    six standard deviations, at most ``BLOCK_LABELS // N``, so it follows
+    from the inputs and a seed gives one realization whoever reads it.
+    """
     rate = coupling.total_mass
-    times = _poisson_times(rate, horizon, rng)
-    E = len(times)
-    if E * N > MAX_IN_MEMORY_OUTCOMES:
-        raise SizeLimit(
-            f"{E} events x {N} individuals exceeds the in-memory cap; "
-            "stream to disk with stream_asg_to_log"
-        )
-    reproducers = rng.integers(0, N, size=E)
-    if E > 0:
-        atom_idx = rng.choice(len(coupling), size=E, p=coupling.masses / rate)
+    mean = rate * horizon
+    block = min(max(int(mean + 6 * np.sqrt(mean)) + 4, 16), max(BLOCK_LABELS // N, 1))
+    atom_p = coupling.masses / rate
+    t = 0.0
+    while True:
+        # without mass the first event never comes: one empty block
+        gaps = rng.exponential(1.0 / rate, size=block) if rate > 0.0 else np.full(1, np.inf)
+        # add in sequence from the last time, as a running sum would
+        gaps[0] += t
+        times = np.cumsum(gaps)
+        E = int(np.searchsorted(times, horizon, side="right"))
+        reproducers = rng.integers(0, N, size=E)
+        # choice takes about 20 us even when it draws nothing
+        atom_idx = rng.choice(len(coupling), size=E, p=atom_p) if E else np.empty(0, int)
         ys = coupling.ys[atom_idx]
         zs = coupling.zs[atom_idx]
-    else:
-        ys = np.empty(0)
-        zs = np.empty(0)
-    u = rng.random((E, N))
-    outcomes = np.zeros((E, N), dtype=np.uint8)
-    outcomes[u < ys[:, None]] = OUTCOME_NEUTRAL
-    outcomes[(u >= ys[:, None]) & (u < (ys + zs)[:, None])] = OUTCOME_SELECTIVE
-    return AsgRealization(
-        N=N, horizon=horizon, times=times, reproducers=reproducers,
-        ys=ys, zs=zs, outcomes=outcomes,
-    )
-
-
-def _poisson_times(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
-    if rate <= 0.0:
-        return np.empty(0)
-    times: list[float] = []
-    t = 0.0
-    # draw in blocks sized by the expected count plus slack
-    block = max(int(rate * horizon + 6 * np.sqrt(rate * horizon)) + 4, 16)
-    while True:
-        for dt in rng.exponential(1.0 / rate, size=block):
-            t += dt
-            if t > horizon:
-                return np.asarray(times)
-            times.append(t)
+        u = rng.random((E, N))
+        outcomes = np.zeros((E, N), dtype=np.uint8)
+        outcomes[u < ys[:, None]] = OUTCOME_NEUTRAL
+        outcomes[(u >= ys[:, None]) & (u < (ys + zs)[:, None])] = OUTCOME_SELECTIVE
+        yield times[:E], reproducers, ys, zs, outcomes
+        if E < block:
+            return
+        t = times[-1]
 
 
 def propagate_forward(asg: AsgRealization, init: TypeAssignment) -> TypeAssignment:
@@ -310,18 +312,24 @@ def _record_dtype(N: int) -> np.dtype:
     )
 
 
+def _packed(N: int, columns: tuple[np.ndarray, ...]) -> bytes:
+    """Log records of the columns (times, reproducers, ys, zs, outcomes)."""
+    records = np.empty(len(columns[0]), dtype=_record_dtype(N))
+    for name, column in zip(records.dtype.names, columns):
+        records[name] = column
+    return records.tobytes()
+
+
+def _write_header(fh, N: int, horizon: float) -> None:
+    fh.write(LOG_MAGIC)
+    fh.write(struct.pack("<Id", N, horizon))
+
+
 def write_event_log(asg: AsgRealization, path: str) -> None:
     """Write the 16-byte header (magic, N, horizon) and packed event records."""
-    records = np.empty(len(asg), dtype=_record_dtype(asg.N))
-    records["t"] = asg.times
-    records["reproducer"] = asg.reproducers
-    records["y"] = asg.ys
-    records["z"] = asg.zs
-    records["outcome"] = asg.outcomes
     with open(path, "wb") as fh:
-        fh.write(LOG_MAGIC)
-        fh.write(struct.pack("<Id", asg.N, asg.horizon))
-        fh.write(records.tobytes())
+        _write_header(fh, asg.N, asg.horizon)
+        fh.write(_packed(asg.N, (asg.times, asg.reproducers, asg.ys, asg.zs, asg.outcomes)))
 
 
 def read_event_log(path: str) -> AsgRealization:
@@ -347,49 +355,19 @@ def stream_asg_to_log(
     horizon: float,
     seed: int,
     path: str,
-    events_per_block: int = 4096,
 ) -> int:
     """Generate a realization directly to disk; returns the event count.
 
-    Holds only ``events_per_block`` events in memory at a time, for
-    realizations beyond the in-memory cap.
+    Writes each block of events as it is drawn, so at most
+    ``BLOCK_LABELS`` labels are held in memory, for realizations beyond the
+    in-memory cap.  The log holds the bytes that ``write_event_log`` writes
+    for :func:`generate_asg` with the same seed.
     """
-    rng = substream(seed, TAG_ASG, 0)
-    rate = coupling.total_mass
-    dtype = _record_dtype(N)
+    _check_size(N, horizon)
     count = 0
-    t = 0.0
     with open(path, "wb") as fh:
-        fh.write(LOG_MAGIC)
-        fh.write(struct.pack("<Id", N, horizon))
-        if rate <= 0.0:
-            return 0
-        atom_p = coupling.masses / rate
-        done = False
-        while not done:
-            block_t = []
-            for dt in rng.exponential(1.0 / rate, size=events_per_block):
-                t += dt
-                if t > horizon:
-                    done = True
-                    break
-                block_t.append(t)
-            E = len(block_t)
-            if E == 0:
-                continue
-            records = np.empty(E, dtype=dtype)
-            records["t"] = block_t
-            records["reproducer"] = rng.integers(0, N, size=E)
-            atom_idx = rng.choice(len(coupling), size=E, p=atom_p)
-            ys = coupling.ys[atom_idx]
-            zs = coupling.zs[atom_idx]
-            records["y"] = ys
-            records["z"] = zs
-            u = rng.random((E, N))
-            out = np.zeros((E, N), dtype=np.uint8)
-            out[u < ys[:, None]] = OUTCOME_NEUTRAL
-            out[(u >= ys[:, None]) & (u < (ys + zs)[:, None])] = OUTCOME_SELECTIVE
-            records["outcome"] = out
-            fh.write(records.tobytes())
-            count += E
+        _write_header(fh, N, horizon)
+        for block in _event_blocks(N, coupling, horizon, substream(seed, TAG_ASG, 0)):
+            fh.write(_packed(N, block))
+            count += len(block[0])
     return count

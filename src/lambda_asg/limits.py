@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InfiniteMass, NotConverged, StateCapReached
 from .measures import CoupledMeasure
-from .moran import MoranConfig, simulate_final_counts
+from .moran import MoranConfig, event_path, run_events, simulate_final_counts
 from .paths import FrequencyPath
 from .rates import AncestorChain, MixtureTables, simulate_ancestor_path
 from .rng import (
@@ -36,7 +36,7 @@ from .rng import (
     TAG_SDE,
     TAG_SDE_ABSORPTION,
     TAG_SDE_PATH,
-    chunk_bounds,
+    batched,
     substream,
 )
 
@@ -122,23 +122,11 @@ def simulate_sde(cfg: SdeConfig, seed: int, replicate: int = 0) -> FrequencyPath
     """
     rng = substream(seed, TAG_SDE_PATH, replicate)
     c = cfg.coupling
-    times = [0.0]
-    vals = [float(cfg.x0)]
-    rate = c.total_mass
-    if rate > 0.0:
-        atom_p = c.masses / rate
-        t = 0.0
-        v = float(cfg.x0)
-        while 0.0 < v < 1.0:
-            t += rng.exponential(1.0 / rate)
-            if t > cfg.horizon:
-                break
-            new = float(_sde_events(np.array([v]), c, atom_p, rng)[0])
-            if new != v:
-                v = new
-                times.append(t)
-                vals.append(v)
-    return FrequencyPath(times=np.asarray(times), values=np.asarray(vals))
+    atom_p = c.masses / c.total_mass
+    return event_path(
+        float(cfg.x0), 0.0, 1.0, c.total_mass, cfg.horizon,
+        lambda v: _sde_events(v, c, atom_p, rng), rng,
+    )
 
 
 def sde_final_values(
@@ -150,29 +138,16 @@ def sde_final_values(
     key: tuple[int, ...] = (TAG_SDE,),
 ) -> np.ndarray:
     """Time-``horizon`` marginal of the SDE over many replicates (vectorized)."""
-    out = np.empty(replicates)
-    for chunk_idx, start, stop in chunk_bounds(replicates):
-        rng = substream(seed, *key, chunk_idx)
-        out[start:stop] = _sde_final_chunk(coupling, x0, horizon, stop - start, rng)
-    return out
+    rate = coupling.total_mass
+    atom_p = coupling.masses / rate
 
+    def run(n: int, rng: np.random.Generator) -> np.ndarray:
+        return run_events(
+            np.full(n, float(x0)), 0.0, 1.0, rng.poisson(rate * horizon, size=n),
+            lambda v: _sde_events(v, coupling, atom_p, rng),
+        )
 
-def _sde_final_chunk(
-    c: CoupledMeasure, x0: float, horizon: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    vals = np.full(n, float(x0))
-    rate = c.total_mass
-    if rate == 0.0 or n == 0:
-        return vals
-    atom_p = c.masses / rate
-    n_events = rng.poisson(rate * horizon, size=n)
-    for step in range(int(n_events.max(initial=0))):
-        live = (n_events > step) & (vals > 0.0) & (vals < 1.0)
-        if not live.any():
-            break
-        idx = np.nonzero(live)[0]
-        vals[idx] = _sde_events(vals[idx], c, atom_p, rng)
-    return vals
+    return batched(replicates, seed, key, float, run)
 
 
 def sde_absorption(
@@ -194,24 +169,22 @@ def sde_absorption(
     """
     if coupling.total_mass <= 0.0:
         raise ValueError("absorption needs a coupling with events")
-    out = np.empty(replicates, dtype=bool)
     atom_p = coupling.masses / coupling.total_mass
-    for chunk_idx, start, stop in chunk_bounds(replicates):
-        rng = substream(seed, *key, chunk_idx)
-        vals = np.full(stop - start, float(x0))
-        for step in range(max_events):
-            live = (vals > threshold) & (vals < 1.0 - threshold)
-            if not live.any():
-                break
-            idx = np.nonzero(live)[0]
-            vals[idx] = _sde_events(vals[idx], coupling, atom_p, rng)
-        else:
+    lo, hi = threshold, 1.0 - threshold
+
+    def run(n: int, rng: np.random.Generator) -> np.ndarray:
+        vals = run_events(
+            np.full(n, float(x0)), lo, hi, max_events,
+            lambda v: _sde_events(v, coupling, atom_p, rng),
+        )
+        if ((vals > lo) & (vals < hi)).any():
             raise NotConverged(
                 f"paths still interior after {max_events} events; "
                 "increase max_events or check the coupling"
             )
-        out[start:stop] = vals >= 1.0 - threshold
-    return out
+        return vals >= hi
+
+    return batched(replicates, seed, key, bool, run)
 
 
 # -- limit ancestor chain ------------------------------------------------------
@@ -261,14 +234,11 @@ def chain_final_states(
     """Time-``horizon`` marginal of the limit chain over many replicates."""
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
-    out = np.empty(replicates, dtype=np.int64)
     table = AncestorChain(coupling, max(n0 + 8, 16))
-    for chunk_idx, start, stop in chunk_bounds(replicates):
-        rng = substream(seed, *key, chunk_idx)
-        out[start:stop] = _chain_chunk(
-            table, n0, horizon, stop - start, rng, state_cap
-        )
-    return out
+    return batched(
+        replicates, seed, key, np.int64,
+        lambda n, rng: _chain_chunk(table, n0, horizon, n, rng, state_cap),
+    )
 
 
 def _chain_chunk(

@@ -22,7 +22,7 @@ from .errors import SingularSystem, SizeLimit
 from .measures import CoupledMeasure
 from .paths import FrequencyPath
 from .rates import MixtureTables
-from .rng import TAG_EVENT_JUMPS, TAG_MORAN, TAG_MORAN_PATH, chunk_bounds, substream
+from .rng import TAG_EVENT_JUMPS, TAG_MORAN, TAG_MORAN_PATH, batched, substream
 
 MAX_DENSE_N = 2000
 # largest N for the dense matrix duality check B D = D A^T
@@ -128,6 +128,47 @@ def _event_updates(
     return np.where(reproducer_minus, counts + gains, counts - losses)
 
 
+def run_events(x: np.ndarray, lo, hi, budget, update) -> np.ndarray:
+    """Apply events to the entries of ``x`` in place, one per round, and return it.
+
+    A round passes the entries strictly inside ``(lo, hi)`` that still have
+    events left to ``update`` and stores its result.  ``budget`` is each
+    entry's event count, or one cap shared by all entries.
+    """
+    for step in range(int(np.max(budget, initial=0))):
+        live = (budget > step) & (x > lo) & (x < hi)
+        if not live.any():
+            break
+        idx = np.nonzero(live)[0]
+        x[idx] = update(x[idx])
+    return x
+
+
+def event_path(
+    x0, lo, hi, rate: float, horizon: float, update, rng: np.random.Generator
+) -> FrequencyPath:
+    """One path from ``x0`` up to ``horizon``, recorded at change points.
+
+    Per step: an exponential holding time at ``rate``, then one event applied
+    by ``update`` to a length-one array.  Stops early once the value leaves
+    ``(lo, hi)``, where it stays.
+    """
+    times = [0.0]
+    values = [x0]
+    t = 0.0
+    x = x0
+    while rate > 0.0 and lo < x < hi:
+        t += rng.exponential(1.0 / rate)
+        if t > horizon:
+            break
+        new = update(np.array([x]))[0].item()
+        if new != x:
+            x = new
+            times.append(t)
+            values.append(x)
+    return FrequencyPath(times=np.asarray(times), values=np.asarray(values))
+
+
 def simulate(cfg: MoranConfig, horizon: float, seed: int, replicate: int = 0) -> FrequencyPath:
     """Event-driven exact simulation up to ``horizon``.
 
@@ -139,23 +180,11 @@ def simulate(cfg: MoranConfig, horizon: float, seed: int, replicate: int = 0) ->
         raise ValueError("horizon must be positive")
     rng = substream(seed, TAG_MORAN_PATH, replicate)
     N, c = cfg.N, cfg.coupling
-    times = [0.0]
-    counts = [cfg.initial_count]
-    rate = c.total_mass
-    if rate > 0.0:
-        atom_p = c.masses / rate
-        t = 0.0
-        i = cfg.initial_count
-        while 0 < i < N:
-            t += rng.exponential(1.0 / rate)
-            if t > horizon:
-                break
-            new = int(_event_updates(np.array([i]), N, c, atom_p, rng)[0])
-            if new != i:
-                i = new
-                times.append(t)
-                counts.append(i)
-    return FrequencyPath(times=np.asarray(times), values=np.asarray(counts, dtype=np.int64))
+    atom_p = c.masses / c.total_mass
+    return event_path(
+        int(cfg.initial_count), 0, N, c.total_mass, horizon,
+        lambda x: _event_updates(x, N, c, atom_p, rng), rng,
+    )
 
 
 def simulate_final_counts(
@@ -167,31 +196,19 @@ def simulate_final_counts(
     Replicates are processed in fixed-size chunks with independent seed
     streams, so results do not depend on batching or worker count.
     """
-    out = np.empty(replicates, dtype=np.int64)
-    for chunk_idx, start, stop in chunk_bounds(replicates):
-        rng = substream(seed, *key, chunk_idx)
-        out[start:stop] = _final_counts_chunk(cfg, horizon, stop - start, rng)
-    return out
-
-
-def _final_counts_chunk(
-    cfg: MoranConfig, horizon: float, n: int, rng: np.random.Generator
-) -> np.ndarray:
     N, c = cfg.N, cfg.coupling
-    counts = np.full(n, cfg.initial_count, dtype=np.int64)
-    if c.total_mass == 0.0 or n == 0:
-        return counts
     atom_p = c.masses / c.total_mass
-    # event times are irrelevant for the fixed-time marginal; only the
-    # Poisson event count per path matters
-    n_events = rng.poisson(c.total_mass * horizon, size=n)
-    for step in range(int(n_events.max(initial=0))):
-        live = (n_events > step) & (counts > 0) & (counts < N)
-        if not live.any():
-            break
-        idx = np.nonzero(live)[0]
-        counts[idx] = _event_updates(counts[idx], N, c, atom_p, rng)
-    return counts
+
+    def run(n: int, rng: np.random.Generator) -> np.ndarray:
+        # event times are irrelevant for the fixed-time marginal; only the
+        # Poisson event count per path matters
+        return run_events(
+            np.full(n, cfg.initial_count, dtype=np.int64), 0, N,
+            rng.poisson(c.total_mass * horizon, size=n),
+            lambda x: _event_updates(x, N, c, atom_p, rng),
+        )
+
+    return batched(replicates, seed, key, np.int64, run)
 
 
 def sample_event_jumps(

@@ -50,19 +50,17 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def chunk_bounds(replicates: int) -> list[tuple[int, int, int]]:
-    """Split ``replicates`` into fixed-size chunks.
+def batched(replicates: int, seed: int, key: tuple[int, ...], dtype, run) -> np.ndarray:
+    """Values of ``replicates`` replicates drawn in fixed-size chunks.
 
-    Returns tuples ``(chunk_index, start, stop)``.
+    Chunk ``c`` covers replicates ``[c * CHUNK, (c+1) * CHUNK)`` and gets its
+    values from ``run(n, rng)``, with ``n`` its size and ``rng`` stream
+    ``(seed, *key, c)``.
     """
-    out = []
-    c = 0
-    start = 0
-    while start < replicates:
+    out = np.empty(replicates, dtype=dtype)
+    for c, start in enumerate(range(0, replicates, REPLICATE_CHUNK)):
         stop = min(start + REPLICATE_CHUNK, replicates)
-        out.append((c, start, stop))
-        c += 1
-        start = stop
+        out[start:stop] = run(stop - start, substream(seed, *key, c))
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 from math import comb
@@ -164,3 +165,13 @@ def merged_chisquare_pvalue(
     # renormalize tiny mismatch from probabilities not summing exactly to 1
     exp_arr *= obs_arr.sum() / exp_arr.sum()
     return float(chisquare(obs_arr, exp_arr).pvalue)
+
+
+def digest(*arrays: np.ndarray) -> str:
+    """SHA-256 over the dtype and bytes of each array, to pin a realization."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()

@@ -4,6 +4,7 @@ from scipy.stats import chi2_contingency
 
 from helpers import merged_chisquare_pvalue
 from lambda_asg.asg import (
+    BLOCK_LABELS,
     OUTCOME_NEUTRAL,
     OUTCOME_SELECTIVE,
     AsgRealization,
@@ -23,6 +24,41 @@ from lambda_asg.measures import CoupledMeasure
 
 HALF = CoupledMeasure.from_atoms([(0.5, 0.0, 1.0)])
 SEL_ONLY = CoupledMeasure.from_atoms([(0.0, 0.5, 1.0)])
+
+
+def reference_generate_asg(N, coupling, horizon, rng):
+    """The all-at-once generator: every event time, then each column for all
+    events.  The block generator must draw the same for one block."""
+    rate = coupling.total_mass
+    times = reference_poisson_times(rate, horizon, rng)
+    E = len(times)
+    reproducers = rng.integers(0, N, size=E)
+    if E > 0:
+        atom_idx = rng.choice(len(coupling), size=E, p=coupling.masses / rate)
+        ys = coupling.ys[atom_idx]
+        zs = coupling.zs[atom_idx]
+    else:
+        ys = np.empty(0)
+        zs = np.empty(0)
+    u = rng.random((E, N))
+    outcomes = np.zeros((E, N), dtype=np.uint8)
+    outcomes[u < ys[:, None]] = OUTCOME_NEUTRAL
+    outcomes[(u >= ys[:, None]) & (u < (ys + zs)[:, None])] = OUTCOME_SELECTIVE
+    return times, reproducers, ys, zs, outcomes
+
+
+def reference_poisson_times(rate, horizon, rng):
+    if rate <= 0.0:
+        return np.empty(0)
+    times = []
+    t = 0.0
+    block = max(int(rate * horizon + 6 * np.sqrt(rate * horizon)) + 4, 16)
+    while True:
+        for dt in rng.exponential(1.0 / rate, size=block):
+            t += dt
+            if t > horizon:
+                return np.asarray(times)
+            times.append(t)
 
 
 def one_event_realization(N, reproducer, outcome_pairs, y=0.4, z=0.2):
@@ -75,6 +111,23 @@ class TestGeneration:
         asg = generate_asg(5, example_coupling, horizon=200.0, seed=4)
         assert np.all(np.diff(asg.times) > 0)
         assert asg.times[-1] <= 200.0
+
+    @pytest.mark.parametrize("N, horizon", [(2, 0.01), (4, 3.0), (37, 20.0), (200, 60.0)])
+    def test_same_draws_as_reference(self, example_coupling, N, horizon):
+        sizes = []
+        for coupling in (example_coupling, CoupledMeasure.from_atoms([])):
+            for seed in range(6):
+                ref_rng = np.random.default_rng(seed)
+                expected = reference_generate_asg(N, coupling, horizon, ref_rng)
+                rng = np.random.default_rng(seed)
+                asg = generate_asg(N, coupling, horizon, rng=rng)
+                got = (asg.times, asg.reproducers, asg.ys, asg.zs, asg.outcomes)
+                for a, b in zip(got, expected):
+                    assert np.array_equal(a, b)
+                assert rng.random() == ref_rng.random()
+                sizes.append(len(asg))
+        if horizon < 0.1:
+            assert 0 in sizes[:6]  # no event before the horizon, at positive mass
 
     def test_memory_guard(self):
         big = CoupledMeasure.from_atoms([(0.5, 0.0, 2000.0)])
@@ -288,10 +341,26 @@ class TestEventLog:
     def test_streaming_deterministic(self, tmp_path, example_coupling):
         p1 = tmp_path / "a.asg"
         p2 = tmp_path / "b.asg"
-        n1 = stream_asg_to_log(6, example_coupling, 40.0, 16, str(p1), events_per_block=7)
-        n2 = stream_asg_to_log(6, example_coupling, 40.0, 16, str(p2), events_per_block=7)
+        n1 = stream_asg_to_log(6, example_coupling, 40.0, 16, str(p1))
+        n2 = stream_asg_to_log(6, example_coupling, 40.0, 16, str(p2))
         assert n1 == n2
         assert p1.read_bytes() == p2.read_bytes()
         back = read_event_log(str(p1))
         assert len(back) == n1
         assert np.all(np.diff(back.times) > 0)
+
+    @pytest.mark.parametrize("N, events, several_blocks", [(6, 40, False), (1000, 3000, True)])
+    def test_stream_equals_in_memory(self, tmp_path, example_coupling, N, events, several_blocks):
+        horizon = events / example_coupling.total_mass
+        streamed = tmp_path / "streamed.asg"
+        written = tmp_path / "written.asg"
+        count = stream_asg_to_log(N, example_coupling, horizon, 21, str(streamed))
+        write_event_log(generate_asg(N, example_coupling, horizon, seed=21), str(written))
+        assert (count > BLOCK_LABELS // N) == several_blocks
+        assert streamed.read_bytes() == written.read_bytes()
+
+    def test_stream_rejects_bad_size(self, tmp_path, example_coupling):
+        with pytest.raises(ValueError):
+            stream_asg_to_log(1, example_coupling, 1.0, 1, str(tmp_path / "a.asg"))
+        with pytest.raises(ValueError):
+            stream_asg_to_log(4, example_coupling, 0.0, 1, str(tmp_path / "b.asg"))

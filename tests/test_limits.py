@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from helpers import merged_chisquare_pvalue
-from lambda_asg.errors import StateCapReached
+from helpers import digest, merged_chisquare_pvalue
+from lambda_asg.errors import NotConverged, StateCapReached
 from lambda_asg.limits import (
     SdeConfig,
     TruncationScheme,
@@ -87,6 +87,44 @@ class TestSdePaths:
         p = hit_top.mean()
         # selection disfavors the tracked type: below the neutral value 0.5
         assert 0.0 < p < 0.5
+
+    def test_absorption_on_the_last_allowed_event(self):
+        # y = 1: every event moves the path to 0 or 1
+        sweep = CoupledMeasure.from_atoms([(1.0, 0.0, 1.0)])
+        hit_top = sde_absorption(sweep, 0.5, 1000, seed=7, max_events=1)
+        assert 0.4 < hit_top.mean() < 0.6
+
+    def test_absorption_budget_exhausted(self):
+        # y < 1 and z = 0: jumps only shrink the distance to a boundary
+        with pytest.raises(NotConverged):
+            sde_absorption(
+                CoupledMeasure.from_atoms([(0.3, 0.0, 1.0)]), 0.5, 100, seed=7,
+                max_events=5,
+            )
+
+    @pytest.mark.parametrize("seed, expected", [
+        (4, "7fa3e708a9e368ec0b784112d099cf4b2e46ba82d3a16c1730930c227366e779"),
+        (5, "f90ecdb55263a725ab8de05aab0c55a6dedebd5fb70597b702211c69fbcf52fb"),
+    ])
+    def test_path_draws_pinned(self, mild_selective_coupling, seed, expected):
+        cfg = SdeConfig(coupling=mild_selective_coupling, x0=0.4, horizon=5.0)
+        path = simulate_sde(cfg, seed=seed)
+        assert digest(path.times, path.values) == expected
+
+    def test_batched_draws_pinned(self, example_coupling, mild_selective_coupling):
+        # 70 000 replicates span two chunks
+        finals = sde_final_values(example_coupling, 0.4, 2.0, 70_000, seed=8)
+        assert digest(finals) == (
+            "1cea988c933e6c55d02a35364c120ea249542ddcfa7c5c3dd6e2988fa9412ab1"
+        )
+        hit_top = sde_absorption(mild_selective_coupling, 0.5, 5000, seed=8)
+        assert digest(hit_top) == (
+            "7ae626939908fc93a8789e183938abe561a50fdfe580d8d482229d0c12fca3c0"
+        )
+        states = chain_final_states(example_coupling, 3, 1.0, 70_000, seed=8)
+        assert digest(states) == (
+            "d24b35f7e6574e0288f79f974452791e81141d6b74e9414f2e2c6f22c0c68839"
+        )
 
 
 class TestTruncation:

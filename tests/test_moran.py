@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import merged_chisquare_pvalue
+from helpers import digest, merged_chisquare_pvalue
 from lambda_asg.errors import SingularSystem, SizeLimit
 from lambda_asg.measures import CoupledMeasure
 from lambda_asg.moran import (
@@ -124,6 +124,22 @@ class TestSimulate:
         b = simulate(cfg, 5.0, seed=9)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("seed, expected", [
+        (4, "bb160f4f00f3d00fce21ce06d4e867d403c6a3750f8be22ea5b940affddf3deb"),
+        (5, "92cd1837abfc8f59291f134161ada68508b9680a4092acc166317199af71734f"),
+    ])
+    def test_path_draws_pinned(self, mild_selective_coupling, seed, expected):
+        cfg = MoranConfig(N=30, coupling=mild_selective_coupling, initial_count=12)
+        path = simulate(cfg, 5.0, seed=seed)
+        assert digest(path.times, path.values) == expected
+
+    def test_final_counts_pinned_over_two_chunks(self, mild_selective_coupling):
+        cfg = MoranConfig(N=30, coupling=mild_selective_coupling, initial_count=12)
+        finals = simulate_final_counts(cfg, 2.0, 70_000, seed=8)
+        assert digest(finals) == (
+            "20ac6a00ffb665667d4eba73f7b53277266c752fa16b49a8f928f14852a69718"
+        )
 
     def test_neutral_symmetric_absorption(self):
         N = 50
