@@ -2,7 +2,7 @@
 
 Subpackages:
     measures  -- finite measures, stochastic order, the selective coupling
-    rates     -- binomial-mixture rate tables and the ancestor-count stepper
+    rates     -- binomial-mixture rate tables and the limit-chain jump table
     moran     -- finite-population simulator and exact matrix oracles
     asg       -- ancestral selection graph: generation, both sweep directions
     duality   -- sampling function and all duality verification routines

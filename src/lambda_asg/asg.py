@@ -9,8 +9,8 @@ Forward in time the events propagate types (advantaged through both arrow
 kinds, disadvantaged through neutral only); backward in time they drive the
 potential-ancestor sweep: lines hit by a neutral arrow always merge into the
 reproducer line, lines hit by a selective arrow stay and the reproducer line
-is added.  The count of potential ancestors is Markov; its rates (see
-:mod:`lambda_asg.rates`) are exposed here as an oracle and as a simulator.
+is added.  The count of potential ancestors is Markov: its rates (see
+:mod:`lambda_asg.rates`) are the oracle for its event-by-event simulator.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import SizeLimit
 from .measures import CoupledMeasure
+from .moran import event_path
 from .paths import FrequencyPath
-from .rates import AncestorChain, MixtureTables, simulate_ancestor_path
+from .rates import MixtureTables
 from .rng import (
     TAG_ASG,
     TAG_CONSISTENCY,
@@ -145,7 +146,7 @@ def _event_blocks(
     [0, horizon], block by block.
 
     A block draws its exponential gaps, then the reproducers (``integers``),
-    the atoms (``choice``) and the ``(E, N)`` label uniforms (``random``), in
+    the atoms (``sample_atoms``) and the ``(E, N)`` label uniforms (``random``), in
     that order, and keeps the E events up to the horizon; a full block is
     followed by the next.  The block size is the expected event count plus
     six standard deviations, at most ``BLOCK_LABELS // N``, so it follows
@@ -154,7 +155,6 @@ def _event_blocks(
     rate = coupling.total_mass
     mean = rate * horizon
     block = min(max(int(mean + 6 * np.sqrt(mean)) + 4, 16), max(BLOCK_LABELS // N, 1))
-    atom_p = coupling.masses / rate
     t = 0.0
     while True:
         # without mass the first event never comes: one empty block
@@ -164,8 +164,7 @@ def _event_blocks(
         times = np.cumsum(gaps)
         E = int(np.searchsorted(times, horizon, side="right"))
         reproducers = rng.integers(0, N, size=E)
-        # choice takes about 20 us even when it draws nothing
-        atom_idx = rng.choice(len(coupling), size=E, p=atom_p) if E else np.empty(0, int)
+        atom_idx = coupling.sample_atoms(rng, E)
         ys = coupling.ys[atom_idx]
         zs = coupling.zs[atom_idx]
         u = rng.random((E, N))
@@ -230,6 +229,23 @@ def potential_ancestors(
     return {int(i) for i in np.nonzero(members)[0]}
 
 
+def _ancestor_events(
+    n: np.ndarray, N: int | None, c: CoupledMeasure, rng: np.random.Generator
+) -> np.ndarray:
+    """One event per entry of the ancestor count ``n``, read backward: the
+    reproducer is one of the n lines w.p. n / N (never in the limit,
+    ``N=None``); each other line is hit w.p. y + z, neutrally w.p. y, and a
+    neutral hit merges it into the reproducer, which joins when it was
+    outside and hit anything.  Stored atoms have y + z > 0."""
+    size = len(n)
+    a = c.sample_atoms(rng, size)
+    y, s = c.ys[a], c.ys[a] + c.zs[a]
+    inside = rng.random(size) * N < n if N is not None else np.zeros(size, dtype=bool)
+    hits = rng.binomial(n - inside, s)
+    neutral = rng.binomial(hits, y / s)
+    return n - neutral + (~inside & (hits > 0))
+
+
 def line_count_rates(
     N: int, coupling: CoupledMeasure, n: int
 ) -> tuple[np.ndarray, float]:
@@ -251,12 +267,16 @@ def simulate_line_count(
     N: int, coupling: CoupledMeasure, n0: int, horizon: float, seed: int,
     replicate: int = 0,
 ) -> FrequencyPath:
-    """Continuous-time Markov chain of the potential-ancestor count."""
+    """Potential-ancestor count of ``n0`` lines among N, drawn event by event."""
     if not 1 <= n0 <= N:
         raise ValueError("need 1 <= n0 <= N")
     rng = substream(seed, TAG_LINECOUNT_PATH, replicate)
-    chain = AncestorChain(coupling, max(n0 + 8, 16), N=N)
-    return simulate_ancestor_path(chain, n0, horizon, rng, state_cap=N)
+    # without a selective gap one line is absorbing
+    lo = int(coupling.selective_mass() == 0.0)
+    return event_path(
+        int(n0), lo, N + 1, coupling.total_mass, horizon,
+        lambda n: _ancestor_events(n, N, coupling, rng), rng,
+    )
 
 
 def _consistency_chunk(args: tuple) -> tuple[int, int]:

@@ -82,18 +82,12 @@ def resolve_measures(cfg: dict) -> tuple[measures.CoupledMeasure, dict]:
             "measures must hold exactly one of {lambda_minus + lambda_plus} or {coupling}"
         )
     if has_coupling:
-        try:
-            coupling = measures.coupling_from_config(spec["coupling"])
-        except ValueError as exc:
-            raise ConfigError(f"measures.coupling: {exc}") from None
+        coupling = measures.coupling_from_config(spec["coupling"])
         return coupling, {"source": "coupling", "atoms": len(coupling)}
     if "lambda_minus" not in spec or "lambda_plus" not in spec:
         raise ConfigError("both lambda_minus and lambda_plus are required")
-    try:
-        lm = measures.measure_from_config(spec["lambda_minus"])
-        lp = measures.measure_from_config(spec["lambda_plus"])
-    except ValueError as exc:
-        raise ConfigError(f"measures: {exc}") from None
+    lm = measures.measure_from_config(spec["lambda_minus"])
+    lp = measures.measure_from_config(spec["lambda_plus"])
     coupling = measures.coupling_from_pair(lm, lp)
     return coupling, {
         "source": "pair",
@@ -146,12 +140,9 @@ def _params(cfg: dict) -> dict:
 
 
 def _need(params: dict, name: str, cast):
-    if name not in params:
+    if params.get(name) is None:
         raise ConfigError(f"params.{name} is required for this experiment")
-    try:
-        return cast(params[name])
-    except (TypeError, ValueError):
-        raise ConfigError(f"params.{name} has invalid value {params[name]!r}") from None
+    return _opt(params, name, cast, None)
 
 
 def _opt(params: dict, name: str, cast, default):
@@ -328,6 +319,8 @@ def run_fixation(coupling, params, seed, outdir: Path, threads: int = 1) -> tupl
     nmax = _opt(params, "nmax", int, 30)
     grid = _opt(params, "grid", int, 101)
     compare_N = _opt(params, "compare_absorption_N", int, 0)
+    if grid < 1:
+        raise ConfigError(f"params.grid must be at least 1, got {grid}")
     xs = np.linspace(0.0, 1.0, grid)
     if coupling.selective_mass() == 0.0:
         warnings.warn("coupling has no selective gap; emitting the neutral p(x) = x")
@@ -523,7 +516,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # library routines reject invalid arguments, here from the config, with ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NotConverged as exc:

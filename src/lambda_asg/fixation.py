@@ -164,8 +164,10 @@ def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
 
 
 def build_fixation_solver(coupling: CoupledMeasure, nmax: int = 30) -> "FixationSolver":
-    """Convenience: moment table sized for ``nmax`` plus polynomials."""
-    table = build_moment_table(coupling, jmax=max(nmax - 1, 0), kmax=max(nmax - 1, 0))
+    """Convenience: moment table sized for ``nmax >= 1`` plus polynomials."""
+    if nmax < 1:
+        raise ValueError(f"nmax must be at least 1, got {nmax}")
+    table = build_moment_table(coupling, jmax=nmax - 1, kmax=nmax - 1)
     seq = build_polynomials(table, nmax)
     return FixationSolver(coupling=coupling, table=table, seq=seq, nmax=nmax)
 

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asg import _ancestor_events
 from .errors import InfiniteMass, NotConverged, StateCapReached
 from .measures import CoupledMeasure
 from .moran import MoranConfig, event_path, run_events, simulate_final_counts
 from .paths import FrequencyPath
-from .rates import AncestorChain, MixtureTables, simulate_ancestor_path
+from .rates import AncestorChain, MixtureTables
 from .rng import (
     TAG_CHAIN_PATH,
     TAG_CONVERGENCE_MORAN,
@@ -101,12 +102,10 @@ def truncate_measure(coupling: CoupledMeasure, scheme: TruncationScheme) -> Coup
 # -- frequency SDE -------------------------------------------------------------
 
 
-def _sde_events(
-    vals: np.ndarray, c: CoupledMeasure, atom_p: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def _sde_events(vals: np.ndarray, c: CoupledMeasure, rng: np.random.Generator) -> np.ndarray:
     """One event per entry of ``vals``: up by y(1-v) w.p. v, else down by (y+z)v."""
     n = len(vals)
-    a = rng.choice(len(c), size=n, p=atom_p)
+    a = c.sample_atoms(rng, n)
     u = rng.random(n)
     y = c.ys[a]
     s = y + c.zs[a]
@@ -122,10 +121,9 @@ def simulate_sde(cfg: SdeConfig, seed: int, replicate: int = 0) -> FrequencyPath
     """
     rng = substream(seed, TAG_SDE_PATH, replicate)
     c = cfg.coupling
-    atom_p = c.masses / c.total_mass
     return event_path(
         float(cfg.x0), 0.0, 1.0, c.total_mass, cfg.horizon,
-        lambda v: _sde_events(v, c, atom_p, rng), rng,
+        lambda v: _sde_events(v, c, rng), rng,
     )
 
 
@@ -139,12 +137,11 @@ def sde_final_values(
 ) -> np.ndarray:
     """Time-``horizon`` marginal of the SDE over many replicates (vectorized)."""
     rate = coupling.total_mass
-    atom_p = coupling.masses / rate
 
     def run(n: int, rng: np.random.Generator) -> np.ndarray:
         return run_events(
             np.full(n, float(x0)), 0.0, 1.0, rng.poisson(rate * horizon, size=n),
-            lambda v: _sde_events(v, coupling, atom_p, rng),
+            lambda v: _sde_events(v, coupling, rng),
         )
 
     return batched(replicates, seed, key, float, run)
@@ -169,13 +166,12 @@ def sde_absorption(
     """
     if coupling.total_mass <= 0.0:
         raise ValueError("absorption needs a coupling with events")
-    atom_p = coupling.masses / coupling.total_mass
     lo, hi = threshold, 1.0 - threshold
 
     def run(n: int, rng: np.random.Generator) -> np.ndarray:
         vals = run_events(
             np.full(n, float(x0)), lo, hi, max_events,
-            lambda v: _sde_events(v, coupling, atom_p, rng),
+            lambda v: _sde_events(v, coupling, rng),
         )
         if ((vals > lo) & (vals < hi)).any():
             raise NotConverged(
@@ -209,7 +205,7 @@ def simulate_limit_chain(
     state_cap: int = 10**6,
     replicate: int = 0,
 ) -> FrequencyPath:
-    """One path of the limit ancestor chain (values >= 1).
+    """One path of the limit ancestor chain (values >= 1), drawn event by event.
 
     Raises:
         StateCapReached: if the path exceeds ``state_cap`` (diagnostic guard
@@ -218,8 +214,15 @@ def simulate_limit_chain(
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
     rng = substream(seed, TAG_CHAIN_PATH, replicate)
-    chain = AncestorChain(coupling, max(n0 + 8, 16))
-    return simulate_ancestor_path(chain, n0, horizon, rng, state_cap)
+    # without a selective gap one line is absorbing
+    lo = int(coupling.selective_mass() == 0.0)
+    path = event_path(
+        int(n0), lo, state_cap + 1, coupling.total_mass, horizon,
+        lambda n: _ancestor_events(n, None, coupling, rng), rng,
+    )
+    if path.final > state_cap:
+        raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
+    return path
 
 
 def chain_final_states(

@@ -17,7 +17,9 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -114,14 +116,12 @@ def measure_from_beta_density(
         raise ValueError("beta parameters must be positive")
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    from scipy.special import betaln
-
     nodes, weights = gauss_legendre_01(16)
     edges = np.linspace(0.0, 1.0, grid + 1)
     widths = np.diff(edges)
     # evaluation points per cell: shape (grid, 16)
     pts = edges[:-1, None] + widths[:, None] * nodes[None, :]
-    lognorm = betaln(a, b)
+    lognorm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     dens = np.exp((a - 1.0) * np.log(pts) + (b - 1.0) * np.log1p(-pts) - lognorm)
     cell_mass = widths * (dens @ weights)
     cell_mass *= mass / cell_mass.sum()
@@ -171,6 +171,17 @@ class CoupledMeasure:
 
     def __len__(self) -> int:
         return len(self.masses)
+
+    @cached_property
+    def _atom_cdf(self) -> np.ndarray:
+        # as rng.choice builds it; empty for the empty measure
+        cdf = np.cumsum(self.masses / self.total_mass)
+        return cdf / cdf[-1] if len(cdf) else cdf
+
+    def sample_atoms(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Indices of ``size`` atoms drawn by mass: the draws of ``rng.choice(
+        len(self), size, p=masses / total_mass)``, one uniform each."""
+        return self._atom_cdf.searchsorted(rng.random(size), side="right")
 
     def scaled(self, factor: float) -> "CoupledMeasure":
         if factor < 0:
@@ -363,24 +374,29 @@ def marginal_mismatch(
 
 def measure_from_config(spec: dict) -> FiniteMeasure1D:
     """Parse a measure description: {"atoms": [[loc, mass], ...]} or
-    {"density": {"kind": "beta", "params": [a, b], "grid": n, "mass": m}}."""
-    if "atoms" in spec:
-        return FiniteMeasure1D.from_atoms([(float(l), float(m)) for l, m in spec["atoms"]])
-    if "density" in spec:
-        d = spec["density"]
-        if d.get("kind") != "beta":
-            raise ValueError(f"unknown density kind: {d.get('kind')!r}")
-        a, b = (float(v) for v in d["params"])
-        return measure_from_beta_density(
-            a, b, grid=int(d.get("grid", 256)), mass=float(d.get("mass", 1.0))
-        )
+    {"density": {"kind": "beta", "params": [a, b], "grid": n, "mass": m}};
+    ValueError if it is malformed."""
+    try:
+        if "atoms" in spec:
+            return FiniteMeasure1D.from_atoms([(float(l), float(m)) for l, m in spec["atoms"]])
+        if "density" in spec:
+            d = spec["density"]
+            if d.get("kind") != "beta":
+                raise ValueError(f"unknown density kind: {d.get('kind')!r}")
+            a, b = (float(v) for v in d["params"])
+            return measure_from_beta_density(
+                a, b, grid=int(d.get("grid", 256)), mass=float(d.get("mass", 1.0))
+            )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed measure spec: {exc!r}") from None
     raise ValueError("measure spec needs 'atoms' or 'density'")
 
 
 def coupling_from_config(spec: dict) -> CoupledMeasure:
-    """Parse a coupling description {"atoms": [[y, z, mass], ...]}."""
-    if "atoms" not in spec:
-        raise ValueError("coupling spec needs 'atoms'")
-    return CoupledMeasure.from_atoms(
-        [(float(y), float(z), float(m)) for y, z, m in spec["atoms"]]
-    )
+    """Parse a coupling description {"atoms": [[y, z, mass], ...]}; ValueError
+    if it is malformed."""
+    try:
+        atoms = [(float(y), float(z), float(m)) for y, z, m in spec["atoms"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"coupling spec needs 'atoms': [[y, z, mass], ...] ({exc!r})") from None
+    return CoupledMeasure.from_atoms(atoms)

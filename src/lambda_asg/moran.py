@@ -116,13 +116,12 @@ def _states_not_reaching_boundary(Q: np.ndarray) -> list[int]:
 
 
 def _event_updates(
-    counts: np.ndarray, N: int, c: CoupledMeasure, atom_p: np.ndarray,
-    rng: np.random.Generator,
+    counts: np.ndarray, N: int, c: CoupledMeasure, rng: np.random.Generator
 ) -> np.ndarray:
     """Apply one reproduction event to every entry of ``counts`` (vectorized)."""
     n = len(counts)
     reproducer_minus = rng.random(n) * N < counts
-    a = rng.choice(len(c), size=n, p=atom_p)
+    a = c.sample_atoms(rng, n)
     gains = rng.binomial(N - counts, c.ys[a])
     losses = rng.binomial(counts, c.ys[a] + c.zs[a])
     return np.where(reproducer_minus, counts + gains, counts - losses)
@@ -180,10 +179,9 @@ def simulate(cfg: MoranConfig, horizon: float, seed: int, replicate: int = 0) ->
         raise ValueError("horizon must be positive")
     rng = substream(seed, TAG_MORAN_PATH, replicate)
     N, c = cfg.N, cfg.coupling
-    atom_p = c.masses / c.total_mass
     return event_path(
         int(cfg.initial_count), 0, N, c.total_mass, horizon,
-        lambda x: _event_updates(x, N, c, atom_p, rng), rng,
+        lambda x: _event_updates(x, N, c, rng), rng,
     )
 
 
@@ -197,7 +195,6 @@ def simulate_final_counts(
     streams, so results do not depend on batching or worker count.
     """
     N, c = cfg.N, cfg.coupling
-    atom_p = c.masses / c.total_mass
 
     def run(n: int, rng: np.random.Generator) -> np.ndarray:
         # event times are irrelevant for the fixed-time marginal; only the
@@ -205,7 +202,7 @@ def simulate_final_counts(
         return run_events(
             np.full(n, cfg.initial_count, dtype=np.int64), 0, N,
             rng.poisson(c.total_mass * horizon, size=n),
-            lambda x: _event_updates(x, N, c, atom_p, rng),
+            lambda x: _event_updates(x, N, c, rng),
         )
 
     return batched(replicates, seed, key, np.int64, run)
@@ -220,6 +217,5 @@ def sample_event_jumps(
     c = cfg.coupling
     if c.total_mass == 0.0:
         return np.zeros(n_events, dtype=np.int64)
-    atom_p = c.masses / c.total_mass
     pinned = np.full(n_events, count, dtype=np.int64)
-    return _event_updates(pinned, cfg.N, c, atom_p, rng) - count
+    return _event_updates(pinned, cfg.N, c, rng) - count

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StateCapReached
 from .measures import CoupledMeasure
-from .paths import FrequencyPath
 
 
 class MixtureTables:
@@ -75,58 +73,23 @@ class MixtureTables:
 
 
 class AncestorChain:
-    """Cumulative jump rows ``cum`` and total rates ``total`` of an ancestor
-    count.  Row s holds the branch (target s + 1) at index 0, then targets
-    s - 1 .. 1, and 1 from index s - 1 on.  A finite ``N`` caps the rows at
-    N; the limit chain (``N=None``) grows them on demand by rebuilding its
-    tables at the larger size."""
+    """Cumulative jump rows ``cum`` and total rates ``total`` of the limit
+    ancestor count.  Row s holds the branch (target s + 1) at index 0, then
+    targets s - 1 .. 1, and 1 from index s - 1 on.  The rows grow on demand
+    by rebuilding the tables at the larger size."""
 
-    def __init__(self, coupling: CoupledMeasure, size: int, N: int | None = None) -> None:
+    def __init__(self, coupling: CoupledMeasure, size: int) -> None:
         self.coupling = coupling
-        self.N = N
         self.total = np.zeros(0)
         self.grow(size)
 
     def grow(self, size: int) -> None:
-        size = size if self.N is None else min(size, self.N)
         if size < len(self.total):
             return
-        rates = MixtureTables(self.coupling, size).ancestor_rates(size, self.N)
+        rates = MixtureTables(self.coupling, size).ancestor_rates(size, None)
         self.total = rates.sum(axis=1)
         self.cum = np.divide(
             np.cumsum(rates, axis=1), self.total[:, None],
             out=np.ones_like(rates), where=self.total[:, None] > 0.0,
         )
         self.cum[~np.tri(size + 1, k=-2, dtype=bool)] = 1.0
-
-
-def simulate_ancestor_path(
-    chain: AncestorChain, n0: int, horizon: float, rng: np.random.Generator,
-    state_cap: int,
-) -> FrequencyPath:
-    """One path from ``n0`` up to ``horizon``: per step an exponential holding
-    time at the total rate, then one uniform against the cumulative row.
-
-    Raises:
-        StateCapReached: if the count exceeds ``state_cap``.
-    """
-    t = 0.0
-    n = n0
-    times = [0.0]
-    values = [n0]
-    while True:
-        if n >= len(chain.total) - 1:
-            chain.grow(2 * n)
-        total = chain.total[n]
-        if total <= 0.0:
-            break
-        t += rng.exponential(1.0 / total)
-        if t > horizon:
-            break
-        j = int(np.searchsorted(chain.cum[n], rng.random(), side="right"))
-        n = n + 1 if j == 0 else n - j
-        if n > state_cap:
-            raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
-        times.append(t)
-        values.append(n)
-    return FrequencyPath(times=np.asarray(times), values=np.asarray(values, dtype=np.int64))

@@ -40,7 +40,8 @@ PATHWISE_CHUNK = 2048
 SEED_RULE = (
     "stream(*key) = default_rng(SeedSequence(seed, spawn_key=key)); key starts "
     "with a fixed per-consumer tag; batched routines append one chunk index "
-    f"per {REPLICATE_CHUNK} replicates"
+    f"per {REPLICATE_CHUNK} replicates; per-replicate routines use (seed, tag, "
+    "replicate)"
 )
 
 

@@ -9,6 +9,7 @@ from lambda_asg.asg import (
     OUTCOME_SELECTIVE,
     AsgRealization,
     TypeAssignment,
+    _ancestor_events,
     ancestry_consistency_check,
     generate_asg,
     line_count_rates,
@@ -20,10 +21,15 @@ from lambda_asg.asg import (
     write_event_log,
 )
 from lambda_asg.errors import SizeLimit
+from lambda_asg.limits import limit_chain_rates
 from lambda_asg.measures import CoupledMeasure
 
 HALF = CoupledMeasure.from_atoms([(0.5, 0.0, 1.0)])
 SEL_ONLY = CoupledMeasure.from_atoms([(0.0, 0.5, 1.0)])
+# y = 0, y = 1 and y + z = 1 among the atoms
+EDGES = CoupledMeasure.from_atoms([
+    (0.0, 0.5, 0.7), (0.5, 0.5, 0.3), (1.0, 0.0, 0.2), (0.0, 1.0, 0.4), (0.25, 0.3, 1.1),
+])
 
 
 def reference_generate_asg(N, coupling, horizon, rng):
@@ -233,6 +239,29 @@ class TestLineCountRates:
             assert np.all(coalesce >= 0) and branch >= 0
 
 
+class TestAncestorEventRule:
+    @pytest.mark.parametrize("N, n", [(10, 1), (10, 5), (10, 10), (None, 1), (None, 5)])
+    @pytest.mark.parametrize("name", ["example", "edges"])
+    def test_one_event_law(self, example_coupling, name, N, n):
+        # one event from a pinned count moves it by the chain's rate over the
+        # event rate; the rest of the mass leaves it unchanged
+        c = example_coupling if name == "example" else EDGES
+        if N is None:
+            coalesce, branch = limit_chain_rates(c, n)
+            probs = {n - k + 1: coalesce[k] / c.total_mass for k in range(2, n + 1)}
+        else:
+            coalesce, branch = line_count_rates(N, c, n)
+            probs = {n - k: coalesce[k] / c.total_mass for k in range(1, n)}
+        probs[n + 1] = branch / c.total_mass
+        probs[n] = 1.0 - sum(probs.values())
+        draws = 200_000
+        after = _ancestor_events(np.full(draws, n), N, c, np.random.default_rng(50))
+        values, counts = np.unique(after, return_counts=True)
+        observed = dict(zip(values.tolist(), counts.tolist()))
+        assert set(observed) <= {k for k, p in probs.items() if p > 0.0}
+        assert merged_chisquare_pvalue(observed, probs, draws) > 1e-3
+
+
 class TestLineCountSimulation:
     def test_stuck_at_one_without_branching(self):
         path = simulate_line_count(6, HALF, 1, horizon=50.0, seed=9)
@@ -306,6 +335,12 @@ class TestConsistency:
         a = ancestry_consistency_check(6, example_coupling, 1.5, 64, seed=13, threads=1)
         b = ancestry_consistency_check(6, example_coupling, 1.5, 64, seed=13, threads=2)
         assert a == b
+
+    def test_threads_do_not_change_result_over_several_chunks(self, example_coupling):
+        # 3000 replicates are two per-replicate chunks, so two workers run
+        a = ancestry_consistency_check(3, example_coupling, 1.5, 3000, seed=13, threads=1)
+        b = ancestry_consistency_check(3, example_coupling, 1.5, 3000, seed=13, threads=2)
+        assert a == b == (9000, 0)
 
 
 class TestEventLog:

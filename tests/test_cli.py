@@ -316,6 +316,46 @@ class TestDeterminism:
             assert float(row["value"]) == v
 
 
+BAD_MEASURES = {
+    "coupling_atoms_not_a_list": {"coupling": {"atoms": 5}},
+    "atom_location_null": {
+        "lambda_minus": {"atoms": [[None, 1]]}, "lambda_plus": PAIR["lambda_plus"],
+    },
+    "beta_density_without_params": {
+        "lambda_minus": {"density": {"kind": "beta"}}, "lambda_plus": PAIR["lambda_plus"],
+    },
+}
+BAD_PARAMS = {
+    "moran_x0_above_one": ("moran_sim", {"N": 10, "horizon": 1.0, "x0": 1.5}),
+    "line_count_n0_above_N": ("line_count_sim", {"N": 5, "n0": 6, "horizon": 1.0}),
+    "fixation_nmax_zero": ("fixation", {"nmax": 0}),
+    "fixation_nmax_negative": ("fixation", {"nmax": -3}),
+    "fixation_grid_zero": ("fixation", {"grid": 0}),
+}
+INVALID_CONFIGS = {
+    **{case: ("coupling_report", spec, {}) for case, spec in BAD_MEASURES.items()},
+    **{case: (name, SELECTIVE, params) for case, (name, params) in BAD_PARAMS.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+def test_invalid_config_is_a_config_error(tmp_path, capsys, case):
+    experiment, spec, params = INVALID_CONFIGS[case]
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": experiment, "measures": spec, "params": params, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not (tmp_path / "out" / "fixation.csv").exists()
+    if case in BAD_MEASURES:
+        assert main(["check", cfg]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert not report["valid"] and report["issues"]
+
+
 class TestCheck:
     def test_valid_pair(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"measures": PAIR, "seed": 0})

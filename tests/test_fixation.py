@@ -137,6 +137,11 @@ class TestFixationProbability:
         assert np.all(np.diff(ps) >= -1e-12)
         assert np.all(ps <= xs + 1e-12)
 
+    @pytest.mark.parametrize("nmax", [0, -3])
+    def test_solver_needs_a_term(self, mild_selective_coupling, nmax):
+        with pytest.raises(ValueError, match="nmax must be at least 1"):
+            build_fixation_solver(mild_selective_coupling, nmax=nmax)
+
     def test_returns_truncation_diagnostic(self, mild_selective_coupling):
         solver = build_fixation_solver(mild_selective_coupling, nmax=30)
         value, last = fixation_probability(solver.seq, 0.5, 30)

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import plan_cost, random_ordered_pair, transport_vertices
+import lambda_asg
+from helpers import plan_cost, random_coupling, random_ordered_pair, transport_vertices
 from lambda_asg.errors import OrderViolation, ZeroMass
 from lambda_asg.measures import (
     CoupledMeasure,
@@ -48,6 +54,43 @@ class TestFiniteMeasure:
         assert len(m) == 256
         assert m.total_mass == pytest.approx(1.0, abs=1e-12)
         assert m.mean() == pytest.approx(2.0 / 5.0, abs=1e-4)
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (0.5, 0.5), (0.3, 4), (50, 80), (400, 300)])
+    def test_beta_binning_matches_betaln_normalization(self, a, b):
+        # the reference normalizes each cell by scipy's Beta function before
+        # the total is rescaled to the requested mass
+        from scipy.special import betaln
+
+        from lambda_asg.quadrature import gauss_legendre_01
+
+        nodes, weights = gauss_legendre_01(16)
+        edges = np.linspace(0.0, 1.0, 129)
+        pts = edges[:-1, None] + np.diff(edges)[:, None] * nodes[None, :]
+        dens = np.exp((a - 1.0) * np.log(pts) + (b - 1.0) * np.log1p(-pts) - betaln(a, b))
+        ref = np.diff(edges) * (dens @ weights)
+        ref *= 2.0 / ref.sum()
+        m = measure_from_beta_density(a, b, grid=128, mass=2.0)
+        keep = ref > 1e-15  # atoms below the dust threshold are dropped
+        assert np.array_equal(m.locations, (0.5 * (edges[:-1] + edges[1:]))[keep])
+        assert np.allclose(m.masses, ref[keep], rtol=1e-14, atol=0.0)
+
+    def test_beta_binning_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from lambda_asg.measures import measure_from_beta_density\n"
+            "m = measure_from_beta_density(0.5, 0.5, grid=64)\n"
+            "assert len(m) == 64\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(lambda_asg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestStochasticOrder:
@@ -283,3 +326,34 @@ class TestCoupledMeasureInvariants:
         c = CoupledMeasure.from_atoms([(0.5, 0.1, 0.4), (0.5, 0.1, 0.6)])
         assert len(c) == 1
         assert c.masses[0] == pytest.approx(1.0)
+
+
+class TestAtomSampler:
+    """``sample_atoms`` against the ``rng.choice`` call it replaced."""
+
+    @staticmethod
+    def assert_same_draws(c, size, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = c.sample_atoms(rng, size)
+        ref = ref_rng.choice(len(c), size=size, p=c.masses / c.total_mass)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 10_000])
+    def test_random_couplings(self, size):
+        rng = np.random.default_rng(40)
+        for seed in range(25):
+            self.assert_same_draws(random_coupling(rng, max_atoms=6), size, seed)
+
+    @pytest.mark.parametrize("size", [0, 1, 500])
+    def test_one_atom(self, size):
+        c = CoupledMeasure.from_atoms([(0.3, 0.2, 2.5)])
+        self.assert_same_draws(c, size, 41)
+        assert not c.sample_atoms(np.random.default_rng(41), size).any()
+
+    def test_empty_coupling_draws_nothing_at_size_zero(self):
+        rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
+        got = CoupledMeasure.from_atoms([]).sample_atoms(rng, 0)
+        assert got.shape == (0,) and got.dtype == np.int64
+        assert rng.random() == ref_rng.random()

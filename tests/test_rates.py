@@ -128,16 +128,11 @@ class TestPublicRates:
 
 
 class TestAncestorChain:
-    @pytest.mark.parametrize("N", [None, 12])
-    def test_rows_in_shared_layout(self, example_coupling, N):
-        chain = AncestorChain(example_coupling, 12, N=N)
+    def test_rows_in_shared_layout(self, example_coupling):
+        chain = AncestorChain(example_coupling, 12)
         for s in range(1, 13):
-            if N is None:
-                coalesce, branch = limit_chain_rates(example_coupling, s)
-                rates = np.concatenate([[branch], coalesce[2:]])
-            else:
-                coalesce, branch = line_count_rates(N, example_coupling, s)
-                rates = np.concatenate([[branch], coalesce[1:]])
+            coalesce, branch = limit_chain_rates(example_coupling, s)
+            rates = np.concatenate([[branch], coalesce[2:]])
             # row s: branch, then targets s - 1 .. 1; 1 from index s - 1 on
             assert chain.total[s] == pytest.approx(rates.sum(), rel=1e-14)
             assert np.allclose(np.diff(chain.cum[s, :s], prepend=0.0) * chain.total[s],
@@ -151,10 +146,3 @@ class TestAncestorChain:
         fresh = AncestorChain(example_coupling, 57)
         assert np.array_equal(chain.total, fresh.total)
         assert np.array_equal(chain.cum, fresh.cum)
-
-    def test_finite_chain_capped_at_population(self, example_coupling):
-        chain = AncestorChain(example_coupling, 16, N=10)
-        assert len(chain.total) == 11
-        chain.grow(40)
-        assert len(chain.total) == 11
-        assert chain.cum.shape == (11, 11)
