@@ -128,12 +128,24 @@ class TestPublicRates:
 
 
 class TestAncestorChain:
-    def test_rows_in_shared_layout(self, example_coupling):
-        chain = AncestorChain(example_coupling, 12)
+    @pytest.mark.parametrize("N", [None, 12])
+    def test_rows_in_shared_layout(self, example_coupling, N):
+        # the finite-N rows live only in the tables; the chain is the limit's
+        rows = MixtureTables(example_coupling, 12).ancestor_rates(12, N)
+        chain = AncestorChain(example_coupling, 12) if N is None else None
         for s in range(1, 13):
-            coalesce, branch = limit_chain_rates(example_coupling, s)
-            rates = np.concatenate([[branch], coalesce[2:]])
-            # row s: branch, then targets s - 1 .. 1; 1 from index s - 1 on
+            if N is None:
+                coalesce, branch = limit_chain_rates(example_coupling, s)
+                rates = np.concatenate([[branch], coalesce[2:]])
+            else:
+                coalesce, branch = line_count_rates(N, example_coupling, s)
+                rates = np.concatenate([[branch], coalesce[1:]])
+            # table row s: branch, then s -> s - j at column j; zero from s on
+            assert np.allclose(rows[s, :s], rates, rtol=1e-12, atol=1e-15)
+            assert np.all(rows[s, s:] == 0.0)
+            if chain is None:
+                continue
+            # chain row s: branch, then targets s - 1 .. 1; 1 from index s - 1 on
             assert chain.total[s] == pytest.approx(rates.sum(), rel=1e-14)
             assert np.allclose(np.diff(chain.cum[s, :s], prepend=0.0) * chain.total[s],
                                rates, rtol=1e-12, atol=1e-15)
