@@ -26,14 +26,7 @@ from .measures import CoupledMeasure
 from .moran import event_path
 from .paths import FrequencyPath
 from .rates import MixtureTables
-from .rng import (
-    TAG_ASG,
-    TAG_CONSISTENCY,
-    TAG_LINECOUNT_PATH,
-    pathwise_chunks,
-    run_jobs,
-    substream,
-)
+from .rng import TAG_ASG, TAG_CONSISTENCY, TAG_LINECOUNT_PATH, per_replicate, substream
 
 OUTCOME_NONE = 0
 OUTCOME_NEUTRAL = 1
@@ -212,21 +205,30 @@ def potential_ancestors(
     """
     if not 0 <= to_time <= from_time <= asg.horizon:
         raise ValueError("need 0 <= to_time <= from_time <= horizon")
-    members = np.zeros(asg.N, dtype=bool)
-    members[list(sample)] = True
+    members = np.zeros((1, asg.N), dtype=bool)
+    members[0, list(sample)] = True
     if not members.any():
         raise ValueError("sample must be nonempty")
+    _sweep(asg, members, from_time, to_time)
+    return {int(i) for i in np.nonzero(members[0])[0]}
+
+
+def _sweep(
+    asg: AsgRealization, members: np.ndarray, from_time: float, to_time: float
+) -> np.ndarray:
+    """The backward sweep of :func:`potential_ancestors`, applied in place to
+    each row of the ``(k, N)`` boolean member matrix ``members``."""
     lo = int(np.searchsorted(asg.times, to_time, side="right"))
     hi = int(np.searchsorted(asg.times, from_time, side="right"))
     for e in range(hi - 1, lo - 1, -1):
         out = asg.outcomes[e]
         r = asg.reproducers[e]
-        hit = members & (out != OUTCOME_NONE)
-        hit[r] = False
-        if hit.any():
-            members[hit & (out == OUTCOME_NEUTRAL)] = False
-            members[r] = True
-    return {int(i) for i in np.nonzero(members)[0]}
+        touched = out != OUTCOME_NONE
+        touched[r] = False
+        rows = (members & touched).any(axis=1)
+        members &= ~(rows[:, None] & (out == OUTCOME_NEUTRAL))
+        members[:, r] |= rows
+    return members
 
 
 def _ancestor_events(
@@ -237,7 +239,7 @@ def _ancestor_events(
     ``N=None``); each other line is hit w.p. y + z, neutrally w.p. y, and a
     neutral hit merges it into the reproducer, which joins when it was
     outside and hit anything.  Stored atoms have y + z > 0."""
-    size = len(n)
+    size = np.shape(n)
     a = c.sample_atoms(rng, size)
     y, s = c.ys[a], c.ys[a] + c.zs[a]
     inside = rng.random(size) * N < n if N is not None else np.zeros(size, dtype=bool)
@@ -279,22 +281,16 @@ def simulate_line_count(
     )
 
 
-def _consistency_chunk(args: tuple) -> tuple[int, int]:
-    N, coupling, horizon, seed, r_start, r_stop = args
-    checked = 0
-    violations = 0
-    for r in range(r_start, r_stop):
-        rng = substream(seed, TAG_CONSISTENCY, r)
-        realization = generate_asg(N, coupling, horizon, rng=rng)
-        init = TypeAssignment(minus=rng.random(N) < 0.5)
-        final = propagate_forward(realization, init)
-        for i in range(N):
-            ancestors = potential_ancestors(realization, {i}, horizon, 0.0)
-            plus_reachable = any(not init.minus[j] for j in ancestors)
-            checked += 1
-            if plus_reachable != (not final.minus[i]):
-                violations += 1
-    return checked, violations
+def _consistency_replicate(
+    rng: np.random.Generator, N: int, coupling: CoupledMeasure, horizon: float
+) -> tuple[int, int]:
+    realization = generate_asg(N, coupling, horizon, rng=rng)
+    init = TypeAssignment(minus=rng.random(N) < 0.5)
+    final = propagate_forward(realization, init)
+    # row i holds the potential ancestors of individual i
+    ancestors = _sweep(realization, np.eye(N, dtype=bool), horizon, 0.0)
+    plus_reachable = (ancestors & ~init.minus).any(axis=1)
+    return N, int((plus_reachable == final.minus).sum())
 
 
 def ancestry_consistency_check(
@@ -311,16 +307,14 @@ def ancestry_consistency_check(
     individual's final type must be advantaged exactly when its
     potential-ancestor set at time 0 contains an advantaged individual.
     Returns (individuals checked, violations); any violation falsifies the
-    graph construction.
+    graph construction.  One matrix sweep per replicate finds every
+    individual's ancestors.
     """
-    jobs = [
-        (N, coupling, horizon, seed, start, stop)
-        for start, stop in pathwise_chunks(replicates)
-    ]
-    parts = run_jobs(_consistency_chunk, jobs, threads)
-    checked = sum(p[0] for p in parts)
-    violations = sum(p[1] for p in parts)
-    return checked, violations
+    counts = per_replicate(
+        replicates, seed, TAG_CONSISTENCY, threads, _consistency_replicate, N, coupling, horizon
+    )
+    checked, violations = counts.sum(axis=0)
+    return int(checked), int(violations)
 
 
 # -- binary event log ---------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import SizeLimit
 from .measures import CoupledMeasure
 from .moran import MAX_DUALITY_N, MoranConfig, generator_matrix
 from .rates import MixtureTables
-from .rng import TAG_PATHWISE, pathwise_chunks, run_jobs, substream
+from .rng import TAG_PATHWISE, per_replicate
 
 
 def sampling_function(N: int, i: int, n: int) -> float:
@@ -104,20 +104,19 @@ def _report(lhs: np.ndarray, rhs: np.ndarray, params: dict) -> DualityReport:
     )
 
 
-def _pathwise_chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    N, coupling, T, initial_count, sample_size, seed, r_start, r_stop = args
-    lhs = np.empty(r_stop - r_start)
-    rhs = np.empty(r_stop - r_start)
-    for k, r in enumerate(range(r_start, r_stop)):
-        rng = substream(seed, TAG_PATHWISE, r)
-        asg = generate_asg(N, coupling, T, rng=rng)
-        minus0 = rng.permutation(N)[:initial_count]
-        forward = propagate_forward(asg, TypeAssignment.from_minus_set(N, minus0))
-        lhs[k] = sampling_function(N, forward.minus_count, sample_size)
-        sample = rng.permutation(N)[:sample_size]
-        ancestors = potential_ancestors(asg, sample, T, 0.0)
-        rhs[k] = sampling_function(N, initial_count, len(ancestors))
-    return lhs, rhs
+def _pathwise_replicate(
+    rng: np.random.Generator, N: int, coupling: CoupledMeasure, T: float,
+    initial_count: int, sample_size: int,
+) -> tuple[float, float]:
+    asg = generate_asg(N, coupling, T, rng=rng)
+    minus0 = rng.permutation(N)[:initial_count]
+    forward = propagate_forward(asg, TypeAssignment.from_minus_set(N, minus0))
+    sample = rng.permutation(N)[:sample_size]
+    ancestors = potential_ancestors(asg, sample, T, 0.0)
+    return (
+        sampling_function(N, forward.minus_count, sample_size),
+        sampling_function(N, initial_count, len(ancestors)),
+    )
 
 
 def pathwise_duality_check(
@@ -137,19 +136,16 @@ def pathwise_duality_check(
     ``S(X_T, n)``, the right side sweeps a uniform n-sample backward and
     evaluates ``S(i, A_T)``.  Sharing streams correlates the sides, which
     only makes the pooled-stderr z-score conservative.  Replicate r draws
-    from stream (seed, r) regardless of worker count.
+    from stream (seed, tag, r) regardless of worker count.
     """
     if not 0 <= initial_count <= N:
         raise ValueError("initial_count out of range")
     if not 1 <= sample_size <= N:
         raise ValueError("sample_size out of range")
-    jobs = [
-        (N, coupling, T, initial_count, sample_size, seed, start, stop)
-        for start, stop in pathwise_chunks(replicates)
-    ]
-    parts = run_jobs(_pathwise_chunk, jobs, threads)
-    lhs = np.concatenate([p[0] for p in parts])
-    rhs = np.concatenate([p[1] for p in parts])
+    lhs, rhs = per_replicate(
+        replicates, seed, TAG_PATHWISE, threads, _pathwise_replicate,
+        N, coupling, T, initial_count, sample_size,
+    ).T
     return _report(lhs, rhs, {
         "N": N, "T": T, "initial_count": initial_count,
         "sample_size": sample_size, "seed": seed,

@@ -104,7 +104,7 @@ def truncate_measure(coupling: CoupledMeasure, scheme: TruncationScheme) -> Coup
 
 def _sde_events(vals: np.ndarray, c: CoupledMeasure, rng: np.random.Generator) -> np.ndarray:
     """One event per entry of ``vals``: up by y(1-v) w.p. v, else down by (y+z)v."""
-    n = len(vals)
+    n = np.shape(vals)
     a = c.sample_atoms(rng, n)
     u = rng.random(n)
     y = c.ys[a]

@@ -178,9 +178,9 @@ class CoupledMeasure:
         cdf = np.cumsum(self.masses / self.total_mass)
         return cdf / cdf[-1] if len(cdf) else cdf
 
-    def sample_atoms(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Indices of ``size`` atoms drawn by mass: the draws of ``rng.choice(
-        len(self), size, p=masses / total_mass)``, one uniform each."""
+    def sample_atoms(self, rng: np.random.Generator, size: int | tuple) -> np.ndarray:
+        """Atom indices of shape ``size`` drawn by mass: the draws of
+        ``rng.choice(len(self), size, p=masses / total_mass)``, one uniform each."""
         return self._atom_cdf.searchsorted(rng.random(size), side="right")
 
     def scaled(self, factor: float) -> "CoupledMeasure":

@@ -119,7 +119,7 @@ def _event_updates(
     counts: np.ndarray, N: int, c: CoupledMeasure, rng: np.random.Generator
 ) -> np.ndarray:
     """Apply one reproduction event to every entry of ``counts`` (vectorized)."""
-    n = len(counts)
+    n = np.shape(counts)
     reproducer_minus = rng.random(n) * N < counts
     a = c.sample_atoms(rng, n)
     gains = rng.binomial(N - counts, c.ys[a])
@@ -149,7 +149,7 @@ def event_path(
     """One path from ``x0`` up to ``horizon``, recorded at change points.
 
     Per step: an exponential holding time at ``rate``, then one event applied
-    by ``update`` to a length-one array.  Stops early once the value leaves
+    by ``update`` to a 0-d array.  Stops early once the value leaves
     ``(lo, hi)``, where it stays.
     """
     times = [0.0]
@@ -160,7 +160,7 @@ def event_path(
         t += rng.exponential(1.0 / rate)
         if t > horizon:
             break
-        new = update(np.array([x]))[0].item()
+        new = update(np.array(x)).item()
         if new != x:
             x = new
             times.append(t)

@@ -4,9 +4,11 @@ Every stochastic routine in the package draws from a stream derived from
 ``(master_seed, tag, index)`` through :class:`numpy.random.SeedSequence`
 spawn keys, so replicate ``r`` of an experiment sees the same randomness
 no matter how replicates are batched or scheduled.  Batched Monte Carlo
-routines consume one stream per fixed-size chunk of ``REPLICATE_CHUNK``
-replicates (chunk ``c`` covers replicates ``[c * CHUNK, (c+1) * CHUNK)``),
-which keeps results byte-identical across worker counts.
+routines (:func:`batched`) consume one stream per fixed-size chunk of
+``REPLICATE_CHUNK`` replicates (chunk ``c`` covers replicates
+``[c * CHUNK, (c+1) * CHUNK)``); per-replicate routines
+(:func:`per_replicate`) give replicate ``r`` its own stream ``(seed, tag, r)``.
+Both keep results byte-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -65,23 +67,28 @@ def batched(replicates: int, seed: int, key: tuple[int, ...], dtype, run) -> np.
     return out
 
 
-def pathwise_chunks(replicates: int) -> list[tuple[int, int]]:
-    """Fixed-size (start, stop) ranges for per-replicate loops."""
-    return [
-        (start, min(start + PATHWISE_CHUNK, replicates))
+def per_replicate(replicates: int, seed: int, tag: int, threads: int, fn, *args) -> np.ndarray:
+    """Rows ``fn(substream(seed, tag, r), *args)`` for r < ``replicates``.
+
+    The replicates run in chunks of ``PATHWISE_CHUNK``, on a process pool of
+    ``threads`` workers when there is more than one chunk; each replicate owns
+    its stream, so the ``(replicates, k)`` result is the same for any worker
+    count.
+    """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    jobs = [
+        (fn, seed, tag, start, min(start + PATHWISE_CHUNK, replicates), args)
         for start in range(0, replicates, PATHWISE_CHUNK)
     ]
-
-
-def run_jobs(fn, jobs: list, threads: int) -> list:
-    """Apply ``fn`` to each job, optionally on a process pool.
-
-    Results are returned in job order, so the output is identical for any
-    worker count (each job derives its randomness from its own stream).
-    """
     if threads <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
+        return np.concatenate([_replicate_chunk(job) for job in jobs])
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
+        return np.concatenate(list(pool.map(_replicate_chunk, jobs)))
+
+
+def _replicate_chunk(job: tuple) -> np.ndarray:
+    fn, seed, tag, start, stop, args = job
+    return np.array([fn(substream(seed, tag, r), *args) for r in range(start, stop)])

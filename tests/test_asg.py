@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+import lambda_asg.asg as asg_module
 from helpers import merged_chisquare_pvalue
 from lambda_asg.asg import (
     BLOCK_LABELS,
     OUTCOME_NEUTRAL,
+    OUTCOME_NONE,
     OUTCOME_SELECTIVE,
     AsgRealization,
     TypeAssignment,
     _ancestor_events,
+    _sweep,
     ancestry_consistency_check,
     generate_asg,
     line_count_rates,
@@ -23,6 +26,7 @@ from lambda_asg.asg import (
 from lambda_asg.errors import SizeLimit
 from lambda_asg.limits import limit_chain_rates
 from lambda_asg.measures import CoupledMeasure
+from lambda_asg.rng import TAG_CONSISTENCY, substream
 
 HALF = CoupledMeasure.from_atoms([(0.5, 0.0, 1.0)])
 SEL_ONLY = CoupledMeasure.from_atoms([(0.0, 0.5, 1.0)])
@@ -65,6 +69,50 @@ def reference_poisson_times(rate, horizon, rng):
             if t > horizon:
                 return np.asarray(times)
             times.append(t)
+
+
+def reference_potential_ancestors(asg, sample, from_time, to_time):
+    """The single-sample backward sweep, one event at a time."""
+    members = np.zeros(asg.N, dtype=bool)
+    members[list(sample)] = True
+    lo = int(np.searchsorted(asg.times, to_time, side="right"))
+    hi = int(np.searchsorted(asg.times, from_time, side="right"))
+    for e in range(hi - 1, lo - 1, -1):
+        out = asg.outcomes[e]
+        r = asg.reproducers[e]
+        hit = members & (out != OUTCOME_NONE)
+        hit[r] = False
+        if hit.any():
+            members[hit & (out == OUTCOME_NEUTRAL)] = False
+            members[r] = True
+    return {int(i) for i in np.nonzero(members)[0]}
+
+
+def reference_consistency(N, coupling, horizon, replicates, seed):
+    """The per-individual consistency check: one backward sweep per
+    individual, the slow reference for the matrix sweep."""
+    checked = 0
+    violations = 0
+    for r in range(replicates):
+        rng = substream(seed, TAG_CONSISTENCY, r)
+        realization = generate_asg(N, coupling, horizon, rng=rng)
+        init = TypeAssignment(minus=rng.random(N) < 0.5)
+        final = asg_module.propagate_forward(realization, init)
+        for i in range(N):
+            ancestors = reference_potential_ancestors(realization, {i}, horizon, 0.0)
+            plus_reachable = any(not init.minus[j] for j in ancestors)
+            checked += 1
+            if plus_reachable != (not final.minus[i]):
+                violations += 1
+    return checked, violations
+
+
+SWEEP_COUPLINGS = {
+    "half": HALF,
+    "selective_only": SEL_ONLY,
+    "edges": EDGES,
+    "zero_mass": CoupledMeasure.from_atoms([]),
+}
 
 
 def one_event_realization(N, reproducer, outcome_pairs, y=0.4, z=0.2):
@@ -341,6 +389,62 @@ class TestConsistency:
         a = ancestry_consistency_check(3, example_coupling, 1.5, 3000, seed=13, threads=1)
         b = ancestry_consistency_check(3, example_coupling, 1.5, 3000, seed=13, threads=2)
         assert a == b == (9000, 0)
+
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_needs_a_replicate(self, example_coupling, replicates):
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            ancestry_consistency_check(6, example_coupling, 1.5, replicates, seed=1)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_COUPLINGS) + ["example"])
+    @pytest.mark.parametrize("N", [2, 7, 25])
+    @pytest.mark.parametrize("seed", [4, 19])
+    def test_matches_per_individual_reference(self, example_coupling, name, N, seed):
+        coupling = SWEEP_COUPLINGS.get(name, example_coupling)
+        expected = reference_consistency(N, coupling, 2.0, 12, seed)
+        assert ancestry_consistency_check(N, coupling, 2.0, 12, seed) == expected
+        assert expected == (12 * N, 0)
+
+    def test_a_wrong_final_type_is_counted(self, example_coupling, monkeypatch):
+        propagate = asg_module.propagate_forward
+
+        def flip_first(realization, init):
+            final = propagate(realization, init)
+            final.minus[0] = not final.minus[0]
+            return final
+
+        monkeypatch.setattr(asg_module, "propagate_forward", flip_first)
+        expected = reference_consistency(8, example_coupling, 2.0, 30, 5)
+        assert ancestry_consistency_check(8, example_coupling, 2.0, 30, 5) == expected
+        # one flipped individual per replicate, each a violation
+        assert expected == (240, 30)
+
+
+class TestMatrixSweep:
+    @pytest.mark.parametrize("name", sorted(SWEEP_COUPLINGS) + ["example"])
+    @pytest.mark.parametrize("N", [2, 9, 40])
+    def test_identity_rows_are_singleton_ancestors(self, example_coupling, name, N):
+        coupling = SWEEP_COUPLINGS.get(name, example_coupling)
+        for seed in range(3):
+            realization = generate_asg(N, coupling, 3.0, seed=seed)
+            for from_time, to_time in ((3.0, 0.0), (2.0, 0.5)):
+                rows = _sweep(realization, np.eye(N, dtype=bool), from_time, to_time)
+                for i in range(N):
+                    got = {int(j) for j in np.nonzero(rows[i])[0]}
+                    assert got == potential_ancestors(realization, {i}, from_time, to_time)
+                    assert got == reference_potential_ancestors(
+                        realization, {i}, from_time, to_time
+                    )
+
+    @pytest.mark.parametrize("N", [2, 9, 40])
+    def test_samples_match_reference(self, N):
+        rng = np.random.default_rng(N)
+        for seed in range(5):
+            realization = generate_asg(N, EDGES, 3.0, seed=seed)
+            for _ in range(10):
+                sample = rng.permutation(N)[: rng.integers(1, N + 1)]
+                to_time, from_time = np.sort(rng.uniform(0.0, 3.0, 2))
+                assert potential_ancestors(realization, sample, from_time, to_time) == \
+                    reference_potential_ancestors(realization, sample, from_time, to_time)
 
 
 class TestEventLog:

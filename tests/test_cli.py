@@ -356,6 +356,23 @@ def test_invalid_config_is_a_config_error(tmp_path, capsys, case):
         assert not report["valid"] and report["issues"]
 
 
+@pytest.mark.parametrize("experiment, params", [
+    ("asg_pathwise", {"N": 6, "horizon": 1.0}),
+    ("duality_pathwise", {"N": 6, "t": 1.0, "x0": 0.5, "n": 2}),
+])
+@pytest.mark.parametrize("replicates", [0, -3])
+def test_pathwise_experiments_need_a_replicate(tmp_path, capsys, experiment, params, replicates):
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": experiment, "measures": SELECTIVE,
+        "params": {**params, "replicates": replicates}, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: replicates must be >= 1")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 class TestCheck:
     def test_valid_pair(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"measures": PAIR, "seed": 0})

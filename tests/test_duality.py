@@ -120,6 +120,14 @@ class TestPathwiseDuality:
         b = pathwise_duality_check(6, example_coupling, **kw, threads=2)
         assert a == b
 
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_needs_a_replicate(self, example_coupling, replicates):
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            pathwise_duality_check(
+                6, example_coupling, T=0.5, initial_count=3, sample_size=1,
+                replicates=replicates, seed=1,
+            )
+
     def test_report_round_trips_to_dict(self, example_coupling):
         report = pathwise_duality_check(
             6, example_coupling, T=0.5, initial_count=3, sample_size=1,
