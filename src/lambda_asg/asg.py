@@ -359,7 +359,9 @@ def read_event_log(path: str) -> AsgRealization:
         reproducers=records["reproducer"].astype(np.int64),
         ys=records["y"].copy(),
         zs=records["z"].copy(),
-        outcomes=records["outcome"].copy(),
+        # a read-only view of the read buffer: a copy would double the read's
+        # peak memory, and each row of N labels is contiguous either way
+        outcomes=records["outcome"],
     )
 
 

@@ -12,7 +12,14 @@ Configs are JSON objects::
     }
 
 ``measures`` holds either the ordered pair (coupled via the quantile
-construction after normalization) or a ready-made ``coupling``.  Every run
+construction after normalization) or a ready-made ``coupling``; ``run`` and
+``check`` read it with the same parser.  An experiment's params are the
+keyword-only parameters of its runner: the annotation is the type, a param
+without a default is required, and ``MINIMUM`` holds the lower bounds.
+``cmd_run`` checks the params before anything is written: an unknown name, a
+missing one, a wrong type or a value below its minimum is a config error.
+Nothing is cast: an int is also a float, a bool is not an int, and
+``list[int]`` takes a non-empty list of ints or one bare int.  Every run
 writes ``manifest.json`` (config echo, seed rule, wall time) next to the
 experiment artifacts.  Exit codes: 0 success, 1 validation error, 2 numerical
 acceptance failure.
@@ -22,17 +29,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import os
 import sys
 import time
+import typing
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, asg, duality, fixation, limits, measures, moran
-from .errors import LambdaAsgError, NotConverged, OrderViolation
+from .errors import LambdaAsgError, NotConverged
 from .rng import SEED_RULE
 
 
@@ -41,6 +50,12 @@ class ConfigError(Exception):
 
 
 # -- config handling -----------------------------------------------------------
+
+# lower bounds of params, by name, for every experiment that takes them
+MINIMUM = {
+    "replicates": 1, "bootstrap": 2, "grid": 1, "n_max": 1, "max_paths": 0,
+    "compare_absorption_N": 0,
+}
 
 
 def load_config(path: str) -> dict:
@@ -59,35 +74,62 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _field(cfg: dict, name: str, kind, required: bool = True, default=None):
+def _typed(name: str, value, kind):
+    """``value`` if it has type ``kind``, else ConfigError.  Nothing is cast:
+    an int is also a float (and read as one), a bool is not an int, and
+    ``list[int]`` takes a non-empty list of ints or one bare int."""
+    if typing.get_origin(kind) is list:
+        items = value if isinstance(value, list) else [value]
+        if not items:
+            raise ConfigError(f"{name} must be a non-empty list, got []")
+        return [_typed(name, item, typing.get_args(kind)[0]) for item in items]
+    for k in typing.get_args(kind) or (kind,):
+        if isinstance(value, bool) and k is not bool:
+            continue
+        if k is float and isinstance(value, int):
+            return float(value)
+        if isinstance(value, k):
+            return value
+    raise ConfigError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")
+
+
+def _field(cfg: dict, name: str, kind, default=inspect.Parameter.empty):
+    """``cfg[name]`` checked by ``_typed`` and ``MINIMUM``; ``default`` if it
+    is absent, and a ConfigError if it is absent and has no default."""
     if name not in cfg:
-        if required:
+        if default is inspect.Parameter.empty:
             raise ConfigError(f"missing required field '{name}'")
         return default
-    value = cfg[name]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"field '{name}' must be {kind.__name__}, got {type(value).__name__}")
+    value = _typed(name, cfg[name], kind)
+    if name in MINIMUM and value < MINIMUM[name]:
+        raise ConfigError(f"{name} must be >= {MINIMUM[name]}, got {value}")
     return value
 
 
-def resolve_measures(cfg: dict) -> tuple[measures.CoupledMeasure, dict]:
-    """Return the coupling plus a description of how it was obtained."""
+def _parse_measures(cfg: dict):
+    """The config's measures: a ready-made coupling, or the ordered pair
+    ``(lambda_minus, lambda_plus)``."""
     spec = _field(cfg, "measures", dict)
-    has_pair = "lambda_minus" in spec or "lambda_plus" in spec
     has_coupling = "coupling" in spec
-    if has_pair == has_coupling:
+    if has_coupling == ("lambda_minus" in spec or "lambda_plus" in spec):
         raise ConfigError(
             "measures must hold exactly one of {lambda_minus + lambda_plus} or {coupling}"
         )
     if has_coupling:
-        coupling = measures.coupling_from_config(spec["coupling"])
-        return coupling, {"source": "coupling", "atoms": len(coupling)}
-    if "lambda_minus" not in spec or "lambda_plus" not in spec:
-        raise ConfigError("both lambda_minus and lambda_plus are required")
-    lm = measures.measure_from_config(spec["lambda_minus"])
-    lp = measures.measure_from_config(spec["lambda_plus"])
+        return measures.coupling_from_config(spec["coupling"])
+    for name in ("lambda_minus", "lambda_plus"):
+        if name not in spec:
+            raise ConfigError(f"measures.{name} is missing; the ordered pair needs both")
+    return (measures.measure_from_config(spec["lambda_minus"]),
+            measures.measure_from_config(spec["lambda_plus"]))
+
+
+def resolve_measures(cfg: dict) -> tuple[measures.CoupledMeasure, dict]:
+    """Return the coupling plus a description of how it was obtained."""
+    parsed = _parse_measures(cfg)
+    if isinstance(parsed, measures.CoupledMeasure):
+        return parsed, {"source": "coupling", "atoms": len(parsed)}
+    lm, lp = parsed
     coupling = measures.coupling_from_pair(lm, lp)
     return coupling, {
         "source": "pair",
@@ -127,49 +169,55 @@ def write_json(path: Path, payload: dict) -> None:
     )
 
 
-def write_path_csv(path: Path, fp, value_label: str = "value") -> None:
-    write_csv(path, ["time", value_label], zip(fp.times, fp.values))
-
-
 # -- experiments ---------------------------------------------------------------
+#
+# A runner takes (coupling, seed, outdir, threads) and then its params as
+# keyword-only arguments; ``_params`` checks a config against that signature.
 
 
-def _params(cfg: dict) -> dict:
-    params = _field(cfg, "params", dict, required=False, default={})
-    return dict(params)
+def _params(runner, cfg: dict) -> dict:
+    """The config's params, checked against the keyword-only parameters of
+    ``runner`` and completed with their defaults."""
+    params = _field(cfg, "params", dict, {})
+    declared = {
+        p.name: p.default for p in inspect.signature(runner).parameters.values()
+        if p.kind is p.KEYWORD_ONLY
+    }
+    unknown = sorted(set(params) - set(declared))
+    if unknown:
+        raise ConfigError(
+            f"unknown params {', '.join(unknown)}; valid names: {', '.join(declared) or 'none'}"
+        )
+    hints = typing.get_type_hints(runner)
+    return {name: _field(params, name, hints[name], default) for name, default in declared.items()}
 
 
-def _need(params: dict, name: str, cast):
-    if params.get(name) is None:
-        raise ConfigError(f"params.{name} is required for this experiment")
-    return _opt(params, name, cast, None)
+def _initial_count(N: int, x0: float | None, initial_count: int | None) -> int:
+    """The starting count, given as exactly one of a frequency ``x0`` or a count."""
+    if (x0 is None) == (initial_count is None):
+        raise ConfigError("give exactly one of x0 and initial_count")
+    return initial_count if x0 is None else int(round(x0 * N))
 
 
-def _opt(params: dict, name: str, cast, default):
-    if name not in params or params[name] is None:
-        return default
-    try:
-        return cast(params[name])
-    except (TypeError, ValueError):
-        raise ConfigError(f"params.{name} has invalid value {params[name]!r}") from None
+def _write_paths(outdir: Path, paths, value_label: str) -> list[str]:
+    """Write path r as ``path_<r>.csv`` with columns (time, value_label)."""
+    names = []
+    for r, fp in enumerate(paths):
+        names.append(f"path_{r:03d}.csv")
+        write_csv(outdir / names[-1], ["time", value_label], zip(fp.times, fp.values))
+    return names
 
 
-def run_moran_sim(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:
-    N = _need(params, "N", int)
-    horizon = _need(params, "horizon", float)
-    if "initial_count" in params:
-        count0 = _need(params, "initial_count", int)
-    else:
-        count0 = int(round(_need(params, "x0", float) * N))
-    replicates = _opt(params, "replicates", int, 1)
-    max_paths = _opt(params, "max_paths", int, 10)
+def run_moran_sim(
+    coupling, seed, outdir: Path, threads: int, *, N: int, horizon: float,
+    x0: float | None = None, initial_count: int | None = None,
+    replicates: int = 1, max_paths: int = 10, absorption: bool = False,
+) -> tuple[int, list[str]]:
+    count0 = _initial_count(N, x0, initial_count)
     cfg = moran.MoranConfig(N=N, coupling=coupling, initial_count=count0)
-    outputs = []
-    for r in range(min(replicates, max_paths)):
-        fp = moran.simulate(cfg, horizon, seed, replicate=r)
-        name = f"path_{r:03d}.csv"
-        write_path_csv(outdir / name, fp, value_label="count")
-        outputs.append(name)
+    outputs = _write_paths(outdir, (
+        moran.simulate(cfg, horizon, seed, replicate=r) for r in range(min(replicates, max_paths))
+    ), "count")
     finals = moran.simulate_final_counts(cfg, horizon, replicates, seed)
     write_csv(outdir / "finals.csv", ["replicate", "final_count"], enumerate(finals))
     write_json(outdir / "summary.json", {
@@ -180,17 +228,17 @@ def run_moran_sim(coupling, params, seed, outdir: Path, threads: int = 1) -> tup
         "absorbed_at_N": int((finals == N).sum()),
     })
     outputs += ["finals.csv", "summary.json"]
-    if _opt(params, "absorption", bool, False):
+    if absorption:
         h = moran.absorption_probability(cfg)
         write_csv(outdir / "absorption.csv", ["i", "h"], enumerate(h))
         outputs.append("absorption.csv")
     return 0, outputs
 
 
-def run_asg_pathwise(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:
-    N = _need(params, "N", int)
-    horizon = _need(params, "horizon", float)
-    replicates = _opt(params, "replicates", int, 1000)
+def run_asg_pathwise(
+    coupling, seed, outdir: Path, threads: int, *, N: int, horizon: float,
+    replicates: int = 1000,
+) -> tuple[int, list[str]]:
     checked, violations = asg.ancestry_consistency_check(
         N, coupling, horizon, replicates, seed, threads=threads
     )
@@ -201,16 +249,13 @@ def run_asg_pathwise(coupling, params, seed, outdir: Path, threads: int = 1) -> 
     return (0 if violations == 0 else 2), ["report.json"]
 
 
-def run_duality_matrix(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:
-    sizes = params.get("N", 10)
-    if isinstance(sizes, int):
-        sizes = [sizes]
-    if not isinstance(sizes, list) or not all(isinstance(n, int) for n in sizes):
-        raise ConfigError("params.N must be an int or list of ints")
-    tolerance = _opt(params, "tolerance", float, 1e-10)
+def run_duality_matrix(
+    coupling, seed, outdir: Path, threads: int, *, N: list[int] = [10],
+    tolerance: float = 1e-10,
+) -> tuple[int, list[str]]:
     results = [
         {"N": n, "residual": duality.generator_duality_check(n, coupling)}
-        for n in sizes
+        for n in N
     ]
     worst = max(r["residual"] for r in results)
     write_json(outdir / "residual.json", {
@@ -219,35 +264,27 @@ def run_duality_matrix(coupling, params, seed, outdir: Path, threads: int = 1) -
     return (0 if worst < tolerance else 2), ["residual.json"]
 
 
-def run_duality_pathwise(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:
-    N = _need(params, "N", int)
-    T = _need(params, "t", float)
-    if "initial_count" in params:
-        count0 = _need(params, "initial_count", int)
-    else:
-        count0 = int(round(_need(params, "x0", float) * N))
-    sample_size = _need(params, "n", int)
-    replicates = _opt(params, "replicates", int, 10000)
-    z_max = _opt(params, "z_max", float, 4.0)
+def run_duality_pathwise(
+    coupling, seed, outdir: Path, threads: int, *, N: int, t: float, n: int,
+    x0: float | None = None, initial_count: int | None = None,
+    replicates: int = 10000, z_max: float = 4.0,
+) -> tuple[int, list[str]]:
     report = duality.pathwise_duality_check(
-        N, coupling, T, count0, sample_size, replicates, seed, threads=threads
+        N, coupling, t, _initial_count(N, x0, initial_count), n, replicates, seed,
+        threads=threads,
     )
     write_json(outdir / "report.json", report.to_dict())
     return (0 if abs(report.z) < z_max else 2), ["report.json"]
 
 
-def run_sde_sim(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:
-    x0 = _need(params, "x0", float)
-    horizon = _need(params, "horizon", float)
-    replicates = _opt(params, "replicates", int, 1)
-    max_paths = _opt(params, "max_paths", int, 10)
+def run_sde_sim(
+    coupling, seed, outdir: Path, threads: int, *, x0: float, horizon: float,
+    replicates: int = 1, max_paths: int = 10,
+) -> tuple[int, list[str]]:
     cfg = limits.SdeConfig(coupling=coupling, x0=x0, horizon=horizon)
-    outputs = []
-    for r in range(min(replicates, max_paths)):
-        fp = limits.simulate_sde(cfg, seed, replicate=r)
-        name = f"path_{r:03d}.csv"
-        write_path_csv(outdir / name, fp)
-        outputs.append(name)
+    outputs = _write_paths(outdir, (
+        limits.simulate_sde(cfg, seed, replicate=r) for r in range(min(replicates, max_paths))
+    ), "value")
     finals = limits.sde_final_values(coupling, x0, horizon, replicates, seed)
     write_csv(outdir / "finals.csv", ["replicate", "final_value"], enumerate(finals))
     write_json(outdir / "summary.json", {
@@ -257,21 +294,14 @@ def run_sde_sim(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple
     return 0, outputs + ["finals.csv", "summary.json"]
 
 
-def run_convergence(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:
-    x0 = _need(params, "x0", float)
-    T = _need(params, "t", float)
-    sizes = params.get("N_list", [50, 100, 200, 400, 800])
-    if not isinstance(sizes, list) or not all(isinstance(n, int) for n in sizes):
-        raise ConfigError("params.N_list must be a list of ints")
-    alpha = _opt(params, "alpha", float, 0.4)
-    replicates = _opt(params, "replicates", int, 10000)
-    bootstrap = _opt(params, "bootstrap", int, 1000)
-    if bootstrap < 2:
-        raise ConfigError(f"params.bootstrap must be at least 2, got {bootstrap}")
-    max_final_ks = _opt(params, "max_final_ks", float, None)
-    schemes = [limits.TruncationScheme(alpha=alpha, N=n) for n in sizes]
+def run_convergence(
+    coupling, seed, outdir: Path, threads: int, *, x0: float, t: float,
+    N_list: list[int] = [50, 100, 200, 400, 800], alpha: float = 0.4,
+    replicates: int = 10000, bootstrap: int = 1000, max_final_ks: float | None = None,
+) -> tuple[int, list[str]]:
+    schemes = [limits.TruncationScheme(alpha=alpha, N=n) for n in N_list]
     rows = limits.convergence_study(
-        coupling, x0, schemes, T, replicates, seed, bootstrap=bootstrap
+        coupling, x0, schemes, t, replicates, seed, bootstrap=bootstrap
     )
     write_csv(
         outdir / "convergence.csv",
@@ -284,19 +314,16 @@ def run_convergence(coupling, params, seed, outdir: Path, threads: int = 1) -> t
         for i in range(len(rows) - 1)
     )
     write_json(outdir / "summary.json", {
-        "rows": rows, "trend_nonincreasing": trend_ok,
-        "final_ks": rows[-1]["ks"] if rows else None,
+        "rows": rows, "trend_nonincreasing": trend_ok, "final_ks": rows[-1]["ks"],
     })
-    code = 0
-    if max_final_ks is not None and rows and rows[-1]["ks"] >= max_final_ks:
-        code = 2
+    code = 2 if max_final_ks is not None and rows[-1]["ks"] >= max_final_ks else 0
     return code, ["convergence.csv", "summary.json"]
 
 
-def run_limit_duality(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:
-    n_max = _opt(params, "n_max", int, 12)
-    grid = _opt(params, "grid", int, 101)
-    tolerance = _opt(params, "tolerance", float, 1e-10)
+def run_limit_duality(
+    coupling, seed, outdir: Path, threads: int, *, n_max: int = 12, grid: int = 101,
+    tolerance: float = 1e-10,
+) -> tuple[int, list[str]]:
     residual = duality.limit_generator_duality(coupling, n_max, grid)
     write_json(outdir / "residual.json", {
         "residual": residual, "n_max": n_max, "grid": grid, "tolerance": tolerance,
@@ -304,23 +331,19 @@ def run_limit_duality(coupling, params, seed, outdir: Path, threads: int = 1) ->
     return (0 if residual < tolerance else 2), ["residual.json"]
 
 
-def run_limit_moment(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:
-    x = _need(params, "x0", float)
-    n = _need(params, "n", int)
-    t = _need(params, "t", float)
-    replicates = _opt(params, "replicates", int, 10**5)
-    z_max = _opt(params, "z_max", float, 4.0)
-    report = duality.limit_moment_duality_check(coupling, x, n, t, replicates, seed)
+def run_limit_moment(
+    coupling, seed, outdir: Path, threads: int, *, x0: float, n: int, t: float,
+    replicates: int = 10**5, z_max: float = 4.0,
+) -> tuple[int, list[str]]:
+    report = duality.limit_moment_duality_check(coupling, x0, n, t, replicates, seed)
     write_json(outdir / "report.json", report.to_dict())
     return (0 if abs(report.z) < z_max else 2), ["report.json"]
 
 
-def run_fixation(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:
-    nmax = _opt(params, "nmax", int, 30)
-    grid = _opt(params, "grid", int, 101)
-    compare_N = _opt(params, "compare_absorption_N", int, 0)
-    if grid < 1:
-        raise ConfigError(f"params.grid must be at least 1, got {grid}")
+def run_fixation(
+    coupling, seed, outdir: Path, threads: int, *, nmax: int = 30, grid: int = 101,
+    compare_absorption_N: int = 0,
+) -> tuple[int, list[str]]:
     xs = np.linspace(0.0, 1.0, grid)
     if coupling.selective_mass() == 0.0:
         warnings.warn("coupling has no selective gap; emitting the neutral p(x) = x")
@@ -353,38 +376,34 @@ def run_fixation(coupling, params, seed, outdir: Path, threads: int = 1) -> tupl
         "converged": exit_code == 0,
     }
     outputs = ["fixation.csv", "fixation.json", "polynomials.json"]
-    if compare_N:
+    if compare_absorption_N:
         h = moran.absorption_probability(
-            moran.MoranConfig(N=compare_N, coupling=coupling, initial_count=0)
+            moran.MoranConfig(N=compare_absorption_N, coupling=coupling, initial_count=0)
         )
         write_csv(outdir / "absorption.csv", ["i", "h"], enumerate(h))
         outputs.append("absorption.csv")
-        oracle = np.interp(xs, np.arange(compare_N + 1) / compare_N, h)
+        oracle = np.interp(xs, np.arange(compare_absorption_N + 1) / compare_absorption_N, h)
         payload["max_abs_diff_vs_absorption"] = float(np.abs(values - oracle).max())
     write_json(outdir / "fixation.json", payload)
     return exit_code, outputs
 
 
-def run_line_count_sim(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:
-    N = _need(params, "N", int)
-    n0 = _need(params, "n0", int)
-    horizon = _need(params, "horizon", float)
-    replicates = _opt(params, "replicates", int, 1)
-    max_paths = _opt(params, "max_paths", int, 10)
-    outputs = []
-    finals = []
+def run_line_count_sim(
+    coupling, seed, outdir: Path, threads: int, *, N: int, n0: int, horizon: float,
+    replicates: int = 1, max_paths: int = 10,
+) -> tuple[int, list[str]]:
+    finals, paths = [], []
     for r in range(replicates):
         fp = asg.simulate_line_count(N, coupling, n0, horizon, seed, replicate=r)
         finals.append(int(fp.final))
         if r < max_paths:
-            name = f"path_{r:03d}.csv"
-            write_path_csv(outdir / name, fp, value_label="count")
-            outputs.append(name)
+            paths.append(fp)
+    outputs = _write_paths(outdir, paths, "count")
     write_csv(outdir / "finals.csv", ["replicate", "final_count"], enumerate(finals))
     return 0, outputs + ["finals.csv"]
 
 
-def run_coupling_report(coupling, params, seed, outdir: Path, threads: int = 1) -> tuple[int, list[str]]:
+def run_coupling_report(coupling, seed, outdir: Path, threads: int) -> tuple[int, list[str]]:
     gap_mean = coupling.selective_mass()
     write_json(outdir / "coupling.json", {
         "atoms": [[y, z, m] for y, z, m in zip(coupling.ys, coupling.zs, coupling.masses)],
@@ -423,12 +442,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"unknown experiment {experiment!r}; valid names: {', '.join(sorted(RUNNERS))}"
         )
     seed = args.seed if args.seed is not None else _field(cfg, "seed", int)
-    outdir = Path(args.output_dir or _field(cfg, "output_dir", str, required=False, default="out"))
+    outdir = Path(args.output_dir or _field(cfg, "output_dir", str, "out"))
     threads = args.threads or int(os.environ.get("LAMBDA_ASG_THREADS", "1"))
     coupling, coupling_info = resolve_measures(cfg)
+    params = _params(RUNNERS[experiment], cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.time()
-    code, outputs = RUNNERS[experiment](coupling, _params(cfg), seed, outdir, threads=threads)
+    code, outputs = RUNNERS[experiment](coupling, seed, outdir, threads, **params)
     manifest = {
         "experiment": experiment,
         "config": cfg,
@@ -448,22 +468,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def check_measures(cfg: dict) -> dict:
     """Validate measure specs: ordering, coupling construction, marginals."""
-    spec = _field(cfg, "measures", dict)
+    parsed = _parse_measures(cfg)
     report: dict = {"valid": True, "issues": []}
-    if "coupling" in spec:
-        try:
-            coupling = measures.coupling_from_config(spec["coupling"])
-            report["coupling_atoms"] = len(coupling)
-            report["total_mass"] = coupling.total_mass
-        except ValueError as exc:
-            report["valid"] = False
-            report["issues"].append(f"coupling invariant violated: {exc}")
-        return report
-    try:
-        lm = measures.measure_from_config(spec.get("lambda_minus", {}))
-        lp = measures.measure_from_config(spec.get("lambda_plus", {}))
-    except ValueError as exc:
-        return {"valid": False, "issues": [str(exc)]}
+    if isinstance(parsed, measures.CoupledMeasure):
+        return {**report, "coupling_atoms": len(parsed), "total_mass": parsed.total_mass}
+    lm, lp = parsed
     witness = measures.order_violation_witness(lm, lp)
     if witness is not None:
         report["valid"] = False
@@ -492,7 +501,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     try:
         report = check_measures(cfg)
-    except (OrderViolation, LambdaAsgError) as exc:
+    except (ConfigError, ValueError, LambdaAsgError) as exc:
         report = {"valid": False, "issues": [str(exc)]}
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["valid"] else 1

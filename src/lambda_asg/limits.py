@@ -47,18 +47,12 @@ class SdeConfig:
     coupling: CoupledMeasure
     x0: float
     horizon: float
-    mode: str = "event_driven"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.x0 <= 1.0:
             raise ValueError("x0 must lie in [0, 1]")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.mode != "event_driven":
-            raise ValueError(
-                "only event_driven mode is supported; apply truncate_measure "
-                "to the coupling for the truncated construction"
-            )
         if not np.isfinite(self.coupling.total_mass):
             raise InfiniteMass("event-driven simulation needs a finite-mass coupling")
         moment = self.coupling.integrate(lambda y, z: y * y + z)

@@ -1,7 +1,9 @@
 import csv
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +13,11 @@ import pytest
 
 import lambda_asg
 
-from lambda_asg.cli import main, write_csv
+from lambda_asg.cli import MINIMUM, RUNNERS, main, write_csv
 from lambda_asg.fixation import build_fixation_solver, harmonicity_values
 from lambda_asg.measures import CoupledMeasure
+
+from helpers import digest
 
 PAIR = {
     "lambda_minus": {"atoms": [[0.25, 0.5], [0.5, 0.5]]},
@@ -316,6 +320,55 @@ class TestDeterminism:
             assert float(row["value"]) == v
 
 
+# one small valid config per experiment: (measures, params, digest of every
+# artifact but the manifest, names included)
+PINNED_RUNS = {
+    "moran_sim": (PAIR, {"N": 10, "horizon": 1.0, "x0": 0.5, "replicates": 20,
+                         "max_paths": 2, "absorption": True},
+                  "2bea575c51fb24c99f3beef6fcc76d4ecd53bf34d535ccfce6202726a63aed57"),
+    "asg_pathwise": (PAIR, {"N": 6, "horizon": 1.0, "replicates": 20},
+                     "b61f7504a7ffd44815dbfcb94df34b868c4c0bb94f7bb82ba6896e0dc055fe30"),
+    "duality_matrix": (PAIR, {"N": [4, 8]},
+                       "c732be50eac06460521999dc2f565598b515f61d9fa5b9ea7bd66c5c799f7177"),
+    "duality_pathwise": (PAIR, {"N": 6, "t": 0.5, "initial_count": 3, "n": 2,
+                                "replicates": 200},
+                         "752da2799d88d218d1f7ea36c55cc2b31f084193886bc9c4a6dcf470488ede56"),
+    "sde_sim": (SELECTIVE, {"x0": 0.4, "horizon": 1.0, "replicates": 50,
+                            "max_paths": 2},
+                "ca4f3f7cbb9bb70e68aa241f8d14a4192fa5fb23c3fe6a8c95be54baf46376d0"),
+    "convergence": (SELECTIVE, {"x0": 0.5, "t": 1.0, "N_list": [10, 20],
+                                "replicates": 200, "bootstrap": 5},
+                    "06ad53364001a9a350b10e7cd4ff926fe04f27b08733ad9db1672ab530670482"),
+    "limit_duality": (SELECTIVE, {"n_max": 6, "grid": 11},
+                      "f3e047c7a06548eaddb329c4f9146c218f00e260ee773cd4b80566d27c4d4bd7"),
+    "moment_duality": (SELECTIVE, {"x0": 0.5, "n": 2, "t": 0.5, "replicates": 2000},
+                       "97fe02d1ac61178ac492b0d2d3d1ab951c426c4b9c24dfa02d1d236b55461e48"),
+    "fixation": (SELECTIVE, {"nmax": 30, "grid": 11, "compare_absorption_N": 20},
+                 "566adde8afa0e784909a546ec1ef76dbe1a9366a6a6b38566aed13254c25c984"),
+    "coupling_report": (PAIR, {},
+                        "1a49e1962dc283ce4f4efd6fafbfaf95ed413d649848babe4bd5019e293dc932"),
+    "line_count_sim": (PAIR, {"N": 10, "n0": 3, "horizon": 1.0, "replicates": 5,
+                              "max_paths": 2},
+                       "ff8b0a19f4e01e8d84d2bf458242c4f445db3e343731ee50f23fbf7e777596b6"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PINNED_RUNS))
+def test_artifacts_are_pinned(tmp_path, experiment):
+    spec, params, expected = PINNED_RUNS[experiment]
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": experiment, "measures": spec, "params": params, "seed": 31,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 0
+    artifacts = sorted(p for p in (tmp_path / "out").iterdir() if p.name != "manifest.json")
+    assert artifacts
+    assert digest(*(
+        np.frombuffer(p.name.encode() + b"\0" + p.read_bytes(), dtype=np.uint8)
+        for p in artifacts
+    )) == expected
+
+
 BAD_MEASURES = {
     "coupling_atoms_not_a_list": {"coupling": {"atoms": 5}},
     "atom_location_null": {
@@ -331,6 +384,27 @@ BAD_PARAMS = {
     "fixation_nmax_zero": ("fixation", {"nmax": 0}),
     "fixation_nmax_negative": ("fixation", {"nmax": -3}),
     "fixation_grid_zero": ("fixation", {"grid": 0}),
+    "fixation_grid_not_an_int": ("fixation", {"grid": 5.5}),
+    "moran_absorption_string": (
+        "moran_sim", {"N": 10, "horizon": 1.0, "x0": 0.5, "absorption": "false"},
+    ),
+    "moran_x0_and_initial_count": (
+        "moran_sim", {"N": 10, "horizon": 1.0, "x0": 0.5, "initial_count": 5},
+    ),
+    "asg_N_float": ("asg_pathwise", {"N": 6.9, "horizon": 1.0, "replicates": 5}),
+    "asg_N_string": ("asg_pathwise", {"N": "6", "horizon": 1.0, "replicates": 5}),
+    "asg_N_bool": ("asg_pathwise", {"N": True, "horizon": 1.0, "replicates": 5}),
+    "asg_replicates_typo": ("asg_pathwise", {"N": 6, "horizon": 1.0, "replicate": 3}),
+    "moran_no_replicates": ("moran_sim", {"N": 10, "horizon": 1.0, "x0": 0.5, "replicates": 0}),
+    "sde_no_replicates": ("sde_sim", {"x0": 0.5, "horizon": 1.0, "replicates": 0}),
+    "line_count_no_replicates": (
+        "line_count_sim", {"N": 5, "n0": 2, "horizon": 1.0, "replicates": 0},
+    ),
+    "moment_no_replicates": ("moment_duality", {"x0": 0.5, "n": 2, "t": 1.0, "replicates": 0}),
+    "convergence_empty_N_list": ("convergence", {"x0": 0.5, "t": 1.0, "N_list": []}),
+    "duality_matrix_empty_N": ("duality_matrix", {"N": []}),
+    "sde_max_paths_negative": ("sde_sim", {"x0": 0.5, "horizon": 1.0, "max_paths": -1}),
+    "limit_duality_grid_zero": ("limit_duality", {"grid": 0}),
 }
 INVALID_CONFIGS = {
     **{case: ("coupling_report", spec, {}) for case, spec in BAD_MEASURES.items()},
@@ -408,6 +482,20 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert "y + z" in report["issues"][0]
 
+    def test_both_measure_styles_invalid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"measures": {**PAIR, **SELECTIVE}, "seed": 0})
+        assert main(["check", cfg]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert not report["valid"] and "exactly one" in report["issues"][0]
+
+    def test_half_a_pair_names_the_missing_measure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "measures": {"lambda_minus": PAIR["lambda_minus"]}, "seed": 0,
+        })
+        assert main(["check", cfg]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert not report["valid"] and "lambda_plus" in report["issues"][0]
+
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about a second of start-up; only tests may load it
@@ -421,3 +509,36 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         timeout=120, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_param_tables() -> dict[str, list[list[str]]]:
+    """Experiment -> rows of its params table, from the ``#### `name``` headings
+    of README, in the order they appear."""
+    tables = {}
+    for section in README.read_text().split("\n#### ")[1:]:
+        heading, _, body = section.partition("\n")
+        rows = [
+            re.split(r"(?<!\\)\|", line)[1:-1]
+            for line in body.split("\n#")[0].splitlines() if line.startswith("| `")
+        ]
+        tables[heading.strip("`")] = [
+            [cell.strip().strip("`").replace("\\|", "|") for cell in row] for row in rows
+        ]
+    return tables
+
+
+def test_readme_documents_every_param():
+    tables = readme_param_tables()
+    assert list(tables) == sorted(RUNNERS)
+    for name, rows in tables.items():
+        expected = [
+            [p.name, p.annotation,
+             "required" if p.default is p.empty else json.dumps(p.default),
+             str(MINIMUM.get(p.name, ""))]
+            for p in inspect.signature(RUNNERS[name]).parameters.values()
+            if p.kind is p.KEYWORD_ONLY
+        ]
+        assert rows == expected, name

@@ -32,8 +32,6 @@ class TestSdeConfig:
             SdeConfig(coupling=example_coupling, x0=1.4, horizon=1.0)
         with pytest.raises(ValueError):
             SdeConfig(coupling=example_coupling, x0=0.5, horizon=-1.0)
-        with pytest.raises(ValueError):
-            SdeConfig(coupling=example_coupling, x0=0.5, horizon=1.0, mode="euler")
 
 
 class TestSdePaths:
