@@ -122,7 +122,9 @@ def generate_asg(
                 "cap; stream to disk with stream_asg_to_log"
             )
         blocks.append(block)
-    return AsgRealization(N, horizon, *(np.concatenate(col) for col in zip(*blocks)))
+    # a single block, the usual case, is kept without copying
+    columns = blocks[0] if len(blocks) == 1 else [np.concatenate(col) for col in zip(*blocks)]
+    return AsgRealization(N, horizon, *columns)
 
 
 def _check_size(N: int, horizon: float) -> None:
@@ -144,6 +146,12 @@ def _event_blocks(
     followed by the next.  The block size is the expected event count plus
     six standard deviations, at most ``BLOCK_LABELS // N``, so it follows
     from the inputs and a seed gives one realization whoever reads it.
+
+    A uniform u labels its arrow neutral when u < y, selective when
+    y <= u < y + z and none otherwise.  Stored atoms have z >= 0, so u < y
+    implies u < y + z, and with ``OUTCOME_NONE == 0`` and
+    ``OUTCOME_NEUTRAL == OUTCOME_SELECTIVE - 1`` the label is
+    ``OUTCOME_SELECTIVE * (u < y + z) - (u < y)``, two comparisons per label.
     """
     rate = coupling.total_mass
     mean = rate * horizon
@@ -161,9 +169,9 @@ def _event_blocks(
         ys = coupling.ys[atom_idx]
         zs = coupling.zs[atom_idx]
         u = rng.random((E, N))
-        outcomes = np.zeros((E, N), dtype=np.uint8)
-        outcomes[u < ys[:, None]] = OUTCOME_NEUTRAL
-        outcomes[(u >= ys[:, None]) & (u < (ys + zs)[:, None])] = OUTCOME_SELECTIVE
+        outcomes = (u < (ys + zs)[:, None]).view(np.uint8)
+        outcomes *= OUTCOME_SELECTIVE
+        outcomes -= (u < ys[:, None]).view(np.uint8)
         yield times[:E], reproducers, ys, zs, outcomes
         if E < block:
             return

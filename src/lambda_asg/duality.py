@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import limits
-from .asg import generate_asg, potential_ancestors, propagate_forward, TypeAssignment
+from .asg import _sweep, generate_asg, propagate_forward, TypeAssignment
 from .errors import SizeLimit
 from .measures import CoupledMeasure
 from .moran import MAX_DUALITY_N, MoranConfig, generator_matrix
@@ -109,13 +109,16 @@ def _pathwise_replicate(
     initial_count: int, sample_size: int,
 ) -> tuple[float, float]:
     asg = generate_asg(N, coupling, T, rng=rng)
-    minus0 = rng.permutation(N)[:initial_count]
-    forward = propagate_forward(asg, TypeAssignment.from_minus_set(N, minus0))
-    sample = rng.permutation(N)[:sample_size]
-    ancestors = potential_ancestors(asg, sample, T, 0.0)
+    minus0 = np.zeros(N, dtype=bool)
+    minus0[rng.permutation(N)[:initial_count]] = True
+    forward = propagate_forward(asg, TypeAssignment(minus=minus0))
+    # the potential ancestors of a uniform n-sample, as one row of _sweep
+    sample = np.zeros((1, N), dtype=bool)
+    sample[0, rng.permutation(N)[:sample_size]] = True
+    ancestors = int(_sweep(asg, sample, T, 0.0).sum())
     return (
         sampling_function(N, forward.minus_count, sample_size),
-        sampling_function(N, initial_count, len(ancestors)),
+        sampling_function(N, initial_count, ancestors),
     )
 
 
@@ -165,6 +168,8 @@ def limit_moment_duality_check(
         raise ValueError("x must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t}")
     y_final = limits.sde_final_values(coupling, x, t, replicates, seed)
     a_final = limits.chain_final_states(coupling, n, t, replicates, seed)
     lhs = y_final**n

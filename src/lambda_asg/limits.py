@@ -350,6 +350,8 @@ def convergence_study(
     ``floor(x0 N) / N`` and reports the distance of the two time-T samples
     with a bootstrap standard error.
     """
+    if T <= 0:
+        raise ValueError(f"t must be positive, got {T}")
     if sorted(s.N for s in schemes) != [s.N for s in schemes]:
         raise ValueError("schemes must be ordered by increasing N")
     sde = sde_final_values(

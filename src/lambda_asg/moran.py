@@ -152,6 +152,8 @@ def event_path(
     by ``update`` to a 0-d array.  Stops early once the value leaves
     ``(lo, hi)``, where it stays.
     """
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
     times = [0.0]
     values = [x0]
     t = 0.0
@@ -175,8 +177,6 @@ def simulate(cfg: MoranConfig, horizon: float, seed: int, replicate: int = 0) ->
     absorbed (the path is constant afterwards).  Deterministic given
     (seed, replicate).
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     rng = substream(seed, TAG_MORAN_PATH, replicate)
     N, c = cfg.N, cfg.coupling
     return event_path(

@@ -24,7 +24,7 @@ from lambda_asg.asg import (
     write_event_log,
 )
 from lambda_asg.errors import SizeLimit
-from lambda_asg.limits import limit_chain_rates
+from lambda_asg.limits import limit_chain_rates, simulate_limit_chain
 from lambda_asg.measures import CoupledMeasure
 from lambda_asg.rng import TAG_CONSISTENCY, substream
 
@@ -168,8 +168,10 @@ class TestGeneration:
 
     @pytest.mark.parametrize("N, horizon", [(2, 0.01), (4, 3.0), (37, 20.0), (200, 60.0)])
     def test_same_draws_as_reference(self, example_coupling, N, horizon):
+        # the generator's labels are OUTCOME_SELECTIVE * (u < y + z) - (u < y)
+        assert OUTCOME_NONE == 0 and OUTCOME_NEUTRAL == OUTCOME_SELECTIVE - 1
         sizes = []
-        for coupling in (example_coupling, CoupledMeasure.from_atoms([])):
+        for coupling in (example_coupling, CoupledMeasure.from_atoms([]), EDGES):
             for seed in range(6):
                 ref_rng = np.random.default_rng(seed)
                 expected = reference_generate_asg(N, coupling, horizon, ref_rng)
@@ -321,6 +323,14 @@ class TestLineCountSimulation:
             path = simulate_line_count(8, example_coupling, 4, horizon=20.0, seed=seed)
             assert path.values.min() >= 1
             assert path.values.max() <= 8
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_non_positive_horizon_rejected(self, example_coupling, horizon):
+        # both ancestor-count simulators share the horizon check of event_path
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            simulate_line_count(8, example_coupling, 4, horizon, seed=1)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            simulate_limit_chain(example_coupling, 4, horizon, seed=1)
 
     def test_transition_law_chisquare(self, example_coupling):
         # the first embedded transition out of a pinned state is one exact

@@ -405,6 +405,15 @@ BAD_PARAMS = {
     "duality_matrix_empty_N": ("duality_matrix", {"N": []}),
     "sde_max_paths_negative": ("sde_sim", {"x0": 0.5, "horizon": 1.0, "max_paths": -1}),
     "limit_duality_grid_zero": ("limit_duality", {"grid": 0}),
+    "line_count_negative_horizon": ("line_count_sim", {"N": 5, "n0": 2, "horizon": -1.0}),
+    "moment_negative_t": ("moment_duality", {"x0": 0.5, "n": 2, "t": -1.0}),
+    "convergence_negative_t": ("convergence", {"x0": 0.5, "t": -1.0}),
+}
+# the error message must name the offending param
+MESSAGES = {
+    "line_count_negative_horizon": "horizon must be positive",
+    "moment_negative_t": "t must be positive, got -1.0",
+    "convergence_negative_t": "t must be positive, got -1.0",
 }
 INVALID_CONFIGS = {
     **{case: ("coupling_report", spec, {}) for case, spec in BAD_MEASURES.items()},
@@ -422,6 +431,7 @@ def test_invalid_config_is_a_config_error(tmp_path, capsys, case):
     assert main(["run", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert MESSAGES.get(case, "") in err
     assert not (tmp_path / "out" / "manifest.json").exists()
     assert not (tmp_path / "out" / "fixation.csv").exists()
     if case in BAD_MEASURES:

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from helpers import random_coupling, random_ordered_pair
+from lambda_asg.asg import (
+    TypeAssignment,
+    generate_asg,
+    potential_ancestors,
+    propagate_forward,
+)
 from lambda_asg.duality import (
     DualityReport,
+    _pathwise_replicate,
     generator_duality_check,
     limit_generator_duality,
     limit_moment_duality_check,
@@ -17,6 +24,22 @@ from lambda_asg.duality import (
 )
 from lambda_asg.measures import CoupledMeasure, quantile_coupling
 from lambda_asg.moran import MoranConfig, generator_matrix
+from lambda_asg.rng import TAG_PATHWISE, per_replicate
+
+
+def reference_pathwise_replicate(rng, N, coupling, T, initial_count, sample_size):
+    """One pathwise duality replicate through the public API: the
+    disadvantaged set propagated forward, the sample's potential-ancestor
+    set swept backward.  The slow reference for ``_pathwise_replicate``."""
+    asg = generate_asg(N, coupling, T, rng=rng)
+    minus0 = rng.permutation(N)[:initial_count]
+    forward = propagate_forward(asg, TypeAssignment.from_minus_set(N, minus0))
+    sample = rng.permutation(N)[:sample_size]
+    ancestors = potential_ancestors(asg, sample, T, 0.0)
+    return (
+        sampling_function(N, forward.minus_count, sample_size),
+        sampling_function(N, initial_count, len(ancestors)),
+    )
 
 
 class TestSamplingFunction:
@@ -113,6 +136,18 @@ class TestPathwiseDuality:
         )
         assert abs(report.z) < 4.0
         assert report.stderr_lhs > 0
+
+    @pytest.mark.parametrize("N", [2, 6, 20])
+    def test_replicate_matches_public_api(self, example_coupling, N):
+        for initial_count in sorted({0, N // 2, N - 1, N}):
+            for sample_size in sorted({1, 2, N}):
+                args = (N, example_coupling, 1.5, initial_count, sample_size)
+                for seed in range(3):
+                    fast = per_replicate(50, seed, TAG_PATHWISE, 1, _pathwise_replicate, *args)
+                    slow = per_replicate(
+                        50, seed, TAG_PATHWISE, 1, reference_pathwise_replicate, *args
+                    )
+                    assert np.array_equal(fast, slow)
 
     def test_threads_reproduce(self, example_coupling):
         kw = dict(T=0.8, initial_count=3, sample_size=2, replicates=4100, seed=9)
