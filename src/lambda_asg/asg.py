@@ -267,6 +267,14 @@ def line_count_rates(
     """
     if not 1 <= n <= N:
         raise ValueError("need 1 <= n <= N")
+    return _count_rates(coupling, n, N)
+
+
+def _count_rates(
+    coupling: CoupledMeasure, n: int, N: int | None
+) -> tuple[np.ndarray, float]:
+    """Row ``n`` of the ancestor rates as ``(coalesce, branch)``; ``N`` is None
+    for the limit chain."""
     rates = MixtureTables(coupling, n).ancestor_rates(n, N)[n]
     coalesce = np.zeros(n)
     coalesce[1:] = rates[1:n]

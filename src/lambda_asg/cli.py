@@ -16,12 +16,14 @@ construction after normalization) or a ready-made ``coupling``; ``run`` and
 ``check`` read it with the same parser.  An experiment's params are the
 keyword-only parameters of its runner: the annotation is the type, a param
 without a default is required, and ``MINIMUM`` holds the lower bounds.
-``cmd_run`` checks the params before anything is written: an unknown name, a
+``cmd_run`` checks the params before the run: an unknown name, a
 missing one, a wrong type or a value below its minimum is a config error.
 Nothing is cast: an int is also a float, a bool is not an int, and
-``list[int]`` takes a non-empty list of ints or one bare int.  Every run
-writes ``manifest.json`` (config echo, seed rule, wall time) next to the
-experiment artifacts.  Exit codes: 0 success, 1 validation error, 2 numerical
+``list[int]`` takes a non-empty list of ints or one bare int.  A runner gets
+no output directory and writes nothing: it returns its exit code and its
+artifacts, and ``cmd_run`` writes them and then ``manifest.json`` (config echo,
+seed rule, wall time, artifact names), so a run that raises writes no
+artifact.  Exit codes: 0 success, 1 validation error, 2 numerical
 acceptance failure.
 """
 
@@ -171,8 +173,11 @@ def write_json(path: Path, payload: dict) -> None:
 
 # -- experiments ---------------------------------------------------------------
 #
-# A runner takes (coupling, seed, outdir, threads) and then its params as
-# keyword-only arguments; ``_params`` checks a config against that signature.
+# A runner takes (coupling, seed, threads) and then its params as keyword-only
+# arguments; ``_params`` checks a config against that signature.  It writes
+# nothing: it returns its exit code and its artifacts, a dict from file name to
+# a JSON payload (``.json``) or to ``(header, rows)`` (``.csv``), and
+# ``cmd_run`` writes them.
 
 
 def _params(runner, cfg: dict) -> dict:
@@ -199,174 +204,161 @@ def _initial_count(N: int, x0: float | None, initial_count: int | None) -> int:
     return initial_count if x0 is None else int(round(x0 * N))
 
 
-def _write_paths(outdir: Path, paths, value_label: str) -> list[str]:
-    """Write path r as ``path_<r>.csv`` with columns (time, value_label)."""
-    names = []
-    for r, fp in enumerate(paths):
-        names.append(f"path_{r:03d}.csv")
-        write_csv(outdir / names[-1], ["time", value_label], zip(fp.times, fp.values))
-    return names
+def _path_artifacts(paths, value_label: str) -> dict:
+    """Path r as the artifact ``path_<r>.csv`` with columns (time, value_label)."""
+    return {
+        f"path_{r:03d}.csv": (["time", value_label], zip(fp.times, fp.values))
+        for r, fp in enumerate(paths)
+    }
 
 
 def run_moran_sim(
-    coupling, seed, outdir: Path, threads: int, *, N: int, horizon: float,
+    coupling, seed, threads: int, *, N: int, horizon: float,
     x0: float | None = None, initial_count: int | None = None,
     replicates: int = 1, max_paths: int = 10, absorption: bool = False,
-) -> tuple[int, list[str]]:
+) -> tuple[int, dict]:
     count0 = _initial_count(N, x0, initial_count)
     cfg = moran.MoranConfig(N=N, coupling=coupling, initial_count=count0)
-    outputs = _write_paths(outdir, (
+    artifacts = _path_artifacts((
         moran.simulate(cfg, horizon, seed, replicate=r) for r in range(min(replicates, max_paths))
     ), "count")
     finals = moran.simulate_final_counts(cfg, horizon, replicates, seed)
-    write_csv(outdir / "finals.csv", ["replicate", "final_count"], enumerate(finals))
-    write_json(outdir / "summary.json", {
+    artifacts["finals.csv"] = (["replicate", "final_count"], enumerate(finals))
+    artifacts["summary.json"] = {
         "N": N, "initial_count": count0, "horizon": horizon,
         "replicates": replicates,
         "mean_final_frequency": float(finals.mean()) / N,
         "absorbed_at_0": int((finals == 0).sum()),
         "absorbed_at_N": int((finals == N).sum()),
-    })
-    outputs += ["finals.csv", "summary.json"]
+    }
     if absorption:
         h = moran.absorption_probability(cfg)
-        write_csv(outdir / "absorption.csv", ["i", "h"], enumerate(h))
-        outputs.append("absorption.csv")
-    return 0, outputs
+        artifacts["absorption.csv"] = (["i", "h"], enumerate(h))
+    return 0, artifacts
 
 
 def run_asg_pathwise(
-    coupling, seed, outdir: Path, threads: int, *, N: int, horizon: float,
+    coupling, seed, threads: int, *, N: int, horizon: float,
     replicates: int = 1000,
-) -> tuple[int, list[str]]:
+) -> tuple[int, dict]:
     checked, violations = asg.ancestry_consistency_check(
         N, coupling, horizon, replicates, seed, threads=threads
     )
-    write_json(outdir / "report.json", {
+    return (0 if violations == 0 else 2), {"report.json": {
         "N": N, "horizon": horizon, "replicates": replicates,
         "individuals_checked": checked, "violations": violations,
-    })
-    return (0 if violations == 0 else 2), ["report.json"]
+    }}
 
 
 def run_duality_matrix(
-    coupling, seed, outdir: Path, threads: int, *, N: list[int] = [10],
+    coupling, seed, threads: int, *, N: list[int] = [10],
     tolerance: float = 1e-10,
-) -> tuple[int, list[str]]:
+) -> tuple[int, dict]:
     results = [
         {"N": n, "residual": duality.generator_duality_check(n, coupling)}
         for n in N
     ]
     worst = max(r["residual"] for r in results)
-    write_json(outdir / "residual.json", {
+    return (0 if worst < tolerance else 2), {"residual.json": {
         "results": results, "max_residual": worst, "tolerance": tolerance,
-    })
-    return (0 if worst < tolerance else 2), ["residual.json"]
+    }}
 
 
 def run_duality_pathwise(
-    coupling, seed, outdir: Path, threads: int, *, N: int, t: float, n: int,
+    coupling, seed, threads: int, *, N: int, t: float, n: int,
     x0: float | None = None, initial_count: int | None = None,
     replicates: int = 10000, z_max: float = 4.0,
-) -> tuple[int, list[str]]:
+) -> tuple[int, dict]:
     report = duality.pathwise_duality_check(
         N, coupling, t, _initial_count(N, x0, initial_count), n, replicates, seed,
         threads=threads,
     )
-    write_json(outdir / "report.json", report.to_dict())
-    return (0 if abs(report.z) < z_max else 2), ["report.json"]
+    return (0 if abs(report.z) < z_max else 2), {"report.json": report.to_dict()}
 
 
 def run_sde_sim(
-    coupling, seed, outdir: Path, threads: int, *, x0: float, horizon: float,
+    coupling, seed, threads: int, *, x0: float, horizon: float,
     replicates: int = 1, max_paths: int = 10,
-) -> tuple[int, list[str]]:
+) -> tuple[int, dict]:
     cfg = limits.SdeConfig(coupling=coupling, x0=x0, horizon=horizon)
-    outputs = _write_paths(outdir, (
+    artifacts = _path_artifacts((
         limits.simulate_sde(cfg, seed, replicate=r) for r in range(min(replicates, max_paths))
     ), "value")
     finals = limits.sde_final_values(coupling, x0, horizon, replicates, seed)
-    write_csv(outdir / "finals.csv", ["replicate", "final_value"], enumerate(finals))
-    write_json(outdir / "summary.json", {
+    artifacts["finals.csv"] = (["replicate", "final_value"], enumerate(finals))
+    artifacts["summary.json"] = {
         "x0": x0, "horizon": horizon, "replicates": replicates,
         "mean_final": float(finals.mean()),
-    })
-    return 0, outputs + ["finals.csv", "summary.json"]
+    }
+    return 0, artifacts
 
 
 def run_convergence(
-    coupling, seed, outdir: Path, threads: int, *, x0: float, t: float,
+    coupling, seed, threads: int, *, x0: float, t: float,
     N_list: list[int] = [50, 100, 200, 400, 800], alpha: float = 0.4,
     replicates: int = 10000, bootstrap: int = 1000, max_final_ks: float | None = None,
-) -> tuple[int, list[str]]:
+) -> tuple[int, dict]:
     schemes = [limits.TruncationScheme(alpha=alpha, N=n) for n in N_list]
     rows = limits.convergence_study(
         coupling, x0, schemes, t, replicates, seed, bootstrap=bootstrap
-    )
-    write_csv(
-        outdir / "convergence.csv",
-        ["N", "alpha", "truncated_mass", "ks", "stderr"],
-        ([r["N"], r["alpha"], r["truncated_mass"], r["ks"], r["stderr"]] for r in rows),
     )
     trend_ok = all(
         rows[i + 1]["ks"] <= rows[i]["ks"]
         + 2.0 * float(np.hypot(rows[i]["stderr"], rows[i + 1]["stderr"]))
         for i in range(len(rows) - 1)
     )
-    write_json(outdir / "summary.json", {
-        "rows": rows, "trend_nonincreasing": trend_ok, "final_ks": rows[-1]["ks"],
-    })
     code = 2 if max_final_ks is not None and rows[-1]["ks"] >= max_final_ks else 0
-    return code, ["convergence.csv", "summary.json"]
+    return code, {
+        "convergence.csv": (
+            ["N", "alpha", "truncated_mass", "ks", "stderr"],
+            ([r["N"], r["alpha"], r["truncated_mass"], r["ks"], r["stderr"]] for r in rows),
+        ),
+        "summary.json": {
+            "rows": rows, "trend_nonincreasing": trend_ok, "final_ks": rows[-1]["ks"],
+        },
+    }
 
 
 def run_limit_duality(
-    coupling, seed, outdir: Path, threads: int, *, n_max: int = 12, grid: int = 101,
+    coupling, seed, threads: int, *, n_max: int = 12, grid: int = 101,
     tolerance: float = 1e-10,
-) -> tuple[int, list[str]]:
+) -> tuple[int, dict]:
     residual = duality.limit_generator_duality(coupling, n_max, grid)
-    write_json(outdir / "residual.json", {
+    return (0 if residual < tolerance else 2), {"residual.json": {
         "residual": residual, "n_max": n_max, "grid": grid, "tolerance": tolerance,
-    })
-    return (0 if residual < tolerance else 2), ["residual.json"]
+    }}
 
 
 def run_limit_moment(
-    coupling, seed, outdir: Path, threads: int, *, x0: float, n: int, t: float,
+    coupling, seed, threads: int, *, x0: float, n: int, t: float,
     replicates: int = 10**5, z_max: float = 4.0,
-) -> tuple[int, list[str]]:
+) -> tuple[int, dict]:
     report = duality.limit_moment_duality_check(coupling, x0, n, t, replicates, seed)
-    write_json(outdir / "report.json", report.to_dict())
-    return (0 if abs(report.z) < z_max else 2), ["report.json"]
+    return (0 if abs(report.z) < z_max else 2), {"report.json": report.to_dict()}
 
 
 def run_fixation(
-    coupling, seed, outdir: Path, threads: int, *, nmax: int = 30, grid: int = 101,
+    coupling, seed, threads: int, *, nmax: int = 30, grid: int = 101,
     compare_absorption_N: int = 0,
-) -> tuple[int, list[str]]:
+) -> tuple[int, dict]:
+    if compare_absorption_N == 1:
+        raise ConfigError("compare_absorption_N must be 0 (off) or at least 2, got 1")
     xs = np.linspace(0.0, 1.0, grid)
+    header = ["x", "p", "last_term", "residual"]
     if coupling.selective_mass() == 0.0:
         warnings.warn("coupling has no selective gap; emitting the neutral p(x) = x")
-        rows = [[x, fixation.p_neutral(x), 0.0, 0.0] for x in xs]
-        write_csv(outdir / "fixation.csv", ["x", "p", "last_term", "residual"], rows)
-        write_json(outdir / "fixation.json", {
-            "neutral": True, "nmax": 0,
-            "harmonicity_residual": 0.0, "identity_residual": 0.0,
-        })
-        return 0, ["fixation.csv", "fixation.json"]
+        return 0, {
+            "fixation.csv": (header, ([x, fixation.p_neutral(x), 0.0, 0.0] for x in xs)),
+            "fixation.json": {
+                "neutral": True, "nmax": 0,
+                "harmonicity_residual": 0.0, "identity_residual": 0.0,
+            },
+        }
     solver = fixation.build_fixation_solver(coupling, nmax=nmax)
     residuals = fixation.harmonicity_values(solver.seq, coupling, xs)
     values, lasts = fixation.fixation_series(solver.seq, xs, nmax)
     # rows whose series has not converged keep their partial sums; exit 2
     exit_code = 2 if np.any(lasts > fixation.SERIES_TOL * np.abs(values)) else 0
-    write_csv(
-        outdir / "fixation.csv", ["x", "p", "last_term", "residual"],
-        zip(xs, values, lasts, np.abs(residuals)),
-    )
-    write_json(outdir / "polynomials.json", {
-        "nmax": nmax,
-        "coefficients": [a.tolist() for a in solver.seq.coeffs],
-    })
     payload = {
         "neutral": False,
         "nmax": nmax,
@@ -375,45 +367,49 @@ def run_fixation(
         "identity_residual": fixation.defining_identity_residual(solver.seq, coupling),
         "converged": exit_code == 0,
     }
-    outputs = ["fixation.csv", "fixation.json", "polynomials.json"]
+    artifacts = {
+        "fixation.csv": (header, zip(xs, values, lasts, np.abs(residuals))),
+        "fixation.json": payload,
+        "polynomials.json": {
+            "nmax": nmax,
+            "coefficients": [a.tolist() for a in solver.seq.coeffs],
+        },
+    }
     if compare_absorption_N:
         h = moran.absorption_probability(
             moran.MoranConfig(N=compare_absorption_N, coupling=coupling, initial_count=0)
         )
-        write_csv(outdir / "absorption.csv", ["i", "h"], enumerate(h))
-        outputs.append("absorption.csv")
+        artifacts["absorption.csv"] = (["i", "h"], enumerate(h))
         oracle = np.interp(xs, np.arange(compare_absorption_N + 1) / compare_absorption_N, h)
         payload["max_abs_diff_vs_absorption"] = float(np.abs(values - oracle).max())
-    write_json(outdir / "fixation.json", payload)
-    return exit_code, outputs
+    return exit_code, artifacts
 
 
 def run_line_count_sim(
-    coupling, seed, outdir: Path, threads: int, *, N: int, n0: int, horizon: float,
+    coupling, seed, threads: int, *, N: int, n0: int, horizon: float,
     replicates: int = 1, max_paths: int = 10,
-) -> tuple[int, list[str]]:
+) -> tuple[int, dict]:
     finals, paths = [], []
     for r in range(replicates):
         fp = asg.simulate_line_count(N, coupling, n0, horizon, seed, replicate=r)
         finals.append(int(fp.final))
         if r < max_paths:
             paths.append(fp)
-    outputs = _write_paths(outdir, paths, "count")
-    write_csv(outdir / "finals.csv", ["replicate", "final_count"], enumerate(finals))
-    return 0, outputs + ["finals.csv"]
+    artifacts = _path_artifacts(paths, "count")
+    artifacts["finals.csv"] = (["replicate", "final_count"], enumerate(finals))
+    return 0, artifacts
 
 
-def run_coupling_report(coupling, seed, outdir: Path, threads: int) -> tuple[int, list[str]]:
+def run_coupling_report(coupling, seed, threads: int) -> tuple[int, dict]:
     gap_mean = coupling.selective_mass()
-    write_json(outdir / "coupling.json", {
+    return 0, {"coupling.json": {
         "atoms": [[y, z, m] for y, z, m in zip(coupling.ys, coupling.zs, coupling.masses)],
         "total_mass": coupling.total_mass,
         "selective_gap_mean": gap_mean,
         "selective_gap_second_moment": measures.transport_cost(coupling),
         "selective_gap_variance": measures.transport_cost(coupling) - gap_mean**2,
         "size_biased_mass": coupling.integrate(lambda y, z: y * y + z),
-    })
-    return 0, ["coupling.json"]
+    }}
 
 
 RUNNERS = {
@@ -448,7 +444,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     params = _params(RUNNERS[experiment], cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.time()
-    code, outputs = RUNNERS[experiment](coupling, seed, outdir, threads, **params)
+    code, artifacts = RUNNERS[experiment](coupling, seed, threads, **params)
+    for name, payload in artifacts.items():
+        if name.endswith(".csv"):
+            write_csv(outdir / name, *payload)
+        else:
+            write_json(outdir / name, payload)
     manifest = {
         "experiment": experiment,
         "config": cfg,
@@ -458,7 +459,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "coupling": coupling_info,
         "version": __version__,
         "wall_time_s": time.time() - start,
-        "outputs": sorted(set(outputs)),
+        "outputs": sorted(artifacts),
         "exit_code": code,
     }
     write_json(outdir / "manifest.json", manifest)
@@ -483,7 +484,7 @@ def check_measures(cfg: dict) -> dict:
         return report
     record = measures.normalize_pair(lm, lp)
     coupling = measures.quantile_coupling(record.mu_minus, record.mu_plus).scaled(record.rate_scale)
-    mismatch = measures.marginal_mismatch(coupling, lm, lp, ignore_zero=True)
+    mismatch = measures.marginal_mismatch(coupling, lm, lp)
     report.update({
         "rate_scale": record.rate_scale,
         "zero_compensator_mass": record.c,

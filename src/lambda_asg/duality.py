@@ -164,8 +164,6 @@ def limit_moment_duality_check(
     seed: int,
 ) -> DualityReport:
     """Monte Carlo check of ``E_x[Y_t^n] = E_n[x^{A_t}]`` for the limits."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
     if t <= 0:

@@ -48,6 +48,8 @@ PIVOT_TOL = 1e-13
 # its value
 SERIES_TOL = 1e-10
 _QUAD_ORDER = 64  # exact for polynomial integrands up to degree 127
+# x-grid size of defining_identity_residual
+IDENTITY_GRID = 21
 
 
 @dataclass(frozen=True)
@@ -274,10 +276,9 @@ def harmonicity_residual(
 def defining_identity_residual(
     seq: PolySeq,
     coupling: CoupledMeasure,
-    grid: int = 21,
-    nmax: int | None = None,
 ) -> float:
-    """Largest relative violation of the defining identity of the polynomials.
+    """Largest relative violation of the defining identity of the polynomials
+    of orders 1..``seq.nmax`` on an ``IDENTITY_GRID``-point x-grid.
 
     Both expectations are evaluated by Gauss-Legendre quadrature straight
     against the coupling's atoms (independently of the moment table and the
@@ -286,13 +287,12 @@ def defining_identity_residual(
     scale grows without bound in n, so an absolute residual would only
     measure floating-point granularity at that scale.
     """
-    nmax = seq.nmax if nmax is None else nmax
-    xs = np.linspace(0.0, 1.0, grid)
+    xs = np.linspace(0.0, 1.0, IDENTITY_GRID)
     nodes, wts = gauss_legendre_01(_QUAD_ORDER)
     c = coupling
     tilde_mass = float(c.masses @ (c.ys * c.ys + c.zs))
     worst = 0.0
-    for n in range(1, nmax + 1):
+    for n in range(1, seq.nmax + 1):
         lhs = np.zeros_like(xs)
         rhs = np.zeros_like(xs)
         for wa, ya, za in zip(c.masses, c.ys, c.zs):

@@ -9,7 +9,7 @@ are.  Measures meant to model infinite activity enter through
 :func:`truncate_measure`, which restricts to ``y^2 > N^{-alpha}`` at
 population size N.
 
-The limit ancestor count coalesces from m to m - k + 1 when k of m lines are
+The limit ancestor count coalesces from m to m - k when k + 1 of m lines are
 hit neutrally and branches to m + 1 on selective-only events (rates in
 :mod:`lambda_asg.rates`); its branch rate is at most ``m * integral(z)``.
 """
@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asg import _ancestor_events
+from .asg import _ancestor_events, _count_rates
 from .errors import InfiniteMass, NotConverged, StateCapReached
 from .measures import CoupledMeasure
 from .moran import MoranConfig, event_path, run_events, simulate_final_counts
 from .paths import FrequencyPath
-from .rates import AncestorChain, MixtureTables
+from .rates import AncestorChain
 from .rng import (
     TAG_CHAIN_PATH,
     TAG_CONVERGENCE_MORAN,
@@ -42,6 +42,15 @@ from .rng import (
 )
 
 
+# an absorption run stops a path once it is within this distance of 0 or 1
+ABSORPTION_THRESHOLD = 1e-9
+
+
+def _check_x0(x0: float) -> None:
+    if not 0.0 <= x0 <= 1.0:
+        raise ValueError(f"x0 must lie in [0, 1], got {x0}")
+
+
 @dataclass(frozen=True)
 class SdeConfig:
     coupling: CoupledMeasure
@@ -49,8 +58,7 @@ class SdeConfig:
     horizon: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.x0 <= 1.0:
-            raise ValueError("x0 must lie in [0, 1]")
+        _check_x0(self.x0)
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if not np.isfinite(self.coupling.total_mass):
@@ -130,6 +138,7 @@ def sde_final_values(
     key: tuple[int, ...] = (TAG_SDE,),
 ) -> np.ndarray:
     """Time-``horizon`` marginal of the SDE over many replicates (vectorized)."""
+    _check_x0(x0)
     rate = coupling.total_mass
 
     def run(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -146,11 +155,9 @@ def sde_absorption(
     x0: float,
     replicates: int,
     seed: int,
-    threshold: float = 1e-9,
     max_events: int = 10**5,
-    key: tuple[int, ...] = (TAG_SDE_ABSORPTION,),
 ) -> np.ndarray:
-    """Run each replicate until it leaves (threshold, 1 - threshold).
+    """Run each replicate until it is within ``ABSORPTION_THRESHOLD`` of 0 or 1.
 
     Returns a boolean array marking absorption near 1 (fixation of the
     disadvantaged type).  Time plays no role, so events are applied directly.
@@ -158,9 +165,10 @@ def sde_absorption(
     Raises:
         NotConverged: if some path is still interior after ``max_events``.
     """
+    _check_x0(x0)
     if coupling.total_mass <= 0.0:
         raise ValueError("absorption needs a coupling with events")
-    lo, hi = threshold, 1.0 - threshold
+    lo, hi = ABSORPTION_THRESHOLD, 1.0 - ABSORPTION_THRESHOLD
 
     def run(n: int, rng: np.random.Generator) -> np.ndarray:
         vals = run_events(
@@ -174,21 +182,19 @@ def sde_absorption(
             )
         return vals >= hi
 
-    return batched(replicates, seed, key, bool, run)
+    return batched(replicates, seed, (TAG_SDE_ABSORPTION,), bool, run)
 
 
 # -- limit ancestor chain ------------------------------------------------------
 
 
 def limit_chain_rates(coupling: CoupledMeasure, m: int) -> tuple[np.ndarray, float]:
-    """Rates out of state ``m``: ``coalesce[k]`` sends m to m - k + 1 for
-    k = 2..m (indices 0 and 1 unused), ``branch`` sends m to m + 1."""
+    """Rates out of state ``m``, laid out as in
+    :func:`lambda_asg.asg.line_count_rates`: ``coalesce[k]`` sends m to m - k
+    for k = 1..m-1 (index 0 unused), ``branch`` sends m to m + 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    rates = MixtureTables(coupling, m).ancestor_rates(m, None)[m]
-    coalesce = np.zeros(m + 1)
-    coalesce[2:] = rates[1:m]
-    return coalesce, float(rates[0])
+    return _count_rates(coupling, m, None)
 
 
 def simulate_limit_chain(
@@ -226,14 +232,13 @@ def chain_final_states(
     replicates: int,
     seed: int,
     state_cap: int = 10**6,
-    key: tuple[int, ...] = (TAG_LIMIT_CHAIN,),
 ) -> np.ndarray:
     """Time-``horizon`` marginal of the limit chain over many replicates."""
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
     table = AncestorChain(coupling, max(n0 + 8, 16))
     return batched(
-        replicates, seed, key, np.int64,
+        replicates, seed, (TAG_LIMIT_CHAIN,), np.int64,
         lambda n, rng: _chain_chunk(table, n0, horizon, n, rng, state_cap),
     )
 

@@ -346,20 +346,19 @@ def marginal_mismatch(
     coupling: CoupledMeasure,
     lm: FiniteMeasure1D,
     lp: FiniteMeasure1D,
-    ignore_zero: bool = True,
 ) -> float:
     """Largest per-location mass discrepancy between the coupling's marginals
     and a declared pair.
 
-    With ``ignore_zero`` the location 0 is skipped on the y-marginal side
-    (compensating atoms at 0 and stripped (0,0) atoms live there).
+    The location 0 is skipped (compensating atoms at 0 and stripped (0,0)
+    atoms live there).
     """
 
     def mismatch(got: FiniteMeasure1D, want: FiniteMeasure1D) -> float:
         locs = np.unique(np.concatenate([got.locations, want.locations]))
         worst = 0.0
         for x in locs:
-            if ignore_zero and x == 0.0:
+            if x == 0.0:
                 continue
             g = got.masses[np.abs(got.locations - x) < 1e-13].sum()
             t = want.masses[np.abs(want.locations - x) < 1e-13].sum()

@@ -296,12 +296,8 @@ class TestAncestorEventRule:
         # one event from a pinned count moves it by the chain's rate over the
         # event rate; the rest of the mass leaves it unchanged
         c = example_coupling if name == "example" else EDGES
-        if N is None:
-            coalesce, branch = limit_chain_rates(c, n)
-            probs = {n - k + 1: coalesce[k] / c.total_mass for k in range(2, n + 1)}
-        else:
-            coalesce, branch = line_count_rates(N, c, n)
-            probs = {n - k: coalesce[k] / c.total_mass for k in range(1, n)}
+        coalesce, branch = limit_chain_rates(c, n) if N is None else line_count_rates(N, c, n)
+        probs = {n - k: coalesce[k] / c.total_mass for k in range(1, n)}
         probs[n + 1] = branch / c.total_mass
         probs[n] = 1.0 - sum(probs.values())
         draws = 200_000

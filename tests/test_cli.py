@@ -16,6 +16,7 @@ import lambda_asg
 from lambda_asg.cli import MINIMUM, RUNNERS, main, write_csv
 from lambda_asg.fixation import build_fixation_solver, harmonicity_values
 from lambda_asg.measures import CoupledMeasure
+from lambda_asg.moran import MAX_DENSE_N
 
 from helpers import digest
 
@@ -33,6 +34,11 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def files_in(outdir):
+    """Names of the files in ``outdir``; none if it does not exist."""
+    return sorted(p.name for p in outdir.iterdir()) if outdir.exists() else []
 
 
 def read_rows(path):
@@ -363,6 +369,8 @@ def test_artifacts_are_pinned(tmp_path, experiment):
     assert main(["run", cfg]) == 0
     artifacts = sorted(p for p in (tmp_path / "out").iterdir() if p.name != "manifest.json")
     assert artifacts
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == [p.name for p in artifacts]
     assert digest(*(
         np.frombuffer(p.name.encode() + b"\0" + p.read_bytes(), dtype=np.uint8)
         for p in artifacts
@@ -408,12 +416,19 @@ BAD_PARAMS = {
     "line_count_negative_horizon": ("line_count_sim", {"N": 5, "n0": 2, "horizon": -1.0}),
     "moment_negative_t": ("moment_duality", {"x0": 0.5, "n": 2, "t": -1.0}),
     "convergence_negative_t": ("convergence", {"x0": 0.5, "t": -1.0}),
+    "moment_x0_above_one": ("moment_duality", {"x0": 1.5, "n": 2, "t": 1.0}),
+    "convergence_x0_above_one": ("convergence", {"x0": 1.5, "t": 1.0}),
+    "fixation_compare_absorption_N_one": ("fixation", {"compare_absorption_N": 1}),
 }
 # the error message must name the offending param
 MESSAGES = {
     "line_count_negative_horizon": "horizon must be positive",
     "moment_negative_t": "t must be positive, got -1.0",
     "convergence_negative_t": "t must be positive, got -1.0",
+    "moment_x0_above_one": "x0 must lie in [0, 1], got 1.5",
+    "convergence_x0_above_one": "x0 must lie in [0, 1], got 1.5",
+    "fixation_compare_absorption_N_one":
+        "compare_absorption_N must be 0 (off) or at least 2, got 1",
 }
 INVALID_CONFIGS = {
     **{case: ("coupling_report", spec, {}) for case, spec in BAD_MEASURES.items()},
@@ -432,12 +447,35 @@ def test_invalid_config_is_a_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert MESSAGES.get(case, "") in err
-    assert not (tmp_path / "out" / "manifest.json").exists()
-    assert not (tmp_path / "out" / "fixation.csv").exists()
+    assert files_in(tmp_path / "out") == []
     if case in BAD_MEASURES:
         assert main(["check", cfg]) == 1
         report = json.loads(capsys.readouterr().out)
         assert not report["valid"] and report["issues"]
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("fixation", {"compare_absorption_N": MAX_DENSE_N + 1}),
+    ("moran_sim", {"N": MAX_DENSE_N + 1, "x0": 0.5, "horizon": 1e-6, "absorption": True}),
+])
+def test_run_failing_after_its_first_result_writes_nothing(tmp_path, capsys, experiment, params):
+    # both runs compute their first artifacts before the dense oracle refuses N
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": experiment, "measures": SELECTIVE, "params": params, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 1
+    assert f"N <= {MAX_DENSE_N}" in capsys.readouterr().err
+    assert files_in(tmp_path / "out") == []
+
+
+def test_runners_take_no_output_directory():
+    for name, runner in RUNNERS.items():
+        positional = [
+            p.name for p in inspect.signature(runner).parameters.values()
+            if p.kind is not p.KEYWORD_ONLY
+        ]
+        assert positional == ["coupling", "seed", "threads"], name
 
 
 @pytest.mark.parametrize("experiment, params", [

@@ -33,6 +33,14 @@ class TestSdeConfig:
         with pytest.raises(ValueError):
             SdeConfig(coupling=example_coupling, x0=0.5, horizon=-1.0)
 
+    @pytest.mark.parametrize("x0", [-0.5, 1.5])
+    def test_batched_routines_check_x0(self, example_coupling, x0):
+        message = rf"x0 must lie in \[0, 1\], got {x0}"
+        with pytest.raises(ValueError, match=message):
+            sde_final_values(example_coupling, x0, 1.0, 10, seed=1)
+        with pytest.raises(ValueError, match=message):
+            sde_absorption(example_coupling, x0, 10, seed=1)
+
 
 class TestSdePaths:
     def test_absorbing_starts_stay_fixed(self, example_coupling):
@@ -199,7 +207,7 @@ class TestLimitChain:
         m0 = 5
         coalesce, branch = limit_chain_rates(example_coupling, m0)
         total = coalesce.sum() + branch
-        probs = {m0 - k + 1: coalesce[k] / total for k in range(2, m0 + 1)}
+        probs = {m0 - k: coalesce[k] / total for k in range(1, m0)}
         probs[m0 + 1] = branch / total
         horizon = 5.0 / total
         observed: dict[int, int] = {}

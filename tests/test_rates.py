@@ -59,12 +59,12 @@ def ref_line_count_rates(N, c, n):
 
 
 def ref_limit_chain_rates(c, m):
-    coalesce = np.zeros(m + 1)
+    coalesce = np.zeros(m)
     if len(c) == 0:
         return coalesce, 0.0
     if m >= 2:
-        ks = np.arange(2, m + 1)
-        coalesce[2:] = binom.pmf(ks[:, None], m, c.ys[None, :]) @ c.masses
+        ks = np.arange(1, m)
+        coalesce[1:] = binom.pmf(ks[:, None] + 1, m, c.ys[None, :]) @ c.masses
     branch = float(c.masses @ ((1.0 - c.ys) ** m - (1.0 - c.ys - c.zs) ** m))
     return coalesce, branch
 
@@ -134,12 +134,11 @@ class TestAncestorChain:
         rows = MixtureTables(example_coupling, 12).ancestor_rates(12, N)
         chain = AncestorChain(example_coupling, 12) if N is None else None
         for s in range(1, 13):
-            if N is None:
-                coalesce, branch = limit_chain_rates(example_coupling, s)
-                rates = np.concatenate([[branch], coalesce[2:]])
-            else:
-                coalesce, branch = line_count_rates(N, example_coupling, s)
-                rates = np.concatenate([[branch], coalesce[1:]])
+            coalesce, branch = (
+                limit_chain_rates(example_coupling, s) if N is None
+                else line_count_rates(N, example_coupling, s)
+            )
+            rates = np.concatenate([[branch], coalesce[1:]])
             # table row s: branch, then s -> s - j at column j; zero from s on
             assert np.allclose(rows[s, :s], rates, rtol=1e-12, atol=1e-15)
             assert np.all(rows[s, s:] == 0.0)

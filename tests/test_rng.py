@@ -1,8 +1,7 @@
-import inspect
-
 import numpy as np
 
 from lambda_asg import limits, rng
+from lambda_asg.measures import CoupledMeasure
 
 
 def test_stream_tags_distinct():
@@ -10,11 +9,18 @@ def test_stream_tags_distinct():
     assert len(set(tags.values())) == len(tags)
 
 
-def test_sde_consumers_default_to_different_streams():
-    def default_key(fn):
-        return inspect.signature(fn).parameters["key"].default
+def test_sde_consumers_default_to_different_streams(monkeypatch):
+    keys = []
 
-    assert default_key(limits.sde_absorption) != default_key(limits.sde_final_values)
+    def record(replicates, seed, key, dtype, run):
+        keys.append(key)
+        return np.zeros(replicates, dtype)
+
+    monkeypatch.setattr(limits, "batched", record)
+    coupling = CoupledMeasure.from_atoms([(0.5, 0.25, 1.0)])
+    limits.sde_absorption(coupling, 0.5, 3, seed=1)
+    limits.sde_final_values(coupling, 0.5, 1.0, 3, seed=1)
+    assert keys[0] != keys[1]
 
 
 def _draws(stream, k):
