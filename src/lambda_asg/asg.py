@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .measures import CoupledMeasure
 from .moran import event_path
 from .paths import FrequencyPath
 from .rates import MixtureTables
-from .rng import TAG_ASG, TAG_CONSISTENCY, TAG_LINECOUNT_PATH, per_replicate, substream
+from .rng import TAG_ASG, TAG_CONSISTENCY, TAG_LINECOUNT_PATH, batched, substream
 
 OUTCOME_NONE = 0
 OUTCOME_NEUTRAL = 1
@@ -147,11 +147,7 @@ def _event_blocks(
     six standard deviations, at most ``BLOCK_LABELS // N``, so it follows
     from the inputs and a seed gives one realization whoever reads it.
 
-    A uniform u labels its arrow neutral when u < y, selective when
-    y <= u < y + z and none otherwise.  Stored atoms have z >= 0, so u < y
-    implies u < y + z, and with ``OUTCOME_NONE == 0`` and
-    ``OUTCOME_NEUTRAL == OUTCOME_SELECTIVE - 1`` the label is
-    ``OUTCOME_SELECTIVE * (u < y + z) - (u < y)``, two comparisons per label.
+    The labels come from :func:`_labels`.
     """
     rate = coupling.total_mass
     mean = rate * horizon
@@ -168,33 +164,47 @@ def _event_blocks(
         atom_idx = coupling.sample_atoms(rng, E)
         ys = coupling.ys[atom_idx]
         zs = coupling.zs[atom_idx]
-        u = rng.random((E, N))
-        outcomes = (u < (ys + zs)[:, None]).view(np.uint8)
-        outcomes *= OUTCOME_SELECTIVE
-        outcomes -= (u < ys[:, None]).view(np.uint8)
-        yield times[:E], reproducers, ys, zs, outcomes
+        yield times[:E], reproducers, ys, zs, _labels(rng.random((E, N)), ys, zs)
         if E < block:
             return
         t = times[-1]
 
 
+def _labels(u: np.ndarray, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The ``(E, N)`` arrow labels of uniforms ``u`` at events with atoms ``(ys, zs)``.
+
+    A uniform u labels its arrow neutral when u < y, selective when
+    y <= u < y + z and none otherwise.  Stored atoms have z >= 0, so u < y
+    implies u < y + z, and with ``OUTCOME_NONE == 0`` and
+    ``OUTCOME_NEUTRAL == OUTCOME_SELECTIVE - 1`` the label is
+    ``OUTCOME_SELECTIVE * (u < y + z) - (u < y)``, two comparisons per label.
+    """
+    outcomes = (u < (ys + zs)[:, None]).view(np.uint8)
+    outcomes *= OUTCOME_SELECTIVE
+    outcomes -= (u < ys[:, None]).view(np.uint8)
+    return outcomes
+
+
 def propagate_forward(asg: AsgRealization, init: TypeAssignment) -> TypeAssignment:
-    """Push types from time 0 through all events.
+    """Push types from time 0 through all events, one :func:`_forward` step each."""
+    if len(init) != asg.N:
+        raise ValueError("type assignment length must equal N")
+    minus = init.minus.copy()
+    for e in range(len(asg)):
+        _forward(minus[None], asg.reproducers[e : e + 1], asg.outcomes[e : e + 1])
+    return TypeAssignment(minus=minus)
+
+
+def _forward(minus: np.ndarray, reproducers: np.ndarray, outcomes: np.ndarray) -> None:
+    """One event per row of the ``(L, N)`` types ``minus``, in place.
 
     An advantaged reproducer converts every neutral- or selective-hit
     individual; a disadvantaged reproducer converts neutral-hit individuals
     only.  The reproducer's own label is inert (it rewrites its own type).
     """
-    if len(init) != asg.N:
-        raise ValueError("type assignment length must equal N")
-    minus = init.minus.copy()
-    for e in range(len(asg)):
-        out = asg.outcomes[e]
-        if minus[asg.reproducers[e]]:
-            minus[out == OUTCOME_NEUTRAL] = True
-        else:
-            minus[out != OUTCOME_NONE] = False
-    return TypeAssignment(minus=minus)
+    carrier = minus[np.arange(len(minus)), reproducers][:, None]
+    minus |= carrier & (outcomes == OUTCOME_NEUTRAL)
+    minus &= carrier | (outcomes == OUTCOME_NONE)
 
 
 def potential_ancestors(
@@ -205,11 +215,7 @@ def potential_ancestors(
 ) -> set[int]:
     """Potential ancestors at ``to_time`` of a sample alive at ``from_time``.
 
-    Sweeps events in (to_time, from_time] backward.  At each event touching
-    the current set: members hit by a neutral arrow are removed (they merge
-    into the reproducer line) and the reproducer is added; a selective hit
-    alone also adds the reproducer while the hit members stay.  Removals are
-    applied before the addition, so a mixed event keeps selective-hit lines.
+    Sweeps events in (to_time, from_time] backward with :func:`_backward`.
     """
     if not 0 <= to_time <= from_time <= asg.horizon:
         raise ValueError("need 0 <= to_time <= from_time <= horizon")
@@ -229,13 +235,109 @@ def _sweep(
     lo = int(np.searchsorted(asg.times, to_time, side="right"))
     hi = int(np.searchsorted(asg.times, from_time, side="right"))
     for e in range(hi - 1, lo - 1, -1):
-        out = asg.outcomes[e]
-        r = asg.reproducers[e]
-        touched = out != OUTCOME_NONE
-        touched[r] = False
-        rows = (members & touched).any(axis=1)
-        members &= ~(rows[:, None] & (out == OUTCOME_NEUTRAL))
-        members[:, r] |= rows
+        _backward(members[None], asg.reproducers[e : e + 1], asg.outcomes[e : e + 1])
+    return members
+
+
+def _backward(members: np.ndarray, reproducers: np.ndarray, outcomes: np.ndarray) -> None:
+    """One event, read backward, per replicate of the ``(L, k, N)`` member
+    rows ``members``, in place.
+
+    A row is touched when the event hits one of its members other than the
+    reproducer.  A touched row loses its members hit by a neutral arrow (they
+    merge into the reproducer line) and gains the reproducer; members hit by
+    a selective arrow stay.  Removals come before the addition, so a mixed
+    event keeps selective-hit lines.
+    """
+    L = len(members)
+    touched = outcomes != OUTCOME_NONE
+    touched[np.arange(L), reproducers] = False
+    rows = (members & touched[:, None, :]).any(axis=2)
+    members &= ~(rows[:, :, None] & (outcomes == OUTCOME_NEUTRAL)[:, None, :])
+    members[np.arange(L), :, reproducers] |= rows
+
+
+# -- replicates drawn a chunk at a time ----------------------------------------
+
+
+class EventRounds(NamedTuple):
+    """The events of a chunk of replicates on [0, horizon], without times.
+
+    The checks built on it read the whole window, so only the order of a
+    replicate's events matters, and a Poisson count of i.i.d. events has the
+    law of the exponential gaps of :func:`generate_asg`.  Replicates are
+    ordered by event count, most first (they are exchangeable), so the
+    replicates with an e-th event are the first ``widths[e]``: round e is
+    their e-th events, stored at rows ``sum(widths[:e]) + j`` of the columns
+    for replicate j.
+    """
+
+    counts: np.ndarray       # (n,) events per replicate, nonincreasing
+    widths: np.ndarray       # (max count,) replicates with an e-th event
+    reproducers: np.ndarray  # (E,) int64 in [0, N)
+    ys: np.ndarray           # (E,)
+    zs: np.ndarray           # (E,)
+    outcomes: np.ndarray     # (E, N) uint8
+
+    def rounds(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """``(width, reproducers, outcomes)`` of each round, in event order."""
+        stops = np.cumsum(self.widths).tolist()
+        return [
+            (stop - start, self.reproducers[start:stop], self.outcomes[start:stop])
+            for start, stop in zip([0] + stops, stops)
+        ]
+
+
+def _chunk_size(N: int, rows: int, mean: float) -> int:
+    """Replicates per chunk when each replicate carries ``rows`` boolean rows
+    of N and ``mean`` expected events: about ``BLOCK_LABELS`` labels and
+    member entries per chunk.  It follows from the inputs alone, so a seed
+    gives the same replicates for any worker count."""
+    return max(int(BLOCK_LABELS // (N * (rows + mean))), 1)
+
+
+def _draw_rounds(
+    rng: np.random.Generator, n: int, N: int, coupling: CoupledMeasure, horizon: float
+) -> EventRounds:
+    """Events of n replicates: ``poisson`` counts, then the reproducers
+    (``integers``), the atoms (``sample_atoms``) and the label uniforms
+    (``random``, in blocks of ``BLOCK_LABELS``) of all events, round by round.
+
+    Raises:
+        SizeLimit: if one replicate would hold more than
+            ``MAX_IN_MEMORY_OUTCOMES`` labels.
+    """
+    counts = -np.sort(-rng.poisson(coupling.total_mass * horizon, n))
+    if counts[0] * N > MAX_IN_MEMORY_OUTCOMES:
+        raise SizeLimit(
+            f"a replicate of {counts[0]} events x {N} individuals exceeds the "
+            "in-memory cap; shorten the horizon or lower N"
+        )
+    E = int(counts.sum())
+    reproducers = rng.integers(0, N, size=E)
+    atom_idx = coupling.sample_atoms(rng, E)
+    ys = coupling.ys[atom_idx]
+    zs = coupling.zs[atom_idx]
+    outcomes = np.empty((E, N), dtype=np.uint8)
+    step = max(BLOCK_LABELS // N, 1)
+    for start in range(0, E, step):
+        part = slice(start, start + step)
+        outcomes[part] = _labels(rng.random((len(ys[part]), N)), ys[part], zs[part])
+    widths = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
+    return EventRounds(counts, widths, reproducers, ys, zs, outcomes)
+
+
+def _forward_rounds(rounds: EventRounds, minus: np.ndarray) -> np.ndarray:
+    """Push the ``(n, N)`` types ``minus`` through every round, in place."""
+    for width, reproducers, outcomes in rounds.rounds():
+        _forward(minus[:width], reproducers, outcomes)
+    return minus
+
+
+def _backward_rounds(rounds: EventRounds, members: np.ndarray) -> np.ndarray:
+    """Sweep the ``(n, k, N)`` member rows back through every round, in place."""
+    for width, reproducers, outcomes in reversed(rounds.rounds()):
+        _backward(members[:width], reproducers, outcomes)
     return members
 
 
@@ -297,16 +399,28 @@ def simulate_line_count(
     )
 
 
-def _consistency_replicate(
-    rng: np.random.Generator, N: int, coupling: CoupledMeasure, horizon: float
-) -> tuple[int, int]:
-    realization = generate_asg(N, coupling, horizon, rng=rng)
-    init = TypeAssignment(minus=rng.random(N) < 0.5)
-    final = propagate_forward(realization, init)
-    # row i holds the potential ancestors of individual i
-    ancestors = _sweep(realization, np.eye(N, dtype=bool), horizon, 0.0)
-    plus_reachable = (ancestors & ~init.minus).any(axis=1)
-    return N, int((plus_reachable == final.minus).sum())
+def _consistency_draws(
+    n: int, rng: np.random.Generator, N: int, coupling: CoupledMeasure, horizon: float
+) -> tuple[EventRounds, np.ndarray]:
+    """The events of n replicates, then their ``(n, N)`` initial types."""
+    return _draw_rounds(rng, n, N, coupling, horizon), rng.random((n, N)) < 0.5
+
+
+def _consistency_violations(rounds: EventRounds, minus: np.ndarray) -> np.ndarray:
+    """Violations per replicate: individuals whose final type disagrees with
+    their potential ancestors' initial types."""
+    n, N = minus.shape
+    final = _forward_rounds(rounds, minus.copy())
+    # row i of replicate j holds the potential ancestors of its individual i
+    ancestors = _backward_rounds(rounds, np.tile(np.eye(N, dtype=bool), (n, 1, 1)))
+    plus_reachable = (ancestors & ~minus[:, None, :]).any(axis=2)
+    return (plus_reachable == final).sum(axis=1)
+
+
+def _consistency_chunk(
+    n: int, rng: np.random.Generator, N: int, coupling: CoupledMeasure, horizon: float
+) -> np.ndarray:
+    return _consistency_violations(*_consistency_draws(n, rng, N, coupling, horizon))
 
 
 def ancestry_consistency_check(
@@ -323,14 +437,23 @@ def ancestry_consistency_check(
     individual's final type must be advantaged exactly when its
     potential-ancestor set at time 0 contains an advantaged individual.
     Returns (individuals checked, violations); any violation falsifies the
-    graph construction.  One matrix sweep per replicate finds every
-    individual's ancestors.
+    graph construction.  The replicates are drawn and checked a chunk at a
+    time (stream ``(seed, TAG_CONSISTENCY, c)`` for chunk c), with one
+    member matrix per replicate for every individual's ancestors.
     """
-    counts = per_replicate(
-        replicates, seed, TAG_CONSISTENCY, threads, _consistency_replicate, N, coupling, horizon
+    _check_size(N, horizon)
+    _check_replicates(replicates)
+    violations = batched(
+        replicates, seed, (TAG_CONSISTENCY,), np.int64, _consistency_chunk,
+        N, coupling, horizon,
+        chunk=_chunk_size(N, N + 1, coupling.total_mass * horizon), threads=threads,
     )
-    checked, violations = counts.sum(axis=0)
-    return int(checked), int(violations)
+    return replicates * N, int(violations.sum())
+
+
+def _check_replicates(replicates: int) -> None:
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
 
 
 # -- binary event log ---------------------------------------------------------

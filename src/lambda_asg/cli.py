@@ -201,7 +201,19 @@ def _initial_count(N: int, x0: float | None, initial_count: int | None) -> int:
     """The starting count, given as exactly one of a frequency ``x0`` or a count."""
     if (x0 is None) == (initial_count is None):
         raise ConfigError("give exactly one of x0 and initial_count")
-    return initial_count if x0 is None else int(round(x0 * N))
+    if x0 is None:
+        return initial_count
+    if not 0.0 <= x0 <= 1.0:
+        raise ConfigError(f"x0 must lie in [0, 1], got {x0}")
+    return int(round(x0 * N))
+
+
+def _check_dense(name: str, N: int) -> None:
+    """Refuse a size above the dense oracle's limit before any work is done."""
+    if N > moran.MAX_DENSE_N:
+        raise ConfigError(
+            f"{name} is too large: dense generator limited to N <= {moran.MAX_DENSE_N}, got {N}"
+        )
 
 
 def _path_artifacts(paths, value_label: str) -> dict:
@@ -218,6 +230,8 @@ def run_moran_sim(
     replicates: int = 1, max_paths: int = 10, absorption: bool = False,
 ) -> tuple[int, dict]:
     count0 = _initial_count(N, x0, initial_count)
+    if absorption:
+        _check_dense("N (absorption: true)", N)
     cfg = moran.MoranConfig(N=N, coupling=coupling, initial_count=count0)
     artifacts = _path_artifacts((
         moran.simulate(cfg, horizon, seed, replicate=r) for r in range(min(replicates, max_paths))
@@ -343,6 +357,7 @@ def run_fixation(
 ) -> tuple[int, dict]:
     if compare_absorption_N == 1:
         raise ConfigError("compare_absorption_N must be 0 (off) or at least 2, got 1")
+    _check_dense("compare_absorption_N", compare_absorption_N)
     xs = np.linspace(0.0, 1.0, grid)
     header = ["x", "p", "last_term", "residual"]
     if coupling.selective_mass() == 0.0:

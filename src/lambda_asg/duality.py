@@ -20,12 +20,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import limits
-from .asg import _sweep, generate_asg, propagate_forward, TypeAssignment
+from .asg import (
+    EventRounds, _backward_rounds, _check_replicates, _check_size, _chunk_size,
+    _draw_rounds, _forward_rounds,
+)
 from .errors import SizeLimit
 from .measures import CoupledMeasure
 from .moran import MAX_DUALITY_N, MoranConfig, generator_matrix
 from .rates import MixtureTables
-from .rng import TAG_PATHWISE, per_replicate
+from .rng import TAG_PATHWISE, batched
 
 
 def sampling_function(N: int, i: int, n: int) -> float:
@@ -104,22 +107,42 @@ def _report(lhs: np.ndarray, rhs: np.ndarray, params: dict) -> DualityReport:
     )
 
 
-def _pathwise_replicate(
-    rng: np.random.Generator, N: int, coupling: CoupledMeasure, T: float,
+def _subsets(rng: np.random.Generator, n: int, N: int, k: int) -> np.ndarray:
+    """``(n, N)`` masks of uniform k-subsets of the N individuals, one per row."""
+    mask = np.zeros((n, N), dtype=bool)
+    np.put_along_axis(mask, rng.random((n, N)).argsort(axis=1)[:, :k], True, axis=1)
+    return mask
+
+
+def _pathwise_draws(
+    n: int, rng: np.random.Generator, N: int, coupling: CoupledMeasure, T: float,
     initial_count: int, sample_size: int,
-) -> tuple[float, float]:
-    asg = generate_asg(N, coupling, T, rng=rng)
-    minus0 = np.zeros(N, dtype=bool)
-    minus0[rng.permutation(N)[:initial_count]] = True
-    forward = propagate_forward(asg, TypeAssignment(minus=minus0))
-    # the potential ancestors of a uniform n-sample, as one row of _sweep
-    sample = np.zeros((1, N), dtype=bool)
-    sample[0, rng.permutation(N)[:sample_size]] = True
-    ancestors = int(_sweep(asg, sample, T, 0.0).sum())
+) -> tuple[EventRounds, np.ndarray, np.ndarray]:
+    """The events of n replicates, then their initial disadvantaged sets and
+    their samples, as ``(n, N)`` masks."""
     return (
-        sampling_function(N, forward.minus_count, sample_size),
-        sampling_function(N, initial_count, ancestors),
+        _draw_rounds(rng, n, N, coupling, T),
+        _subsets(rng, n, N, initial_count),
+        _subsets(rng, n, N, sample_size),
     )
+
+
+def _pathwise_counts(
+    rounds: EventRounds, minus: np.ndarray, sample: np.ndarray
+) -> np.ndarray:
+    """``(n, 2)`` rows ``(X_T, A_T)``: the disadvantaged count once ``minus``
+    is propagated forward, and the ancestor count of ``sample`` swept back.
+    Both masks are updated in place."""
+    final = _forward_rounds(rounds, minus).sum(axis=1)
+    ancestors = _backward_rounds(rounds, sample[:, None, :]).sum(axis=(1, 2))
+    return np.column_stack([final, ancestors])
+
+
+def _pathwise_chunk(
+    n: int, rng: np.random.Generator, N: int, coupling: CoupledMeasure, T: float,
+    initial_count: int, sample_size: int,
+) -> np.ndarray:
+    return _pathwise_counts(*_pathwise_draws(n, rng, N, coupling, T, initial_count, sample_size))
 
 
 def pathwise_duality_check(
@@ -138,17 +161,24 @@ def pathwise_duality_check(
     random disadvantaged set of the given size forward and samples
     ``S(X_T, n)``, the right side sweeps a uniform n-sample backward and
     evaluates ``S(i, A_T)``.  Sharing streams correlates the sides, which
-    only makes the pooled-stderr z-score conservative.  Replicate r draws
-    from stream (seed, tag, r) regardless of worker count.
+    only makes the pooled-stderr z-score conservative.  The replicates are
+    drawn and swept a chunk at a time, chunk c from stream
+    (seed, tag, c), with chunk sizes independent of the worker count.
     """
     if not 0 <= initial_count <= N:
         raise ValueError("initial_count out of range")
     if not 1 <= sample_size <= N:
         raise ValueError("sample_size out of range")
-    lhs, rhs = per_replicate(
-        replicates, seed, TAG_PATHWISE, threads, _pathwise_replicate,
+    _check_size(N, T)
+    _check_replicates(replicates)
+    counts = batched(
+        replicates, seed, (TAG_PATHWISE,), np.int64, _pathwise_chunk,
         N, coupling, T, initial_count, sample_size,
-    ).T
+        chunk=_chunk_size(N, 2, coupling.total_mass * T), threads=threads,
+    )
+    # S(., n) and S(i, .) read from the scalar function's values
+    lhs = np.array([sampling_function(N, i, sample_size) for i in range(N + 1)])[counts[:, 0]]
+    rhs = np.array([sampling_function(N, initial_count, a) for a in range(N + 1)])[counts[:, 1]]
     return _report(lhs, rhs, {
         "N": N, "T": T, "initial_count": initial_count,
         "sample_size": sample_size, "seed": seed,

@@ -2,13 +2,16 @@
 
 Every stochastic routine in the package draws from a stream derived from
 ``(master_seed, tag, index)`` through :class:`numpy.random.SeedSequence`
-spawn keys, so replicate ``r`` of an experiment sees the same randomness
-no matter how replicates are batched or scheduled.  Batched Monte Carlo
-routines (:func:`batched`) consume one stream per fixed-size chunk of
-``REPLICATE_CHUNK`` replicates (chunk ``c`` covers replicates
-``[c * CHUNK, (c+1) * CHUNK)``); per-replicate routines
-(:func:`per_replicate`) give replicate ``r`` its own stream ``(seed, tag, r)``.
-Both keep results byte-identical across worker counts.
+spawn keys, so a result never depends on how work is scheduled.  Replicate
+loops go through :func:`batched`, which hands each fixed-size chunk of
+replicates one stream: chunk ``c`` covers replicates
+``[c * chunk, (c+1) * chunk)`` and draws from ``(seed, tag, c)``.  The
+vectorized Monte Carlo routines use chunks of ``REPLICATE_CHUNK``; the
+pathwise ASG checks size their chunks from the population size, the rows
+each replicate carries and the expected event count (see
+``asg._chunk_size``), never from the worker count, and spread the chunks
+over ``threads`` worker processes.  Results are byte-identical across
+worker counts.
 """
 
 from __future__ import annotations
@@ -36,14 +39,13 @@ TAG_LINECOUNT_PATH = 14
 TAG_EVENT_JUMPS = 15
 TAG_SDE_ABSORPTION = 16
 
-# Chunk size for per-replicate (non-vectorized) Monte Carlo loops.
-PATHWISE_CHUNK = 2048
-
 SEED_RULE = (
     "stream(*key) = default_rng(SeedSequence(seed, spawn_key=key)); key starts "
-    "with a fixed per-consumer tag; batched routines append one chunk index "
-    f"per {REPLICATE_CHUNK} replicates; per-replicate routines use (seed, tag, "
-    "replicate)"
+    "with a fixed per-consumer tag and ends with a chunk index: vectorized "
+    f"routines take chunks of {REPLICATE_CHUNK} replicates, the pathwise ASG "
+    "checks (asg_pathwise, duality_pathwise) chunks of about "
+    "asg.BLOCK_LABELS labels and member entries, sized from N, the rows per "
+    "replicate and mass * horizon; --threads runs those chunks on worker processes"
 )
 
 
@@ -53,42 +55,46 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def batched(replicates: int, seed: int, key: tuple[int, ...], dtype, run) -> np.ndarray:
+def batched(
+    replicates: int, seed: int, key: tuple[int, ...], dtype, run, *args,
+    chunk: int = REPLICATE_CHUNK, threads: int = 1,
+) -> np.ndarray:
     """Values of ``replicates`` replicates drawn in fixed-size chunks.
 
-    Chunk ``c`` covers replicates ``[c * CHUNK, (c+1) * CHUNK)`` and gets its
-    values from ``run(n, rng)``, with ``n`` its size and ``rng`` stream
-    ``(seed, *key, c)``.
+    Chunk ``c`` covers replicates ``[c * chunk, (c+1) * chunk)`` and gets its
+    rows from ``run(n, rng, *args)``, with ``n`` its size and ``rng`` stream
+    ``(seed, *key, c)``.  With ``threads`` above 1 and more than one chunk,
+    the chunks run on a pool of that many worker processes (``run`` and
+    ``args`` must then pickle); the result is the same for any worker count.
     """
-    out = np.empty(replicates, dtype=dtype)
-    for c, start in enumerate(range(0, replicates, REPLICATE_CHUNK)):
-        stop = min(start + REPLICATE_CHUNK, replicates)
-        out[start:stop] = run(stop - start, substream(seed, *key, c))
-    return out
-
-
-def per_replicate(replicates: int, seed: int, tag: int, threads: int, fn, *args) -> np.ndarray:
-    """Rows ``fn(substream(seed, tag, r), *args)`` for r < ``replicates``.
-
-    The replicates run in chunks of ``PATHWISE_CHUNK``, on a process pool of
-    ``threads`` workers when there is more than one chunk; each replicate owns
-    its stream, so the ``(replicates, k)`` result is the same for any worker
-    count.
-    """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
     jobs = [
-        (fn, seed, tag, start, min(start + PATHWISE_CHUNK, replicates), args)
-        for start in range(0, replicates, PATHWISE_CHUNK)
+        (run, min(chunk, replicates - start), seed, (*key, c), args)
+        for c, start in enumerate(range(0, replicates, chunk))
     ]
-    if threads <= 1 or len(jobs) <= 1:
-        return np.concatenate([_replicate_chunk(job) for job in jobs])
-    from concurrent.futures import ProcessPoolExecutor
+    if threads > 1 and len(jobs) > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(_replicate_chunk, jobs)))
+        # spawned workers: forking a process that may hold BLAS threads is unsafe
+        with ProcessPoolExecutor(
+            max_workers=min(threads, len(jobs)), mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            return _gather(replicates, dtype, pool.map(_run_chunk, jobs))
+    return _gather(replicates, dtype, map(_run_chunk, jobs))
 
 
-def _replicate_chunk(job: tuple) -> np.ndarray:
-    fn, seed, tag, start, stop, args = job
-    return np.array([fn(substream(seed, tag, r), *args) for r in range(start, stop)])
+def _run_chunk(job: tuple) -> np.ndarray:
+    run, n, seed, key, args = job
+    return run(n, substream(seed, *key), *args)
+
+
+def _gather(replicates: int, dtype, parts) -> np.ndarray:
+    """The chunks' rows, in chunk order, in one array of ``dtype``."""
+    out = None
+    start = 0
+    for part in parts:
+        if out is None:
+            out = np.empty((replicates, *np.shape(part)[1:]), dtype=dtype)
+        out[start : start + len(part)] = part
+        start += len(part)
+    return np.empty(0, dtype=dtype) if out is None else out

@@ -25,3 +25,19 @@ def neutral_coupling() -> CoupledMeasure:
 @pytest.fixture
 def mild_selective_coupling() -> CoupledMeasure:
     return CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
+
+
+@pytest.fixture
+def pool_workers(monkeypatch) -> list[int]:
+    """Worker counts of the process pools started while the test runs."""
+    import concurrent.futures
+
+    started: list[int] = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started

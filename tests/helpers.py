@@ -9,6 +9,7 @@ from math import comb
 
 import numpy as np
 
+from lambda_asg.asg import AsgRealization
 from lambda_asg.measures import CoupledMeasure, FiniteMeasure1D
 
 
@@ -175,3 +176,17 @@ def digest(*arrays: np.ndarray) -> str:
         h.update(a.dtype.str.encode())
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+def replicate_realization(rounds, j: int, horizon: float) -> AsgRealization:
+    """Replicate j of a chunk's event rounds as a realization for the public
+    API: its e-th event is row ``sum(widths[:e]) + j`` of the columns, placed
+    at increasing times inside (0, horizon)."""
+    K = int(rounds.counts[j])
+    rows = np.concatenate([[0], np.cumsum(rounds.widths)])[:K] + j
+    return AsgRealization(
+        N=rounds.outcomes.shape[1], horizon=horizon,
+        times=horizon * np.arange(1, K + 1) / (K + 1),
+        reproducers=rounds.reproducers[rows], ys=rounds.ys[rows], zs=rounds.zs[rows],
+        outcomes=rounds.outcomes[rows],
+    )

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, poisson
 
 import lambda_asg.asg as asg_module
-from helpers import merged_chisquare_pvalue
+from helpers import merged_chisquare_pvalue, replicate_realization
 from lambda_asg.asg import (
     BLOCK_LABELS,
     OUTCOME_NEUTRAL,
@@ -89,21 +89,26 @@ def reference_potential_ancestors(asg, sample, from_time, to_time):
 
 
 def reference_consistency(N, coupling, horizon, replicates, seed):
-    """The per-individual consistency check: one backward sweep per
-    individual, the slow reference for the matrix sweep."""
+    """The consistency check through the public API, on the replicates the
+    batched check draws: one forward pass and one backward sweep per
+    individual for each replicate rebuilt from its chunk's rounds."""
     checked = 0
     violations = 0
-    for r in range(replicates):
-        rng = substream(seed, TAG_CONSISTENCY, r)
-        realization = generate_asg(N, coupling, horizon, rng=rng)
-        init = TypeAssignment(minus=rng.random(N) < 0.5)
-        final = asg_module.propagate_forward(realization, init)
-        for i in range(N):
-            ancestors = reference_potential_ancestors(realization, {i}, horizon, 0.0)
-            plus_reachable = any(not init.minus[j] for j in ancestors)
-            checked += 1
-            if plus_reachable != (not final.minus[i]):
-                violations += 1
+    chunk = asg_module._chunk_size(N, N + 1, coupling.total_mass * horizon)
+    for c, start in enumerate(range(0, replicates, chunk)):
+        rounds, minus = asg_module._consistency_draws(
+            min(chunk, replicates - start), substream(seed, TAG_CONSISTENCY, c),
+            N, coupling, horizon,
+        )
+        for j, init in enumerate(minus):
+            realization = replicate_realization(rounds, j, horizon)
+            final = asg_module.propagate_forward(realization, TypeAssignment(minus=init))
+            for i in range(N):
+                ancestors = reference_potential_ancestors(realization, {i}, horizon, 0.0)
+                plus_reachable = any(not init[k] for k in ancestors)
+                checked += 1
+                if plus_reachable != (not final.minus[i]):
+                    violations += 1
     return checked, violations
 
 
@@ -390,11 +395,17 @@ class TestConsistency:
         b = ancestry_consistency_check(6, example_coupling, 1.5, 64, seed=13, threads=2)
         assert a == b
 
-    def test_threads_do_not_change_result_over_several_chunks(self, example_coupling):
-        # 3000 replicates are two per-replicate chunks, so two workers run
-        a = ancestry_consistency_check(3, example_coupling, 1.5, 3000, seed=13, threads=1)
-        b = ancestry_consistency_check(3, example_coupling, 1.5, 3000, seed=13, threads=2)
-        assert a == b == (9000, 0)
+    def test_threads_do_not_change_result_over_several_chunks(
+        self, example_coupling, pool_workers
+    ):
+        # 1300 replicates at N = 40 are three chunks, so two workers run
+        N, horizon, replicates = 40, 1.5, 1300
+        chunk = asg_module._chunk_size(N, N + 1, example_coupling.total_mass * horizon)
+        assert chunk < replicates <= 3 * chunk
+        a = ancestry_consistency_check(N, example_coupling, horizon, replicates, 13, threads=1)
+        b = ancestry_consistency_check(N, example_coupling, horizon, replicates, 13, threads=2)
+        assert a == b == (N * replicates, 0)
+        assert pool_workers == [2]
 
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_needs_a_replicate(self, example_coupling, replicates):
@@ -410,19 +421,77 @@ class TestConsistency:
         assert ancestry_consistency_check(N, coupling, 2.0, 12, seed) == expected
         assert expected == (12 * N, 0)
 
+    def test_several_chunks_match_the_reference(self):
+        # the public-API reference over three chunks, the last one short
+        N, horizon = 60, 1.0
+        chunk = asg_module._chunk_size(N, N + 1, EDGES.total_mass * horizon)
+        replicates = 2 * chunk + 3
+        expected = reference_consistency(N, EDGES, horizon, replicates, 8)
+        assert ancestry_consistency_check(N, EDGES, horizon, replicates, 8) == expected
+
     def test_a_wrong_final_type_is_counted(self, example_coupling, monkeypatch):
         propagate = asg_module.propagate_forward
+        forward_rounds = asg_module._forward_rounds
 
         def flip_first(realization, init):
             final = propagate(realization, init)
             final.minus[0] = not final.minus[0]
             return final
 
+        def flip_first_of_each(rounds, minus):
+            final = forward_rounds(rounds, minus)
+            final[:, 0] = ~final[:, 0]
+            return final
+
         monkeypatch.setattr(asg_module, "propagate_forward", flip_first)
+        monkeypatch.setattr(asg_module, "_forward_rounds", flip_first_of_each)
         expected = reference_consistency(8, example_coupling, 2.0, 30, 5)
         assert ancestry_consistency_check(8, example_coupling, 2.0, 30, 5) == expected
         # one flipped individual per replicate, each a violation
         assert expected == (240, 30)
+
+
+class TestRoundDraws:
+    def test_event_counts_are_poisson(self, example_coupling):
+        mean = example_coupling.total_mass * 1.5
+        rounds = asg_module._draw_rounds(np.random.default_rng(70), 20_000, 5, example_coupling, 1.5)
+        assert np.all(np.diff(rounds.counts) <= 0)
+        assert len(rounds.reproducers) == rounds.counts.sum() == rounds.widths.sum()
+        values, counts = np.unique(rounds.counts, return_counts=True)
+        top = int(values.max()) + 1
+        probs = {k: poisson.pmf(k, mean) for k in range(top)}
+        probs[top] = poisson.sf(top - 1, mean)
+        observed = dict(zip(values.tolist(), counts.tolist()))
+        assert merged_chisquare_pvalue(observed, probs, len(rounds.counts)) > 1e-3
+
+    def test_marks_follow_the_coupling(self):
+        # per event: its atom, and the labels of two individuals, which are
+        # independent given the atom; the reproducer is uniform
+        N = 7
+        rounds = asg_module._draw_rounds(np.random.default_rng(71), 20_000, N, EDGES, 1.0)
+        same = (rounds.ys[:, None] == EDGES.ys) & (rounds.zs[:, None] == EDGES.zs)
+        assert np.all(same.sum(axis=1) == 1)
+        atom = same.argmax(axis=1)
+        first, last = rounds.outcomes[:, 0], rounds.outcomes[:, -1]
+        probs = {}
+        for a, (y, z, m) in enumerate(zip(EDGES.ys, EDGES.zs, EDGES.masses)):
+            label = {OUTCOME_NEUTRAL: y, OUTCOME_SELECTIVE: z, OUTCOME_NONE: 1.0 - y - z}
+            for l1, p1 in label.items():
+                for l2, p2 in label.items():
+                    probs[(a * 3 + l1) * 3 + l2] = m / EDGES.total_mass * p1 * p2
+        keys, counts = np.unique((atom * 3 + first) * 3 + last, return_counts=True)
+        observed = dict(zip(keys.tolist(), counts.tolist()))
+        E = len(atom)
+        assert E > 50_000
+        assert set(observed) <= {k for k, p in probs.items() if p > 0.0}
+        assert merged_chisquare_pvalue(observed, probs, E) > 1e-3
+        reproducers = dict(enumerate(np.bincount(rounds.reproducers, minlength=N).tolist()))
+        assert merged_chisquare_pvalue(reproducers, dict.fromkeys(range(N), 1 / N), E) > 1e-3
+
+    def test_one_replicate_above_the_cap_is_refused(self):
+        big = CoupledMeasure.from_atoms([(0.5, 0.0, 2000.0)])
+        with pytest.raises(SizeLimit):
+            ancestry_consistency_check(10_000, big, 10.0, 1, seed=5)
 
 
 class TestMatrixSweep:

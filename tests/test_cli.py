@@ -1,4 +1,5 @@
 import csv
+import importlib
 import inspect
 import json
 import math
@@ -13,6 +14,8 @@ import pytest
 
 import lambda_asg
 
+from lambda_asg import fixation, moran
+from lambda_asg.asg import _chunk_size
 from lambda_asg.cli import MINIMUM, RUNNERS, main, write_csv
 from lambda_asg.fixation import build_fixation_solver, harmonicity_values
 from lambda_asg.measures import CoupledMeasure
@@ -286,12 +289,15 @@ class TestDeterminism:
         for artifact in ("finals.csv", "summary.json", "path_000.csv", "path_002.csv"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
-    def test_threads_do_not_change_pathwise_report(self, tmp_path):
+    def test_threads_do_not_change_pathwise_report(self, tmp_path, pool_workers):
+        # 1200 replicates at N = 500 are two chunks (PAIR has mass 1)
+        N, t, replicates = 500, 0.5, 1200
+        assert _chunk_size(N, 2, t) < replicates <= 2 * _chunk_size(N, 2, t)
         base = {
             "experiment": "duality_pathwise",
             "measures": PAIR,
-            "params": {"N": 6, "t": 0.5, "initial_count": 3, "n": 2,
-                       "replicates": 4100},
+            "params": {"N": N, "t": t, "initial_count": 250, "n": 2,
+                       "replicates": replicates},
             "seed": 12,
         }
         cfg = write_config(tmp_path, "c.json", base)
@@ -302,6 +308,7 @@ class TestDeterminism:
                          "--threads", threads]) == 0
             reports.append((outdir / "report.json").read_bytes())
         assert reports[0] == reports[1]
+        assert pool_workers == [2]
 
     def test_csv_floats_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -338,7 +345,7 @@ PINNED_RUNS = {
                        "c732be50eac06460521999dc2f565598b515f61d9fa5b9ea7bd66c5c799f7177"),
     "duality_pathwise": (PAIR, {"N": 6, "t": 0.5, "initial_count": 3, "n": 2,
                                 "replicates": 200},
-                         "752da2799d88d218d1f7ea36c55cc2b31f084193886bc9c4a6dcf470488ede56"),
+                         "70bebc4c8fd7a6ae807a4e13f7894defd9cf2ac48afe5afc185b43ef7525133d"),
     "sde_sim": (SELECTIVE, {"x0": 0.4, "horizon": 1.0, "replicates": 50,
                             "max_paths": 2},
                 "ca4f3f7cbb9bb70e68aa241f8d14a4192fa5fb23c3fe6a8c95be54baf46376d0"),
@@ -388,6 +395,7 @@ BAD_MEASURES = {
 }
 BAD_PARAMS = {
     "moran_x0_above_one": ("moran_sim", {"N": 10, "horizon": 1.0, "x0": 1.5}),
+    "duality_pathwise_x0_above_one": ("duality_pathwise", {"N": 10, "t": 1.0, "x0": 1.5, "n": 2}),
     "line_count_n0_above_N": ("line_count_sim", {"N": 5, "n0": 6, "horizon": 1.0}),
     "fixation_nmax_zero": ("fixation", {"nmax": 0}),
     "fixation_nmax_negative": ("fixation", {"nmax": -3}),
@@ -422,6 +430,8 @@ BAD_PARAMS = {
 }
 # the error message must name the offending param
 MESSAGES = {
+    "moran_x0_above_one": "x0 must lie in [0, 1], got 1.5",
+    "duality_pathwise_x0_above_one": "x0 must lie in [0, 1], got 1.5",
     "line_count_negative_horizon": "horizon must be positive",
     "moment_negative_t": "t must be positive, got -1.0",
     "convergence_negative_t": "t must be positive, got -1.0",
@@ -466,6 +476,31 @@ def test_run_failing_after_its_first_result_writes_nothing(tmp_path, capsys, exp
     })
     assert main(["run", cfg]) == 1
     assert f"N <= {MAX_DENSE_N}" in capsys.readouterr().err
+    assert files_in(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("experiment, params, name", [
+    ("fixation", {"compare_absorption_N": MAX_DENSE_N + 1}, "compare_absorption_N"),
+    ("moran_sim", {"N": MAX_DENSE_N + 1, "x0": 0.5, "horizon": 1e-6, "absorption": True},
+     "N (absorption: true)"),
+])
+def test_dense_size_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, experiment, params, name
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the size check")
+
+    for module, attr in ((fixation, "build_fixation_solver"), (moran, "simulate"),
+                         (moran, "simulate_final_counts")):
+        monkeypatch.setattr(module, attr, refuse)
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": experiment, "measures": SELECTIVE, "params": params, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} is too large: dense generator")
+    assert f"N <= {MAX_DENSE_N}, got {MAX_DENSE_N + 1}" in err
     assert files_in(tmp_path / "out") == []
 
 
@@ -590,3 +625,20 @@ def test_readme_documents_every_param():
             if p.kind is p.KEYWORD_ONLY
         ]
         assert rows == expected, name
+
+
+def test_readme_references_resolve():
+    # every `module.name` of a lambda_asg module names something that exists;
+    # file names such as `cli.py` are skipped
+    package = Path(lambda_asg.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")}
+    checked = 0
+    for module, name in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_][\w.]*)`", README.read_text()):
+        if module not in modules or (package / f"{module}.{name}").exists():
+            continue
+        target = importlib.import_module(f"lambda_asg.{module}")
+        for part in name.split("."):
+            assert hasattr(target, part), f"README names {module}.{name}, which does not exist"
+            target = getattr(target, part)
+        checked += 1
+    assert checked

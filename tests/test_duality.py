@@ -4,16 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_coupling, random_ordered_pair
+from helpers import random_coupling, random_ordered_pair, replicate_realization
 from lambda_asg.asg import (
     TypeAssignment,
-    generate_asg,
+    _chunk_size,
     potential_ancestors,
     propagate_forward,
 )
 from lambda_asg.duality import (
     DualityReport,
-    _pathwise_replicate,
+    _pathwise_counts,
+    _pathwise_draws,
     generator_duality_check,
     limit_generator_duality,
     limit_moment_duality_check,
@@ -24,22 +25,20 @@ from lambda_asg.duality import (
 )
 from lambda_asg.measures import CoupledMeasure, quantile_coupling
 from lambda_asg.moran import MoranConfig, generator_matrix
-from lambda_asg.rng import TAG_PATHWISE, per_replicate
+from lambda_asg.rng import TAG_PATHWISE, substream
 
 
-def reference_pathwise_replicate(rng, N, coupling, T, initial_count, sample_size):
-    """One pathwise duality replicate through the public API: the
-    disadvantaged set propagated forward, the sample's potential-ancestor
-    set swept backward.  The slow reference for ``_pathwise_replicate``."""
-    asg = generate_asg(N, coupling, T, rng=rng)
-    minus0 = rng.permutation(N)[:initial_count]
-    forward = propagate_forward(asg, TypeAssignment.from_minus_set(N, minus0))
-    sample = rng.permutation(N)[:sample_size]
-    ancestors = potential_ancestors(asg, sample, T, 0.0)
-    return (
-        sampling_function(N, forward.minus_count, sample_size),
-        sampling_function(N, initial_count, len(ancestors)),
-    )
+def reference_pathwise_counts(rounds, minus, sample, T):
+    """``(X_T, A_T)`` of each drawn replicate through the public API: its
+    disadvantaged set propagated forward, its sample's potential-ancestor set
+    swept backward.  The slow reference for ``_pathwise_counts``."""
+    rows = []
+    for j in range(len(minus)):
+        asg = replicate_realization(rounds, j, T)
+        forward = propagate_forward(asg, TypeAssignment(minus=minus[j]))
+        ancestors = potential_ancestors(asg, np.nonzero(sample[j])[0], T, 0.0)
+        rows.append((forward.minus_count, len(ancestors)))
+    return np.array(rows)
 
 
 class TestSamplingFunction:
@@ -143,17 +142,31 @@ class TestPathwiseDuality:
             for sample_size in sorted({1, 2, N}):
                 args = (N, example_coupling, 1.5, initial_count, sample_size)
                 for seed in range(3):
-                    fast = per_replicate(50, seed, TAG_PATHWISE, 1, _pathwise_replicate, *args)
-                    slow = per_replicate(
-                        50, seed, TAG_PATHWISE, 1, reference_pathwise_replicate, *args
+                    draws = _pathwise_draws(50, substream(seed, TAG_PATHWISE, 0), *args)
+                    rounds, minus, sample = draws
+                    assert np.all(minus.sum(axis=1) == initial_count)
+                    assert np.all(sample.sum(axis=1) == sample_size)
+                    slow = reference_pathwise_counts(*draws, 1.5)
+                    assert np.array_equal(_pathwise_counts(*draws), slow)
+                    # the check reads S at these counts from the scalar function
+                    report = pathwise_duality_check(*args, 50, seed)
+                    assert report.lhs == np.mean(
+                        [sampling_function(N, x, sample_size) for x in slow[:, 0]]
                     )
-                    assert np.array_equal(fast, slow)
+                    assert report.rhs == np.mean(
+                        [sampling_function(N, initial_count, a) for a in slow[:, 1]]
+                    )
 
-    def test_threads_reproduce(self, example_coupling):
-        kw = dict(T=0.8, initial_count=3, sample_size=2, replicates=4100, seed=9)
-        a = pathwise_duality_check(6, example_coupling, **kw, threads=1)
-        b = pathwise_duality_check(6, example_coupling, **kw, threads=2)
+    def test_threads_reproduce(self, example_coupling, pool_workers):
+        # 1600 replicates at N = 500 are three chunks, so two workers run
+        N, T, replicates = 500, 0.8, 1600
+        chunk = _chunk_size(N, 2, example_coupling.total_mass * T)
+        assert chunk < replicates <= 3 * chunk
+        kw = dict(T=T, initial_count=250, sample_size=2, replicates=replicates, seed=9)
+        a = pathwise_duality_check(N, example_coupling, **kw, threads=1)
+        b = pathwise_duality_check(N, example_coupling, **kw, threads=2)
         assert a == b
+        assert pool_workers == [2]
 
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_needs_a_replicate(self, example_coupling, replicates):

@@ -23,15 +23,23 @@ def test_sde_consumers_default_to_different_streams(monkeypatch):
     assert keys[0] != keys[1]
 
 
-def _draws(stream, k):
-    return stream.random(k)
+def _draws(n, stream, k):
+    return stream.random((n, k))
 
 
-def test_per_replicate_rows_come_from_own_streams():
-    # two chunks, on one worker and on two
-    n = rng.PATHWISE_CHUNK + 5
-    expected = np.array([rng.substream(8, 99, r).random(3) for r in range(n)])
+def test_batched_rows_come_from_chunk_streams(pool_workers):
+    # chunks of 4, 4 and 2 replicates, on one worker and then on two
+    expected = np.concatenate([
+        rng.substream(8, 99, c).random((n, 3)) for c, n in enumerate((4, 4, 2))
+    ])
     for threads in (1, 2):
-        rows = rng.per_replicate(n, 8, 99, threads, _draws, 3)
-        assert rows.shape == (n, 3)
+        rows = rng.batched(10, 8, (99,), float, _draws, 3, chunk=4, threads=threads)
+        assert rows.shape == (10, 3)
         assert np.array_equal(rows, expected)
+    assert pool_workers == [2]
+
+
+def test_batched_keeps_one_chunk_in_process(pool_workers):
+    rows = rng.batched(4, 8, (99,), float, _draws, 3, chunk=4, threads=2)
+    assert np.array_equal(rows, rng.substream(8, 99, 0).random((4, 3)))
+    assert pool_workers == []
