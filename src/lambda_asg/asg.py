@@ -23,10 +23,12 @@ import numpy as np
 
 from .errors import SizeLimit
 from .measures import CoupledMeasure
-from .moran import event_path
+from .moran import record_events
 from .paths import FrequencyPath
-from .rates import MixtureTables
-from .rng import TAG_ASG, TAG_CONSISTENCY, TAG_LINECOUNT_PATH, batched, substream
+from .rates import MixtureRows
+from .rng import (
+    TAG_ASG, TAG_CONSISTENCY, TAG_LINECOUNT, TAG_LINECOUNT_PATH, batched, substream,
+)
 
 OUTCOME_NONE = 0
 OUTCOME_NEUTRAL = 1
@@ -352,7 +354,7 @@ def _ancestor_events(
     size = np.shape(n)
     a = c.sample_atoms(rng, size)
     y, s = c.ys[a], c.ys[a] + c.zs[a]
-    inside = rng.random(size) * N < n if N is not None else np.zeros(size, dtype=bool)
+    inside = rng.random(size) * N < n if N is not None else np.False_
     hits = rng.binomial(n - inside, s)
     neutral = rng.binomial(hits, y / s)
     return n - neutral + (~inside & (hits > 0))
@@ -377,25 +379,54 @@ def _count_rates(
 ) -> tuple[np.ndarray, float]:
     """Row ``n`` of the ancestor rates as ``(coalesce, branch)``; ``N`` is None
     for the limit chain."""
-    rates = MixtureTables(coupling, n).ancestor_rates(n, N)[n]
+    rates = MixtureRows(coupling, (n - 1, n)).ancestor_row(n, N)
     coalesce = np.zeros(n)
     coalesce[1:] = rates[1:n]
     return coalesce, float(rates[0])
+
+
+def _ancestor_run(
+    n: int, rng: np.random.Generator, N: int | None, coupling: CoupledMeasure, n0: int,
+    horizon: float, hi: int, keep: int = 0,
+) -> tuple[np.ndarray, list[FrequencyPath]]:
+    """:func:`lambda_asg.moran.record_events` on n ancestor counts from n0 by
+    :func:`_ancestor_events`; a count stops at ``hi`` and above."""
+    # without a selective gap one line is absorbing
+    lo = int(coupling.selective_mass() == 0.0)
+    return record_events(
+        np.full(n, n0, dtype=np.int64), lo, hi, coupling.total_mass, horizon,
+        lambda m: _ancestor_events(m, N, coupling, rng), rng, keep,
+    )
+
+
+def _check_n0(N: int, n0: int) -> None:
+    if not 1 <= n0 <= N:
+        raise ValueError("need 1 <= n0 <= N")
 
 
 def simulate_line_count(
     N: int, coupling: CoupledMeasure, n0: int, horizon: float, seed: int,
     replicate: int = 0,
 ) -> FrequencyPath:
-    """Potential-ancestor count of ``n0`` lines among N, drawn event by event."""
-    if not 1 <= n0 <= N:
-        raise ValueError("need 1 <= n0 <= N")
+    """Potential-ancestor count of ``n0`` lines among N, drawn event by event:
+    the one-replicate case of :func:`line_count_replicates` on stream
+    ``(seed, TAG_LINECOUNT_PATH, replicate)``."""
+    _check_n0(N, n0)
     rng = substream(seed, TAG_LINECOUNT_PATH, replicate)
-    # without a selective gap one line is absorbing
-    lo = int(coupling.selective_mass() == 0.0)
-    return event_path(
-        int(n0), lo, N + 1, coupling.total_mass, horizon,
-        lambda n: _ancestor_events(n, N, coupling, rng), rng,
+    return _ancestor_run(1, rng, N, coupling, n0, horizon, N + 1, keep=1)[1][0]
+
+
+def line_count_replicates(
+    N: int, coupling: CoupledMeasure, n0: int, horizon: float, replicates: int, seed: int,
+    max_paths: int,
+) -> tuple[np.ndarray, list[FrequencyPath]]:
+    """Time-``horizon`` potential-ancestor counts of ``replicates`` replicates,
+    drawn a chunk at a time from stream ``(seed, TAG_LINECOUNT, c)``, and the
+    paths of the first ``max_paths``: path r ends at count r."""
+    _check_n0(N, n0)
+    return batched(
+        replicates, seed, (TAG_LINECOUNT,), np.int64, _ancestor_run,
+        N, coupling, n0, horizon, N + 1, paths=max_paths,
     )
 
 
@@ -465,12 +496,13 @@ def _record_dtype(N: int) -> np.dtype:
     )
 
 
-def _packed(N: int, columns: tuple[np.ndarray, ...]) -> bytes:
-    """Log records of the columns (times, reproducers, ys, zs, outcomes)."""
+def _packed(N: int, columns: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Log records of the columns (times, reproducers, ys, zs, outcomes), a
+    contiguous array that a file writes without a copy."""
     records = np.empty(len(columns[0]), dtype=_record_dtype(N))
     for name, column in zip(records.dtype.names, columns):
         records[name] = column
-    return records.tobytes()
+    return records
 
 
 def _write_header(fh, N: int, horizon: float) -> None:

@@ -233,10 +233,8 @@ def run_moran_sim(
     if absorption:
         _check_dense("N (absorption: true)", N)
     cfg = moran.MoranConfig(N=N, coupling=coupling, initial_count=count0)
-    artifacts = _path_artifacts((
-        moran.simulate(cfg, horizon, seed, replicate=r) for r in range(min(replicates, max_paths))
-    ), "count")
-    finals = moran.simulate_final_counts(cfg, horizon, replicates, seed)
+    finals, paths = moran.simulate_replicates(cfg, horizon, replicates, seed, max_paths)
+    artifacts = _path_artifacts(paths, "count")
     artifacts["finals.csv"] = (["replicate", "final_count"], enumerate(finals))
     artifacts["summary.json"] = {
         "N": N, "initial_count": count0, "horizon": horizon,
@@ -295,10 +293,8 @@ def run_sde_sim(
     replicates: int = 1, max_paths: int = 10,
 ) -> tuple[int, dict]:
     cfg = limits.SdeConfig(coupling=coupling, x0=x0, horizon=horizon)
-    artifacts = _path_artifacts((
-        limits.simulate_sde(cfg, seed, replicate=r) for r in range(min(replicates, max_paths))
-    ), "value")
-    finals = limits.sde_final_values(coupling, x0, horizon, replicates, seed)
+    finals, paths = limits.sde_replicates(cfg, replicates, seed, max_paths)
+    artifacts = _path_artifacts(paths, "value")
     artifacts["finals.csv"] = (["replicate", "final_value"], enumerate(finals))
     artifacts["summary.json"] = {
         "x0": x0, "horizon": horizon, "replicates": replicates,
@@ -404,12 +400,9 @@ def run_line_count_sim(
     coupling, seed, threads: int, *, N: int, n0: int, horizon: float,
     replicates: int = 1, max_paths: int = 10,
 ) -> tuple[int, dict]:
-    finals, paths = [], []
-    for r in range(replicates):
-        fp = asg.simulate_line_count(N, coupling, n0, horizon, seed, replicate=r)
-        finals.append(int(fp.final))
-        if r < max_paths:
-            paths.append(fp)
+    finals, paths = asg.line_count_replicates(
+        N, coupling, n0, horizon, replicates, seed, max_paths
+    )
     artifacts = _path_artifacts(paths, "count")
     artifacts["finals.csv"] = (["replicate", "final_count"], enumerate(finals))
     return 0, artifacts

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asg import _ancestor_events, _count_rates
+from .asg import _ancestor_run, _count_rates
 from .errors import InfiniteMass, NotConverged, StateCapReached
 from .measures import CoupledMeasure
-from .moran import MoranConfig, event_path, run_events, simulate_final_counts
+from .moran import MoranConfig, record_events, run_events, simulate_final_counts
 from .paths import FrequencyPath
 from .rates import AncestorChain
 from .rng import (
@@ -114,19 +114,27 @@ def _sde_events(vals: np.ndarray, c: CoupledMeasure, rng: np.random.Generator) -
     return np.where(u < vals, vals + y * (1.0 - vals), vals - s * vals)
 
 
+def _sde_run(
+    n: int, rng: np.random.Generator, coupling: CoupledMeasure, x0: float, horizon: float,
+    keep: int = 0,
+) -> tuple[np.ndarray, list[FrequencyPath]]:
+    """:func:`lambda_asg.moran.record_events` on n replicates of the SDE."""
+    return record_events(
+        np.full(n, float(x0)), 0.0, 1.0, coupling.total_mass, horizon,
+        lambda v: _sde_events(v, coupling, rng), rng, keep,
+    )
+
+
 def simulate_sde(cfg: SdeConfig, seed: int, replicate: int = 0) -> FrequencyPath:
     """Exact event-driven path of the limiting frequency in [0, 1].
 
     Jumps multiply the distance to the approached boundary, so the path hits
     0 or 1 exactly only through atoms with y = 1 or y + z = 1; it is recorded
-    at change points and stops early once absorbed.
+    at change points and is constant once absorbed.  The one-replicate case
+    of :func:`sde_replicates` on stream ``(seed, TAG_SDE_PATH, replicate)``.
     """
     rng = substream(seed, TAG_SDE_PATH, replicate)
-    c = cfg.coupling
-    return event_path(
-        float(cfg.x0), 0.0, 1.0, c.total_mass, cfg.horizon,
-        lambda v: _sde_events(v, c, rng), rng,
-    )
+    return _sde_run(1, rng, cfg.coupling, cfg.x0, cfg.horizon, keep=1)[1][0]
 
 
 def sde_final_values(
@@ -139,15 +147,21 @@ def sde_final_values(
 ) -> np.ndarray:
     """Time-``horizon`` marginal of the SDE over many replicates (vectorized)."""
     _check_x0(x0)
-    rate = coupling.total_mass
+    return batched(
+        replicates, seed, key, float,
+        lambda n, rng: _sde_run(n, rng, coupling, x0, horizon)[0],
+    )
 
-    def run(n: int, rng: np.random.Generator) -> np.ndarray:
-        return run_events(
-            np.full(n, float(x0)), 0.0, 1.0, rng.poisson(rate * horizon, size=n),
-            lambda v: _sde_events(v, coupling, rng),
-        )
 
-    return batched(replicates, seed, key, float, run)
+def sde_replicates(
+    cfg: SdeConfig, replicates: int, seed: int, max_paths: int
+) -> tuple[np.ndarray, list[FrequencyPath]]:
+    """The values of :func:`sde_final_values` and the paths of its first
+    ``max_paths`` replicates: path r ends at value r."""
+    return batched(
+        replicates, seed, (TAG_SDE,), float, _sde_run, cfg.coupling, cfg.x0, cfg.horizon,
+        paths=max_paths,
+    )
 
 
 def sde_absorption(
@@ -172,7 +186,7 @@ def sde_absorption(
 
     def run(n: int, rng: np.random.Generator) -> np.ndarray:
         vals = run_events(
-            np.full(n, float(x0)), lo, hi, max_events,
+            np.full(n, float(x0)), lo, hi, np.full(n, max_events),
             lambda v: _sde_events(v, coupling, rng),
         )
         if ((vals > lo) & (vals < hi)).any():
@@ -214,12 +228,7 @@ def simulate_limit_chain(
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
     rng = substream(seed, TAG_CHAIN_PATH, replicate)
-    # without a selective gap one line is absorbing
-    lo = int(coupling.selective_mass() == 0.0)
-    path = event_path(
-        int(n0), lo, state_cap + 1, coupling.total_mass, horizon,
-        lambda n: _ancestor_events(n, None, coupling, rng), rng,
-    )
+    path = _ancestor_run(1, rng, None, coupling, n0, horizon, state_cap + 1, keep=1)[1][0]
     if path.final > state_cap:
         raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     return path

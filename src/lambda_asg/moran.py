@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import SingularSystem, SizeLimit
 from .measures import CoupledMeasure
 from .paths import FrequencyPath
-from .rates import MixtureTables
+from .rates import MixtureRows, MixtureTables
 from .rng import TAG_EVENT_JUMPS, TAG_MORAN, TAG_MORAN_PATH, batched, substream
 
 MAX_DENSE_N = 2000
@@ -51,8 +52,7 @@ def jump_rates(cfg: MoranConfig, count: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 0 <= count <= cfg.N:
         raise ValueError("count out of range")
-    tables = MixtureTables(cfg.coupling, max(count, cfg.N - count))
-    return tables.moran_jumps(cfg.N, count)
+    return MixtureRows(cfg.coupling, (count, cfg.N - count)).moran_jumps(cfg.N, count)
 
 
 def generator_matrix(cfg: MoranConfig) -> np.ndarray:
@@ -127,62 +127,103 @@ def _event_updates(
     return np.where(reproducer_minus, counts + gains, counts - losses)
 
 
-def run_events(x: np.ndarray, lo, hi, budget, update) -> np.ndarray:
-    """Apply events to the entries of ``x`` in place, one per round, and return it.
+def _rounds(x: np.ndarray, lo, hi, budget, update) -> Iterator[int]:
+    """Apply events to the entries of ``x`` in place, one per round, and yield
+    each round's index after it is applied.
 
     A round passes the entries strictly inside ``(lo, hi)`` that still have
-    events left to ``update`` and stores its result.  ``budget`` is each
-    entry's event count, or one cap shared by all entries.
+    events left to ``update`` and stores its result.  ``budget`` holds each
+    entry's event count.  An entry is live for a prefix of the rounds, so
+    round e applies its e-th event.
     """
-    for step in range(int(np.max(budget, initial=0))):
-        live = (budget > step) & (x > lo) & (x < hi)
-        if not live.any():
-            break
-        idx = np.nonzero(live)[0]
+    if len(x) == 1:
+        # numpy draws from a scalar take its scalar route, about ten times
+        # faster than from a one-element array, and give the same values
+        for step in range(int(budget[0])):
+            if not lo < x[0] < hi:
+                return
+            x[0] = update(x[0])
+            yield step
+        return
+    for step in range(int(budget.max(initial=0))):
+        idx = ((budget > step) & (x > lo) & (x < hi)).nonzero()[0]
+        if not len(idx):
+            return
         x[idx] = update(x[idx])
+        yield step
+
+
+def run_events(x: np.ndarray, lo, hi, budget, update) -> np.ndarray:
+    """Apply every round of events to the entries of ``x`` in place (see
+    :func:`_rounds`) and return it."""
+    for _ in _rounds(x, lo, hi, budget, update):
+        pass
     return x
 
 
-def event_path(
-    x0, lo, hi, rate: float, horizon: float, update, rng: np.random.Generator
-) -> FrequencyPath:
-    """One path from ``x0`` up to ``horizon``, recorded at change points.
+def record_events(
+    x: np.ndarray, lo, hi, rate: float, horizon: float, update,
+    rng: np.random.Generator, keep: int,
+) -> tuple[np.ndarray, list[FrequencyPath]]:
+    """Run the entries of ``x`` on [0, horizon] and record the first ``keep``.
 
-    Per step: an exponential holding time at ``rate``, then one event applied
-    by ``update`` to a 0-d array.  Stops early once the value leaves
-    ``(lo, hi)``, where it stays.
+    Each entry draws a Poisson(rate * horizon) event count (one ``poisson``
+    call for all), then :func:`_rounds` applies the events.  Given its count
+    k, an entry's event times are k sorted uniforms on [0, horizon],
+    independent of the events (order statistics of a Poisson process), so
+    they are drawn after the rounds, ``np.sort(rng.random(k)) * horizon`` for
+    each recorded entry in turn: the final values do not depend on ``keep``.
+    Returns ``x`` and the paths of its first ``keep`` entries, recorded at
+    change points.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    times = [0.0]
-    values = [x0]
-    t = 0.0
-    x = x0
-    while rate > 0.0 and lo < x < hi:
-        t += rng.exponential(1.0 / rate)
-        if t > horizon:
-            break
-        new = update(np.array(x)).item()
-        if new != x:
-            x = new
-            times.append(t)
-            values.append(x)
-    return FrequencyPath(times=np.asarray(times), values=np.asarray(values))
+    counts = rng.poisson(rate * horizon, size=len(x))
+    kept = counts[:keep].tolist()
+    top = max(kept, default=0)
+    seen = [x[:keep].copy()]
+    for step in _rounds(x, lo, hi, counts, update):
+        if step < top:
+            seen.append(x[:keep].copy())
+    # the recorded entries hold still after the last round
+    seen += [x[:keep]] * (top + 1 - len(seen))
+    values = np.array(seen)
+    # the start and every change
+    marks = np.empty(values.shape, dtype=bool)
+    marks[0] = True
+    np.not_equal(values[1:], values[:-1], out=marks[1:])
+    paths = []
+    for j, k in enumerate(kept):
+        # 0 and the k event times, sorted
+        times = np.zeros(k + 1)
+        times[1:] = rng.random(k)
+        times.sort()
+        times *= horizon
+        mark = marks[: k + 1, j]
+        paths.append(FrequencyPath(times=times[mark], values=values[: k + 1, j][mark]))
+    return x, paths
+
+
+def _moran_run(
+    n: int, rng: np.random.Generator, cfg: MoranConfig, horizon: float, keep: int = 0
+) -> tuple[np.ndarray, list[FrequencyPath]]:
+    """:func:`record_events` on n replicates of the count chain."""
+    N, c = cfg.N, cfg.coupling
+    return record_events(
+        np.full(n, cfg.initial_count, dtype=np.int64), 0, N, c.total_mass, horizon,
+        lambda x: _event_updates(x, N, c, rng), rng, keep,
+    )
 
 
 def simulate(cfg: MoranConfig, horizon: float, seed: int, replicate: int = 0) -> FrequencyPath:
     """Event-driven exact simulation up to ``horizon``.
 
-    Records the initial point and every count change; stops early once
-    absorbed (the path is constant afterwards).  Deterministic given
-    (seed, replicate).
+    Records the initial point and every count change; the path is constant
+    once absorbed.  The one-replicate case of :func:`simulate_replicates` on
+    stream ``(seed, TAG_MORAN_PATH, replicate)``.
     """
     rng = substream(seed, TAG_MORAN_PATH, replicate)
-    N, c = cfg.N, cfg.coupling
-    return event_path(
-        int(cfg.initial_count), 0, N, c.total_mass, horizon,
-        lambda x: _event_updates(x, N, c, rng), rng,
-    )
+    return _moran_run(1, rng, cfg, horizon, keep=1)[1][0]
 
 
 def simulate_final_counts(
@@ -194,18 +235,19 @@ def simulate_final_counts(
     Replicates are processed in fixed-size chunks with independent seed
     streams, so results do not depend on batching or worker count.
     """
-    N, c = cfg.N, cfg.coupling
+    return batched(
+        replicates, seed, key, np.int64, lambda n, rng: _moran_run(n, rng, cfg, horizon)[0]
+    )
 
-    def run(n: int, rng: np.random.Generator) -> np.ndarray:
-        # event times are irrelevant for the fixed-time marginal; only the
-        # Poisson event count per path matters
-        return run_events(
-            np.full(n, cfg.initial_count, dtype=np.int64), 0, N,
-            rng.poisson(c.total_mass * horizon, size=n),
-            lambda x: _event_updates(x, N, c, rng),
-        )
 
-    return batched(replicates, seed, key, np.int64, run)
+def simulate_replicates(
+    cfg: MoranConfig, horizon: float, replicates: int, seed: int, max_paths: int
+) -> tuple[np.ndarray, list[FrequencyPath]]:
+    """The counts of :func:`simulate_final_counts` and the paths of its first
+    ``max_paths`` replicates: path r ends at count r."""
+    return batched(
+        replicates, seed, (TAG_MORAN,), np.int64, _moran_run, cfg, horizon, paths=max_paths
+    )
 
 
 def sample_event_jumps(

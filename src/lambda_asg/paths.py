@@ -23,7 +23,7 @@ class FrequencyPath:
             raise ValueError("times and values must have equal length")
         if len(self.times) == 0:
             raise ValueError("a path needs at least its initial point")
-        if np.any(np.diff(self.times) <= 0):
+        if not (self.times[1:] > self.times[:-1]).all():
             raise ValueError("times must be strictly increasing")
 
     def value_at(self, t: float):

@@ -20,49 +20,91 @@ differenced per atom before mixing: never negative, exactly 0 when neutral.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
 from .measures import CoupledMeasure
 
 
-class MixtureTables:
+def _pascal_rows(coupling: CoupledMeasure, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """``(m, rows)`` for m = 0..size, where ``rows[a, k + 1]`` is
+    ``Binom(m, p_a)(k)`` over the stacked ``p = (y, y + z)`` atoms and column 0
+    stays 0, so one update also covers k = 0.  One buffer is updated in place."""
+    c = coupling
+    p = np.concatenate([c.ys, c.ys + c.zs])[:, None]
+    q = 1.0 - p
+    rows = np.zeros((len(p), size + 2))
+    rows[:, 1] = 1.0
+    for m in range(size + 1):
+        if m > 0:
+            rows[:, 1 : m + 2] = q * rows[:, 1 : m + 2] + p * rows[:, : m + 1]
+        yield m, rows
+
+
+def _weights(coupling: CoupledMeasure) -> np.ndarray:
+    """One row of weights per table over the stacked (y, y + z) atoms."""
+    return np.kron(np.eye(2), coupling.masses)
+
+
+class MixtureRows:
+    """Rows ``m`` in ``ms`` of ``T_y``, ``T_{y+z}`` and ``branch`` (``y[m]``,
+    ``s[m]`` of length m + 1, and ``branch[m]``), by the recurrence of
+    :class:`MixtureTables` in O(max(ms)) memory.  Both classes read rates
+    from ``y[m]``, ``s[m]`` and ``branch[m]`` alone."""
+
+    def __init__(self, coupling: CoupledMeasure, ms: Iterable[int]) -> None:
+        c = coupling
+        ms = set(ms)
+        weights = _weights(c)
+        self.y, self.s, self.branch = {}, {}, {}
+        for m, rows in _pascal_rows(c, max(ms)):
+            if m in ms:
+                self.y[m], self.s[m] = weights @ rows[:, 1 : m + 2]
+                # (1 - p)^m is column k = 0 of the rows
+                self.branch[m] = float((rows[: len(c), 1] - rows[len(c) :, 1]) @ c.masses)
+
+    def moran_jumps(self, N: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(up, down)``: rates of ``count -> count + k`` and ``count -> count - k``
+        at index k (index 0 zero).  Needs rows ``N - count`` and ``count``."""
+        x = count / N
+        up = np.zeros(N - count + 1)
+        down = np.zeros(count + 1)
+        if 0 < count < N:
+            up[1:] = x * self.y[N - count][1 : N - count + 1]
+            down[1:] = (1.0 - x) * self.s[count][1 : count + 1]
+        return up, down
+
+    def ancestor_row(self, n: int, N: int | None) -> np.ndarray:
+        """Row n of :meth:`MixtureTables.ancestor_rates`: the branch ``n -> n + 1``
+        at column 0, the coalescence ``n -> n - j`` at column j.  Needs rows
+        ``n - 1`` and ``n``."""
+        x = n / N if N is not None else 0.0
+        row = np.zeros(n + 1)
+        row[0] = (1.0 - x) * self.branch[n]
+        row[1:n] = x * self.y[n - 1][1:n] + (1.0 - x) * self.y[n][2 : n + 1]
+        return row
+
+
+class MixtureTables(MixtureRows):
     """``y = T_y``, ``s = T_{y+z}`` (zero for ``k > m``) and ``branch[m] =
     T_y[m, 0] - T_{y+z}[m, 0]`` for rows ``m = 0..size``."""
 
     def __init__(self, coupling: CoupledMeasure, size: int) -> None:
         c = coupling
-        p = np.concatenate([c.ys, c.ys + c.zs])[:, None]
-        q = 1.0 - p
-        # one row of weights per table over the stacked (y, y + z) atoms
-        weights = np.kron(np.eye(2), c.masses)
-        # Binom(m, p_a)(k) sits in column k + 1; column 0 stays 0, so one
-        # update also covers k = 0
-        rows = np.zeros((len(p), size + 2))
-        rows[:, 1] = 1.0
+        q = 1.0 - np.concatenate([c.ys, c.ys + c.zs])
+        weights = _weights(c)
         self.y, self.s = mix = np.zeros((2, size + 1, size + 1))
-        for m in range(size + 1):
-            if m > 0:
-                rows[:, 1 : m + 2] = q * rows[:, 1 : m + 2] + p * rows[:, : m + 1]
+        for m, rows in _pascal_rows(c, size):
             mix[:, m, : m + 1] = weights @ rows[:, 1 : m + 2]
         # (1 - p)^m by the same products as column k = 0 of the rows
-        powers = np.cumprod(np.vstack([np.ones(len(p)), np.repeat(q.T, size, axis=0)]), axis=0)
+        powers = np.cumprod(np.vstack([np.ones(len(q)), np.repeat(q[None], size, axis=0)]), axis=0)
         self.branch = (powers[:, : len(c)] - powers[:, len(c) :]) @ c.masses
 
-    def moran_jumps(self, N: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(up, down)``: rates of ``count -> count + k`` and ``count -> count - k``
-        at index k (index 0 zero).  Needs rows up to ``max(count, N - count)``."""
-        x = count / N
-        up = np.zeros(N - count + 1)
-        down = np.zeros(count + 1)
-        if 0 < count < N:
-            up[1:] = x * self.y[N - count, 1 : N - count + 1]
-            down[1:] = (1.0 - x) * self.s[count, 1 : count + 1]
-        return up, down
-
     def ancestor_rates(self, size: int, N: int | None) -> np.ndarray:
-        """Rates of an ancestor count at states ``0..size``, one row each:
-        column 0 the branch ``n -> n + 1``, column ``j >= 1`` the coalescence
-        ``n -> n - j``.  ``N`` is the population size, None the limit chain."""
+        """Rates of an ancestor count at states ``0..size``: row n is
+        :meth:`ancestor_row` (n), zero from column n on, all rows at once.
+        ``N`` is the population size, None the limit chain."""
         rates = np.zeros((size + 1, size + 1))
         x = np.arange(1, size + 1)[:, None] / N if N is not None else 0.0
         rates[1:, :1] = (1.0 - x) * self.branch[1 : size + 1, None]

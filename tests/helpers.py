@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from lambda_asg.asg import AsgRealization
+from lambda_asg.asg import OUTCOME_NEUTRAL, OUTCOME_NONE, AsgRealization
 from lambda_asg.measures import CoupledMeasure, FiniteMeasure1D
 
 
@@ -190,3 +190,37 @@ def replicate_realization(rounds, j: int, horizon: float) -> AsgRealization:
         reproducers=rounds.reproducers[rows], ys=rounds.ys[rows], zs=rounds.zs[rows],
         outcomes=rounds.outcomes[rows],
     )
+
+
+# -- scalar per-event references for the ASG rules --------------------------------
+
+
+def reference_propagate_forward(asg: AsgRealization, minus: np.ndarray) -> np.ndarray:
+    """The final types of ``minus`` pushed forward one event at a time: an
+    advantaged reproducer converts every hit individual, a disadvantaged one
+    only the neutral-hit ones."""
+    minus = minus.copy()
+    for e in range(len(asg)):
+        out = asg.outcomes[e]
+        if minus[asg.reproducers[e]]:
+            minus[out == OUTCOME_NEUTRAL] = True
+        else:
+            minus[out != OUTCOME_NONE] = False
+    return minus
+
+
+def reference_potential_ancestors(asg, sample, from_time, to_time):
+    """The single-sample backward sweep, one event at a time."""
+    members = np.zeros(asg.N, dtype=bool)
+    members[list(sample)] = True
+    lo = int(np.searchsorted(asg.times, to_time, side="right"))
+    hi = int(np.searchsorted(asg.times, from_time, side="right"))
+    for e in range(hi - 1, lo - 1, -1):
+        out = asg.outcomes[e]
+        r = asg.reproducers[e]
+        hit = members & (out != OUTCOME_NONE)
+        hit[r] = False
+        if hit.any():
+            members[hit & (out == OUTCOME_NEUTRAL)] = False
+            members[r] = True
+    return {int(i) for i in np.nonzero(members)[0]}

@@ -3,7 +3,12 @@ import pytest
 from scipy.stats import chi2_contingency, poisson
 
 import lambda_asg.asg as asg_module
-from helpers import merged_chisquare_pvalue, replicate_realization
+from helpers import (
+    merged_chisquare_pvalue,
+    reference_potential_ancestors,
+    reference_propagate_forward,
+    replicate_realization,
+)
 from lambda_asg.asg import (
     BLOCK_LABELS,
     OUTCOME_NEUTRAL,
@@ -71,27 +76,10 @@ def reference_poisson_times(rate, horizon, rng):
             times.append(t)
 
 
-def reference_potential_ancestors(asg, sample, from_time, to_time):
-    """The single-sample backward sweep, one event at a time."""
-    members = np.zeros(asg.N, dtype=bool)
-    members[list(sample)] = True
-    lo = int(np.searchsorted(asg.times, to_time, side="right"))
-    hi = int(np.searchsorted(asg.times, from_time, side="right"))
-    for e in range(hi - 1, lo - 1, -1):
-        out = asg.outcomes[e]
-        r = asg.reproducers[e]
-        hit = members & (out != OUTCOME_NONE)
-        hit[r] = False
-        if hit.any():
-            members[hit & (out == OUTCOME_NEUTRAL)] = False
-            members[r] = True
-    return {int(i) for i in np.nonzero(members)[0]}
-
-
 def reference_consistency(N, coupling, horizon, replicates, seed):
-    """The consistency check through the public API, on the replicates the
-    batched check draws: one forward pass and one backward sweep per
-    individual for each replicate rebuilt from its chunk's rounds."""
+    """The consistency check by the scalar per-event references, on the
+    replicates the batched check draws: one forward pass and one backward
+    sweep per individual for each replicate rebuilt from its chunk's rounds."""
     checked = 0
     violations = 0
     chunk = asg_module._chunk_size(N, N + 1, coupling.total_mass * horizon)
@@ -102,12 +90,12 @@ def reference_consistency(N, coupling, horizon, replicates, seed):
         )
         for j, init in enumerate(minus):
             realization = replicate_realization(rounds, j, horizon)
-            final = asg_module.propagate_forward(realization, TypeAssignment(minus=init))
+            final = reference_propagate_forward(realization, init)
             for i in range(N):
                 ancestors = reference_potential_ancestors(realization, {i}, horizon, 0.0)
                 plus_reachable = any(not init[k] for k in ancestors)
                 checked += 1
-                if plus_reachable != (not final.minus[i]):
+                if plus_reachable != (not final[i]):
                     violations += 1
     return checked, violations
 
@@ -226,6 +214,17 @@ class TestPropagation:
         out = propagate_forward(asg, TypeAssignment.from_minus_set(4, {3}))
         assert not out.minus[3]
 
+    @pytest.mark.parametrize("name", sorted(SWEEP_COUPLINGS) + ["example"])
+    @pytest.mark.parametrize("N", [2, 9, 40])
+    def test_matches_scalar_reference(self, example_coupling, name, N):
+        coupling = SWEEP_COUPLINGS.get(name, example_coupling)
+        rng = np.random.default_rng(N)
+        for seed in range(3):
+            realization = generate_asg(N, coupling, 3.0, seed=seed)
+            init = rng.random(N) < 0.5
+            out = propagate_forward(realization, TypeAssignment(minus=init))
+            assert np.array_equal(out.minus, reference_propagate_forward(realization, init))
+
 
 class TestPotentialAncestors:
     def test_no_events_identity(self, example_coupling):
@@ -327,7 +326,8 @@ class TestLineCountSimulation:
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0])
     def test_non_positive_horizon_rejected(self, example_coupling, horizon):
-        # both ancestor-count simulators share the horizon check of event_path
+        # both ancestor-count simulators share the horizon check of
+        # moran.record_events
         with pytest.raises(ValueError, match="horizon must be positive"):
             simulate_line_count(8, example_coupling, 4, horizon, seed=1)
         with pytest.raises(ValueError, match="horizon must be positive"):
@@ -430,25 +430,18 @@ class TestConsistency:
         assert ancestry_consistency_check(N, EDGES, horizon, replicates, 8) == expected
 
     def test_a_wrong_final_type_is_counted(self, example_coupling, monkeypatch):
-        propagate = asg_module.propagate_forward
         forward_rounds = asg_module._forward_rounds
-
-        def flip_first(realization, init):
-            final = propagate(realization, init)
-            final.minus[0] = not final.minus[0]
-            return final
 
         def flip_first_of_each(rounds, minus):
             final = forward_rounds(rounds, minus)
             final[:, 0] = ~final[:, 0]
             return final
 
-        monkeypatch.setattr(asg_module, "propagate_forward", flip_first)
         monkeypatch.setattr(asg_module, "_forward_rounds", flip_first_of_each)
-        expected = reference_consistency(8, example_coupling, 2.0, 30, 5)
-        assert ancestry_consistency_check(8, example_coupling, 2.0, 30, 5) == expected
-        # one flipped individual per replicate, each a violation
-        assert expected == (240, 30)
+        # one flipped individual per replicate, each a violation; the scalar
+        # references do not share the flipped rule
+        assert ancestry_consistency_check(8, example_coupling, 2.0, 30, 5) == (240, 30)
+        assert reference_consistency(8, example_coupling, 2.0, 30, 5) == (240, 0)
 
 
 class TestRoundDraws:

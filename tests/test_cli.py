@@ -319,12 +319,13 @@ class TestDeterminism:
             "output_dir": str(tmp_path / "out"),
         })
         assert main(["run", cfg]) == 0
-        from lambda_asg.limits import SdeConfig, simulate_sde
+        from lambda_asg.limits import SdeConfig, sde_replicates
         from lambda_asg.measures import coupling_from_config
 
         coupling = coupling_from_config(SELECTIVE["coupling"])
-        path = simulate_sde(
-            SdeConfig(coupling=coupling, x0=1 / 3, horizon=1.0), 13, replicate=0
+        # path 0 is row 0 of the finals run
+        _, (path,) = sde_replicates(
+            SdeConfig(coupling=coupling, x0=1 / 3, horizon=1.0), 20, 13, 1
         )
         rows = read_rows(tmp_path / "out" / "path_000.csv")
         assert len(rows) == len(path)
@@ -333,12 +334,34 @@ class TestDeterminism:
             assert float(row["value"]) == v
 
 
+@pytest.mark.parametrize("experiment, spec, params", [
+    ("moran_sim", PAIR, {"N": 12, "horizon": 2.0, "x0": 0.5}),
+    ("sde_sim", SELECTIVE, {"x0": 0.4, "horizon": 2.0}),
+    ("line_count_sim", PAIR, {"N": 12, "n0": 3, "horizon": 2.0}),
+])
+@pytest.mark.parametrize("max_paths", [0, 4, 9])
+def test_path_r_ends_at_finals_row_r(tmp_path, experiment, spec, params, max_paths):
+    # path r is row r of the finals run, also when max_paths exceeds replicates
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": experiment, "measures": spec, "seed": 23,
+        "params": {**params, "replicates": 6, "max_paths": max_paths},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 0
+    out = tmp_path / "out"
+    finals = [list(row.values())[-1] for row in read_rows(out / "finals.csv")]
+    paths = sorted(out.glob("path_*.csv"))
+    assert [p.name for p in paths] == [f"path_{r:03d}.csv" for r in range(min(6, max_paths))]
+    for r, path in enumerate(paths):
+        assert list(read_rows(path)[-1].values())[-1] == finals[r]
+
+
 # one small valid config per experiment: (measures, params, digest of every
 # artifact but the manifest, names included)
 PINNED_RUNS = {
     "moran_sim": (PAIR, {"N": 10, "horizon": 1.0, "x0": 0.5, "replicates": 20,
                          "max_paths": 2, "absorption": True},
-                  "2bea575c51fb24c99f3beef6fcc76d4ecd53bf34d535ccfce6202726a63aed57"),
+                  "cf4070974e63d41df7e4e62e6cbee8ab0827251d92339deb0a41f19a592c5bc3"),
     "asg_pathwise": (PAIR, {"N": 6, "horizon": 1.0, "replicates": 20},
                      "b61f7504a7ffd44815dbfcb94df34b868c4c0bb94f7bb82ba6896e0dc055fe30"),
     "duality_matrix": (PAIR, {"N": [4, 8]},
@@ -348,7 +371,7 @@ PINNED_RUNS = {
                          "70bebc4c8fd7a6ae807a4e13f7894defd9cf2ac48afe5afc185b43ef7525133d"),
     "sde_sim": (SELECTIVE, {"x0": 0.4, "horizon": 1.0, "replicates": 50,
                             "max_paths": 2},
-                "ca4f3f7cbb9bb70e68aa241f8d14a4192fa5fb23c3fe6a8c95be54baf46376d0"),
+                "301b5efcec9426b67d8e7186136601253bf9f398d3e44907955afa63760478ad"),
     "convergence": (SELECTIVE, {"x0": 0.5, "t": 1.0, "N_list": [10, 20],
                                 "replicates": 200, "bootstrap": 5},
                     "06ad53364001a9a350b10e7cd4ff926fe04f27b08733ad9db1672ab530670482"),
@@ -362,7 +385,7 @@ PINNED_RUNS = {
                         "1a49e1962dc283ce4f4efd6fafbfaf95ed413d649848babe4bd5019e293dc932"),
     "line_count_sim": (PAIR, {"N": 10, "n0": 3, "horizon": 1.0, "replicates": 5,
                               "max_paths": 2},
-                       "ff8b0a19f4e01e8d84d2bf458242c4f445db3e343731ee50f23fbf7e777596b6"),
+                       "517cbfaeb7e0bbe21e98d6ca1af7b33fb33a55a445fd82370c2dba0fe20d41c3"),
 }
 
 
@@ -469,7 +492,8 @@ def test_invalid_config_is_a_config_error(tmp_path, capsys, case):
     ("moran_sim", {"N": MAX_DENSE_N + 1, "x0": 0.5, "horizon": 1e-6, "absorption": True}),
 ])
 def test_run_failing_after_its_first_result_writes_nothing(tmp_path, capsys, experiment, params):
-    # both runs compute their first artifacts before the dense oracle refuses N
+    # the dense size is refused before the run, so no artifact and no
+    # manifest is written
     cfg = write_config(tmp_path, "c.json", {
         "experiment": experiment, "measures": SELECTIVE, "params": params, "seed": 1,
         "output_dir": str(tmp_path / "out"),
@@ -490,8 +514,7 @@ def test_dense_size_is_refused_before_any_work(
     def refuse(*args, **kwargs):
         raise AssertionError("ran before the size check")
 
-    for module, attr in ((fixation, "build_fixation_solver"), (moran, "simulate"),
-                         (moran, "simulate_final_counts")):
+    for module, attr in ((fixation, "build_fixation_solver"), (moran, "simulate_replicates")):
         monkeypatch.setattr(module, attr, refuse)
     cfg = write_config(tmp_path, "c.json", {
         "experiment": experiment, "measures": SELECTIVE, "params": params, "seed": 1,

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_coupling, random_ordered_pair, replicate_realization
-from lambda_asg.asg import (
-    TypeAssignment,
-    _chunk_size,
-    potential_ancestors,
-    propagate_forward,
+from helpers import (
+    random_coupling,
+    random_ordered_pair,
+    reference_potential_ancestors,
+    reference_propagate_forward,
+    replicate_realization,
 )
+from lambda_asg.asg import _chunk_size
 from lambda_asg.duality import (
     DualityReport,
     _pathwise_counts,
@@ -29,15 +30,16 @@ from lambda_asg.rng import TAG_PATHWISE, substream
 
 
 def reference_pathwise_counts(rounds, minus, sample, T):
-    """``(X_T, A_T)`` of each drawn replicate through the public API: its
-    disadvantaged set propagated forward, its sample's potential-ancestor set
-    swept backward.  The slow reference for ``_pathwise_counts``."""
+    """``(X_T, A_T)`` of each drawn replicate by the scalar per-event
+    references: its disadvantaged set propagated forward, its sample's
+    potential-ancestor set swept backward.  The slow reference for
+    ``_pathwise_counts``."""
     rows = []
     for j in range(len(minus)):
         asg = replicate_realization(rounds, j, T)
-        forward = propagate_forward(asg, TypeAssignment(minus=minus[j]))
-        ancestors = potential_ancestors(asg, np.nonzero(sample[j])[0], T, 0.0)
-        rows.append((forward.minus_count, len(ancestors)))
+        forward = reference_propagate_forward(asg, minus[j])
+        ancestors = reference_potential_ancestors(asg, np.nonzero(sample[j])[0], T, 0.0)
+        rows.append((int(forward.sum()), len(ancestors)))
     return np.array(rows)
 
 

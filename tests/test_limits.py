@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import kstest, ks_2samp, poisson
 
 from helpers import digest, merged_chisquare_pvalue
 from lambda_asg.errors import NotConverged, StateCapReached
@@ -14,6 +14,7 @@ from lambda_asg.limits import (
     limit_chain_rates,
     sde_absorption,
     sde_final_values,
+    sde_replicates,
     simulate_limit_chain,
     simulate_sde,
     truncate_measure,
@@ -109,13 +110,32 @@ class TestSdePaths:
             )
 
     @pytest.mark.parametrize("seed, expected", [
-        (4, "7fa3e708a9e368ec0b784112d099cf4b2e46ba82d3a16c1730930c227366e779"),
-        (5, "f90ecdb55263a725ab8de05aab0c55a6dedebd5fb70597b702211c69fbcf52fb"),
-    ])
+        (4, "74333ae01f0f164f8d86fde334a8b11cfc1f5d3ac1640dc59c7612b09162c99e"),
+        (5, "330f2e887ebb2e45f626a721b6c629fb1f4e4339cb400fe8d48348bce2de6926"),
+    ], ids=["4", "5"])
     def test_path_draws_pinned(self, mild_selective_coupling, seed, expected):
         cfg = SdeConfig(coupling=mild_selective_coupling, x0=0.4, horizon=5.0)
         path = simulate_sde(cfg, seed=seed)
         assert digest(path.times, path.values) == expected
+
+    def test_recorded_event_times_are_a_poisson_process(self, mild_selective_coupling):
+        # every event moves an interior value, so each path records all of
+        # its events: a Poisson count, at uniform times given the count
+        c, horizon, replicates = mild_selective_coupling, 1.5, 4000
+        cfg = SdeConfig(coupling=c, x0=0.4, horizon=horizon)
+        finals, paths = sde_replicates(cfg, replicates, 17, replicates)
+        assert [p.final for p in paths] == finals.tolist()
+        counts = np.array([len(p) - 1 for p in paths])
+        mean = c.total_mass * horizon
+        values, observed = np.unique(counts, return_counts=True)
+        top = int(values.max()) + 1
+        probs = {k: poisson.pmf(k, mean) for k in range(top)}
+        probs[top] = poisson.sf(top - 1, mean)
+        assert merged_chisquare_pvalue(
+            dict(zip(values.tolist(), observed.tolist())), probs, replicates
+        ) > 1e-3
+        times = np.concatenate([p.times[1:] for p in paths])
+        assert kstest(times / horizon, "uniform").pvalue > 1e-3
 
     def test_batched_draws_pinned(self, example_coupling, mild_selective_coupling):
         # 70 000 replicates span two chunks

@@ -3,10 +3,15 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import digest, merged_chisquare_pvalue
+from lambda_asg.asg import _ancestor_events
 from lambda_asg.errors import SingularSystem, SizeLimit
+from lambda_asg.limits import _sde_events
 from lambda_asg.measures import CoupledMeasure
 from lambda_asg.moran import (
     MoranConfig,
+    _event_updates,
+    _moran_run,
+    _rounds,
     absorption_probability,
     generator_matrix,
     jump_rates,
@@ -15,6 +20,7 @@ from lambda_asg.moran import (
     simulate_final_counts,
 )
 from lambda_asg.paths import FrequencyPath
+from lambda_asg.rng import TAG_MORAN_PATH, batched, substream
 
 HALF = CoupledMeasure.from_atoms([(0.5, 0.0, 1.0)])
 HALF_SEL = CoupledMeasure.from_atoms([(0.5, 0.5, 1.0)])
@@ -126,9 +132,9 @@ class TestSimulate:
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("seed, expected", [
-        (4, "bb160f4f00f3d00fce21ce06d4e867d403c6a3750f8be22ea5b940affddf3deb"),
-        (5, "92cd1837abfc8f59291f134161ada68508b9680a4092acc166317199af71734f"),
-    ])
+        (4, "7c78cf1b8d7b5108092ec28f3498335331f3fb8e107d9aa97a16bd484f34527b"),
+        (5, "f35c5a4e3655431941942860e485c41d1429c65b6b8770c1a0e97709e100cda8"),
+    ], ids=["4", "5"])
     def test_path_draws_pinned(self, mild_selective_coupling, seed, expected):
         cfg = MoranConfig(N=30, coupling=mild_selective_coupling, initial_count=12)
         path = simulate(cfg, 5.0, seed=seed)
@@ -172,6 +178,63 @@ class TestSimulate:
         emp = np.bincount(finals, minlength=N + 1) / len(finals)
         tv = 0.5 * np.abs(emp - exact).sum()
         assert tv < 0.01
+
+
+MILD = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
+# every event rule the recorder runs: start, (lo, hi) and update
+EVENT_RULES = {
+    "moran": (5, 0, 12, lambda v, rng: _event_updates(v, 12, MILD, rng)),
+    "sde": (0.4, 0.0, 1.0, lambda v, rng: _sde_events(v, MILD, rng)),
+    "line_count": (4, 0, 13, lambda v, rng: _ancestor_events(v, 12, MILD, rng)),
+    "limit_chain": (4, 0, 10**6, lambda v, rng: _ancestor_events(v, None, MILD, rng)),
+}
+
+
+class TestRecorder:
+    @pytest.mark.parametrize("rule", sorted(EVENT_RULES))
+    def test_one_entry_draws_as_a_row_of_a_batch(self, rule):
+        # alone, the entry takes numpy's scalar draws; as the one live row of
+        # a batch it takes array draws: the same values, and the streams end
+        # in the same state
+        x0, lo, hi, update = EVENT_RULES[rule]
+        alone, batch = np.random.default_rng(3), np.random.default_rng(3)
+        one, two = np.array([x0]), np.array([x0, x0])
+        seen_one = [one[0] for _ in _rounds(one, lo, hi, np.array([40]),
+                                            lambda v: update(v, alone))]
+        seen_two = [two[0] for _ in _rounds(two, lo, hi, np.array([40, 0]),
+                                            lambda v: update(v, batch))]
+        assert len(seen_one) > 1
+        assert seen_one == seen_two
+        assert alone.random() == batch.random()
+
+    @pytest.mark.parametrize("paths", [0, 3, 6, 10, 15])
+    def test_paths_are_rows_of_the_run_across_chunks(self, paths):
+        # chunks of 4, 4 and 2 replicates; recording draws after the rounds
+        cfg = MoranConfig(N=30, coupling=MILD, initial_count=12)
+        plain = batched(10, 8, (99,), np.int64,
+                        lambda n, rng: _moran_run(n, rng, cfg, 2.0)[0], chunk=4)
+        finals, recorded = batched(10, 8, (99,), np.int64, _moran_run, cfg, 2.0,
+                                   chunk=4, paths=paths)
+        assert np.array_equal(finals, plain)
+        assert len(recorded) == min(paths, 10)
+        for r, path in enumerate(recorded):
+            assert path.final == finals[r]
+            assert path.times[0] == 0.0 and path.values[0] == 12
+            assert path.times[-1] < 2.0
+            assert np.all(path.values[1:] != path.values[:-1])
+
+    def test_single_path_is_the_one_row_run(self):
+        cfg = MoranConfig(N=30, coupling=MILD, initial_count=12)
+        path = simulate(cfg, 5.0, seed=4, replicate=2)
+        final, (same,) = _moran_run(1, substream(4, TAG_MORAN_PATH, 2), cfg, 5.0, 1)
+        assert np.array_equal(path.times, same.times)
+        assert np.array_equal(path.values, same.values)
+        assert path.final == final[0]
+
+    def test_non_positive_horizon_rejected(self):
+        cfg = MoranConfig(N=30, coupling=MILD, initial_count=12)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            simulate(cfg, 0.0, seed=1)
 
 
 class TestFrequencyPath:

@@ -6,7 +6,7 @@ from lambda_asg.asg import line_count_rates
 from lambda_asg.limits import limit_chain_rates
 from lambda_asg.measures import CoupledMeasure
 from lambda_asg.moran import MoranConfig, jump_rates
-from lambda_asg.rates import AncestorChain, MixtureTables
+from lambda_asg.rates import AncestorChain, MixtureRows, MixtureTables
 
 # y = 0, y = 1 and y + z = 1 put success probabilities 0 and 1 in both tables
 EDGES = CoupledMeasure.from_atoms([
@@ -101,6 +101,37 @@ class TestMixtureTables:
     def test_empty_coupling_all_zero(self):
         tables = MixtureTables(CoupledMeasure.from_atoms([]), 6)
         assert not tables.y.any() and not tables.s.any() and not tables.branch.any()
+
+
+class TestMixtureRows:
+    # EDGES has atoms at y = 0, y = 1 and y + z = 1.  The rows run the tables'
+    # recurrence, so they agree bit for bit; the branch is mixed per row
+    # instead of for the whole column, to rtol 1e-14.
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return MixtureTables(EDGES, BIG)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 150, 999, BIG])
+    def test_rows_match_the_tables(self, tables, m):
+        rows = MixtureRows(EDGES, (m - 1, m))
+        for k in (m - 1, m):
+            assert np.array_equal(rows.y[k], tables.y[k, : k + 1])
+            assert np.array_equal(rows.s[k], tables.s[k, : k + 1])
+            np.testing.assert_allclose(rows.branch[k], tables.branch[k], rtol=1e-14, atol=0)
+            assert rows.branch[k] >= 0.0
+
+    @pytest.mark.parametrize("N", [7, 150, BIG])
+    def test_public_rates_match_the_tables(self, tables, N):
+        cfg = MoranConfig(N=N, coupling=EDGES, initial_count=0)
+        for n in sorted({1, 2, 3, N // 3, N // 2, N - 1, N}):
+            for got, ref in zip(jump_rates(cfg, n), tables.moran_jumps(N, n)):
+                assert np.array_equal(got, ref)
+            for (coalesce, branch), size in (
+                (line_count_rates(N, EDGES, n), N), (limit_chain_rates(EDGES, n), None)
+            ):
+                row = tables.ancestor_rates(n, size)[n]
+                assert np.array_equal(coalesce[1:], row[1:n])
+                np.testing.assert_allclose(branch, row[0], rtol=1e-14, atol=0)
 
 
 class TestPublicRates:

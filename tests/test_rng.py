@@ -1,6 +1,10 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 
-from lambda_asg import limits, rng
+from lambda_asg import asg, cli, limits, moran, rng
 from lambda_asg.measures import CoupledMeasure
 
 
@@ -43,3 +47,50 @@ def test_batched_keeps_one_chunk_in_process(pool_workers):
     rows = rng.batched(4, 8, (99,), float, _draws, 3, chunk=4, threads=2)
     assert np.array_equal(rows, rng.substream(8, 99, 0).random((4, 3)))
     assert pool_workers == []
+
+
+def test_each_stream_key_has_one_consumer(tmp_path, monkeypatch):
+    # every key a run or a single-path function draws from, by consumer; the
+    # chunk streams of rng.batched are made by rng.substream too
+    keys: dict[tuple, set] = {}
+    consumer = [None]
+    make = rng.substream
+
+    def record(seed, *key):
+        keys.setdefault((seed, *key), set()).add(consumer[0])
+        return make(seed, *key)
+
+    for module in (rng, moran, asg, limits):
+        monkeypatch.setattr(module, "substream", record)
+    coupling = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
+    runs = {
+        "moran_sim": {"N": 10, "horizon": 1.0, "x0": 0.5, "replicates": 4, "max_paths": 3},
+        "sde_sim": {"x0": 0.5, "horizon": 1.0, "replicates": 4, "max_paths": 3},
+        "line_count_sim": {"N": 10, "n0": 3, "horizon": 1.0, "replicates": 4, "max_paths": 3},
+    }
+    for name, params in runs.items():
+        consumer[0] = name
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({
+            "experiment": name, "params": params, "seed": 5,
+            "measures": {"coupling": {"atoms": [[0.4, 0.15, 0.8], [0.7, 0.1, 0.6]]}},
+        }))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", str(config), "--output-dir", str(tmp_path / name)]) == 0
+    singles = {
+        "moran.simulate": lambda r: moran.simulate(
+            moran.MoranConfig(N=10, coupling=coupling, initial_count=5), 1.0, 5, r),
+        "limits.simulate_sde": lambda r: limits.simulate_sde(
+            limits.SdeConfig(coupling=coupling, x0=0.5, horizon=1.0), 5, r),
+        "asg.simulate_line_count": lambda r: asg.simulate_line_count(10, coupling, 3, 1.0, 5, r),
+        "limits.simulate_limit_chain": lambda r: limits.simulate_limit_chain(
+            coupling, 3, 1.0, 5, replicate=r),
+    }
+    for name, path in singles.items():
+        consumer[0] = name
+        for r in range(4):
+            path(r)
+    assert {c for owners in keys.values() for c in owners} == {*runs, *singles}
+    assert {k: owners for k, owners in keys.items() if len(owners) > 1} == {}
+    line_count_tags = {k[1] for k, owners in keys.items() if "line_count_sim" in owners}
+    assert line_count_tags == {rng.TAG_LINECOUNT}
