@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SizeLimit
 from .measures import CoupledMeasure
-from .moran import record_events
+from .moran import _event_times, record_events
 from .paths import FrequencyPath
 from .rates import MixtureRows
 from .rng import (
@@ -98,12 +98,13 @@ def generate_asg(
 ) -> AsgRealization:
     """Draw one realization of the event stream on [0, horizon].
 
-    Inter-event times are exponential at the coupling's total mass; the
+    The event count is Poisson at the coupling's total mass times the
+    horizon and the times are sorted uniforms
+    (:func:`lambda_asg.moran._event_times`), drawn before the marks; the
     reproducer is uniform, the strength pair is an atom drawn by mass, and
     each individual's arrow label is sampled independently from (y, z).
-    The events come from the same block generator as
-    :func:`stream_asg_to_log`, so for a seed, ``write_event_log`` of this
-    realization writes the bytes that ``stream_asg_to_log`` writes.
+    For a seed, ``write_event_log`` of this realization writes the bytes
+    that :func:`stream_asg_to_log` writes.
 
     Raises:
         SizeLimit: if the realization would store more than
@@ -114,19 +115,17 @@ def generate_asg(
         if seed is None:
             raise ValueError("pass a seed or an explicit generator")
         rng = substream(seed, TAG_ASG, 0)
-    blocks = []
-    events = 0
-    for block in _event_blocks(N, coupling, horizon, rng):
-        events += len(block[0])
-        if events * N > MAX_IN_MEMORY_OUTCOMES:
-            raise SizeLimit(
-                f"at least {events} events x {N} individuals exceed the in-memory "
-                "cap; stream to disk with stream_asg_to_log"
-            )
-        blocks.append(block)
-    # a single block, the usual case, is kept without copying
-    columns = blocks[0] if len(blocks) == 1 else [np.concatenate(col) for col in zip(*blocks)]
-    return AsgRealization(N, horizon, *columns)
+    # a mean past the cap is clamped to it, within the range of numpy's
+    # poisson (about 1e19): the count then exceeds the cap over N (N >= 2)
+    # unless it falls 1500 sd short, so the realization is refused either way
+    E = int(rng.poisson(min(coupling.total_mass * horizon, MAX_IN_MEMORY_OUTCOMES)))
+    if E * N > MAX_IN_MEMORY_OUTCOMES:
+        raise SizeLimit(
+            f"{E} events x {N} individuals exceed the in-memory cap; "
+            "stream to disk with stream_asg_to_log"
+        )
+    times = _event_times(rng, E, horizon)
+    return AsgRealization(N, horizon, *_joined(_mark_blocks(rng, E, N, coupling, times)))
 
 
 def _check_size(N: int, horizon: float) -> None:
@@ -136,40 +135,40 @@ def _check_size(N: int, horizon: float) -> None:
         raise ValueError("horizon must be positive")
 
 
-def _event_blocks(
-    N: int, coupling: CoupledMeasure, horizon: float, rng: np.random.Generator
+def _mark_blocks(
+    rng: np.random.Generator, E: int, N: int, coupling: CoupledMeasure,
+    times: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, ...]]:
-    """Columns (times, reproducers, ys, zs, outcomes) of one realization on
-    [0, horizon], block by block.
+    """Columns (times, reproducers, ys, zs, outcomes) of E events, a block of
+    at most ``BLOCK_LABELS // N`` events at a time; one empty block when E = 0.
+    Without the E event ``times`` (of a realization, drawn by
+    :func:`lambda_asg.moran._event_times` after its count), a block has no
+    times column.
 
-    A block draws its exponential gaps, then the reproducers (``integers``),
-    the atoms (``sample_atoms``) and the ``(E, N)`` label uniforms (``random``), in
-    that order, and keeps the E events up to the horizon; a full block is
-    followed by the next.  The block size is the expected event count plus
-    six standard deviations, at most ``BLOCK_LABELS // N``, so it follows
-    from the inputs and a seed gives one realization whoever reads it.
-
-    The labels come from :func:`_labels`.
+    A block draws its reproducers (``integers``), atoms (``sample_atoms``)
+    and ``(n, N)`` label uniforms (``random``, into one buffer reused by
+    every block), in that order; the labels come from :func:`_labels`.  The
+    block size follows from N alone, so a seed gives one realization
+    whoever reads it.
     """
-    rate = coupling.total_mass
-    mean = rate * horizon
-    block = min(max(int(mean + 6 * np.sqrt(mean)) + 4, 16), max(BLOCK_LABELS // N, 1))
-    t = 0.0
-    while True:
-        # without mass the first event never comes: one empty block
-        gaps = rng.exponential(1.0 / rate, size=block) if rate > 0.0 else np.full(1, np.inf)
-        # add in sequence from the last time, as a running sum would
-        gaps[0] += t
-        times = np.cumsum(gaps)
-        E = int(np.searchsorted(times, horizon, side="right"))
-        reproducers = rng.integers(0, N, size=E)
-        atom_idx = coupling.sample_atoms(rng, E)
+    step = max(BLOCK_LABELS // N, 1)
+    uniforms = np.empty((min(step, E), N))
+    for start in range(0, max(E, 1), step):
+        n = min(step, E - start)
+        reproducers = rng.integers(0, N, size=n)
+        atom_idx = coupling.sample_atoms(rng, n)
         ys = coupling.ys[atom_idx]
         zs = coupling.zs[atom_idx]
-        yield times[:E], reproducers, ys, zs, _labels(rng.random((E, N)), ys, zs)
-        if E < block:
-            return
-        t = times[-1]
+        labels = _labels(rng.random(out=uniforms[:n]), ys, zs)
+        marks = (reproducers, ys, zs, labels)
+        yield marks if times is None else (times[start : start + n], *marks)
+
+
+def _joined(blocks: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The columns of all blocks; a single block, the usual case, is kept
+    without copying."""
+    blocks = list(blocks)
+    return blocks[0] if len(blocks) == 1 else tuple(np.concatenate(col) for col in zip(*blocks))
 
 
 def _labels(u: np.ndarray, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -266,8 +265,8 @@ class EventRounds(NamedTuple):
     """The events of a chunk of replicates on [0, horizon], without times.
 
     The checks built on it read the whole window, so only the order of a
-    replicate's events matters, and a Poisson count of i.i.d. events has the
-    law of the exponential gaps of :func:`generate_asg`.  Replicates are
+    replicate's events matters: a replicate is a realization of
+    :func:`generate_asg` without its times.  Replicates are
     ordered by event count, most first (they are exchangeable), so the
     replicates with an e-th event are the first ``widths[e]``: round e is
     their e-th events, stored at rows ``sum(widths[:e]) + j`` of the columns
@@ -301,9 +300,8 @@ def _chunk_size(N: int, rows: int, mean: float) -> int:
 def _draw_rounds(
     rng: np.random.Generator, n: int, N: int, coupling: CoupledMeasure, horizon: float
 ) -> EventRounds:
-    """Events of n replicates: ``poisson`` counts, then the reproducers
-    (``integers``), the atoms (``sample_atoms``) and the label uniforms
-    (``random``, in blocks of ``BLOCK_LABELS``) of all events, round by round.
+    """Events of n replicates: ``poisson`` counts, then the marks of all
+    events, round by round, from :func:`_mark_blocks`.
 
     Raises:
         SizeLimit: if one replicate would hold more than
@@ -315,18 +313,9 @@ def _draw_rounds(
             f"a replicate of {counts[0]} events x {N} individuals exceeds the "
             "in-memory cap; shorten the horizon or lower N"
         )
-    E = int(counts.sum())
-    reproducers = rng.integers(0, N, size=E)
-    atom_idx = coupling.sample_atoms(rng, E)
-    ys = coupling.ys[atom_idx]
-    zs = coupling.zs[atom_idx]
-    outcomes = np.empty((E, N), dtype=np.uint8)
-    step = max(BLOCK_LABELS // N, 1)
-    for start in range(0, E, step):
-        part = slice(start, start + step)
-        outcomes[part] = _labels(rng.random((len(ys[part]), N)), ys[part], zs[part])
+    marks = _joined(_mark_blocks(rng, int(counts.sum()), N, coupling))
     widths = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
-    return EventRounds(counts, widths, reproducers, ys, zs, outcomes)
+    return EventRounds(counts, widths, *marks)
 
 
 def _forward_rounds(rounds: EventRounds, minus: np.ndarray) -> np.ndarray:
@@ -505,25 +494,39 @@ def _packed(N: int, columns: tuple[np.ndarray, ...]) -> np.ndarray:
     return records
 
 
-def _write_header(fh, N: int, horizon: float) -> None:
-    fh.write(LOG_MAGIC)
-    fh.write(struct.pack("<Id", N, horizon))
+def _write_log(path: str, N: int, horizon: float, records: Iterable[np.ndarray]) -> None:
+    """Write the 16-byte header (magic, N, horizon), then the record arrays."""
+    with open(path, "wb") as fh:
+        fh.write(LOG_MAGIC + struct.pack("<Id", N, horizon))
+        fh.writelines(records)
 
 
 def write_event_log(asg: AsgRealization, path: str) -> None:
     """Write the 16-byte header (magic, N, horizon) and packed event records."""
-    with open(path, "wb") as fh:
-        _write_header(fh, asg.N, asg.horizon)
-        fh.write(_packed(asg.N, (asg.times, asg.reproducers, asg.ys, asg.zs, asg.outcomes)))
+    columns = (asg.times, asg.reproducers, asg.ys, asg.zs, asg.outcomes)
+    _write_log(path, asg.N, asg.horizon, [_packed(asg.N, columns)])
 
 
 def read_event_log(path: str) -> AsgRealization:
+    """Read a log written by :func:`write_event_log` or :func:`stream_asg_to_log`.
+
+    Raises:
+        ValueError: if the file is not an ASG event log or is truncated.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != LOG_MAGIC:
-            raise ValueError(f"not an ASG event log (magic {magic!r})")
-        N, horizon = struct.unpack("<Id", fh.read(12))
-        records = np.frombuffer(fh.read(), dtype=_record_dtype(N))
+        raw = fh.read()
+    if raw[:4] != LOG_MAGIC:
+        raise ValueError(f"{path}: not an ASG event log (magic {raw[:4]!r})")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated header, {len(raw)} of 16 bytes found")
+    N, horizon = struct.unpack_from("<Id", raw, 4)
+    dtype = _record_dtype(N)
+    if (len(raw) - 16) % dtype.itemsize:
+        raise ValueError(
+            f"{path}: truncated record, {len(raw) - 16} bytes after the header are "
+            f"not a multiple of the {dtype.itemsize}-byte record size"
+        )
+    records = np.frombuffer(raw, dtype=dtype, offset=16)
     return AsgRealization(
         N=N, horizon=horizon,
         times=records["t"].copy(),
@@ -545,16 +548,14 @@ def stream_asg_to_log(
 ) -> int:
     """Generate a realization directly to disk; returns the event count.
 
-    Writes each block of events as it is drawn, so at most
-    ``BLOCK_LABELS`` labels are held in memory, for realizations beyond the
-    in-memory cap.  The log holds the bytes that ``write_event_log`` writes
+    Holds all event times in memory (8 bytes per event) and writes each
+    block of events as it is drawn, so at most ``BLOCK_LABELS`` labels are
+    held at once, for realizations beyond the in-memory cap.  The log holds the bytes that ``write_event_log`` writes
     for :func:`generate_asg` with the same seed.
     """
     _check_size(N, horizon)
-    count = 0
-    with open(path, "wb") as fh:
-        _write_header(fh, N, horizon)
-        for block in _event_blocks(N, coupling, horizon, substream(seed, TAG_ASG, 0)):
-            fh.write(_packed(N, block))
-            count += len(block[0])
-    return count
+    rng = substream(seed, TAG_ASG, 0)
+    E = int(rng.poisson(coupling.total_mass * horizon))
+    blocks = _mark_blocks(rng, E, N, coupling, _event_times(rng, E, horizon))
+    _write_log(path, N, horizon, (_packed(N, block) for block in blocks))
+    return E

@@ -48,6 +48,14 @@ def _merge_atoms(keys: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.n
     return keys[starts], merged
 
 
+def _reject_nonfinite(*columns: tuple[str, np.ndarray]) -> None:
+    """Raise ValueError naming the first ``(name, values)`` column with a NaN
+    or an infinity."""
+    for name, values in columns:
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class FiniteMeasure1D:
     """A finite measure on [0, 1] stored as strictly increasing weighted atoms."""
@@ -61,11 +69,13 @@ class FiniteMeasure1D:
         """Build from (location, mass) pairs; merges duplicates, drops dust.
 
         Raises:
-            ValueError: if a location is outside [0, 1] or a mass is negative.
+            ValueError: if a location is outside [0, 1], a mass is negative
+                or either is not finite.
         """
         pairs = list(atoms)
         locs = np.asarray([p[0] for p in pairs], dtype=float)
         ms = np.asarray([p[1] for p in pairs], dtype=float)
+        _reject_nonfinite(("atom locations", locs), ("atom masses", ms))
         if np.any(locs < 0.0) or np.any(locs > 1.0):
             raise ValueError("atom locations must lie in [0, 1]")
         if np.any(ms < 0.0):
@@ -150,6 +160,7 @@ class CoupledMeasure:
         ys = np.asarray([t[0] for t in triples], dtype=float)
         zs = np.asarray([t[1] for t in triples], dtype=float)
         ms = np.asarray([t[2] for t in triples], dtype=float)
+        _reject_nonfinite(("y coordinates", ys), ("z coordinates", zs), ("atom masses", ms))
         # clamp roundoff-level boundary violations, reject real ones
         for name, v in (("y", ys), ("z", zs)):
             if np.any(v < -ORDER_TOL):

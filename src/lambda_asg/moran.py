@@ -161,6 +161,16 @@ def run_events(x: np.ndarray, lo, hi, budget, update) -> np.ndarray:
     return x
 
 
+def _event_times(rng: np.random.Generator, k: int, horizon: float) -> np.ndarray:
+    """The times of k events on [0, horizon], sorted: given its count, a
+    Poisson process puts its events at sorted uniforms (``random(k)``).  The
+    one array is sorted and scaled in place, 8 bytes per event."""
+    times = rng.random(k)
+    times.sort()
+    times *= horizon
+    return times
+
+
 def record_events(
     x: np.ndarray, lo, hi, rate: float, horizon: float, update,
     rng: np.random.Generator, keep: int,
@@ -171,8 +181,8 @@ def record_events(
     call for all), then :func:`_rounds` applies the events.  Given its count
     k, an entry's event times are k sorted uniforms on [0, horizon],
     independent of the events (order statistics of a Poisson process), so
-    they are drawn after the rounds, ``np.sort(rng.random(k)) * horizon`` for
-    each recorded entry in turn: the final values do not depend on ``keep``.
+    they are drawn after the rounds by :func:`_event_times`, for each
+    recorded entry in turn: the final values do not depend on ``keep``.
     Returns ``x`` and the paths of its first ``keep`` entries, recorded at
     change points.
     """
@@ -194,13 +204,9 @@ def record_events(
     np.not_equal(values[1:], values[:-1], out=marks[1:])
     paths = []
     for j, k in enumerate(kept):
-        # 0 and the k event times, sorted
-        times = np.zeros(k + 1)
-        times[1:] = rng.random(k)
-        times.sort()
-        times *= horizon
         mark = marks[: k + 1, j]
-        paths.append(FrequencyPath(times=times[mark], values=values[: k + 1, j][mark]))
+        times = np.concatenate(([0.0], _event_times(rng, k, horizon)))[mark]
+        paths.append(FrequencyPath(times=times, values=values[: k + 1, j][mark]))
     return x, paths
 
 

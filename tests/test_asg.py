@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, poisson
@@ -42,38 +44,26 @@ EDGES = CoupledMeasure.from_atoms([
 
 
 def reference_generate_asg(N, coupling, horizon, rng):
-    """The all-at-once generator: every event time, then each column for all
-    events.  The block generator must draw the same for one block."""
-    rate = coupling.total_mass
-    times = reference_poisson_times(rate, horizon, rng)
-    E = len(times)
-    reproducers = rng.integers(0, N, size=E)
-    if E > 0:
-        atom_idx = rng.choice(len(coupling), size=E, p=coupling.masses / rate)
+    """An independent generator in the package's draw order: the Poisson
+    count, every event time, then, for each block of ``BLOCK_LABELS // N``
+    events, each column of all its events, with ``rng.choice`` atoms and
+    labels from three masks."""
+    E = rng.poisson(coupling.total_mass * horizon)
+    times = np.sort(rng.random(E)) * horizon
+    step = max(BLOCK_LABELS // N, 1)
+    blocks = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty((0, N), np.uint8))]
+    for start in range(0, E, step):
+        n = min(step, E - start)
+        reproducers = rng.integers(0, N, size=n)
+        atom_idx = rng.choice(len(coupling), size=n, p=coupling.masses / coupling.total_mass)
         ys = coupling.ys[atom_idx]
         zs = coupling.zs[atom_idx]
-    else:
-        ys = np.empty(0)
-        zs = np.empty(0)
-    u = rng.random((E, N))
-    outcomes = np.zeros((E, N), dtype=np.uint8)
-    outcomes[u < ys[:, None]] = OUTCOME_NEUTRAL
-    outcomes[(u >= ys[:, None]) & (u < (ys + zs)[:, None])] = OUTCOME_SELECTIVE
-    return times, reproducers, ys, zs, outcomes
-
-
-def reference_poisson_times(rate, horizon, rng):
-    if rate <= 0.0:
-        return np.empty(0)
-    times = []
-    t = 0.0
-    block = max(int(rate * horizon + 6 * np.sqrt(rate * horizon)) + 4, 16)
-    while True:
-        for dt in rng.exponential(1.0 / rate, size=block):
-            t += dt
-            if t > horizon:
-                return np.asarray(times)
-            times.append(t)
+        u = rng.random((n, N))
+        outcomes = np.zeros((n, N), dtype=np.uint8)
+        outcomes[u < ys[:, None]] = OUTCOME_NEUTRAL
+        outcomes[(u >= ys[:, None]) & (u < (ys + zs)[:, None])] = OUTCOME_SELECTIVE
+        blocks.append((reproducers, ys, zs, outcomes))
+    return (times, *(np.concatenate(col) for col in zip(*blocks)))
 
 
 def reference_consistency(N, coupling, horizon, replicates, seed):
@@ -159,7 +149,9 @@ class TestGeneration:
         assert np.all(np.diff(asg.times) > 0)
         assert asg.times[-1] <= 200.0
 
-    @pytest.mark.parametrize("N, horizon", [(2, 0.01), (4, 3.0), (37, 20.0), (200, 60.0)])
+    @pytest.mark.parametrize(
+        "N, horizon", [(2, 0.01), (4, 3.0), (37, 20.0), (200, 60.0), (4096, 600.0)]
+    )
     def test_same_draws_as_reference(self, example_coupling, N, horizon):
         # the generator's labels are OUTCOME_SELECTIVE * (u < y + z) - (u < y)
         assert OUTCOME_NONE == 0 and OUTCOME_NEUTRAL == OUTCOME_SELECTIVE - 1
@@ -177,11 +169,22 @@ class TestGeneration:
                 sizes.append(len(asg))
         if horizon < 0.1:
             assert 0 in sizes[:6]  # no event before the horizon, at positive mass
+        if N == 4096:
+            assert min(sizes[:6]) > 2 * (BLOCK_LABELS // N)  # several label blocks
 
     def test_memory_guard(self):
         big = CoupledMeasure.from_atoms([(0.5, 0.0, 2000.0)])
         with pytest.raises(SizeLimit):
             generate_asg(10_000, big, horizon=10.0, seed=5)
+
+    def test_memory_guard_drawn_and_undrawn(self):
+        big = CoupledMeasure.from_atoms([(0.5, 0.0, 2000.0)])
+        # a mean near the cap: the drawn count is refused
+        with pytest.raises(SizeLimit, match=r"^\d+ events x 10000"):
+            generate_asg(10_000, big, horizon=0.6, seed=5)
+        # a mean beyond the range of numpy's poisson
+        with pytest.raises(SizeLimit, match="events x 10000 individuals exceed"):
+            generate_asg(10_000, big, horizon=1e20, seed=5)
 
 
 class TestPropagation:
@@ -543,6 +546,18 @@ class TestEventLog:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(ValueError):
+            read_event_log(str(path))
+
+    @pytest.mark.parametrize("keep, message", [
+        (10, "truncated header, 10 of 16 bytes found"),
+        (16 + 3 * 33 + 5, "truncated record, 104 bytes after the header are not a "
+                          "multiple of the 33-byte record size"),
+    ], ids=["header", "record"])
+    def test_truncated_log_names_the_file(self, tmp_path, example_coupling, keep, message):
+        path = tmp_path / "events.asg"
+        assert stream_asg_to_log(5, example_coupling, 10.0, 17, str(path)) > 3
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             read_event_log(str(path))
 
     def test_streaming_deterministic(self, tmp_path, example_coupling):

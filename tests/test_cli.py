@@ -415,6 +415,12 @@ BAD_MEASURES = {
     "beta_density_without_params": {
         "lambda_minus": {"density": {"kind": "beta"}}, "lambda_plus": PAIR["lambda_plus"],
     },
+    # JSON NaN and Infinity parse to floats
+    "coupling_y_nan": {"coupling": {"atoms": [[float("nan"), 0.1, 1.0]]}},
+    "coupling_mass_inf": {"coupling": {"atoms": [[0.2, 0.1, float("inf")]]}},
+    "atom_mass_nan": {
+        "lambda_minus": {"atoms": [[0.2, float("nan")]]}, "lambda_plus": PAIR["lambda_plus"],
+    },
 }
 BAD_PARAMS = {
     "moran_x0_above_one": ("moran_sim", {"N": 10, "horizon": 1.0, "x0": 1.5}),
@@ -462,6 +468,9 @@ MESSAGES = {
     "convergence_x0_above_one": "x0 must lie in [0, 1], got 1.5",
     "fixation_compare_absorption_N_one":
         "compare_absorption_N must be 0 (off) or at least 2, got 1",
+    "coupling_y_nan": "y coordinates must be finite",
+    "coupling_mass_inf": "atom masses must be finite",
+    "atom_mass_nan": "atom masses must be finite",
 }
 INVALID_CONFIGS = {
     **{case: ("coupling_report", spec, {}) for case, spec in BAD_MEASURES.items()},

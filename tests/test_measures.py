@@ -42,6 +42,12 @@ class TestFiniteMeasure:
             FiniteMeasure1D.from_atoms([(1.5, 1.0)])
         with pytest.raises(ValueError):
             FiniteMeasure1D.from_atoms([(0.5, -1.0)])
+        with pytest.raises(ValueError, match="atom locations must be finite"):
+            FiniteMeasure1D.from_atoms([(np.nan, 1.0)])
+        with pytest.raises(ValueError, match="atom masses must be finite"):
+            FiniteMeasure1D.from_atoms([(0.5, np.nan)])
+        with pytest.raises(ValueError, match="atom masses must be finite"):
+            FiniteMeasure1D.from_atoms([(0.5, np.inf)])
 
     def test_total_mass_matches_sum(self):
         rng = np.random.default_rng(0)
@@ -316,6 +322,16 @@ class TestCoupledMeasureInvariants:
             CoupledMeasure.from_atoms([(0.9, 0.3, 1.0)])
         with pytest.raises(ValueError):
             CoupledMeasure.from_atoms([(-0.1, 0.3, 1.0)])
+
+    @pytest.mark.parametrize("atom, name", [
+        ((np.nan, 0.1, 1.0), "y coordinates"),
+        ((0.1, np.nan, 1.0), "z coordinates"),
+        ((0.1, 0.1, np.nan), "atom masses"),
+        ((0.1, 0.1, np.inf), "atom masses"),
+    ])
+    def test_nonfinite_rejected(self, atom, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CoupledMeasure.from_atoms([(0.2, 0.2, 1.0), atom])
 
     def test_origin_atoms_stripped(self):
         c = CoupledMeasure.from_atoms([(0.0, 0.0, 0.4), (0.5, 0.1, 0.6)])
