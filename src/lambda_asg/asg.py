@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SizeLimit
 from .measures import CoupledMeasure
-from .moran import _event_times, record_events
+from .moran import _event_counts, _event_times, record_events
 from .paths import FrequencyPath
 from .rates import MixtureRows
 from .rng import (
@@ -77,9 +77,7 @@ class TypeAssignment:
 
     @classmethod
     def from_minus_set(cls, N: int, members: Iterable[int]) -> "TypeAssignment":
-        minus = np.zeros(N, dtype=bool)
-        minus[list(members)] = True
-        return cls(minus=minus)
+        return cls(minus=_mask(N, members))
 
     @property
     def minus_count(self) -> int:
@@ -87,6 +85,22 @@ class TypeAssignment:
 
     def __len__(self) -> int:
         return len(self.minus)
+
+
+def _mask(N: int, individuals: Iterable[int]) -> np.ndarray:
+    """A boolean mask of the N individuals marking ``individuals``.
+
+    Raises:
+        ValueError: for an index outside 0..N-1 (numpy would wrap a negative
+            index to the end).
+    """
+    idx = list(individuals)
+    for i in idx:
+        if not 0 <= i < N:
+            raise ValueError(f"individual {i} out of range: need 0 <= i < N = {N}")
+    mask = np.zeros(N, dtype=bool)
+    mask[idx] = True
+    return mask
 
 
 def generate_asg(
@@ -220,8 +234,7 @@ def potential_ancestors(
     """
     if not 0 <= to_time <= from_time <= asg.horizon:
         raise ValueError("need 0 <= to_time <= from_time <= horizon")
-    members = np.zeros((1, asg.N), dtype=bool)
-    members[0, list(sample)] = True
+    members = _mask(asg.N, sample)[None]
     if not members.any():
         raise ValueError("sample must be nonempty")
     _sweep(asg, members, from_time, to_time)
@@ -307,7 +320,7 @@ def _draw_rounds(
         SizeLimit: if one replicate would hold more than
             ``MAX_IN_MEMORY_OUTCOMES`` labels.
     """
-    counts = -np.sort(-rng.poisson(coupling.total_mass * horizon, n))
+    counts = -np.sort(-_event_counts(rng, coupling.total_mass, horizon, n))
     if counts[0] * N > MAX_IN_MEMORY_OUTCOMES:
         raise SizeLimit(
             f"a replicate of {counts[0]} events x {N} individuals exceeds the "
@@ -368,10 +381,8 @@ def _count_rates(
 ) -> tuple[np.ndarray, float]:
     """Row ``n`` of the ancestor rates as ``(coalesce, branch)``; ``N`` is None
     for the limit chain."""
-    rates = MixtureRows(coupling, (n - 1, n)).ancestor_row(n, N)
-    coalesce = np.zeros(n)
-    coalesce[1:] = rates[1:n]
-    return coalesce, float(rates[0])
+    row = MixtureRows(coupling, (n - 1, n)).ancestor_row(n, N)
+    return row[n:0:-1], float(row[n + 1])
 
 
 def _ancestor_run(
@@ -555,7 +566,7 @@ def stream_asg_to_log(
     """
     _check_size(N, horizon)
     rng = substream(seed, TAG_ASG, 0)
-    E = int(rng.poisson(coupling.total_mass * horizon))
+    E = int(_event_counts(rng, coupling.total_mass, horizon))
     blocks = _mark_blocks(rng, E, N, coupling, _event_times(rng, E, horizon))
     _write_log(path, N, horizon, (_packed(N, block) for block in blocks))
     return E

@@ -438,6 +438,21 @@ RUNNERS = {
 # -- commands ------------------------------------------------------------------
 
 
+def _threads(flag: int | None) -> int:
+    """The worker count: ``--threads``, else ``LAMBDA_ASG_THREADS``, else 1;
+    an integer >= 1 either way."""
+    name, raw = "--threads", flag
+    if flag is None:
+        name, raw = "LAMBDA_ASG_THREADS", os.environ.get("LAMBDA_ASG_THREADS", "1")
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {raw!r}")
+    return value
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     experiment = _field(cfg, "experiment", str)
@@ -447,7 +462,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     seed = args.seed if args.seed is not None else _field(cfg, "seed", int)
     outdir = Path(args.output_dir or _field(cfg, "output_dir", str, "out"))
-    threads = args.threads or int(os.environ.get("LAMBDA_ASG_THREADS", "1"))
+    threads = _threads(args.threads)
     coupling, coupling_info = resolve_measures(cfg)
     params = _params(RUNNERS[experiment], cfg)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,7 @@ from .asg import (
 from .errors import SizeLimit
 from .measures import CoupledMeasure
 from .moran import MAX_DUALITY_N, MoranConfig, generator_matrix
-from .rates import MixtureTables
+from .rates import MixtureRows
 from .rng import TAG_PATHWISE, batched
 
 
@@ -56,13 +56,13 @@ def sampling_matrix(N: int) -> np.ndarray:
 def line_count_generator(N: int, coupling: CoupledMeasure) -> np.ndarray:
     """Generator of the ancestor count on states 0..N; row 0 is inert padding
     (the constant column of the duality function lies in the kernel of B)."""
-    rates = MixtureTables(coupling, N).ancestor_rates(N, N)
+    rows = MixtureRows(coupling, range(N + 1))
     A = np.zeros((N + 1, N + 1))
     for n in range(1, N + 1):
-        A[n, n - 1 : 0 : -1] = rates[n, 1:n]
-        if n < N:
-            A[n, n + 1] = rates[n, 0]
-        A[n, n] = -rates[n].sum()
+        row = rows.ancestor_row(n, N)
+        # the branch out of N has rate 0
+        A[n, : n + 2] = row[: N + 1]
+        A[n, n] = -row.sum()
     return A
 
 
@@ -218,7 +218,7 @@ def limit_generator_duality(
         raise ValueError("n_max limited to 12")
     xs = np.linspace(0.0, 1.0, grid)
     c = coupling
-    rates = MixtureTables(c, n_max).ancestor_rates(n_max, None)
+    rows = MixtureRows(c, range(n_max + 1))
     worst = 0.0
     for n in range(1, n_max + 1):
         # frequency side: sum over atoms of
@@ -230,6 +230,6 @@ def limit_generator_duality(
         # count side: the limit chain's branch sends x^n to x^{n+1}, its
         # coalescence to n - j lines sends it to x^{n-j}
         targets = np.concatenate([[n + 1], np.arange(n - 1, 0, -1)])
-        ah = (xs[:, None] ** targets - xn[:, None]) @ rates[n, :n]
+        ah = (xs[:, None] ** targets - xn[:, None]) @ rows.ancestor_row(n, None)[targets]
         worst = max(worst, float(np.abs(bh - ah).max()))
     return worst

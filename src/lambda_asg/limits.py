@@ -280,8 +280,9 @@ def _chain_chunk(
             continue
         s_live = states[live]
         u = rng.random(len(live))
-        j = (u[:, None] > table.cum[s_live]).sum(axis=1)
-        states[live] = np.where(j == 0, s_live + 1, s_live - j)
+        # the target is len(total) less the entries passed; ``>=`` passes the
+        # zeros above the branch even for a uniform of exactly 0
+        states[live] = len(table.total) - (u[:, None] >= table.cum[s_live]).sum(axis=1)
         if int(states[live].max()) > state_cap:
             raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     return states

@@ -22,12 +22,15 @@ import numpy as np
 from .errors import SingularSystem, SizeLimit
 from .measures import CoupledMeasure
 from .paths import FrequencyPath
-from .rates import MixtureRows, MixtureTables
+from .rates import MixtureRows
 from .rng import TAG_EVENT_JUMPS, TAG_MORAN, TAG_MORAN_PATH, batched, substream
 
 MAX_DENSE_N = 2000
 # largest N for the dense matrix duality check B D = D A^T
 MAX_DUALITY_N = 300
+# largest expected event count of one draw; numpy's poisson refuses a mean
+# above about 9.2e18
+MAX_EVENT_MEAN = 1e18
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,8 @@ def jump_rates(cfg: MoranConfig, count: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 0 <= count <= cfg.N:
         raise ValueError("count out of range")
-    return MixtureRows(cfg.coupling, (count, cfg.N - count)).moran_jumps(cfg.N, count)
+    row = MixtureRows(cfg.coupling, (count, cfg.N - count)).moran_row(cfg.N, count)
+    return row[count:], row[count::-1].copy()
 
 
 def generator_matrix(cfg: MoranConfig) -> np.ndarray:
@@ -60,13 +64,11 @@ def generator_matrix(cfg: MoranConfig) -> np.ndarray:
     N = cfg.N
     if N > MAX_DENSE_N:
         raise SizeLimit(f"dense generator limited to N <= {MAX_DENSE_N}, got {N}")
-    tables = MixtureTables(cfg.coupling, N)
+    rows = MixtureRows(cfg.coupling, range(N + 1))
     Q = np.zeros((N + 1, N + 1))
     for i in range(1, N):
-        up, down = tables.moran_jumps(N, i)
-        Q[i, i + 1 :] = up[1:]
-        Q[i, i - 1 :: -1] = down[1:]
-        Q[i, i] = -(up[1:].sum() + down[1:].sum())
+        Q[i] = rows.moran_row(N, i)
+        Q[i, i] = -(Q[i, i + 1 :].sum() + Q[i, i - 1 :: -1].sum())
     return Q
 
 
@@ -161,6 +163,25 @@ def run_events(x: np.ndarray, lo, hi, budget, update) -> np.ndarray:
     return x
 
 
+def _event_counts(
+    rng: np.random.Generator, rate: float, horizon: float, size: int | None = None
+) -> np.ndarray | int:
+    """Poisson(rate * horizon) event counts (one ``poisson`` call), one per
+    entry of ``size``, or one count without it.
+
+    Raises:
+        ValueError: if ``rate * horizon`` exceeds ``MAX_EVENT_MEAN``, naming
+            the horizon and the expected event count.
+    """
+    mean = rate * horizon
+    if not mean <= MAX_EVENT_MEAN:
+        raise ValueError(
+            f"horizon {horizon:g} gives {mean:.3g} expected events (mass * horizon), "
+            f"more than the {MAX_EVENT_MEAN:.0e} that can be drawn; shorten the horizon"
+        )
+    return rng.poisson(mean, size)
+
+
 def _event_times(rng: np.random.Generator, k: int, horizon: float) -> np.ndarray:
     """The times of k events on [0, horizon], sorted: given its count, a
     Poisson process puts its events at sorted uniforms (``random(k)``).  The
@@ -177,18 +198,19 @@ def record_events(
 ) -> tuple[np.ndarray, list[FrequencyPath]]:
     """Run the entries of ``x`` on [0, horizon] and record the first ``keep``.
 
-    Each entry draws a Poisson(rate * horizon) event count (one ``poisson``
-    call for all), then :func:`_rounds` applies the events.  Given its count
-    k, an entry's event times are k sorted uniforms on [0, horizon],
-    independent of the events (order statistics of a Poisson process), so
-    they are drawn after the rounds by :func:`_event_times`, for each
-    recorded entry in turn: the final values do not depend on ``keep``.
+    Each entry draws a Poisson(rate * horizon) event count (one
+    :func:`_event_counts` call for all), then :func:`_rounds` applies the
+    events.  Given its count k, an entry's event times are k sorted uniforms
+    on [0, horizon], independent of the events (order statistics of a
+    Poisson process), so they are drawn after the rounds by
+    :func:`_event_times`, for each recorded entry in turn: the final values
+    do not depend on ``keep``.
     Returns ``x`` and the paths of its first ``keep`` entries, recorded at
     change points.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    counts = rng.poisson(rate * horizon, size=len(x))
+    counts = _event_counts(rng, rate, horizon, len(x))
     kept = counts[:keep].tolist()
     top = max(kept, default=0)
     seen = [x[:keep].copy()]

@@ -273,6 +273,18 @@ class TestPotentialAncestors:
         assert potential_ancestors(asg, {1}, 0.5, 0.0) == {1}
         assert potential_ancestors(asg, {1}, 2.0, 1.5) == {1}
 
+    @pytest.mark.parametrize("index", [-1, 5, 7])
+    def test_individuals_out_of_range_refused(self, index):
+        # numpy would wrap -1 to individual 4 and fail on 7 with IndexError
+        asg = one_event_realization(5, reproducer=4, outcome_pairs=[(1, OUTCOME_NEUTRAL)])
+        message = f"individual {index} out of range: need 0 <= i < N = 5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            potential_ancestors(asg, [index], 1.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            potential_ancestors(asg, {0, index}, 1.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TypeAssignment.from_minus_set(5, [index])
+
 
 class TestLineCountRates:
     def test_neutral_half_atom(self):

@@ -456,6 +456,9 @@ BAD_PARAMS = {
     "moment_x0_above_one": ("moment_duality", {"x0": 1.5, "n": 2, "t": 1.0}),
     "convergence_x0_above_one": ("convergence", {"x0": 1.5, "t": 1.0}),
     "fixation_compare_absorption_N_one": ("fixation", {"compare_absorption_N": 1}),
+    # beyond the range of numpy's poisson
+    "asg_horizon_huge": ("asg_pathwise", {"N": 6, "horizon": 1e30, "replicates": 5}),
+    "moran_horizon_huge": ("moran_sim", {"N": 10, "horizon": 1e30, "x0": 0.5}),
 }
 # the error message must name the offending param
 MESSAGES = {
@@ -471,6 +474,9 @@ MESSAGES = {
     "coupling_y_nan": "y coordinates must be finite",
     "coupling_mass_inf": "atom masses must be finite",
     "atom_mass_nan": "atom masses must be finite",
+    # SELECTIVE has mass 1.4
+    "asg_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
+    "moran_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
 }
 INVALID_CONFIGS = {
     **{case: ("coupling_report", spec, {}) for case, spec in BAD_MEASURES.items()},
@@ -534,6 +540,27 @@ def test_dense_size_is_refused_before_any_work(
     assert err.startswith(f"config error: {name} is too large: dense generator")
     assert f"N <= {MAX_DENSE_N}, got {MAX_DENSE_N + 1}" in err
     assert files_in(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("flag, env, message", [
+    ("-3", None, "--threads must be an integer >= 1, got -3"),
+    ("0", "2", "--threads must be an integer >= 1, got 0"),
+    (None, "abc", "LAMBDA_ASG_THREADS must be an integer >= 1, got 'abc'"),
+    (None, "0", "LAMBDA_ASG_THREADS must be an integer >= 1, got '0'"),
+], ids=["flag_negative", "flag_zero", "env_not_an_int", "env_zero"])
+def test_thread_counts_are_refused_by_name(tmp_path, capsys, monkeypatch, flag, env, message):
+    if env is None:
+        monkeypatch.delenv("LAMBDA_ASG_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LAMBDA_ASG_THREADS", env)
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "limit_duality", "measures": SELECTIVE, "params": {}, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    argv = ["run", cfg] + (["--threads", flag] if flag is not None else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_runners_take_no_output_directory():

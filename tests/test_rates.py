@@ -3,10 +3,11 @@ import pytest
 from scipy.stats import binom
 
 from lambda_asg.asg import line_count_rates
+from lambda_asg.duality import line_count_generator
 from lambda_asg.limits import limit_chain_rates
 from lambda_asg.measures import CoupledMeasure
-from lambda_asg.moran import MoranConfig, jump_rates
-from lambda_asg.rates import AncestorChain, MixtureRows, MixtureTables
+from lambda_asg.moran import MoranConfig, generator_matrix, jump_rates
+from lambda_asg.rates import AncestorChain, MixtureRows
 
 # y = 0, y = 1 and y + z = 1 put success probabilities 0 and 1 in both tables
 EDGES = CoupledMeasure.from_atoms([
@@ -81,57 +82,86 @@ def assert_matches(got, ref):
 
 
 class TestMixtureTables:
+    # the mixture tables T_y, T_{y+z} and the branch column, as MixtureRows
+    # builds them for the rows asked for
+    MS = [*range(41), *range(97, BIG, 97), BIG - 1, BIG]
+
     def test_rows_match_scipy(self):
-        tables = MixtureTables(EDGES, BIG)
+        rows = MixtureRows(EDGES, self.MS)
         sums = EDGES.ys + EDGES.zs
-        for m in [*range(41), *range(97, BIG, 97), BIG - 1, BIG]:
-            assert_matches(tables.y[m, : m + 1], ref_mixture(EDGES, EDGES.ys, m))
-            assert_matches(tables.s[m, : m + 1], ref_mixture(EDGES, sums, m))
-            assert np.all(tables.y[m, m + 1 :] == 0.0)
-            assert np.all(tables.s[m, m + 1 :] == 0.0)
-            ref_branch = EDGES.masses @ ((1.0 - EDGES.ys) ** m - (1.0 - sums) ** m)
-            assert_matches(tables.branch[m], ref_branch)
+        for m in self.MS:
+            assert_matches(rows.y[m], ref_mixture(EDGES, EDGES.ys, m))
+            assert_matches(rows.s[m], ref_mixture(EDGES, sums, m))
+        ms = np.arange(BIG + 1)[:, None]
+        ref_branch = ((1.0 - EDGES.ys) ** ms - (1.0 - sums) ** ms) @ EDGES.masses
+        assert_matches(rows.branch, ref_branch)
 
     def test_neutral_branch_exactly_zero(self, neutral_coupling):
-        assert np.all(MixtureTables(neutral_coupling, 300).branch == 0.0)
+        assert np.all(MixtureRows(neutral_coupling, [300]).branch == 0.0)
         for n in (1, 2, 7, 300):
             assert line_count_rates(300, neutral_coupling, n)[1] == 0.0
             assert limit_chain_rates(neutral_coupling, n)[1] == 0.0
 
     def test_empty_coupling_all_zero(self):
-        tables = MixtureTables(CoupledMeasure.from_atoms([]), 6)
-        assert not tables.y.any() and not tables.s.any() and not tables.branch.any()
+        rows = MixtureRows(CoupledMeasure.from_atoms([]), range(7))
+        assert not any(rows.y[m].any() or rows.s[m].any() for m in range(7))
+        assert not rows.branch.any()
 
 
 class TestMixtureRows:
-    # EDGES has atoms at y = 0, y = 1 and y + z = 1.  The rows run the tables'
-    # recurrence, so they agree bit for bit; the branch is mixed per row
-    # instead of for the whole column, to rtol 1e-14.
+    # EDGES has atoms at y = 0, y = 1 and y + z = 1.  Rows built for a few
+    # states run the recurrence of the full table of rows 0..BIG and mix the
+    # branch by the same product, so they agree bit for bit.
     @pytest.fixture(scope="class")
     def tables(self):
-        return MixtureTables(EDGES, BIG)
+        return MixtureRows(EDGES, range(BIG + 1))
 
     @pytest.mark.parametrize("m", [1, 2, 7, 150, 999, BIG])
     def test_rows_match_the_tables(self, tables, m):
         rows = MixtureRows(EDGES, (m - 1, m))
         for k in (m - 1, m):
-            assert np.array_equal(rows.y[k], tables.y[k, : k + 1])
-            assert np.array_equal(rows.s[k], tables.s[k, : k + 1])
-            np.testing.assert_allclose(rows.branch[k], tables.branch[k], rtol=1e-14, atol=0)
-            assert rows.branch[k] >= 0.0
+            assert np.array_equal(rows.y[k], tables.y[k])
+            assert np.array_equal(rows.s[k], tables.s[k])
+        assert np.array_equal(rows.branch, tables.branch[: m + 1])
+        assert np.all(rows.branch >= 0.0)
 
     @pytest.mark.parametrize("N", [7, 150, BIG])
     def test_public_rates_match_the_tables(self, tables, N):
+        # each public layout is a slice of the one row, indexed by target
         cfg = MoranConfig(N=N, coupling=EDGES, initial_count=0)
         for n in sorted({1, 2, 3, N // 3, N // 2, N - 1, N}):
-            for got, ref in zip(jump_rates(cfg, n), tables.moran_jumps(N, n)):
-                assert np.array_equal(got, ref)
+            row = tables.moran_row(N, n)
+            up, down = jump_rates(cfg, n)
+            assert np.array_equal(up, row[n:]) and np.array_equal(down, row[n::-1])
+            assert up[0] == 0.0 and not np.shares_memory(up, down)
             for (coalesce, branch), size in (
                 (line_count_rates(N, EDGES, n), N), (limit_chain_rates(EDGES, n), None)
             ):
-                row = tables.ancestor_rates(n, size)[n]
-                assert np.array_equal(coalesce[1:], row[1:n])
-                np.testing.assert_allclose(branch, row[0], rtol=1e-14, atol=0)
+                row = tables.ancestor_row(n, size)
+                assert np.array_equal(coalesce, row[n:0:-1])
+                assert branch == row[n + 1]
+
+
+class TestOneRowSource:
+    """The dense generators and the public rates are the same numbers."""
+
+    @pytest.mark.parametrize("N", [2, 7, 300])
+    def test_generator_rows_are_the_public_rates(self, N):
+        cfg = MoranConfig(N=N, coupling=EDGES, initial_count=0)
+        Q = generator_matrix(cfg)
+        for i in range(N + 1):
+            up, down = jump_rates(cfg, i)
+            assert np.array_equal(Q[i, i + 1 :], up[1:])
+            assert np.array_equal(Q[i, :i][::-1], down[1:])
+        A = line_count_generator(N, EDGES)
+        for n in range(1, N + 1):
+            coalesce, branch = line_count_rates(N, EDGES, n)
+            assert np.array_equal(A[n, n - 1 : 0 : -1], coalesce[1:])
+            assert A[n, 0] == 0.0 and np.all(A[n, n + 2 :] == 0.0)
+            if n < N:
+                assert A[n, n + 1] == branch
+            else:
+                assert branch == 0.0
 
 
 class TestPublicRates:
@@ -161,25 +191,31 @@ class TestPublicRates:
 class TestAncestorChain:
     @pytest.mark.parametrize("N", [None, 12])
     def test_rows_in_shared_layout(self, example_coupling, N):
-        # the finite-N rows live only in the tables; the chain is the limit's
-        rows = MixtureTables(example_coupling, 12).ancestor_rates(12, N)
+        rows = MixtureRows(example_coupling, range(13))
         chain = AncestorChain(example_coupling, 12) if N is None else None
         for s in range(1, 13):
             coalesce, branch = (
                 limit_chain_rates(example_coupling, s) if N is None
                 else line_count_rates(N, example_coupling, s)
             )
-            rates = np.concatenate([[branch], coalesce[1:]])
-            # table row s: branch, then s -> s - j at column j; zero from s on
-            assert np.allclose(rows[s, :s], rates, rtol=1e-12, atol=1e-15)
-            assert np.all(rows[s, s:] == 0.0)
+            # row s by target: 0 at targets 0 and s, s -> s - j at s - j,
+            # the branch at s + 1
+            row = rows.ancestor_row(s, N)
+            assert np.array_equal(row[s::-1][1:s], coalesce[1:])
+            assert row[s + 1] == branch and row[0] == row[s] == 0.0
             if chain is None:
                 continue
-            # chain row s: branch, then targets s - 1 .. 1; 1 from index s - 1 on
+            # chain row s from the top target 13 down: 0 above the branch,
+            # then targets s + 1 .. 1, and 1 from target 1 on
+            rates = np.concatenate([[branch, 0.0], coalesce[1:]])
+            top = 12 - s
             assert chain.total[s] == pytest.approx(rates.sum(), rel=1e-14)
-            assert np.allclose(np.diff(chain.cum[s, :s], prepend=0.0) * chain.total[s],
-                               rates, rtol=1e-12, atol=1e-15)
-            assert np.all(chain.cum[s, s - 1 :] == 1.0)
+            assert np.all(chain.cum[s, :top] == 0.0)
+            assert np.allclose(
+                np.diff(chain.cum[s, top:13], prepend=0.0) * chain.total[s],
+                rates, rtol=1e-12, atol=1e-15,
+            )
+            assert np.all(chain.cum[s, 12:] == 1.0)
 
     def test_limit_chain_grows_on_demand(self, example_coupling):
         chain = AncestorChain(example_coupling, 4)

@@ -1,4 +1,5 @@
-"""The benchmark's span list names functions that exist.
+"""The benchmark's span list names functions that exist, and its counters
+read the arguments they name.
 
 ``bench/tracing.py`` wraps the public functions listed in ``TRACED`` by name;
 a renamed or deleted function would make the benchmark fail.  The file needs
@@ -15,14 +16,18 @@ import pytest
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def load_traced() -> dict[str, list[str]]:
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing_names", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
 
 
-TRACED = load_traced()
+TRACING_MODULE = load_tracing()
+TRACED = TRACING_MODULE.TRACED
+REPLICATE_COUNTERS = sorted(
+    span for span, (names, _) in TRACING_MODULE.COUNTERS.items() if names == ("replicates",)
+)
 
 
 @pytest.mark.parametrize("module_name", sorted(TRACED))
@@ -33,3 +38,14 @@ def test_traced_names_are_public_functions(module_name):
         assert inspect.isfunction(fn), f"{module_name}.{name} is not a function"
         assert not name.startswith("_")
         assert fn.__module__ == module.__name__, f"{module_name}.{name} is imported"
+
+
+@pytest.mark.parametrize("span", REPLICATE_COUNTERS)
+def test_replicate_counters_read_the_replicates_argument(span):
+    # the counters read ``replicates`` by position when it is passed so;
+    # called on the parameter names, they must pick the one named replicates
+    module_name, name = span.split(".")
+    fn = getattr(importlib.import_module(f"lambda_asg.{module_name}"), name)
+    params = tuple(inspect.signature(fn).parameters)
+    counter = TRACING_MODULE.COUNTERS[span][1]
+    assert counter(params, {}, None) == {"replicates": "replicates"}
