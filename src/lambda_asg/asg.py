@@ -91,11 +91,14 @@ def _mask(N: int, individuals: Iterable[int]) -> np.ndarray:
     """A boolean mask of the N individuals marking ``individuals``.
 
     Raises:
-        ValueError: for an index outside 0..N-1 (numpy would wrap a negative
-            index to the end).
+        ValueError: for an index that is not an integer (numpy would refuse a
+            float without naming it and read a bool as a mask) or lies outside
+            0..N-1 (numpy would wrap a negative index to the end).
     """
     idx = list(individuals)
     for i in idx:
+        if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"individual {i!r} is not an integer index: need 0 <= i < N = {N}")
         if not 0 <= i < N:
             raise ValueError(f"individual {i} out of range: need 0 <= i < N = {N}")
     mask = np.zeros(N, dtype=bool)

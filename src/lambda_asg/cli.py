@@ -267,8 +267,8 @@ def run_duality_matrix(
     tolerance: float = 1e-10,
 ) -> tuple[int, dict]:
     results = [
-        {"N": n, "residual": duality.generator_duality_check(n, coupling)}
-        for n in N
+        {"N": n, "residual": r}
+        for n, r in zip(N, duality.generator_duality_residuals(N, coupling))
     ]
     worst = max(r["residual"] for r in results)
     return (0 if worst < tolerance else 2), {"residual.json": {

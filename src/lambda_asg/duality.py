@@ -26,7 +26,7 @@ from .asg import (
 )
 from .errors import SizeLimit
 from .measures import CoupledMeasure
-from .moran import MAX_DUALITY_N, MoranConfig, generator_matrix
+from .moran import MAX_DUALITY_N, _generator_rows
 from .rates import MixtureRows
 from .rng import TAG_PATHWISE, batched
 
@@ -56,7 +56,12 @@ def sampling_matrix(N: int) -> np.ndarray:
 def line_count_generator(N: int, coupling: CoupledMeasure) -> np.ndarray:
     """Generator of the ancestor count on states 0..N; row 0 is inert padding
     (the constant column of the duality function lies in the kernel of B)."""
-    rows = MixtureRows(coupling, range(N + 1))
+    return _line_count_rows(MixtureRows(coupling, range(N + 1)), N)
+
+
+def _line_count_rows(rows: MixtureRows, N: int) -> np.ndarray:
+    """:func:`line_count_generator` at N read from ``rows``, which hold rows
+    0..N or more."""
     A = np.zeros((N + 1, N + 1))
     for n in range(1, N + 1):
         row = rows.ancestor_row(n, N)
@@ -68,13 +73,30 @@ def line_count_generator(N: int, coupling: CoupledMeasure) -> np.ndarray:
 
 def generator_duality_check(N: int, coupling: CoupledMeasure) -> float:
     """Max abs entry of B D - D A^T; exactly 0 in exact arithmetic."""
-    if N > MAX_DUALITY_N:
-        raise SizeLimit(f"matrix duality check limited to N <= {MAX_DUALITY_N}, got {N}")
-    cfg = MoranConfig(N=N, coupling=coupling, initial_count=0)
-    B = generator_matrix(cfg)
-    A = line_count_generator(N, coupling)
-    D = sampling_matrix(N)
-    return float(np.abs(B @ D - D @ A.T).max())
+    return generator_duality_residuals([N], coupling)[0]
+
+
+def generator_duality_residuals(Ns: list[int], coupling: CoupledMeasure) -> list[float]:
+    """:func:`generator_duality_check` at every N of ``Ns``, with B and A read
+    from one rate table of rows 0..max(Ns).  Every N is checked before the
+    table is built.
+
+    Raises:
+        ValueError: for an N below 2.
+        SizeLimit: for an N above :data:`MAX_DUALITY_N`.
+    """
+    for N in Ns:
+        if N < 2:
+            raise ValueError(f"population size must be >= 2, got {N}")
+        if N > MAX_DUALITY_N:
+            raise SizeLimit(f"matrix duality check limited to N <= {MAX_DUALITY_N}, got {N}")
+    rows = MixtureRows(coupling, range(max(Ns) + 1))
+    residuals = []
+    for N in Ns:
+        D = sampling_matrix(N)
+        residual = _generator_rows(rows, N) @ D - D @ _line_count_rows(rows, N).T
+        residuals.append(float(np.abs(residual).max()))
+    return residuals
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,17 @@ def build_moment_table(coupling: CoupledMeasure, jmax: int, kmax: int) -> Moment
     return MomentTable(jmax=jmax, kmax=kmax, M=M, q=q, tilde_mass=tilde_mass)
 
 
+def _horner(c: np.ndarray, x):
+    """The polynomial with coefficients ``c`` (constant first) at ``x``, by
+    Horner's rule in place: the operations of numpy's ``polyval`` in its
+    order, so the values are the same bits, without a new array per step."""
+    out = c[-1] + x * 0.0
+    for k in range(len(c) - 2, -1, -1):
+        out *= x
+        out += c[k]
+    return out
+
+
 @dataclass(frozen=True)
 class PolySeq:
     """Coefficient triangle: ``coeffs[n][r]`` multiplies x^r in h_n."""
@@ -112,7 +123,7 @@ class PolySeq:
 
     def h(self, n: int, x) -> np.ndarray:
         """Evaluate h_n pointwise."""
-        return np.polynomial.polynomial.polyval(x, self.coeffs[n])
+        return _horner(self.coeffs[n], x)
 
     def antiderivative_coeffs(self, n: int) -> np.ndarray:
         """Coefficients of H_n(x) = integral_0^x n h_{n-1}; H_n(1) = 1."""
@@ -216,7 +227,7 @@ def fixation_series(
     value = np.zeros_like(xs)
     last = np.zeros_like(xs)
     for n in range(1, nmax + 1):
-        hn = np.polynomial.polynomial.polyval(xs, seq.antiderivative_coeffs(n))
+        hn = _horner(seq.antiderivative_coeffs(n), xs)
         last = scale * 2.0**n / math.factorial(n) * hn
         value += last
     return value, np.abs(last)
@@ -257,10 +268,9 @@ def harmonicity_values(
     coeffs = fixation_series_coeffs(seq, nmax)
     xs = np.asarray(xs, dtype=float)
     c = coupling
-    polyval = np.polynomial.polynomial.polyval
-    p_up = polyval(xs[:, None] + c.ys[None, :] * (1.0 - xs[:, None]), coeffs)
-    p_dn = polyval(xs[:, None] * (1.0 - c.ys - c.zs)[None, :], coeffs)
-    p_x = polyval(xs, coeffs)
+    p_up = _horner(coeffs, xs[:, None] + c.ys[None, :] * (1.0 - xs[:, None]))
+    p_dn = _horner(coeffs, xs[:, None] * (1.0 - c.ys - c.zs)[None, :])
+    p_x = _horner(coeffs, xs)
     integrand = xs[:, None] * p_up + (1.0 - xs[:, None]) * p_dn - p_x[:, None]
     return integrand @ c.masses
 

@@ -64,7 +64,12 @@ def generator_matrix(cfg: MoranConfig) -> np.ndarray:
     N = cfg.N
     if N > MAX_DENSE_N:
         raise SizeLimit(f"dense generator limited to N <= {MAX_DENSE_N}, got {N}")
-    rows = MixtureRows(cfg.coupling, range(N + 1))
+    return _generator_rows(MixtureRows(cfg.coupling, range(N + 1)), N)
+
+
+def _generator_rows(rows: MixtureRows, N: int) -> np.ndarray:
+    """:func:`generator_matrix` at N read from ``rows``, which hold rows 0..N
+    or more (a row of the recurrence does not depend on the table size)."""
     Q = np.zeros((N + 1, N + 1))
     for i in range(1, N):
         Q[i] = rows.moran_row(N, i)

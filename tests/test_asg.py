@@ -285,6 +285,24 @@ class TestPotentialAncestors:
         with pytest.raises(ValueError, match=re.escape(message)):
             TypeAssignment.from_minus_set(5, [index])
 
+    @pytest.mark.parametrize("index", [1.5, 2.0, True, np.float64(1.0), np.bool_(True)])
+    def test_individuals_that_are_not_integers_refused(self, index):
+        # numpy would raise an IndexError naming neither index nor N for a
+        # float and read a bool as a mask
+        asg = one_event_realization(5, reproducer=4, outcome_pairs=[(1, OUTCOME_NEUTRAL)])
+        message = f"individual {index!r} is not an integer index: need 0 <= i < N = 5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            potential_ancestors(asg, [index], 1.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TypeAssignment.from_minus_set(5, [0, index])
+
+    def test_numpy_integer_individuals_accepted(self):
+        asg = one_event_realization(5, reproducer=4, outcome_pairs=[(1, OUTCOME_NEUTRAL)])
+        sample = np.array([1, 2], dtype=np.int32)
+        assert potential_ancestors(asg, sample, 2.0, 0.0) == {2, 4}
+        minus = TypeAssignment.from_minus_set(5, np.array([0, 3], dtype=np.int64))
+        assert np.array_equal(minus.minus, [True, False, False, True, False])
+
 
 class TestLineCountRates:
     def test_neutral_half_atom(self):

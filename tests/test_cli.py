@@ -14,7 +14,7 @@ import pytest
 
 import lambda_asg
 
-from lambda_asg import fixation, moran
+from lambda_asg import duality, fixation, moran
 from lambda_asg.asg import _chunk_size
 from lambda_asg.cli import MINIMUM, RUNNERS, main, write_csv
 from lambda_asg.fixation import build_fixation_solver, harmonicity_values
@@ -91,6 +91,27 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "N <= 300" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("Ns, code, builds", [
+        ([10, 400], 1, 0), ([10, 1], 1, 0), ([4, 8], 0, 1),
+    ])
+    def test_duality_matrix_checks_every_n_then_builds_one_table(
+        self, tmp_path, monkeypatch, Ns, code, builds,
+    ):
+        built = []
+
+        class CountingRows(duality.MixtureRows):
+            def __init__(self, coupling, ms):
+                built.append(max(ms))
+                super().__init__(coupling, ms)
+
+        monkeypatch.setattr(duality, "MixtureRows", CountingRows)
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": "duality_matrix", "measures": PAIR,
+            "params": {"N": Ns}, "seed": 1, "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", cfg]) == code
+        assert built == [max(Ns)] * builds
 
     def test_unknown_experiment_lists_names(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {

@@ -17,6 +17,7 @@ from lambda_asg.duality import (
     _pathwise_counts,
     _pathwise_draws,
     generator_duality_check,
+    generator_duality_residuals,
     limit_generator_duality,
     limit_moment_duality_check,
     line_count_generator,
@@ -104,6 +105,12 @@ class TestGeneratorDuality:
         for N in (5, 17, 40):
             for _ in range(3):
                 assert generator_duality_check(N, random_coupling(rng)) < 1e-10
+
+    def test_residuals_of_a_run_are_the_one_n_checks(self, example_coupling):
+        Ns = [12, 5, 30, 5]
+        assert generator_duality_residuals(Ns, example_coupling) == [
+            generator_duality_check(N, example_coupling) for N in Ns
+        ]
 
     def test_constant_column_in_kernel(self, example_coupling):
         # D[., 0] is constant, so the column-0 residual is a pure row-sum

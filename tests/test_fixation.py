@@ -7,6 +7,7 @@ from helpers import rational_moment_table, rational_polynomials
 from lambda_asg.errors import DegenerateSelection, NearSingular, NotConverged, ZeroMass
 from lambda_asg.fixation import (
     SERIES_TOL,
+    _horner,
     build_fixation_solver,
     build_moment_table,
     build_polynomials,
@@ -21,6 +22,8 @@ from lambda_asg.measures import CoupledMeasure
 from lambda_asg.moran import MoranConfig, absorption_probability
 
 SINGLE = CoupledMeasure.from_atoms([(0.5, 0.25, 1.0)])
+FIX_A = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
+FIX_B = CoupledMeasure.from_atoms([(0.5, 0.1, 1.0), (0.25, 0.05, 1.0)])
 
 
 class TestMomentTable:
@@ -122,6 +125,21 @@ class TestPolynomialRecursion:
     def test_defining_identity_small_residual(self, mild_selective_coupling):
         solver = build_fixation_solver(mild_selective_coupling, nmax=30)
         assert defining_identity_residual(solver.seq, mild_selective_coupling) < 1e-9
+
+
+class TestHorner:
+    # the in-place evaluator repeats polyval's operations in its order
+    @pytest.mark.parametrize("coupling", [FIX_A, FIX_B])
+    def test_matches_polyval_bit_for_bit(self, coupling):
+        seq = build_fixation_solver(coupling, nmax=30).seq
+        rng = np.random.default_rng(3)
+        args = [0.37, np.linspace(0.0, 1.0, 101), rng.random((21, 64))]
+        polys = seq.coeffs + [seq.antiderivative_coeffs(n) for n in range(1, seq.nmax + 1)]
+        for c in polys:
+            for x in args:
+                got = _horner(c, x)
+                assert np.shape(got) == np.shape(x)
+                assert np.array_equal(got, np.polynomial.polynomial.polyval(x, c))
 
 
 class TestFixationProbability:

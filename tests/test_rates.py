@@ -3,10 +3,12 @@ import pytest
 from scipy.stats import binom
 
 from lambda_asg.asg import line_count_rates
-from lambda_asg.duality import line_count_generator
+from lambda_asg.duality import _line_count_rows, line_count_generator
 from lambda_asg.limits import limit_chain_rates
 from lambda_asg.measures import CoupledMeasure
-from lambda_asg.moran import MoranConfig, generator_matrix, jump_rates
+from lambda_asg.moran import (
+    MAX_DUALITY_N, MoranConfig, _generator_rows, generator_matrix, jump_rates,
+)
 from lambda_asg.rates import AncestorChain, MixtureRows
 
 # y = 0, y = 1 and y + z = 1 put success probabilities 0 and 1 in both tables
@@ -162,6 +164,16 @@ class TestOneRowSource:
                 assert A[n, n + 1] == branch
             else:
                 assert branch == 0.0
+
+
+    @pytest.mark.parametrize("N", [2, 7, 50, MAX_DUALITY_N])
+    def test_generators_from_the_largest_table_match_per_n_builds(self, example_coupling, N):
+        # a duality_matrix run reads every N from one table of rows 0..max(N)
+        for coupling in (example_coupling, EDGES):
+            rows = MixtureRows(coupling, range(MAX_DUALITY_N + 1))
+            cfg = MoranConfig(N=N, coupling=coupling, initial_count=0)
+            assert np.array_equal(_generator_rows(rows, N), generator_matrix(cfg))
+            assert np.array_equal(_line_count_rows(rows, N), line_count_generator(N, coupling))
 
 
 class TestPublicRates:

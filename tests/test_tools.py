@@ -1,0 +1,42 @@
+"""``tools/code_lines.py``, the code-only line counter of the package.
+
+The script needs only the standard library, so it is loaded here by path.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_code_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = load_code_lines()
+
+
+def printed_counts(capsys) -> dict[str, int]:
+    assert code_lines.main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    return {name: int(count) for count, name in rows}
+
+
+def test_lists_every_module_and_their_sum(capsys):
+    counts = printed_counts(capsys)
+    total = counts.pop("total")
+    modules = sorted(p.name for p in (ROOT / "src" / "lambda_asg").glob("*.py"))
+    assert sorted(counts) == modules
+    assert total == sum(counts.values())
+    assert all(counts[name] == code_lines.code_lines(code_lines.PACKAGE / name) for name in counts)
+
+
+def test_docstrings_comments_and_blank_lines_are_not_code(tmp_path):
+    path = tmp_path / "empty.py"
+    path.write_text('"""A module docstring\n\nover three lines."""\n\n# a comment\n\n   # another\n')
+    assert code_lines.code_lines(path) == 0
+    path.write_text('"""Doc."""\n\n\ndef f():\n    """Doc."""\n    # note\n    return 1\n')
+    assert code_lines.code_lines(path) == 2
