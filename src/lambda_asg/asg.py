@@ -451,12 +451,6 @@ def _consistency_violations(rounds: EventRounds, minus: np.ndarray) -> np.ndarra
     return (plus_reachable == final).sum(axis=1)
 
 
-def _consistency_chunk(
-    n: int, rng: np.random.Generator, N: int, coupling: CoupledMeasure, horizon: float
-) -> np.ndarray:
-    return _consistency_violations(*_consistency_draws(n, rng, N, coupling, horizon))
-
-
 def ancestry_consistency_check(
     N: int,
     coupling: CoupledMeasure,
@@ -478,8 +472,8 @@ def ancestry_consistency_check(
     _check_size(N, horizon)
     _check_replicates(replicates)
     violations = batched(
-        replicates, seed, (TAG_CONSISTENCY,), np.int64, _consistency_chunk,
-        N, coupling, horizon,
+        replicates, seed, (TAG_CONSISTENCY,), np.int64,
+        lambda n, rng: _consistency_violations(*_consistency_draws(n, rng, N, coupling, horizon)),
         chunk=_chunk_size(N, N + 1, coupling.total_mass * horizon), threads=threads,
     )
     return replicates * N, int(violations.sum())
@@ -564,8 +558,9 @@ def stream_asg_to_log(
 
     Holds all event times in memory (8 bytes per event) and writes each
     block of events as it is drawn, so at most ``BLOCK_LABELS`` labels are
-    held at once, for realizations beyond the in-memory cap.  The log holds the bytes that ``write_event_log`` writes
-    for :func:`generate_asg` with the same seed.
+    held at once, for realizations beyond the in-memory cap.  The log holds
+    the bytes that ``write_event_log`` writes for :func:`generate_asg` with
+    the same seed.
     """
     _check_size(N, horizon)
     rng = substream(seed, TAG_ASG, 0)

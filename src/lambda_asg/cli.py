@@ -118,12 +118,20 @@ def _parse_measures(cfg: dict):
             "measures must hold exactly one of {lambda_minus + lambda_plus} or {coupling}"
         )
     if has_coupling:
-        return measures.coupling_from_config(spec["coupling"])
+        return _parsed(spec, "coupling", measures.coupling_from_config)
     for name in ("lambda_minus", "lambda_plus"):
         if name not in spec:
             raise ConfigError(f"measures.{name} is missing; the ordered pair needs both")
-    return (measures.measure_from_config(spec["lambda_minus"]),
-            measures.measure_from_config(spec["lambda_plus"]))
+    return (_parsed(spec, "lambda_minus", measures.measure_from_config),
+            _parsed(spec, "lambda_plus", measures.measure_from_config))
+
+
+def _parsed(spec: dict, name: str, parse):
+    """``parse(spec[name])``, its ValueError a ConfigError naming the measure."""
+    try:
+        return parse(_typed(f"measures.{name}", spec[name], dict))
+    except ValueError as exc:
+        raise ConfigError(f"measures.{name}: {exc}") from None
 
 
 def resolve_measures(cfg: dict) -> tuple[measures.CoupledMeasure, dict]:

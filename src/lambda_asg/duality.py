@@ -160,13 +160,6 @@ def _pathwise_counts(
     return np.column_stack([final, ancestors])
 
 
-def _pathwise_chunk(
-    n: int, rng: np.random.Generator, N: int, coupling: CoupledMeasure, T: float,
-    initial_count: int, sample_size: int,
-) -> np.ndarray:
-    return _pathwise_counts(*_pathwise_draws(n, rng, N, coupling, T, initial_count, sample_size))
-
-
 def pathwise_duality_check(
     N: int,
     coupling: CoupledMeasure,
@@ -194,8 +187,10 @@ def pathwise_duality_check(
     _check_size(N, T)
     _check_replicates(replicates)
     counts = batched(
-        replicates, seed, (TAG_PATHWISE,), np.int64, _pathwise_chunk,
-        N, coupling, T, initial_count, sample_size,
+        replicates, seed, (TAG_PATHWISE,), np.int64,
+        lambda n, rng: _pathwise_counts(
+            *_pathwise_draws(n, rng, N, coupling, T, initial_count, sample_size)
+        ),
         chunk=_chunk_size(N, 2, coupling.total_mass * T), threads=threads,
     )
     # S(., n) and S(i, .) read from the scalar function's values
@@ -243,15 +238,11 @@ def limit_generator_duality(
     rows = MixtureRows(c, range(n_max + 1))
     worst = 0.0
     for n in range(1, n_max + 1):
-        # frequency side: sum over atoms of
-        #   x (x + y(1-x))^n + (1-x) (x(1-y-z))^n - x^n
-        up = np.power(xs[:, None] + c.ys[None, :] * (1.0 - xs[:, None]), n)
-        dn = np.power(xs[:, None] * (1.0 - c.ys - c.zs)[None, :], n)
-        xn = xs**n
-        bh = (xs[:, None] * up + (1.0 - xs[:, None]) * dn - xn[:, None]) @ c.masses
+        # frequency side: the limit generator applied to x -> x^n
+        bh = limits.frequency_generator(c, lambda v: np.power(v, n), xs)
         # count side: the limit chain's branch sends x^n to x^{n+1}, its
         # coalescence to n - j lines sends it to x^{n-j}
         targets = np.concatenate([[n + 1], np.arange(n - 1, 0, -1)])
-        ah = (xs[:, None] ** targets - xn[:, None]) @ rows.ancestor_row(n, None)[targets]
+        ah = (xs[:, None] ** targets - xs[:, None] ** n) @ rows.ancestor_row(n, None)[targets]
         worst = max(worst, float(np.abs(bh - ah).max()))
     return worst

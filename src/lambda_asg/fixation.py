@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSelection, NearSingular, NotConverged, ZeroMass
+from .limits import frequency_generator
 from .measures import CoupledMeasure
 from .quadrature import gauss_legendre_01
 
@@ -266,13 +267,7 @@ def harmonicity_values(
     """
     nmax = seq.nmax if nmax is None else nmax
     coeffs = fixation_series_coeffs(seq, nmax)
-    xs = np.asarray(xs, dtype=float)
-    c = coupling
-    p_up = _horner(coeffs, xs[:, None] + c.ys[None, :] * (1.0 - xs[:, None]))
-    p_dn = _horner(coeffs, xs[:, None] * (1.0 - c.ys - c.zs)[None, :])
-    p_x = _horner(coeffs, xs)
-    integrand = xs[:, None] * p_up + (1.0 - xs[:, None]) * p_dn - p_x[:, None]
-    return integrand @ c.masses
+    return frequency_generator(coupling, lambda v: _horner(coeffs, v), xs)
 
 
 def harmonicity_residual(

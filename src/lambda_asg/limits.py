@@ -114,6 +114,18 @@ def _sde_events(vals: np.ndarray, c: CoupledMeasure, rng: np.random.Generator) -
     return np.where(u < vals, vals + y * (1.0 - vals), vals - s * vals)
 
 
+def frequency_generator(coupling: CoupledMeasure, f, xs: np.ndarray) -> np.ndarray:
+    """The limit frequency generator applied to ``f``, pointwise on ``xs``:
+    the sum over atoms of ``mass * (x f(x + y(1-x)) + (1-x) f(x(1-y-z)) - f(x))``.
+    ``f`` is applied elementwise to ``(len(xs), atoms)`` and ``(len(xs), 1)``
+    arrays."""
+    x = np.asarray(xs, dtype=float)[:, None]
+    c = coupling
+    up = f(x + c.ys * (1.0 - x))
+    dn = f(x * (1.0 - c.ys - c.zs))
+    return (x * up + (1.0 - x) * dn - f(x)) @ c.masses
+
+
 def _sde_run(
     n: int, rng: np.random.Generator, coupling: CoupledMeasure, x0: float, horizon: float,
     keep: int = 0,
@@ -245,6 +257,8 @@ def chain_final_states(
     """Time-``horizon`` marginal of the limit chain over many replicates."""
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
     table = AncestorChain(coupling, max(n0 + 8, 16))
     return batched(
         replicates, seed, (TAG_LIMIT_CHAIN,), np.int64,

@@ -18,6 +18,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -382,31 +383,49 @@ def marginal_mismatch(
     )
 
 
+def _number(value, where: str) -> float:
+    """``value`` as a float, else ValueError naming ``where``.  Nothing is
+    cast: a bool or a string is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, where: str, names: tuple[str, ...]) -> list[float]:
+    """``values``, a list of one number per name in ``names``, as floats."""
+    if not isinstance(values, (list, tuple)) or len(values) != len(names):
+        raise ValueError(f"{where} must be [{', '.join(names)}], got {values!r}")
+    return [_number(v, f"{where} {name}") for v, name in zip(values, names)]
+
+
+def _atoms(spec: dict, names: tuple[str, ...]) -> list[list[float]]:
+    """The spec's ``atoms``: a list of atoms, each of one number per name."""
+    atoms = spec.get("atoms")
+    if not isinstance(atoms, (list, tuple)):
+        raise ValueError(f"atoms must be a list of [{', '.join(names)}], got {atoms!r}")
+    return [_numbers(atom, f"atoms[{i}]", names) for i, atom in enumerate(atoms)]
+
+
 def measure_from_config(spec: dict) -> FiniteMeasure1D:
     """Parse a measure description: {"atoms": [[loc, mass], ...]} or
     {"density": {"kind": "beta", "params": [a, b], "grid": n, "mass": m}};
-    ValueError if it is malformed."""
-    try:
-        if "atoms" in spec:
-            return FiniteMeasure1D.from_atoms([(float(l), float(m)) for l, m in spec["atoms"]])
-        if "density" in spec:
-            d = spec["density"]
-            if d.get("kind") != "beta":
-                raise ValueError(f"unknown density kind: {d.get('kind')!r}")
-            a, b = (float(v) for v in d["params"])
-            return measure_from_beta_density(
-                a, b, grid=int(d.get("grid", 256)), mass=float(d.get("mass", 1.0))
-            )
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed measure spec: {exc!r}") from None
-    raise ValueError("measure spec needs 'atoms' or 'density'")
+    ValueError naming the field (and the atom) if it is malformed."""
+    if "atoms" in spec:
+        return FiniteMeasure1D.from_atoms(_atoms(spec, ("loc", "mass")))
+    if "density" not in spec:
+        raise ValueError("measure spec needs 'atoms' or 'density'")
+    d = spec["density"]
+    if not isinstance(d, dict) or d.get("kind") != "beta":
+        raise ValueError(f"density must be {{'kind': 'beta', ...}}, got {d!r}")
+    a, b = _numbers(d.get("params"), "density.params", ("a", "b"))
+    grid = d.get("grid", 256)
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral):
+        raise ValueError(f"density.grid must be an int, got {grid!r}")
+    mass = _number(d.get("mass", 1.0), "density.mass")
+    return measure_from_beta_density(a, b, grid=int(grid), mass=mass)
 
 
 def coupling_from_config(spec: dict) -> CoupledMeasure:
     """Parse a coupling description {"atoms": [[y, z, mass], ...]}; ValueError
-    if it is malformed."""
-    try:
-        atoms = [(float(y), float(z), float(m)) for y, z, m in spec["atoms"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"coupling spec needs 'atoms': [[y, z, mass], ...] ({exc!r})") from None
-    return CoupledMeasure.from_atoms(atoms)
+    naming the field (and the atom) if it is malformed."""
+    return CoupledMeasure.from_atoms(_atoms(spec, ("y", "z", "mass")))

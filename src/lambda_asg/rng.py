@@ -9,9 +9,9 @@ replicates one stream: chunk ``c`` covers replicates
 vectorized Monte Carlo routines use chunks of ``REPLICATE_CHUNK``; the
 pathwise ASG checks size their chunks from the population size, the rows
 each replicate carries and the expected event count (see
-``asg._chunk_size``), never from the worker count, and spread the chunks
-over ``threads`` worker processes.  Results are byte-identical across
-worker counts.
+``asg._chunk_size``), never from the thread count, and run the chunks on
+a pool of ``threads`` threads.  Results are byte-identical across thread
+counts.
 
 A recorded path is a row of a run: ``batched(..., paths=k)`` keeps the paths
 of replicates 0..k-1, whose event times the chunk draws from its own stream
@@ -53,7 +53,7 @@ SEED_RULE = (
     f"routines take chunks of {REPLICATE_CHUNK} replicates, the pathwise ASG "
     "checks (asg_pathwise, duality_pathwise) chunks of about "
     "asg.BLOCK_LABELS labels and member entries, sized from N, the rows per "
-    "replicate and mass * horizon; --threads runs those chunks on worker processes. "
+    "replicate and mass * horizon; --threads runs those chunks on a thread pool. "
     "moran_sim, sde_sim and line_count_sim write path r as row r of their finals "
     "run, its event times drawn from the chunk stream after the chunk's events; "
     "the single-path functions draw replicate r from stream (seed, path tag, r)"
@@ -75,57 +75,44 @@ def batched(
     Chunk ``c`` covers replicates ``[c * chunk, (c+1) * chunk)`` and gets its
     rows from ``run(n, rng, *args)``, with ``n`` its size and ``rng`` stream
     ``(seed, *key, c)``.  With ``threads`` above 1 and more than one chunk,
-    the chunks run on a pool of that many worker processes (``run`` and
-    ``args`` must then pickle); the result is the same for any worker count.
+    the chunks run on a pool of ``min(threads, chunks)`` threads.  That is
+    safe because each chunk draws only from its own generator and returns
+    only its own rows, which are placed in chunk order, so the result is the
+    same for any thread count.
 
     With ``paths`` given, ``run`` also gets ``keep``, how many of its first
     rows are replicates below ``paths``, and returns ``(rows, kept)`` with a
     list of ``keep`` items; the result is then ``(values, kept)``, with the
     chunks' lists joined in replicate order.
     """
-    jobs = []
-    for c, start in enumerate(range(0, replicates, chunk)):
-        n = min(chunk, replicates - start)
-        keep = () if paths is None else (min(max(paths - start, 0), n),)
-        jobs.append((run, n, seed, (*key, c), (*args, *keep)))
-    if threads > 1 and len(jobs) > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    starts = range(0, replicates, chunk)
 
-        # spawned workers: forking a process that may hold BLAS threads is unsafe
-        with ProcessPoolExecutor(
-            max_workers=min(threads, len(jobs)), mp_context=multiprocessing.get_context("spawn")
-        ) as pool:
-            return _collect(replicates, dtype, pool.map(_run_chunk, jobs), paths)
-    return _collect(replicates, dtype, map(_run_chunk, jobs), paths)
+    def run_chunk(c: int):
+        n = min(chunk, replicates - starts[c])
+        keep = () if paths is None else (min(max(paths - starts[c], 0), n),)
+        return run(n, substream(seed, *key, c), *args, *keep)
 
+    chunks = range(len(starts))
+    if threads > 1 and len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-def _run_chunk(job: tuple) -> np.ndarray:
-    run, n, seed, key, args = job
-    return run(n, substream(seed, *key), *args)
+        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+            return _collect(replicates, dtype, pool.map(run_chunk, chunks), paths)
+    return _collect(replicates, dtype, map(run_chunk, chunks), paths)
 
 
 def _collect(replicates: int, dtype, parts, paths: int | None):
-    """The chunks' rows gathered, and with ``paths`` given their kept lists."""
-    if paths is None:
-        return _gather(replicates, dtype, parts)
+    """The chunks' rows, in chunk order, in one array of ``dtype``; with
+    ``paths`` given, also their kept lists joined."""
+    out = np.empty(0, dtype=dtype)
     kept: list = []
-
-    def rows():
-        for part, part_kept in parts:
-            kept.extend(part_kept)
-            yield part
-
-    return _gather(replicates, dtype, rows()), kept
-
-
-def _gather(replicates: int, dtype, parts) -> np.ndarray:
-    """The chunks' rows, in chunk order, in one array of ``dtype``."""
-    out = None
     start = 0
     for part in parts:
-        if out is None:
+        if paths is not None:
+            part, part_kept = part
+            kept.extend(part_kept)
+        if start == 0:
             out = np.empty((replicates, *np.shape(part)[1:]), dtype=dtype)
         out[start : start + len(part)] = part
         start += len(part)
-    return np.empty(0, dtype=dtype) if out is None else out
+    return out if paths is None else (out, kept)

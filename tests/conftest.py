@@ -29,15 +29,15 @@ def mild_selective_coupling() -> CoupledMeasure:
 
 @pytest.fixture
 def pool_workers(monkeypatch) -> list[int]:
-    """Worker counts of the process pools started while the test runs."""
+    """Worker counts of the thread pools started while the test runs."""
     import concurrent.futures
 
     started: list[int] = []
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     return started

@@ -442,6 +442,27 @@ BAD_MEASURES = {
     "atom_mass_nan": {
         "lambda_minus": {"atoms": [[0.2, float("nan")]]}, "lambda_plus": PAIR["lambda_plus"],
     },
+    # nothing is cast and a bool is not a number
+    "beta_grid_string": {
+        "lambda_minus": {"density": {"kind": "beta", "params": [2, 2], "grid": "abc"}},
+        "lambda_plus": PAIR["lambda_plus"],
+    },
+    "beta_grid_float": {
+        "lambda_minus": {"density": {"kind": "beta", "params": [2, 2], "grid": 5.7}},
+        "lambda_plus": PAIR["lambda_plus"],
+    },
+    "beta_one_param": {
+        "lambda_minus": {"density": {"kind": "beta", "params": [2]}},
+        "lambda_plus": PAIR["lambda_plus"],
+    },
+    "coupling_atom_short": {"coupling": {"atoms": [[0.4, 0.15, 0.8], [0.2, 0.1]]}},
+    "atom_long": {
+        "lambda_minus": {"atoms": [[0.25, 0.5, 9]]}, "lambda_plus": PAIR["lambda_plus"],
+    },
+    "atom_location_string": {
+        "lambda_minus": {"atoms": [["x", 0.5]]}, "lambda_plus": PAIR["lambda_plus"],
+    },
+    "coupling_y_bool": {"coupling": {"atoms": [[True, 0.1, 1.0]]}},
 }
 BAD_PARAMS = {
     "moran_x0_above_one": ("moran_sim", {"N": 10, "horizon": 1.0, "x0": 1.5}),
@@ -495,6 +516,13 @@ MESSAGES = {
     "coupling_y_nan": "y coordinates must be finite",
     "coupling_mass_inf": "atom masses must be finite",
     "atom_mass_nan": "atom masses must be finite",
+    "beta_grid_string": "measures.lambda_minus: density.grid must be an int, got 'abc'",
+    "beta_grid_float": "measures.lambda_minus: density.grid must be an int, got 5.7",
+    "beta_one_param": "measures.lambda_minus: density.params must be [a, b], got [2]",
+    "coupling_atom_short": "measures.coupling: atoms[1] must be [y, z, mass], got [0.2, 0.1]",
+    "atom_long": "measures.lambda_minus: atoms[0] must be [loc, mass], got [0.25, 0.5, 9]",
+    "atom_location_string": "measures.lambda_minus: atoms[0] loc must be a number, got 'x'",
+    "coupling_y_bool": "measures.coupling: atoms[0] y must be a number, got True",
     # SELECTIVE has mass 1.4
     "asg_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
     "moran_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",

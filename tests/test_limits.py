@@ -9,6 +9,7 @@ from lambda_asg.limits import (
     TruncationScheme,
     chain_final_states,
     convergence_study,
+    frequency_generator,
     ks_bootstrap_stderr,
     ks_distance,
     limit_chain_rates,
@@ -153,6 +154,16 @@ class TestSdePaths:
         )
 
 
+class TestFrequencyGenerator:
+    def test_identity_loses_the_selective_drift(self, example_coupling, mild_selective_coupling):
+        # x -> x: the neutral jumps cancel and only -x (1 - x) z is left
+        xs = np.linspace(0.0, 1.0, 41)
+        for coupling in (example_coupling, mild_selective_coupling):
+            drift = frequency_generator(coupling, lambda v: v, xs)
+            expected = -xs * (1.0 - xs) * coupling.selective_mass()
+            assert np.allclose(drift, expected, rtol=0.0, atol=1e-15)
+
+
 class TestTruncation:
     def test_scheme_validation(self):
         with pytest.raises(ValueError):
@@ -257,6 +268,11 @@ class TestLimitChain:
         from scipy.stats import chi2_contingency
 
         assert chi2_contingency(table).pvalue > 1e-3
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_batch_refuses_nonpositive_horizon(self, example_coupling, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            chain_final_states(example_coupling, 3, horizon, 4, seed=1)
 
     def test_tight_occupation_for_weak_selection(self):
         weak = CoupledMeasure.from_atoms([(0.4, 0.02, 1.0)])

@@ -1,10 +1,17 @@
 import contextlib
 import io
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 
-from lambda_asg import asg, cli, limits, moran, rng
+import lambda_asg
+from lambda_asg import asg, cli, duality, limits, moran, rng
 from lambda_asg.measures import CoupledMeasure
 
 
@@ -47,6 +54,57 @@ def test_batched_keeps_one_chunk_in_process(pool_workers):
     rows = rng.batched(4, 8, (99,), float, _draws, 3, chunk=4, threads=2)
     assert np.array_equal(rows, rng.substream(8, 99, 0).random((4, 3)))
     assert pool_workers == []
+
+
+def test_batched_runs_a_closure_on_threads(pool_workers):
+    k = 3
+
+    def draws(n, stream):  # a closure, which does not pickle
+        return stream.random((n, k))
+
+    serial = rng.batched(10, 8, (99,), float, draws, chunk=4)
+    assert np.array_equal(rng.batched(10, 8, (99,), float, draws, chunk=4, threads=2), serial)
+    assert pool_workers == [2]
+
+
+def test_batched_leaves_no_workers_behind():
+    before = threading.active_count()
+    rng.batched(10, 8, (99,), float, _draws, 3, chunk=2, threads=2)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == before
+
+
+def test_threads_share_a_fresh_coupling_without_races():
+    # more threads than cores, a short switch interval, and a coupling whose
+    # cached atom table the chunks first read concurrently
+    def counts(threads):
+        c = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
+        return rng.batched(
+            200, 3, (99,), np.int64,
+            lambda n, s: duality._pathwise_counts(*duality._pathwise_draws(n, s, 10, c, 1.0, 5, 3)),
+            chunk=4, threads=threads,
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = counts(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(pooled, counts(1))
+
+
+def test_cli_import_loads_no_pool_modules():
+    code = (
+        "import sys, lambda_asg.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    src = str(Path(lambda_asg.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_each_stream_key_has_one_consumer(tmp_path, monkeypatch):
