@@ -23,8 +23,9 @@ Nothing is cast: an int is also a float, a bool is not an int, and
 no output directory and writes nothing: it returns its exit code and its
 artifacts, and ``cmd_run`` writes them and then ``manifest.json`` (config echo,
 seed rule, wall time, artifact names), so a run that raises writes no
-artifact.  Exit codes: 0 success, 1 validation error, 2 numerical
-acceptance failure.
+artifact.  An unknown key is refused by name at every level of a config.
+Exit codes: 0 success, 1 validation error (a usage error included), 2
+numerical acceptance failure.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ def load_config(path: str) -> dict:
         ) from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    measures._refuse_unknown(
+        cfg, ("experiment", "measures", "params", "seed", "output_dir"), "config keys"
+    )
     return cfg
 
 
@@ -112,6 +116,7 @@ def _parse_measures(cfg: dict):
     """The config's measures: a ready-made coupling, or the ordered pair
     ``(lambda_minus, lambda_plus)``."""
     spec = _field(cfg, "measures", dict)
+    measures._refuse_unknown(spec, ("lambda_minus", "lambda_plus", "coupling"), "measures keys")
     has_coupling = "coupling" in spec
     if has_coupling == ("lambda_minus" in spec or "lambda_plus" in spec):
         raise ConfigError(
@@ -196,11 +201,7 @@ def _params(runner, cfg: dict) -> dict:
         p.name: p.default for p in inspect.signature(runner).parameters.values()
         if p.kind is p.KEYWORD_ONLY
     }
-    unknown = sorted(set(params) - set(declared))
-    if unknown:
-        raise ConfigError(
-            f"unknown params {', '.join(unknown)}; valid names: {', '.join(declared) or 'none'}"
-        )
+    measures._refuse_unknown(params, tuple(declared), "params")
     hints = typing.get_type_hints(runner)
     return {name: _field(params, name, hints[name], default) for name, default in declared.items()}
 
@@ -514,7 +515,7 @@ def check_measures(cfg: dict) -> dict:
         report["order_witness"] = witness
         return report
     record = measures.normalize_pair(lm, lp)
-    coupling = measures.quantile_coupling(record.mu_minus, record.mu_plus).scaled(record.rate_scale)
+    coupling = record.coupling()
     mismatch = measures.marginal_mismatch(coupling, lm, lp)
     report.update({
         "rate_scale": record.rate_scale,
@@ -554,7 +555,11 @@ def main(argv: list[str] | None = None) -> int:
     p_check = sub.add_parser("check", help="validate the measures in a config")
     p_check.add_argument("config")
     p_check.set_defaults(func=cmd_check)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # a usage error is a config error; --help exits 0
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

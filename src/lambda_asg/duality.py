@@ -62,12 +62,12 @@ def line_count_generator(N: int, coupling: CoupledMeasure) -> np.ndarray:
 def _line_count_rows(rows: MixtureRows, N: int) -> np.ndarray:
     """:func:`line_count_generator` at N read from ``rows``, which hold rows
     0..N or more."""
-    A = np.zeros((N + 1, N + 1))
-    for n in range(1, N + 1):
-        row = rows.ancestor_row(n, N)
-        # the branch out of N has rate 0
-        A[n, : n + 2] = row[: N + 1]
-        A[n, n] = -row.sum()
+    rates = rows.ancestor_rates(N, N)
+    # the branch out of N, column N + 1, has rate 0
+    A = rates[:, : N + 1].copy()
+    # each diagonal entry sums its row's own n + 2 entries: a sum over the
+    # zero-padded row would group numpy's pairwise sum differently
+    np.fill_diagonal(A[1:, 1:], [-rates[n, : n + 2].sum() for n in range(1, N + 1)])
     return A
 
 
@@ -235,7 +235,7 @@ def limit_generator_duality(
         raise ValueError("n_max limited to 12")
     xs = np.linspace(0.0, 1.0, grid)
     c = coupling
-    rows = MixtureRows(c, range(n_max + 1))
+    rates = MixtureRows(c, range(n_max + 1)).ancestor_rates(n_max, None)
     worst = 0.0
     for n in range(1, n_max + 1):
         # frequency side: the limit generator applied to x -> x^n
@@ -243,6 +243,6 @@ def limit_generator_duality(
         # count side: the limit chain's branch sends x^n to x^{n+1}, its
         # coalescence to n - j lines sends it to x^{n-j}
         targets = np.concatenate([[n + 1], np.arange(n - 1, 0, -1)])
-        ah = (xs[:, None] ** targets - xs[:, None] ** n) @ rows.ancestor_row(n, None)[targets]
+        ah = (xs[:, None] ** targets - xs[:, None] ** n) @ rates[n, targets]
         worst = max(worst, float(np.abs(bh - ah).max()))
     return worst

@@ -294,22 +294,26 @@ def defining_identity_residual(
     """
     xs = np.linspace(0.0, 1.0, IDENTITY_GRID)
     nodes, wts = gauss_legendre_01(_QUAD_ORDER)
+    quad = 2.0 * nodes * wts  # the density 2u of U on the u-grid
     c = coupling
     tilde_mass = float(c.masses @ (c.ys * c.ys + c.zs))
+    # the quadrature points of each atom, which no order changes
+    lhs_terms, rhs_terms = [], []
+    for wa, ya, za in zip(c.masses, c.ys, c.zs):
+        if ya > 0.0:
+            w_vals = nodes * ya  # W = U y on the u-grid
+            shrunk = xs[:, None] * (1.0 - w_vals)
+            lhs_terms.append((wa * ya * ya / tilde_mass, shrunk + w_vals, shrunk, w_vals))
+        if za > 0.0:
+            rhs_terms.append((wa * za / tilde_mass, xs[:, None] * (1.0 - ya - za * nodes)))
     worst = 0.0
     for n in range(1, seq.nmax + 1):
         lhs = np.zeros_like(xs)
+        for weight, hi, lo, w_vals in lhs_terms:
+            lhs += weight * ((seq.h(n, hi) - seq.h(n, lo)) / w_vals @ quad)
         rhs = np.zeros_like(xs)
-        for wa, ya, za in zip(c.masses, c.ys, c.zs):
-            if ya > 0.0:
-                w_vals = nodes * ya  # W = U y on the u-grid
-                shrunk = xs[:, None] * (1.0 - w_vals[None, :])
-                quotient = (seq.h(n, shrunk + w_vals[None, :]) - seq.h(n, shrunk)) \
-                    / w_vals[None, :]
-                lhs += (wa * ya * ya / tilde_mass) * (quotient @ (2.0 * nodes * wts))
-            if za > 0.0:
-                args = xs[:, None] * (1.0 - ya - za * nodes[None, :])
-                rhs += (wa * za / tilde_mass) * (seq.h(n - 1, args) @ wts)
+        for weight, args in rhs_terms:
+            rhs += weight * (seq.h(n - 1, args) @ wts)
         rhs *= n
         scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
         worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)

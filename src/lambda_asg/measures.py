@@ -270,6 +270,10 @@ class NormalizationRecord:
     c: float
     rate_scale: float
 
+    def coupling(self) -> "CoupledMeasure":
+        """The quantile coupling of the normalized pair, run at ``rate_scale``."""
+        return quantile_coupling(self.mu_minus, self.mu_plus).scaled(self.rate_scale)
+
 
 def normalize_pair(lm: FiniteMeasure1D, lp: FiniteMeasure1D) -> NormalizationRecord:
     """Reduce an ordered pair of finite measures to probability measures.
@@ -300,9 +304,10 @@ def normalize_pair(lm: FiniteMeasure1D, lp: FiniteMeasure1D) -> NormalizationRec
 def quantile_coupling(a: FiniteMeasure1D, b: FiniteMeasure1D) -> CoupledMeasure:
     """Monotone (inverse-CDF) coupling of an ordered pair of equal total mass.
 
-    Sweeps the merged breakpoints of both cumulative-mass functions; each
-    u-interval of length m contributes one atom ``(F_a^{-1}, F_b^{-1} - F_a^{-1})``
-    of mass m.  Intended for probability measures; any pair of equal total
+    Splits [0, total_mass] at the merged breakpoints of both cumulative-mass
+    functions; each u-interval of length m contributes one atom
+    ``(F_a^{-1}, F_b^{-1} - F_a^{-1})`` of mass m, with both inverse CDFs read
+    at once over all intervals by ``searchsorted``.  Intended for probability measures; any pair of equal total
     mass works after the same construction on [0, total_mass].
 
     Raises:
@@ -317,31 +322,22 @@ def quantile_coupling(a: FiniteMeasure1D, b: FiniteMeasure1D) -> CoupledMeasure:
     w = order_violation_witness(a, b)
     if w is not None:
         raise OrderViolation(f"tail mass of the lower measure exceeds the upper at x={w}")
-    cum_a = np.cumsum(a.masses)
-    cum_b = np.cumsum(b.masses)
-    breaks = np.unique(np.concatenate([cum_a, cum_b]))
-    atoms = []
-    prev = 0.0
-    ia = ib = 0
-    for u in breaks:
-        m = u - prev
-        if m > MASS_DROP:
-            y = a.locations[ia]
-            gap = b.locations[ib] - y
-            if gap < -1e-9:
-                raise OrderViolation(
-                    f"inverse CDFs cross at cumulative mass {u}: gap {gap}"
-                )
-            atoms.append((y, max(gap, 0.0), m))
-        prev = u
-        #  advance inverse-CDF indices past exhausted atoms
-        while ia < len(cum_a) and cum_a[ia] <= u + MASS_DROP:
-            ia += 1
-        while ib < len(cum_b) and cum_b[ib] <= u + MASS_DROP:
-            ib += 1
-        ia = min(ia, len(a.locations) - 1)
-        ib = min(ib, len(b.locations) - 1)
-    return CoupledMeasure.from_atoms(atoms)
+    cums = [np.cumsum(a.masses), np.cumsum(b.masses)]
+    breaks = np.unique(np.concatenate(cums))
+    starts = np.concatenate([[0.0], breaks[:-1]])
+    keep = breaks - starts > MASS_DROP
+    breaks, starts = breaks[keep], starts[keep]
+    # each inverse CDF on (start, break] is the first atom not exhausted at start
+    ys, upper = (
+        m.locations[np.minimum(cum.searchsorted(starts + MASS_DROP, side="right"), len(m) - 1)]
+        for m, cum in zip((a, b), cums)
+    )
+    gaps = upper - ys
+    crossed = np.flatnonzero(gaps < -1e-9)
+    if len(crossed):
+        i = crossed[0]
+        raise OrderViolation(f"inverse CDFs cross at cumulative mass {breaks[i]}: gap {gaps[i]}")
+    return CoupledMeasure.from_atoms(zip(ys, np.maximum(gaps, 0.0), breaks - starts))
 
 
 def coupling_from_pair(lm: FiniteMeasure1D, lp: FiniteMeasure1D) -> CoupledMeasure:
@@ -350,8 +346,7 @@ def coupling_from_pair(lm: FiniteMeasure1D, lp: FiniteMeasure1D) -> CoupledMeasu
     The result drives every event-driven process at total event rate
     ``|lambda_plus|`` (minus any stripped (0,0) no-op atoms).
     """
-    rec = normalize_pair(lm, lp)
-    return quantile_coupling(rec.mu_minus, rec.mu_plus).scaled(rec.rate_scale)
+    return normalize_pair(lm, lp).coupling()
 
 
 def marginal_mismatch(
@@ -398,6 +393,15 @@ def _numbers(values, where: str, names: tuple[str, ...]) -> list[float]:
     return [_number(v, f"{where} {name}") for v, name in zip(values, names)]
 
 
+def _refuse_unknown(spec: dict, names: tuple[str, ...], what: str) -> None:
+    """ValueError naming the keys of ``spec`` outside ``names``, and ``names``."""
+    unknown = sorted(set(spec) - set(names))
+    if unknown:
+        raise ValueError(
+            f"unknown {what} {', '.join(unknown)}; valid names: {', '.join(names) or 'none'}"
+        )
+
+
 def _atoms(spec: dict, names: tuple[str, ...]) -> list[list[float]]:
     """The spec's ``atoms``: a list of atoms, each of one number per name."""
     atoms = spec.get("atoms")
@@ -409,7 +413,9 @@ def _atoms(spec: dict, names: tuple[str, ...]) -> list[list[float]]:
 def measure_from_config(spec: dict) -> FiniteMeasure1D:
     """Parse a measure description: {"atoms": [[loc, mass], ...]} or
     {"density": {"kind": "beta", "params": [a, b], "grid": n, "mass": m}};
-    ValueError naming the field (and the atom) if it is malformed."""
+    ValueError naming the field (and the atom) if it is malformed or the key
+    if it is unknown."""
+    _refuse_unknown(spec, ("atoms", "density"), "keys")
     if "atoms" in spec:
         return FiniteMeasure1D.from_atoms(_atoms(spec, ("loc", "mass")))
     if "density" not in spec:
@@ -417,6 +423,7 @@ def measure_from_config(spec: dict) -> FiniteMeasure1D:
     d = spec["density"]
     if not isinstance(d, dict) or d.get("kind") != "beta":
         raise ValueError(f"density must be {{'kind': 'beta', ...}}, got {d!r}")
+    _refuse_unknown(d, ("kind", "params", "grid", "mass"), "density keys")
     a, b = _numbers(d.get("params"), "density.params", ("a", "b"))
     grid = d.get("grid", 256)
     if isinstance(grid, bool) or not isinstance(grid, numbers.Integral):
@@ -427,5 +434,7 @@ def measure_from_config(spec: dict) -> FiniteMeasure1D:
 
 def coupling_from_config(spec: dict) -> CoupledMeasure:
     """Parse a coupling description {"atoms": [[y, z, mass], ...]}; ValueError
-    naming the field (and the atom) if it is malformed."""
+    naming the field (and the atom) if it is malformed or the key if it is
+    unknown."""
+    _refuse_unknown(spec, ("atoms",), "keys")
     return CoupledMeasure.from_atoms(_atoms(spec, ("y", "z", "mass")))

@@ -14,7 +14,10 @@ state (the diagonal entry is left 0):
   ``x T_y[n - 1, j] + (1 - x) T_y[n, j + 1]`` (a member reproducer hits j
   other lines neutrally, or an outside one hits j + 1) and ``n -> n + 1`` at
   ``(1 - x) (T_y[n, 0] - T_{y+z}[n, 0])`` (an outside reproducer whose hits
-  are all selective), for targets 0..n+1.
+  are all selective), for targets 0..n+1.  :meth:`MixtureRows.ancestor_rates`
+  (K, N) stacks rows 1..K into the count's off-diagonal rates on 0..K, the one
+  builder that the dense finite-N generator, the limit generator identity
+  and :class:`AncestorChain` read.
 
 Rows follow the Pascal recurrence ``B(m + 1, k) = (1 - p) B(m, k) + p B(m, k - 1)``,
 vectorized over atoms: every term is nonnegative, so relative accuracy holds in
@@ -74,10 +77,22 @@ class MixtureRows:
         row[1:n][::-1] = x * self.y[n - 1][1:n] + (1.0 - x) * self.y[n][2 : n + 1]
         return row
 
+    def ancestor_rates(self, K: int, N: int | None) -> np.ndarray:
+        """The ancestor count's off-diagonal rates on states 0..K, a
+        ``(K + 1, K + 2)`` array: row n is :meth:`ancestor_row` (n, N) at
+        targets 0..n+1 for n = 1..K, row 0 is 0, and column K + 1 holds the
+        branch out of K (0 at K = N).  ``K <= N`` at finite N, any K in the
+        limit; needs rows 0..K."""
+        rates = np.zeros((K + 1, K + 2))
+        for n in range(1, K + 1):
+            rates[n, : n + 2] = self.ancestor_row(n, N)
+        return rates
+
 
 class AncestorChain:
     """Cumulative jump rows ``cum`` and total rates ``total`` of the limit
-    ancestor count on states ``0..size``.  Row s runs over the targets from
+    ancestor count on states ``0..size``, from
+    :meth:`MixtureRows.ancestor_rates`.  Row s runs over the targets from
     the top down: index k is target ``size + 1 - k``, so a row is 0 above its
     branch (target s + 1), accumulates the targets s + 1 down to 2 and is 1
     from target 1 on.  The rows grow on demand by rebuilding at the larger
@@ -91,10 +106,7 @@ class AncestorChain:
     def grow(self, size: int) -> None:
         if size < len(self.total):
             return
-        rows = MixtureRows(self.coupling, range(size + 1))
-        rates = np.zeros((size + 1, size + 2))
-        for s in range(1, size + 1):
-            rates[s, : s + 2] = rows.ancestor_row(s, None)
+        rates = MixtureRows(self.coupling, range(size + 1)).ancestor_rates(size, None)
         self.total = rates.sum(axis=1)
         self.cum = np.divide(
             np.cumsum(rates[:, ::-1], axis=1), self.total[:, None],

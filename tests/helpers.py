@@ -10,7 +10,8 @@ from math import comb
 import numpy as np
 
 from lambda_asg.asg import OUTCOME_NEUTRAL, OUTCOME_NONE, AsgRealization
-from lambda_asg.measures import CoupledMeasure, FiniteMeasure1D
+from lambda_asg.errors import OrderViolation
+from lambda_asg.measures import MASS_DROP, CoupledMeasure, FiniteMeasure1D
 
 
 def random_ordered_pair(
@@ -46,6 +47,37 @@ def random_ordered_pair(
             lower_atoms.append((new_loc, w * mass))
     lower = FiniteMeasure1D.from_atoms(lower_atoms)
     return lower, upper
+
+
+def reference_quantile_coupling(a: FiniteMeasure1D, b: FiniteMeasure1D) -> CoupledMeasure:
+    """The quantile coupling of an ordered pair of equal mass by a hand-stepped
+    sweep of the merged breakpoints: the slow reference for
+    :func:`lambda_asg.measures.quantile_coupling` after its input checks."""
+    cum_a = np.cumsum(a.masses)
+    cum_b = np.cumsum(b.masses)
+    breaks = np.unique(np.concatenate([cum_a, cum_b]))
+    atoms = []
+    prev = 0.0
+    ia = ib = 0
+    for u in breaks:
+        m = u - prev
+        if m > MASS_DROP:
+            y = a.locations[ia]
+            gap = b.locations[ib] - y
+            if gap < -1e-9:
+                raise OrderViolation(
+                    f"inverse CDFs cross at cumulative mass {u}: gap {gap}"
+                )
+            atoms.append((y, max(gap, 0.0), m))
+        prev = u
+        # advance the inverse-CDF indices past the exhausted atoms
+        while ia < len(cum_a) and cum_a[ia] <= u + MASS_DROP:
+            ia += 1
+        while ib < len(cum_b) and cum_b[ib] <= u + MASS_DROP:
+            ib += 1
+        ia = min(ia, len(a.locations) - 1)
+        ib = min(ib, len(b.locations) - 1)
+    return CoupledMeasure.from_atoms(atoms)
 
 
 def random_coupling(rng: np.random.Generator, max_atoms: int = 4) -> CoupledMeasure:

@@ -463,6 +463,16 @@ BAD_MEASURES = {
         "lambda_minus": {"atoms": [["x", 0.5]]}, "lambda_plus": PAIR["lambda_plus"],
     },
     "coupling_y_bool": {"coupling": {"atoms": [[True, 0.1, 1.0]]}},
+    # unknown keys are refused at every level
+    "measures_unknown_key": {**SELECTIVE, "extra": 1},
+    "atoms_spec_unknown_key": {
+        "lambda_minus": {**PAIR["lambda_minus"], "mass": 2.0}, "lambda_plus": PAIR["lambda_plus"],
+    },
+    "coupling_spec_unknown_key": {"coupling": {**SELECTIVE["coupling"], "mass": 2.0}},
+    "beta_density_unknown_key": {
+        "lambda_minus": {"density": {"kind": "beta", "params": [2, 2], "gird": 8}},
+        "lambda_plus": PAIR["lambda_plus"],
+    },
 }
 BAD_PARAMS = {
     "moran_x0_above_one": ("moran_sim", {"N": 10, "horizon": 1.0, "x0": 1.5}),
@@ -523,6 +533,14 @@ MESSAGES = {
     "atom_long": "measures.lambda_minus: atoms[0] must be [loc, mass], got [0.25, 0.5, 9]",
     "atom_location_string": "measures.lambda_minus: atoms[0] loc must be a number, got 'x'",
     "coupling_y_bool": "measures.coupling: atoms[0] y must be a number, got True",
+    "measures_unknown_key":
+        "unknown measures keys extra; valid names: lambda_minus, lambda_plus, coupling",
+    "atoms_spec_unknown_key":
+        "measures.lambda_minus: unknown keys mass; valid names: atoms, density",
+    "coupling_spec_unknown_key": "measures.coupling: unknown keys mass; valid names: atoms",
+    "beta_density_unknown_key":
+        "measures.lambda_minus: unknown density keys gird; valid names: kind, params, grid, mass",
+    "asg_replicates_typo": "unknown params replicate; valid names: N, horizon, replicates",
     # SELECTIVE has mass 1.4
     "asg_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
     "moran_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
@@ -549,6 +567,44 @@ def test_invalid_config_is_a_config_error(tmp_path, capsys, case):
         assert main(["check", cfg]) == 1
         report = json.loads(capsys.readouterr().out)
         assert not report["valid"] and report["issues"]
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_unknown_top_level_key_is_refused_by_name(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "coupling_report", "measures": SELECTIVE, "seed": 1,
+        "output_dir": str(tmp_path / "out"), "outptu_dir": str(tmp_path / "typo"),
+    })
+    assert main([command, cfg]) == 1
+    assert capsys.readouterr().err == (
+        "config error: unknown config keys outptu_dir; "
+        "valid names: experiment, measures, params, seed, output_dir\n"
+    )
+    assert files_in(tmp_path / "out") == files_in(tmp_path / "typo") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "c.json", "--threads", "two"], ["run", "c.json", "--seed", "x"], [],
+], ids=["threads_not_an_int", "seed_not_an_int", "no_command"])
+def test_usage_errors_exit_one(capsys, argv):
+    # exit 2 is kept for numerical acceptance failures
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lambda-asg") and "error: " in err
+
+
+def test_bare_command_exits_one_and_help_zero():
+    src = str(Path(lambda_asg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    for args, code, stream in (([], 1, "stderr"), (["--help"], 0, "stdout")):
+        out = subprocess.run(
+            [sys.executable, "-m", "lambda_asg.cli", *args], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == code
+        assert getattr(out, stream).startswith("usage: lambda-asg")
 
 
 @pytest.mark.parametrize("experiment, params", [

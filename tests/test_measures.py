@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lambda_asg
-from helpers import plan_cost, random_coupling, random_ordered_pair, transport_vertices
+from helpers import (
+    plan_cost, random_coupling, random_ordered_pair, reference_quantile_coupling,
+    transport_vertices,
+)
+from lambda_asg import measures
 from lambda_asg.errors import OrderViolation, ZeroMass
 from lambda_asg.measures import (
     CoupledMeasure,
@@ -180,6 +184,48 @@ class TestQuantileCoupling:
             lm, lp = random_ordered_pair(rng)
             c = quantile_coupling(lm, lp)
             assert marginal_mismatch(c, lm, lp) < 1e-12
+
+    @staticmethod
+    def tied_pairs(rng, count):
+        """Ordered pairs of integer masses, so the two cumulative masses share
+        breaks (up to rounding once normalized), at locations on the lattice
+        k/16 or rounded to two digits; then unrounded random pairs."""
+        for _ in range(count):
+            upper = rng.integers(1, 17, size=rng.integers(1, 5)) / 16
+            if rng.random() < 0.5:
+                upper = np.round(upper + rng.uniform(-0.03, 0.03, len(upper)), 2).clip(0, 1)
+            weights = rng.integers(1, 5, size=len(upper))
+            # each upper atom's mass moves down, whole or in two integer pieces
+            lower = []
+            for loc, w in zip(upper, weights):
+                k = int(rng.integers(1, w + 1))
+                for piece in (k, w - k):
+                    lower.append((np.floor(loc * rng.integers(0, 4) / 3 * 100) / 100, piece))
+            yield FiniteMeasure1D.from_atoms(lower), FiniteMeasure1D.from_atoms(zip(upper, weights))
+        for lattice in (None, 8):
+            for _ in range(count):
+                yield random_ordered_pair(rng, lattice=lattice)
+
+    def test_matches_the_reference_sweep(self):
+        rng = np.random.default_rng(20240801)
+        for lm, lp in self.tied_pairs(rng, 400):
+            rec = normalize_pair(lm, lp)
+            got = quantile_coupling(rec.mu_minus, rec.mu_plus)
+            want = reference_quantile_coupling(rec.mu_minus, rec.mu_plus)
+            for field in ("ys", "zs", "masses"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_crossing_names_the_first_crossing_break(self, monkeypatch):
+        # past the tail-mass check, the crossing check alone refuses the pair
+        monkeypatch.setattr(measures, "order_violation_witness", lambda a, b: None)
+        # the inverse CDFs cross on (0, 0.25], (0.25, 0.5] and (0.75, 1]
+        a = FiniteMeasure1D.from_atoms([(0.6, 0.25), (0.7, 0.5), (0.99, 0.25)])
+        b = FiniteMeasure1D.from_atoms([(0.5, 0.5), (0.95, 0.25), (0.98, 0.25)])
+        with pytest.raises(OrderViolation) as want:
+            reference_quantile_coupling(a, b)
+        with pytest.raises(OrderViolation, match=r"cross at cumulative mass 0\.25: ") as got:
+            quantile_coupling(a, b)
+        assert str(got.value) == str(want.value)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

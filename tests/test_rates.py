@@ -144,6 +144,32 @@ class TestMixtureRows:
                 assert branch == row[n + 1]
 
 
+class TestAncestorRates:
+    """The one builder of the ancestor count's rates on states 0..K."""
+
+    @pytest.mark.parametrize("N", [2, 7, 150])
+    def test_finite_n_truncations_are_leading_rows(self, N):
+        full = MixtureRows(EDGES, range(N + 1)).ancestor_rates(N, N)
+        assert full.shape == (N + 1, N + 2)
+        assert not full[0].any() and full[N, N + 1] == 0.0
+        for K in sorted({1, N // 2, N - 1}):
+            rates = MixtureRows(EDGES, range(K + 1)).ancestor_rates(K, N)
+            assert np.array_equal(rates, full[: K + 1, : K + 2])
+            # column K + 1 is the branch out of K
+            assert rates[K, K + 1] == line_count_rates(N, EDGES, K)[1] > 0.0
+            assert not rates[:K, K + 1].any()
+        for n in range(1, N + 1):
+            row = MixtureRows(EDGES, (n - 1, n)).ancestor_row(n, N)
+            assert np.array_equal(full[n, : n + 2], row)
+
+    @pytest.mark.parametrize("K", [1, 7, 60])
+    def test_limit_rows_do_not_depend_on_k(self, K):
+        small = MixtureRows(EDGES, range(K + 1)).ancestor_rates(K, None)
+        big = MixtureRows(EDGES, range(2 * K + 1)).ancestor_rates(2 * K, None)
+        assert np.array_equal(small[1:], big[1 : K + 1, : K + 2])
+        assert small[K, K + 1] == limit_chain_rates(EDGES, K)[1] > 0.0
+
+
 class TestOneRowSource:
     """The dense generators and the public rates are the same numbers."""
 
