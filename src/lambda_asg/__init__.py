@@ -14,7 +14,6 @@ Subpackages:
 from . import asg, duality, fixation, limits, measures, moran
 from .errors import (
     DegenerateSelection,
-    InfiniteMass,
     LambdaAsgError,
     NearSingular,
     NotConverged,
@@ -45,6 +44,6 @@ __all__ = [
     "coupling_from_pair", "integrate", "normalize_pair", "quantile_coupling",
     "stochastic_order_leq", "transport_cost",
     "LambdaAsgError", "OrderViolation", "ZeroMass", "SizeLimit",
-    "SingularSystem", "InfiniteMass", "StateCapReached",
+    "SingularSystem", "StateCapReached",
     "DegenerateSelection", "NearSingular", "NotConverged",
 ]

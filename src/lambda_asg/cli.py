@@ -378,7 +378,7 @@ def run_fixation(
     residuals = fixation.harmonicity_values(solver.seq, coupling, xs)
     values, lasts = fixation.fixation_series(solver.seq, xs, nmax)
     # rows whose series has not converged keep their partial sums; exit 2
-    exit_code = 2 if np.any(lasts > fixation.SERIES_TOL * np.abs(values)) else 0
+    exit_code = 2 if np.any(fixation.unconverged(values, lasts)) else 0
     payload = {
         "neutral": False,
         "nmax": nmax,

@@ -23,10 +23,6 @@ class SingularSystem(LambdaAsgError):
     """The interior absorption system is singular (reducible chain)."""
 
 
-class InfiniteMass(LambdaAsgError):
-    """Event-driven simulation needs a finite total jump rate."""
-
-
 class StateCapReached(LambdaAsgError):
     """A line-counting path exceeded the configured state cap."""
 

@@ -48,6 +48,8 @@ PIVOT_TOL = 1e-13
 # the series counts as converged when its last term is at most this share of
 # its value
 SERIES_TOL = 1e-10
+# the series weight 2^n / n! needs n! as a float, and 171! overflows one
+MAX_ORDER = 170
 _QUAD_ORDER = 64  # exact for polynomial integrands up to degree 127
 # x-grid size of defining_identity_residual
 IDENTITY_GRID = 21
@@ -134,16 +136,23 @@ class PolySeq:
         return out
 
 
+def _check_order(nmax: int) -> None:
+    if nmax > MAX_ORDER:
+        raise ValueError(f"nmax must be at most {MAX_ORDER} (n! must fit a float), got {nmax}")
+
+
 def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
     """Back-substitute the triangular recursion up to order ``nmax``.
 
-    Needs ``table.jmax >= nmax - 1`` and ``table.kmax >= nmax - 1``.
+    Needs ``table.jmax >= nmax - 1``, ``table.kmax >= nmax - 1`` and
+    ``nmax <= MAX_ORDER``.
 
     Raises:
         DegenerateSelection: if some required q[j] is not positive (the
             selective gap vanishes; use :func:`p_neutral`).
         NearSingular: if a back-substitution pivot falls below tolerance.
     """
+    _check_order(nmax)
     if table.jmax < nmax - 1 or table.kmax < nmax - 1:
         raise ValueError("moment table too small for requested order")
     M, q = table.M, table.q
@@ -178,9 +187,11 @@ def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
 
 
 def build_fixation_solver(coupling: CoupledMeasure, nmax: int = 30) -> "FixationSolver":
-    """Convenience: moment table sized for ``nmax >= 1`` plus polynomials."""
+    """Convenience: moment table sized for ``1 <= nmax <= MAX_ORDER`` plus
+    polynomials; ``nmax`` is checked before the table is built."""
     if nmax < 1:
         raise ValueError(f"nmax must be at least 1, got {nmax}")
+    _check_order(nmax)
     table = build_moment_table(coupling, jmax=nmax - 1, kmax=nmax - 1)
     seq = build_polynomials(table, nmax)
     return FixationSolver(coupling=coupling, table=table, seq=seq, nmax=nmax)
@@ -197,15 +208,25 @@ class FixationSolver:
         return fixation_probability(self.seq, x, self.nmax)[0]
 
 
+def _series_weight(n: int) -> float:
+    """The weight ``2^n / n! / (e^2 - 1)`` of H_n in the series for p."""
+    return 1.0 / math.expm1(2.0) * 2.0**n / math.factorial(n)
+
+
+def unconverged(values, lasts):
+    """Where the series has not converged: its last term exceeds
+    :data:`SERIES_TOL` of its value."""
+    return lasts > SERIES_TOL * np.abs(values)
+
+
 def fixation_series_coeffs(seq: PolySeq, nmax: int) -> np.ndarray:
     """Polynomial coefficients of the truncated series for p."""
     if nmax > seq.nmax:
         raise ValueError("sequence not built far enough")
-    scale = 1.0 / math.expm1(2.0)
     out = np.zeros(nmax + 2)
     for n in range(1, nmax + 1):
         hn = seq.antiderivative_coeffs(n)
-        out[: len(hn)] += scale * 2.0**n / math.factorial(n) * hn
+        out[: len(hn)] += _series_weight(n) * hn
     return out
 
 
@@ -217,19 +238,18 @@ def fixation_series(
 
     Each antiderivative is evaluated once for the whole grid and the orders
     are summed in increasing n, so every entry equals the one-point sum.
-    Convergence is left to the caller (see :data:`SERIES_TOL`).
+    Convergence is left to the caller (see :func:`unconverged`).
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
     if nmax > seq.nmax:
         raise ValueError("sequence not built far enough")
-    scale = 1.0 / math.expm1(2.0)
     value = np.zeros_like(xs)
     last = np.zeros_like(xs)
     for n in range(1, nmax + 1):
         hn = _horner(seq.antiderivative_coeffs(n), xs)
-        last = scale * 2.0**n / math.factorial(n) * hn
+        last = _series_weight(n) * hn
         value += last
     return value, np.abs(last)
 
@@ -242,7 +262,7 @@ def fixation_probability(seq: PolySeq, x: float, nmax: int) -> tuple[float, floa
     """
     values, lasts = fixation_series(seq, np.array([x]), nmax)
     value, last = float(values[0]), float(lasts[0])
-    if last > SERIES_TOL * abs(value):
+    if unconverged(value, last):
         raise NotConverged(
             f"last series term {last:.3e} exceeds {SERIES_TOL} of p({x}) = {value:.6e}"
         )

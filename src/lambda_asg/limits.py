@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asg import _ancestor_run, _count_rates
-from .errors import InfiniteMass, NotConverged, StateCapReached
+from .errors import NotConverged, StateCapReached
 from .measures import CoupledMeasure
 from .moran import MoranConfig, record_events, run_events, simulate_final_counts
 from .paths import FrequencyPath
@@ -61,11 +61,6 @@ class SdeConfig:
         _check_x0(self.x0)
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if not np.isfinite(self.coupling.total_mass):
-            raise InfiniteMass("event-driven simulation needs a finite-mass coupling")
-        moment = self.coupling.integrate(lambda y, z: y * y + z)
-        if not np.isfinite(moment):
-            raise ValueError("coupling must have finite y^2 + z integral")
 
 
 @dataclass(frozen=True)

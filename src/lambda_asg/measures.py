@@ -49,12 +49,41 @@ def _merge_atoms(keys: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.n
     return keys[starts], merged
 
 
-def _reject_nonfinite(*columns: tuple[str, np.ndarray]) -> None:
-    """Raise ValueError naming the first ``(name, values)`` column with a NaN
-    or an infinity."""
-    for name, values in columns:
+def _from_columns(cls, atoms: Iterable[tuple], names: tuple[str, ...], tidy: Callable):
+    """``cls`` built from ``atoms``, each read as one float per name in
+    ``names`` (the masses last).
+
+    ValueError names the first column with a NaN or an infinity; a negative
+    mass and an overflowing total are refused too.  ``tidy`` applies the
+    class's own coordinate rules to the columns and returns the ones to
+    store, which are made read-only and followed by their total mass.
+    """
+    rows = list(atoms)
+    columns = [np.asarray([row[i] for row in rows], dtype=float) for i in range(len(names))]
+    for name, values in zip(names, columns):
         if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite")
+    if np.any(columns[-1] < 0.0):
+        raise ValueError("atom masses must be nonnegative")
+    # a merge of duplicates or the total may overflow to inf: the check below tells
+    with np.errstate(over="ignore"):
+        columns = tidy(*columns)
+        total = float(columns[-1].sum())
+    if not math.isfinite(total):
+        raise ValueError("total mass must be finite")
+    for values in columns:
+        values.setflags(write=False)
+    return cls(*columns, total)
+
+
+def _tidy_line(locs: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate rules of a measure on [0, 1]: locations in range, then
+    duplicates merged, then dust dropped."""
+    if np.any(locs < 0.0) or np.any(locs > 1.0):
+        raise ValueError("atom locations must lie in [0, 1]")
+    keys, ms = _merge_atoms(locs, ms)
+    keep = ms > MASS_DROP
+    return keys[keep, 0], ms[keep]
 
 
 @dataclass(frozen=True)
@@ -70,24 +99,11 @@ class FiniteMeasure1D:
         """Build from (location, mass) pairs; merges duplicates, drops dust.
 
         Raises:
-            ValueError: if a location is outside [0, 1], a mass is negative
-                or either is not finite.
+            ValueError: if a location or a mass is not finite, a mass is
+                negative, a location is outside [0, 1] or the total mass
+                overflows.
         """
-        pairs = list(atoms)
-        locs = np.asarray([p[0] for p in pairs], dtype=float)
-        ms = np.asarray([p[1] for p in pairs], dtype=float)
-        _reject_nonfinite(("atom locations", locs), ("atom masses", ms))
-        if np.any(locs < 0.0) or np.any(locs > 1.0):
-            raise ValueError("atom locations must lie in [0, 1]")
-        if np.any(ms < 0.0):
-            raise ValueError("atom masses must be nonnegative")
-        locs, ms = _merge_atoms(locs, ms)
-        locs = locs[:, 0]
-        keep = ms > MASS_DROP
-        locs, ms = locs[keep], ms[keep]
-        locs.setflags(write=False)
-        ms.setflags(write=False)
-        return cls(locations=locs, masses=ms, total_mass=float(ms.sum()))
+        return _from_columns(cls, atoms, ("atom locations", "atom masses"), _tidy_line)
 
     @classmethod
     def point_mass(cls, location: float, mass: float = 1.0) -> "FiniteMeasure1D":
@@ -140,6 +156,22 @@ def measure_from_beta_density(
     return FiniteMeasure1D.from_atoms(zip(mids, cell_mass))
 
 
+def _tidy_simplex(ys: np.ndarray, zs: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The coordinate rules of a measure on the simplex: roundoff-level
+    boundary violations clamped and real ones refused, then dust and (0, 0)
+    atoms dropped, then duplicates merged."""
+    for name, v in (("y", ys), ("z", zs)):
+        if np.any(v < -ORDER_TOL):
+            raise ValueError(f"{name} coordinates must be >= 0")
+    if np.any(ys + zs > 1.0 + ORDER_TOL):
+        raise ValueError("atoms must satisfy y + z <= 1")
+    ys = np.clip(ys, 0.0, 1.0)
+    zs = np.minimum(np.clip(zs, 0.0, 1.0), 1.0 - ys)
+    keep = (ms > MASS_DROP) & ~((ys == 0.0) & (zs == 0.0))
+    keys, ms = _merge_atoms(np.column_stack([ys[keep], zs[keep]]), ms[keep])
+    return keys[:, 0].copy(), keys[:, 1].copy(), ms
+
+
 @dataclass(frozen=True)
 class CoupledMeasure:
     """A finite measure on the simplex, stored as (y, z, mass) atoms.
@@ -157,29 +189,16 @@ class CoupledMeasure:
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple[float, float, float]]) -> "CoupledMeasure":
-        triples = list(atoms)
-        ys = np.asarray([t[0] for t in triples], dtype=float)
-        zs = np.asarray([t[1] for t in triples], dtype=float)
-        ms = np.asarray([t[2] for t in triples], dtype=float)
-        _reject_nonfinite(("y coordinates", ys), ("z coordinates", zs), ("atom masses", ms))
-        # clamp roundoff-level boundary violations, reject real ones
-        for name, v in (("y", ys), ("z", zs)):
-            if np.any(v < -ORDER_TOL):
-                raise ValueError(f"{name} coordinates must be >= 0")
-        if np.any(ys + zs > 1.0 + ORDER_TOL):
-            raise ValueError("atoms must satisfy y + z <= 1")
-        if np.any(ms < 0.0):
-            raise ValueError("atom masses must be nonnegative")
-        ys = np.clip(ys, 0.0, 1.0)
-        zs = np.minimum(np.clip(zs, 0.0, 1.0), 1.0 - ys)
-        keep = (ms > MASS_DROP) & ~((ys == 0.0) & (zs == 0.0))
-        ys, zs, ms = ys[keep], zs[keep], ms[keep]
-        keys, ms = _merge_atoms(np.column_stack([ys, zs]), ms)
-        ys = keys[:, 0].copy()
-        zs = keys[:, 1].copy()
-        for arr in (ys, zs, ms):
-            arr.setflags(write=False)
-        return cls(ys=ys, zs=zs, masses=ms, total_mass=float(ms.sum()))
+        """Build from (y, z, mass) triples; strips (0, 0), drops dust, then
+        merges duplicates.
+
+        Raises:
+            ValueError: if a coordinate or a mass is not finite, a mass is
+                negative, an atom lies off the simplex beyond roundoff or the
+                total mass overflows.
+        """
+        names = ("y coordinates", "z coordinates", "atom masses")
+        return _from_columns(cls, atoms, names, _tidy_simplex)
 
     def __len__(self) -> int:
         return len(self.masses)
@@ -411,11 +430,13 @@ def _atoms(spec: dict, names: tuple[str, ...]) -> list[list[float]]:
 
 
 def measure_from_config(spec: dict) -> FiniteMeasure1D:
-    """Parse a measure description: {"atoms": [[loc, mass], ...]} or
-    {"density": {"kind": "beta", "params": [a, b], "grid": n, "mass": m}};
+    """Parse a measure description, exactly one of {"atoms": [[loc, mass], ...]}
+    and {"density": {"kind": "beta", "params": [a, b], "grid": n, "mass": m}};
     ValueError naming the field (and the atom) if it is malformed or the key
     if it is unknown."""
     _refuse_unknown(spec, ("atoms", "density"), "keys")
+    if "atoms" in spec and "density" in spec:
+        raise ValueError("measure spec must hold exactly one of atoms or density, got both")
     if "atoms" in spec:
         return FiniteMeasure1D.from_atoms(_atoms(spec, ("loc", "mass")))
     if "density" not in spec:

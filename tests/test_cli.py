@@ -473,6 +473,18 @@ BAD_MEASURES = {
         "lambda_minus": {"density": {"kind": "beta", "params": [2, 2], "gird": 8}},
         "lambda_plus": PAIR["lambda_plus"],
     },
+    # a measure spec takes exactly one of atoms and density
+    "measure_spec_atoms_and_density": {
+        "lambda_minus": {
+            "atoms": [[0.25, 1.0]], "density": {"kind": "beta", "params": [2, 5]},
+        },
+        "lambda_plus": {"atoms": [[0.5, 1.0]]},
+    },
+    "measure_spec_empty": {"lambda_minus": {}, "lambda_plus": PAIR["lambda_plus"]},
+    # each atom is finite, their total is not
+    "coupling_total_mass_overflows": {
+        "coupling": {"atoms": [[0.2, 0.1, 1e308], [0.5, 0.3, 1e308]]},
+    },
 }
 BAD_PARAMS = {
     "moran_x0_above_one": ("moran_sim", {"N": 10, "horizon": 1.0, "x0": 1.5}),
@@ -508,6 +520,8 @@ BAD_PARAMS = {
     "moment_x0_above_one": ("moment_duality", {"x0": 1.5, "n": 2, "t": 1.0}),
     "convergence_x0_above_one": ("convergence", {"x0": 1.5, "t": 1.0}),
     "fixation_compare_absorption_N_one": ("fixation", {"compare_absorption_N": 1}),
+    # 171! does not fit in a float
+    "fixation_nmax_above_170": ("fixation", {"nmax": 171}),
     # beyond the range of numpy's poisson
     "asg_horizon_huge": ("asg_pathwise", {"N": 6, "horizon": 1e30, "replicates": 5}),
     "moran_horizon_huge": ("moran_sim", {"N": 10, "horizon": 1e30, "x0": 0.5}),
@@ -541,6 +555,11 @@ MESSAGES = {
     "beta_density_unknown_key":
         "measures.lambda_minus: unknown density keys gird; valid names: kind, params, grid, mass",
     "asg_replicates_typo": "unknown params replicate; valid names: N, horizon, replicates",
+    "measure_spec_atoms_and_density":
+        "measures.lambda_minus: measure spec must hold exactly one of atoms or density, got both",
+    "measure_spec_empty": "measures.lambda_minus: measure spec needs 'atoms' or 'density'",
+    "coupling_total_mass_overflows": "measures.coupling: total mass must be finite",
+    "fixation_nmax_above_170": "nmax must be at most 170 (n! must fit a float), got 171",
     # SELECTIVE has mass 1.4
     "asg_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
     "moran_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
@@ -605,6 +624,25 @@ def test_bare_command_exits_one_and_help_zero():
         )
         assert out.returncode == code
         assert getattr(out, stream).startswith("usage: lambda-asg")
+
+
+def test_overflowing_total_mass_prints_one_config_error_line(tmp_path):
+    # in a fresh process, so that a numpy warning or a traceback would reach stderr
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "coupling_report", "measures": BAD_MEASURES["coupling_total_mass_overflows"],
+        "seed": 1, "output_dir": str(tmp_path / "out"),
+    })
+    src = str(Path(lambda_asg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    out = subprocess.run(
+        [sys.executable, "-m", "lambda_asg.cli", "run", cfg], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1
+    assert out.stderr == "config error: measures.coupling: total mass must be finite\n"
+    assert files_in(tmp_path / "out") == []
 
 
 @pytest.mark.parametrize("experiment, params", [

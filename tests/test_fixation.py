@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import rational_moment_table, rational_polynomials
+from lambda_asg import fixation
 from lambda_asg.errors import DegenerateSelection, NearSingular, NotConverged, ZeroMass
 from lambda_asg.fixation import (
     SERIES_TOL,
@@ -78,6 +79,13 @@ class TestPolynomialRecursion:
         t = build_moment_table(neutral_coupling, 3, 3)
         with pytest.raises(DegenerateSelection):
             build_polynomials(t, 3)
+
+    def test_order_above_170_is_refused_by_its_bound(self):
+        # the series weight 2^n / n! needs n! as a float, and 171! overflows one
+        t = build_moment_table(SINGLE, 170, 170)
+        message = r"nmax must be at most 170 \(n! must fit a float\), got 171"
+        with pytest.raises(ValueError, match=message):
+            build_polynomials(t, 171)
 
     def test_pure_selective_raises_near_singular(self):
         sel = CoupledMeasure.from_atoms([(0.0, 0.5, 1.0)])
@@ -159,6 +167,14 @@ class TestFixationProbability:
     def test_solver_needs_a_term(self, mild_selective_coupling, nmax):
         with pytest.raises(ValueError, match="nmax must be at least 1"):
             build_fixation_solver(mild_selective_coupling, nmax=nmax)
+
+    def test_solver_refuses_the_order_before_building_the_table(
+        self, mild_selective_coupling, monkeypatch
+    ):
+        # the table is (nmax x nmax): a huge nmax must not reach it
+        monkeypatch.setattr(fixation, "build_moment_table", lambda *a, **k: pytest.fail("built"))
+        with pytest.raises(ValueError, match="nmax must be at most 170"):
+            build_fixation_solver(mild_selective_coupling, nmax=10**6)
 
     def test_returns_truncation_diagnostic(self, mild_selective_coupling):
         solver = build_fixation_solver(mild_selective_coupling, nmax=30)

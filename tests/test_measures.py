@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,33 @@ class TestCoupledMeasureInvariants:
         c = CoupledMeasure.from_atoms([(0.5, 0.1, 0.4), (0.5, 0.1, 0.6)])
         assert len(c) == 1
         assert c.masses[0] == pytest.approx(1.0)
+
+
+class TestOverflowingTotal:
+    """Both measure types refuse a total mass past the float range where they
+    are built, and numpy's overflow warning is not let out."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: FiniteMeasure1D.from_atoms([(0.2, 1e308), (0.7, 1e308)]),
+        lambda: FiniteMeasure1D.from_atoms([(0.5, 1e308), (0.5, 1e308)]),
+        lambda: FiniteMeasure1D.from_atoms([(0.2, 1.0), (0.7, 1.0)]).scaled(1e308),
+        lambda: CoupledMeasure.from_atoms([(0.2, 0.1, 1e308), (0.5, 0.3, 1e308)]),
+        lambda: CoupledMeasure.from_atoms([(0.2, 0.1, 1e308), (0.2, 0.1, 1e308)]),
+        lambda: CoupledMeasure.from_atoms([(0.2, 0.1, 1.0), (0.5, 0.3, 1.0)]).scaled(1e308),
+    ], ids=[
+        "line_two_atoms", "line_merged_duplicates", "line_scaled",
+        "coupling_two_atoms", "coupling_merged_duplicates", "coupling_scaled",
+    ])
+    def test_refused_without_a_warning(self, build):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="total mass must be finite"):
+                build()
+
+    def test_largest_finite_total_is_kept(self):
+        m = FiniteMeasure1D.from_atoms([(0.2, 1e308), (0.7, 7e307)])
+        assert m.total_mass == 1e308 + 7e307
+        assert not m.masses.flags.writeable
 
 
 class TestAtomSampler:

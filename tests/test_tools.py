@@ -1,10 +1,15 @@
-"""``tools/code_lines.py``, the code-only line counter of the package.
+"""``tools/code_lines.py``, the code-only line counter of the package, and
+guards on the package's public surface.
 
 The script needs only the standard library, so it is loaded here by path.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+import lambda_asg
+from lambda_asg import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +45,19 @@ def test_docstrings_comments_and_blank_lines_are_not_code(tmp_path):
     assert code_lines.code_lines(path) == 0
     path.write_text('"""Doc."""\n\n\ndef f():\n    """Doc."""\n    # note\n    return 1\n')
     assert code_lines.code_lines(path) == 2
+
+
+def test_every_public_name_resolves():
+    assert [name for name in lambda_asg.__all__ if not hasattr(lambda_asg, name)] == []
+
+
+def test_every_error_class_is_raised():
+    # an error class that no code raises is dead public surface
+    package = ROOT / "src" / "lambda_asg"
+    source = "\n".join(p.read_text() for p in package.glob("*.py"))
+    classes = [
+        name for name, cls in inspect.getmembers(errors, inspect.isclass)
+        if cls.__module__ == errors.__name__ and cls is not errors.LambdaAsgError
+    ]
+    assert classes
+    assert [name for name in classes if f"raise {name}(" not in source] == []
