@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import json
 import os
@@ -156,18 +157,38 @@ def resolve_measures(cfg: dict) -> tuple[measures.CoupledMeasure, dict]:
 # -- output helpers ------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+@functools.cache
+def _row_format(types: tuple[type, ...]) -> str | None:
+    """The ``%`` format of a CSV line of values of ``types``: ``%.17g`` for
+    a float and ``%s`` for an int, neither of which the csv module would
+    quote; None if some value is of another type."""
+    specs = []
+    for kind in types:
+        if issubclass(kind, (float, np.floating)):
+            specs.append("%.17g")
+        elif issubclass(kind, (int, np.integer)):
+            specs.append("%s")
+        else:
+            return None
+    return ",".join(specs) + "\r\n"
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """``header`` and ``rows`` in the bytes of ``csv.writer``, a float as
+    ``%.17g`` and any other value as ``str``.  A row of numbers is written
+    by one ``%`` format, any other row by ``csv.writer``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            row = tuple(row)
+            fmt = _row_format(tuple(map(type, row)))
+            if fmt is not None:
+                fh.write(fmt % row)
+            else:
+                writer.writerow(
+                    ["%.17g" % v if isinstance(v, (float, np.floating)) else str(v) for v in row]
+                )
 
 
 def _json_default(value):
@@ -474,9 +495,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     threads = _threads(args.threads)
     coupling, coupling_info = resolve_measures(cfg)
     params = _params(RUNNERS[experiment], cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
     start = time.time()
     code, artifacts = RUNNERS[experiment](coupling, seed, threads, **params)
+    outdir.mkdir(parents=True, exist_ok=True)
     for name, payload in artifacts.items():
         if name.endswith(".csv"):
             write_csv(outdir / name, *payload)
@@ -540,7 +561,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report["valid"] else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lambda-asg",
         description="Experiment runner for the asymmetric Moran / ASG toolkit",
@@ -555,8 +578,12 @@ def main(argv: list[str] | None = None) -> int:
     p_check = sub.add_parser("check", help="validate the measures in a config")
     p_check.add_argument("config")
     p_check.set_defaults(func=cmd_check)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # a usage error is a config error; --help exits 0
         return 1 if exc.code else 0

@@ -67,7 +67,8 @@ def _line_count_rows(rows: MixtureRows, N: int) -> np.ndarray:
     A = rates[:, : N + 1].copy()
     # each diagonal entry sums its row's own n + 2 entries: a sum over the
     # zero-padded row would group numpy's pairwise sum differently
-    np.fill_diagonal(A[1:, 1:], [-rates[n, : n + 2].sum() for n in range(1, N + 1)])
+    add = np.add.reduce  # what ndarray.sum runs, without its wrapper
+    np.fill_diagonal(A[1:, 1:], [-add(rates[n, : n + 2]) for n in range(1, N + 1)])
     return A
 
 

@@ -103,11 +103,13 @@ def build_moment_table(coupling: CoupledMeasure, jmax: int, kmax: int) -> Moment
     return MomentTable(jmax=jmax, kmax=kmax, M=M, q=q, tilde_mass=tilde_mass)
 
 
-def _horner(c: np.ndarray, x):
+def _horner(c: np.ndarray, x, out: np.ndarray | None = None):
     """The polynomial with coefficients ``c`` (constant first) at ``x``, by
-    Horner's rule in place: the operations of numpy's ``polyval`` in its
-    order, so the values are the same bits, without a new array per step."""
-    out = c[-1] + x * 0.0
+    Horner's rule in place (in ``out`` if given): the operations of numpy's
+    ``polyval`` in its order, so the values are the same bits, without a new
+    array per step."""
+    out = np.multiply(x, 0.0, out=out)
+    out += c[-1]
     for k in range(len(c) - 2, -1, -1):
         out *= x
         out += c[k]
@@ -145,12 +147,15 @@ def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
     """Back-substitute the triangular recursion up to order ``nmax``.
 
     Needs ``table.jmax >= nmax - 1``, ``table.kmax >= nmax - 1`` and
-    ``nmax <= MAX_ORDER``.
+    ``nmax <= MAX_ORDER``.  The weights ``comb(r, j) M[j, r - j - 1]`` are
+    tabulated once; each inner sum adds its terms one at a time in
+    increasing r, starting at 0.0.
 
     Raises:
         DegenerateSelection: if some required q[j] is not positive (the
             selective gap vanishes; use :func:`p_neutral`).
         NearSingular: if a back-substitution pivot falls below tolerance.
+        NotConverged: if a coefficient overflows to a non-finite value.
     """
     _check_order(nmax)
     if table.jmax < nmax - 1 or table.kmax < nmax - 1:
@@ -160,29 +165,49 @@ def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
         raise DegenerateSelection(
             "q vanishes: the coupling has no selective gap in the needed range"
         )
+    # weights[j][r] = comb(r, j) * M[j, r - j - 1], read for r >= j + 2; the
+    # inner loops run on Python floats, the double operations of numpy
+    # scalars without their overhead
+    js = np.arange(nmax)[:, None]
+    lags = np.maximum(np.arange(nmax + 1) - js - 1, 0)
+    combs = np.array([[math.comb(r, j) for r in range(nmax + 1)] for j in range(nmax)], dtype=float)
+    weights = (combs * M[js, lags]).tolist()
+    denoms = (js[:, 0] + 1) * M[:nmax, 0]
+    denoms_list = denoms.tolist()
     coeffs = [np.array([1.0])]
-    for n in range(1, nmax + 1):
-        prev = coeffs[n - 1]
-        a = np.zeros(n + 1)
-        if abs(M[n - 1, 0]) < PIVOT_TOL:
-            raise NearSingular(
-                f"diagonal denominator {M[n - 1, 0]:.3e} below {PIVOT_TOL} at n={n}"
-            )
-        a[n] = q[n - 1] / M[n - 1, 0] * prev[n - 1]
-        for j in range(n - 2, -1, -1):
-            pivot = (j + 1) * M[j, 0] / (n * q[j])
-            if abs(pivot) < PIVOT_TOL:
+    # the recursion may overflow: quietly, since a non-finite coefficient is
+    # refused below (Python floats never warn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, nmax + 1):
+            prev = coeffs[n - 1]
+            if abs(M[n - 1, 0]) < PIVOT_TOL:
                 raise NearSingular(
-                    f"pivot {pivot:.3e} below {PIVOT_TOL} at n={n}, j={j}"
+                    f"diagonal denominator {M[n - 1, 0]:.3e} below {PIVOT_TOL} at n={n}"
                 )
-            acc = 0.0
-            for r in range(j + 2, n + 1):
-                acc += math.comb(r, j) * M[j, r - j - 1] * a[r]
-            a[j + 1] = (n * q[j] * prev[j] - acc) / ((j + 1) * M[j, 0])
-        # integral_0^1 h_n = 1/(n+1) pins the constant coefficient
-        rs = np.arange(1, n + 1)
-        a[0] = 1.0 / (n + 1) - float((a[1:] / (rs + 1.0)).sum())
-        coeffs.append(a)
+            pivots = denoms[: n - 1] / (n * q[: n - 1])
+            small = np.flatnonzero(np.abs(pivots) < PIVOT_TOL)
+            if small.size:
+                j = small[-1]
+                raise NearSingular(f"pivot {pivots[j]:.3e} below {PIVOT_TOL} at n={n}, j={j}")
+            targets = (n * q[: n - 1] * prev[: n - 1]).tolist()
+            a = [0.0] * (n + 1)
+            a[n] = float(q[n - 1] / M[n - 1, 0] * prev[n - 1])
+            for j in range(n - 2, -1, -1):
+                w = weights[j]
+                acc = 0.0
+                for r in range(j + 2, n + 1):
+                    acc += w[r] * a[r]
+                a[j + 1] = (targets[j] - acc) / denoms_list[j]
+            a = np.array(a)
+            # integral_0^1 h_n = 1/(n+1) pins the constant coefficient
+            rs = np.arange(1, n + 1)
+            a[0] = 1.0 / (n + 1) - float((a[1:] / (rs + 1.0)).sum())
+            if not np.isfinite(a).all():
+                raise NotConverged(
+                    f"h_{n} has a non-finite coefficient: the recursion overflows at "
+                    f"order {n}; lower nmax below {n}"
+                )
+            coeffs.append(a)
     return PolySeq(coeffs=coeffs)
 
 
@@ -214,9 +239,9 @@ def _series_weight(n: int) -> float:
 
 
 def unconverged(values, lasts):
-    """Where the series has not converged: its last term exceeds
-    :data:`SERIES_TOL` of its value."""
-    return lasts > SERIES_TOL * np.abs(values)
+    """Where the series has not converged: its value is not finite, or its
+    last term is not within :data:`SERIES_TOL` of its value (NaN included)."""
+    return ~np.isfinite(values) | ~(lasts <= SERIES_TOL * np.abs(values))
 
 
 def fixation_series_coeffs(seq: PolySeq, nmax: int) -> np.ndarray:
@@ -317,24 +342,36 @@ def defining_identity_residual(
     quad = 2.0 * nodes * wts  # the density 2u of U on the u-grid
     c = coupling
     tilde_mass = float(c.masses @ (c.ys * c.ys + c.zs))
-    # the quadrature points of each atom, which no order changes
-    lhs_terms, rhs_terms = [], []
+    # the quadrature points of each atom, which no order changes, stacked as
+    # every atom's hi, then every lo, then every rhs argument
+    lhs_terms, rhs_weights, his, los, args = [], [], [], [], []
     for wa, ya, za in zip(c.masses, c.ys, c.zs):
         if ya > 0.0:
             w_vals = nodes * ya  # W = U y on the u-grid
             shrunk = xs[:, None] * (1.0 - w_vals)
-            lhs_terms.append((wa * ya * ya / tilde_mass, shrunk + w_vals, shrunk, w_vals))
+            lhs_terms.append((wa * ya * ya / tilde_mass, w_vals))
+            his.append(shrunk + w_vals)
+            los.append(shrunk)
         if za > 0.0:
-            rhs_terms.append((wa * za / tilde_mass, xs[:, None] * (1.0 - ya - za * nodes)))
-    worst = 0.0
+            rhs_weights.append(wa * za / tilde_mass)
+            args.append(xs[:, None] * (1.0 - ya - za * nodes))
+    points = np.stack(his + los + args)
+    lo_at, rhs_at = len(his), 2 * len(his)
+    # one evaluation per order of h_n at every point, into one of two
+    # buffers; the other holds h_{n-1}, read at the rhs arguments
+    values, prev = np.empty_like(points), seq.h(0, points)
+    worst = []
     for n in range(1, seq.nmax + 1):
+        _horner(seq.coeffs[n], points, out=values)
         lhs = np.zeros_like(xs)
-        for weight, hi, lo, w_vals in lhs_terms:
-            lhs += weight * ((seq.h(n, hi) - seq.h(n, lo)) / w_vals @ quad)
+        for k, (weight, w_vals) in enumerate(lhs_terms):
+            lhs += weight * ((values[k] - values[lo_at + k]) / w_vals @ quad)
         rhs = np.zeros_like(xs)
-        for weight, args in rhs_terms:
-            rhs += weight * (seq.h(n - 1, args) @ wts)
+        for k, weight in enumerate(rhs_weights):
+            rhs += weight * (prev[rhs_at + k] @ wts)
         rhs *= n
+        values, prev = prev, values
         scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-        worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
-    return worst
+        worst.append(float(np.abs(lhs - rhs).max()) / scale)
+    # NaN, where an order overflows, is kept rather than skipped by max()
+    return float(np.max(worst, initial=0.0))

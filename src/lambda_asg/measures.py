@@ -76,6 +76,15 @@ def _from_columns(cls, atoms: Iterable[tuple], names: tuple[str, ...], tidy: Cal
     return cls(*columns, total)
 
 
+def _scaled(masses: np.ndarray, factor: float) -> np.ndarray:
+    """``masses * factor`` for ``factor >= 0``.  A mass that overflows is
+    left for the reader to refuse, without a numpy warning."""
+    if factor < 0:
+        raise ValueError("scale factor must be nonnegative")
+    with np.errstate(over="ignore"):
+        return masses * factor
+
+
 def _tidy_line(locs: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coordinate rules of a measure on [0, 1]: locations in range, then
     duplicates merged, then dust dropped."""
@@ -114,9 +123,7 @@ class FiniteMeasure1D:
 
     def scaled(self, factor: float) -> "FiniteMeasure1D":
         """Return the measure with all masses multiplied by ``factor >= 0``."""
-        if factor < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return FiniteMeasure1D.from_atoms(zip(self.locations, self.masses * factor))
+        return FiniteMeasure1D.from_atoms(zip(self.locations, _scaled(self.masses, factor)))
 
     def tail_mass(self, x: float) -> float:
         """Mass of [x, 1]."""
@@ -215,9 +222,7 @@ class CoupledMeasure:
         return self._atom_cdf.searchsorted(rng.random(size), side="right")
 
     def scaled(self, factor: float) -> "CoupledMeasure":
-        if factor < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return CoupledMeasure.from_atoms(zip(self.ys, self.zs, self.masses * factor))
+        return CoupledMeasure.from_atoms(zip(self.ys, self.zs, _scaled(self.masses, factor)))
 
     def integrate(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
         """Sum of mass * f(y, z) over atoms."""

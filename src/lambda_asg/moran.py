@@ -71,9 +71,10 @@ def _generator_rows(rows: MixtureRows, N: int) -> np.ndarray:
     """:func:`generator_matrix` at N read from ``rows``, which hold rows 0..N
     or more (a row of the recurrence does not depend on the table size)."""
     Q = np.zeros((N + 1, N + 1))
+    add = np.add.reduce  # what ndarray.sum runs, without its wrapper
     for i in range(1, N):
-        Q[i] = rows.moran_row(N, i)
-        Q[i, i] = -(Q[i, i + 1 :].sum() + Q[i, i - 1 :: -1].sum())
+        row = rows.moran_row(N, i, out=Q[i])
+        row[i] = -(add(row[i + 1 :]) + add(row[i - 1 :: -1]))
     return Q
 
 

@@ -60,21 +60,25 @@ class MixtureRows:
         powers = np.cumprod(np.vstack([np.ones(len(q)), np.repeat(q.T, size, axis=0)]), axis=0)
         self.branch = (powers[:, : len(c)] - powers[:, len(c) :]) @ c.masses
 
-    def moran_row(self, N: int, i: int) -> np.ndarray:
-        """Rates of ``i -> j`` for j = 0..N.  Needs rows ``N - i`` and ``i``."""
+    def moran_row(self, N: int, i: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rates of ``i -> j`` for j = 0..N, written into ``out`` (zeros of
+        length N + 1) if given.  Needs rows ``N - i`` and ``i``."""
         x = i / N
-        row = np.zeros(N + 1)
-        row[i + 1 :] = x * self.y[N - i][1:]
-        row[:i][::-1] = (1.0 - x) * self.s[i][1:]
+        row = np.zeros(N + 1) if out is None else out
+        np.multiply(x, self.y[N - i][1:], out=row[i + 1 :])
+        np.multiply(1.0 - x, self.s[i][:0:-1], out=row[:i])
         return row
 
-    def ancestor_row(self, n: int, N: int | None) -> np.ndarray:
-        """Rates of ``n -> m`` for m = 0..n+1.  ``N`` is the population size,
-        None the limit chain.  Needs rows ``n - 1`` and ``n``."""
+    def ancestor_row(self, n: int, N: int | None, out: np.ndarray | None = None) -> np.ndarray:
+        """Rates of ``n -> m`` for m = 0..n+1, written into ``out`` (zeros of
+        length n + 2) if given.  ``N`` is the population size, None the limit
+        chain.  Needs rows ``n - 1`` and ``n``."""
         x = n / N if N is not None else 0.0
-        row = np.zeros(n + 2)
+        row = np.zeros(n + 2) if out is None else out
         row[n + 1] = (1.0 - x) * self.branch[n]
-        row[1:n][::-1] = x * self.y[n - 1][1:n] + (1.0 - x) * self.y[n][2 : n + 1]
+        lower = row[1:n]
+        np.multiply(x, self.y[n - 1][n - 1 : 0 : -1], out=lower)
+        lower += (1.0 - x) * self.y[n][n:1:-1]
         return row
 
     def ancestor_rates(self, K: int, N: int | None) -> np.ndarray:
@@ -85,7 +89,7 @@ class MixtureRows:
         limit; needs rows 0..K."""
         rates = np.zeros((K + 1, K + 2))
         for n in range(1, K + 1):
-            rates[n, : n + 2] = self.ancestor_row(n, N)
+            self.ancestor_row(n, N, out=rates[n, : n + 2])
         return rates
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import itertools
 from fractions import Fraction
@@ -11,7 +12,9 @@ import numpy as np
 
 from lambda_asg.asg import OUTCOME_NEUTRAL, OUTCOME_NONE, AsgRealization
 from lambda_asg.errors import OrderViolation
+from lambda_asg.fixation import IDENTITY_GRID, _QUAD_ORDER
 from lambda_asg.measures import MASS_DROP, CoupledMeasure, FiniteMeasure1D
+from lambda_asg.quadrature import gauss_legendre_01
 
 
 def random_ordered_pair(
@@ -169,6 +172,126 @@ def rational_polynomials(
         a[0] = Fraction(1, n + 1) - sum(a[r] / (r + 1) for r in range(1, n + 1))
         coeffs.append(a)
     return coeffs
+
+
+# -- scalar and per-row references for the exact-oracle fast paths -------------
+
+
+def reference_build_polynomials(table, nmax: int) -> list[np.ndarray]:
+    """The coefficient triangle by the scalar triple loop that
+    :func:`lambda_asg.fixation.build_polynomials` replaced (no pivot checks):
+    a ``math.comb`` per term, summed from 0.0 in increasing r.  An overflow
+    is left in the coefficients as inf or NaN."""
+    M, q = table.M, table.q
+    coeffs = [np.array([1.0])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, nmax + 1):
+            prev = coeffs[n - 1]
+            a = np.zeros(n + 1)
+            a[n] = q[n - 1] / M[n - 1, 0] * prev[n - 1]
+            for j in range(n - 2, -1, -1):
+                acc = 0.0
+                for r in range(j + 2, n + 1):
+                    acc += comb(r, j) * M[j, r - j - 1] * a[r]
+                a[j + 1] = (n * q[j] * prev[j] - acc) / ((j + 1) * M[j, 0])
+            rs = np.arange(1, n + 1)
+            a[0] = 1.0 / (n + 1) - float((a[1:] / (rs + 1.0)).sum())
+            coeffs.append(a)
+    return coeffs
+
+
+def reference_identity_residual(seq, coupling: CoupledMeasure) -> float:
+    """:func:`lambda_asg.fixation.defining_identity_residual` with h_n
+    evaluated atom by atom: the quadrature points of each atom are their own
+    arrays, and h_n and h_{n-1} are evaluated afresh on each."""
+    xs = np.linspace(0.0, 1.0, IDENTITY_GRID)
+    nodes, wts = gauss_legendre_01(_QUAD_ORDER)
+    quad = 2.0 * nodes * wts
+    c = coupling
+    tilde_mass = float(c.masses @ (c.ys * c.ys + c.zs))
+    lhs_terms, rhs_terms = [], []
+    for wa, ya, za in zip(c.masses, c.ys, c.zs):
+        if ya > 0.0:
+            w_vals = nodes * ya
+            shrunk = xs[:, None] * (1.0 - w_vals)
+            lhs_terms.append((wa * ya * ya / tilde_mass, shrunk + w_vals, shrunk, w_vals))
+        if za > 0.0:
+            rhs_terms.append((wa * za / tilde_mass, xs[:, None] * (1.0 - ya - za * nodes)))
+    worst = []
+    for n in range(1, seq.nmax + 1):
+        lhs = np.zeros_like(xs)
+        for weight, hi, lo, w_vals in lhs_terms:
+            lhs += weight * ((seq.h(n, hi) - seq.h(n, lo)) / w_vals @ quad)
+        rhs = np.zeros_like(xs)
+        for weight, args in rhs_terms:
+            rhs += weight * (seq.h(n - 1, args) @ wts)
+        rhs *= n
+        scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+        worst.append(float(np.abs(lhs - rhs).max()) / scale)
+    return float(np.max(worst, initial=0.0))
+
+
+def reference_write_csv(path, header, rows) -> None:
+    """``csv.writer`` with each float formatted by ``format(float(v),
+    ".17g")`` and any other value by ``str``: the writer that
+    :func:`lambda_asg.cli.write_csv` replaced."""
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return format(float(value), ".17g")
+        return str(value)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def reference_moran_row(rows, N: int, i: int) -> np.ndarray:
+    """One fresh Moran row of :class:`lambda_asg.rates.MixtureRows`, the
+    downward rates assigned through a reversed view."""
+    x = i / N
+    row = np.zeros(N + 1)
+    row[i + 1 :] = x * rows.y[N - i][1:]
+    row[:i][::-1] = (1.0 - x) * rows.s[i][1:]
+    return row
+
+
+def reference_ancestor_row(rows, n: int, N: int | None) -> np.ndarray:
+    """One fresh ancestor-count row of :class:`lambda_asg.rates.MixtureRows`,
+    the coalescences assigned through a reversed view."""
+    x = n / N if N is not None else 0.0
+    row = np.zeros(n + 2)
+    row[n + 1] = (1.0 - x) * rows.branch[n]
+    row[1:n][::-1] = x * rows.y[n - 1][1:n] + (1.0 - x) * rows.y[n][2 : n + 1]
+    return row
+
+
+def reference_generator_rows(rows, N: int) -> np.ndarray:
+    """The Moran generator on 0..N, one fresh row copied in at a time."""
+    Q = np.zeros((N + 1, N + 1))
+    for i in range(1, N):
+        Q[i] = reference_moran_row(rows, N, i)
+        Q[i, i] = -(Q[i, i + 1 :].sum() + Q[i, i - 1 :: -1].sum())
+    return Q
+
+
+def reference_ancestor_rates(rows, K: int, N: int | None) -> np.ndarray:
+    """The ancestor count's off-diagonal rates on 0..K, one fresh row copied
+    in at a time."""
+    rates = np.zeros((K + 1, K + 2))
+    for n in range(1, K + 1):
+        rates[n, : n + 2] = reference_ancestor_row(rows, n, N)
+    return rates
+
+
+def reference_line_count_rows(rows, N: int) -> np.ndarray:
+    """The ancestor count's generator on 0..N, each diagonal entry an
+    ``ndarray.sum`` of its row's own n + 2 rates."""
+    rates = reference_ancestor_rates(rows, N, N)
+    A = rates[:, : N + 1].copy()
+    np.fill_diagonal(A[1:, 1:], [-rates[n, : n + 2].sum() for n in range(1, N + 1)])
+    return A
 
 
 def merged_chisquare_pvalue(

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from lambda_asg.fixation import build_fixation_solver, harmonicity_values
 from lambda_asg.measures import CoupledMeasure
 from lambda_asg.moran import MAX_DENSE_N
 
-from helpers import digest
+from helpers import digest, reference_write_csv
 
 PAIR = {
     "lambda_minus": {"atoms": [[0.25, 0.5], [0.5, 0.5]]},
@@ -643,6 +644,90 @@ def test_overflowing_total_mass_prints_one_config_error_line(tmp_path):
     assert out.returncode == 1
     assert out.stderr == "config error: measures.coupling: total mass must be finite\n"
     assert files_in(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("experiment, params, measures_spec", [
+    ("fixation", {"nmax": 200}, SELECTIVE),
+    ("moment_duality", {"x0": 1.5, "n": 2, "t": 1.0}, SELECTIVE),
+], ids=["fixation_nmax_200", "moment_duality_x0_1.5"])
+def test_config_refused_by_its_runner_leaves_no_output_directory(
+    tmp_path, capsys, experiment, params, measures_spec
+):
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": experiment, "measures": measures_spec, "params": params, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+STRONG = {"coupling": {"atoms": [[0.2, 0.6, 1], [0.5, 0.4, 0.5]]}}
+
+
+def test_overflowing_fixation_recursion_exits_two(tmp_path, capsys):
+    # at nmax 170 the recursion overflows at order 158: no NaN table marked
+    # converged, and no numpy warning on stderr
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "fixation", "measures": STRONG, "params": {"nmax": 170}, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "numerical acceptance failure: h_158 has a non-finite coefficient: the recursion "
+        "overflows at order 158; lower nmax below 158\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("nmax", [60, 100])
+def test_unconverged_fixation_below_the_overflow_keeps_finite_rows(tmp_path, nmax):
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "fixation", "measures": STRONG, "params": {"nmax": nmax, "grid": 11},
+        "seed": 1, "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 2
+    payload = json.loads((tmp_path / "out" / "fixation.json").read_text())
+    assert payload["converged"] is False
+    assert math.isfinite(payload["harmonicity_residual"])
+    rows = read_rows(tmp_path / "out" / "fixation.csv")
+    assert len(rows) == 11
+    assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+
+
+def test_write_csv_matches_the_csv_module(tmp_path):
+    # each float formatted once as %.17g, each line joined in place: the
+    # bytes of csv.writer, quoting included
+    rows = [
+        [float("nan"), float("inf"), -float("inf"), -0.0],
+        [1e-300, 5e-324, 0.1, 1.0 / 3.0],
+        [np.float64(-0.0), np.float64(np.nan), np.float32(0.1), np.float32(-np.inf)],
+        [0, -7, np.int64(12), True],
+        np.array([0.25, 1e300, -2.5e-310]),
+        (3, np.float32(1e-30)),
+        [],
+        [""],
+        ["", ""],
+        ["a,b", 'say "hi"', "line\nbreak", "cr\r", " lead", None],
+        [1.5, "x,y", np.float16(0.3), np.longdouble(0.1)],
+    ]
+    header = ["x", "p,q", 'a "b"', ""]
+    write_csv(tmp_path / "got.csv", header, iter(rows))
+    reference_write_csv(tmp_path / "want.csv", header, rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    from lambda_asg import cli
+
+    assert cli._parser() is cli._parser()
+    cfg = write_config(tmp_path, "c.json", {"measures": SELECTIVE})
+    assert main(["check", cfg]) == 0
+    assert main(["check", cfg]) == 0
+    assert main(["bogus"]) == 1
+    assert main(["check", cfg]) == 0
 
 
 @pytest.mark.parametrize("experiment, params", [

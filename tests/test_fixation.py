@@ -1,13 +1,21 @@
+import functools
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import rational_moment_table, rational_polynomials
+from helpers import (
+    rational_moment_table,
+    rational_polynomials,
+    reference_build_polynomials,
+    reference_identity_residual,
+)
 from lambda_asg import fixation
 from lambda_asg.errors import DegenerateSelection, NearSingular, NotConverged, ZeroMass
 from lambda_asg.fixation import (
     SERIES_TOL,
+    PolySeq,
     _horner,
     build_fixation_solver,
     build_moment_table,
@@ -18,6 +26,7 @@ from lambda_asg.fixation import (
     fixation_series_coeffs,
     harmonicity_residual,
     p_neutral,
+    unconverged,
 )
 from lambda_asg.measures import CoupledMeasure
 from lambda_asg.moran import MoranConfig, absorption_probability
@@ -25,6 +34,17 @@ from lambda_asg.moran import MoranConfig, absorption_probability
 SINGLE = CoupledMeasure.from_atoms([(0.5, 0.25, 1.0)])
 FIX_A = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
 FIX_B = CoupledMeasure.from_atoms([(0.5, 0.1, 1.0), (0.25, 0.05, 1.0)])
+# the recursion overflows at order 158 on this coupling
+STRONG = CoupledMeasure.from_atoms([(0.2, 0.6, 1.0), (0.5, 0.4, 0.5)])
+# an atom with y = 0 has no left-hand quadrature term, one with z = 0 no
+# right-hand term, and one with y = 1 has W = U
+EDGE_COUPLINGS = {
+    "y0": CoupledMeasure.from_atoms([(0.0, 0.3, 1.0), (0.5, 0.1, 1.0)]),
+    "z0": CoupledMeasure.from_atoms([(0.4, 0.0, 1.0), (0.3, 0.2, 0.5)]),
+    "y1": CoupledMeasure.from_atoms([(1.0, 0.0, 0.3), (0.3, 0.2, 1.0)]),
+    "fix_a": FIX_A,
+    "strong": STRONG,
+}
 
 
 class TestMomentTable:
@@ -129,6 +149,15 @@ class TestPolynomialRecursion:
         for n in range(9):
             integral = sum(exact[n][r] / (r + 1) for r in range(n + 1))
             assert integral == Fraction(1, n + 1)
+
+    def test_overflow_is_refused_naming_the_order(self):
+        t = build_moment_table(STRONG, 169, 169)
+        message = "h_158 has a non-finite coefficient: .* lower nmax below 158"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning gets out
+            with pytest.raises(NotConverged, match=message):
+                build_polynomials(t, 170)
+        assert all(np.isfinite(a).all() for a in build_polynomials(t, 157).coeffs)
 
     def test_defining_identity_small_residual(self, mild_selective_coupling):
         solver = build_fixation_solver(mild_selective_coupling, nmax=30)
@@ -267,3 +296,55 @@ class TestHarmonicity:
             assert np.polynomial.polynomial.polyval(x, coeffs) == pytest.approx(
                 direct, rel=1e-12
             )
+
+
+@functools.cache
+def scalar_triangle(name: str, nmax: int) -> tuple:
+    """The moment table of an edge coupling and the triangle of the scalar
+    triple loop on it, built once and shared by the tests."""
+    table = build_moment_table(EDGE_COUPLINGS[name], nmax - 1, nmax - 1)
+    return table, reference_build_polynomials(table, nmax)
+
+
+class TestFastPathsMatchScalarLoops:
+    """The tabulated recursion and the stacked identity quadrature give the
+    bits of the loops they replaced."""
+
+    @pytest.mark.parametrize("nmax", [1, 2, 30, 170])
+    @pytest.mark.parametrize("name", sorted(EDGE_COUPLINGS))
+    def test_polynomials(self, name, nmax):
+        table, ref = scalar_triangle(name, nmax)
+        overflow = [n for n, a in enumerate(ref) if not np.isfinite(a).all()]
+        if overflow:
+            # the orders below the first overflow are kept, the rest refused
+            n = overflow[0]
+            with pytest.raises(NotConverged, match=f"h_{n} "):
+                build_polynomials(table, nmax)
+            ref, nmax = ref[:n], n - 1
+        got = build_polynomials(table, nmax).coeffs
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("nmax", [1, 2, 30, 170])
+    @pytest.mark.parametrize("name", sorted(EDGE_COUPLINGS))
+    def test_identity_residual(self, name, nmax):
+        # on the scalar triangle, overflowed orders included
+        seq = PolySeq(coeffs=scalar_triangle(name, nmax)[1])
+        coupling = EDGE_COUPLINGS[name]
+        with np.errstate(all="ignore"):
+            got = defining_identity_residual(seq, coupling)
+            want = reference_identity_residual(seq, coupling)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestConvergenceRule:
+    def test_non_finite_values_are_not_converged(self):
+        nan, inf = float("nan"), float("inf")
+        values = np.array([0.5, 0.5, nan, inf, -inf, 0.5, 0.5, 0.0])
+        lasts = np.array([1e-12, 1e-3, 0.0, 0.0, 0.0, nan, inf, 0.0])
+        assert unconverged(values, lasts).tolist() == [
+            False, True, True, True, True, True, True, False,
+        ]
+        assert unconverged(nan, 0.0) and not unconverged(0.5, 0.0)

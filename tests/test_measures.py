@@ -412,6 +412,16 @@ class TestOverflowingTotal:
             with pytest.raises(ValueError, match="total mass must be finite"):
                 build()
 
+    @pytest.mark.parametrize("measure", [
+        FiniteMeasure1D.from_atoms([(0.2, 1e300)]),
+        CoupledMeasure.from_atoms([(0.2, 0.1, 1e300)]),
+    ], ids=["line", "coupling"])
+    def test_scaled_mass_overflow_refused_without_a_warning(self, measure):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="atom masses must be finite"):
+                measure.scaled(1e10)
+
     def test_largest_finite_total_is_kept(self):
         m = FiniteMeasure1D.from_atoms([(0.2, 1e308), (0.7, 7e307)])
         assert m.total_mass == 1e308 + 7e307

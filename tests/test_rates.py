@@ -11,6 +11,14 @@ from lambda_asg.moran import (
 )
 from lambda_asg.rates import AncestorChain, MixtureRows
 
+from helpers import (
+    reference_ancestor_rates,
+    reference_ancestor_row,
+    reference_generator_rows,
+    reference_line_count_rows,
+    reference_moran_row,
+)
+
 # y = 0, y = 1 and y + z = 1 put success probabilities 0 and 1 in both tables
 EDGES = CoupledMeasure.from_atoms([
     (0.0, 0.5, 0.7), (0.5, 0.5, 0.3), (1.0, 0.0, 0.2), (0.0, 1.0, 0.4),
@@ -200,6 +208,32 @@ class TestOneRowSource:
             cfg = MoranConfig(N=N, coupling=coupling, initial_count=0)
             assert np.array_equal(_generator_rows(rows, N), generator_matrix(cfg))
             assert np.array_equal(_line_count_rows(rows, N), line_count_generator(N, coupling))
+
+
+class TestRowsWrittenInPlace:
+    """Rows written into slices of their matrix give the bits of fresh rows
+    copied in one at a time."""
+
+    @pytest.mark.parametrize("N", [2, 3, 50, 300])
+    @pytest.mark.parametrize("coupling", ["edges", "example"])
+    def test_generators(self, example_coupling, coupling, N):
+        rows = MixtureRows(EDGES if coupling == "edges" else example_coupling, range(N + 1))
+        assert _generator_rows(rows, N).tobytes() == reference_generator_rows(rows, N).tobytes()
+        assert _line_count_rows(rows, N).tobytes() == reference_line_count_rows(rows, N).tobytes()
+        for size in (N, None):
+            for K in sorted({1, N // 2, N}):
+                assert rows.ancestor_rates(K, size).tobytes() == \
+                    reference_ancestor_rates(rows, K, size).tobytes()
+
+    @pytest.mark.parametrize("N", [2, 3, 50, 300])
+    def test_single_rows(self, N):
+        rows = MixtureRows(EDGES, range(N + 1))
+        for i in range(N + 1):
+            assert rows.moran_row(N, i).tobytes() == reference_moran_row(rows, N, i).tobytes()
+        for n in range(1, N + 1):
+            for size in (N, None):
+                assert rows.ancestor_row(n, size).tobytes() == \
+                    reference_ancestor_row(rows, n, size).tobytes()
 
 
 class TestPublicRates:
