@@ -31,9 +31,8 @@ numerical acceptance failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import functools
 import inspect
+import itertools
 import json
 import os
 import sys
@@ -157,38 +156,17 @@ def resolve_measures(cfg: dict) -> tuple[measures.CoupledMeasure, dict]:
 # -- output helpers ------------------------------------------------------------
 
 
-@functools.cache
-def _row_format(types: tuple[type, ...]) -> str | None:
-    """The ``%`` format of a CSV line of values of ``types``: ``%.17g`` for
-    a float and ``%s`` for an int, neither of which the csv module would
-    quote; None if some value is of another type."""
-    specs = []
-    for kind in types:
-        if issubclass(kind, (float, np.floating)):
-            specs.append("%.17g")
-        elif issubclass(kind, (int, np.integer)):
-            specs.append("%s")
-        else:
-            return None
-    return ",".join(specs) + "\r\n"
+def _fmt(value) -> str:
+    return "%.17g" % value if isinstance(value, (float, np.floating)) else str(value)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """``header`` and ``rows`` in the bytes of ``csv.writer``, a float as
-    ``%.17g`` and any other value as ``str``.  A row of numbers is written
-    by one ``%`` format, any other row by ``csv.writer``."""
+    """``header`` and ``rows`` as comma-separated lines ending in ``\\r\\n``,
+    a float as ``%.17g`` and any other value as ``str``.  The runners' names
+    and numbers never need quoting, so these are ``csv.writer``'s bytes."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            row = tuple(row)
-            fmt = _row_format(tuple(map(type, row)))
-            if fmt is not None:
-                fh.write(fmt % row)
-            else:
-                writer.writerow(
-                    ["%.17g" % v if isinstance(v, (float, np.floating)) else str(v) for v in row]
-                )
+        for row in itertools.chain([header], rows):
+            fh.write(",".join(map(_fmt, row)) + "\r\n")
 
 
 def _json_default(value):
@@ -483,6 +461,14 @@ def _threads(flag: int | None) -> int:
     return value
 
 
+def _check_outdir(outdir: Path) -> None:
+    """Refuse, before any work is done, an output directory that could not
+    be created or written once the run has returned."""
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"output_dir {outdir}: {existing} is not a writable directory")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     experiment = _field(cfg, "experiment", str)
@@ -495,6 +481,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     threads = _threads(args.threads)
     coupling, coupling_info = resolve_measures(cfg)
     params = _params(RUNNERS[experiment], cfg)
+    _check_outdir(outdir)
     start = time.time()
     code, artifacts = RUNNERS[experiment](coupling, seed, threads, **params)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -561,9 +548,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report["valid"] else 1
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="lambda-asg",
         description="Experiment runner for the asymmetric Moran / ASG toolkit",
@@ -578,12 +563,8 @@ def _parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="validate the measures in a config")
     p_check.add_argument("config")
     p_check.set_defaults(func=cmd_check)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # a usage error is a config error; --help exits 0
         return 1 if exc.code else 0

@@ -51,8 +51,10 @@ SERIES_TOL = 1e-10
 # the series weight 2^n / n! needs n! as a float, and 171! overflows one
 MAX_ORDER = 170
 _QUAD_ORDER = 64  # exact for polynomial integrands up to degree 127
-# x-grid size of defining_identity_residual
+# x-grid size of defining_identity_residual, and the most atoms whose
+# quadrature points it holds at once
 IDENTITY_GRID = 21
+IDENTITY_ATOMS = 16
 
 
 @dataclass(frozen=True)
@@ -342,36 +344,30 @@ def defining_identity_residual(
     quad = 2.0 * nodes * wts  # the density 2u of U on the u-grid
     c = coupling
     tilde_mass = float(c.masses @ (c.ys * c.ys + c.zs))
-    # the quadrature points of each atom, which no order changes, stacked as
-    # every atom's hi, then every lo, then every rhs argument
-    lhs_terms, rhs_weights, his, los, args = [], [], [], [], []
-    for wa, ya, za in zip(c.masses, c.ys, c.zs):
-        if ya > 0.0:
-            w_vals = nodes * ya  # W = U y on the u-grid
-            shrunk = xs[:, None] * (1.0 - w_vals)
-            lhs_terms.append((wa * ya * ya / tilde_mass, w_vals))
-            his.append(shrunk + w_vals)
-            los.append(shrunk)
-        if za > 0.0:
-            rhs_weights.append(wa * za / tilde_mass)
-            args.append(xs[:, None] * (1.0 - ya - za * nodes))
-    points = np.stack(his + los + args)
-    lo_at, rhs_at = len(his), 2 * len(his)
-    # one evaluation per order of h_n at every point, into one of two
-    # buffers; the other holds h_{n-1}, read at the rhs arguments
-    values, prev = np.empty_like(points), seq.h(0, points)
-    worst = []
-    for n in range(1, seq.nmax + 1):
-        _horner(seq.coeffs[n], points, out=values)
-        lhs = np.zeros_like(xs)
-        for k, (weight, w_vals) in enumerate(lhs_terms):
-            lhs += weight * ((values[k] - values[lo_at + k]) / w_vals @ quad)
-        rhs = np.zeros_like(xs)
-        for k, weight in enumerate(rhs_weights):
-            rhs += weight * (prev[rhs_at + k] @ wts)
-        rhs *= n
-        values, prev = prev, values
-        scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-        worst.append(float(np.abs(lhs - rhs).max()) / scale)
-    # NaN, where an order overflows, is kept rather than skipped by max()
-    return float(np.max(worst, initial=0.0))
+    # both sides of every order, summed atom by atom in the coupling's order;
+    # rhs[n] collects h_{n-1}, so h_n adds to rhs[n + 1]
+    lhs = np.zeros((seq.nmax + 1, IDENTITY_GRID))
+    rhs = np.zeros((seq.nmax + 2, IDENTITY_GRID))
+    for start in range(0, len(c), IDENTITY_ATOMS):
+        ws, ys, zs = (a[start:start + IDENTITY_ATOMS] for a in (c.masses, c.ys, c.zs))
+        up, down = ys > 0.0, zs > 0.0
+        lhs_weights = ws[up] * ys[up] * ys[up] / tilde_mass
+        rhs_weights = ws[down] * zs[down] / tilde_mass
+        w_vals = nodes * ys[up, None]  # W = U y on the u-grid
+        shrunk = xs[:, None] * (1.0 - w_vals[:, None, :])
+        args = xs[:, None] * (1.0 - ys[down, None, None] - zs[down, None, None] * nodes)
+        # the chunk's quadrature points, which no order changes: every
+        # atom's hi, then every lo, then every rhs argument
+        points = np.concatenate([shrunk + w_vals[:, None, :], shrunk, args])
+        values = np.empty_like(points)
+        lo_at, rhs_at = len(w_vals), 2 * len(w_vals)
+        for n in range(seq.nmax + 1):
+            _horner(seq.coeffs[n], points, out=values)
+            for k, weight in enumerate(lhs_weights):
+                lhs[n] += weight * ((values[k] - values[lo_at + k]) / w_vals[k] @ quad)
+            for k, weight in enumerate(rhs_weights):
+                rhs[n + 1] += weight * (values[rhs_at + k] @ wts)
+    lhs, rhs = lhs[1:], rhs[1:-1] * np.arange(1.0, seq.nmax + 1)[:, None]
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)))
+    # NaN, where an order overflows, is kept rather than skipped
+    return float(np.max(np.abs(lhs - rhs).max(axis=1) / scale, initial=0.0))

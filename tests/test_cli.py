@@ -698,8 +698,8 @@ def test_unconverged_fixation_below_the_overflow_keeps_finite_rows(tmp_path, nma
 
 
 def test_write_csv_matches_the_csv_module(tmp_path):
-    # each float formatted once as %.17g, each line joined in place: the
-    # bytes of csv.writer, quoting included
+    # the names and numbers the runners write: each float formatted once as
+    # %.17g, each line joined in place, in the bytes of csv.writer
     rows = [
         [float("nan"), float("inf"), -float("inf"), -0.0],
         [1e-300, 5e-324, 0.1, 1.0 / 3.0],
@@ -707,27 +707,35 @@ def test_write_csv_matches_the_csv_module(tmp_path):
         [0, -7, np.int64(12), True],
         np.array([0.25, 1e300, -2.5e-310]),
         (3, np.float32(1e-30)),
-        [],
-        [""],
-        ["", ""],
-        ["a,b", 'say "hi"', "line\nbreak", "cr\r", " lead", None],
-        [1.5, "x,y", np.float16(0.3), np.longdouble(0.1)],
+        [1.5, np.float16(0.3), np.longdouble(0.1), np.int32(-1)],
     ]
-    header = ["x", "p,q", 'a "b"', ""]
+    header = ["x", "p", "last_term", "residual"]
     write_csv(tmp_path / "got.csv", header, iter(rows))
     reference_write_csv(tmp_path / "want.csv", header, rows)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_parser_is_built_once(tmp_path, capsys):
-    from lambda_asg import cli
+@pytest.mark.parametrize("output_dir", ["file", "file/out"])
+def test_unusable_output_dir_is_refused_before_the_run(
+    tmp_path, capsys, monkeypatch, output_dir
+):
+    # the directory is created only after the run, so a path that can never
+    # be one is refused first, not after the work is done
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the output directory was checked")
 
-    assert cli._parser() is cli._parser()
-    cfg = write_config(tmp_path, "c.json", {"measures": SELECTIVE})
-    assert main(["check", cfg]) == 0
-    assert main(["check", cfg]) == 0
-    assert main(["bogus"]) == 1
-    assert main(["check", cfg]) == 0
+    monkeypatch.setattr(fixation, "build_fixation_solver", refuse)
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "fixation", "measures": SELECTIVE, "seed": 1,
+        "output_dir": str(tmp_path / output_dir),
+    })
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: output_dir {tmp_path / output_dir}: {tmp_path / 'file'} "
+        "is not a writable directory\n"
+    )
+    assert (tmp_path / "file").read_text() == ""
 
 
 @pytest.mark.parametrize("experiment, params", [

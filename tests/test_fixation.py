@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from helpers import (
 from lambda_asg import fixation
 from lambda_asg.errors import DegenerateSelection, NearSingular, NotConverged, ZeroMass
 from lambda_asg.fixation import (
+    IDENTITY_ATOMS,
     SERIES_TOL,
     PolySeq,
     _horner,
@@ -338,6 +340,42 @@ class TestFastPathsMatchScalarLoops:
         assert np.array_equal(got, want, equal_nan=True)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+
+def many_atoms(n: int) -> CoupledMeasure:
+    """A coupling of ``n`` distinct atoms, y running from 0 to 1, with z = 0
+    atoms in every chunk of ``IDENTITY_ATOMS``."""
+    atoms = []
+    for k in range(n):
+        y = k / (n - 1)
+        z = 0.0 if k % 5 == 0 else 0.5 * (1.0 - y)
+        atoms.append((y, z if y or z else 0.3, 1.0 / (k + 1)))
+    return CoupledMeasure.from_atoms(atoms)
+
+
+class TestIdentityResidualInChunks:
+    @pytest.mark.parametrize("n", [IDENTITY_ATOMS - 1, IDENTITY_ATOMS, 3 * IDENTITY_ATOMS + 5])
+    def test_equals_the_atom_by_atom_residual(self, n):
+        coupling = many_atoms(n)
+        seq = build_fixation_solver(coupling, nmax=30).seq
+        got = defining_identity_residual(seq, coupling)
+        assert np.float64(got).tobytes() == np.float64(
+            reference_identity_residual(seq, coupling)
+        ).tobytes()
+
+    def test_memory_does_not_grow_with_the_atoms(self):
+        # the quadrature points of at most IDENTITY_ATOMS atoms are held at once
+        def peak(n):
+            coupling = many_atoms(n)
+            assert len(coupling) == n
+            seq = build_fixation_solver(coupling, nmax=5).seq
+            tracemalloc.start()
+            try:
+                defining_identity_residual(seq, coupling)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * IDENTITY_ATOMS) < 1.2 * peak(2 * IDENTITY_ATOMS)
 
 class TestConvergenceRule:
     def test_non_finite_values_are_not_converged(self):
