@@ -216,6 +216,7 @@ def limit_moment_duality_check(
         raise ValueError("n must be >= 1")
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
+    _check_replicates(replicates)
     y_final = limits.sde_final_values(coupling, x, t, replicates, seed)
     a_final = limits.chain_final_states(coupling, n, t, replicates, seed)
     lhs = y_final**n

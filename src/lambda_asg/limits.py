@@ -249,11 +249,17 @@ def chain_final_states(
     seed: int,
     state_cap: int = 10**6,
 ) -> np.ndarray:
-    """Time-``horizon`` marginal of the limit chain over many replicates."""
+    """Time-``horizon`` marginal of the limit chain over many replicates.
+
+    Raises:
+        StateCapReached: if a count exceeds ``state_cap``, ``n0`` included.
+    """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if n0 > state_cap:
+        raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     table = AncestorChain(coupling, max(n0 + 8, 16))
     return batched(
         replicates, seed, (TAG_LIMIT_CHAIN,), np.int64,
@@ -269,30 +275,37 @@ def _chain_chunk(
     rng: np.random.Generator,
     state_cap: int,
 ) -> np.ndarray:
+    """Final states of n_paths chains from n0 at a finite ``horizon``.
+
+    ``idx``, ``t`` and ``s`` hold the live paths only, in ascending order:
+    their indices, clocks and states.  A path that passes the horizon leaves
+    them for good, so each step draws for the same paths, in the same order,
+    as a mask over all of them would.
+    """
     states = np.full(n_paths, n0, dtype=np.int64)
+    idx = np.arange(n_paths)
     t = np.zeros(n_paths)
-    active = np.ones(n_paths, dtype=bool)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        s = states[idx]
+    s = states.copy()
+    while len(idx):
         if int(s.max()) >= len(table.total) - 1:
             table.grow(2 * int(s.max()))
         totals = table.total[s]
         draws = rng.exponential(1.0, size=len(idx))
         with np.errstate(divide="ignore"):
             dt = np.where(totals > 0.0, draws / totals, np.inf)
-        t[idx] += dt
-        done = t[idx] > horizon
-        active[idx[done]] = False
-        live = idx[~done]
-        if len(live) == 0:
-            continue
-        s_live = states[live]
-        u = rng.random(len(live))
+        t += dt
+        # a row with total 0 (all ones in ``cum``) has dt = inf, which passes
+        # every finite horizon, so it never reaches the jump below
+        k = (t <= horizon).nonzero()[0]
+        idx, t, s = idx[k], t[k], s[k]
+        if not len(idx):
+            break
+        u = rng.random(len(idx))
         # the target is len(total) less the entries passed; ``>=`` passes the
         # zeros above the branch even for a uniform of exactly 0
-        states[live] = len(table.total) - (u[:, None] >= table.cum[s_live]).sum(axis=1)
-        if int(states[live].max()) > state_cap:
+        s = len(table.total) - (u[:, None] >= table.cum[s]).sum(axis=1)
+        states[idx] = s
+        if int(s.max()) > state_cap:
             raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     return states
 

@@ -143,6 +143,13 @@ def _rounds(x: np.ndarray, lo, hi, budget, update) -> Iterator[int]:
     events left to ``update`` and stores its result.  ``budget`` holds each
     entry's event count.  An entry is live for a prefix of the rounds, so
     round e applies its e-th event.
+
+    An entry that leaves the live set never returns to it: it is no longer
+    updated, so it keeps its value, and its budget only counts down.  So the
+    live indices are found once and then narrowed after each round to the
+    ones whose update stayed inside with events left; every round hands
+    ``update`` the same entries, in the same ascending order, as a scan of
+    the whole array would.
     """
     if len(x) == 1:
         # numpy draws from a scalar take its scalar route, about ten times
@@ -153,12 +160,15 @@ def _rounds(x: np.ndarray, lo, hi, budget, update) -> Iterator[int]:
             x[0] = update(x[0])
             yield step
         return
-    for step in range(int(budget.max(initial=0))):
-        idx = ((budget > step) & (x > lo) & (x < hi)).nonzero()[0]
-        if not len(idx):
-            return
-        x[idx] = update(x[idx])
+    idx = ((budget > 0) & (x > lo) & (x < hi)).nonzero()[0]
+    left = budget[idx]
+    step = 0
+    while len(idx):
+        x[idx] = v = update(x[idx])
         yield step
+        step += 1
+        k = ((left > step) & (v > lo) & (v < hi)).nonzero()[0]
+        idx, left = idx[k], left[k]
 
 
 def run_events(x: np.ndarray, lo, hi, budget, update) -> np.ndarray:

@@ -99,8 +99,9 @@ class AncestorChain:
     :meth:`MixtureRows.ancestor_rates`.  Row s runs over the targets from
     the top down: index k is target ``size + 1 - k``, so a row is 0 above its
     branch (target s + 1), accumulates the targets s + 1 down to 2 and is 1
-    from target 1 on.  The rows grow on demand by rebuilding at the larger
-    size."""
+    from target 1 on.  A row whose total is 0 is 1 throughout, so it must
+    never be sampled: it would send the count to ``size + 1``.  The rows grow
+    on demand by rebuilding at the larger size."""
 
     def __init__(self, coupling: CoupledMeasure, size: int) -> None:
         self.coupling = coupling

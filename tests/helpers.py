@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 
 from lambda_asg.asg import OUTCOME_NEUTRAL, OUTCOME_NONE, AsgRealization
-from lambda_asg.errors import OrderViolation
+from lambda_asg.errors import OrderViolation, StateCapReached
 from lambda_asg.fixation import IDENTITY_GRID, _QUAD_ORDER
 from lambda_asg.measures import MASS_DROP, CoupledMeasure, FiniteMeasure1D
 from lambda_asg.quadrature import gauss_legendre_01
@@ -379,3 +379,46 @@ def reference_potential_ancestors(asg, sample, from_time, to_time):
             members[hit & (out == OUTCOME_NEUTRAL)] = False
             members[r] = True
     return {int(i) for i in np.nonzero(members)[0]}
+
+
+# -- full-scan references for the vectorized event kernels ----------------------
+
+
+def reference_rounds(x: np.ndarray, lo, hi, budget, update):
+    """The many-entry branch of :func:`lambda_asg.moran._rounds` as a scan of
+    every entry in every round: the live entries are found afresh from the
+    budget and the values."""
+    for step in range(int(budget.max(initial=0))):
+        idx = ((budget > step) & (x > lo) & (x < hi)).nonzero()[0]
+        if not len(idx):
+            return
+        x[idx] = update(x[idx])
+        yield step
+
+
+def reference_chain_chunk(table, n0, horizon, n_paths, rng, state_cap) -> np.ndarray:
+    """:func:`lambda_asg.limits._chain_chunk` with a full-length live mask and
+    clock, comparing each uniform with every column of its ``cum`` row."""
+    states = np.full(n_paths, n0, dtype=np.int64)
+    t = np.zeros(n_paths)
+    active = np.ones(n_paths, dtype=bool)
+    while active.any():
+        idx = np.nonzero(active)[0]
+        s = states[idx]
+        if int(s.max()) >= len(table.total) - 1:
+            table.grow(2 * int(s.max()))
+        totals = table.total[s]
+        draws = rng.exponential(1.0, size=len(idx))
+        with np.errstate(divide="ignore"):
+            dt = np.where(totals > 0.0, draws / totals, np.inf)
+        t[idx] += dt
+        done = t[idx] > horizon
+        active[idx[done]] = False
+        live = idx[~done]
+        if len(live) == 0:
+            continue
+        u = rng.random(len(live))
+        states[live] = len(table.total) - (u[:, None] >= table.cum[states[live]]).sum(axis=1)
+        if int(states[live].max()) > state_cap:
+            raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
+    return states

@@ -232,3 +232,10 @@ class TestLimitMomentDuality:
             mild_selective_coupling, x=0.5, n=2, t=1.0, replicates=100_000, seed=6
         )
         assert abs(report.z) < 4.0
+
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_needs_a_replicate(self, example_coupling, replicates):
+        with pytest.raises(ValueError, match=f"replicates must be >= 1, got {replicates}"):
+            limit_moment_duality_check(
+                example_coupling, x=0.5, n=2, t=0.5, replicates=replicates, seed=1
+            )

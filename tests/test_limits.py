@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp, poisson
 
-from helpers import digest, merged_chisquare_pvalue
+from helpers import digest, merged_chisquare_pvalue, reference_chain_chunk
 from lambda_asg.errors import NotConverged, StateCapReached
 from lambda_asg.limits import (
     SdeConfig,
     TruncationScheme,
+    _chain_chunk,
     chain_final_states,
     convergence_study,
     frequency_generator,
@@ -21,6 +22,7 @@ from lambda_asg.limits import (
     truncate_measure,
 )
 from lambda_asg.measures import CoupledMeasure
+from lambda_asg.rates import AncestorChain
 
 STAIRCASE = CoupledMeasure.from_atoms([
     (0.46, 0.02, 0.45), (0.40, 0.02, 0.45), (0.35, 0.015, 0.40),
@@ -279,6 +281,24 @@ class TestLimitChain:
         finals = chain_final_states(weak, 4, 20.0, 10_000, seed=10)
         assert np.quantile(finals, 0.99) <= 12
 
+    @pytest.mark.parametrize("horizon, atoms", [
+        (float("nan"), [(1e-6, 0.5, 50.0)]),
+        (float("inf"), [(0.3, 0.0, 1.0)]),
+    ])
+    def test_batch_refuses_nonfinite_horizon(self, horizon, atoms):
+        # a nan horizon never ends a path, and an infinite one lets the
+        # absorbed count 1 of a neutral coupling jump past its table; the
+        # small cap makes either fail fast instead of running on
+        coupling = CoupledMeasure.from_atoms(atoms)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            chain_final_states(coupling, 2, horizon, 5, seed=1, state_cap=50)
+
+    def test_batch_refuses_a_start_above_the_cap(self, example_coupling):
+        with pytest.raises(StateCapReached, match="exceeded cap 2"):
+            chain_final_states(example_coupling, 5, 0.01, 10, seed=1, state_cap=2)
+        with pytest.raises(StateCapReached, match="exceeded cap 2"):
+            simulate_limit_chain(example_coupling, 5, 0.01, seed=1, state_cap=2)
+
     def test_state_cap(self):
         # y near zero kills coalescence, so the count is close to a pure
         # birth process at the total mass rate and must hit the cap
@@ -287,6 +307,49 @@ class TestLimitChain:
             chain_final_states(explosive, 10, 50.0, 100, seed=11, state_cap=200)
         with pytest.raises(StateCapReached):
             simulate_limit_chain(explosive, 10, 50.0, seed=11, state_cap=200)
+
+
+MOMENT_COUPLING = CoupledMeasure.from_atoms([(0.3, 0.1, 1.0), (0.6, 0.2, 0.5)])
+
+
+class TestCompactedChain:
+    """The live-set chain steps against the full-mask reference: the same
+    states, the same table growth and the same draws from the stream."""
+
+    @staticmethod
+    def _both(coupling, n0, horizon, n_paths, state_cap=10**6):
+        runs = []
+        for chunk in (_chain_chunk, reference_chain_chunk):
+            table = AncestorChain(coupling, max(n0 + 8, 16))
+            rng = np.random.default_rng(21)
+            runs.append((chunk(table, n0, horizon, n_paths, rng, state_cap),
+                         len(table.total), rng.random()))
+        return runs
+
+    @pytest.mark.parametrize("n0, horizon", [(1, 0.5), (2, 1.0), (3, 1.0), (3, 0.5)])
+    def test_moment_settings(self, n0, horizon):
+        (a, size_a, next_a), (b, size_b, next_b) = self._both(
+            MOMENT_COUPLING, n0, horizon, 20_000
+        )
+        assert np.array_equal(a, b)
+        assert (size_a, next_a) == (size_b, next_b)
+
+    def test_table_grows_mid_chunk(self):
+        branching = CoupledMeasure.from_atoms([(0.05, 0.5, 3.0), (0.3, 0.1, 0.5)])
+        (a, size_a, next_a), (b, size_b, next_b) = self._both(branching, 8, 1.5, 20_000)
+        assert size_a > 17
+        assert np.array_equal(a, b)
+        assert (size_a, next_a) == (size_b, next_b)
+
+    def test_cap_raises_at_the_same_draw(self):
+        explosive = CoupledMeasure.from_atoms([(1e-6, 0.5, 50.0)])
+        after = []
+        for chunk in (_chain_chunk, reference_chain_chunk):
+            rng = np.random.default_rng(11)
+            with pytest.raises(StateCapReached, match="exceeded cap 200"):
+                chunk(AncestorChain(explosive, 18), 10, 50.0, 100, rng, 200)
+            after.append(rng.random())
+        assert after[0] == after[1]
 
 
 class TestKs:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import digest, merged_chisquare_pvalue
+from helpers import digest, merged_chisquare_pvalue, reference_rounds
+from lambda_asg import moran
 from lambda_asg.asg import _ancestor_events
 from lambda_asg.errors import SingularSystem, SizeLimit
 from lambda_asg.limits import _sde_events
@@ -15,6 +16,7 @@ from lambda_asg.moran import (
     absorption_probability,
     generator_matrix,
     jump_rates,
+    record_events,
     sample_event_jumps,
     simulate,
     simulate_final_counts,
@@ -235,6 +237,51 @@ class TestRecorder:
         cfg = MoranConfig(N=30, coupling=MILD, initial_count=12)
         with pytest.raises(ValueError, match="horizon must be positive"):
             simulate(cfg, 0.0, seed=1)
+
+
+def _mixed_start(rule):
+    """Entries of a rule's chain among which some start on ``lo`` or ``hi``."""
+    x0, lo, hi, _ = EVENT_RULES[rule]
+    return np.array([x0, x0, lo, x0, hi, x0, x0, x0] * 40, dtype=np.asarray(x0).dtype)
+
+
+class TestCompactedRounds:
+    """The narrowed live set against a scan of every entry in every round."""
+
+    @pytest.mark.parametrize("rule", sorted(EVENT_RULES))
+    def test_rounds_match_the_full_scan(self, rule):
+        _, lo, hi, update = EVENT_RULES[rule]
+        budget = np.random.default_rng(5).poisson(3.0, 320)
+        budget[::7] = 0
+        runs = []
+        for rounds in (_rounds, reference_rounds):
+            x, rng = _mixed_start(rule), np.random.default_rng(9)
+            seen = [(step, x.copy()) for step in rounds(x, lo, hi, budget,
+                                                        lambda v: update(v, rng))]
+            runs.append((seen, rng.random()))
+        (seen_a, next_a), (seen_b, next_b) = runs
+        assert len(seen_a) > 3
+        assert [s for s, _ in seen_a] == [s for s, _ in seen_b]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(seen_a, seen_b))
+        assert next_a == next_b
+
+    @pytest.mark.parametrize("keep", [0, 1, 5])
+    @pytest.mark.parametrize("rule", sorted(EVENT_RULES))
+    def test_recorded_run_matches_the_full_scan(self, rule, keep, monkeypatch):
+        _, lo, hi, update = EVENT_RULES[rule]
+        runs = []
+        for rounds in (_rounds, reference_rounds):
+            monkeypatch.setattr(moran, "_rounds", rounds)
+            x, rng = _mixed_start(rule), np.random.default_rng(13)
+            x, paths = record_events(x, lo, hi, 2.0, 1.5, lambda v: update(v, rng), rng, keep)
+            runs.append((x, paths, rng.random()))
+        (x_a, paths_a, next_a), (x_b, paths_b, next_b) = runs
+        assert np.array_equal(x_a, x_b)
+        assert len(paths_a) == len(paths_b) == keep
+        for a, b in zip(paths_a, paths_b):
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.values, b.values)
+        assert next_a == next_b
 
 
 class TestFrequencyPath:
