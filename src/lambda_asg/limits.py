@@ -45,6 +45,10 @@ from .rng import (
 # an absorption run stops a path once it is within this distance of 0 or 1
 ABSORPTION_THRESHOLD = 1e-9
 
+# bootstrap resamples drawn per block; a block's histograms take
+# BOOTSTRAP_BLOCK x bins x 8 bytes
+BOOTSTRAP_BLOCK = 64
+
 
 def _check_x0(x0: float) -> None:
     if not 0.0 <= x0 <= 1.0:
@@ -313,33 +317,53 @@ def _chain_chunk(
 # -- convergence of truncated models to the SDE --------------------------------
 
 
-def _pooled_ranks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Rank of every value of ``a`` and of ``b`` among the K distinct pooled
-    values, and K."""
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("KS needs two non-empty samples")
+def _merged_counts(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counts of ``a`` and of ``b`` over merged bins of the pooled values.
+
+    The distinct pooled values are ranked once.  A value held by both
+    samples is its own bin; every maximal run of consecutive values held by
+    one sample only is merged into one bin.
+    """
+    for name, x in (("a", a), ("b", b)):
+        if len(x) == 0:
+            raise ValueError("KS needs two non-empty samples")
+        nan = np.count_nonzero(np.isnan(x))
+        if nan:
+            raise ValueError(f"KS sample {name} holds {nan} NaN value(s)")
     support, ranks = np.unique(np.concatenate([a, b]), return_inverse=True)
-    return ranks[: len(a)], ranks[len(a):], len(support)
+    ca = np.bincount(ranks[: len(a)], minlength=len(support))
+    cb = np.bincount(ranks[len(a):], minlength=len(support))
+    # 1: held by a only, 2: by b only, 3: by both
+    holder = (ca > 0) + 2 * (cb > 0)
+    starts = np.flatnonzero(
+        np.concatenate([[True], (holder[1:] != holder[:-1]) | (holder[1:] == 3)])
+    )
+    return np.add.reduceat(ca, starts), np.add.reduceat(cb, starts)
 
 
-def _ks_counted(ra: np.ndarray, rb: np.ndarray, k: int) -> float:
-    """KS statistic of two samples given as ranks into a support of size k."""
-    na, nb = len(ra), len(rb)
-    gap = np.bincount(ra, minlength=k) * nb - np.bincount(rb, minlength=k) * na
-    return float(np.abs(np.cumsum(gap)).max()) / (na * nb)
+def _ks_of_gaps(gap: np.ndarray, na: int, nb: int) -> np.ndarray:
+    """KS statistic of each row of ``ca nb - cb na`` over the bins; the rows
+    are overwritten."""
+    np.cumsum(gap, axis=-1, out=gap)
+    return np.abs(gap, out=gap).max(axis=-1) / (na * nb)
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic, exact and tie-aware.
 
-    Both samples are counted over the distinct pooled values; ``na nb``
-    times the gap of the empirical CDFs at each such value is the integer
-    ``cumsum(ca nb - cb na)``, so the only rounding is the final division.
+    ``na nb`` times the gap of the empirical CDFs after each distinct pooled
+    value is the integer ``cumsum(ca nb - cb na)``, so the only rounding is
+    the final division.  Both samples are counted over merged bins (see
+    :func:`_merged_counts`), and that keeps ``max |cumsum|`` exactly: inside
+    a run of values held by one sample only, every increment has one sign,
+    so each partial sum lies between the sums before and after the run,
+    and those two are kept (the one before is 0 or the previous bin's sum).
 
     Raises:
-        ValueError: if either sample is empty.
+        ValueError: if either sample is empty or holds a NaN.
     """
-    return _ks_counted(*_pooled_ranks(a, b))
+    ha, hb = _merged_counts(a, b)
+    return float(_ks_of_gaps(ha * len(b) - hb * len(a), len(a), len(b)))
 
 
 def ks_bootstrap_stderr(
@@ -347,27 +371,33 @@ def ks_bootstrap_stderr(
 ) -> float:
     """Standard deviation of the KS statistic over bootstrap resamples.
 
-    Each resample draws ``rng.integers(0, len(a), len(a))`` and then
-    ``rng.integers(0, len(b), len(b))``, exactly the draws of indexing the
-    values themselves, so a generator state fixes the resamples.  The pooled
-    sample is ranked once; a resample indexes the ranks and is counted as in
-    :func:`ks_distance`, so nothing is sorted again and every statistic is
-    exact.
+    A resample of ``a`` has, over the merged bins of :func:`ks_distance`,
+    the Multinomial(na, ha / na) histogram of na index draws, so it is drawn
+    directly in O(bins): ``rng.multinomial(na, ha[ia] / na)`` over the bins
+    ``ia`` where ``a`` has mass, and likewise for ``b``.  Resamples are
+    drawn in blocks of :data:`BOOTSTRAP_BLOCK` (the last block takes the
+    rest): each block draws all its ``a`` histograms in one call, then all
+    its ``b`` histograms, so a generator state and the data fix the
+    resamples.  A resample's values are a sub-multiset of the data, so the
+    merged bins stay exact for it and every statistic is exact.
 
     Raises:
-        ValueError: if ``resamples < 2`` (no standard deviation) or either
-            sample is empty.
+        ValueError: if ``resamples < 2`` (no standard deviation), or either
+            sample is empty or holds a NaN.
     """
     if resamples < 2:
         raise ValueError(f"bootstrap needs at least 2 resamples, got {resamples}")
-    ra, rb, k = _pooled_ranks(a, b)
+    ha, hb = _merged_counts(a, b)
+    na, nb = len(a), len(b)
+    ia, ib = ha.nonzero()[0], hb.nonzero()[0]
+    pa, pb = ha[ia] / na, hb[ib] / nb
     stats = np.empty(resamples)
-    for r in range(resamples):
-        stats[r] = _ks_counted(
-            ra[rng.integers(0, len(ra), len(ra))],
-            rb[rng.integers(0, len(rb), len(rb))],
-            k,
-        )
+    for lo in range(0, resamples, BOOTSTRAP_BLOCK):
+        m = min(BOOTSTRAP_BLOCK, resamples - lo)
+        gap = np.zeros((m, len(ha)), dtype=np.int64)
+        gap[:, ia] = rng.multinomial(na, pa, size=m) * nb
+        gap[:, ib] -= rng.multinomial(nb, pb, size=m) * na
+        stats[lo: lo + m] = _ks_of_gaps(gap, na, nb)
     return float(stats.std(ddof=1))
 
 
@@ -389,8 +419,9 @@ def convergence_study(
     """
     if T <= 0:
         raise ValueError(f"t must be positive, got {T}")
-    if sorted(s.N for s in schemes) != [s.N for s in schemes]:
-        raise ValueError("schemes must be ordered by increasing N")
+    sizes = [s.N for s in schemes]
+    if any(m >= n for m, n in zip(sizes, sizes[1:])):
+        raise ValueError(f"schemes must be ordered by strictly increasing N, got {sizes}")
     sde = sde_final_values(
         coupling, x0, T, replicates, seed, key=(TAG_CONVERGENCE_SDE,)
     )

@@ -422,3 +422,21 @@ def reference_chain_chunk(table, n0, horizon, n_paths, rng, state_cap) -> np.nda
         if int(states[live].max()) > state_cap:
             raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     return states
+
+
+# -- the per-value KS counting the merged bins replaced --------------------------
+
+
+def reference_pooled_ranks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Rank of every value of ``a`` and of ``b`` among the K distinct pooled
+    values, and K."""
+    support, ranks = np.unique(np.concatenate([a, b]), return_inverse=True)
+    return ranks[: len(a)], ranks[len(a):], len(support)
+
+
+def reference_ks_counted(ra: np.ndarray, rb: np.ndarray, k: int) -> float:
+    """KS statistic of two samples given as ranks into a support of size k,
+    counted over every distinct pooled value."""
+    na, nb = len(ra), len(rb)
+    gap = np.bincount(ra, minlength=k) * nb - np.bincount(rb, minlength=k) * na
+    return float(np.abs(np.cumsum(gap)).max()) / (na * nb)

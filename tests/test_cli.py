@@ -396,7 +396,7 @@ PINNED_RUNS = {
                 "301b5efcec9426b67d8e7186136601253bf9f398d3e44907955afa63760478ad"),
     "convergence": (SELECTIVE, {"x0": 0.5, "t": 1.0, "N_list": [10, 20],
                                 "replicates": 200, "bootstrap": 5},
-                    "06ad53364001a9a350b10e7cd4ff926fe04f27b08733ad9db1672ab530670482"),
+                    "f41754ac65dd44f4cf0aac1377487ed2758e54d7955f801a0003c88e57ae2e0e"),
     "limit_duality": (SELECTIVE, {"n_max": 6, "grid": 11},
                       "f3e047c7a06548eaddb329c4f9146c218f00e260ee773cd4b80566d27c4d4bd7"),
     "moment_duality": (SELECTIVE, {"x0": 0.5, "n": 2, "t": 0.5, "replicates": 2000},
@@ -512,6 +512,7 @@ BAD_PARAMS = {
     ),
     "moment_no_replicates": ("moment_duality", {"x0": 0.5, "n": 2, "t": 1.0, "replicates": 0}),
     "convergence_empty_N_list": ("convergence", {"x0": 0.5, "t": 1.0, "N_list": []}),
+    "convergence_repeated_N": ("convergence", {"x0": 0.5, "t": 1.0, "N_list": [10, 10]}),
     "duality_matrix_empty_N": ("duality_matrix", {"N": []}),
     "sde_max_paths_negative": ("sde_sim", {"x0": 0.5, "horizon": 1.0, "max_paths": -1}),
     "limit_duality_grid_zero": ("limit_duality", {"grid": 0}),
@@ -536,6 +537,7 @@ MESSAGES = {
     "convergence_negative_t": "t must be positive, got -1.0",
     "moment_x0_above_one": "x0 must lie in [0, 1], got 1.5",
     "convergence_x0_above_one": "x0 must lie in [0, 1], got 1.5",
+    "convergence_repeated_N": "schemes must be ordered by strictly increasing N, got [10, 10]",
     "fixation_compare_absorption_N_one":
         "compare_absorption_N must be 0 (off) or at least 2, got 1",
     "coupling_y_nan": "y coordinates must be finite",

@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp, poisson
 
-from helpers import digest, merged_chisquare_pvalue, reference_chain_chunk
+from helpers import (
+    digest,
+    merged_chisquare_pvalue,
+    reference_chain_chunk,
+    reference_ks_counted,
+    reference_pooled_ranks,
+)
 from lambda_asg.errors import NotConverged, StateCapReached
 from lambda_asg.limits import (
+    BOOTSTRAP_BLOCK,
     SdeConfig,
     TruncationScheme,
     _chain_chunk,
+    _merged_counts,
     chain_final_states,
     convergence_study,
     frequency_generator,
@@ -420,15 +428,70 @@ class TestKsCounting:
         assert ks_distance(*cases["disjoint"]) == 1.0
         assert ks_distance(*cases["identical"]) == 0.0
 
+    def test_merged_bins_match_per_value_counting(self):
+        rng = np.random.default_rng(23)
+        cases = list(_ks_cases().values())
+        for i in range(600):
+            na, nb = (int(n) for n in rng.integers(1, 401, 2))
+            if i % 3 == 0:
+                grid = int(rng.integers(1, 40))
+                a, b = rng.integers(0, grid + 1, na) / grid, rng.integers(0, grid + 1, nb) / grid
+            elif i % 3 == 1:
+                a, b = rng.normal(size=na), rng.normal(rng.normal(0.0, 0.5), 1.0, size=nb)
+            else:
+                a = rng.integers(-5, 6, na).astype(float)
+                b = rng.integers(int(rng.integers(-8, 3)), 8, nb).astype(float)
+            cases.append((a, b))
+        for a, b in cases:
+            assert ks_distance(a, b) == reference_ks_counted(*reference_pooled_ranks(a, b))
+
+    def test_runs_held_by_one_sample_share_a_bin(self):
+        ha, hb = _merged_counts(np.array([1.0, 2.0, 3.0, 5.0]), np.array([4.0, 5.0, 6.0, 7.0]))
+        assert ha.tolist() == [3, 0, 1, 0]
+        assert hb.tolist() == [0, 1, 1, 2]
+        ha, hb = _merged_counts(*_ks_cases()["disjoint"])
+        assert (ha.tolist(), hb.tolist()) == ([200, 0], [0, 150])
+
+    @pytest.mark.parametrize("case", ["ties", "continuous"])
+    def test_bootstrap_agrees_with_index_resampling(self, case):
+        # each 2000-resample sd estimate has about 1.6% sd, so 10% is about
+        # 4.5 sd of their difference
+        a, b = _ks_cases()[case]
+        multinomial = ks_bootstrap_stderr(a, b, 2000, np.random.default_rng(5))
+        indexed = _sorted_ks_bootstrap_stderr(a, b, 2000, np.random.default_rng(6))
+        assert multinomial == pytest.approx(indexed, rel=0.10)
+
     @pytest.mark.parametrize("case", list(_ks_cases()))
     def test_bootstrap_matches_sorted_reference_with_the_same_draws(self, case):
+        # the documented draws: blocks of BOOTSTRAP_BLOCK multinomial
+        # histograms over the merged bins, a's then b's; 130 resamples end on
+        # a partial block.  Each resample is scored by sorting its bin labels.
         a, b = _ks_cases()[case]
+        resamples = 2 * BOOTSTRAP_BLOCK + 2
         fast_rng, slow_rng = np.random.default_rng(5), np.random.default_rng(5)
-        fast = ks_bootstrap_stderr(a, b, 40, fast_rng)
-        slow = _sorted_ks_bootstrap_stderr(a, b, 40, slow_rng)
-        assert fast == pytest.approx(slow, rel=1e-10)
+        fast = ks_bootstrap_stderr(a, b, resamples, fast_rng)
+        ha, hb = _merged_counts(a, b)
+        ia, ib = ha.nonzero()[0], hb.nonzero()[0]
+        stats = []
+        for lo in range(0, resamples, BOOTSTRAP_BLOCK):
+            m = min(BOOTSTRAP_BLOCK, resamples - lo)
+            draws_a = slow_rng.multinomial(len(a), ha[ia] / len(a), size=m)
+            draws_b = slow_rng.multinomial(len(b), hb[ib] / len(b), size=m)
+            stats += [
+                _sorted_ks_distance(np.repeat(ia, ca), np.repeat(ib, cb))
+                for ca, cb in zip(draws_a, draws_b)
+            ]
+        assert fast == pytest.approx(np.std(stats, ddof=1), rel=1e-10, abs=1e-15)
         # both consumed exactly the same draws
         assert fast_rng.random() == slow_rng.random()
+
+    @pytest.mark.parametrize("resamples", [2, 65, 130])
+    def test_a_seed_fixes_the_resamples(self, resamples):
+        a, b = _ks_cases()["continuous"]
+        rngs = np.random.default_rng(8), np.random.default_rng(8)
+        first, second = (ks_bootstrap_stderr(a, b, resamples, r) for r in rngs)
+        assert first == second
+        assert rngs[0].random() == rngs[1].random()
 
     @pytest.mark.parametrize("resamples", [0, 1])
     def test_bootstrap_needs_two_resamples(self, resamples):
@@ -444,6 +507,16 @@ class TestKsCounting:
             ks_distance(np.array([]), a)
         with pytest.raises(ValueError, match="non-empty"):
             ks_bootstrap_stderr(np.array([]), a, 10, np.random.default_rng(0))
+
+    def test_nan_is_a_value_error_naming_the_sample(self):
+        clean = np.array([0.15, 0.25, 0.3])
+        dirty = np.array([0.1, np.nan, 0.2, np.nan])
+        with pytest.raises(ValueError, match="sample a holds 2 NaN"):
+            ks_distance(dirty, clean)
+        with pytest.raises(ValueError, match="sample b holds 2 NaN"):
+            ks_distance(clean, dirty)
+        with pytest.raises(ValueError, match="sample b holds 2 NaN"):
+            ks_bootstrap_stderr(clean, dirty, 10, np.random.default_rng(0))
 
 
 class TestConvergence:
@@ -462,4 +535,9 @@ class TestConvergence:
     def test_requires_ordered_sizes(self):
         schemes = [TruncationScheme(alpha=0.4, N=n) for n in (100, 50)]
         with pytest.raises(ValueError):
+            convergence_study(STAIRCASE, 0.5, schemes, 1.0, 100, seed=17)
+
+    def test_refuses_a_repeated_size(self):
+        schemes = [TruncationScheme(alpha=0.4, N=n) for n in (10, 20, 20)]
+        with pytest.raises(ValueError, match=r"strictly increasing N, got \[10, 20, 20\]"):
             convergence_study(STAIRCASE, 0.5, schemes, 1.0, 100, seed=17)
