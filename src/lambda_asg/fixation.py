@@ -81,6 +81,12 @@ def build_moment_table(coupling: CoupledMeasure, jmax: int, kmax: int) -> Moment
         M[j, k] += w y^2 / tilde_mass * integral_0^1 2u (1-uy)^j (uy)^k du,
         q[j]    += w / tilde_mass * ((1-y)^{j+1} - (1-y-z)^{j+1}) / (j+1).
 
+    The difference in ``q`` is taken without a subtraction, as
+    ``z S_j`` with ``S_j = sum_{i <= j} A^i B^{j-i}`` (A = 1 - y, B = 1 - y - z),
+    by ``S_0 = 1, S_j = B S_{j-1} + A^j``: every term is nonnegative, so an
+    atom with a small z keeps its relative accuracy, where the difference
+    of powers would lose about 1e-16 / z of it.
+
     Raises:
         ZeroMass: if the size-biased mass vanishes (no atom with y^2 + z > 0).
     """
@@ -99,9 +105,11 @@ def build_moment_table(coupling: CoupledMeasure, jmax: int, kmax: int) -> Moment
         pj = (1.0 - nodes * ya)[None, :] ** js[:, None]   # (jmax+1, nodes)
         pk = (nodes * ya)[None, :] ** ks[:, None]         # (kmax+1, nodes)
         M += (wa * ya * ya / tilde_mass) * ((pj * base) @ pk.T)
-    jp1 = js + 1.0
-    q = ((1.0 - y)[None, :] ** jp1[:, None] - (1.0 - y - z)[None, :] ** jp1[:, None]) \
-        @ w / (tilde_mass * jp1)
+    A, B = 1.0 - y, 1.0 - y - z
+    S = A[None, :] ** js[:, None]
+    for j in range(1, jmax + 1):
+        S[j] += B * S[j - 1]
+    q = S @ (w * z) / (tilde_mass * (js + 1.0))
     return MomentTable(jmax=jmax, kmax=kmax, M=M, q=q, tilde_mass=tilde_mass)
 
 

@@ -402,7 +402,7 @@ PINNED_RUNS = {
     "moment_duality": (SELECTIVE, {"x0": 0.5, "n": 2, "t": 0.5, "replicates": 2000},
                        "97fe02d1ac61178ac492b0d2d3d1ab951c426c4b9c24dfa02d1d236b55461e48"),
     "fixation": (SELECTIVE, {"nmax": 30, "grid": 11, "compare_absorption_N": 20},
-                 "566adde8afa0e784909a546ec1ef76dbe1a9366a6a6b38566aed13254c25c984"),
+                 "aaf7ea2ecd74cdb1fafcb50a1acd79b72396fe0bbaeeb8a63c87e7638cff66d2"),
     "coupling_report": (PAIR, {},
                         "1a49e1962dc283ce4f4efd6fafbfaf95ed413d649848babe4bd5019e293dc932"),
     "line_count_sim": (PAIR, {"N": 10, "n0": 3, "horizon": 1.0, "replicates": 5,

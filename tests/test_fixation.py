@@ -88,6 +88,16 @@ class TestMomentTable:
             for k in range(7):
                 assert t.M[j, k] == pytest.approx(float(M[j][k]), rel=1e-13)
 
+    def test_small_selective_gap_keeps_q_accurate(self):
+        # (1-y)^{j+1} - (1-y-z)^{j+1} cancels at z = 1e-12, and the difference
+        # of float powers lost about 4e-5 of q's relative accuracy here
+        c = CoupledMeasure.from_atoms([(0.3, 1e-12, 5.0), (0.6, 0.0, 0.5)])
+        atoms = [(Fraction(y), Fraction(z), Fraction(w)) for y, z, w in zip(c.ys, c.zs, c.masses)]
+        t = build_moment_table(c, 30, 0)
+        _, q = rational_moment_table(atoms, 30, 0)
+        rel = [abs(Fraction(t.q[j]) - q[j]) / q[j] for j in range(31)]
+        assert float(max(rel)) <= 1e-13
+
 
 class TestPolynomialRecursion:
     def test_first_polynomial_is_identity(self):
