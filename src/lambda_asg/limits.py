@@ -281,35 +281,61 @@ def _chain_chunk(
 ) -> np.ndarray:
     """Final states of n_paths chains from n0 at a finite ``horizon``.
 
-    ``idx``, ``t`` and ``s`` hold the live paths only, in ascending order:
-    their indices, clocks and states.  A path that passes the horizon leaves
-    them for good, so each step draws for the same paths, in the same order,
-    as a mask over all of them would.
+    The live paths are kept in ascending order: their indices, clocks and
+    states.  A path that passes the horizon leaves them for good, so each
+    step draws for the same paths, in the same order, as a mask over all of
+    them would.  A jump counts the uniform against the rows of
+    :attr:`AncestorChain.window` below the largest live state: one gather,
+    one compare and one subtraction per row.
+
+    Every per-step array is a row of one block allocated per chunk: two
+    halves each of the indices, clocks and states (a step compacts each into
+    its other half, and the jump writes the states back), the totals and
+    then the uniforms, the exponential draws and then the gathered window
+    entries, and a mask.  Draws are made into it with ``out=``, and
+    ``standard_exponential`` gives the bits of ``exponential(1.0)``.  Separate
+    arrays per step made glibc return and re-fault their pages on every
+    pass; one block is reused warm and takes no minor faults.
     """
     states = np.full(n_paths, n0, dtype=np.int64)
-    idx = np.arange(n_paths)
-    t = np.zeros(n_paths)
-    s = states.copy()
-    while len(idx):
-        if int(s.max()) >= len(table.total) - 1:
-            table.grow(2 * int(s.max()))
-        totals = table.total[s]
-        draws = rng.exponential(1.0, size=len(idx))
-        with np.errstate(divide="ignore"):
-            dt = np.where(totals > 0.0, draws / totals, np.inf)
-        t += dt
-        # a row with total 0 (all ones in ``cum``) has dt = inf, which passes
-        # every finite horizon, so it never reaches the jump below
-        k = (t <= horizon).nonzero()[0]
-        idx, t, s = idx[k], t[k], s[k]
-        if not len(idx):
+    work = np.empty((9, n_paths))
+    idx, idx_next, s, s_next = work[:4].view(np.int64)
+    t, t_next, first, second = work[4:8]
+    mask = work[8].view(bool)
+    idx[:] = np.arange(n_paths)
+    t[:] = 0.0
+    s[:] = n0
+    n, top = n_paths, n0
+    while n:
+        if top >= len(table.total) - 1:
+            table.grow(2 * top)
+        totals, dt = first[:n], second[:n]
+        table.total.take(s[:n], out=totals, mode="clip")
+        rng.standard_exponential(out=dt)
+        # a row with total 0 gives a clock of inf (nan for a draw of 0),
+        # which fails the horizon test, so it never reaches the jump below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(dt, totals, out=dt)
+        np.add(t[:n], dt, out=t[:n])
+        live = np.flatnonzero(np.less_equal(t[:n], horizon, out=mask[:n]))
+        n = len(live)
+        for src, dst in ((idx, idx_next), (t, t_next), (s, s_next)):
+            src.take(live, out=dst[:n], mode="clip")
+        idx, idx_next, t, t_next = idx_next, idx, t_next, t
+        if not n:
             break
-        u = rng.random(len(idx))
-        # the target is len(total) less the entries passed; ``>=`` passes the
-        # zeros above the branch even for a uniform of exactly 0
-        s = len(table.total) - (u[:, None] >= table.cum[s]).sum(axis=1)
-        states[idx] = s
-        if int(s.max()) > state_cap:
+        u, column, hit = first[:n], second[:n], mask[:n]
+        rng.random(out=u)
+        # s_next holds the live states; the target is s + 1 less the window
+        # entries the uniform passes, and entries past a row's targets are 1
+        np.add(s_next[:n], 1, out=s[:n])
+        for j in range(top):
+            table.window[j].take(s_next[:n], out=column, mode="clip")
+            np.greater_equal(u, column, out=hit)
+            np.subtract(s[:n], hit, out=s[:n])
+        states[idx[:n]] = s[:n]
+        top = int(s[:n].max())
+        if top > state_cap:
             raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     return states
 
@@ -362,8 +388,13 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     Raises:
         ValueError: if either sample is empty or holds a NaN.
     """
-    ha, hb = _merged_counts(a, b)
-    return float(_ks_of_gaps(ha * len(b) - hb * len(a), len(a), len(b)))
+    return _ks_of_counts(*_merged_counts(a, b), len(a), len(b))
+
+
+def _ks_of_counts(ha: np.ndarray, hb: np.ndarray, na: int, nb: int) -> float:
+    """:func:`ks_distance` of two samples of sizes na and nb counted over
+    their merged bins."""
+    return float(_ks_of_gaps(ha * nb - hb * na, na, nb))
 
 
 def ks_bootstrap_stderr(
@@ -385,10 +416,17 @@ def ks_bootstrap_stderr(
         ValueError: if ``resamples < 2`` (no standard deviation), or either
             sample is empty or holds a NaN.
     """
+    return _bootstrap_stderr(*_merged_counts(a, b), len(a), len(b), resamples, rng)
+
+
+def _bootstrap_stderr(
+    ha: np.ndarray, hb: np.ndarray, na: int, nb: int, resamples: int,
+    rng: np.random.Generator,
+) -> float:
+    """:func:`ks_bootstrap_stderr` of two samples of sizes na and nb counted
+    over their merged bins."""
     if resamples < 2:
         raise ValueError(f"bootstrap needs at least 2 resamples, got {resamples}")
-    ha, hb = _merged_counts(a, b)
-    na, nb = len(a), len(b)
     ia, ib = ha.nonzero()[0], hb.nonzero()[0]
     pa, pb = ha[ia] / na, hb[ib] / nb
     stats = np.empty(resamples)
@@ -415,7 +453,8 @@ def convergence_study(
     One SDE sample is drawn from the full coupling; each scheme simulates the
     finite model of size N driven by the truncated coupling from
     ``floor(x0 N) / N`` and reports the distance of the two time-T samples
-    with a bootstrap standard error.
+    with a bootstrap standard error, both from one count of the two samples
+    over their merged bins (:func:`_merged_counts`).
     """
     if T <= 0:
         raise ValueError(f"t must be positive, got {T}")
@@ -436,12 +475,13 @@ def convergence_study(
             cfg, T, replicates, seed, key=(TAG_CONVERGENCE_MORAN, level)
         )
         freqs = counts / scheme.N
+        merged = (*_merged_counts(freqs, sde), len(freqs), len(sde))
         boot_rng = substream(seed, TAG_KS_BOOTSTRAP, level)
         rows.append({
             "N": scheme.N,
             "alpha": scheme.alpha,
             "truncated_mass": truncated.total_mass,
-            "ks": ks_distance(freqs, sde),
-            "stderr": ks_bootstrap_stderr(freqs, sde, bootstrap, boot_rng),
+            "ks": _ks_of_counts(*merged),
+            "stderr": _bootstrap_stderr(*merged, bootstrap, boot_rng),
         })
     return rows

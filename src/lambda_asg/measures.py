@@ -32,6 +32,15 @@ from .quadrature import gauss_legendre_01
 MASS_DROP = 1e-15
 # Absolute tolerance for tail-mass comparisons in the stochastic order.
 ORDER_TOL = 1e-12
+# An array draw of CoupledMeasure.sample_atoms counts the CDF edges at or
+# below each uniform, one vectorized compare per edge, from a coupling of
+# at most COUNTED_ATOMS atoms (so the counts fit in uint8) with at least
+# COUNTED_DRAWS_PER_EDGE draws per edge; below that a binary search per
+# draw is faster.  At 65536 draws counting took 28 us against 706 us on 2
+# atoms, 77 against 1136 us on 5 and 2.2 against 4.0 ms on 128 (numpy 2.4.6,
+# one core of a 2-core Xeon).
+COUNTED_ATOMS = 128
+COUNTED_DRAWS_PER_EDGE = 256
 
 
 def _merge_atoms(keys: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +227,26 @@ class CoupledMeasure:
 
     def sample_atoms(self, rng: np.random.Generator, size: int | tuple) -> np.ndarray:
         """Atom indices of shape ``size`` drawn by mass: the draws of
-        ``rng.choice(len(self), size, p=masses / total_mass)``, one uniform each."""
-        return self._atom_cdf.searchsorted(rng.random(size), side="right")
+        ``rng.choice(len(self), size, p=masses / total_mass)``, one uniform each.
+
+        The index of a uniform u is the number of CDF entries at most u, the
+        ``searchsorted(u, side="right")`` of ``rng.choice``.  An array draw
+        with few atoms and many draws per atom (:data:`COUNTED_ATOMS`,
+        :data:`COUNTED_DRAWS_PER_EDGE`) counts ``u >= edge`` over the edges
+        instead, which is the same number: the CDF is sorted, and its last
+        entry is exactly 1.0, which no uniform reaches.  A scalar draw
+        (``size == ()``) stays one binary search.
+        """
+        u = rng.random(size)
+        # a scalar draw reads only ``u.ndim`` before its search
+        if u.ndim and len(self) <= COUNTED_ATOMS and (
+            u.size >= COUNTED_DRAWS_PER_EDGE * (len(self) - 1)
+        ):
+            count = np.zeros(u.shape, dtype=np.uint8)
+            for edge in self._atom_cdf[:-1]:
+                count += u >= edge
+            return count.astype(np.intp)
+        return self._atom_cdf.searchsorted(u, side="right")
 
     def scaled(self, factor: float) -> "CoupledMeasure":
         return CoupledMeasure.from_atoms(zip(self.ys, self.zs, _scaled(self.masses, factor)))

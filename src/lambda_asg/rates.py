@@ -101,7 +101,14 @@ class AncestorChain:
     branch (target s + 1), accumulates the targets s + 1 down to 2 and is 1
     from target 1 on.  A row whose total is 0 is 1 throughout, so it must
     never be sampled: it would send the count to ``size + 1``.  The rows grow
-    on demand by rebuilding at the larger size."""
+    on demand by rebuilding at the larger size.
+
+    ``window`` holds the same entries from the branch down, one row per
+    offset: ``window[j, s] = cum[s, min(size - s + j, size)]``, entry j of
+    row s below its zeros, and 1 past its own targets (j >= s).  A uniform
+    u then jumps s to ``s + 1 - sum_{j < s} (u >= window[j, s])``, the
+    target that counting ``u >= cum[s]`` gives (the zeros above the branch
+    pass every u), by one 1-D gather per offset over a batch of states."""
 
     def __init__(self, coupling: CoupledMeasure, size: int) -> None:
         self.coupling = coupling
@@ -118,3 +125,5 @@ class AncestorChain:
             out=np.ones_like(rates), where=self.total[:, None] > 0.0,
         )
         self.cum[:, size:] = 1.0
+        states = np.arange(size + 1)
+        self.window = self.cum[states, np.minimum(size - states + states[:, None], size)]

@@ -9,6 +9,7 @@ from helpers import (
     reference_ks_counted,
     reference_pooled_ranks,
 )
+from lambda_asg import limits
 from lambda_asg.errors import NotConverged, StateCapReached
 from lambda_asg.limits import (
     BOOTSTRAP_BLOCK,
@@ -209,6 +210,19 @@ class TestTruncation:
             kept = truncate_measure(coupling, scheme)
             assert kept.total_mass <= N**scheme.alpha * moment + 1e-9
 
+    def test_keeps_exactly_the_atoms_above_the_threshold(self):
+        # 256^-0.25 = 0.25 = 0.5^2 exactly: the atom at y = 0.5 sits on the
+        # threshold and is dropped, its float neighbours fall either side,
+        # and y = 0.3 passes y > 0.25 but not y^2 > 0.25
+        scheme = TruncationScheme(alpha=0.25, N=256)
+        assert scheme.N ** -scheme.alpha == 0.25 == 0.5 * 0.5
+        below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+        atoms = [(0.5, 0.1, 1.0), (below, 0.2, 2.0), (above, 0.3, 3.0),
+                 (0.3, 0.1, 4.0), (0.9, 0.05, 5.0), (0.1, 0.4, 6.0)]
+        out = truncate_measure(CoupledMeasure.from_atoms(atoms), scheme)
+        kept = sorted(zip(out.ys.tolist(), out.zs.tolist(), out.masses.tolist()))
+        assert kept == [(above, 0.3, 3.0), (0.9, 0.05, 5.0)]
+
     def test_staircase_masses_increase(self):
         masses = [
             truncate_measure(STAIRCASE, TruncationScheme(alpha=0.4, N=n)).total_mass
@@ -320,6 +334,30 @@ class TestLimitChain:
 MOMENT_COUPLING = CoupledMeasure.from_atoms([(0.3, 0.1, 1.0), (0.6, 0.2, 0.5)])
 
 
+class _EdgeUniforms:
+    """A generator whose exponentials come from ``rng`` and whose uniforms
+    cycle through ``values``, for both the ``size=`` and the ``out=`` forms;
+    ``drawn`` counts the uniforms."""
+
+    def __init__(self, rng, values):
+        self.rng, self.values, self.drawn = rng, np.asarray(values), 0
+
+    def exponential(self, scale=1.0, size=None):
+        return self.rng.exponential(scale, size=size)
+
+    def standard_exponential(self, size=None, out=None):
+        return self.rng.standard_exponential(size=size, out=out)
+
+    def random(self, size=None, out=None):
+        n = len(out) if out is not None else size
+        at = (self.drawn + np.arange(n)) % len(self.values)
+        self.drawn += n
+        if out is None:
+            return self.values[at]
+        out[:] = self.values[at]
+        return out
+
+
 class TestCompactedChain:
     """The live-set chain steps against the full-mask reference: the same
     states, the same table growth and the same draws from the stream."""
@@ -348,6 +386,47 @@ class TestCompactedChain:
         assert size_a > 17
         assert np.array_equal(a, b)
         assert (size_a, next_a) == (size_b, next_b)
+
+    def test_no_selective_gap(self):
+        # no atom has z > 0, so the branch entry of every row is 0 and a
+        # single line has total rate 0: it never jumps again
+        neutral = CoupledMeasure.from_atoms([(0.3, 0.0, 1.0), (0.6, 0.0, 0.5)])
+        assert AncestorChain(neutral, 16).total[1] == 0.0
+        (a, size_a, next_a), (b, size_b, next_b) = self._both(neutral, 5, 2.0, 20_000)
+        assert np.array_equal(a, b)
+        assert (a == 1).any() and (a <= 5).all()
+        assert (size_a, next_a) == (size_b, next_b)
+
+    def test_uniforms_on_the_window_edges(self):
+        # uniforms of exactly 0.0 and exactly each window entry below 1 of
+        # states 1..7: the counted target must equal the reference's
+        # full-row count on each
+        coupling = CoupledMeasure.from_atoms([(0.2, 0.3, 1.0), (0.5, 0.1, 0.7), (0.7, 0.2, 0.4)])
+        window = AncestorChain(coupling, 16).window
+        edges = [0.0] + [float(e) for j in range(6) for e in window[j, j + 1: 8] if e < 1.0]
+        runs = []
+        for chunk in (_chain_chunk, reference_chain_chunk):
+            table = AncestorChain(coupling, 16)
+            rng = _EdgeUniforms(np.random.default_rng(23), edges)
+            runs.append((chunk(table, 4, 1.0, 5000, rng, 10**6), rng.drawn, len(table.total)))
+        (a, drawn_a, size_a), (b, drawn_b, size_b) = runs
+        assert np.array_equal(a, b)
+        assert (drawn_a, size_a) == (drawn_b, size_b)
+        assert drawn_a > len(edges)
+
+    def test_cap_right_after_the_table_grows(self):
+        # the first step grows the table (17 is its last state), and the
+        # first branch then passes the cap
+        explosive = CoupledMeasure.from_atoms([(1e-6, 0.5, 50.0)])
+        after = []
+        for chunk in (_chain_chunk, reference_chain_chunk):
+            table = AncestorChain(explosive, 17)
+            rng = np.random.default_rng(12)
+            with pytest.raises(StateCapReached, match="exceeded cap 17"):
+                chunk(table, 17, 50.0, 100, rng, 17)
+            after.append((len(table.total), rng.random()))
+        assert after[0] == after[1]
+        assert after[0][0] == 35
 
     def test_cap_raises_at_the_same_draw(self):
         explosive = CoupledMeasure.from_atoms([(1e-6, 0.5, 50.0)])
@@ -498,6 +577,18 @@ class TestKsCounting:
         a, b = _ks_cases()["continuous"]
         with pytest.raises(ValueError, match="at least 2 resamples"):
             ks_bootstrap_stderr(a, b, resamples, np.random.default_rng(0))
+
+    def test_convergence_study_ranks_each_level_once(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append(len(a))
+            return _merged_counts(a, b)
+
+        monkeypatch.setattr(limits, "_merged_counts", counted)
+        schemes = [TruncationScheme(alpha=0.4, N=n) for n in (50, 100)]
+        convergence_study(STAIRCASE, 0.5, schemes, 1.0, 500, seed=15, bootstrap=5)
+        assert calls == [500, 500]
 
     def test_empty_sample_is_a_value_error(self):
         a = np.random.default_rng(22).random(10)

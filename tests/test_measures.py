@@ -428,6 +428,17 @@ class TestOverflowingTotal:
         assert not m.masses.flags.writeable
 
 
+class _FixedUniforms:
+    """A generator whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
 class TestAtomSampler:
     """``sample_atoms`` against the ``rng.choice`` call it replaced."""
 
@@ -451,6 +462,41 @@ class TestAtomSampler:
         c = CoupledMeasure.from_atoms([(0.3, 0.2, 2.5)])
         self.assert_same_draws(c, size, 41)
         assert not c.sample_atoms(np.random.default_rng(41), size).any()
+
+    def test_counting_on_the_edges(self):
+        # uniforms exactly on each CDF edge, just below it, and 0.0, repeated
+        # until the draw takes the counting route
+        c = CoupledMeasure.from_atoms([(0.1, 0.2, 0.3), (0.4, 0.1, 1.7), (0.6, 0.3, 0.2),
+                                       (0.2, 0.5, 0.9), (0.7, 0.0, 0.4)])
+        cdf = c._atom_cdf
+        edges = cdf[:-1]
+        values = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0)])
+        n = measures.COUNTED_DRAWS_PER_EDGE * len(edges)
+        u = np.resize(values, n)
+        got = c.sample_atoms(_FixedUniforms(u), n)
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+        assert got.dtype == np.intp
+        # each edge moves its own uniforms one atom up, and not those below it
+        assert np.array_equal(got[1: len(edges) + 1], np.arange(1, len(edges) + 1))
+        assert np.array_equal(got[len(edges) + 1: 2 * len(edges) + 1], np.arange(len(edges)))
+
+    @pytest.mark.parametrize("atoms", [measures.COUNTED_ATOMS, measures.COUNTED_ATOMS + 1])
+    def test_many_atoms_at_both_routes(self, atoms):
+        # at the most atoms counted (the counts fill uint8 up to 127) and
+        # one past it, where the draw is a binary search again
+        rng = np.random.default_rng(43)
+        ys = rng.uniform(0.0, 0.5, atoms)
+        c = CoupledMeasure.from_atoms(zip(ys, ys / 2, rng.uniform(0.1, 1.0, atoms)))
+        assert len(c) == atoms
+        self.assert_same_draws(c, measures.COUNTED_DRAWS_PER_EDGE * atoms, 44)
+
+    def test_scalar_draw_is_one_binary_search(self):
+        c = CoupledMeasure.from_atoms([(0.3, 0.2, 1.0), (0.5, 0.1, 2.0)])
+        rng, ref_rng = np.random.default_rng(45), np.random.default_rng(45)
+        got = c.sample_atoms(rng, ())
+        assert isinstance(got, np.int64)
+        assert got == c._atom_cdf.searchsorted(ref_rng.random(()), side="right")
+        assert rng.random() == ref_rng.random()
 
     def test_empty_coupling_draws_nothing_at_size_zero(self):
         rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)

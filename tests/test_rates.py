@@ -289,6 +289,16 @@ class TestAncestorChain:
             )
             assert np.all(chain.cum[s, 12:] == 1.0)
 
+    def test_window_reads_each_row_from_the_branch_down(self, example_coupling):
+        chain = AncestorChain(example_coupling, 4)
+        chain.grow(20)
+        size = len(chain.total) - 1
+        for s in range(size + 1):
+            below = chain.cum[s, size - s: size]
+            assert np.array_equal(chain.window[:s, s], below)
+            assert np.all(chain.window[s:, s] == 1.0)
+        assert np.array_equal(chain.window, AncestorChain(example_coupling, 20).window)
+
     def test_limit_chain_grows_on_demand(self, example_coupling):
         chain = AncestorChain(example_coupling, 4)
         chain.grow(9)

@@ -1,7 +1,8 @@
-"""``tools/code_lines.py``, the code-only line counter of the package, and
-guards on the package's public surface.
+"""``tools/code_lines.py``, the code-only line counter of the package,
+``tools/kernel_faults.py``, the per-call time and fault counter of the limit
+kernels, and guards on the package's public surface.
 
-The script needs only the standard library, so it is loaded here by path.
+The scripts are not a package, so they are loaded here by path.
 """
 
 import importlib.util
@@ -14,14 +15,15 @@ from lambda_asg import errors
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-code_lines = load_code_lines()
+code_lines = load_tool("code_lines")
+kernel_faults = load_tool("kernel_faults")
 
 
 def printed_counts(capsys) -> dict[str, int]:
@@ -45,6 +47,18 @@ def test_docstrings_comments_and_blank_lines_are_not_code(tmp_path):
     assert code_lines.code_lines(path) == 0
     path.write_text('"""Doc."""\n\n\ndef f():\n    """Doc."""\n    # note\n    return 1\n')
     assert code_lines.code_lines(path) == 2
+
+
+def test_kernel_faults_prints_each_call_and_a_total(capsys):
+    assert kernel_faults.main(["--replicates", "300", "--passes", "2"]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["pass", "setting", "kernel", "wall_s", "minflt"]
+    kernels = ["sde_final_values", "chain_final_states"] * len(kernel_faults.MOMENT_SETTINGS)
+    for p in (1, 2):
+        mine = [row for row in rows if row[0] == str(p)]
+        assert [row[2] for row in mine] == kernels + ["total"]
+        assert all(float(row[3]) >= 0.0 and int(row[4]) >= 0 for row in mine)
+        assert sum(int(row[4]) for row in mine[:-1]) == int(mine[-1][4])
 
 
 def test_every_public_name_resolves():
