@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import SizeLimit
-from .measures import CoupledMeasure
+from .measures import ORDER_TOL, CoupledMeasure
 from .moran import _event_counts, _event_times, record_events
 from .paths import FrequencyPath
 from .rates import MixtureRows
@@ -43,6 +43,11 @@ LOG_MAGIC = b"ASG1"
 # Largest number of arrow labels drawn in one block of events (8 MB of
 # float64 uniforms).
 BLOCK_LABELS = 1 << 20
+
+# One round of events: (width, reproducers, outcomes), the e-th events of the
+# first ``width`` replicates, read by :func:`_forward_rounds` and
+# :func:`_backward_rounds`.
+Round = tuple[int, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -204,13 +209,18 @@ def _labels(u: np.ndarray, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
 
 
 def propagate_forward(asg: AsgRealization, init: TypeAssignment) -> TypeAssignment:
-    """Push types from time 0 through all events, one :func:`_forward` step each."""
+    """Push types through every event, from the first, by :func:`_forward_rounds`."""
     if len(init) != asg.N:
         raise ValueError("type assignment length must equal N")
     minus = init.minus.copy()
-    for e in range(len(asg)):
-        _forward(minus[None], asg.reproducers[e : e + 1], asg.outcomes[e : e + 1])
+    _forward_rounds(_realization_rounds(asg, 0, len(asg)), minus[None])
     return TypeAssignment(minus=minus)
+
+
+def _realization_rounds(asg: AsgRealization, start: int, stop: int) -> list[Round]:
+    """Events ``start..stop-1`` of a realization as one-replicate rounds of
+    width 1."""
+    return [(1, asg.reproducers[e : e + 1], asg.outcomes[e : e + 1]) for e in range(start, stop)]
 
 
 def _forward(minus: np.ndarray, reproducers: np.ndarray, outcomes: np.ndarray) -> None:
@@ -233,27 +243,17 @@ def potential_ancestors(
 ) -> set[int]:
     """Potential ancestors at ``to_time`` of a sample alive at ``from_time``.
 
-    Sweeps events in (to_time, from_time] backward with :func:`_backward`.
+    Sweeps the events in (to_time, from_time] backward by :func:`_backward_rounds`.
     """
     if not 0 <= to_time <= from_time <= asg.horizon:
         raise ValueError("need 0 <= to_time <= from_time <= horizon")
-    members = _mask(asg.N, sample)[None]
+    members = _mask(asg.N, sample)[None, None]
     if not members.any():
         raise ValueError("sample must be nonempty")
-    _sweep(asg, members, from_time, to_time)
-    return {int(i) for i in np.nonzero(members[0])[0]}
-
-
-def _sweep(
-    asg: AsgRealization, members: np.ndarray, from_time: float, to_time: float
-) -> np.ndarray:
-    """The backward sweep of :func:`potential_ancestors`, applied in place to
-    each row of the ``(k, N)`` boolean member matrix ``members``."""
     lo = int(np.searchsorted(asg.times, to_time, side="right"))
     hi = int(np.searchsorted(asg.times, from_time, side="right"))
-    for e in range(hi - 1, lo - 1, -1):
-        _backward(members[None], asg.reproducers[e : e + 1], asg.outcomes[e : e + 1])
-    return members
+    _backward_rounds(_realization_rounds(asg, lo, hi), members)
+    return {int(i) for i in np.nonzero(members[0, 0])[0]}
 
 
 def _backward(members: np.ndarray, reproducers: np.ndarray, outcomes: np.ndarray) -> None:
@@ -296,7 +296,7 @@ class EventRounds(NamedTuple):
     zs: np.ndarray           # (E,)
     outcomes: np.ndarray     # (E, N) uint8
 
-    def rounds(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    def rounds(self) -> list[Round]:
         """``(width, reproducers, outcomes)`` of each round, in event order."""
         stops = np.cumsum(self.widths).tolist()
         return [
@@ -334,16 +334,17 @@ def _draw_rounds(
     return EventRounds(counts, widths, *marks)
 
 
-def _forward_rounds(rounds: EventRounds, minus: np.ndarray) -> np.ndarray:
+def _forward_rounds(rounds: list[Round], minus: np.ndarray) -> np.ndarray:
     """Push the ``(n, N)`` types ``minus`` through every round, in place."""
-    for width, reproducers, outcomes in rounds.rounds():
+    for width, reproducers, outcomes in rounds:
         _forward(minus[:width], reproducers, outcomes)
     return minus
 
 
-def _backward_rounds(rounds: EventRounds, members: np.ndarray) -> np.ndarray:
-    """Sweep the ``(n, k, N)`` member rows back through every round, in place."""
-    for width, reproducers, outcomes in reversed(rounds.rounds()):
+def _backward_rounds(rounds: list[Round], members: np.ndarray) -> np.ndarray:
+    """Sweep the ``(n, k, N)`` member rows back through every round, last
+    first, in place."""
+    for width, reproducers, outcomes in reversed(rounds):
         _backward(members[:width], reproducers, outcomes)
     return members
 
@@ -444,9 +445,9 @@ def _consistency_violations(rounds: EventRounds, minus: np.ndarray) -> np.ndarra
     """Violations per replicate: individuals whose final type disagrees with
     their potential ancestors' initial types."""
     n, N = minus.shape
-    final = _forward_rounds(rounds, minus.copy())
+    final = _forward_rounds(rounds.rounds(), minus.copy())
     # row i of replicate j holds the potential ancestors of its individual i
-    ancestors = _backward_rounds(rounds, np.tile(np.eye(N, dtype=bool), (n, 1, 1)))
+    ancestors = _backward_rounds(rounds.rounds(), np.tile(np.eye(N, dtype=bool), (n, 1, 1)))
     plus_reachable = (ancestors & ~minus[:, None, :]).any(axis=2)
     return (plus_reachable == final).sum(axis=1)
 
@@ -519,7 +520,9 @@ def read_event_log(path: str) -> AsgRealization:
     """Read a log written by :func:`write_event_log` or :func:`stream_asg_to_log`.
 
     Raises:
-        ValueError: if the file is not an ASG event log or is truncated.
+        ValueError: if the file is not an ASG event log, is truncated, or
+            breaks an invariant of a realization (see :func:`_check_records`),
+            naming the file and the field.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -528,6 +531,10 @@ def read_event_log(path: str) -> AsgRealization:
     if len(raw) < 16:
         raise ValueError(f"{path}: truncated header, {len(raw)} of 16 bytes found")
     N, horizon = struct.unpack_from("<Id", raw, 4)
+    if N < 2:
+        raise ValueError(f"{path}: header field N is {N}; need at least two individuals")
+    if not 0.0 < horizon < np.inf:
+        raise ValueError(f"{path}: header field horizon is {horizon}; need it finite and positive")
     dtype = _record_dtype(N)
     if (len(raw) - 16) % dtype.itemsize:
         raise ValueError(
@@ -535,6 +542,7 @@ def read_event_log(path: str) -> AsgRealization:
             f"not a multiple of the {dtype.itemsize}-byte record size"
         )
     records = np.frombuffer(raw, dtype=dtype, offset=16)
+    _check_records(path, N, horizon, records)
     return AsgRealization(
         N=N, horizon=horizon,
         times=records["t"].copy(),
@@ -545,6 +553,28 @@ def read_event_log(path: str) -> AsgRealization:
         # peak memory, and each row of N labels is contiguous either way
         outcomes=records["outcome"],
     )
+
+
+def _check_records(path: str, N: int, horizon: float, records: np.ndarray) -> None:
+    """Refuse log records that break an invariant of a realization: times
+    nondecreasing within [0, horizon], reproducers below N, labels at most
+    ``OUTCOME_SELECTIVE``, and finite ``y, z >= 0`` with ``y + z <= 1``
+    (up to ``ORDER_TOL``).  A NaN or infinite value fails the comparisons."""
+    t, y, z = records["t"], records["y"], records["z"]
+    reproducer = int(records["reproducer"].max(initial=0))
+    label = int(records["outcome"].max(initial=0))
+    checks = (
+        ("t", (np.diff(t, prepend=0.0, append=horizon) >= 0.0).all(),
+         f"times must be nondecreasing within [0, {horizon}]"),
+        ("reproducer", reproducer < N, f"reproducer {reproducer} is not below N = {N}"),
+        ("outcome", label <= OUTCOME_SELECTIVE,
+         f"label {label} is above OUTCOME_SELECTIVE = {OUTCOME_SELECTIVE}"),
+        ("y, z", ((y >= 0.0) & (z >= 0.0) & (y + z <= 1.0 + ORDER_TOL)).all(),
+         "need finite y, z >= 0 with y + z <= 1"),
+    )
+    for field, ok, message in checks:
+        if not ok:
+            raise ValueError(f"{path}: field {field}: {message}")
 
 
 def stream_asg_to_log(

@@ -48,10 +48,6 @@ from .errors import LambdaAsgError, NotConverged
 from .rng import SEED_RULE
 
 
-class ConfigError(Exception):
-    """Invalid configuration; maps to exit code 1."""
-
-
 # -- config handling -----------------------------------------------------------
 
 # lower bounds of params, by name, for every experiment that takes them
@@ -65,15 +61,15 @@ def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
+        raise ValueError(f"cannot read config: {exc}") from None
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(
+        raise ValueError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     measures._refuse_unknown(
         cfg, ("experiment", "measures", "params", "seed", "output_dir"), "config keys"
     )
@@ -81,13 +77,13 @@ def load_config(path: str) -> dict:
 
 
 def _typed(name: str, value, kind):
-    """``value`` if it has type ``kind``, else ConfigError.  Nothing is cast:
+    """``value`` if it has type ``kind``, else a ValueError.  Nothing is cast:
     an int is also a float (and read as one), a bool is not an int, and
     ``list[int]`` takes a non-empty list of ints or one bare int."""
     if typing.get_origin(kind) is list:
         items = value if isinstance(value, list) else [value]
         if not items:
-            raise ConfigError(f"{name} must be a non-empty list, got []")
+            raise ValueError(f"{name} must be a non-empty list, got []")
         return [_typed(name, item, typing.get_args(kind)[0]) for item in items]
     for k in typing.get_args(kind) or (kind,):
         if isinstance(value, bool) and k is not bool:
@@ -96,19 +92,19 @@ def _typed(name: str, value, kind):
             return float(value)
         if isinstance(value, k):
             return value
-    raise ConfigError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")
+    raise ValueError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")
 
 
 def _field(cfg: dict, name: str, kind, default=inspect.Parameter.empty):
     """``cfg[name]`` checked by ``_typed`` and ``MINIMUM``; ``default`` if it
-    is absent, and a ConfigError if it is absent and has no default."""
+    is absent, and a ValueError if it is absent and has no default."""
     if name not in cfg:
         if default is inspect.Parameter.empty:
-            raise ConfigError(f"missing required field '{name}'")
+            raise ValueError(f"missing required field '{name}'")
         return default
     value = _typed(name, cfg[name], kind)
     if name in MINIMUM and value < MINIMUM[name]:
-        raise ConfigError(f"{name} must be >= {MINIMUM[name]}, got {value}")
+        raise ValueError(f"{name} must be >= {MINIMUM[name]}, got {value}")
     return value
 
 
@@ -119,24 +115,25 @@ def _parse_measures(cfg: dict):
     measures._refuse_unknown(spec, ("lambda_minus", "lambda_plus", "coupling"), "measures keys")
     has_coupling = "coupling" in spec
     if has_coupling == ("lambda_minus" in spec or "lambda_plus" in spec):
-        raise ConfigError(
+        raise ValueError(
             "measures must hold exactly one of {lambda_minus + lambda_plus} or {coupling}"
         )
     if has_coupling:
         return _parsed(spec, "coupling", measures.coupling_from_config)
     for name in ("lambda_minus", "lambda_plus"):
         if name not in spec:
-            raise ConfigError(f"measures.{name} is missing; the ordered pair needs both")
+            raise ValueError(f"measures.{name} is missing; the ordered pair needs both")
     return (_parsed(spec, "lambda_minus", measures.measure_from_config),
             _parsed(spec, "lambda_plus", measures.measure_from_config))
 
 
 def _parsed(spec: dict, name: str, parse):
-    """``parse(spec[name])``, its ValueError a ConfigError naming the measure."""
+    """``parse(spec[name])``, its ValueError prefixed with the measure's name."""
+    value = _typed(f"measures.{name}", spec[name], dict)
     try:
-        return parse(_typed(f"measures.{name}", spec[name], dict))
+        return parse(value)
     except ValueError as exc:
-        raise ConfigError(f"measures.{name}: {exc}") from None
+        raise ValueError(f"measures.{name}: {exc}") from None
 
 
 def resolve_measures(cfg: dict) -> tuple[measures.CoupledMeasure, dict]:
@@ -208,18 +205,18 @@ def _params(runner, cfg: dict) -> dict:
 def _initial_count(N: int, x0: float | None, initial_count: int | None) -> int:
     """The starting count, given as exactly one of a frequency ``x0`` or a count."""
     if (x0 is None) == (initial_count is None):
-        raise ConfigError("give exactly one of x0 and initial_count")
+        raise ValueError("give exactly one of x0 and initial_count")
     if x0 is None:
         return initial_count
     if not 0.0 <= x0 <= 1.0:
-        raise ConfigError(f"x0 must lie in [0, 1], got {x0}")
+        raise ValueError(f"x0 must lie in [0, 1], got {x0}")
     return int(round(x0 * N))
 
 
 def _check_dense(name: str, N: int) -> None:
     """Refuse a size above the dense oracle's limit before any work is done."""
     if N > moran.MAX_DENSE_N:
-        raise ConfigError(
+        raise ValueError(
             f"{name} is too large: dense generator limited to N <= {moran.MAX_DENSE_N}, got {N}"
         )
 
@@ -360,40 +357,42 @@ def run_fixation(
     compare_absorption_N: int = 0,
 ) -> tuple[int, dict]:
     if compare_absorption_N == 1:
-        raise ConfigError("compare_absorption_N must be 0 (off) or at least 2, got 1")
+        raise ValueError("compare_absorption_N must be 0 (off) or at least 2, got 1")
     _check_dense("compare_absorption_N", compare_absorption_N)
     xs = np.linspace(0.0, 1.0, grid)
     header = ["x", "p", "last_term", "residual"]
     if coupling.selective_mass() == 0.0:
         warnings.warn("coupling has no selective gap; emitting the neutral p(x) = x")
-        return 0, {
-            "fixation.csv": (header, ([x, fixation.p_neutral(x), 0.0, 0.0] for x in xs)),
-            "fixation.json": {
-                "neutral": True, "nmax": 0,
-                "harmonicity_residual": 0.0, "identity_residual": 0.0,
+        exit_code, values = 0, np.array([fixation.p_neutral(x) for x in xs])
+        payload = {
+            "neutral": True, "nmax": 0, "harmonicity_residual": 0.0, "identity_residual": 0.0,
+        }
+        artifacts = {
+            "fixation.csv": (header, ([x, p, 0.0, 0.0] for x, p in zip(xs, values))),
+            "fixation.json": payload,
+        }
+    else:
+        solver = fixation.build_fixation_solver(coupling, nmax=nmax)
+        residuals = fixation.harmonicity_values(solver.seq, coupling, xs)
+        values, lasts = fixation.fixation_series(solver.seq, xs, nmax)
+        # rows whose series has not converged keep their partial sums; exit 2
+        exit_code = 2 if np.any(fixation.unconverged(values, lasts)) else 0
+        payload = {
+            "neutral": False,
+            "nmax": nmax,
+            "tilde_mass": solver.table.tilde_mass,
+            "harmonicity_residual": float(np.abs(residuals).max()),
+            "identity_residual": fixation.defining_identity_residual(solver.seq, coupling),
+            "converged": exit_code == 0,
+        }
+        artifacts = {
+            "fixation.csv": (header, zip(xs, values, lasts, np.abs(residuals))),
+            "fixation.json": payload,
+            "polynomials.json": {
+                "nmax": nmax,
+                "coefficients": [a.tolist() for a in solver.seq.coeffs],
             },
         }
-    solver = fixation.build_fixation_solver(coupling, nmax=nmax)
-    residuals = fixation.harmonicity_values(solver.seq, coupling, xs)
-    values, lasts = fixation.fixation_series(solver.seq, xs, nmax)
-    # rows whose series has not converged keep their partial sums; exit 2
-    exit_code = 2 if np.any(fixation.unconverged(values, lasts)) else 0
-    payload = {
-        "neutral": False,
-        "nmax": nmax,
-        "tilde_mass": solver.table.tilde_mass,
-        "harmonicity_residual": float(np.abs(residuals).max()),
-        "identity_residual": fixation.defining_identity_residual(solver.seq, coupling),
-        "converged": exit_code == 0,
-    }
-    artifacts = {
-        "fixation.csv": (header, zip(xs, values, lasts, np.abs(residuals))),
-        "fixation.json": payload,
-        "polynomials.json": {
-            "nmax": nmax,
-            "coefficients": [a.tolist() for a in solver.seq.coeffs],
-        },
-    }
     if compare_absorption_N:
         h = moran.absorption_probability(
             moran.MoranConfig(N=compare_absorption_N, coupling=coupling, initial_count=0)
@@ -457,7 +456,7 @@ def _threads(flag: int | None) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {raw!r}")
+        raise ValueError(f"{name} must be an integer >= 1, got {raw!r}")
     return value
 
 
@@ -466,14 +465,14 @@ def _check_outdir(outdir: Path) -> None:
     be created or written once the run has returned."""
     existing = next(p for p in (outdir, *outdir.parents) if p.exists())
     if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
-        raise ConfigError(f"output_dir {outdir}: {existing} is not a writable directory")
+        raise ValueError(f"output_dir {outdir}: {existing} is not a writable directory")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     experiment = _field(cfg, "experiment", str)
     if experiment not in RUNNERS:
-        raise ConfigError(
+        raise ValueError(
             f"unknown experiment {experiment!r}; valid names: {', '.join(sorted(RUNNERS))}"
         )
     seed = args.seed if args.seed is not None else _field(cfg, "seed", int)
@@ -542,7 +541,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     try:
         report = check_measures(cfg)
-    except (ConfigError, ValueError, LambdaAsgError) as exc:
+    except (ValueError, LambdaAsgError) as exc:
         report = {"valid": False, "issues": [str(exc)]}
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["valid"] else 1
@@ -570,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         # library routines reject invalid arguments, here from the config, with ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1

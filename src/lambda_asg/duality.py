@@ -156,8 +156,8 @@ def _pathwise_counts(
     """``(n, 2)`` rows ``(X_T, A_T)``: the disadvantaged count once ``minus``
     is propagated forward, and the ancestor count of ``sample`` swept back.
     Both masks are updated in place."""
-    final = _forward_rounds(rounds, minus).sum(axis=1)
-    ancestors = _backward_rounds(rounds, sample[:, None, :]).sum(axis=(1, 2))
+    final = _forward_rounds(rounds.rounds(), minus).sum(axis=1)
+    ancestors = _backward_rounds(rounds.rounds(), sample[:, None, :]).sum(axis=(1, 2))
     return np.column_stack([final, ancestors])
 
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asg import _ancestor_run, _count_rates
-from .errors import NotConverged, StateCapReached
+from .errors import NotConverged, SizeLimit, StateCapReached
 from .measures import CoupledMeasure
-from .moran import MoranConfig, record_events, run_events, simulate_final_counts
+from .moran import MAX_DENSE_N, MoranConfig, _rounds, record_events, simulate_final_counts
 from .paths import FrequencyPath
 from .rates import AncestorChain
 from .rng import (
@@ -196,10 +196,10 @@ def sde_absorption(
     lo, hi = ABSORPTION_THRESHOLD, 1.0 - ABSORPTION_THRESHOLD
 
     def run(n: int, rng: np.random.Generator) -> np.ndarray:
-        vals = run_events(
-            np.full(n, float(x0)), lo, hi, np.full(n, max_events),
-            lambda v: _sde_events(v, coupling, rng),
-        )
+        vals, budget = np.full(n, float(x0)), np.full(n, max_events)
+        # each round applies its events to vals in place; nothing is recorded
+        for _ in _rounds(vals, lo, hi, budget, lambda v: _sde_events(v, coupling, rng)):
+            pass
         if ((vals > lo) & (vals < hi)).any():
             raise NotConverged(
                 f"paths still interior after {max_events} events; "
@@ -255,8 +255,13 @@ def chain_final_states(
 ) -> np.ndarray:
     """Time-``horizon`` marginal of the limit chain over many replicates.
 
+    The rate table grows with the largest count up to states
+    ``0..MAX_DENSE_N``, the limit of the dense generators.
+
     Raises:
         StateCapReached: if a count exceeds ``state_cap``, ``n0`` included.
+        SizeLimit: if a count reaches ``MAX_DENSE_N``, ``n0`` included: its
+            next step would need a larger table.
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
@@ -264,7 +269,7 @@ def chain_final_states(
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if n0 > state_cap:
         raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
-    table = AncestorChain(coupling, max(n0 + 8, 16))
+    table = AncestorChain(coupling, min(max(n0 + 8, 16), MAX_DENSE_N))
     return batched(
         replicates, seed, (TAG_LIMIT_CHAIN,), np.int64,
         lambda n, rng: _chain_chunk(table, n0, horizon, n, rng, state_cap),
@@ -308,7 +313,13 @@ def _chain_chunk(
     n, top = n_paths, n0
     while n:
         if top >= len(table.total) - 1:
-            table.grow(2 * top)
+            if top >= MAX_DENSE_N:
+                raise SizeLimit(
+                    f"ancestor count {top} by horizon {horizon:g} needs a rate table past "
+                    f"state {MAX_DENSE_N}; shorten the horizon, or draw single paths "
+                    "with simulate_limit_chain, which holds no table"
+                )
+            table.grow(min(2 * top, MAX_DENSE_N))
         totals, dt = first[:n], second[:n]
         table.total.take(s[:n], out=totals, mode="clip")
         rng.standard_exponential(out=dt)

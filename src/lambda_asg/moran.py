@@ -171,14 +171,6 @@ def _rounds(x: np.ndarray, lo, hi, budget, update) -> Iterator[int]:
         idx, left = idx[k], left[k]
 
 
-def run_events(x: np.ndarray, lo, hi, budget, update) -> np.ndarray:
-    """Apply every round of events to the entries of ``x`` in place (see
-    :func:`_rounds`) and return it."""
-    for _ in _rounds(x, lo, hi, budget, update):
-        pass
-    return x
-
-
 def _event_counts(
     rng: np.random.Generator, rate: float, horizon: float, size: int | None = None
 ) -> np.ndarray | int:

@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from lambda_asg.asg import (
     AsgRealization,
     TypeAssignment,
     _ancestor_events,
-    _sweep,
+    _backward_rounds,
+    _realization_rounds,
     ancestry_consistency_check,
     generate_asg,
     line_count_rates,
@@ -528,7 +531,9 @@ class TestMatrixSweep:
         for seed in range(3):
             realization = generate_asg(N, coupling, 3.0, seed=seed)
             for from_time, to_time in ((3.0, 0.0), (2.0, 0.5)):
-                rows = _sweep(realization, np.eye(N, dtype=bool), from_time, to_time)
+                lo, hi = np.searchsorted(realization.times, [to_time, from_time], side="right")
+                window = _realization_rounds(realization, lo, hi)
+                rows = _backward_rounds(window, np.eye(N, dtype=bool)[None])[0]
                 for i in range(N):
                     got = {int(j) for j in np.nonzero(rows[i])[0]}
                     assert got == potential_ancestors(realization, {i}, from_time, to_time)
@@ -546,6 +551,47 @@ class TestMatrixSweep:
                 to_time, from_time = np.sort(rng.uniform(0.0, 3.0, 2))
                 assert potential_ancestors(realization, sample, from_time, to_time) == \
                     reference_potential_ancestors(realization, sample, from_time, to_time)
+
+
+def grid_realization(rng, N, E, horizon=2.0):
+    """E events with random marks at times drawn from the quarters of
+    [0, horizon], 0 and the horizon included, so several events share a time."""
+    return AsgRealization(
+        N=N, horizon=horizon,
+        times=np.sort(rng.integers(0, 5, E)) * horizon / 4,
+        reproducers=rng.integers(0, N, E),
+        ys=np.full(E, 0.4), zs=np.full(E, 0.3),
+        outcomes=rng.integers(0, 3, (E, N)).astype(np.uint8),
+    )
+
+
+class TestEventsOnTheWindowEdges:
+    def test_an_event_at_time_zero_propagates(self):
+        asg = one_event_realization(4, reproducer=0, outcome_pairs=[(1, OUTCOME_NEUTRAL)])
+        at_zero = dataclasses.replace(asg, times=np.array([0.0]))
+        out = propagate_forward(at_zero, TypeAssignment.from_minus_set(4, {0}))
+        assert out.minus.tolist() == [True, True, False, False]
+
+    @pytest.mark.parametrize("N", [2, 5, 12])
+    def test_forward_matches_the_reference(self, N):
+        rng = np.random.default_rng(N)
+        for _ in range(30):
+            realization = grid_realization(rng, N, int(rng.integers(1, 12)))
+            init = rng.random(N) < 0.5
+            out = propagate_forward(realization, TypeAssignment(minus=init))
+            assert np.array_equal(out.minus, reference_propagate_forward(realization, init))
+
+    @pytest.mark.parametrize("N", [2, 5, 12])
+    def test_ancestors_match_the_reference(self, N):
+        rng = np.random.default_rng(100 + N)
+        edges = np.arange(5) * 2.0 / 4
+        for _ in range(30):
+            realization = grid_realization(rng, N, int(rng.integers(1, 12)))
+            sample = rng.permutation(N)[: rng.integers(1, N + 1)]
+            # both ends of the window on event times, 0 and the horizon included
+            to_time, from_time = np.sort(rng.choice(edges, 2))
+            assert potential_ancestors(realization, sample, from_time, to_time) == \
+                reference_potential_ancestors(realization, sample, from_time, to_time)
 
 
 class TestEventLog:
@@ -587,6 +633,75 @@ class TestEventLog:
         path = tmp_path / "events.asg"
         assert stream_asg_to_log(5, example_coupling, 10.0, 17, str(path)) > 3
         path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_event_log(str(path))
+
+    @staticmethod
+    def log_of(tmp_path, **columns):
+        """A log of three events at N = 4 on [0, 2], on the edges of every
+        invariant (times 0 and 2, y + z = 1, label 2, reproducer 3), with
+        ``columns`` replaced as given."""
+        fields = dict(
+            N=4, horizon=2.0, times=np.array([0.0, 0.5, 2.0]), reproducers=np.array([0, 3, 1]),
+            ys=np.array([0.4, 0.0, 1.0]), zs=np.array([0.6, 0.5, 0.0]),
+            outcomes=np.array([[0, 1, 2, 0]] * 3, dtype=np.uint8),
+        )
+        path = tmp_path / "events.asg"
+        write_event_log(AsgRealization(**{**fields, **columns}), str(path))
+        return path
+
+    def test_reads_a_log_on_the_edges(self, tmp_path):
+        back = read_event_log(str(self.log_of(tmp_path)))
+        assert back.times.tolist() == [0.0, 0.5, 2.0]
+        assert back.reproducers.tolist() == [0, 3, 1]
+
+    @pytest.mark.parametrize("N, horizon, message", [
+        (0, np.nan, "header field N is 0; need at least two individuals"),
+        (1, 1.0, "header field N is 1; need at least two individuals"),
+        (4, np.nan, "header field horizon is nan; need it finite and positive"),
+        (4, np.inf, "header field horizon is inf; need it finite and positive"),
+        (4, 0.0, "header field horizon is 0.0; need it finite and positive"),
+        (4, -1.0, "header field horizon is -1.0; need it finite and positive"),
+    ])
+    def test_refuses_a_bad_header(self, tmp_path, N, horizon, message):
+        path = tmp_path / "events.asg"
+        path.write_bytes(b"ASG1" + struct.pack("<Id", N, horizon))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_event_log(str(path))
+
+    @pytest.mark.parametrize("times", [[0.5, 0.2, 1.0], [-0.1, 0.5, 1.0], [0.0, 0.5, 2.5],
+                                       [0.0, np.nan, 1.0]])
+    def test_refuses_times_out_of_order_or_range(self, tmp_path, times):
+        path = self.log_of(tmp_path, times=np.array(times))
+        message = "field t: times must be nondecreasing within [0, 2.0]"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_event_log(str(path))
+
+    @pytest.mark.parametrize("reproducer", [4, 9])
+    def test_refuses_a_reproducer_outside_the_population(self, tmp_path, reproducer):
+        path = self.log_of(tmp_path, reproducers=np.array([0, reproducer, 1]))
+        message = f"field reproducer: reproducer {reproducer} is not below N = 4"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_event_log(str(path))
+
+    @pytest.mark.parametrize("label", [3, 7])
+    def test_refuses_an_unknown_label(self, tmp_path, label):
+        outcomes = np.array([[0, 1, 2, 0], [0, label, 0, 0], [0] * 4], dtype=np.uint8)
+        path = self.log_of(tmp_path, outcomes=outcomes)
+        message = f"field outcome: label {label} is above OUTCOME_SELECTIVE = 2"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_event_log(str(path))
+
+    @pytest.mark.parametrize("ys, zs", [
+        ([0.4, -0.1, 1.0], [0.6, 0.5, 0.0]),
+        ([0.4, 0.0, 1.0], [0.6, -1e-9, 0.0]),
+        ([0.4, np.nan, 1.0], [0.6, 0.5, 0.0]),
+        ([0.4, 0.0, np.inf], [0.6, 0.5, 0.0]),
+        ([0.4, 0.0, 1.0], [0.6, 0.5, 1e-9]),
+    ])
+    def test_refuses_an_atom_off_the_simplex(self, tmp_path, ys, zs):
+        path = self.log_of(tmp_path, ys=np.array(ys), zs=np.array(zs))
+        message = "field y, z: need finite y, z >= 0 with y + z <= 1"
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             read_event_log(str(path))
 

@@ -153,6 +153,22 @@ class TestRun:
         for row in rows:
             assert float(row["p"]) == pytest.approx(float(row["x"]), abs=1e-15)
 
+    def test_neutral_fixation_keeps_the_oracle_comparison(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": "fixation",
+            "measures": {"coupling": {"atoms": [[0.4, 0.0, 0.8], [0.7, 0.0, 0.6]]}},
+            "params": {"grid": 11, "compare_absorption_N": 50},
+            "seed": 2,
+            "output_dir": str(tmp_path / "out"),
+        })
+        with pytest.warns(UserWarning, match="neutral"):
+            assert main(["run", cfg]) == 0
+        h = [float(row["h"]) for row in read_rows(tmp_path / "out" / "absorption.csv")]
+        assert h == pytest.approx([i / 50 for i in range(51)], abs=1e-14)
+        payload = json.loads((tmp_path / "out" / "fixation.json").read_text())
+        assert payload["neutral"] is True
+        assert payload["max_abs_diff_vs_absorption"] < 1e-14
+
     def test_fixation_with_oracle_comparison(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "experiment": "fixation",

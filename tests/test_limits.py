@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp, poisson
@@ -10,7 +12,7 @@ from helpers import (
     reference_pooled_ranks,
 )
 from lambda_asg import limits
-from lambda_asg.errors import NotConverged, StateCapReached
+from lambda_asg.errors import NotConverged, SizeLimit, StateCapReached
 from lambda_asg.limits import (
     BOOTSTRAP_BLOCK,
     SdeConfig,
@@ -31,6 +33,7 @@ from lambda_asg.limits import (
     truncate_measure,
 )
 from lambda_asg.measures import CoupledMeasure
+from lambda_asg.moran import MAX_DENSE_N
 from lambda_asg.rates import AncestorChain
 
 STAIRCASE = CoupledMeasure.from_atoms([
@@ -329,6 +332,35 @@ class TestLimitChain:
             chain_final_states(explosive, 10, 50.0, 100, seed=11, state_cap=200)
         with pytest.raises(StateCapReached):
             simulate_limit_chain(explosive, 10, 50.0, seed=11, state_cap=200)
+
+    def test_the_table_stops_at_the_dense_limit(self):
+        # a pure branching count from 1990 reaches MAX_DENSE_N within a few
+        # events; its next step would need a table past the dense limit
+        coupling = CoupledMeasure.from_atoms([(0.0, 0.9, 50.0), (0.5, 0.0, 0.01)])
+        message = f"ancestor count {MAX_DENSE_N} by horizon 100 needs a rate table"
+        with pytest.raises(SizeLimit, match=re.escape(message) + ".*simulate_limit_chain"):
+            chain_final_states(coupling, MAX_DENSE_N - 10, 100.0, 4, seed=1)
+
+    def test_the_table_cap_is_exact(self, monkeypatch):
+        # with the dense limit at 40, counts up to 39 run on a table of
+        # states 0..40, and a count of 40 is refused whether it is n0 or reached
+        sizes = []
+
+        class Recorded(limits.AncestorChain):
+            def grow(self, size):
+                sizes.append(size)
+                super().grow(size)
+
+        monkeypatch.setattr(limits, "MAX_DENSE_N", 40)
+        monkeypatch.setattr(limits, "AncestorChain", Recorded)
+        branching = CoupledMeasure.from_atoms([(0.0, 1.0, 5.0)])
+        assert chain_final_states(branching, 39, 1e-9, 4, seed=1).tolist() == [39] * 4
+        assert sizes == [40]
+        for n0, horizon in ((40, 1e-9), (30, 10.0)):
+            sizes.clear()
+            with pytest.raises(SizeLimit, match=f"^ancestor count 40 by horizon {horizon:g} "):
+                chain_final_states(branching, n0, horizon, 4, seed=1)
+            assert max(sizes) == 40
 
 
 MOMENT_COUPLING = CoupledMeasure.from_atoms([(0.3, 0.1, 1.0), (0.6, 0.2, 0.5)])

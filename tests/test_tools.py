@@ -1,6 +1,7 @@
 """``tools/code_lines.py``, the code-only line counter of the package,
 ``tools/kernel_faults.py``, the per-call time and fault counter of the limit
-kernels, and guards on the package's public surface.
+kernels, ``tools/mutants.py``, the mutation runner, and guards on the
+package's public surface.
 
 The scripts are not a package, so they are loaded here by path.
 """
@@ -8,6 +9,8 @@ The scripts are not a package, so they are loaded here by path.
 import importlib.util
 import inspect
 from pathlib import Path
+
+import pytest
 
 import lambda_asg
 from lambda_asg import errors
@@ -24,6 +27,7 @@ def load_tool(name):
 
 code_lines = load_tool("code_lines")
 kernel_faults = load_tool("kernel_faults")
+mutants = load_tool("mutants")
 
 
 def printed_counts(capsys) -> dict[str, int]:
@@ -59,6 +63,41 @@ def test_kernel_faults_prints_each_call_and_a_total(capsys):
         assert [row[2] for row in mine] == kernels + ["total"]
         assert all(float(row[3]) >= 0.0 and int(row[4]) >= 0 for row in mine)
         assert sum(int(row[4]) for row in mine[:-1]) == int(mine[-1][4])
+
+
+def toy_package(root):
+    """A package ``toy`` with one function and its test under ``root``."""
+    (root / "src" / "toy").mkdir(parents=True)
+    (root / "src" / "toy" / "__init__.py").write_text("def double(x):\n    return 2 * x\n")
+    (root / "tests").mkdir()
+    (root / "tests" / "test_toy.py").write_text(
+        "from toy import double\n\n\ndef test_double():\n    assert double(3) == 6\n"
+    )
+
+
+def test_mutants_kills_a_toy_mutant_on_a_copy(tmp_path, capsys):
+    toy_package(tmp_path)
+    source = (tmp_path / "src" / "toy" / "__init__.py").read_text()
+    mutant = mutants.Mutant("triple", "src/toy/__init__.py", "2 * x", "3 * x", ("tests/test_toy.py",))
+    assert mutants.run([mutant], root=tmp_path, timeout=120) == 0
+    name, status, seconds, killer = capsys.readouterr().out.split()
+    assert (name, status, killer) == ("triple", "killed", "tests/test_toy.py::test_double")
+    assert float(seconds.rstrip("s")) >= 0.0
+    # the mutant ran on a copy: the package is untouched
+    assert (tmp_path / "src" / "toy" / "__init__.py").read_text() == source
+
+
+def test_mutants_refuse_text_that_does_not_occur_once(tmp_path):
+    toy_package(tmp_path)
+    mutant = mutants.Mutant("stale", "src/toy/__init__.py", "4 * x", "5 * x", ("tests/test_toy.py",))
+    with pytest.raises(ValueError, match="old text occurs 0 times in src/toy/__init__.py"):
+        mutants.run_mutant(mutant, tmp_path, timeout=120)
+
+
+def test_every_mutant_matches_its_file_once():
+    for m in mutants.MUTANTS:
+        assert (ROOT / m.file).read_text().count(m.old) == 1, m.name
+        assert all((ROOT / test).exists() for test in m.tests), m.name
 
 
 def test_every_public_name_resolves():
