@@ -213,14 +213,15 @@ def propagate_forward(asg: AsgRealization, init: TypeAssignment) -> TypeAssignme
     if len(init) != asg.N:
         raise ValueError("type assignment length must equal N")
     minus = init.minus.copy()
-    _forward_rounds(_realization_rounds(asg, 0, len(asg)), minus[None])
+    _forward_rounds(_realization_rounds(asg, range(len(asg))), minus[None])
     return TypeAssignment(minus=minus)
 
 
-def _realization_rounds(asg: AsgRealization, start: int, stop: int) -> list[Round]:
-    """Events ``start..stop-1`` of a realization as one-replicate rounds of
-    width 1."""
-    return [(1, asg.reproducers[e : e + 1], asg.outcomes[e : e + 1]) for e in range(start, stop)]
+def _realization_rounds(asg: AsgRealization, events: range) -> Iterator[Round]:
+    """The realization's events at ``events``, in that order, as
+    one-replicate rounds of width 1, one at a time."""
+    for e in events:
+        yield 1, asg.reproducers[e : e + 1], asg.outcomes[e : e + 1]
 
 
 def _forward(minus: np.ndarray, reproducers: np.ndarray, outcomes: np.ndarray) -> None:
@@ -252,7 +253,7 @@ def potential_ancestors(
         raise ValueError("sample must be nonempty")
     lo = int(np.searchsorted(asg.times, to_time, side="right"))
     hi = int(np.searchsorted(asg.times, from_time, side="right"))
-    _backward_rounds(_realization_rounds(asg, lo, hi), members)
+    _backward_rounds(_realization_rounds(asg, range(hi - 1, lo - 1, -1)), members)
     return {int(i) for i in np.nonzero(members[0, 0])[0]}
 
 
@@ -334,17 +335,18 @@ def _draw_rounds(
     return EventRounds(counts, widths, *marks)
 
 
-def _forward_rounds(rounds: list[Round], minus: np.ndarray) -> np.ndarray:
-    """Push the ``(n, N)`` types ``minus`` through every round, in place."""
+def _forward_rounds(rounds: Iterable[Round], minus: np.ndarray) -> np.ndarray:
+    """Push the ``(n, N)`` types ``minus`` through the rounds, first to last,
+    in place."""
     for width, reproducers, outcomes in rounds:
         _forward(minus[:width], reproducers, outcomes)
     return minus
 
 
-def _backward_rounds(rounds: list[Round], members: np.ndarray) -> np.ndarray:
-    """Sweep the ``(n, k, N)`` member rows back through every round, last
-    first, in place."""
-    for width, reproducers, outcomes in reversed(rounds):
+def _backward_rounds(rounds: Iterable[Round], members: np.ndarray) -> np.ndarray:
+    """Sweep the ``(n, k, N)`` member rows through the rounds in the order
+    given, which is backward in time (last event first), in place."""
+    for width, reproducers, outcomes in rounds:
         _backward(members[:width], reproducers, outcomes)
     return members
 
@@ -447,7 +449,7 @@ def _consistency_violations(rounds: EventRounds, minus: np.ndarray) -> np.ndarra
     n, N = minus.shape
     final = _forward_rounds(rounds.rounds(), minus.copy())
     # row i of replicate j holds the potential ancestors of its individual i
-    ancestors = _backward_rounds(rounds.rounds(), np.tile(np.eye(N, dtype=bool), (n, 1, 1)))
+    ancestors = _backward_rounds(reversed(rounds.rounds()), np.tile(np.eye(N, dtype=bool), (n, 1, 1)))
     plus_reachable = (ancestors & ~minus[:, None, :]).any(axis=2)
     return (plus_reachable == final).sum(axis=1)
 

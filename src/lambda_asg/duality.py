@@ -157,7 +157,7 @@ def _pathwise_counts(
     is propagated forward, and the ancestor count of ``sample`` swept back.
     Both masks are updated in place."""
     final = _forward_rounds(rounds.rounds(), minus).sum(axis=1)
-    ancestors = _backward_rounds(rounds.rounds(), sample[:, None, :]).sum(axis=(1, 2))
+    ancestors = _backward_rounds(reversed(rounds.rounds()), sample[:, None, :]).sum(axis=(1, 2))
     return np.column_stack([final, ancestors])
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,7 +533,7 @@ class TestMatrixSweep:
             realization = generate_asg(N, coupling, 3.0, seed=seed)
             for from_time, to_time in ((3.0, 0.0), (2.0, 0.5)):
                 lo, hi = np.searchsorted(realization.times, [to_time, from_time], side="right")
-                window = _realization_rounds(realization, lo, hi)
+                window = _realization_rounds(realization, range(hi - 1, lo - 1, -1))
                 rows = _backward_rounds(window, np.eye(N, dtype=bool)[None])[0]
                 for i in range(N):
                     got = {int(j) for j in np.nonzero(rows[i])[0]}
@@ -592,6 +593,21 @@ class TestEventsOnTheWindowEdges:
             to_time, from_time = np.sort(rng.choice(edges, 2))
             assert potential_ancestors(realization, sample, from_time, to_time) == \
                 reference_potential_ancestors(realization, sample, from_time, to_time)
+
+    def test_the_rules_hold_nothing_per_event(self):
+        # the rounds of a realization are made one at a time: a pass over
+        # 5000 events peaks at a few kB (a list of rounds would take ~1.5 MB)
+        realization = grid_realization(np.random.default_rng(3), 2, 5000)
+        init = TypeAssignment(minus=np.array([True, False]))
+        for rule in (lambda: propagate_forward(realization, init),
+                     lambda: potential_ancestors(realization, {0}, 2.0, 0.0)):
+            tracemalloc.start()
+            try:
+                rule()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
 
 
 class TestEventLog:

@@ -17,12 +17,11 @@ passes, so a mutant is reported as:
 Standard library only.  Exits 1 if a mutant without an equivalence reason
 survives or is caught only by a digest pin.
 
-Usage: python3 tools/mutants.py [--only NAME ...] [--timeout 600]
+Usage: python3 tools/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -35,6 +34,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 # the digest pins: byte hashes of outputs, which any change of bits breaks
 DIGESTS = "pinned"
+# seconds per pytest run; the slowest mutant of the table takes about 11 s
+TIMEOUT = 600.0
 
 
 class Mutant(NamedTuple):
@@ -57,10 +58,10 @@ MUTANTS = [
            'hi = int(np.searchsorted(asg.times, from_time, side="right"))',
            'hi = int(np.searchsorted(asg.times, from_time, side="left"))', TEST_ASG),
     Mutant("windowed_forward", ASG,
-           "_forward_rounds(_realization_rounds(asg, 0, len(asg)), minus[None])",
-           "_forward_rounds(_realization_rounds(\n"
-           '        asg, int(np.searchsorted(asg.times, 0.0, side="right")), len(asg)\n'
-           "    ), minus[None])", TEST_ASG),
+           "_forward_rounds(_realization_rounds(asg, range(len(asg))), minus[None])",
+           "_forward_rounds(_realization_rounds(asg, range(\n"
+           '        int(np.searchsorted(asg.times, 0.0, side="right")), len(asg)\n'
+           "    )), minus[None])", TEST_ASG),
     Mutant("backward_reproducer_join", ASG,
            "members[np.arange(L), :, reproducers] |= rows",
            "members[np.arange(L), :, reproducers] ^= rows", TEST_ASG),
@@ -91,14 +92,14 @@ MUTANTS = [
 ]
 
 
-def _pytest(copy: Path, tests: tuple[str, ...], select: str, timeout: float) -> tuple[int, str]:
+def _pytest(copy: Path, tests: tuple[str, ...], select: str) -> tuple[int, str]:
     """Exit code of ``pytest -x`` on ``tests`` with ``-k select`` in ``copy``,
     and the id of the first failing test (5, no test selected, reads as 0)."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
          "-k", select, *tests],
-        cwd=copy, env=env, capture_output=True, text=True, timeout=timeout,
+        cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT,
     )
     failed = [
         line.split()[1] for line in run.stdout.splitlines()
@@ -107,7 +108,7 @@ def _pytest(copy: Path, tests: tuple[str, ...], select: str, timeout: float) -> 
     return (0 if run.returncode == 5 else run.returncode), (failed[0] if failed else "")
 
 
-def run_mutant(mutant: Mutant, root: Path, timeout: float) -> tuple[str, str]:
+def run_mutant(mutant: Mutant, root: Path) -> tuple[str, str]:
     """``(status, detail)`` of one mutant, run on a temporary copy of ``root``.
 
     Raises:
@@ -128,12 +129,12 @@ def run_mutant(mutant: Mutant, root: Path, timeout: float) -> tuple[str, str]:
             )
         target.write_text(text.replace(mutant.old, mutant.new))
         try:
-            code, failed = _pytest(copy, mutant.tests, f"not {DIGESTS}", timeout)
+            code, failed = _pytest(copy, mutant.tests, f"not {DIGESTS}")
             if code:
                 return "killed", failed
-            code, failed = _pytest(copy, mutant.tests, DIGESTS, timeout)
+            code, failed = _pytest(copy, mutant.tests, DIGESTS)
         except subprocess.TimeoutExpired:
-            return "killed", f"timeout after {timeout:g} s"
+            return "killed", f"timeout after {TIMEOUT:g} s"
     if code:
         return "digest-only", failed
     if mutant.equivalent:
@@ -141,31 +142,19 @@ def run_mutant(mutant: Mutant, root: Path, timeout: float) -> tuple[str, str]:
     return "survived", ""
 
 
-def run(mutants: list[Mutant], root: Path = ROOT, timeout: float = 600.0) -> int:
+def run(mutants: list[Mutant], root: Path = ROOT) -> int:
     """Print one line per mutant: name, status, seconds and the killing test
     or the reason; 1 if a mutant without an equivalence reason was not
     killed by a test other than a digest pin, else 0."""
     missed = 0
     for mutant in mutants:
         start = time.perf_counter()
-        status, detail = run_mutant(mutant, root, timeout)
+        status, detail = run_mutant(mutant, root)
         missed += status in ("survived", "digest-only")
         print(f"{mutant.name:36s} {status:12s} {time.perf_counter() - start:7.1f}s  {detail}",
               flush=True)
     return int(missed > 0)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per pytest run")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
-    unknown = set(args.only or ()) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    return run(chosen, timeout=args.timeout)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run(MUTANTS))
