@@ -473,18 +473,12 @@ def ancestry_consistency_check(
     member matrix per replicate for every individual's ancestors.
     """
     _check_size(N, horizon)
-    _check_replicates(replicates)
     violations = batched(
         replicates, seed, (TAG_CONSISTENCY,), np.int64,
         lambda n, rng: _consistency_violations(*_consistency_draws(n, rng, N, coupling, horizon)),
         chunk=_chunk_size(N, N + 1, coupling.total_mass * horizon), threads=threads,
     )
     return replicates * N, int(violations.sum())
-
-
-def _check_replicates(replicates: int) -> None:
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
 
 
 # -- binary event log ---------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import limits
 from .asg import (
-    EventRounds, _backward_rounds, _check_replicates, _check_size, _chunk_size,
+    EventRounds, _backward_rounds, _check_size, _chunk_size,
     _draw_rounds, _forward_rounds,
 )
 from .errors import SizeLimit
@@ -186,7 +186,6 @@ def pathwise_duality_check(
     if not 1 <= sample_size <= N:
         raise ValueError("sample_size out of range")
     _check_size(N, T)
-    _check_replicates(replicates)
     counts = batched(
         replicates, seed, (TAG_PATHWISE,), np.int64,
         lambda n, rng: _pathwise_counts(
@@ -216,7 +215,6 @@ def limit_moment_duality_check(
         raise ValueError("n must be >= 1")
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    _check_replicates(replicates)
     y_final = limits.sde_final_values(coupling, x, t, replicates, seed)
     a_final = limits.chain_final_states(coupling, n, t, replicates, seed)
     lhs = y_final**n

@@ -32,15 +32,36 @@ from .quadrature import gauss_legendre_01
 MASS_DROP = 1e-15
 # Absolute tolerance for tail-mass comparisons in the stochastic order.
 ORDER_TOL = 1e-12
-# An array draw of CoupledMeasure.sample_atoms counts the CDF edges at or
-# below each uniform, one vectorized compare per edge, from a coupling of
-# at most COUNTED_ATOMS atoms (so the counts fit in uint8) with at least
+# An array draw through :func:`invert_cdf` counts the table edges at or
+# below each uniform, one vectorized compare per edge, from a table of at
+# most COUNTED_ATOMS entries (so the counts fit in uint8) with at least
 # COUNTED_DRAWS_PER_EDGE draws per edge; below that a binary search per
 # draw is faster.  At 65536 draws counting took 28 us against 706 us on 2
 # atoms, 77 against 1136 us on 5 and 2.2 against 4.0 ms on 128 (numpy 2.4.6,
 # one core of a 2-core Xeon).
 COUNTED_ATOMS = 128
 COUNTED_DRAWS_PER_EDGE = 256
+
+
+def invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Indices of the uniforms ``u`` under the discrete law with CDF table
+    ``cdf`` (sorted, its last entry exactly 1.0): for each u the number of
+    entries at most u, ``cdf.searchsorted(u, side="right")``.
+
+    An array ``u`` with a short table and many draws per edge
+    (:data:`COUNTED_ATOMS`, :data:`COUNTED_DRAWS_PER_EDGE`) counts
+    ``u >= edge`` over the edges instead, which is the same number: the table
+    is sorted, and its last entry is 1.0, which no uniform reaches.  A scalar
+    ``u`` stays one binary search.
+    """
+    if u.ndim and len(cdf) <= COUNTED_ATOMS and (
+        u.size >= COUNTED_DRAWS_PER_EDGE * (len(cdf) - 1)
+    ):
+        count = np.zeros(u.shape, dtype=np.uint8)
+        for edge in cdf[:-1]:
+            count += u >= edge
+        return count.astype(np.intp)
+    return cdf.searchsorted(u, side="right")
 
 
 def _merge_atoms(keys: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,23 +251,11 @@ class CoupledMeasure:
         ``rng.choice(len(self), size, p=masses / total_mass)``, one uniform each.
 
         The index of a uniform u is the number of CDF entries at most u, the
-        ``searchsorted(u, side="right")`` of ``rng.choice``.  An array draw
-        with few atoms and many draws per atom (:data:`COUNTED_ATOMS`,
-        :data:`COUNTED_DRAWS_PER_EDGE`) counts ``u >= edge`` over the edges
-        instead, which is the same number: the CDF is sorted, and its last
-        entry is exactly 1.0, which no uniform reaches.  A scalar draw
-        (``size == ()``) stays one binary search.
+        ``searchsorted(u, side="right")`` of ``rng.choice``, read by
+        :func:`invert_cdf`, the inversion rule the event counts share.  A
+        scalar draw (``size == ()``) is one binary search.
         """
-        u = rng.random(size)
-        # a scalar draw reads only ``u.ndim`` before its search
-        if u.ndim and len(self) <= COUNTED_ATOMS and (
-            u.size >= COUNTED_DRAWS_PER_EDGE * (len(self) - 1)
-        ):
-            count = np.zeros(u.shape, dtype=np.uint8)
-            for edge in self._atom_cdf[:-1]:
-                count += u >= edge
-            return count.astype(np.intp)
-        return self._atom_cdf.searchsorted(u, side="right")
+        return invert_cdf(self._atom_cdf, rng.random(size))
 
     def scaled(self, factor: float) -> "CoupledMeasure":
         return CoupledMeasure.from_atoms(zip(self.ys, self.zs, _scaled(self.masses, factor)))

@@ -84,7 +84,12 @@ def batched(
     rows are replicates below ``paths``, and returns ``(rows, kept)`` with a
     list of ``keep`` items; the result is then ``(values, kept)``, with the
     chunks' lists joined in replicate order.
+
+    Raises:
+        ValueError: if ``replicates < 1``.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     starts = range(0, replicates, chunk)
 
     def run_chunk(c: int):

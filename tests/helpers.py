@@ -396,6 +396,33 @@ def reference_rounds(x: np.ndarray, lo, hi, budget, update):
         yield step
 
 
+class FixedUniforms:
+    """A generator whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
+def reference_moran_event(counts: np.ndarray, N: int, c: CoupledMeasure, rng) -> np.ndarray:
+    """:func:`lambda_asg.moran._event_updates` entry by entry, in its draw
+    order: a uniform per entry (is the reproducer disadvantaged?), an atom per
+    entry (the ``rng.choice`` of ``sample_atoms``), then one binomial per
+    entry: ``N - count`` trials at y for a disadvantaged reproducer, ``count``
+    trials at y + z for an advantaged one."""
+    minus = rng.random(len(counts)) * N < counts
+    atoms = rng.choice(len(c), size=len(counts), p=c.masses / c.total_mass)
+    trials, probs, signs = [], [], []
+    for k, m, a in zip(counts.tolist(), minus.tolist(), atoms.tolist()):
+        trials.append(N - k if m else k)
+        probs.append(c.ys[a] if m else c.ys[a] + c.zs[a])
+        signs.append(1 if m else -1)
+    return counts + np.array(signs) * rng.binomial(trials, probs)
+
+
 def reference_chain_chunk(table, n0, horizon, n_paths, rng, state_cap) -> np.ndarray:
     """:func:`lambda_asg.limits._chain_chunk` with a full-length live mask and
     clock, comparing each uniform with every column of its ``cum`` row."""

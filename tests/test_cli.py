@@ -399,31 +399,31 @@ def test_path_r_ends_at_finals_row_r(tmp_path, experiment, spec, params, max_pat
 PINNED_RUNS = {
     "moran_sim": (PAIR, {"N": 10, "horizon": 1.0, "x0": 0.5, "replicates": 20,
                          "max_paths": 2, "absorption": True},
-                  "cf4070974e63d41df7e4e62e6cbee8ab0827251d92339deb0a41f19a592c5bc3"),
+                  "b3b1f5bb4b816ebdd9ba1d88897dc74d1b2449f553a59cb15cebd045769f398a"),
     "asg_pathwise": (PAIR, {"N": 6, "horizon": 1.0, "replicates": 20},
                      "b61f7504a7ffd44815dbfcb94df34b868c4c0bb94f7bb82ba6896e0dc055fe30"),
     "duality_matrix": (PAIR, {"N": [4, 8]},
                        "c732be50eac06460521999dc2f565598b515f61d9fa5b9ea7bd66c5c799f7177"),
     "duality_pathwise": (PAIR, {"N": 6, "t": 0.5, "initial_count": 3, "n": 2,
                                 "replicates": 200},
-                         "70bebc4c8fd7a6ae807a4e13f7894defd9cf2ac48afe5afc185b43ef7525133d"),
+                         "b2d395961cdd235597b970099ccb416fd3510257f4afbcaaafa90ba5afe2f647"),
     "sde_sim": (SELECTIVE, {"x0": 0.4, "horizon": 1.0, "replicates": 50,
                             "max_paths": 2},
-                "301b5efcec9426b67d8e7186136601253bf9f398d3e44907955afa63760478ad"),
+                "214767b3fdd5ad7565721f3d75da8b546471c96e6dcba2b8ba73c71aa3caf35e"),
     "convergence": (SELECTIVE, {"x0": 0.5, "t": 1.0, "N_list": [10, 20],
                                 "replicates": 200, "bootstrap": 5},
-                    "f41754ac65dd44f4cf0aac1377487ed2758e54d7955f801a0003c88e57ae2e0e"),
+                    "8be77c778187554e41db5504e28674796987196c7c16c29029b74a4c4921f919"),
     "limit_duality": (SELECTIVE, {"n_max": 6, "grid": 11},
                       "f3e047c7a06548eaddb329c4f9146c218f00e260ee773cd4b80566d27c4d4bd7"),
     "moment_duality": (SELECTIVE, {"x0": 0.5, "n": 2, "t": 0.5, "replicates": 2000},
-                       "97fe02d1ac61178ac492b0d2d3d1ab951c426c4b9c24dfa02d1d236b55461e48"),
+                       "90767e68765759f7ad62e560ed889187f1101efb554d4508577f4783660aa027"),
     "fixation": (SELECTIVE, {"nmax": 30, "grid": 11, "compare_absorption_N": 20},
                  "aaf7ea2ecd74cdb1fafcb50a1acd79b72396fe0bbaeeb8a63c87e7638cff66d2"),
     "coupling_report": (PAIR, {},
                         "1a49e1962dc283ce4f4efd6fafbfaf95ed413d649848babe4bd5019e293dc932"),
     "line_count_sim": (PAIR, {"N": 10, "n0": 3, "horizon": 1.0, "replicates": 5,
                               "max_paths": 2},
-                       "517cbfaeb7e0bbe21e98d6ca1af7b33fb33a55a445fd82370c2dba0fe20d41c3"),
+                       "d8e0bff7d2ebf403d127c81818de6663fcabb67da89bb3bb35d625e9ac276578"),
 }
 
 

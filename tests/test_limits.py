@@ -125,8 +125,8 @@ class TestSdePaths:
             )
 
     @pytest.mark.parametrize("seed, expected", [
-        (4, "74333ae01f0f164f8d86fde334a8b11cfc1f5d3ac1640dc59c7612b09162c99e"),
-        (5, "330f2e887ebb2e45f626a721b6c629fb1f4e4339cb400fe8d48348bce2de6926"),
+        (4, "ef2500f4e0cc2e86daab037d193d020886840ed3dbe1ba82d0f3b751c6ce99f6"),
+        (5, "c0a29548b840e8c1e6663f4146c7888f30e2f4c09a8f26c432d14e4932db0461"),
     ], ids=["4", "5"])
     def test_path_draws_pinned(self, mild_selective_coupling, seed, expected):
         cfg = SdeConfig(coupling=mild_selective_coupling, x0=0.4, horizon=5.0)
@@ -156,7 +156,7 @@ class TestSdePaths:
         # 70 000 replicates span two chunks
         finals = sde_final_values(example_coupling, 0.4, 2.0, 70_000, seed=8)
         assert digest(finals) == (
-            "1cea988c933e6c55d02a35364c120ea249542ddcfa7c5c3dd6e2988fa9412ab1"
+            "c5edc90b781c053f9bc4219e1f438194e39b103f2b9ca6baaafcd23968339959"
         )
         hit_top = sde_absorption(mild_selective_coupling, 0.5, 5000, seed=8)
         assert digest(hit_top) == (

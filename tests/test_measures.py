@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import lambda_asg
 from helpers import (
-    plan_cost, random_coupling, random_ordered_pair, reference_quantile_coupling,
+    FixedUniforms, plan_cost, random_coupling, random_ordered_pair, reference_quantile_coupling,
     transport_vertices,
 )
 from lambda_asg import measures
@@ -428,17 +428,6 @@ class TestOverflowingTotal:
         assert not m.masses.flags.writeable
 
 
-class _FixedUniforms:
-    """A generator whose ``random`` returns the given uniforms."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, size):
-        assert size == len(self.u)
-        return self.u.copy()
-
-
 class TestAtomSampler:
     """``sample_atoms`` against the ``rng.choice`` call it replaced."""
 
@@ -473,7 +462,7 @@ class TestAtomSampler:
         values = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0)])
         n = measures.COUNTED_DRAWS_PER_EDGE * len(edges)
         u = np.resize(values, n)
-        got = c.sample_atoms(_FixedUniforms(u), n)
+        got = c.sample_atoms(FixedUniforms(u), n)
         assert np.array_equal(got, cdf.searchsorted(u, side="right"))
         assert got.dtype == np.intp
         # each edge moves its own uniforms one atom up, and not those below it

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.stats import poisson
 
-from helpers import digest, merged_chisquare_pvalue, reference_rounds
-from lambda_asg import moran
+from helpers import (
+    FixedUniforms, digest, merged_chisquare_pvalue, reference_moran_event, reference_rounds,
+)
+from lambda_asg import measures, moran
 from lambda_asg.asg import _ancestor_events
 from lambda_asg.errors import SingularSystem, SizeLimit
 from lambda_asg.limits import _sde_events
 from lambda_asg.measures import CoupledMeasure
 from lambda_asg.moran import (
+    POISSON_TABLE_MEAN,
+    POISSON_TABLE_TAIL,
     MoranConfig,
+    _event_counts,
     _event_updates,
+    _poisson_cdf,
     _moran_run,
     _rounds,
     absorption_probability,
@@ -134,8 +141,8 @@ class TestSimulate:
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("seed, expected", [
-        (4, "7c78cf1b8d7b5108092ec28f3498335331f3fb8e107d9aa97a16bd484f34527b"),
-        (5, "f35c5a4e3655431941942860e485c41d1429c65b6b8770c1a0e97709e100cda8"),
+        (4, "544f0e3d8d0a90139447861875439674dbff6740c4c32bbce6143a377d714004"),
+        (5, "b3c4cf2ada4c79abbf9a27e01be36180b3ab712d46e30679febd6a02e09882cf"),
     ], ids=["4", "5"])
     def test_path_draws_pinned(self, mild_selective_coupling, seed, expected):
         cfg = MoranConfig(N=30, coupling=mild_selective_coupling, initial_count=12)
@@ -146,7 +153,7 @@ class TestSimulate:
         cfg = MoranConfig(N=30, coupling=mild_selective_coupling, initial_count=12)
         finals = simulate_final_counts(cfg, 2.0, 70_000, seed=8)
         assert digest(finals) == (
-            "20ac6a00ffb665667d4eba73f7b53277266c752fa16b49a8f928f14852a69718"
+            "5de33155cb5d02ea6758d5df57db8526964538d4d6dcd3740b2ed8a15fb7f42b"
         )
 
     def test_neutral_symmetric_absorption(self):
@@ -180,6 +187,114 @@ class TestSimulate:
         emp = np.bincount(finals, minlength=N + 1) / len(finals)
         tv = 0.5 * np.abs(emp - exact).sum()
         assert tv < 0.01
+
+
+# means on both sides of the table limit, the last two beside it
+COUNT_MEANS = [0.1, 1.5, 4.0, POISSON_TABLE_MEAN, np.nextafter(POISSON_TABLE_MEAN, np.inf)]
+
+
+class TestEventCounts:
+    """``_event_counts``: one uniform per count through the Poisson CDF table
+    up to ``POISSON_TABLE_MEAN``, numpy's ``poisson`` above it."""
+
+    @pytest.mark.parametrize("mean", COUNT_MEANS)
+    def test_counts_are_poisson(self, mean):
+        n = 200_000
+        counts = _event_counts(np.random.default_rng(80), mean, 1.0, n)
+        assert counts.shape == (n,) and counts.dtype == np.int64
+        values, observed = np.unique(counts, return_counts=True)
+        top = int(values.max()) + 1
+        probs = {k: poisson.pmf(k, mean) for k in range(top)}
+        probs[top] = poisson.sf(top - 1, mean)
+        observed = dict(zip(values.tolist(), observed.tolist()))
+        assert merged_chisquare_pvalue(observed, probs, n) > 1e-3
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-9, *COUNT_MEANS[:-1]])
+    def test_table_ends_past_its_tail(self, mean):
+        cdf = _poisson_cdf(mean)
+        assert cdf[-1] == 1.0
+        assert poisson.sf(len(cdf) - 1, mean) < POISSON_TABLE_TAIL
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert not cdf.flags.writeable
+        assert _poisson_cdf(mean) is cdf
+
+    @pytest.mark.parametrize("route", ["search", "count"])
+    def test_counting_and_search_routes_agree_on_the_edges(self, route):
+        # uniforms exactly on each edge, just below it, and 0.0, repeated
+        # until the draw counts edges (or once, for a binary search)
+        cdf = _poisson_cdf(4.0)
+        edges = cdf[:-1]
+        values = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0)])
+        n = len(values) if route == "search" else measures.COUNTED_DRAWS_PER_EDGE * len(edges)
+        u = np.resize(values, n)
+        got = _event_counts(FixedUniforms(u), 2.0, 2.0, n)
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+        assert got.dtype == np.intp
+        assert np.array_equal(got[1: len(edges) + 1], np.arange(1, len(edges) + 1))
+        assert np.array_equal(got[len(edges) + 1: 2 * len(edges) + 1], np.arange(len(edges)))
+
+    @pytest.mark.parametrize("mean", [1.5, 40.0])
+    @pytest.mark.parametrize("n, k", [(10_000, 7), (10_000, 1), (50, 3)])
+    def test_a_draw_is_a_prefix_of_a_longer_one(self, mean, n, k):
+        # one uniform per count: k counts then n - k uniforms leave the
+        # stream where n counts do (numpy's poisson above the table limit
+        # draws a varying number, so there only the prefix is asked for)
+        rng_n, rng_k = np.random.default_rng(81), np.random.default_rng(81)
+        many = _event_counts(rng_n, mean, 1.0, n)
+        few = _event_counts(rng_k, mean, 1.0, k)
+        assert np.array_equal(many[:k], few)
+        if mean <= POISSON_TABLE_MEAN:
+            rng_k.random(n - k)
+            assert rng_n.random() == rng_k.random()
+
+    @pytest.mark.parametrize("horizon", [-1.0, float("nan")])
+    def test_refuses_a_negative_or_nan_mean(self, horizon):
+        for size in (None, 1, 100):
+            with pytest.raises(ValueError, match=f"horizon {horizon:g} gives"):
+                _event_counts(np.random.default_rng(0), 2.0, horizon, size)
+
+
+class TestEventUpdates:
+    """``_event_updates``: a uniform, an atom and one binomial per event."""
+
+    @pytest.mark.parametrize("atoms", [
+        None,  # the example pair's coupling
+        [(0.0, 0.4, 1.0), (0.5, 0.2, 0.5)],  # y = 0: a disadvantaged reproducer moves nothing
+        [(0.3, 0.7, 1.0), (0.2, 0.1, 0.4)],  # y + z = 1: an advantaged one takes every minus
+    ], ids=["example", "y0", "yz1"])
+    def test_matches_the_reference_draws(self, example_coupling, atoms):
+        c = example_coupling if atoms is None else CoupledMeasure.from_atoms(atoms)
+        N = 9
+        counts = np.resize(np.arange(N + 1), 3000).astype(np.int64)
+        rng, ref_rng = np.random.default_rng(83), np.random.default_rng(83)
+        got = _event_updates(counts, N, c, rng)
+        ref = reference_moran_event(counts, N, c, ref_rng)
+        assert np.array_equal(got, ref)
+        assert rng.random() == ref_rng.random()
+        assert np.all((got >= 0) & (got <= N))
+
+    def test_y0_atom_never_moves_a_disadvantaged_reproducer_up(self):
+        c = CoupledMeasure.from_atoms([(0.0, 0.6, 1.0)])
+        got = _event_updates(np.full(5000, 4, dtype=np.int64), 10, c, np.random.default_rng(84))
+        assert got.max() == 4 and got.min() < 4
+
+    def test_certain_replacement_takes_every_disadvantaged(self):
+        c = CoupledMeasure.from_atoms([(0.3, 0.7, 1.0)])
+        got = _event_updates(np.full(5000, 4, dtype=np.int64), 10, c, np.random.default_rng(85))
+        # an advantaged reproducer leaves no disadvantaged individual
+        assert got.min() == 0 and np.all(got[got < 4] == 0)
+
+    @pytest.mark.parametrize("count", [-1, 13])
+    def test_jump_oracle_refuses_a_count_outside_0_to_n(self, example_coupling, count):
+        cfg = MoranConfig(N=12, coupling=example_coupling, initial_count=5)
+        with pytest.raises(ValueError, match=rf"count must lie in \[0, N\] = \[0, 12\], got {count}"):
+            sample_event_jumps(cfg, count, 10, seed=1)
+
+    @pytest.mark.parametrize("n_events", [0, -1])
+    def test_jump_oracle_needs_an_event(self, example_coupling, n_events):
+        cfg = MoranConfig(N=12, coupling=example_coupling, initial_count=5)
+        with pytest.raises(ValueError, match=f"n_events must be >= 1, got {n_events}"):
+            sample_event_jumps(cfg, 5, n_events, seed=1)
 
 
 MILD = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])

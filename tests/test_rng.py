@@ -9,6 +9,7 @@ import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lambda_asg
 from lambda_asg import asg, cli, duality, limits, moran, rng
@@ -72,6 +73,24 @@ def test_batched_leaves_no_workers_behind():
     rng.batched(10, 8, (99,), float, _draws, 3, chunk=2, threads=2)
     assert multiprocessing.active_children() == []
     assert threading.active_count() == before
+
+
+MILD = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
+# every replicate loop runs through batched, which refuses an empty run
+REPLICATE_RUNS = {
+    "simulate_final_counts": lambda r: moran.simulate_final_counts(
+        moran.MoranConfig(N=10, coupling=MILD, initial_count=5), 1.0, r, seed=1),
+    "sde_final_values": lambda r: limits.sde_final_values(MILD, 0.4, 1.0, r, seed=1),
+    "chain_final_states": lambda r: limits.chain_final_states(MILD, 3, 1.0, r, seed=1),
+    "line_count_replicates": lambda r: asg.line_count_replicates(10, MILD, 3, 1.0, r, 1, 0),
+}
+
+
+@pytest.mark.parametrize("replicates", [0, -1])
+@pytest.mark.parametrize("name", sorted(REPLICATE_RUNS))
+def test_replicate_runs_need_a_replicate(name, replicates):
+    with pytest.raises(ValueError, match=f"replicates must be >= 1, got {replicates}"):
+        REPLICATE_RUNS[name](replicates)
 
 
 def test_threads_share_a_fresh_coupling_without_races():

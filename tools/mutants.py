@@ -48,7 +48,8 @@ class Mutant(NamedTuple):
 
 
 ASG, CLI, LIMITS = "src/lambda_asg/asg.py", "src/lambda_asg/cli.py", "src/lambda_asg/limits.py"
-TEST_ASG = ("tests/test_asg.py",)
+MEASURES, MORAN = "src/lambda_asg/measures.py", "src/lambda_asg/moran.py"
+TEST_ASG, TEST_MORAN = ("tests/test_asg.py",), ("tests/test_moran.py",)
 
 MUTANTS = [
     Mutant("window_side", ASG,
@@ -84,11 +85,17 @@ MUTANTS = [
            "table.grow(min(2 * top, MAX_DENSE_N - 1))", ("tests/test_limits.py",)),
     Mutant("table_limit_checked_late", LIMITS,
            "if top >= MAX_DENSE_N:", "if top > MAX_DENSE_N:", ("tests/test_limits.py",)),
-    Mutant("moran_reproducer_on_the_edge", "src/lambda_asg/moran.py",
-           "reproducer_minus = rng.random(n) * N < counts",
-           "reproducer_minus = rng.random(n) * N <= counts", ("tests/test_moran.py",),
+    Mutant("moran_reproducer_on_the_edge", MORAN,
+           "minus = rng.random(n) * N < counts", "minus = rng.random(n) * N <= counts",
+           TEST_MORAN,
            equivalent="differs only when a float64 uniform times N lands exactly on an "
                       "integer, an event of probability about 2^-53 per draw"),
+    Mutant("minus_reproducer_reads_y_plus_z", MORAN,
+           "c.ys[a] + c.zs[a] * ~minus", "c.ys[a] + c.zs[a]",
+           TEST_MORAN),
+    Mutant("poisson_table_last_entry_not_one", MORAN, "    cdf[-1] = 1.0\n", "", TEST_MORAN),
+    Mutant("inversion_count_strict", MEASURES,
+           "count += u >= edge", "count += u > edge", ("tests/test_measures.py", *TEST_MORAN)),
 ]
 
 
