@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SizeLimit
 from .measures import ORDER_TOL, CoupledMeasure
-from .moran import _event_counts, _event_times, record_events
+from .moran import _check_horizon, _event_counts, _event_times, record_events
 from .paths import FrequencyPath
 from .rates import MixtureRows
 from .rng import (
@@ -153,8 +153,7 @@ def generate_asg(
 def _check_size(N: int, horizon: float) -> None:
     if N < 2:
         raise ValueError("need at least two individuals")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
 
 
 def _mark_blocks(

@@ -17,9 +17,12 @@ construction after normalization) or a ready-made ``coupling``; ``run`` and
 keyword-only parameters of its runner: the annotation is the type, a param
 without a default is required, and ``MINIMUM`` holds the lower bounds.
 ``cmd_run`` checks the params before the run: an unknown name, a
-missing one, a wrong type or a value below its minimum is a config error.
+missing one, a wrong type, a float that is not finite (JSON's ``NaN`` and
+``Infinity``) or a value below its minimum is a config error.  One type rule,
+``measures._typed``, reads every config value, the measure specs' too.
 Nothing is cast: an int is also a float, a bool is not an int, and
-``list[int]`` takes a non-empty list of ints or one bare int.  A runner gets
+``list[int]`` takes a non-empty list of ints or one bare int.  The worker
+count is set by ``--threads`` alone (default 1).  A runner gets
 no output directory and writes nothing: it returns its exit code and its
 artifacts, and ``cmd_run`` writes them and then ``manifest.json`` (config echo,
 seed rule, wall time, artifact names), so a run that raises writes no
@@ -34,6 +37,7 @@ import argparse
 import inspect
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -76,33 +80,18 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _typed(name: str, value, kind):
-    """``value`` if it has type ``kind``, else a ValueError.  Nothing is cast:
-    an int is also a float (and read as one), a bool is not an int, and
-    ``list[int]`` takes a non-empty list of ints or one bare int."""
-    if typing.get_origin(kind) is list:
-        items = value if isinstance(value, list) else [value]
-        if not items:
-            raise ValueError(f"{name} must be a non-empty list, got []")
-        return [_typed(name, item, typing.get_args(kind)[0]) for item in items]
-    for k in typing.get_args(kind) or (kind,):
-        if isinstance(value, bool) and k is not bool:
-            continue
-        if k is float and isinstance(value, int):
-            return float(value)
-        if isinstance(value, k):
-            return value
-    raise ValueError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")
-
-
 def _field(cfg: dict, name: str, kind, default=inspect.Parameter.empty):
-    """``cfg[name]`` checked by ``_typed`` and ``MINIMUM``; ``default`` if it
-    is absent, and a ValueError if it is absent and has no default."""
+    """``cfg[name]`` checked by :func:`lambda_asg.measures._typed`, as finite
+    if it is a float, and by ``MINIMUM``; ``default`` if it is absent, and a
+    ValueError if it is absent and has no default."""
     if name not in cfg:
         if default is inspect.Parameter.empty:
             raise ValueError(f"missing required field '{name}'")
         return default
-    value = _typed(name, cfg[name], kind)
+    value = measures._typed(name, cfg[name], kind)
+    # JSON's NaN and Infinity parse as floats
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if name in MINIMUM and value < MINIMUM[name]:
         raise ValueError(f"{name} must be >= {MINIMUM[name]}, got {value}")
     return value
@@ -129,7 +118,7 @@ def _parse_measures(cfg: dict):
 
 def _parsed(spec: dict, name: str, parse):
     """``parse(spec[name])``, its ValueError prefixed with the measure's name."""
-    value = _typed(f"measures.{name}", spec[name], dict)
+    value = measures._typed(f"measures.{name}", spec[name], dict)
     try:
         return parse(value)
     except ValueError as exc:
@@ -208,8 +197,7 @@ def _initial_count(N: int, x0: float | None, initial_count: int | None) -> int:
         raise ValueError("give exactly one of x0 and initial_count")
     if x0 is None:
         return initial_count
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError(f"x0 must lie in [0, 1], got {x0}")
+    limits._check_x0(x0)
     return int(round(x0 * N))
 
 
@@ -445,21 +433,6 @@ RUNNERS = {
 # -- commands ------------------------------------------------------------------
 
 
-def _threads(flag: int | None) -> int:
-    """The worker count: ``--threads``, else ``LAMBDA_ASG_THREADS``, else 1;
-    an integer >= 1 either way."""
-    name, raw = "--threads", flag
-    if flag is None:
-        name, raw = "LAMBDA_ASG_THREADS", os.environ.get("LAMBDA_ASG_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {raw!r}")
-    return value
-
-
 def _check_outdir(outdir: Path) -> None:
     """Refuse, before any work is done, an output directory that could not
     be created or written once the run has returned."""
@@ -477,12 +450,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     seed = args.seed if args.seed is not None else _field(cfg, "seed", int)
     outdir = Path(args.output_dir or _field(cfg, "output_dir", str, "out"))
-    threads = _threads(args.threads)
+    if args.threads < 1:
+        raise ValueError(f"--threads must be an integer >= 1, got {args.threads}")
     coupling, coupling_info = resolve_measures(cfg)
     params = _params(RUNNERS[experiment], cfg)
     _check_outdir(outdir)
     start = time.time()
-    code, artifacts = RUNNERS[experiment](coupling, seed, threads, **params)
+    code, artifacts = RUNNERS[experiment](coupling, seed, args.threads, **params)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, payload in artifacts.items():
         if name.endswith(".csv"):
@@ -494,7 +468,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "config": cfg,
         "seed": seed,
         "seed_rule": SEED_RULE,
-        "threads": threads,
+        "threads": args.threads,
         "coupling": coupling_info,
         "version": __version__,
         "wall_time_s": time.time() - start,
@@ -557,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=1)
     p_run.set_defaults(func=cmd_run)
     p_check = sub.add_parser("check", help="validate the measures in a config")
     p_check.add_argument("config")

@@ -26,7 +26,7 @@ from .asg import (
 )
 from .errors import SizeLimit
 from .measures import CoupledMeasure
-from .moran import MAX_DUALITY_N, _generator_rows
+from .moran import MAX_DUALITY_N, _check_horizon, _generator_rows
 from .rates import MixtureRows
 from .rng import TAG_PATHWISE, batched
 
@@ -213,8 +213,7 @@ def limit_moment_duality_check(
     """Monte Carlo check of ``E_x[Y_t^n] = E_n[x^{A_t}]`` for the limits."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_horizon(t, "t")
     y_final = limits.sde_final_values(coupling, x, t, replicates, seed)
     a_final = limits.chain_final_states(coupling, n, t, replicates, seed)
     lhs = y_final**n

@@ -25,7 +25,9 @@ import numpy as np
 from .asg import _ancestor_run, _count_rates
 from .errors import NotConverged, SizeLimit, StateCapReached
 from .measures import CoupledMeasure
-from .moran import MAX_DENSE_N, MoranConfig, _rounds, record_events, simulate_final_counts
+from .moran import (
+    MAX_DENSE_N, MoranConfig, _check_horizon, _rounds, record_events, simulate_final_counts,
+)
 from .paths import FrequencyPath
 from .rates import AncestorChain
 from .rng import (
@@ -63,8 +65,7 @@ class SdeConfig:
 
     def __post_init__(self) -> None:
         _check_x0(self.x0)
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        _check_horizon(self.horizon)
 
 
 @dataclass(frozen=True)
@@ -265,8 +266,7 @@ def chain_final_states(
     """
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    _check_horizon(horizon)
     if n0 > state_cap:
         raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     table = AncestorChain(coupling, min(max(n0 + 8, 16), MAX_DENSE_N))
@@ -467,8 +467,7 @@ def convergence_study(
     with a bootstrap standard error, both from one count of the two samples
     over their merged bins (:func:`_merged_counts`).
     """
-    if T <= 0:
-        raise ValueError(f"t must be positive, got {T}")
+    _check_horizon(T, "t")
     sizes = [s.N for s in schemes]
     if any(m >= n for m, n in zip(sizes, sizes[1:])):
         raise ValueError(f"schemes must be ordered by strictly increasing N, got {sizes}")

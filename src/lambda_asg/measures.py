@@ -18,7 +18,8 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-import numbers
+import sys
+import typing
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -175,11 +176,18 @@ def measure_from_beta_density(
     computed with 16-node Gauss-Legendre (near-exact for smooth densities;
     endpoint singularities for a < 1 or b < 1 stay integrable because nodes
     are interior).  Total mass is renormalized to ``mass`` exactly.
+
+    Raises:
+        ValueError: naming ``a``, ``b``, ``grid`` or ``mass`` if a or b is
+            not positive and finite, grid is below 1 or mass is not finite.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("beta parameters must be positive")
+    for name, value in (("a", a), ("b", b)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"beta parameter {name} must be positive and finite, got {value}")
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    if not math.isfinite(mass):
+        raise ValueError(f"mass must be finite, got {mass}")
     nodes, weights = gauss_legendre_01(16)
     edges = np.linspace(0.0, 1.0, grid + 1)
     widths = np.diff(edges)
@@ -292,24 +300,21 @@ def integrate(coupling: CoupledMeasure, f: Callable[[np.ndarray, np.ndarray], np
     return coupling.integrate(f)
 
 
-def stochastic_order_leq(
-    a: FiniteMeasure1D, b: FiniteMeasure1D, tol: float = ORDER_TOL
-) -> bool:
-    """True iff a[x, 1] <= b[x, 1] + tol for every x.
+def stochastic_order_leq(a: FiniteMeasure1D, b: FiniteMeasure1D) -> bool:
+    """True iff a[x, 1] <= b[x, 1] + ORDER_TOL for every x.
 
     Tail masses are piecewise constant with breakpoints at atom locations, so
     checking every atom location of either measure (plus x = 0) is exhaustive.
     """
-    return order_violation_witness(a, b, tol) is None
+    return order_violation_witness(a, b) is None
 
 
-def order_violation_witness(
-    a: FiniteMeasure1D, b: FiniteMeasure1D, tol: float = ORDER_TOL
-) -> float | None:
-    """Return an x with a[x, 1] > b[x, 1] + tol, or None if the order holds."""
+def order_violation_witness(a: FiniteMeasure1D, b: FiniteMeasure1D) -> float | None:
+    """Return an x with a[x, 1] > b[x, 1] + ORDER_TOL, or None if the order
+    holds.  ``ORDER_TOL`` is the one order tolerance of the package."""
     xs = np.unique(np.concatenate([[0.0], a.locations, b.locations]))
     for x in xs:
-        if a.tail_mass(x) > b.tail_mass(x) + tol:
+        if a.tail_mass(x) > b.tail_mass(x) + ORDER_TOL:
             return float(x)
     return None
 
@@ -438,19 +443,41 @@ def marginal_mismatch(
     )
 
 
-def _number(value, where: str) -> float:
-    """``value`` as a float, else ValueError naming ``where``.  Nothing is
-    cast: a bool or a string is not a number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{where} must be a number, got {value!r}")
-    return float(value)
+# how a config error names a type
+KIND_NAMES = {float: "a number", int: "an int", bool: "a bool", str: "a string",
+              dict: "an object", type(None): "null"}
+
+
+def _typed(name: str, value, kind):
+    """``value`` if it has type ``kind``, else a ValueError naming ``name``.
+    Nothing is cast: an int is also a float (and read as one), a bool is not
+    an int, and ``list[int]`` takes a non-empty list of ints or one bare int.
+    The one type rule of every config value: the CLI's fields and params and
+    the numbers of a measure spec."""
+    if typing.get_origin(kind) is list:
+        items = value if isinstance(value, list) else [value]
+        if not items:
+            raise ValueError(f"{name} must be a non-empty list, got []")
+        return [_typed(name, item, typing.get_args(kind)[0]) for item in items]
+    kinds = typing.get_args(kind) or (kind,)
+    for k in kinds:
+        if isinstance(value, bool) and k is not bool:
+            continue
+        if k is float and isinstance(value, int):
+            if abs(value) > sys.float_info.max:
+                # beyond the float range: an infinity, refused as one
+                return math.inf if value > 0 else -math.inf
+            return float(value)
+        if isinstance(value, k):
+            return value
+    raise ValueError(f"{name} must be {' or '.join(map(KIND_NAMES.get, kinds))}, got {value!r}")
 
 
 def _numbers(values, where: str, names: tuple[str, ...]) -> list[float]:
     """``values``, a list of one number per name in ``names``, as floats."""
     if not isinstance(values, (list, tuple)) or len(values) != len(names):
         raise ValueError(f"{where} must be [{', '.join(names)}], got {values!r}")
-    return [_number(v, f"{where} {name}") for v, name in zip(values, names)]
+    return [_typed(f"{where} {name}", v, float) for v, name in zip(values, names)]
 
 
 def _refuse_unknown(spec: dict, names: tuple[str, ...], what: str) -> None:
@@ -487,11 +514,9 @@ def measure_from_config(spec: dict) -> FiniteMeasure1D:
         raise ValueError(f"density must be {{'kind': 'beta', ...}}, got {d!r}")
     _refuse_unknown(d, ("kind", "params", "grid", "mass"), "density keys")
     a, b = _numbers(d.get("params"), "density.params", ("a", "b"))
-    grid = d.get("grid", 256)
-    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral):
-        raise ValueError(f"density.grid must be an int, got {grid!r}")
-    mass = _number(d.get("mass", 1.0), "density.mass")
-    return measure_from_beta_density(a, b, grid=int(grid), mass=mass)
+    grid = _typed("density.grid", d.get("grid", 256), int)
+    mass = _typed("density.mass", d.get("mass", 1.0), float)
+    return measure_from_beta_density(a, b, grid=grid, mass=mass)
 
 
 def coupling_from_config(spec: dict) -> CoupledMeasure:

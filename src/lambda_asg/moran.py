@@ -13,6 +13,7 @@ simulation output and fixation formulas; :mod:`lambda_asg.rates` has the rates.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,6 +42,14 @@ MAX_EVENT_MEAN = 1e18
 POISSON_TABLE_MEAN = 32.0
 # a table ends at the first count whose Poisson tail beyond it is below this
 POISSON_TABLE_TAIL = 2.0**-53
+
+
+def _check_horizon(value: float, name: str = "horizon") -> None:
+    """Refuse a horizon that is not a positive finite number, by ``name``."""
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -267,8 +276,7 @@ def record_events(
     Returns ``x`` and the paths of its first ``keep`` entries, recorded at
     change points.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_horizon(horizon)
     counts = _event_counts(rng, rate, horizon, len(x))
     kept = counts[:keep].tolist()
     top = max(kept, default=0)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -502,6 +503,8 @@ BAD_MEASURES = {
     "coupling_total_mass_overflows": {
         "coupling": {"atoms": [[0.2, 0.1, 1e308], [0.5, 0.3, 1e308]]},
     },
+    # a JSON int beyond the float range
+    "coupling_mass_int_beyond_float": {"coupling": {"atoms": [[0.2, 0.1, 10**400]]}},
 }
 BAD_PARAMS = {
     "moran_x0_above_one": ("moran_sim", {"N": 10, "horizon": 1.0, "x0": 1.5}),
@@ -543,6 +546,7 @@ BAD_PARAMS = {
     # beyond the range of numpy's poisson
     "asg_horizon_huge": ("asg_pathwise", {"N": 6, "horizon": 1e30, "replicates": 5}),
     "moran_horizon_huge": ("moran_sim", {"N": 10, "horizon": 1e30, "x0": 0.5}),
+    "sde_horizon_int_beyond_float": ("sde_sim", {"x0": 0.5, "horizon": 10**400}),
 }
 # the error message must name the offending param
 MESSAGES = {
@@ -582,6 +586,8 @@ MESSAGES = {
     # SELECTIVE has mass 1.4
     "asg_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
     "moran_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
+    "coupling_mass_int_beyond_float": "measures.coupling: atom masses must be finite",
+    "sde_horizon_int_beyond_float": "horizon must be finite, got inf",
 }
 INVALID_CONFIGS = {
     **{case: ("coupling_report", spec, {}) for case, spec in BAD_MEASURES.items()},
@@ -605,6 +611,67 @@ def test_invalid_config_is_a_config_error(tmp_path, capsys, case):
         assert main(["check", cfg]) == 1
         report = json.loads(capsys.readouterr().out)
         assert not report["valid"] and report["issues"]
+
+
+# the required params of each runner that has some, at valid values
+REQUIRED = {
+    "moran_sim": {"N": 10, "horizon": 1.0, "x0": 0.5},
+    "asg_pathwise": {"N": 6, "horizon": 1.0},
+    "duality_pathwise": {"N": 6, "t": 1.0, "x0": 0.5, "n": 2},
+    "sde_sim": {"x0": 0.5, "horizon": 1.0},
+    "convergence": {"x0": 0.5, "t": 1.0},
+    "moment_duality": {"x0": 0.5, "n": 2, "t": 1.0},
+    "line_count_sim": {"N": 5, "n0": 2, "horizon": 1.0},
+}
+FLOAT_PARAMS = [
+    (experiment, name)
+    for experiment, runner in sorted(RUNNERS.items())
+    for name, kind in typing.get_type_hints(runner).items()
+    if float in (typing.get_args(kind) or (kind,))
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("experiment, name", FLOAT_PARAMS, ids=[".".join(c) for c in FLOAT_PARAMS])
+def test_non_finite_float_params_are_refused_by_name(tmp_path, capsys, experiment, name, value):
+    # JSON's NaN and Infinity parse as floats; an exit gate such as
+    # max_final_ks must not be switched off by one
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": experiment, "measures": SELECTIVE,
+        "params": {**REQUIRED.get(experiment, {}), name: value}, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: {name} must be finite, got {value}\n"
+    assert files_in(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("density, message", [
+    ({"params": [math.inf, 2]}, "beta parameter a must be positive and finite, got inf"),
+    ({"params": [2, math.nan]}, "beta parameter b must be positive and finite, got nan"),
+    ({"params": [2, 5], "mass": math.nan}, "mass must be finite, got nan"),
+    ({"params": [2, 5], "mass": -math.inf}, "mass must be finite, got -inf"),
+], ids=["a_inf", "b_nan", "mass_nan", "mass_-inf"])
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_beta_density_refuses_non_finite_numbers_by_name(
+    tmp_path, capsys, command, density, message
+):
+    spec = {
+        "lambda_minus": {"density": {"kind": "beta", **density}},
+        "lambda_plus": {"atoms": [[1.0, 1.0]]},
+    }
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "coupling_report", "measures": spec, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main([command, cfg]) == 1
+    out, err = capsys.readouterr()
+    message = f"measures.lambda_minus: {message}"
+    if command == "run":
+        assert err == f"config error: {message}\n"
+        assert files_in(tmp_path / "out") == []
+    else:
+        assert json.loads(out) == {"valid": False, "issues": [message]}
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
@@ -796,23 +863,16 @@ def test_dense_size_is_refused_before_any_work(
     assert files_in(tmp_path / "out") == []
 
 
-@pytest.mark.parametrize("flag, env, message", [
-    ("-3", None, "--threads must be an integer >= 1, got -3"),
-    ("0", "2", "--threads must be an integer >= 1, got 0"),
-    (None, "abc", "LAMBDA_ASG_THREADS must be an integer >= 1, got 'abc'"),
-    (None, "0", "LAMBDA_ASG_THREADS must be an integer >= 1, got '0'"),
-], ids=["flag_negative", "flag_zero", "env_not_an_int", "env_zero"])
-def test_thread_counts_are_refused_by_name(tmp_path, capsys, monkeypatch, flag, env, message):
-    if env is None:
-        monkeypatch.delenv("LAMBDA_ASG_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("LAMBDA_ASG_THREADS", env)
+@pytest.mark.parametrize("flag, message", [
+    ("-3", "--threads must be an integer >= 1, got -3"),
+    ("0", "--threads must be an integer >= 1, got 0"),
+], ids=["flag_negative", "flag_zero"])
+def test_thread_counts_are_refused_by_name(tmp_path, capsys, flag, message):
     cfg = write_config(tmp_path, "c.json", {
         "experiment": "limit_duality", "measures": SELECTIVE, "params": {}, "seed": 1,
         "output_dir": str(tmp_path / "out"),
     })
-    argv = ["run", cfg] + (["--threads", flag] if flag is not None else [])
-    assert main(argv) == 1
+    assert main(["run", cfg, "--threads", flag]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 

@@ -6,7 +6,7 @@ from scipy.stats import poisson
 from helpers import (
     FixedUniforms, digest, merged_chisquare_pvalue, reference_moran_event, reference_rounds,
 )
-from lambda_asg import measures, moran
+from lambda_asg import asg, duality, limits, measures, moran
 from lambda_asg.asg import _ancestor_events
 from lambda_asg.errors import SingularSystem, SizeLimit
 from lambda_asg.limits import _sde_events
@@ -352,6 +352,41 @@ class TestRecorder:
         cfg = MoranConfig(N=30, coupling=MILD, initial_count=12)
         with pytest.raises(ValueError, match="horizon must be positive"):
             simulate(cfg, 0.0, seed=1)
+
+
+# every library entry that takes a horizon, called on a small case; the last
+# two call it t
+HORIZON_ENTRIES = {
+    "generate_asg": lambda c, h, tmp: asg.generate_asg(6, c, h, seed=1),
+    "stream_asg_to_log": lambda c, h, tmp: asg.stream_asg_to_log(6, c, h, 1, str(tmp / "a.log")),
+    "ancestry_consistency_check": lambda c, h, tmp: asg.ancestry_consistency_check(6, c, h, 2, 1),
+    "pathwise_duality_check":
+        lambda c, h, tmp: duality.pathwise_duality_check(6, c, h, 3, 2, 2, 1),
+    "SdeConfig": lambda c, h, tmp: limits.SdeConfig(coupling=c, x0=0.5, horizon=h),
+    "simulate_final_counts": lambda c, h, tmp: simulate_final_counts(
+        MoranConfig(N=6, coupling=c, initial_count=3), h, 2, 1
+    ),
+    "sde_final_values": lambda c, h, tmp: limits.sde_final_values(c, 0.5, h, 2, 1),
+    "line_count_replicates": lambda c, h, tmp: asg.line_count_replicates(6, c, 2, h, 2, 1, 0),
+    "chain_final_states": lambda c, h, tmp: limits.chain_final_states(c, 2, h, 2, 1),
+    "limit_moment_duality_check":
+        lambda c, h, tmp: duality.limit_moment_duality_check(c, 0.5, 2, h, 2, 1),
+    "convergence_study": lambda c, h, tmp: limits.convergence_study(
+        c, 0.5, [limits.TruncationScheme(alpha=0.4, N=10)], h, 2, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("horizon, rule", [
+    (0.0, "positive"), (-1.0, "positive"),
+    (float("nan"), "positive and finite"), (float("inf"), "positive and finite"),
+], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRIES))
+def test_every_horizon_entry_refuses_a_bad_horizon_by_name(tmp_path, entry, horizon, rule):
+    name = "t" if entry in ("limit_moment_duality_check", "convergence_study") else "horizon"
+    with pytest.raises(ValueError) as caught:
+        HORIZON_ENTRIES[entry](HALF_SEL, horizon, tmp_path)
+    assert str(caught.value) == f"{name} must be {rule}, got {horizon}"
 
 
 def _mixed_start(rule):

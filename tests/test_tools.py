@@ -53,8 +53,10 @@ def test_docstrings_comments_and_blank_lines_are_not_code(tmp_path):
     assert code_lines.code_lines(path) == 2
 
 
-def test_kernel_faults_prints_each_call_and_a_total(capsys):
-    assert kernel_faults.main(["--replicates", "300", "--passes", "2"]) == 0
+def test_kernel_faults_prints_each_call_and_a_total(capsys, monkeypatch):
+    monkeypatch.setattr(kernel_faults, "REPLICATES", 300)
+    monkeypatch.setattr(kernel_faults, "PASSES", 2)
+    assert kernel_faults.main() == 0
     header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert header == ["pass", "setting", "kernel", "wall_s", "minflt"]
     kernels = ["sde_final_values", "chain_final_states"] * len(kernel_faults.MOMENT_SETTINGS)

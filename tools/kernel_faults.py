@@ -9,12 +9,11 @@ kernel that reuses its memory takes none once warm.  The first pass warms
 up (imports, the allocator's heap) and is not printed.  Numpy and the
 standard library only.
 
-Usage: python3 tools/kernel_faults.py [--replicates 200000] [--passes 3] [--seed 1]
+Usage: python3 tools/kernel_faults.py
 """
 
 from __future__ import annotations
 
-import argparse
 import resource
 import sys
 import time
@@ -28,6 +27,10 @@ from lambda_asg.measures import CoupledMeasure  # noqa: E402
 # the coupling and the (x, n, t) settings of the benchmark's moment stage
 MOMENT_COUPLING = [(0.3, 0.1, 1.0), (0.6, 0.2, 0.5)]
 MOMENT_SETTINGS = [(0.3, 1, 0.5), (0.5, 2, 1.0), (0.7, 3, 1.0), (0.5, 3, 0.5)]
+# replicates per kernel call, printed passes after the warm-up, and the seed
+REPLICATES = 200_000
+PASSES = 3
+SEED = 1
 
 
 def measured(call) -> tuple[float, int]:
@@ -53,16 +56,11 @@ def one_pass(replicates: int, seed: int) -> list[tuple[str, str, float, int]]:
     return rows
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--replicates", type=int, default=200_000)
-    parser.add_argument("--passes", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    one_pass(args.replicates, args.seed)
+def main() -> int:
+    one_pass(REPLICATES, SEED)
     print(f"{'pass':>4} {'setting':<16} {'kernel':<20} {'wall_s':>9} {'minflt':>7}")
-    for p in range(1, args.passes + 1):
-        rows = one_pass(args.replicates, args.seed)
+    for p in range(1, PASSES + 1):
+        rows = one_pass(REPLICATES, SEED)
         for setting, name, wall, faults in rows:
             print(f"{p:>4} {setting:<16} {name:<20} {wall:>9.5f} {faults:>7}")
         total_wall = sum(r[2] for r in rows)

@@ -94,6 +94,16 @@ MUTANTS = [
            "c.ys[a] + c.zs[a] * ~minus", "c.ys[a] + c.zs[a]",
            TEST_MORAN),
     Mutant("poisson_table_last_entry_not_one", MORAN, "    cdf[-1] = 1.0\n", "", TEST_MORAN),
+    Mutant("zero_horizon_accepted", MORAN, "    if value <= 0:\n", "    if value < 0:\n",
+           TEST_MORAN),
+    Mutant("infinite_horizon_accepted", MORAN,
+           "    if not math.isfinite(value):\n"
+           '        raise ValueError(f"{name} must be positive and finite, got {value}")\n',
+           "", TEST_MORAN),
+    Mutant("non_finite_param_accepted", CLI,
+           "    if isinstance(value, float) and not math.isfinite(value):\n"
+           '        raise ValueError(f"{name} must be finite, got {value}")\n',
+           "", ("tests/test_cli.py",)),
     Mutant("inversion_count_strict", MEASURES,
            "count += u >= edge", "count += u > edge", ("tests/test_measures.py", *TEST_MORAN)),
 ]
