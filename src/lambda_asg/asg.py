@@ -4,6 +4,9 @@ Each reproduction event carries a reproducer, a strength pair (y, z) and one
 arrow label per individual: *neutral* (drawn with probability y) replaces the
 target unconditionally, *selective* (probability z) replaces it only when the
 reproducer carries the advantaged type.  Individuals are indexed 0..N-1.
+A label compares one 53-bit uniform with y and y + z, exactly, reading the
+uniform's top byte and, only when that byte ties with a threshold's top byte
+(probability at most 2/256), its 45 low bits.
 
 Forward in time the events propagate types (advantaged through both arrow
 kinds, disadvantaged through neutral only); backward in time they drive the
@@ -40,9 +43,17 @@ MAX_IN_MEMORY_OUTCOMES = 10**7
 
 LOG_MAGIC = b"ASG1"
 
-# Largest number of arrow labels drawn in one block of events (8 MB of
-# float64 uniforms).
+# Largest number of arrow labels drawn in one block of events (1 MB).
 BLOCK_LABELS = 1 << 20
+
+# A block's labels are worked a tile of about this many at a time, in buffers
+# that every tile reuses; a tile's rows are a multiple of 8, so its bytes are
+# whole 64-bit words and a realization does not depend on the tile size.
+TILE_LABELS = 1 << 16
+
+# A label's uniform u = (k * 2**45 + e) * 2**-53 is read as its top byte k,
+# then, only on a tie with a threshold's top byte, its 45 low bits e.
+LOW_BITS = 45
 
 # One round of events: (width, reproducers, outcomes), the e-th events of the
 # first ``width`` replicates, read by :func:`_forward_rounds` and
@@ -124,7 +135,9 @@ def generate_asg(
     horizon and the times are sorted uniforms
     (:func:`lambda_asg.moran._event_times`), drawn before the marks; the
     reproducer is uniform, the strength pair is an atom drawn by mass, and
-    each individual's arrow label is sampled independently from (y, z).
+    each individual's arrow label is independently neutral w.p. y and
+    selective w.p. z, from one random byte but on a tie
+    (:func:`_draw_labels`).
     For a seed, ``write_event_log`` of this realization writes the bytes
     that :func:`stream_asg_to_log` writes.
 
@@ -156,31 +169,35 @@ def _check_size(N: int, horizon: float) -> None:
     _check_horizon(horizon)
 
 
+def _block_events(N: int) -> int:
+    """Events per block of :func:`_mark_blocks`: it follows from N alone, so
+    a seed gives one realization whoever reads it."""
+    return max(BLOCK_LABELS // N, 1)
+
+
 def _mark_blocks(
     rng: np.random.Generator, E: int, N: int, coupling: CoupledMeasure,
-    times: np.ndarray | None = None,
+    times: np.ndarray | None = None, outcomes: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Columns (times, reproducers, ys, zs, outcomes) of E events, a block of
-    at most ``BLOCK_LABELS // N`` events at a time; one empty block when E = 0.
+    at most ``_block_events(N)`` events at a time; one empty block when E = 0.
     Without the E event ``times`` (of a realization, drawn by
     :func:`lambda_asg.moran._event_times` after its count), a block has no
-    times column.
+    times column.  With ``outcomes``, a ``(_block_events(N), N)`` uint8
+    buffer, each block's labels are written into its first rows, which the
+    next block overwrites; else each block gets a new array.
 
     A block draws its reproducers (``integers``), atoms (``sample_atoms``)
-    and ``(n, N)`` label uniforms (``random``, into one buffer reused by
-    every block), in that order; the labels come from :func:`_labels`.  The
-    block size follows from N alone, so a seed gives one realization
-    whoever reads it.
+    and then its labels by :func:`_draw_labels`, in that order.
     """
-    step = max(BLOCK_LABELS // N, 1)
-    uniforms = np.empty((min(step, E), N))
-    for start in range(0, max(E, 1), step):
-        n = min(step, E - start)
+    for start in range(0, max(E, 1), _block_events(N)):
+        n = min(_block_events(N), E - start)
         reproducers = rng.integers(0, N, size=n)
         atom_idx = coupling.sample_atoms(rng, n)
         ys = coupling.ys[atom_idx]
         zs = coupling.zs[atom_idx]
-        labels = _labels(rng.random(out=uniforms[:n]), ys, zs)
+        labels = np.empty((n, N), np.uint8) if outcomes is None else outcomes[:n]
+        _draw_labels(rng.bit_generator, coupling.ys, coupling.zs, atom_idx, labels)
         marks = (reproducers, ys, zs, labels)
         yield marks if times is None else (times[start : start + n], *marks)
 
@@ -192,19 +209,70 @@ def _joined(blocks: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
     return blocks[0] if len(blocks) == 1 else tuple(np.concatenate(col) for col in zip(*blocks))
 
 
-def _labels(u: np.ndarray, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """The ``(E, N)`` arrow labels of uniforms ``u`` at events with atoms ``(ys, zs)``.
+def _thresholds(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo)`` of each ``T = ceil(p * 2**53)``, at most 2**53: the uint8
+    top byte ``hi = T >> 45``, clipped to 255 at ``T = 2**53``, and the rest
+    ``lo = T - hi * 2**45``, so ``lo = 2**45`` at the clip."""
+    T = np.minimum(np.ceil(p * 2.0**53), 2.0**53).astype(np.int64)
+    hi = np.minimum(T >> LOW_BITS, 255)
+    return hi.astype(np.uint8), T - (hi << LOW_BITS)
 
-    A uniform u labels its arrow neutral when u < y, selective when
-    y <= u < y + z and none otherwise.  Stored atoms have z >= 0, so u < y
-    implies u < y + z, and with ``OUTCOME_NONE == 0`` and
-    ``OUTCOME_NEUTRAL == OUTCOME_SELECTIVE - 1`` the label is
-    ``OUTCOME_SELECTIVE * (u < y + z) - (u < y)``, two comparisons per label.
+
+def _below(k: np.ndarray, e: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Whether ``u = (k * 2**45 + e) * 2**-53`` lies below the p of ``(hi, lo)``."""
+    return (k < hi) | ((k == hi) & (e < lo))
+
+
+def _draw_labels(
+    bits, ys: np.ndarray, zs: np.ndarray, atoms: np.ndarray, out: np.ndarray
+) -> None:
+    """The ``(n, N)`` arrow labels of n events, into ``out``: event i has the
+    atom ``(ys, zs)[atoms[i]]``.
+
+    A label is neutral when its 53-bit uniform u is below y, selective when
+    y <= u < y + z and none otherwise; as u < y implies u < y + z, it is
+    ``OUTCOME_SELECTIVE * (u < y + z) - (u < y)``.  u < p holds exactly when
+    the integer ``u * 2**53`` is below ``T = ceil(p * 2**53)``, so each
+    label first draws u's top byte k: one byte of the block's
+    ``bits.random_raw`` words, read little-endian, row by row.  By
+    :func:`_thresholds`, k < hi decides u < p, and k > hi decides against,
+    except when k == hi and lo > 0: a tie.  After all the block's bytes, each
+    label that ties with either threshold draws u's low bits e, the top 45
+    of one more word, in row-major order, and reads ``u < p`` as ``e < lo``.
+    So every label has the law of a 53-bit float comparison, from one byte
+    but for a tie, of probability at most 2/256.
     """
-    outcomes = (u < (ys + zs)[:, None]).view(np.uint8)
-    outcomes *= OUTCOME_SELECTIVE
-    outcomes -= (u < ys[:, None]).view(np.uint8)
-    return outcomes
+    n, N = out.shape
+    hy, ly = _thresholds(ys)
+    hs, ls = _thresholds(ys + zs)
+    rows = max(TILE_LABELS // N // 8, 1) * 8
+    below = np.empty((min(rows, n), N), dtype=bool)
+    tie = np.empty_like(below)
+    ties, tied_bytes = [np.empty(0, np.intp)], [np.empty(0, np.uint8)]
+    for r0 in range(0, n, rows):
+        m = min(rows, n - r0)
+        words = bits.random_raw(-(-m * N // 8)).astype("<u8", copy=False)
+        k = words.view(np.uint8)[: m * N].reshape(m, N)
+        y, s = hy[atoms[r0 : r0 + m], None], hs[atoms[r0 : r0 + m], None]
+        o, b, t = out[r0 : r0 + m], below[:m], tie[:m]
+        np.less(k, s, out=o.view(bool))
+        o += o
+        np.less(k, y, out=b)
+        o -= b.view(np.uint8)
+        np.equal(k, y, out=b)
+        np.equal(k, s, out=t)
+        b |= t
+        idx = np.flatnonzero(b)
+        ties.append(idx + r0 * N)
+        tied_bytes.append(k.ravel()[idx])
+    r, c = np.divmod(np.concatenate(ties), N)
+    k, a = np.concatenate(tied_bytes), atoms[r]
+    # a byte equal to a threshold's top byte is a tie only if its low part is not 0
+    tied = ((k == hy[a]) & (ly[a] > 0)) | ((k == hs[a]) & (ls[a] > 0))
+    r, c, k, a = r[tied], c[tied], k[tied], a[tied]
+    if len(k):
+        e = (bits.random_raw(len(k)) >> (64 - LOW_BITS)).astype(np.int64)
+        out[r, c] = OUTCOME_SELECTIVE * _below(k, e, hs[a], ls[a]) - _below(k, e, hy[a], ly[a])
 
 
 def propagate_forward(asg: AsgRealization, init: TypeAssignment) -> TypeAssignment:
@@ -489,13 +557,14 @@ def _record_dtype(N: int) -> np.dtype:
     )
 
 
-def _packed(N: int, columns: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Log records of the columns (times, reproducers, ys, zs, outcomes), a
+def _packed(records: np.ndarray, columns: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The first ``len(columns[0])`` log records, holding the columns in field
+    order (times, reproducers, ys, zs and, unless already there, outcomes), a
     contiguous array that a file writes without a copy."""
-    records = np.empty(len(columns[0]), dtype=_record_dtype(N))
-    for name, column in zip(records.dtype.names, columns):
-        records[name] = column
-    return records
+    head = records[: len(columns[0])]
+    for name, column in zip(head.dtype.names, columns):
+        head[name] = column
+    return head
 
 
 def _write_log(path: str, N: int, horizon: float, records: Iterable[np.ndarray]) -> None:
@@ -508,7 +577,8 @@ def _write_log(path: str, N: int, horizon: float, records: Iterable[np.ndarray])
 def write_event_log(asg: AsgRealization, path: str) -> None:
     """Write the 16-byte header (magic, N, horizon) and packed event records."""
     columns = (asg.times, asg.reproducers, asg.ys, asg.zs, asg.outcomes)
-    _write_log(path, asg.N, asg.horizon, [_packed(asg.N, columns)])
+    records = np.empty(len(asg), dtype=_record_dtype(asg.N))
+    _write_log(path, asg.N, asg.horizon, [_packed(records, columns)])
 
 
 def read_event_log(path: str) -> AsgRealization:
@@ -581,15 +651,19 @@ def stream_asg_to_log(
 ) -> int:
     """Generate a realization directly to disk; returns the event count.
 
-    Holds all event times in memory (8 bytes per event) and writes each
-    block of events as it is drawn, so at most ``BLOCK_LABELS`` labels are
-    held at once, for realizations beyond the in-memory cap.  The log holds
-    the bytes that ``write_event_log`` writes for :func:`generate_asg` with
-    the same seed.
+    Holds all event times in memory (8 bytes per event) and one block of
+    log records, reused by every block: a block's labels are drawn straight
+    into its records, which are written before the next block is drawn, so
+    at most ``BLOCK_LABELS`` labels are held at once, for realizations beyond
+    the in-memory cap.  The log holds the bytes that ``write_event_log``
+    writes for :func:`generate_asg` with the same seed.
     """
     _check_size(N, horizon)
     rng = substream(seed, TAG_ASG, 0)
     E = int(_event_counts(rng, coupling.total_mass, horizon))
-    blocks = _mark_blocks(rng, E, N, coupling, _event_times(rng, E, horizon))
-    _write_log(path, N, horizon, (_packed(N, block) for block in blocks))
+    records = np.empty(min(_block_events(N), E), dtype=_record_dtype(N))
+    blocks = _mark_blocks(
+        rng, E, N, coupling, _event_times(rng, E, horizon), records["outcome"]
+    )
+    _write_log(path, N, horizon, (_packed(records, block[:4]) for block in blocks))
     return E

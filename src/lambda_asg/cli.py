@@ -82,8 +82,9 @@ def load_config(path: str) -> dict:
 
 def _field(cfg: dict, name: str, kind, default=inspect.Parameter.empty):
     """``cfg[name]`` checked by :func:`lambda_asg.measures._typed`, as finite
-    if it is a float, and by ``MINIMUM``; ``default`` if it is absent, and a
-    ValueError if it is absent and has no default."""
+    if it is a float, as an int64 if it is an int (or a list of them), and by
+    ``MINIMUM``; ``default`` if it is absent, and a ValueError if it is
+    absent and has no default."""
     if name not in cfg:
         if default is inspect.Parameter.empty:
             raise ValueError(f"missing required field '{name}'")
@@ -92,6 +93,11 @@ def _field(cfg: dict, name: str, kind, default=inspect.Parameter.empty):
     # JSON's NaN and Infinity parse as floats
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    # numpy takes ints of 64 bits and overflows on a larger one; the seed
+    # keeps to the same rule
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, int) and not -(2**63) <= item < 2**63:
+            raise ValueError(f"{name} must lie in the int64 range [-2**63, 2**63), got {item}")
     if name in MINIMUM and value < MINIMUM[name]:
         raise ValueError(f"{name} must be >= {MINIMUM[name]}, got {value}")
     return value
@@ -448,7 +454,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ValueError(
             f"unknown experiment {experiment!r}; valid names: {', '.join(sorted(RUNNERS))}"
         )
-    seed = args.seed if args.seed is not None else _field(cfg, "seed", int)
+    seed = _field(cfg if args.seed is None else {"seed": args.seed}, "seed", int)
     outdir = Path(args.output_dir or _field(cfg, "output_dir", str, "out"))
     if args.threads < 1:
         raise ValueError(f"--threads must be an integer >= 1, got {args.threads}")

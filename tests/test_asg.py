@@ -1,7 +1,9 @@
 import dataclasses
+import math
 import re
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,26 +49,60 @@ EDGES = CoupledMeasure.from_atoms([
 ])
 
 
+def reference_byte_rule(p):
+    """The exact ``T = ceil(p * 2**53)`` of a label probability p, and per top
+    byte k of a 53-bit uniform: 1 when every integer ``k * 2**45 + e`` (e
+    below 2**45) is below T, 0 when none is, and None (a tie, read from e)
+    otherwise; the top byte of p = 1, byte 255, is a tie too, as its
+    threshold byte 256 does not fit a byte."""
+    T = math.ceil(Fraction(float(p)) * 2**53)
+    rule = []
+    for k in range(256):
+        first, stop = k * 2**45, (k + 1) * 2**45
+        if T <= first:
+            rule.append(0)
+        elif stop < T or (stop == T and T < 2**53):
+            rule.append(1)
+        else:
+            rule.append(None)
+    return T, rule
+
+
 def reference_generate_asg(N, coupling, horizon, rng):
     """An independent generator in the package's draw order: the Poisson
     count, every event time, then, for each block of ``BLOCK_LABELS // N``
-    events, each column of all its events, with ``rng.choice`` atoms and
-    labels from three masks."""
+    events, its reproducers, its ``rng.choice`` atoms, the top bytes of all
+    its label uniforms (``random_raw`` words read little-endian) and one more
+    word for each label whose byte ties with either threshold, in row-major
+    order.  A byte's label comes from per-atom tables of
+    :func:`reference_byte_rule`, a tie's from exact integer comparisons."""
     E = rng.poisson(coupling.total_mass * horizon)
     times = np.sort(rng.random(E)) * horizon
+    rules = [
+        (reference_byte_rule(y), reference_byte_rule(y + z))
+        for y, z in zip(coupling.ys, coupling.zs)
+    ]
+    # label per (atom, byte), and whether the byte is a tie
+    table = np.array([
+        [2 * (s[k] or 0) - (y[k] or 0) for k in range(256)] for (_, y), (_, s) in rules
+    ], dtype=np.uint8).reshape(-1, 256)
+    tied = np.array([
+        [y[k] is None or s[k] is None for k in range(256)] for (_, y), (_, s) in rules
+    ], dtype=bool).reshape(-1, 256)
     step = max(BLOCK_LABELS // N, 1)
     blocks = [(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty((0, N), np.uint8))]
     for start in range(0, E, step):
         n = min(step, E - start)
         reproducers = rng.integers(0, N, size=n)
         atom_idx = rng.choice(len(coupling), size=n, p=coupling.masses / coupling.total_mass)
-        ys = coupling.ys[atom_idx]
-        zs = coupling.zs[atom_idx]
-        u = rng.random((n, N))
-        outcomes = np.zeros((n, N), dtype=np.uint8)
-        outcomes[u < ys[:, None]] = OUTCOME_NEUTRAL
-        outcomes[(u >= ys[:, None]) & (u < (ys + zs)[:, None])] = OUTCOME_SELECTIVE
-        blocks.append((reproducers, ys, zs, outcomes))
+        words = rng.bit_generator.random_raw(-(-n * N // 8))
+        k = np.asarray(words, dtype="<u8").view(np.uint8)[: n * N].reshape(n, N)
+        outcomes = table[atom_idx[:, None], k]
+        for i, j in zip(*np.nonzero(tied[atom_idx[:, None], k])):
+            (Ty, _), (Ts, _) = rules[atom_idx[i]]
+            m = int(k[i, j]) * 2**45 + (int(rng.bit_generator.random_raw()) >> 19)
+            outcomes[i, j] = 2 * (m < Ts) - (m < Ty)
+        blocks.append((reproducers, coupling.ys[atom_idx], coupling.zs[atom_idx], outcomes))
     return (times, *(np.concatenate(col) for col in zip(*blocks)))
 
 
@@ -189,6 +225,78 @@ class TestGeneration:
         # a mean beyond the range of numpy's poisson
         with pytest.raises(SizeLimit, match="events x 10000 individuals exceed"):
             generate_asg(10_000, big, horizon=1e20, seed=5)
+
+
+class StubBits:
+    """A bit generator's ``random_raw``, handing out the given words in order."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.served = 0
+
+    def random_raw(self, size):
+        assert self.served + size <= len(self.words)
+        self.served += size
+        return self.words[self.served - size : self.served].copy()
+
+
+# (y, z): y = 0, y = 1, y + z = 1, z = 0, dyadic (a 2**-9 threshold ties
+# at byte 0), just below 1, non-dyadic and tiny
+LABEL_ATOMS = [
+    (0.0, 0.3), (0.0, 0.0), (1.0, 0.0), (0.3, 0.7), (0.0, 1.0), (0.4, 0.0),
+    (0.25, 0.5), (2**-9, 2**-8), (1 - 2**-53, 0.0), (1 / 3, 0.2), (0.1, 0.2),
+    (1e-300, 0.2), (1e-300, 0.0),
+]
+# atoms of the chi-square test, about 10**6 labels each: at y = 1/3, a label
+# law off by a whole byte (1/256) is about 8 standard deviations out
+CHI_ATOMS = [(0.0, 0.3), (1.0, 0.0), (0.3, 0.7), (2**-9, 2**-8), (1 / 3, 0.2), (1e-300, 0.5)]
+
+
+class TestLabelRule:
+    @pytest.mark.parametrize("y, z", LABEL_ATOMS)
+    def test_bytes_and_ties_are_the_float_comparison(self, y, z):
+        # byte k of the one row is k; every tie then draws the same low bits
+        # e, at both ends of each threshold's low part and of its range
+        Ty, rule_y = reference_byte_rule(y)
+        Ts, rule_s = reference_byte_rule(y + z)
+        ties = sum(a is None or b is None for a, b in zip(rule_y, rule_s))
+        lows = {0, 2**45 - 1} | {T % 2**45 + d for T in (Ty, Ts) for d in (-1, 0)}
+        byte_words = np.arange(256, dtype=np.uint8).view("<u8")
+        for e in sorted(v for v in lows if 0 <= v < 2**45):
+            bits = StubBits(np.concatenate([byte_words, np.full(256, e << 19, np.uint64)]))
+            out = np.empty((1, 256), np.uint8)
+            asg_module._draw_labels(bits, np.array([y]), np.array([z]), np.zeros(1, int), out)
+            u = (np.arange(256) * 2.0**45 + e) * 2.0**-53
+            expected = 2 * (u < y + z) - (u < y)
+            assert out[0].tolist() == expected.tolist(), e
+            assert bits.served == len(byte_words) + ties
+
+    def test_each_atom_labels_by_its_probabilities(self):
+        coupling = CoupledMeasure.from_atoms([(y, z, 1.0) for y, z in CHI_ATOMS])
+        asg = generate_asg(1000, coupling, 6000 / coupling.total_mass, seed=72)
+        for y, z in CHI_ATOMS:
+            rows = (asg.ys == y) & (asg.zs == z)
+            assert rows.sum() > 800
+            counts = np.bincount(asg.outcomes[rows].ravel(), minlength=3)
+            probs = {OUTCOME_NONE: 1.0 - y - z, OUTCOME_NEUTRAL: y, OUTCOME_SELECTIVE: z}
+            observed = dict(enumerate(counts.tolist()))
+            support = {k for k, p in probs.items() if p > 0}
+            assert {k for k, c in observed.items() if c} <= support
+            if len(support) > 1:
+                assert merged_chisquare_pvalue(observed, probs, int(counts.sum())) > 1e-3, (y, z)
+
+    @pytest.mark.parametrize("tile", [1, 100, 4096, 1 << 20])
+    def test_realizations_do_not_depend_on_the_tile_size(self, monkeypatch, tile):
+        cases = [(2, 400.0), (7, 300.0), (37, 100.0), (1000, 40.0), (5000, 300.0)]
+        expected = [generate_asg(N, EDGES, horizon, seed=9) for N, horizon in cases]
+        monkeypatch.setattr(asg_module, "TILE_LABELS", tile)
+        for (N, horizon), want in zip(cases, expected):
+            got = generate_asg(N, EDGES, horizon, seed=9)
+            assert got.outcomes.tobytes() == want.outcomes.tobytes()
+            assert np.array_equal(got.reproducers, want.reproducers)
+            assert np.array_equal(got.ys, want.ys)
+        # several tiles per block, and several blocks
+        assert len(expected[-1]) * 5000 > 2 * BLOCK_LABELS
 
 
 class TestPropagation:
@@ -732,7 +840,10 @@ class TestEventLog:
         assert len(back) == n1
         assert np.all(np.diff(back.times) > 0)
 
-    @pytest.mark.parametrize("N, events, several_blocks", [(6, 40, False), (1000, 3000, True)])
+    @pytest.mark.parametrize("N, events, several_blocks", [
+        (2, 40, False), (3, 900, False), (6, 40, False), (37, 300, False),
+        (1000, 3000, True), (999, 3000, True),
+    ])
     def test_stream_equals_in_memory(self, tmp_path, example_coupling, N, events, several_blocks):
         horizon = events / example_coupling.total_mass
         streamed = tmp_path / "streamed.asg"

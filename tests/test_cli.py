@@ -407,7 +407,7 @@ PINNED_RUNS = {
                        "c732be50eac06460521999dc2f565598b515f61d9fa5b9ea7bd66c5c799f7177"),
     "duality_pathwise": (PAIR, {"N": 6, "t": 0.5, "initial_count": 3, "n": 2,
                                 "replicates": 200},
-                         "b2d395961cdd235597b970099ccb416fd3510257f4afbcaaafa90ba5afe2f647"),
+                         "98a96665febb3c01387e93137a4d5674ca27300596c2bf4a9eabeeb2568fc9ed"),
     "sde_sim": (SELECTIVE, {"x0": 0.4, "horizon": 1.0, "replicates": 50,
                             "max_paths": 2},
                 "214767b3fdd5ad7565721f3d75da8b546471c96e6dcba2b8ba73c71aa3caf35e"),
@@ -547,6 +547,16 @@ BAD_PARAMS = {
     "asg_horizon_huge": ("asg_pathwise", {"N": 6, "horizon": 1e30, "replicates": 5}),
     "moran_horizon_huge": ("moran_sim", {"N": 10, "horizon": 1e30, "x0": 0.5}),
     "sde_horizon_int_beyond_float": ("sde_sim", {"x0": 0.5, "horizon": 10**400}),
+    # beyond numpy's int64
+    "moran_replicates_beyond_int64": (
+        "moran_sim", {"N": 10, "horizon": 1.0, "x0": 0.5, "replicates": 10**30},
+    ),
+    "moran_N_beyond_int64": ("moran_sim", {"N": 10**30, "horizon": 1.0, "x0": 0.5}),
+    "moran_N_at_2_63": ("moran_sim", {"N": 2**63, "horizon": 1.0, "x0": 0.5}),
+    "fixation_nmax_below_int64": ("fixation", {"nmax": -(2**63) - 1}),
+    "convergence_N_list_beyond_int64": (
+        "convergence", {"x0": 0.5, "t": 1.0, "N_list": [10, 10**30]},
+    ),
 }
 # the error message must name the offending param
 MESSAGES = {
@@ -588,6 +598,14 @@ MESSAGES = {
     "moran_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
     "coupling_mass_int_beyond_float": "measures.coupling: atom masses must be finite",
     "sde_horizon_int_beyond_float": "horizon must be finite, got inf",
+    "moran_replicates_beyond_int64":
+        f"replicates must lie in the int64 range [-2**63, 2**63), got {10**30}",
+    "moran_N_beyond_int64": f"N must lie in the int64 range [-2**63, 2**63), got {10**30}",
+    "moran_N_at_2_63": f"N must lie in the int64 range [-2**63, 2**63), got {2**63}",
+    "fixation_nmax_below_int64":
+        f"nmax must lie in the int64 range [-2**63, 2**63), got {-(2**63) - 1}",
+    "convergence_N_list_beyond_int64":
+        f"N_list must lie in the int64 range [-2**63, 2**63), got {10**30}",
 }
 INVALID_CONFIGS = {
     **{case: ("coupling_report", spec, {}) for case, spec in BAD_MEASURES.items()},
@@ -686,6 +704,20 @@ def test_unknown_top_level_key_is_refused_by_name(tmp_path, capsys, command):
         "valid names: experiment, measures, params, seed, output_dir\n"
     )
     assert files_in(tmp_path / "out") == files_in(tmp_path / "typo") == []
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+def test_a_seed_beyond_int64_is_refused_by_name(tmp_path, capsys, flag):
+    # one int rule for the config's seed and the --seed flag
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "coupling_report", "measures": SELECTIVE, "seed": 1 if flag else 2**63,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg, *(["--seed", str(2**63)] if flag else [])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"seed must lie in the int64 range [-2**63, 2**63), got {2**63}" in err
+    assert files_in(tmp_path / "out") == []
 
 
 @pytest.mark.parametrize("argv", [

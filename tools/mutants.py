@@ -69,6 +69,11 @@ MUTANTS = [
     Mutant("forward_neutral_read_as_selective", ASG,
            "minus |= carrier & (outcomes == OUTCOME_NEUTRAL)",
            "minus |= carrier & (outcomes == OUTCOME_SELECTIVE)", TEST_ASG),
+    Mutant("tie_low_bits_inclusive", ASG,
+           "return (k < hi) | ((k == hi) & (e < lo))",
+           "return (k < hi) | ((k == hi) & (e <= lo))", TEST_ASG),
+    Mutant("p_one_clip_removed", ASG,
+           "hi = np.minimum(T >> LOW_BITS, 255)", "hi = T >> LOW_BITS", TEST_ASG),
     Mutant("log_reproducer_bound", ASG,
            'reproducer < N, f"reproducer', 'reproducer <= N, f"reproducer', TEST_ASG),
     Mutant("log_label_bound", ASG,
