@@ -24,9 +24,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import SizeLimit
+from .errors import SizeLimit, check_horizon, check_range
 from .measures import ORDER_TOL, CoupledMeasure
-from .moran import _check_horizon, _event_counts, _event_times, record_events
+from .moran import _event_counts, _event_times, record_events
 from .paths import FrequencyPath
 from .rates import MixtureRows
 from .rng import (
@@ -132,10 +132,10 @@ def generate_asg(
     """Draw one realization of the event stream on [0, horizon].
 
     The event count is Poisson at the coupling's total mass times the
-    horizon and the times are sorted uniforms
-    (:func:`lambda_asg.moran._event_times`), drawn before the marks; the
-    reproducer is uniform, the strength pair is an atom drawn by mass, and
-    each individual's arrow label is independently neutral w.p. y and
+    horizon (:func:`lambda_asg.moran._event_counts`) and the times are
+    sorted uniforms (:func:`lambda_asg.moran._event_times`), drawn before
+    the marks; the reproducer is uniform, the strength pair is an atom drawn
+    by mass, and each individual's arrow label is independently neutral w.p. y and
     selective w.p. z, from one random byte but on a tie
     (:func:`_draw_labels`).
     For a seed, ``write_event_log`` of this realization writes the bytes
@@ -144,16 +144,15 @@ def generate_asg(
     Raises:
         SizeLimit: if the realization would store more than
             ``MAX_IN_MEMORY_OUTCOMES`` labels; use :func:`stream_asg_to_log`.
+        ValueError: if mass * horizon is above ``moran.MAX_EVENT_MEAN``.
     """
-    _check_size(N, horizon)
+    check_range("N", N, 2)
+    check_horizon(horizon)
     if rng is None:
         if seed is None:
             raise ValueError("pass a seed or an explicit generator")
         rng = substream(seed, TAG_ASG, 0)
-    # a mean past the cap is clamped to it, within the range of numpy's
-    # poisson (about 1e19): the count then exceeds the cap over N (N >= 2)
-    # unless it falls 1500 sd short, so the realization is refused either way
-    E = int(rng.poisson(min(coupling.total_mass * horizon, MAX_IN_MEMORY_OUTCOMES)))
+    E = int(_event_counts(rng, coupling.total_mass, horizon))
     if E * N > MAX_IN_MEMORY_OUTCOMES:
         raise SizeLimit(
             f"{E} events x {N} individuals exceed the in-memory cap; "
@@ -161,12 +160,6 @@ def generate_asg(
         )
     times = _event_times(rng, E, horizon)
     return AsgRealization(N, horizon, *_joined(_mark_blocks(rng, E, N, coupling, times)))
-
-
-def _check_size(N: int, horizon: float) -> None:
-    if N < 2:
-        raise ValueError("need at least two individuals")
-    _check_horizon(horizon)
 
 
 def _block_events(N: int) -> int:
@@ -444,8 +437,7 @@ def line_count_rates(
     ``n -> n - k`` for k = 1..n-1 (index 0 unused), ``branch`` the rate of
     ``n -> n + 1``; :mod:`lambda_asg.rates` derives them.
     """
-    if not 1 <= n <= N:
-        raise ValueError("need 1 <= n <= N")
+    check_range("n", n, 1, N)
     return _count_rates(coupling, n, N)
 
 
@@ -472,11 +464,6 @@ def _ancestor_run(
     )
 
 
-def _check_n0(N: int, n0: int) -> None:
-    if not 1 <= n0 <= N:
-        raise ValueError("need 1 <= n0 <= N")
-
-
 def simulate_line_count(
     N: int, coupling: CoupledMeasure, n0: int, horizon: float, seed: int,
     replicate: int = 0,
@@ -484,7 +471,7 @@ def simulate_line_count(
     """Potential-ancestor count of ``n0`` lines among N, drawn event by event:
     the one-replicate case of :func:`line_count_replicates` on stream
     ``(seed, TAG_LINECOUNT_PATH, replicate)``."""
-    _check_n0(N, n0)
+    check_range("n0", n0, 1, N)
     rng = substream(seed, TAG_LINECOUNT_PATH, replicate)
     return _ancestor_run(1, rng, N, coupling, n0, horizon, N + 1, keep=1)[1][0]
 
@@ -496,9 +483,9 @@ def line_count_replicates(
     """Time-``horizon`` potential-ancestor counts of ``replicates`` replicates,
     drawn a chunk at a time from stream ``(seed, TAG_LINECOUNT, c)``, and the
     paths of the first ``max_paths``: path r ends at count r."""
-    _check_n0(N, n0)
+    check_range("n0", n0, 1, N)
     return batched(
-        replicates, seed, (TAG_LINECOUNT,), np.int64, _ancestor_run,
+        replicates, seed, (TAG_LINECOUNT,), _ancestor_run,
         N, coupling, n0, horizon, N + 1, paths=max_paths,
     )
 
@@ -539,9 +526,10 @@ def ancestry_consistency_check(
     time (stream ``(seed, TAG_CONSISTENCY, c)`` for chunk c), with one
     member matrix per replicate for every individual's ancestors.
     """
-    _check_size(N, horizon)
+    check_range("N", N, 2)
+    check_horizon(horizon)
     violations = batched(
-        replicates, seed, (TAG_CONSISTENCY,), np.int64,
+        replicates, seed, (TAG_CONSISTENCY,),
         lambda n, rng: _consistency_violations(*_consistency_draws(n, rng, N, coupling, horizon)),
         chunk=_chunk_size(N, N + 1, coupling.total_mass * horizon), threads=threads,
     )
@@ -658,7 +646,8 @@ def stream_asg_to_log(
     the in-memory cap.  The log holds the bytes that ``write_event_log``
     writes for :func:`generate_asg` with the same seed.
     """
-    _check_size(N, horizon)
+    check_range("N", N, 2)
+    check_horizon(horizon)
     rng = substream(seed, TAG_ASG, 0)
     E = int(_event_counts(rng, coupling.total_mass, horizon))
     records = np.empty(min(_block_events(N), E), dtype=_record_dtype(N))

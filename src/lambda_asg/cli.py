@@ -15,14 +15,14 @@ Configs are JSON objects::
 construction after normalization) or a ready-made ``coupling``; ``run`` and
 ``check`` read it with the same parser.  An experiment's params are the
 keyword-only parameters of its runner: the annotation is the type, a param
-without a default is required, and ``MINIMUM`` holds the lower bounds.
-``cmd_run`` checks the params before the run: an unknown name, a
+without a default is required, and ``MINIMUM`` holds the lower bounds, the
+seed's too.  ``cmd_run`` checks the params before the run: an unknown name, a
 missing one, a wrong type, a float that is not finite (JSON's ``NaN`` and
-``Infinity``) or a value below its minimum is a config error.  One type rule,
-``measures._typed``, reads every config value, the measure specs' too.
-Nothing is cast: an int is also a float, a bool is not an int, and
-``list[int]`` takes a non-empty list of ints or one bare int.  The worker
-count is set by ``--threads`` alone (default 1).  A runner gets
+``Infinity``) or a value below its minimum (by ``errors.check_range``) is a
+config error.  One type rule, ``measures._typed``, reads every config value,
+the measure specs' too.  Nothing is cast: an int is also a float, a bool is
+not an int, and ``list[int]`` takes a non-empty list of ints or one bare int.
+The worker count is set by ``--threads`` alone (default 1).  A runner gets
 no output directory and writes nothing: it returns its exit code and its
 artifacts, and ``cmd_run`` writes them and then ``manifest.json`` (config echo,
 seed rule, wall time, artifact names), so a run that raises writes no
@@ -48,16 +48,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, asg, duality, fixation, limits, measures, moran
-from .errors import LambdaAsgError, NotConverged
+from .errors import LambdaAsgError, NotConverged, check_range
 from .rng import SEED_RULE
 
 
 # -- config handling -----------------------------------------------------------
 
-# lower bounds of params, by name, for every experiment that takes them
+# lower bounds of params, by name, for every experiment that takes them, and
+# of the seed
 MINIMUM = {
     "replicates": 1, "bootstrap": 2, "grid": 1, "n_max": 1, "max_paths": 0,
-    "compare_absorption_N": 0,
+    "compare_absorption_N": 0, "seed": 0,
 }
 
 
@@ -98,8 +99,8 @@ def _field(cfg: dict, name: str, kind, default=inspect.Parameter.empty):
     for item in value if isinstance(value, list) else [value]:
         if isinstance(item, int) and not -(2**63) <= item < 2**63:
             raise ValueError(f"{name} must lie in the int64 range [-2**63, 2**63), got {item}")
-    if name in MINIMUM and value < MINIMUM[name]:
-        raise ValueError(f"{name} must be >= {MINIMUM[name]}, got {value}")
+    if name in MINIMUM:
+        check_range(name, value, MINIMUM[name])
     return value
 
 
@@ -203,7 +204,7 @@ def _initial_count(N: int, x0: float | None, initial_count: int | None) -> int:
         raise ValueError("give exactly one of x0 and initial_count")
     if x0 is None:
         return initial_count
-    limits._check_x0(x0)
+    check_range("x0", x0, 0, 1)
     return int(round(x0 * N))
 
 

@@ -20,21 +20,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import limits
-from .asg import (
-    EventRounds, _backward_rounds, _check_size, _chunk_size,
-    _draw_rounds, _forward_rounds,
-)
-from .errors import SizeLimit
+from .asg import EventRounds, _backward_rounds, _chunk_size, _draw_rounds, _forward_rounds
+from .errors import SizeLimit, check_horizon, check_range
 from .measures import CoupledMeasure
-from .moran import MAX_DUALITY_N, _check_horizon, _generator_rows
+from .moran import MAX_DUALITY_N, _generator_rows
 from .rates import MixtureRows
 from .rng import TAG_PATHWISE, batched
 
 
 def sampling_function(N: int, i: int, n: int) -> float:
     """``C(i, n) / C(N, n)`` via the stable product form; 0 when n > i."""
-    if not (0 <= i <= N and 0 <= n <= N):
-        raise ValueError("need 0 <= i, n <= N")
+    check_range("i", i, 0, N)
+    check_range("n", n, 0, N)
     value = 1.0
     for m in range(n):
         value *= (i - m) / (N - m)
@@ -87,8 +84,7 @@ def generator_duality_residuals(Ns: list[int], coupling: CoupledMeasure) -> list
         SizeLimit: for an N above :data:`MAX_DUALITY_N`.
     """
     for N in Ns:
-        if N < 2:
-            raise ValueError(f"population size must be >= 2, got {N}")
+        check_range("N", N, 2)
         if N > MAX_DUALITY_N:
             raise SizeLimit(f"matrix duality check limited to N <= {MAX_DUALITY_N}, got {N}")
     rows = MixtureRows(coupling, range(max(Ns) + 1))
@@ -181,13 +177,12 @@ def pathwise_duality_check(
     drawn and swept a chunk at a time, chunk c from stream
     (seed, tag, c), with chunk sizes independent of the worker count.
     """
-    if not 0 <= initial_count <= N:
-        raise ValueError("initial_count out of range")
-    if not 1 <= sample_size <= N:
-        raise ValueError("sample_size out of range")
-    _check_size(N, T)
+    check_range("initial_count", initial_count, 0, N)
+    check_range("sample_size", sample_size, 1, N)
+    check_range("N", N, 2)
+    check_horizon(T)
     counts = batched(
-        replicates, seed, (TAG_PATHWISE,), np.int64,
+        replicates, seed, (TAG_PATHWISE,),
         lambda n, rng: _pathwise_counts(
             *_pathwise_draws(n, rng, N, coupling, T, initial_count, sample_size)
         ),
@@ -211,9 +206,8 @@ def limit_moment_duality_check(
     seed: int,
 ) -> DualityReport:
     """Monte Carlo check of ``E_x[Y_t^n] = E_n[x^{A_t}]`` for the limits."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_horizon(t, "t")
+    check_range("n", n, 1)
+    check_horizon(t, "t")
     y_final = limits.sde_final_values(coupling, x, t, replicates, seed)
     a_final = limits.chain_final_states(coupling, n, t, replicates, seed)
     lhs = y_final**n
@@ -229,9 +223,10 @@ def limit_generator_duality(
     Applies the frequency generator to x -> x^n and the limit ancestor chain's
     generator, with rates from :mod:`lambda_asg.rates`, to n -> x^n; both
     reduce to the same atom sums, so the residual is pure floating-point error.
+    ``n_max`` lies in [1, 12] and the x-grid has ``grid >= 1`` points.
     """
-    if n_max > 12:
-        raise ValueError("n_max limited to 12")
+    check_range("n_max", n_max, 1, 12)
+    check_range("grid", grid, 1)
     xs = np.linspace(0.0, 1.0, grid)
     c = coupling
     rates = MixtureRows(c, range(n_max + 1)).ancestor_rates(n_max, None)

@@ -1,4 +1,33 @@
-"""Exception types raised by the lambda_asg toolkit."""
+"""Exception types raised by the lambda_asg toolkit, and the two rules that
+refuse an out-of-range argument.
+
+Every count, order and frequency argument outside its range raises a
+``ValueError`` from :func:`check_range`, which names the argument, its bound
+and the value: ``N must be >= 2, got 1`` for a lower bound alone, ``n0 must
+lie in [1, 10], got 11`` for a closed range.  A horizon that is not a
+positive finite number is refused by :func:`check_horizon`.  Both are
+negated inclusive comparisons, so NaN is refused too.
+"""
+
+import math
+
+
+def check_range(name: str, value, lo, hi=None) -> None:
+    """Refuse ``value`` outside ``[lo, hi]``, or below ``lo`` without ``hi``,
+    by ``name``; NaN fails every comparison and is refused."""
+    if hi is None:
+        if not value >= lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value}")
+    elif not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+
+
+def check_horizon(value: float, name: str = "horizon") -> None:
+    """Refuse a horizon that is not a positive finite number, by ``name``."""
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 class LambdaAsgError(Exception):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSelection, NearSingular, NotConverged, ZeroMass
+from .errors import DegenerateSelection, NearSingular, NotConverged, ZeroMass, check_range
 from .limits import frequency_generator
 from .measures import CoupledMeasure
 from .quadrature import gauss_legendre_01
@@ -148,18 +148,13 @@ class PolySeq:
         return out
 
 
-def _check_order(nmax: int) -> None:
-    if nmax > MAX_ORDER:
-        raise ValueError(f"nmax must be at most {MAX_ORDER} (n! must fit a float), got {nmax}")
-
-
 def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
     """Back-substitute the triangular recursion up to order ``nmax``.
 
     Needs ``table.jmax >= nmax - 1``, ``table.kmax >= nmax - 1`` and
-    ``nmax <= MAX_ORDER``.  The weights ``comb(r, j) M[j, r - j - 1]`` are
-    tabulated once; each inner sum adds its terms one at a time in
-    increasing r, starting at 0.0.
+    ``0 <= nmax <= MAX_ORDER`` (the series weight needs n! as a float).  The
+    weights ``comb(r, j) M[j, r - j - 1]`` are tabulated once; each inner sum
+    adds its terms one at a time in increasing r, starting at 0.0.
 
     Raises:
         DegenerateSelection: if some required q[j] is not positive (the
@@ -167,7 +162,7 @@ def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
         NearSingular: if a back-substitution pivot falls below tolerance.
         NotConverged: if a coefficient overflows to a non-finite value.
     """
-    _check_order(nmax)
+    check_range("nmax", nmax, 0, MAX_ORDER)
     if table.jmax < nmax - 1 or table.kmax < nmax - 1:
         raise ValueError("moment table too small for requested order")
     M, q = table.M, table.q
@@ -224,9 +219,7 @@ def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
 def build_fixation_solver(coupling: CoupledMeasure, nmax: int = 30) -> "FixationSolver":
     """Convenience: moment table sized for ``1 <= nmax <= MAX_ORDER`` plus
     polynomials; ``nmax`` is checked before the table is built."""
-    if nmax < 1:
-        raise ValueError(f"nmax must be at least 1, got {nmax}")
-    _check_order(nmax)
+    check_range("nmax", nmax, 1, MAX_ORDER)
     table = build_moment_table(coupling, jmax=nmax - 1, kmax=nmax - 1)
     seq = build_polynomials(table, nmax)
     return FixationSolver(coupling=coupling, table=table, seq=seq, nmax=nmax)
@@ -307,8 +300,7 @@ def fixation_probability(seq: PolySeq, x: float, nmax: int) -> tuple[float, floa
 def p_neutral(x: float) -> float:
     """Fixation probability when the selective gap vanishes: the frequency is
     a bounded martingale, so p(x) = x."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
+    check_range("x", x, 0, 1)
     return float(x)
 
 
@@ -328,7 +320,9 @@ def harmonicity_values(
 def harmonicity_residual(
     seq: PolySeq, coupling: CoupledMeasure, grid: int, nmax: int | None = None
 ) -> float:
-    """Max of |generator applied to the truncated p| over a uniform x-grid."""
+    """Max of |generator applied to the truncated p| over a uniform x-grid
+    of ``grid >= 1`` points."""
+    check_range("grid", grid, 1)
     xs = np.linspace(0.0, 1.0, grid)
     return float(np.abs(harmonicity_values(seq, coupling, xs, nmax)).max())
 

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asg import _ancestor_run, _count_rates
-from .errors import NotConverged, SizeLimit, StateCapReached
+from .errors import NotConverged, SizeLimit, StateCapReached, check_horizon, check_range
 from .measures import CoupledMeasure
-from .moran import (
-    MAX_DENSE_N, MoranConfig, _check_horizon, _rounds, record_events, simulate_final_counts,
-)
+from .moran import MAX_DENSE_N, MoranConfig, _rounds, record_events, simulate_final_counts
 from .paths import FrequencyPath
 from .rates import AncestorChain
 from .rng import (
@@ -52,11 +50,6 @@ ABSORPTION_THRESHOLD = 1e-9
 BOOTSTRAP_BLOCK = 64
 
 
-def _check_x0(x0: float) -> None:
-    if not 0.0 <= x0 <= 1.0:
-        raise ValueError(f"x0 must lie in [0, 1], got {x0}")
-
-
 @dataclass(frozen=True)
 class SdeConfig:
     coupling: CoupledMeasure
@@ -64,8 +57,8 @@ class SdeConfig:
     horizon: float
 
     def __post_init__(self) -> None:
-        _check_x0(self.x0)
-        _check_horizon(self.horizon)
+        check_range("x0", self.x0, 0, 1)
+        check_horizon(self.horizon)
 
 
 @dataclass(frozen=True)
@@ -78,8 +71,7 @@ class TruncationScheme:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 1/2)")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
+        check_range("N", self.N, 1)
 
 
 def truncate_measure(coupling: CoupledMeasure, scheme: TruncationScheme) -> CoupledMeasure:
@@ -158,10 +150,9 @@ def sde_final_values(
     key: tuple[int, ...] = (TAG_SDE,),
 ) -> np.ndarray:
     """Time-``horizon`` marginal of the SDE over many replicates (vectorized)."""
-    _check_x0(x0)
+    check_range("x0", x0, 0, 1)
     return batched(
-        replicates, seed, key, float,
-        lambda n, rng: _sde_run(n, rng, coupling, x0, horizon)[0],
+        replicates, seed, key, lambda n, rng: _sde_run(n, rng, coupling, x0, horizon)[0]
     )
 
 
@@ -171,7 +162,7 @@ def sde_replicates(
     """The values of :func:`sde_final_values` and the paths of its first
     ``max_paths`` replicates: path r ends at value r."""
     return batched(
-        replicates, seed, (TAG_SDE,), float, _sde_run, cfg.coupling, cfg.x0, cfg.horizon,
+        replicates, seed, (TAG_SDE,), _sde_run, cfg.coupling, cfg.x0, cfg.horizon,
         paths=max_paths,
     )
 
@@ -191,7 +182,7 @@ def sde_absorption(
     Raises:
         NotConverged: if some path is still interior after ``max_events``.
     """
-    _check_x0(x0)
+    check_range("x0", x0, 0, 1)
     if coupling.total_mass <= 0.0:
         raise ValueError("absorption needs a coupling with events")
     lo, hi = ABSORPTION_THRESHOLD, 1.0 - ABSORPTION_THRESHOLD
@@ -208,7 +199,7 @@ def sde_absorption(
             )
         return vals >= hi
 
-    return batched(replicates, seed, (TAG_SDE_ABSORPTION,), bool, run)
+    return batched(replicates, seed, (TAG_SDE_ABSORPTION,), run)
 
 
 # -- limit ancestor chain ------------------------------------------------------
@@ -218,8 +209,7 @@ def limit_chain_rates(coupling: CoupledMeasure, m: int) -> tuple[np.ndarray, flo
     """Rates out of state ``m``, laid out as in
     :func:`lambda_asg.asg.line_count_rates`: ``coalesce[k]`` sends m to m - k
     for k = 1..m-1 (index 0 unused), ``branch`` sends m to m + 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_range("m", m, 1)
     return _count_rates(coupling, m, None)
 
 
@@ -237,8 +227,7 @@ def simulate_limit_chain(
         StateCapReached: if the path exceeds ``state_cap`` (diagnostic guard
             against branching explosion).
     """
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
+    check_range("n0", n0, 1)
     rng = substream(seed, TAG_CHAIN_PATH, replicate)
     path = _ancestor_run(1, rng, None, coupling, n0, horizon, state_cap + 1, keep=1)[1][0]
     if path.final > state_cap:
@@ -264,14 +253,13 @@ def chain_final_states(
         SizeLimit: if a count reaches ``MAX_DENSE_N``, ``n0`` included: its
             next step would need a larger table.
     """
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
-    _check_horizon(horizon)
+    check_range("n0", n0, 1)
+    check_horizon(horizon)
     if n0 > state_cap:
         raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     table = AncestorChain(coupling, min(max(n0 + 8, 16), MAX_DENSE_N))
     return batched(
-        replicates, seed, (TAG_LIMIT_CHAIN,), np.int64,
+        replicates, seed, (TAG_LIMIT_CHAIN,),
         lambda n, rng: _chain_chunk(table, n0, horizon, n, rng, state_cap),
     )
 
@@ -436,8 +424,7 @@ def _bootstrap_stderr(
 ) -> float:
     """:func:`ks_bootstrap_stderr` of two samples of sizes na and nb counted
     over their merged bins."""
-    if resamples < 2:
-        raise ValueError(f"bootstrap needs at least 2 resamples, got {resamples}")
+    check_range("resamples", resamples, 2)
     ia, ib = ha.nonzero()[0], hb.nonzero()[0]
     pa, pb = ha[ia] / na, hb[ib] / nb
     stats = np.empty(resamples)
@@ -467,7 +454,7 @@ def convergence_study(
     with a bootstrap standard error, both from one count of the two samples
     over their merged bins (:func:`_merged_counts`).
     """
-    _check_horizon(T, "t")
+    check_horizon(T, "t")
     sizes = [s.N for s in schemes]
     if any(m >= n for m, n in zip(sizes, sizes[1:])):
         raise ValueError(f"schemes must be ordered by strictly increasing N, got {sizes}")

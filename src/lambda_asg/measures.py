@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import OrderViolation, ZeroMass
+from .errors import OrderViolation, ZeroMass, check_range
 from .quadrature import gauss_legendre_01
 
 # Atoms lighter than this are numerical noise and dropped on construction.
@@ -184,8 +184,7 @@ def measure_from_beta_density(
     for name, value in (("a", a), ("b", b)):
         if not 0 < value < math.inf:
             raise ValueError(f"beta parameter {name} must be positive and finite, got {value}")
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    check_range("grid", grid, 1)
     if not math.isfinite(mass):
         raise ValueError(f"mass must be finite, got {mass}")
     nodes, weights = gauss_legendre_01(16)

@@ -13,7 +13,6 @@ simulation output and fixation formulas; :mod:`lambda_asg.rates` has the rates.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import SingularSystem, SizeLimit
+from .errors import SingularSystem, SizeLimit, check_horizon, check_range
 from .measures import CoupledMeasure, invert_cdf
 from .paths import FrequencyPath
 from .rates import MixtureRows
@@ -44,14 +43,6 @@ POISSON_TABLE_MEAN = 32.0
 POISSON_TABLE_TAIL = 2.0**-53
 
 
-def _check_horizon(value: float, name: str = "horizon") -> None:
-    """Refuse a horizon that is not a positive finite number, by ``name``."""
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 @dataclass(frozen=True)
 class MoranConfig:
     N: int
@@ -59,10 +50,8 @@ class MoranConfig:
     initial_count: int
 
     def __post_init__(self) -> None:
-        if self.N < 2:
-            raise ValueError("population size must be >= 2")
-        if not 0 <= self.initial_count <= self.N:
-            raise ValueError("initial_count must lie in [0, N]")
+        check_range("N", self.N, 2)
+        check_range("initial_count", self.initial_count, 0, self.N)
 
 
 def jump_rates(cfg: MoranConfig, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,8 +61,7 @@ def jump_rates(cfg: MoranConfig, count: int) -> tuple[np.ndarray, np.ndarray]:
     for k = 1..N-count and ``down[k]`` the rate of ``count -> count - k`` for
     k = 1..count (index 0 of each array is unused and zero).
     """
-    if not 0 <= count <= cfg.N:
-        raise ValueError("count out of range")
+    check_range("count", count, 0, cfg.N)
     row = MixtureRows(cfg.coupling, (count, cfg.N - count)).moran_row(cfg.N, count)
     return row[count:], row[count::-1].copy()
 
@@ -276,7 +264,7 @@ def record_events(
     Returns ``x`` and the paths of its first ``keep`` entries, recorded at
     change points.
     """
-    _check_horizon(horizon)
+    check_horizon(horizon)
     counts = _event_counts(rng, rate, horizon, len(x))
     kept = counts[:keep].tolist()
     top = max(kept, default=0)
@@ -331,7 +319,7 @@ def simulate_final_counts(
     streams, so results do not depend on batching or worker count.
     """
     return batched(
-        replicates, seed, key, np.int64, lambda n, rng: _moran_run(n, rng, cfg, horizon)[0]
+        replicates, seed, key, lambda n, rng: _moran_run(n, rng, cfg, horizon)[0]
     )
 
 
@@ -341,7 +329,7 @@ def simulate_replicates(
     """The counts of :func:`simulate_final_counts` and the paths of its first
     ``max_paths`` replicates: path r ends at count r."""
     return batched(
-        replicates, seed, (TAG_MORAN,), np.int64, _moran_run, cfg, horizon, paths=max_paths
+        replicates, seed, (TAG_MORAN,), _moran_run, cfg, horizon, paths=max_paths
     )
 
 
@@ -354,10 +342,8 @@ def sample_event_jumps(
     Raises:
         ValueError: if ``count`` lies outside 0..N or ``n_events < 1``.
     """
-    if not 0 <= count <= cfg.N:
-        raise ValueError(f"count must lie in [0, N] = [0, {cfg.N}], got {count}")
-    if n_events < 1:
-        raise ValueError(f"n_events must be >= 1, got {n_events}")
+    check_range("count", count, 0, cfg.N)
+    check_range("n_events", n_events, 1)
     rng = substream(seed, TAG_EVENT_JUMPS, 0)
     c = cfg.coupling
     if c.total_mass == 0.0:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_range
+
 # Chunk size for vectorized Monte Carlo batches. Fixed: results must not
 # depend on thread count or scheduling.
 REPLICATE_CHUNK = 1 << 16
@@ -61,24 +63,26 @@ SEED_RULE = (
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Return the generator for stream ``(seed, *key)``."""
+    """Return the generator for stream ``(seed, *key)``; ``seed >= 0``."""
+    check_range("seed", seed, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.default_rng(ss)
 
 
 def batched(
-    replicates: int, seed: int, key: tuple[int, ...], dtype, run, *args,
+    replicates: int, seed: int, key: tuple[int, ...], run, *args,
     chunk: int = REPLICATE_CHUNK, threads: int = 1, paths: int | None = None,
 ):
     """Values of ``replicates`` replicates drawn in fixed-size chunks.
 
     Chunk ``c`` covers replicates ``[c * chunk, (c+1) * chunk)`` and gets its
-    rows from ``run(n, rng, *args)``, with ``n`` its size and ``rng`` stream
-    ``(seed, *key, c)``.  With ``threads`` above 1 and more than one chunk,
-    the chunks run on a pool of ``min(threads, chunks)`` threads.  That is
-    safe because each chunk draws only from its own generator and returns
-    only its own rows, which are placed in chunk order, so the result is the
-    same for any thread count.
+    rows, an array of ``n`` rows, from ``run(n, rng, *args)``, with ``n`` its
+    size and ``rng`` stream ``(seed, *key, c)``; the result takes the dtype
+    and row shape of the first chunk's rows.  With ``threads`` above 1 and
+    more than one chunk, the chunks run on a pool of ``min(threads, chunks)``
+    threads.  That is safe because each chunk draws only from its own
+    generator and returns only its own rows, which are placed in chunk order,
+    so the result is the same for any thread count.
 
     With ``paths`` given, ``run`` also gets ``keep``, how many of its first
     rows are replicates below ``paths``, and returns ``(rows, kept)`` with a
@@ -88,8 +92,7 @@ def batched(
     Raises:
         ValueError: if ``replicates < 1``.
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    check_range("replicates", replicates, 1)
     starts = range(0, replicates, chunk)
 
     def run_chunk(c: int):
@@ -102,14 +105,13 @@ def batched(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-            return _collect(replicates, dtype, pool.map(run_chunk, chunks), paths)
-    return _collect(replicates, dtype, map(run_chunk, chunks), paths)
+            return _collect(replicates, pool.map(run_chunk, chunks), paths)
+    return _collect(replicates, map(run_chunk, chunks), paths)
 
 
-def _collect(replicates: int, dtype, parts, paths: int | None):
-    """The chunks' rows, in chunk order, in one array of ``dtype``; with
-    ``paths`` given, also their kept lists joined."""
-    out = np.empty(0, dtype=dtype)
+def _collect(replicates: int, parts, paths: int | None):
+    """The chunks' rows, in chunk order, in one array allocated from the
+    first chunk's rows; with ``paths`` given, also their kept lists joined."""
     kept: list = []
     start = 0
     for part in parts:
@@ -117,7 +119,7 @@ def _collect(replicates: int, dtype, parts, paths: int | None):
             part, part_kept = part
             kept.extend(part_kept)
         if start == 0:
-            out = np.empty((replicates, *np.shape(part)[1:]), dtype=dtype)
+            out = np.empty((replicates, *part.shape[1:]), dtype=part.dtype)
         out[start : start + len(part)] = part
         start += len(part)
     return out if paths is None else (out, kept)

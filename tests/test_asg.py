@@ -222,8 +222,10 @@ class TestGeneration:
         # a mean near the cap: the drawn count is refused
         with pytest.raises(SizeLimit, match=r"^\d+ events x 10000"):
             generate_asg(10_000, big, horizon=0.6, seed=5)
-        # a mean beyond the range of numpy's poisson
-        with pytest.raises(SizeLimit, match="events x 10000 individuals exceed"):
+        # a mean beyond the range of numpy's poisson: refused before a draw,
+        # by the count rule of every event stream
+        message = r"horizon 1e\+20 gives 2e\+23 expected events \(mass \* horizon\)"
+        with pytest.raises(ValueError, match=message):
             generate_asg(10_000, big, horizon=1e20, seed=5)
 
 

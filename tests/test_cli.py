@@ -592,7 +592,7 @@ MESSAGES = {
         "measures.lambda_minus: measure spec must hold exactly one of atoms or density, got both",
     "measure_spec_empty": "measures.lambda_minus: measure spec needs 'atoms' or 'density'",
     "coupling_total_mass_overflows": "measures.coupling: total mass must be finite",
-    "fixation_nmax_above_170": "nmax must be at most 170 (n! must fit a float), got 171",
+    "fixation_nmax_above_170": "nmax must lie in [1, 170], got 171",
     # SELECTIVE has mass 1.4
     "asg_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
     "moran_horizon_huge": "horizon 1e+30 gives 1.4e+30 expected events (mass * horizon)",
@@ -706,17 +706,25 @@ def test_unknown_top_level_key_is_refused_by_name(tmp_path, capsys, command):
     assert files_in(tmp_path / "out") == files_in(tmp_path / "typo") == []
 
 
-@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
-def test_a_seed_beyond_int64_is_refused_by_name(tmp_path, capsys, flag):
-    # one int rule for the config's seed and the --seed flag
+SEED_BEYOND = 2**63, f"seed must lie in the int64 range [-2**63, 2**63), got {2**63}"
+SEED_NEGATIVE = -5, "seed must be >= 0, got -5"
+
+
+@pytest.mark.parametrize("experiment, flag, seed, message", [
+    ("coupling_report", False, *SEED_BEYOND), ("coupling_report", True, *SEED_BEYOND),
+    ("duality_matrix", False, *SEED_NEGATIVE), ("moran_sim", True, *SEED_NEGATIVE),
+], ids=["config", "flag", "config_negative", "flag_negative"])
+def test_a_seed_beyond_int64_is_refused_by_name(tmp_path, capsys, experiment, flag, seed, message):
+    # one rule for the config's seed and the --seed flag: an int64, at least 0
+    spec, params, _ = PINNED_RUNS[experiment]
     cfg = write_config(tmp_path, "c.json", {
-        "experiment": "coupling_report", "measures": SELECTIVE, "seed": 1 if flag else 2**63,
-        "output_dir": str(tmp_path / "out"),
+        "experiment": experiment, "measures": spec, "params": params,
+        "seed": 1 if flag else seed, "output_dir": str(tmp_path / "out"),
     })
-    assert main(["run", cfg, *(["--seed", str(2**63)] if flag else [])]) == 1
+    assert main(["run", cfg, *(["--seed", str(seed)] if flag else [])]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert f"seed must lie in the int64 range [-2**63, 2**63), got {2**63}" in err
+    assert message in err
     assert files_in(tmp_path / "out") == []
 
 

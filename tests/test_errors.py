@@ -1,0 +1,144 @@
+"""The one range rule: every count, order and frequency argument of the
+library is refused by ``errors.check_range``, naming the argument, its bound
+and the value, and a value on a bound is accepted."""
+
+import math
+import os
+
+import numpy as np
+import pytest
+
+from lambda_asg import asg, duality, fixation, limits, measures, moran, rng
+from lambda_asg.errors import check_range
+from lambda_asg.measures import CoupledMeasure
+
+MILD = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
+CFG = moran.MoranConfig(N=5, coupling=MILD, initial_count=2)
+SEQ = fixation.build_polynomials(fixation.build_moment_table(MILD, 3, 3), 4)
+TOP_TABLE = fixation.build_moment_table(MILD, fixation.MAX_ORDER, fixation.MAX_ORDER)
+SAMPLES = np.array([0.1, 0.5, 0.9]), np.array([0.2, 0.6])
+
+# entry point, argument name, bounds (hi None for a lower bound alone), and
+# whether the argument is a float; each call puts the value in that argument
+RANGES = {
+    "asg.generate_asg": (lambda v: asg.generate_asg(v, MILD, 0.5, seed=1), "N", 2, None, False),
+    "asg.ancestry_consistency_check":
+        (lambda v: asg.ancestry_consistency_check(v, MILD, 0.5, 2, seed=1), "N", 2, None, False),
+    "asg.stream_asg_to_log":
+        (lambda v: asg.stream_asg_to_log(v, MILD, 0.5, 1, os.devnull), "N", 2, None, False),
+    "asg.line_count_rates": (lambda v: asg.line_count_rates(5, MILD, v), "n", 1, 5, False),
+    "asg.simulate_line_count":
+        (lambda v: asg.simulate_line_count(5, MILD, v, 0.5, seed=1), "n0", 1, 5, False),
+    "asg.line_count_replicates":
+        (lambda v: asg.line_count_replicates(5, MILD, v, 0.5, 2, 1, 0), "n0", 1, 5, False),
+    "duality.sampling_function.i": (lambda v: duality.sampling_function(5, v, 2), "i", 0, 5, False),
+    "duality.sampling_function.n": (lambda v: duality.sampling_function(5, 2, v), "n", 0, 5, False),
+    "duality.generator_duality_check":
+        (lambda v: duality.generator_duality_check(v, MILD), "N", 2, None, False),
+    "duality.pathwise_duality_check.initial_count": (
+        lambda v: duality.pathwise_duality_check(5, MILD, 0.5, v, 2, 2, 1),
+        "initial_count", 0, 5, False),
+    "duality.pathwise_duality_check.sample_size": (
+        lambda v: duality.pathwise_duality_check(5, MILD, 0.5, 2, v, 2, 1),
+        "sample_size", 1, 5, False),
+    "duality.pathwise_duality_check.N": (
+        lambda v: duality.pathwise_duality_check(v, MILD, 0.5, 0, 1, 2, 1), "N", 2, None, False),
+    "duality.limit_moment_duality_check":
+        (lambda v: duality.limit_moment_duality_check(MILD, 0.5, v, 0.5, 2, 1), "n", 1, None, False),
+    "duality.limit_generator_duality.n_max":
+        (lambda v: duality.limit_generator_duality(MILD, v, 11), "n_max", 1, 12, False),
+    "duality.limit_generator_duality.grid":
+        (lambda v: duality.limit_generator_duality(MILD, 3, v), "grid", 1, None, False),
+    "fixation.build_polynomials": (
+        lambda v: fixation.build_polynomials(TOP_TABLE, v), "nmax", 0, fixation.MAX_ORDER, False),
+    "fixation.build_fixation_solver": (
+        lambda v: fixation.build_fixation_solver(MILD, v), "nmax", 1, fixation.MAX_ORDER, False),
+    "fixation.p_neutral": (fixation.p_neutral, "x", 0, 1, True),
+    "fixation.harmonicity_residual":
+        (lambda v: fixation.harmonicity_residual(SEQ, MILD, v), "grid", 1, None, False),
+    "limits.SdeConfig": (lambda v: limits.SdeConfig(MILD, v, 1.0), "x0", 0, 1, True),
+    "limits.sde_final_values": (lambda v: limits.sde_final_values(MILD, v, 0.5, 2, 1), "x0", 0, 1, True),
+    "limits.sde_absorption": (lambda v: limits.sde_absorption(MILD, v, 2, 1), "x0", 0, 1, True),
+    "limits.TruncationScheme": (lambda v: limits.TruncationScheme(0.25, v), "N", 1, None, False),
+    "limits.limit_chain_rates": (lambda v: limits.limit_chain_rates(MILD, v), "m", 1, None, False),
+    "limits.simulate_limit_chain":
+        (lambda v: limits.simulate_limit_chain(MILD, v, 0.5, 1), "n0", 1, None, False),
+    "limits.chain_final_states":
+        (lambda v: limits.chain_final_states(MILD, v, 0.5, 2, 1), "n0", 1, None, False),
+    "limits.ks_bootstrap_stderr": (
+        lambda v: limits.ks_bootstrap_stderr(*SAMPLES, v, np.random.default_rng(0)),
+        "resamples", 2, None, False),
+    "measures.measure_from_beta_density":
+        (lambda v: measures.measure_from_beta_density(2.0, 3.0, grid=v), "grid", 1, None, False),
+    "moran.MoranConfig.N": (lambda v: moran.MoranConfig(v, MILD, 0), "N", 2, None, False),
+    "moran.MoranConfig.initial_count":
+        (lambda v: moran.MoranConfig(5, MILD, v), "initial_count", 0, 5, False),
+    "moran.jump_rates": (lambda v: moran.jump_rates(CFG, v), "count", 0, 5, False),
+    "moran.sample_event_jumps.count":
+        (lambda v: moran.sample_event_jumps(CFG, v, 3, 1), "count", 0, 5, False),
+    "moran.sample_event_jumps.n_events":
+        (lambda v: moran.sample_event_jumps(CFG, 2, v, 1), "n_events", 1, None, False),
+    "moran.simulate_final_counts":
+        (lambda v: moran.simulate_final_counts(CFG, 0.5, v, 1), "replicates", 1, None, False),
+    "rng.substream": (lambda v: rng.substream(v, 1), "seed", 0, None, False),
+}
+
+
+def _outside(lo, hi, is_float):
+    """The values just outside each bound, NaN too for a float argument."""
+    below = math.nextafter(lo, -math.inf) if is_float else lo - 1
+    cases = [("below", below)]
+    if hi is not None:
+        cases.append(("above", math.nextafter(hi, math.inf) if is_float else hi + 1))
+    return cases + ([("nan", math.nan)] if is_float else [])
+
+
+REFUSED = [
+    pytest.param(entry, value, id=f"{entry}-{case}")
+    for entry, (_, _, lo, hi, is_float) in RANGES.items()
+    for case, value in _outside(lo, hi, is_float)
+]
+ON_BOUND = [
+    pytest.param(entry, bound, id=f"{entry}-{bound}")
+    for entry, (_, _, lo, hi, _) in RANGES.items()
+    for bound in ([lo] if hi is None else [lo, hi])
+]
+
+
+@pytest.mark.parametrize("entry, value", REFUSED)
+def test_a_value_outside_its_range_is_refused_by_the_rule(entry, value):
+    call, name, lo, hi, _ = RANGES[entry]
+    bound = f"must be >= {lo}" if hi is None else f"must lie in [{lo}, {hi}]"
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} {bound}, got {value}"
+
+
+@pytest.mark.parametrize("entry, value", ON_BOUND)
+def test_a_value_on_a_bound_is_accepted(entry, value):
+    RANGES[entry][0](value)
+
+
+def test_messages_stay_byte_identical():
+    with pytest.raises(ValueError) as info:
+        limits.sde_final_values(MILD, 1.5, 0.5, 2, 1)
+    assert str(info.value) == "x0 must lie in [0, 1], got 1.5"
+    with pytest.raises(ValueError) as info:
+        moran.simulate_final_counts(CFG, 0.5, 0, 1)
+    assert str(info.value) == "replicates must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("value, hi, message", [
+    (1, None, "v must be >= 2, got 1"),
+    (math.nan, None, "v must be >= 2, got nan"),
+    (-math.inf, None, "v must be >= 2, got -inf"),
+    (-1e-300, 1, "v must lie in [0, 1], got -1e-300"),
+    (1.0000000000000002, 1, "v must lie in [0, 1], got 1.0000000000000002"),
+    (math.nan, 1, "v must lie in [0, 1], got nan"),
+    (math.inf, 1, "v must lie in [0, 1], got inf"),
+])
+def test_the_rule_refuses_by_name_bound_and_value(value, hi, message):
+    lo = 2 if hi is None else 0
+    with pytest.raises(ValueError) as info:
+        check_range("v", value, lo, hi)
+    assert str(info.value) == message

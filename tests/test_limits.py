@@ -607,7 +607,7 @@ class TestKsCounting:
     @pytest.mark.parametrize("resamples", [0, 1])
     def test_bootstrap_needs_two_resamples(self, resamples):
         a, b = _ks_cases()["continuous"]
-        with pytest.raises(ValueError, match="at least 2 resamples"):
+        with pytest.raises(ValueError, match=f"resamples must be >= 2, got {resamples}"):
             ks_bootstrap_stderr(a, b, resamples, np.random.default_rng(0))
 
     def test_convergence_study_ranks_each_level_once(self, monkeypatch):

@@ -24,9 +24,9 @@ def test_stream_tags_distinct():
 def test_sde_consumers_default_to_different_streams(monkeypatch):
     keys = []
 
-    def record(replicates, seed, key, dtype, run):
+    def record(replicates, seed, key, run):
         keys.append(key)
-        return np.zeros(replicates, dtype)
+        return np.zeros(replicates)
 
     monkeypatch.setattr(limits, "batched", record)
     coupling = CoupledMeasure.from_atoms([(0.5, 0.25, 1.0)])
@@ -45,14 +45,14 @@ def test_batched_rows_come_from_chunk_streams(pool_workers):
         rng.substream(8, 99, c).random((n, 3)) for c, n in enumerate((4, 4, 2))
     ])
     for threads in (1, 2):
-        rows = rng.batched(10, 8, (99,), float, _draws, 3, chunk=4, threads=threads)
+        rows = rng.batched(10, 8, (99,), _draws, 3, chunk=4, threads=threads)
         assert rows.shape == (10, 3)
         assert np.array_equal(rows, expected)
     assert pool_workers == [2]
 
 
 def test_batched_keeps_one_chunk_in_process(pool_workers):
-    rows = rng.batched(4, 8, (99,), float, _draws, 3, chunk=4, threads=2)
+    rows = rng.batched(4, 8, (99,), _draws, 3, chunk=4, threads=2)
     assert np.array_equal(rows, rng.substream(8, 99, 0).random((4, 3)))
     assert pool_workers == []
 
@@ -63,14 +63,21 @@ def test_batched_runs_a_closure_on_threads(pool_workers):
     def draws(n, stream):  # a closure, which does not pickle
         return stream.random((n, k))
 
-    serial = rng.batched(10, 8, (99,), float, draws, chunk=4)
-    assert np.array_equal(rng.batched(10, 8, (99,), float, draws, chunk=4, threads=2), serial)
+    serial = rng.batched(10, 8, (99,), draws, chunk=4)
+    assert np.array_equal(rng.batched(10, 8, (99,), draws, chunk=4, threads=2), serial)
     assert pool_workers == [2]
+
+
+def test_batched_takes_the_dtype_and_row_shape_of_the_rows():
+    flags = rng.batched(10, 8, (99,), lambda n, s: s.random(n) < 0.5, chunk=4)
+    assert flags.dtype == bool and flags.shape == (10,)
+    pairs = rng.batched(10, 8, (99,), lambda n, s: s.integers(0, 9, (n, 2)), chunk=4)
+    assert pairs.dtype == np.int64 and pairs.shape == (10, 2)
 
 
 def test_batched_leaves_no_workers_behind():
     before = threading.active_count()
-    rng.batched(10, 8, (99,), float, _draws, 3, chunk=2, threads=2)
+    rng.batched(10, 8, (99,), _draws, 3, chunk=2, threads=2)
     assert multiprocessing.active_children() == []
     assert threading.active_count() == before
 
@@ -99,7 +106,7 @@ def test_threads_share_a_fresh_coupling_without_races():
     def counts(threads):
         c = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
         return rng.batched(
-            200, 3, (99,), np.int64,
+            200, 3, (99,),
             lambda n, s: duality._pathwise_counts(*duality._pathwise_draws(n, s, 10, c, 1.0, 5, 3)),
             chunk=4, threads=threads,
         )

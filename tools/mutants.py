@@ -48,8 +48,11 @@ class Mutant(NamedTuple):
 
 
 ASG, CLI, LIMITS = "src/lambda_asg/asg.py", "src/lambda_asg/cli.py", "src/lambda_asg/limits.py"
-MEASURES, MORAN = "src/lambda_asg/measures.py", "src/lambda_asg/moran.py"
+ERRORS, MEASURES, MORAN = (
+    "src/lambda_asg/errors.py", "src/lambda_asg/measures.py", "src/lambda_asg/moran.py"
+)
 TEST_ASG, TEST_MORAN = ("tests/test_asg.py",), ("tests/test_moran.py",)
+TEST_ERRORS = ("tests/test_errors.py",)
 
 MUTANTS = [
     Mutant("window_side", ASG,
@@ -99,12 +102,23 @@ MUTANTS = [
            "c.ys[a] + c.zs[a] * ~minus", "c.ys[a] + c.zs[a]",
            TEST_MORAN),
     Mutant("poisson_table_last_entry_not_one", MORAN, "    cdf[-1] = 1.0\n", "", TEST_MORAN),
-    Mutant("zero_horizon_accepted", MORAN, "    if value <= 0:\n", "    if value < 0:\n",
+    Mutant("zero_horizon_accepted", ERRORS, "    if value <= 0:\n", "    if value < 0:\n",
            TEST_MORAN),
-    Mutant("infinite_horizon_accepted", MORAN,
+    Mutant("infinite_horizon_accepted", ERRORS,
            "    if not math.isfinite(value):\n"
            '        raise ValueError(f"{name} must be positive and finite, got {value}")\n',
            "", TEST_MORAN),
+    Mutant("lower_bound_strict", ERRORS,
+           "        if not value >= lo:\n", "        if not value > lo:\n", TEST_ERRORS),
+    Mutant("lower_bound_nan_accepted", ERRORS,
+           "        if not value >= lo:\n", "        if value < lo:\n", TEST_ERRORS),
+    Mutant("range_lower_bound_strict", ERRORS,
+           "    elif not lo <= value <= hi:\n", "    elif not lo < value <= hi:\n", TEST_ERRORS),
+    Mutant("range_upper_bound_strict", ERRORS,
+           "    elif not lo <= value <= hi:\n", "    elif not lo <= value < hi:\n", TEST_ERRORS),
+    Mutant("range_nan_accepted", ERRORS,
+           "    elif not lo <= value <= hi:\n", "    elif value < lo or value > hi:\n",
+           TEST_ERRORS),
     Mutant("non_finite_param_accepted", CLI,
            "    if isinstance(value, float) and not math.isfinite(value):\n"
            '        raise ValueError(f"{name} must be finite, got {value}")\n',
