@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SizeLimit, check_horizon, check_range
 from .measures import ORDER_TOL, CoupledMeasure
-from .moran import _event_counts, _event_times, record_events
+from .moran import _event_counts, _event_mean, _event_times, _size, record_events
 from .paths import FrequencyPath
 from .rates import MixtureRows
 from .rng import (
@@ -131,8 +131,8 @@ def generate_asg(
 ) -> AsgRealization:
     """Draw one realization of the event stream on [0, horizon].
 
-    The event count is Poisson at the coupling's total mass times the
-    horizon (:func:`lambda_asg.moran._event_counts`) and the times are
+    The event count is one ``poisson`` draw at the coupling's total mass
+    times the horizon (:func:`lambda_asg.moran._event_mean`) and the times are
     sorted uniforms (:func:`lambda_asg.moran._event_times`), drawn before
     the marks; the reproducer is uniform, the strength pair is an atom drawn
     by mass, and each individual's arrow label is independently neutral w.p. y and
@@ -152,7 +152,7 @@ def generate_asg(
         if seed is None:
             raise ValueError("pass a seed or an explicit generator")
         rng = substream(seed, TAG_ASG, 0)
-    E = int(_event_counts(rng, coupling.total_mass, horizon))
+    E = rng.poisson(_event_mean(coupling.total_mass, horizon))
     if E * N > MAX_IN_MEMORY_OUTCOMES:
         raise SizeLimit(
             f"{E} events x {N} individuals exceed the in-memory cap; "
@@ -305,9 +305,13 @@ def potential_ancestors(
     """Potential ancestors at ``to_time`` of a sample alive at ``from_time``.
 
     Sweeps the events in (to_time, from_time] backward by :func:`_backward_rounds`.
+
+    Raises:
+        ValueError: unless ``0 <= to_time <= from_time <= horizon``, naming
+            the time out of its range, or if the sample is empty.
     """
-    if not 0 <= to_time <= from_time <= asg.horizon:
-        raise ValueError("need 0 <= to_time <= from_time <= horizon")
+    check_range("from_time", from_time, 0, asg.horizon)
+    check_range("to_time", to_time, 0, from_time)
     members = _mask(asg.N, sample)[None, None]
     if not members.any():
         raise ValueError("sample must be nonempty")
@@ -411,21 +415,22 @@ def _backward_rounds(rounds: Iterable[Round], members: np.ndarray) -> np.ndarray
     return members
 
 
-def _ancestor_events(
-    n: np.ndarray, N: int | None, c: CoupledMeasure, rng: np.random.Generator
-) -> np.ndarray:
-    """One event per entry of the ancestor count ``n``, read backward: the
-    reproducer is one of the n lines w.p. n / N (never in the limit,
-    ``N=None``); each other line is hit w.p. y + z, neutrally w.p. y, and a
-    neutral hit merges it into the reproducer, which joins when it was
-    outside and hit anything.  Stored atoms have y + z > 0."""
-    size = np.shape(n)
+def _ancestor_events(n, N: int | None, c: CoupledMeasure, rng: np.random.Generator):
+    """One event per entry of the ancestor count ``n`` (an array, or one
+    scalar count), read backward: the reproducer is one of the n lines w.p.
+    n / N (never in the limit, ``N=None``); each other line is hit w.p.
+    y + z, neutrally w.p. y, and a neutral hit merges it into the
+    reproducer, which joins when it was outside and hit anything.  Stored
+    atoms have y + z > 0."""
+    size = _size(n)
     a = c.sample_atoms(rng, size)
-    y, s = c.ys[a], c.ys[a] + c.zs[a]
-    inside = rng.random(size) * N < n if N is not None else np.False_
+    y = c.ys[a]
+    s = y + c.zs[a]
+    inside = rng.random(size) * N < n if N is not None else False
     hits = rng.binomial(n - inside, s)
     neutral = rng.binomial(hits, y / s)
-    return n - neutral + (~inside & (hits > 0))
+    # (hits > 0) > inside is "hit and not inside", for bool arrays and bools
+    return n - neutral + ((hits > 0) > inside)
 
 
 def line_count_rates(
@@ -472,6 +477,7 @@ def simulate_line_count(
     the one-replicate case of :func:`line_count_replicates` on stream
     ``(seed, TAG_LINECOUNT_PATH, replicate)``."""
     check_range("n0", n0, 1, N)
+    check_range("replicate", replicate, 0)
     rng = substream(seed, TAG_LINECOUNT_PATH, replicate)
     return _ancestor_run(1, rng, N, coupling, n0, horizon, N + 1, keep=1)[1][0]
 
@@ -649,7 +655,7 @@ def stream_asg_to_log(
     check_range("N", N, 2)
     check_horizon(horizon)
     rng = substream(seed, TAG_ASG, 0)
-    E = int(_event_counts(rng, coupling.total_mass, horizon))
+    E = rng.poisson(_event_mean(coupling.total_mass, horizon))
     records = np.empty(min(_block_events(N), E), dtype=_record_dtype(N))
     blocks = _mark_blocks(
         rng, E, N, coupling, _event_times(rng, E, horizon), records["outcome"]

@@ -152,7 +152,8 @@ def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
     """Back-substitute the triangular recursion up to order ``nmax``.
 
     Needs ``table.jmax >= nmax - 1``, ``table.kmax >= nmax - 1`` and
-    ``0 <= nmax <= MAX_ORDER`` (the series weight needs n! as a float).  The
+    ``0 <= nmax <= MAX_ORDER`` (the series weight needs n! as a float), one
+    range for ``nmax`` that names the value it refuses.  The
     weights ``comb(r, j) M[j, r - j - 1]`` are tabulated once; each inner sum
     adds its terms one at a time in increasing r, starting at 0.0.
 
@@ -162,9 +163,7 @@ def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
         NearSingular: if a back-substitution pivot falls below tolerance.
         NotConverged: if a coefficient overflows to a non-finite value.
     """
-    check_range("nmax", nmax, 0, MAX_ORDER)
-    if table.jmax < nmax - 1 or table.kmax < nmax - 1:
-        raise ValueError("moment table too small for requested order")
+    check_range("nmax", nmax, 0, min(MAX_ORDER, table.jmax + 1, table.kmax + 1))
     M, q = table.M, table.q
     if np.any(q[:nmax] <= 0.0):
         raise DegenerateSelection(
@@ -248,9 +247,9 @@ def unconverged(values, lasts):
 
 
 def fixation_series_coeffs(seq: PolySeq, nmax: int) -> np.ndarray:
-    """Polynomial coefficients of the truncated series for p."""
-    if nmax > seq.nmax:
-        raise ValueError("sequence not built far enough")
+    """Polynomial coefficients of the truncated series for p, of orders
+    ``1 <= nmax <= seq.nmax``."""
+    check_range("nmax", nmax, 1, seq.nmax)
     out = np.zeros(nmax + 2)
     for n in range(1, nmax + 1):
         hn = seq.antiderivative_coeffs(n)
@@ -267,12 +266,16 @@ def fixation_series(
     Each antiderivative is evaluated once for the whole grid and the orders
     are summed in increasing n, so every entry equals the one-point sum.
     Convergence is left to the caller (see :func:`unconverged`).
+
+    Raises:
+        ValueError: for an x outside [0, 1], naming the first, or an order
+            outside ``[1, seq.nmax]``.
     """
     xs = np.asarray(xs, dtype=float)
-    if not np.all((xs >= 0.0) & (xs <= 1.0)):
-        raise ValueError("x must lie in [0, 1]")
-    if nmax > seq.nmax:
-        raise ValueError("sequence not built far enough")
+    outside = np.flatnonzero(~((xs >= 0.0) & (xs <= 1.0)))
+    if len(outside):
+        check_range("x", float(xs.flat[outside[0]]), 0, 1)
+    check_range("nmax", nmax, 1, seq.nmax)
     value = np.zeros_like(xs)
     last = np.zeros_like(xs)
     for n in range(1, nmax + 1):

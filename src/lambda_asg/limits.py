@@ -25,7 +25,9 @@ import numpy as np
 from .asg import _ancestor_run, _count_rates
 from .errors import NotConverged, SizeLimit, StateCapReached, check_horizon, check_range
 from .measures import CoupledMeasure
-from .moran import MAX_DENSE_N, MoranConfig, _rounds, record_events, simulate_final_counts
+from .moran import (
+    MAX_DENSE_N, MoranConfig, _rounds, _size, record_events, simulate_final_counts,
+)
 from .paths import FrequencyPath
 from .rates import AncestorChain
 from .rng import (
@@ -70,7 +72,7 @@ class TruncationScheme:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 0.5:
-            raise ValueError("alpha must lie in (0, 1/2)")
+            raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
         check_range("N", self.N, 1)
 
 
@@ -96,14 +98,16 @@ def truncate_measure(coupling: CoupledMeasure, scheme: TruncationScheme) -> Coup
 # -- frequency SDE -------------------------------------------------------------
 
 
-def _sde_events(vals: np.ndarray, c: CoupledMeasure, rng: np.random.Generator) -> np.ndarray:
-    """One event per entry of ``vals``: up by y(1-v) w.p. v, else down by (y+z)v."""
-    n = np.shape(vals)
+def _sde_events(vals, c: CoupledMeasure, rng: np.random.Generator):
+    """One event per entry of ``vals`` (an array, or one scalar value): up by
+    y(1-v) w.p. v, else down by (y+z)v."""
+    n = _size(vals)
     a = c.sample_atoms(rng, n)
-    u = rng.random(n)
-    y = c.ys[a]
-    s = y + c.zs[a]
-    return np.where(u < vals, vals + y * (1.0 - vals), vals - s * vals)
+    up = rng.random(n) < vals
+    # v + (1 - v) y up and v + (0 - v)(y + z) down, the numbers of
+    # v + y (1 - v) and v - (y + z) v, without a select: a bool array and a
+    # Python bool both take it
+    return vals + (up - vals) * (c.ys[a] + c.zs[a] * (up ^ True))
 
 
 def frequency_generator(coupling: CoupledMeasure, f, xs: np.ndarray) -> np.ndarray:
@@ -137,6 +141,7 @@ def simulate_sde(cfg: SdeConfig, seed: int, replicate: int = 0) -> FrequencyPath
     at change points and is constant once absorbed.  The one-replicate case
     of :func:`sde_replicates` on stream ``(seed, TAG_SDE_PATH, replicate)``.
     """
+    check_range("replicate", replicate, 0)
     rng = substream(seed, TAG_SDE_PATH, replicate)
     return _sde_run(1, rng, cfg.coupling, cfg.x0, cfg.horizon, keep=1)[1][0]
 
@@ -228,6 +233,7 @@ def simulate_limit_chain(
             against branching explosion).
     """
     check_range("n0", n0, 1)
+    check_range("replicate", replicate, 0)
     rng = substream(seed, TAG_CHAIN_PATH, replicate)
     path = _ancestor_run(1, rng, None, coupling, n0, horizon, state_cap + 1, keep=1)[1][0]
     if path.final > state_cap:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 import typing
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -44,7 +45,7 @@ COUNTED_ATOMS = 128
 COUNTED_DRAWS_PER_EDGE = 256
 
 
-def invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+def invert_cdf(cdf: np.ndarray, u: np.ndarray | float) -> np.ndarray | int:
     """Indices of the uniforms ``u`` under the discrete law with CDF table
     ``cdf`` (sorted, its last entry exactly 1.0): for each u the number of
     entries at most u, ``cdf.searchsorted(u, side="right")``.
@@ -52,9 +53,12 @@ def invert_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     An array ``u`` with a short table and many draws per edge
     (:data:`COUNTED_ATOMS`, :data:`COUNTED_DRAWS_PER_EDGE`) counts
     ``u >= edge`` over the edges instead, which is the same number: the table
-    is sorted, and its last entry is 1.0, which no uniform reaches.  A scalar
-    ``u`` stays one binary search.
+    is sorted, and its last entry is 1.0, which no uniform reaches.  A Python
+    float ``u`` is one ``bisect_right``, the same binary search without
+    numpy's scalar overhead, and gives a Python int.
     """
+    if not isinstance(u, np.ndarray):
+        return bisect_right(cdf, u)
     if u.ndim and len(cdf) <= COUNTED_ATOMS and (
         u.size >= COUNTED_DRAWS_PER_EDGE * (len(cdf) - 1)
     ):
@@ -253,14 +257,16 @@ class CoupledMeasure:
         cdf = np.cumsum(self.masses / self.total_mass)
         return cdf / cdf[-1] if len(cdf) else cdf
 
-    def sample_atoms(self, rng: np.random.Generator, size: int | tuple) -> np.ndarray:
+    def sample_atoms(
+        self, rng: np.random.Generator, size: int | tuple | None
+    ) -> np.ndarray | int:
         """Atom indices of shape ``size`` drawn by mass: the draws of
         ``rng.choice(len(self), size, p=masses / total_mass)``, one uniform each.
 
         The index of a uniform u is the number of CDF entries at most u, the
         ``searchsorted(u, side="right")`` of ``rng.choice``, read by
-        :func:`invert_cdf`, the inversion rule the event counts share.  A
-        scalar draw (``size == ()``) is one binary search.
+        :func:`invert_cdf`, the inversion rule the event counts share.  With
+        ``size=None`` it is one index, a Python int, from one binary search.
         """
         return invert_cdf(self._atom_cdf, rng.random(size))
 

@@ -130,23 +130,31 @@ def _states_not_reaching_boundary(Q: np.ndarray) -> list[int]:
     return [int(s) for s in np.nonzero(~reaches)[0]]
 
 
-def _event_updates(
-    counts: np.ndarray, N: int, c: CoupledMeasure, rng: np.random.Generator
-) -> np.ndarray:
-    """Apply one reproduction event to every entry of ``counts`` (vectorized).
+def _size(x):
+    """The ``size`` of the draws of an event rule on the state ``x``: its
+    shape, or None for a scalar.  A scalar state (a Python int or float, as
+    a one-row run hands it) draws on numpy's scalar route, which gives the
+    values of a one-entry array draw in Python scalars, many times faster."""
+    return x.shape if isinstance(x, np.ndarray) else None
+
+
+def _event_updates(counts, N: int, c: CoupledMeasure, rng: np.random.Generator):
+    """Apply one reproduction event to every entry of ``counts`` (vectorized),
+    or to one scalar count.
 
     Each event draws a uniform (is the reproducer disadvantaged?), an atom
     (y, z) and one binomial: a disadvantaged reproducer turns each of the
     ``N - count`` advantaged individuals with probability y, an advantaged
     one each of the ``count`` disadvantaged individuals with y + z.
     """
-    n = np.shape(counts)
+    n = _size(counts)
     minus = rng.random(n) * N < counts
     a = c.sample_atoms(rng, n)
-    # where(minus, N - counts, counts) and where(minus, y, y + z), the same
-    # numbers; arithmetic keeps a one-entry draw on numpy's scalar route
-    moved = rng.binomial(counts + minus * (N - 2 * counts), c.ys[a] + c.zs[a] * ~minus)
-    return np.where(minus, counts + moved, counts - moved)
+    # where(minus, N - counts, counts), where(minus, y, y + z) and then
+    # where(minus, counts + moved, counts - moved), the same numbers as
+    # arithmetic, which a bool array and a Python bool both take
+    moved = rng.binomial(counts + minus * (N - 2 * counts), c.ys[a] + c.zs[a] * (minus ^ True))
+    return counts + moved * (2 * minus - 1)
 
 
 def _rounds(x: np.ndarray, lo, hi, budget, update) -> Iterator[int]:
@@ -166,12 +174,12 @@ def _rounds(x: np.ndarray, lo, hi, budget, update) -> Iterator[int]:
     the whole array would.
     """
     if len(x) == 1:
-        # numpy draws from a scalar take its scalar route, about ten times
-        # faster than from a one-element array, and give the same values
+        # one entry is handed to update as a Python scalar (see _size)
         for step in range(int(budget[0])):
-            if not lo < x[0] < hi:
+            v = x.item(0)
+            if not lo < v < hi:
                 return
-            x[0] = update(x[0])
+            x[0] = update(v)
             yield step
         return
     idx = ((budget > 0) & (x > lo) & (x < hi)).nonzero()[0]
@@ -205,22 +213,12 @@ def _poisson_cdf(mean: float) -> np.ndarray:
     return cdf
 
 
-def _event_counts(
-    rng: np.random.Generator, rate: float, horizon: float, size: int | None = None
-) -> np.ndarray | int:
-    """Poisson(rate * horizon) event counts, one per entry of ``size``, or
-    one count without it.
-
-    An array of counts with a mean up to ``POISSON_TABLE_MEAN`` takes one
-    uniform per count, inverted through the mean's CDF table
-    (:func:`_poisson_cdf`) by :func:`~lambda_asg.measures.invert_cdf`, the
-    rule of the atom draws.  A larger mean, and a single count, are one
-    ``poisson`` call.
+def _event_mean(rate: float, horizon: float) -> float:
+    """The expected event count ``rate * horizon`` of one Poisson draw.
 
     Raises:
-        ValueError: if ``rate * horizon`` is negative, NaN or above
-            ``MAX_EVENT_MEAN``, naming the horizon and the expected event
-            count.
+        ValueError: if it is negative, NaN or above ``MAX_EVENT_MEAN``,
+            naming the horizon and the expected event count.
     """
     mean = rate * horizon
     if not mean >= 0.0:
@@ -233,7 +231,23 @@ def _event_counts(
             f"horizon {horizon:g} gives {mean:.3g} expected events (mass * horizon), "
             f"more than the {MAX_EVENT_MEAN:.0e} that can be drawn; shorten the horizon"
         )
-    if size is None or mean > POISSON_TABLE_MEAN:
+    return mean
+
+
+def _event_counts(
+    rng: np.random.Generator, rate: float, horizon: float, size: int | None = None
+) -> np.ndarray | int:
+    """Poisson(rate * horizon) event counts of the rows of a run, one per
+    entry of ``size``, or one Python int without it.
+
+    With a mean up to ``POISSON_TABLE_MEAN`` each count takes one uniform,
+    inverted through the mean's CDF table (:func:`_poisson_cdf`) by
+    :func:`~lambda_asg.measures.invert_cdf`, the rule of the atom draws; so
+    one count is the count of a one-entry array.  A larger mean is one
+    ``poisson`` call.  The mean is checked by :func:`_event_mean`.
+    """
+    mean = _event_mean(rate, horizon)
+    if mean > POISSON_TABLE_MEAN:
         return rng.poisson(mean, size)
     return invert_cdf(_poisson_cdf(mean), rng.random(size))
 
@@ -263,8 +277,25 @@ def record_events(
     do not depend on ``keep``.
     Returns ``x`` and the paths of its first ``keep`` entries, recorded at
     change points.
+
+    A one-entry ``x`` draws the same numbers on a route of Python scalars:
+    one count, its values collected in a list as :func:`_rounds` hands them
+    to ``update``, and one path built from them.
     """
     check_horizon(horizon)
+    if len(x) == 1:
+        count = _event_counts(rng, rate, horizon)
+        values = [x.item(0)]
+        values += [x.item(0) for _ in _rounds(x, lo, hi, (count,), update)]
+        if not keep:
+            return x, []
+        # the start and every change; the values hold still after the last
+        stamps, held = [0.0], values[:1]
+        for t, before, after in zip(_event_times(rng, count, horizon).tolist(), values, values[1:]):
+            if after != before:
+                stamps.append(t)
+                held.append(after)
+        return x, [FrequencyPath(times=np.array(stamps), values=np.array(held, dtype=x.dtype))]
     counts = _event_counts(rng, rate, horizon, len(x))
     kept = counts[:keep].tolist()
     top = max(kept, default=0)
@@ -305,6 +336,7 @@ def simulate(cfg: MoranConfig, horizon: float, seed: int, replicate: int = 0) ->
     once absorbed.  The one-replicate case of :func:`simulate_replicates` on
     stream ``(seed, TAG_MORAN_PATH, replicate)``.
     """
+    check_range("replicate", replicate, 0)
     rng = substream(seed, TAG_MORAN_PATH, replicate)
     return _moran_run(1, rng, cfg, horizon, keep=1)[1][0]
 

@@ -6,14 +6,17 @@ import csv
 import hashlib
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from lambda_asg.asg import OUTCOME_NEUTRAL, OUTCOME_NONE, AsgRealization
-from lambda_asg.errors import OrderViolation, StateCapReached
+from lambda_asg.errors import OrderViolation, StateCapReached, check_horizon
 from lambda_asg.fixation import IDENTITY_GRID, _QUAD_ORDER
 from lambda_asg.measures import MASS_DROP, CoupledMeasure, FiniteMeasure1D
+from lambda_asg.moran import _event_counts, _event_times
+from lambda_asg.paths import FrequencyPath
 from lambda_asg.quadrature import gauss_legendre_01
 
 
@@ -92,13 +95,54 @@ def random_coupling(rng: np.random.Generator, max_atoms: int = 4) -> CoupledMeas
     return CoupledMeasure.from_atoms(zip(ys, zs, ms))
 
 
+@lru_cache(maxsize=None)
+def _support_solvers(na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every support of ``na + nb - 1`` cells of an ``na x nb`` plan, in the
+    order of ``itertools.combinations`` over the row-major cells, as
+    ``(supports, pinv)``: the cell indices ``(S, k)`` and the pseudo-inverses
+    of the 0/1 systems ``(S, na + nb, k)`` that take a support's entries to
+    the row and column sums, from one batched SVD."""
+    k = na + nb - 1
+    supports = np.array(list(itertools.combinations(range(na * nb), k)), dtype=np.intp)
+    A = np.zeros((len(supports), na + nb, k))
+    rows, cols = np.arange(len(supports))[:, None], np.arange(k)
+    A[rows, supports // nb, cols] = 1.0
+    A[rows, na + supports % nb, cols] = 1.0
+    return supports, np.linalg.pinv(A)
+
+
 def transport_vertices(p: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
     """All vertices of the transport polytope with marginals p and q.
 
     Vertices have at most ``len(p) + len(q) - 1`` support cells; every such
-    support set with a consistent solution is enumerated and solved exactly.
-    Intended for tiny instances (<= 3 x 3).
+    support set with a consistent solution is solved, all at once by the
+    shape's cached pseudo-inverses (:func:`_support_solvers`), which give
+    the minimum-norm least-squares solution of ``lstsq``.  Supports are read
+    in the order of :func:`reference_transport_vertices`, with its
+    feasibility tolerances and rounding of duplicates.  Intended for tiny
+    instances (a 6 x 3 plan has 43758 supports).
     """
+    na, nb = len(p), len(q)
+    supports, pinv = _support_solvers(na, nb)
+    target = np.concatenate([p, q])
+    plans = np.zeros((len(supports), na * nb))
+    plans[np.arange(len(supports))[:, None], supports] = pinv @ target
+    plans = plans.reshape(-1, na, nb)
+    sums = np.concatenate([plans.sum(axis=2), plans.sum(axis=1)], axis=1)
+    feasible = (np.abs(sums - target).max(axis=1) <= 1e-9) & (plans.min(axis=(1, 2)) >= -1e-9)
+    vertices: list[np.ndarray] = []
+    seen: set[tuple] = set()
+    for gamma in np.maximum(plans[feasible], 0.0):
+        key = tuple(np.round(gamma, 9).ravel())
+        if key not in seen:
+            seen.add(key)
+            vertices.append(gamma)
+    return vertices
+
+
+def reference_transport_vertices(p: np.ndarray, q: np.ndarray) -> list[np.ndarray]:
+    """:func:`transport_vertices` one support at a time, each solved by
+    ``np.linalg.lstsq``: the slow reference for it."""
     na, nb = len(p), len(q)
     cells = list(itertools.product(range(na), range(nb)))
     target = np.concatenate([p, q])
@@ -394,6 +438,32 @@ def reference_rounds(x: np.ndarray, lo, hi, budget, update):
             return
         x[idx] = update(x[idx])
         yield step
+
+
+def reference_record_events(x, lo, hi, rate, horizon, update, rng, keep):
+    """:func:`lambda_asg.moran.record_events` before its one-row route: every
+    run, one entry too, draws its counts as one array, runs the rounds as a
+    full scan (:func:`reference_rounds`) that hands ``update`` arrays, and
+    reads its paths off the matrix of the recorded values after each round."""
+    check_horizon(horizon)
+    counts = _event_counts(rng, rate, horizon, len(x))
+    kept = counts[:keep].tolist()
+    top = max(kept, default=0)
+    seen = [x[:keep].copy()]
+    for step in reference_rounds(x, lo, hi, counts, update):
+        if step < top:
+            seen.append(x[:keep].copy())
+    seen += [x[:keep]] * (top + 1 - len(seen))
+    values = np.array(seen)
+    marks = np.empty(values.shape, dtype=bool)
+    marks[0] = True
+    np.not_equal(values[1:], values[:-1], out=marks[1:])
+    paths = []
+    for j, k in enumerate(kept):
+        mark = marks[: k + 1, j]
+        times = np.concatenate(([0.0], _event_times(rng, k, horizon)))[mark]
+        paths.append(FrequencyPath(times=times, values=values[: k + 1, j][mark]))
+    return x, paths
 
 
 class FixedUniforms:

@@ -14,8 +14,13 @@ from lambda_asg.measures import CoupledMeasure
 
 MILD = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
 CFG = moran.MoranConfig(N=5, coupling=MILD, initial_count=2)
-SEQ = fixation.build_polynomials(fixation.build_moment_table(MILD, 3, 3), 4)
+# a table one order past the sequence, so that building it sits inside the
+# range of build_polynomials and not on its upper bound
+SEQ = fixation.build_polynomials(fixation.build_moment_table(MILD, 4, 4), 4)
 TOP_TABLE = fixation.build_moment_table(MILD, fixation.MAX_ORDER, fixation.MAX_ORDER)
+# a table of order 3 serves orders up to 4
+SMALL_TABLE = fixation.build_moment_table(MILD, 3, 3)
+REALIZATION = asg.generate_asg(5, MILD, 0.5, seed=1)
 SAMPLES = np.array([0.1, 0.5, 0.9]), np.array([0.2, 0.6])
 
 # entry point, argument name, bounds (hi None for a lower bound alone), and
@@ -29,6 +34,13 @@ RANGES = {
     "asg.line_count_rates": (lambda v: asg.line_count_rates(5, MILD, v), "n", 1, 5, False),
     "asg.simulate_line_count":
         (lambda v: asg.simulate_line_count(5, MILD, v, 0.5, seed=1), "n0", 1, 5, False),
+    "asg.simulate_line_count.replicate": (
+        lambda v: asg.simulate_line_count(5, MILD, 2, 0.5, seed=1, replicate=v),
+        "replicate", 0, None, False),
+    "asg.potential_ancestors.from_time": (
+        lambda v: asg.potential_ancestors(REALIZATION, [0], v, 0.0), "from_time", 0, 0.5, True),
+    "asg.potential_ancestors.to_time": (
+        lambda v: asg.potential_ancestors(REALIZATION, [0], 0.5, v), "to_time", 0, 0.5, True),
     "asg.line_count_replicates":
         (lambda v: asg.line_count_replicates(5, MILD, v, 0.5, 2, 1, 0), "n0", 1, 5, False),
     "duality.sampling_function.i": (lambda v: duality.sampling_function(5, v, 2), "i", 0, 5, False),
@@ -51,6 +63,14 @@ RANGES = {
         (lambda v: duality.limit_generator_duality(MILD, 3, v), "grid", 1, None, False),
     "fixation.build_polynomials": (
         lambda v: fixation.build_polynomials(TOP_TABLE, v), "nmax", 0, fixation.MAX_ORDER, False),
+    "fixation.build_polynomials.table": (
+        lambda v: fixation.build_polynomials(SMALL_TABLE, v), "nmax", 0, 4, False),
+    "fixation.fixation_series.nmax": (
+        lambda v: fixation.fixation_series(SEQ, np.array([0.5]), v), "nmax", 1, 4, False),
+    "fixation.fixation_series.x": (
+        lambda v: fixation.fixation_series(SEQ, np.array([0.5, v]), 4), "x", 0, 1, True),
+    "fixation.fixation_series_coeffs":
+        (lambda v: fixation.fixation_series_coeffs(SEQ, v), "nmax", 1, 4, False),
     "fixation.build_fixation_solver": (
         lambda v: fixation.build_fixation_solver(MILD, v), "nmax", 1, fixation.MAX_ORDER, False),
     "fixation.p_neutral": (fixation.p_neutral, "x", 0, 1, True),
@@ -63,6 +83,12 @@ RANGES = {
     "limits.limit_chain_rates": (lambda v: limits.limit_chain_rates(MILD, v), "m", 1, None, False),
     "limits.simulate_limit_chain":
         (lambda v: limits.simulate_limit_chain(MILD, v, 0.5, 1), "n0", 1, None, False),
+    "limits.simulate_limit_chain.replicate": (
+        lambda v: limits.simulate_limit_chain(MILD, 2, 0.5, 1, replicate=v),
+        "replicate", 0, None, False),
+    "limits.simulate_sde": (
+        lambda v: limits.simulate_sde(limits.SdeConfig(MILD, 0.5, 0.5), 1, replicate=v),
+        "replicate", 0, None, False),
     "limits.chain_final_states":
         (lambda v: limits.chain_final_states(MILD, v, 0.5, 2, 1), "n0", 1, None, False),
     "limits.ks_bootstrap_stderr": (
@@ -78,6 +104,8 @@ RANGES = {
         (lambda v: moran.sample_event_jumps(CFG, v, 3, 1), "count", 0, 5, False),
     "moran.sample_event_jumps.n_events":
         (lambda v: moran.sample_event_jumps(CFG, 2, v, 1), "n_events", 1, None, False),
+    "moran.simulate": (
+        lambda v: moran.simulate(CFG, 0.5, 1, replicate=v), "replicate", 0, None, False),
     "moran.simulate_final_counts":
         (lambda v: moran.simulate_final_counts(CFG, 0.5, v, 1), "replicates", 1, None, False),
     "rng.substream": (lambda v: rng.substream(v, 1), "seed", 0, None, False),
@@ -142,3 +170,26 @@ def test_the_rule_refuses_by_name_bound_and_value(value, hi, message):
     with pytest.raises(ValueError) as info:
         check_range("v", value, lo, hi)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, -0.1, math.nan])
+def test_truncation_alpha_keeps_its_open_interval(alpha):
+    # alpha = 0 keeps every atom and alpha = 1/2 leaves the scaling regime
+    with pytest.raises(ValueError) as info:
+        limits.TruncationScheme(alpha, 10)
+    assert str(info.value) == f"alpha must lie in (0, 1/2), got {alpha}"
+    limits.TruncationScheme(math.nextafter(0.0, 1.0), 10)
+    limits.TruncationScheme(math.nextafter(0.5, 0.0), 10)
+
+
+def test_a_series_of_order_zero_is_refused_not_converged():
+    # an empty sum would read p = 0 with a last term of 0, which converges
+    with pytest.raises(ValueError) as info:
+        fixation.fixation_probability(SEQ, 0.5, 0)
+    assert str(info.value) == "nmax must lie in [1, 4], got 0"
+
+
+def test_a_grid_names_its_first_x_outside_the_range():
+    with pytest.raises(ValueError) as info:
+        fixation.fixation_series(SEQ, np.array([[0.5, 1.25], [-1.0, 0.0]]), 4)
+    assert str(info.value) == "x must lie in [0, 1], got 1.25"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import lambda_asg
 from helpers import (
     FixedUniforms, plan_cost, random_coupling, random_ordered_pair, reference_quantile_coupling,
-    transport_vertices,
+    reference_transport_vertices, transport_vertices,
 )
 from lambda_asg import measures
 from lambda_asg.errors import OrderViolation, ZeroMass
@@ -353,6 +353,24 @@ class TestTransportCost:
             alt.selective_mass(), abs=1e-12
         )
 
+    def test_vertices_match_the_per_support_solves(self):
+        # fixed pairs of up to 12 cells (a 6 x 3 plan has 43758 supports,
+        # about a second of lstsq calls each), and two with tied masses,
+        # whose rank-deficient supports solve consistently too
+        rng = np.random.default_rng(17)
+        pairs = [(np.array([0.25, 0.25, 0.5]), np.array([0.5, 0.5])),
+                 (np.array([0.5, 0.5]), np.array([0.5, 0.5]))]
+        while len(pairs) < 30:
+            lm, lp = random_ordered_pair(rng, max_atoms=3)
+            if len(lm) * len(lp) <= 12:
+                pairs.append((lm.masses, lp.masses))
+        assert {(len(p), len(q)) for p, q in pairs} >= {(2, 2), (3, 2), (4, 3), (3, 3)}
+        for p, q in pairs:
+            got, want = transport_vertices(p, q), reference_transport_vertices(p, q)
+            assert len(got) == len(want) > 0
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 1e-13
+
     def test_quantile_coupling_minimizes_cost(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
@@ -486,6 +504,23 @@ class TestAtomSampler:
         assert isinstance(got, np.int64)
         assert got == c._atom_cdf.searchsorted(ref_rng.random(()), side="right")
         assert rng.random() == ref_rng.random()
+
+    def test_one_draw_is_a_python_int(self):
+        # size=None: one uniform, one bisect_right, a Python int
+        c = CoupledMeasure.from_atoms([(0.3, 0.2, 1.0), (0.5, 0.1, 2.0), (0.1, 0.0, 0.5)])
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = c.sample_atoms(rng, None)
+            assert type(got) is int
+            assert got == c._atom_cdf.searchsorted(ref_rng.random(), side="right")
+            assert rng.random() == ref_rng.random()
+
+    def test_one_uniform_on_the_edges(self):
+        # a Python float exactly on each edge, just below it, and 0.0
+        cdf = CoupledMeasure.from_atoms([(0.1, 0.2, 0.3), (0.4, 0.1, 1.7), (0.6, 0.3, 0.2)])._atom_cdf
+        for u in [0.0, *cdf[:-1].tolist(), *np.nextafter(cdf[:-1], 0.0).tolist()]:
+            got = measures.invert_cdf(cdf, u)
+            assert type(got) is int and got == cdf.searchsorted(u, side="right")
 
     def test_empty_coupling_draws_nothing_at_size_zero(self):
         rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)

@@ -4,7 +4,8 @@ from scipy.linalg import expm
 from scipy.stats import poisson
 
 from helpers import (
-    FixedUniforms, digest, merged_chisquare_pvalue, reference_moran_event, reference_rounds,
+    FixedUniforms, digest, merged_chisquare_pvalue, reference_moran_event,
+    reference_record_events, reference_rounds,
 )
 from lambda_asg import asg, duality, limits, measures, moran
 from lambda_asg.asg import _ancestor_events
@@ -247,6 +248,18 @@ class TestEventCounts:
             rng_k.random(n - k)
             assert rng_n.random() == rng_k.random()
 
+    @pytest.mark.parametrize("mean", COUNT_MEANS)
+    def test_one_count_is_the_count_of_a_one_entry_draw(self, mean):
+        # a one-row run draws its count as a Python int: one uniform through
+        # the table, or one poisson above it, the draw of random(1) or
+        # poisson(mean, 1), and the stream ends where that leaves it
+        for seed in range(40):
+            rng_one, rng_array = np.random.default_rng(seed), np.random.default_rng(seed)
+            one = _event_counts(rng_one, mean, 1.0)
+            assert type(one) is int
+            assert one == _event_counts(rng_array, mean, 1.0, 1)[0]
+            assert rng_one.random() == rng_array.random()
+
     @pytest.mark.parametrize("horizon", [-1.0, float("nan")])
     def test_refuses_a_negative_or_nan_mean(self, horizon):
         for size in (None, 1, 100):
@@ -430,6 +443,83 @@ class TestCompactedRounds:
             assert np.array_equal(a.times, b.times)
             assert np.array_equal(a.values, b.values)
         assert next_a == next_b
+
+
+# couplings at the corners a one-row run must keep: atoms with y = 1 and with
+# y + z = 1 (the frequency hits 1 or 0 exactly), and no selective mass (one
+# ancestor line absorbs)
+ROW_COUPLINGS = {
+    "mild": MILD,
+    "y_one": CoupledMeasure.from_atoms([(1.0, 0.0, 0.3), (0.3, 0.2, 1.0)]),
+    "sum_one": CoupledMeasure.from_atoms([(0.4, 0.6, 0.5), (0.2, 0.1, 1.0)]),
+    "neutral": CoupledMeasure.from_atoms([(0.3, 0.0, 1.0), (0.6, 0.0, 0.5)]),
+}
+# every single-path simulator, on a coupling, a horizon and a replicate
+SINGLE_PATHS = {
+    "moran": lambda c, h, r: simulate(MoranConfig(N=12, coupling=c, initial_count=5), h, 6, r),
+    "sde": lambda c, h, r: limits.simulate_sde(limits.SdeConfig(c, 0.4, h), 6, r),
+    "line_count": lambda c, h, r: asg.simulate_line_count(12, c, 4, h, 6, r),
+    "limit_chain": lambda c, h, r: limits.simulate_limit_chain(c, 4, h, 6, replicate=r),
+}
+
+
+class TestOneRowRoute:
+    """A one-entry run of ``record_events`` against the recorder on arrays
+    that it replaced (``helpers.reference_record_events``), bit for bit."""
+
+    # 1e-3: nearly every path has no event; 40: every coupling's mean is
+    # above POISSON_TABLE_MEAN, so the count is numpy's poisson
+    @pytest.mark.parametrize("horizon", [1e-3, 2.0, 40.0])
+    @pytest.mark.parametrize("coupling", sorted(ROW_COUPLINGS))
+    @pytest.mark.parametrize("simulator", sorted(SINGLE_PATHS))
+    def test_single_paths_keep_their_bits(self, simulator, coupling, horizon, monkeypatch):
+        c = ROW_COUPLINGS[coupling]
+        assert (c.total_mass * horizon > POISSON_TABLE_MEAN) == (horizon == 40.0)
+        runs = []
+        for record in (record_events, reference_record_events):
+            for module in (moran, asg, limits):
+                monkeypatch.setattr(module, "record_events", record)
+            runs.append([SINGLE_PATHS[simulator](c, horizon, r) for r in range(20)])
+        for got, want in zip(*runs):
+            assert got.times.dtype == want.times.dtype == np.float64
+            assert got.values.dtype == want.values.dtype
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.values, want.values)
+        if horizon == 1e-3:
+            assert all(len(path) == 1 for path in runs[0])
+
+    @pytest.mark.parametrize("horizon", [3.0, 20.0])
+    @pytest.mark.parametrize("start", ["inside", "lo", "hi"])
+    @pytest.mark.parametrize("keep", [0, 1])
+    @pytest.mark.parametrize("rule", sorted(EVENT_RULES))
+    def test_run_matches_the_array_route(self, rule, keep, start, horizon):
+        # the final value, the path and where the stream is left; a start on
+        # lo or hi applies no event, and a mean of 40 draws by poisson
+        x0, lo, hi, update = EVENT_RULES[rule]
+        x0 = {"inside": x0, "lo": lo, "hi": hi}[start]
+        for seed in range(30):
+            runs = []
+            for record in (record_events, reference_record_events):
+                x, rng = np.array([x0]), np.random.default_rng(seed)
+                x, paths = record(x, lo, hi, 2.0, horizon, lambda v: update(v, rng), rng, keep)
+                runs.append((x, paths, rng.random()))
+            (x_a, paths_a, next_a), (x_b, paths_b, next_b) = runs
+            assert x_a.dtype == x_b.dtype and np.array_equal(x_a, x_b)
+            assert len(paths_a) == len(paths_b) == keep
+            for a, b in zip(paths_a, paths_b):
+                assert a.values.dtype == b.values.dtype
+                assert np.array_equal(a.times, b.times)
+                assert np.array_equal(a.values, b.values)
+                assert np.all(a.values[1:] != a.values[:-1])
+            assert next_a == next_b
+
+    @pytest.mark.parametrize("rule", sorted(EVENT_RULES))
+    def test_a_scalar_state_draws_numpy_scalars(self, rule):
+        # the rules take no 0-d array on a scalar state, and give a scalar
+        x0, _, _, update = EVENT_RULES[rule]
+        got = update(x0, np.random.default_rng(7))
+        assert not isinstance(got, np.ndarray)
+        assert isinstance(got, type(x0))
 
 
 class TestFrequencyPath:

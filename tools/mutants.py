@@ -99,8 +99,15 @@ MUTANTS = [
            equivalent="differs only when a float64 uniform times N lands exactly on an "
                       "integer, an event of probability about 2^-53 per draw"),
     Mutant("minus_reproducer_reads_y_plus_z", MORAN,
-           "c.ys[a] + c.zs[a] * ~minus", "c.ys[a] + c.zs[a]",
+           "c.ys[a] + c.zs[a] * (minus ^ True)", "c.ys[a] + c.zs[a]",
            TEST_MORAN),
+    Mutant("one_row_marks_every_event", MORAN,
+           "            if after != before:\n", "            if True:\n", TEST_MORAN),
+    Mutant("one_row_count_by_poisson", MORAN,
+           "        count = _event_counts(rng, rate, horizon)\n",
+           "        count = rng.poisson(rate * horizon)\n", TEST_MORAN),
+    Mutant("one_row_stop_dropped", MORAN,
+           "            if not lo < v < hi:\n                return\n", "", TEST_MORAN),
     Mutant("poisson_table_last_entry_not_one", MORAN, "    cdf[-1] = 1.0\n", "", TEST_MORAN),
     Mutant("zero_horizon_accepted", ERRORS, "    if value <= 0:\n", "    if value < 0:\n",
            TEST_MORAN),
