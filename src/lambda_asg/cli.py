@@ -369,7 +369,7 @@ def run_fixation(
     else:
         solver = fixation.build_fixation_solver(coupling, nmax=nmax)
         residuals = fixation.harmonicity_values(solver.seq, coupling, xs)
-        values, lasts = fixation.fixation_series(solver.seq, xs, nmax)
+        values, lasts = fixation.fixation_series(solver.seq, xs)
         # rows whose series has not converged keep their partial sums; exit 2
         exit_code = 2 if np.any(fixation.unconverged(values, lasts)) else 0
         payload = {

@@ -62,18 +62,25 @@ class MomentTable:
     """Moment families of the size-biased coupling.
 
     ``M[j, k]`` and ``q[j]`` as in the module docstring; ``tilde_mass`` is
-    the total size-biased mass ``integral (y^2 + z)``.
+    the total size-biased mass ``integral (y^2 + z)``.  ``M`` is
+    ``(nmax, nmax)`` and ``q`` is ``(nmax,)``: the entries the polynomials of
+    orders up to ``nmax`` read.
     """
 
-    jmax: int
-    kmax: int
     M: np.ndarray
     q: np.ndarray
     tilde_mass: float
 
+    @property
+    def nmax(self) -> int:
+        """The order the table was built for."""
+        return len(self.q)
 
-def build_moment_table(coupling: CoupledMeasure, jmax: int, kmax: int) -> MomentTable:
-    """Closed-form moment table; exact up to quadrature of polynomial degree 127.
+
+def build_moment_table(coupling: CoupledMeasure, nmax: int) -> MomentTable:
+    """Closed-form moment table for the polynomials of orders up to
+    ``nmax``, which sets the order of every later step; exact up to
+    quadrature of polynomial degree 127.
 
     Per atom of weight w the size-biased weight is ``w (y^2 + z) / tilde_mass``;
     the Y^2/(Z+Y^2) and Z/(Z+Y^2) factors cancel against it, leaving
@@ -88,29 +95,31 @@ def build_moment_table(coupling: CoupledMeasure, jmax: int, kmax: int) -> Moment
     of powers would lose about 1e-16 / z of it.
 
     Raises:
+        ValueError: for an order outside ``[1, MAX_ORDER]`` (the series weight
+            needs n! as a float), before any moment is computed.
         ZeroMass: if the size-biased mass vanishes (no atom with y^2 + z > 0).
     """
+    check_range("nmax", nmax, 1, MAX_ORDER)
     w, y, z = coupling.masses, coupling.ys, coupling.zs
     tilde_mass = float(w @ (y * y + z))
     if tilde_mass <= 0.0:
         raise ZeroMass("size-biased coupling has zero mass")
-    M = np.zeros((jmax + 1, kmax + 1))
+    M = np.zeros((nmax, nmax))
     nodes, wts = gauss_legendre_01(_QUAD_ORDER)
     base = 2.0 * nodes * wts
-    js = np.arange(jmax + 1)
-    ks = np.arange(kmax + 1)
+    js = np.arange(nmax)
     for wa, ya in zip(w, y):
         if ya <= 0.0:
             continue
-        pj = (1.0 - nodes * ya)[None, :] ** js[:, None]   # (jmax+1, nodes)
-        pk = (nodes * ya)[None, :] ** ks[:, None]         # (kmax+1, nodes)
+        pj = (1.0 - nodes * ya)[None, :] ** js[:, None]   # (nmax, nodes)
+        pk = (nodes * ya)[None, :] ** js[:, None]
         M += (wa * ya * ya / tilde_mass) * ((pj * base) @ pk.T)
     A, B = 1.0 - y, 1.0 - y - z
     S = A[None, :] ** js[:, None]
-    for j in range(1, jmax + 1):
+    for j in range(1, nmax):
         S[j] += B * S[j - 1]
     q = S @ (w * z) / (tilde_mass * (js + 1.0))
-    return MomentTable(jmax=jmax, kmax=kmax, M=M, q=q, tilde_mass=tilde_mass)
+    return MomentTable(M=M, q=q, tilde_mass=tilde_mass)
 
 
 def _horner(c: np.ndarray, x, out: np.ndarray | None = None):
@@ -148,24 +157,20 @@ class PolySeq:
         return out
 
 
-def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
-    """Back-substitute the triangular recursion up to order ``nmax``.
+def build_polynomials(table: MomentTable) -> PolySeq:
+    """Back-substitute the triangular recursion up to the table's order.
 
-    Needs ``table.jmax >= nmax - 1``, ``table.kmax >= nmax - 1`` and
-    ``0 <= nmax <= MAX_ORDER`` (the series weight needs n! as a float), one
-    range for ``nmax`` that names the value it refuses.  The
-    weights ``comb(r, j) M[j, r - j - 1]`` are tabulated once; each inner sum
+    The weights ``comb(r, j) M[j, r - j - 1]`` are tabulated once; each inner sum
     adds its terms one at a time in increasing r, starting at 0.0.
 
     Raises:
-        DegenerateSelection: if some required q[j] is not positive (the
+        DegenerateSelection: if some q[j] is not positive (the
             selective gap vanishes; use :func:`p_neutral`).
         NearSingular: if a back-substitution pivot falls below tolerance.
         NotConverged: if a coefficient overflows to a non-finite value.
     """
-    check_range("nmax", nmax, 0, min(MAX_ORDER, table.jmax + 1, table.kmax + 1))
-    M, q = table.M, table.q
-    if np.any(q[:nmax] <= 0.0):
+    M, q, nmax = table.M, table.q, table.nmax
+    if np.any(q <= 0.0):
         raise DegenerateSelection(
             "q vanishes: the coupling has no selective gap in the needed range"
         )
@@ -176,7 +181,7 @@ def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
     lags = np.maximum(np.arange(nmax + 1) - js - 1, 0)
     combs = np.array([[math.comb(r, j) for r in range(nmax + 1)] for j in range(nmax)], dtype=float)
     weights = (combs * M[js, lags]).tolist()
-    denoms = (js[:, 0] + 1) * M[:nmax, 0]
+    denoms = (js[:, 0] + 1) * M[:, 0]
     denoms_list = denoms.tolist()
     coeffs = [np.array([1.0])]
     # the recursion may overflow: quietly, since a non-finite coefficient is
@@ -216,12 +221,9 @@ def build_polynomials(table: MomentTable, nmax: int) -> PolySeq:
 
 
 def build_fixation_solver(coupling: CoupledMeasure, nmax: int = 30) -> "FixationSolver":
-    """Convenience: moment table sized for ``1 <= nmax <= MAX_ORDER`` plus
-    polynomials; ``nmax`` is checked before the table is built."""
-    check_range("nmax", nmax, 1, MAX_ORDER)
-    table = build_moment_table(coupling, jmax=nmax - 1, kmax=nmax - 1)
-    seq = build_polynomials(table, nmax)
-    return FixationSolver(coupling=coupling, table=table, seq=seq, nmax=nmax)
+    """Convenience: the moment table of order ``nmax`` plus its polynomials."""
+    table = build_moment_table(coupling, nmax)
+    return FixationSolver(coupling=coupling, table=table, seq=build_polynomials(table))
 
 
 @dataclass(frozen=True)
@@ -229,10 +231,9 @@ class FixationSolver:
     coupling: CoupledMeasure
     table: MomentTable
     seq: PolySeq
-    nmax: int
 
     def p(self, x: float) -> float:
-        return fixation_probability(self.seq, x, self.nmax)[0]
+        return fixation_probability(self.seq, x)[0]
 
 
 def _series_weight(n: int) -> float:
@@ -246,52 +247,48 @@ def unconverged(values, lasts):
     return ~np.isfinite(values) | ~(lasts <= SERIES_TOL * np.abs(values))
 
 
-def fixation_series_coeffs(seq: PolySeq, nmax: int) -> np.ndarray:
-    """Polynomial coefficients of the truncated series for p, of orders
-    ``1 <= nmax <= seq.nmax``."""
-    check_range("nmax", nmax, 1, seq.nmax)
-    out = np.zeros(nmax + 2)
-    for n in range(1, nmax + 1):
+def fixation_series_coeffs(seq: PolySeq) -> np.ndarray:
+    """Polynomial coefficients of the series for p truncated at
+    ``seq.nmax``."""
+    out = np.zeros(seq.nmax + 2)
+    for n in range(1, seq.nmax + 1):
         hn = seq.antiderivative_coeffs(n)
         out[: len(hn)] += _series_weight(n) * hn
     return out
 
 
-def fixation_series(
-    seq: PolySeq, xs: np.ndarray, nmax: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated series values on ``xs`` and the magnitudes of their last
-    terms.
+def fixation_series(seq: PolySeq, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Series values truncated at ``seq.nmax`` on ``xs`` and the magnitudes
+    of their last terms.
 
     Each antiderivative is evaluated once for the whole grid and the orders
     are summed in increasing n, so every entry equals the one-point sum.
     Convergence is left to the caller (see :func:`unconverged`).
 
     Raises:
-        ValueError: for an x outside [0, 1], naming the first, or an order
-            outside ``[1, seq.nmax]``.
+        ValueError: for an x outside [0, 1], naming the first.
     """
     xs = np.asarray(xs, dtype=float)
     outside = np.flatnonzero(~((xs >= 0.0) & (xs <= 1.0)))
     if len(outside):
         check_range("x", float(xs.flat[outside[0]]), 0, 1)
-    check_range("nmax", nmax, 1, seq.nmax)
     value = np.zeros_like(xs)
     last = np.zeros_like(xs)
-    for n in range(1, nmax + 1):
+    for n in range(1, seq.nmax + 1):
         hn = _horner(seq.antiderivative_coeffs(n), xs)
         last = _series_weight(n) * hn
         value += last
     return value, np.abs(last)
 
 
-def fixation_probability(seq: PolySeq, x: float, nmax: int) -> tuple[float, float]:
-    """Truncated series value and the magnitude of its last term.
+def fixation_probability(seq: PolySeq, x: float) -> tuple[float, float]:
+    """Series value truncated at ``seq.nmax`` and the magnitude of its last
+    term.
 
     Raises:
         NotConverged: if the last term exceeds :data:`SERIES_TOL` of the value.
     """
-    values, lasts = fixation_series(seq, np.array([x]), nmax)
+    values, lasts = fixation_series(seq, np.array([x]))
     value, last = float(values[0]), float(lasts[0])
     if unconverged(value, last):
         raise NotConverged(
@@ -307,27 +304,22 @@ def p_neutral(x: float) -> float:
     return float(x)
 
 
-def harmonicity_values(
-    seq: PolySeq, coupling: CoupledMeasure, xs: np.ndarray, nmax: int | None = None
-) -> np.ndarray:
+def harmonicity_values(seq: PolySeq, coupling: CoupledMeasure, xs: np.ndarray) -> np.ndarray:
     """Generator applied to the truncated p, pointwise on ``xs``.
 
     The exact fixation probability is harmonic; the truncation error of the
     series is the only contribution.
     """
-    nmax = seq.nmax if nmax is None else nmax
-    coeffs = fixation_series_coeffs(seq, nmax)
+    coeffs = fixation_series_coeffs(seq)
     return frequency_generator(coupling, lambda v: _horner(coeffs, v), xs)
 
 
-def harmonicity_residual(
-    seq: PolySeq, coupling: CoupledMeasure, grid: int, nmax: int | None = None
-) -> float:
+def harmonicity_residual(seq: PolySeq, coupling: CoupledMeasure, grid: int) -> float:
     """Max of |generator applied to the truncated p| over a uniform x-grid
     of ``grid >= 1`` points."""
     check_range("grid", grid, 1)
     xs = np.linspace(0.0, 1.0, grid)
-    return float(np.abs(harmonicity_values(seq, coupling, xs, nmax)).max())
+    return float(np.abs(harmonicity_values(seq, coupling, xs)).max())
 
 
 def defining_identity_residual(

@@ -185,9 +185,11 @@ def sde_absorption(
     disadvantaged type).  Time plays no role, so events are applied directly.
 
     Raises:
-        NotConverged: if some path is still interior after ``max_events``.
+        NotConverged: if some path is still interior after ``max_events``
+            (at least 1) events.
     """
     check_range("x0", x0, 0, 1)
+    check_range("max_events", max_events, 1)
     if coupling.total_mass <= 0.0:
         raise ValueError("absorption needs a coupling with events")
     lo, hi = ABSORPTION_THRESHOLD, 1.0 - ABSORPTION_THRESHOLD
@@ -233,6 +235,7 @@ def simulate_limit_chain(
             against branching explosion).
     """
     check_range("n0", n0, 1)
+    check_range("state_cap", state_cap, 1)
     check_range("replicate", replicate, 0)
     rng = substream(seed, TAG_CHAIN_PATH, replicate)
     path = _ancestor_run(1, rng, None, coupling, n0, horizon, state_cap + 1, keep=1)[1][0]
@@ -260,6 +263,7 @@ def chain_final_states(
             next step would need a larger table.
     """
     check_range("n0", n0, 1)
+    check_range("state_cap", state_cap, 1)
     check_horizon(horizon)
     if n0 > state_cap:
         raise StateCapReached(f"ancestor count exceeded cap {state_cap}")

@@ -24,7 +24,7 @@ from .errors import SingularSystem, SizeLimit, check_horizon, check_range
 from .measures import CoupledMeasure, invert_cdf
 from .paths import FrequencyPath
 from .rates import MixtureRows
-from .rng import TAG_EVENT_JUMPS, TAG_MORAN, TAG_MORAN_PATH, batched, substream
+from .rng import TAG_MORAN, TAG_MORAN_PATH, batched, substream
 
 MAX_DENSE_N = 2000
 # largest N for the dense matrix duality check B D = D A^T
@@ -363,22 +363,3 @@ def simulate_replicates(
     return batched(
         replicates, seed, (TAG_MORAN,), _moran_run, cfg, horizon, paths=max_paths
     )
-
-
-def sample_event_jumps(
-    cfg: MoranConfig, count: int, n_events: int, seed: int
-) -> np.ndarray:
-    """Signed jump sizes of ``n_events`` independent single events at a pinned
-    count (the state is reset after each event); oracle for the jump law.
-
-    Raises:
-        ValueError: if ``count`` lies outside 0..N or ``n_events < 1``.
-    """
-    check_range("count", count, 0, cfg.N)
-    check_range("n_events", n_events, 1)
-    rng = substream(seed, TAG_EVENT_JUMPS, 0)
-    c = cfg.coupling
-    if c.total_mass == 0.0:
-        return np.zeros(n_events, dtype=np.int64)
-    pinned = np.full(n_events, count, dtype=np.int64)
-    return _event_updates(pinned, cfg.N, c, rng) - count

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_range
+
 
 @dataclass(frozen=True)
 class FrequencyPath:
@@ -29,11 +31,10 @@ class FrequencyPath:
             raise ValueError("times must be strictly increasing")
 
     def value_at(self, t: float):
-        """Value of the path at time t (right-continuous)."""
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        if idx < 0:
-            raise ValueError(f"t={t} precedes the path start {self.times[0]}")
-        return self.values[idx]
+        """Value of the path at time t (right-continuous); a t before the
+        start, or NaN, is refused by name."""
+        check_range("t", t, float(self.times[0]))
+        return self.values[int(np.searchsorted(self.times, t, side="right")) - 1]
 
     @property
     def final(self):

@@ -31,7 +31,8 @@ from .errors import check_range
 # depend on thread count or scheduling.
 REPLICATE_CHUNK = 1 << 16
 
-# Stream tags, one per independent consumer of randomness.
+# Stream tags, one per independent consumer of randomness. Each tag keys
+# its streams, so none is renumbered: 8 and 15 stay unused.
 TAG_MORAN = 1
 TAG_ASG = 2
 TAG_PATHWISE = 3
@@ -45,7 +46,6 @@ TAG_SDE_PATH = 11
 TAG_CHAIN_PATH = 12
 TAG_CONSISTENCY = 13
 TAG_LINECOUNT_PATH = 14
-TAG_EVENT_JUMPS = 15
 TAG_SDE_ABSORPTION = 16
 TAG_LINECOUNT = 17
 

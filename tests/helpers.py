@@ -221,15 +221,15 @@ def rational_polynomials(
 # -- scalar and per-row references for the exact-oracle fast paths -------------
 
 
-def reference_build_polynomials(table, nmax: int) -> list[np.ndarray]:
-    """The coefficient triangle by the scalar triple loop that
-    :func:`lambda_asg.fixation.build_polynomials` replaced (no pivot checks):
-    a ``math.comb`` per term, summed from 0.0 in increasing r.  An overflow
-    is left in the coefficients as inf or NaN."""
+def reference_build_polynomials(table) -> list[np.ndarray]:
+    """The coefficient triangle up to the table's order by the scalar triple
+    loop that :func:`lambda_asg.fixation.build_polynomials` replaced (no
+    pivot checks): a ``math.comb`` per term, summed from 0.0 in increasing r.
+    An overflow is left in the coefficients as inf or NaN."""
     M, q = table.M, table.q
     coeffs = [np.array([1.0])]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, nmax + 1):
+        for n in range(1, table.nmax + 1):
             prev = coeffs[n - 1]
             a = np.zeros(n + 1)
             a[n] = q[n - 1] / M[n - 1, 0] * prev[n - 1]

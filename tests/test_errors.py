@@ -14,12 +14,12 @@ from lambda_asg.measures import CoupledMeasure
 
 MILD = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
 CFG = moran.MoranConfig(N=5, coupling=MILD, initial_count=2)
-# a table one order past the sequence, so that building it sits inside the
-# range of build_polynomials and not on its upper bound
-SEQ = fixation.build_polynomials(fixation.build_moment_table(MILD, 4, 4), 4)
-TOP_TABLE = fixation.build_moment_table(MILD, fixation.MAX_ORDER, fixation.MAX_ORDER)
-# a table of order 3 serves orders up to 4
-SMALL_TABLE = fixation.build_moment_table(MILD, 3, 3)
+# without a selective gap the limit chain never branches: from 1 it stays
+# within a state cap of 1
+NEUTRAL = CoupledMeasure.from_atoms([(0.4, 0.0, 0.8)])
+# an order inside the range of build_moment_table, not on a bound, so that a
+# mutant of the rule is caught by a test and not at collection
+SEQ = fixation.build_polynomials(fixation.build_moment_table(MILD, 4))
 REALIZATION = asg.generate_asg(5, MILD, 0.5, seed=1)
 SAMPLES = np.array([0.1, 0.5, 0.9]), np.array([0.2, 0.6])
 
@@ -61,16 +61,10 @@ RANGES = {
         (lambda v: duality.limit_generator_duality(MILD, v, 11), "n_max", 1, 12, False),
     "duality.limit_generator_duality.grid":
         (lambda v: duality.limit_generator_duality(MILD, 3, v), "grid", 1, None, False),
-    "fixation.build_polynomials": (
-        lambda v: fixation.build_polynomials(TOP_TABLE, v), "nmax", 0, fixation.MAX_ORDER, False),
-    "fixation.build_polynomials.table": (
-        lambda v: fixation.build_polynomials(SMALL_TABLE, v), "nmax", 0, 4, False),
-    "fixation.fixation_series.nmax": (
-        lambda v: fixation.fixation_series(SEQ, np.array([0.5]), v), "nmax", 1, 4, False),
+    "fixation.build_moment_table": (
+        lambda v: fixation.build_moment_table(MILD, v), "nmax", 1, fixation.MAX_ORDER, False),
     "fixation.fixation_series.x": (
-        lambda v: fixation.fixation_series(SEQ, np.array([0.5, v]), 4), "x", 0, 1, True),
-    "fixation.fixation_series_coeffs":
-        (lambda v: fixation.fixation_series_coeffs(SEQ, v), "nmax", 1, 4, False),
+        lambda v: fixation.fixation_series(SEQ, np.array([0.5, v])), "x", 0, 1, True),
     "fixation.build_fixation_solver": (
         lambda v: fixation.build_fixation_solver(MILD, v), "nmax", 1, fixation.MAX_ORDER, False),
     "fixation.p_neutral": (fixation.p_neutral, "x", 0, 1, True),
@@ -79,10 +73,17 @@ RANGES = {
     "limits.SdeConfig": (lambda v: limits.SdeConfig(MILD, v, 1.0), "x0", 0, 1, True),
     "limits.sde_final_values": (lambda v: limits.sde_final_values(MILD, v, 0.5, 2, 1), "x0", 0, 1, True),
     "limits.sde_absorption": (lambda v: limits.sde_absorption(MILD, v, 2, 1), "x0", 0, 1, True),
+    # from x0 = 0 a path is absorbed before any event
+    "limits.sde_absorption.max_events": (
+        lambda v: limits.sde_absorption(MILD, 0.0, 2, 1, max_events=v),
+        "max_events", 1, None, False),
     "limits.TruncationScheme": (lambda v: limits.TruncationScheme(0.25, v), "N", 1, None, False),
     "limits.limit_chain_rates": (lambda v: limits.limit_chain_rates(MILD, v), "m", 1, None, False),
     "limits.simulate_limit_chain":
         (lambda v: limits.simulate_limit_chain(MILD, v, 0.5, 1), "n0", 1, None, False),
+    "limits.simulate_limit_chain.state_cap": (
+        lambda v: limits.simulate_limit_chain(NEUTRAL, 1, 0.5, 1, state_cap=v),
+        "state_cap", 1, None, False),
     "limits.simulate_limit_chain.replicate": (
         lambda v: limits.simulate_limit_chain(MILD, 2, 0.5, 1, replicate=v),
         "replicate", 0, None, False),
@@ -91,6 +92,9 @@ RANGES = {
         "replicate", 0, None, False),
     "limits.chain_final_states":
         (lambda v: limits.chain_final_states(MILD, v, 0.5, 2, 1), "n0", 1, None, False),
+    "limits.chain_final_states.state_cap": (
+        lambda v: limits.chain_final_states(NEUTRAL, 1, 0.5, 2, 1, state_cap=v),
+        "state_cap", 1, None, False),
     "limits.ks_bootstrap_stderr": (
         lambda v: limits.ks_bootstrap_stderr(*SAMPLES, v, np.random.default_rng(0)),
         "resamples", 2, None, False),
@@ -100,10 +104,6 @@ RANGES = {
     "moran.MoranConfig.initial_count":
         (lambda v: moran.MoranConfig(5, MILD, v), "initial_count", 0, 5, False),
     "moran.jump_rates": (lambda v: moran.jump_rates(CFG, v), "count", 0, 5, False),
-    "moran.sample_event_jumps.count":
-        (lambda v: moran.sample_event_jumps(CFG, v, 3, 1), "count", 0, 5, False),
-    "moran.sample_event_jumps.n_events":
-        (lambda v: moran.sample_event_jumps(CFG, 2, v, 1), "n_events", 1, None, False),
     "moran.simulate": (
         lambda v: moran.simulate(CFG, 0.5, 1, replicate=v), "replicate", 0, None, False),
     "moran.simulate_final_counts":
@@ -183,13 +183,15 @@ def test_truncation_alpha_keeps_its_open_interval(alpha):
 
 
 def test_a_series_of_order_zero_is_refused_not_converged():
-    # an empty sum would read p = 0 with a last term of 0, which converges
-    with pytest.raises(ValueError) as info:
-        fixation.fixation_probability(SEQ, 0.5, 0)
-    assert str(info.value) == "nmax must lie in [1, 4], got 0"
+    # an empty sum would read p = 0 with a last term of 0, which converges;
+    # the order is refused where the table is built
+    for build in (fixation.build_moment_table, fixation.build_fixation_solver):
+        with pytest.raises(ValueError) as info:
+            build(MILD, 0)
+        assert str(info.value) == "nmax must lie in [1, 170], got 0"
 
 
 def test_a_grid_names_its_first_x_outside_the_range():
     with pytest.raises(ValueError) as info:
-        fixation.fixation_series(SEQ, np.array([[0.5, 1.25], [-1.0, 0.0]]), 4)
+        fixation.fixation_series(SEQ, np.array([[0.5, 1.25], [-1.0, 0.0]]))
     assert str(info.value) == "x must lie in [0, 1], got 1.25"

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -12,7 +14,6 @@ from helpers import (
     reference_build_polynomials,
     reference_identity_residual,
 )
-from lambda_asg import fixation
 from lambda_asg.errors import DegenerateSelection, NearSingular, NotConverged, ZeroMass
 from lambda_asg.fixation import (
     IDENTITY_ATOMS,
@@ -51,7 +52,7 @@ EDGE_COUPLINGS = {
 
 class TestMomentTable:
     def test_single_atom_values(self):
-        t = build_moment_table(SINGLE, 3, 3)
+        t = build_moment_table(SINGLE, 4)
         assert t.tilde_mass == pytest.approx(0.5)
         assert t.M[0, 0] == pytest.approx(0.5)
         # E[1 - W] with W = U/2, E[U] = 2/3 under density 2u
@@ -59,11 +60,11 @@ class TestMomentTable:
         assert t.q[0] == pytest.approx(0.5)
 
     def test_neutral_gap_vanishes(self, neutral_coupling):
-        t = build_moment_table(neutral_coupling, 4, 4)
+        t = build_moment_table(neutral_coupling, 5)
         assert np.all(t.q == 0.0)
 
     def test_entries_in_unit_interval_and_monotone(self, mild_selective_coupling):
-        t = build_moment_table(mild_selective_coupling, 8, 8)
+        t = build_moment_table(mild_selective_coupling, 9)
         assert np.all(t.M >= 0.0) and np.all(t.M <= 1.0)
         assert np.all(t.q >= 0.0) and np.all(t.q <= 1.0)
         assert np.all(np.diff(t.M[:, 0]) <= 1e-15)
@@ -71,7 +72,7 @@ class TestMomentTable:
 
     def test_zero_size_biased_mass_rejected(self):
         with pytest.raises(ZeroMass):
-            build_moment_table(CoupledMeasure.from_atoms([]), 2, 2)
+            build_moment_table(CoupledMeasure.from_atoms([]), 3)
 
     def test_matches_exact_rational(self):
         atoms = [
@@ -79,8 +80,7 @@ class TestMomentTable:
             (Fraction(1, 4), Fraction(1, 8), Fraction(1, 2)),
         ]
         t = build_moment_table(
-            CoupledMeasure.from_atoms([(float(y), float(z), float(w)) for y, z, w in atoms]),
-            6, 6,
+            CoupledMeasure.from_atoms([(float(y), float(z), float(w)) for y, z, w in atoms]), 7
         )
         M, q = rational_moment_table(atoms, 6, 6)
         for j in range(7):
@@ -93,7 +93,7 @@ class TestMomentTable:
         # of float powers lost about 4e-5 of q's relative accuracy here
         c = CoupledMeasure.from_atoms([(0.3, 1e-12, 5.0), (0.6, 0.0, 0.5)])
         atoms = [(Fraction(y), Fraction(z), Fraction(w)) for y, z, w in zip(c.ys, c.zs, c.masses)]
-        t = build_moment_table(c, 30, 0)
+        t = build_moment_table(c, 31)
         _, q = rational_moment_table(atoms, 30, 0)
         rel = [abs(Fraction(t.q[j]) - q[j]) / q[j] for j in range(31)]
         assert float(max(rel)) <= 1e-13
@@ -101,29 +101,27 @@ class TestMomentTable:
 
 class TestPolynomialRecursion:
     def test_first_polynomial_is_identity(self):
-        t = build_moment_table(SINGLE, 3, 3)
-        seq = build_polynomials(t, 2)
+        seq = build_polynomials(build_moment_table(SINGLE, 2))
         assert seq.coeffs[0].tolist() == [1.0]
         assert seq.coeffs[1][1] == pytest.approx(1.0)
         assert seq.coeffs[1][0] == pytest.approx(0.0, abs=1e-14)
 
     def test_neutral_raises_degenerate(self, neutral_coupling):
-        t = build_moment_table(neutral_coupling, 3, 3)
+        t = build_moment_table(neutral_coupling, 3)
         with pytest.raises(DegenerateSelection):
-            build_polynomials(t, 3)
+            build_polynomials(t)
 
     def test_order_above_170_is_refused_by_its_bound(self):
         # the series weight 2^n / n! needs n! as a float, and 171! overflows one
-        t = build_moment_table(SINGLE, 170, 170)
-        message = r"nmax must lie in \[0, 170\], got 171"
+        message = r"nmax must lie in \[1, 170\], got 171"
         with pytest.raises(ValueError, match=message):
-            build_polynomials(t, 171)
+            build_moment_table(SINGLE, 171)
 
     def test_pure_selective_raises_near_singular(self):
         sel = CoupledMeasure.from_atoms([(0.0, 0.5, 1.0)])
-        t = build_moment_table(sel, 3, 3)
+        t = build_moment_table(sel, 3)
         with pytest.raises(NearSingular):
-            build_polynomials(t, 3)
+            build_polynomials(t)
 
     def test_matches_exact_rational_pipeline(self):
         # the float recursion against the same algebra over exact rationals
@@ -135,7 +133,7 @@ class TestPolynomialRecursion:
         M, q = rational_moment_table(atoms, nmax - 1, nmax - 1)
         exact = rational_polynomials(M, q, nmax)
         c = CoupledMeasure.from_atoms([(float(y), float(z), float(w)) for y, z, w in atoms])
-        seq = build_polynomials(build_moment_table(c, nmax - 1, nmax - 1), nmax)
+        seq = build_polynomials(build_moment_table(c, nmax))
         for n in range(nmax + 1):
             for r in range(n + 1):
                 want = float(exact[n][r])
@@ -163,13 +161,13 @@ class TestPolynomialRecursion:
             assert integral == Fraction(1, n + 1)
 
     def test_overflow_is_refused_naming_the_order(self):
-        t = build_moment_table(STRONG, 169, 169)
         message = "h_158 has a non-finite coefficient: .* lower nmax below 158"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow warning gets out
             with pytest.raises(NotConverged, match=message):
-                build_polynomials(t, 170)
-        assert all(np.isfinite(a).all() for a in build_polynomials(t, 157).coeffs)
+                build_polynomials(build_moment_table(STRONG, 170))
+        seq = build_polynomials(build_moment_table(STRONG, 157))
+        assert all(np.isfinite(a).all() for a in seq.coeffs)
 
     def test_defining_identity_small_residual(self, mild_selective_coupling):
         solver = build_fixation_solver(mild_selective_coupling, nmax=30)
@@ -209,42 +207,51 @@ class TestFixationProbability:
         with pytest.raises(ValueError, match=rf"nmax must lie in \[1, 170\], got {nmax}"):
             build_fixation_solver(mild_selective_coupling, nmax=nmax)
 
-    def test_solver_refuses_the_order_before_building_the_table(
-        self, mild_selective_coupling, monkeypatch
-    ):
-        # the table is (nmax x nmax): a huge nmax must not reach it
-        monkeypatch.setattr(fixation, "build_moment_table", lambda *a, **k: pytest.fail("built"))
+    def test_solver_refuses_the_order_before_building_the_table(self):
+        # the table is (nmax x nmax): a huge nmax must not reach it, nor any
+        # moment of the coupling
+        class Unread:
+            def __getattr__(self, name):
+                pytest.fail(f"coupling.{name} read")
+
         with pytest.raises(ValueError, match=r"nmax must lie in \[1, 170\], got 1000000"):
-            build_fixation_solver(mild_selective_coupling, nmax=10**6)
+            build_fixation_solver(Unread(), nmax=10**6)
 
     def test_returns_truncation_diagnostic(self, mild_selective_coupling):
         solver = build_fixation_solver(mild_selective_coupling, nmax=30)
-        value, last = fixation_probability(solver.seq, 0.5, 30)
+        value, last = fixation_probability(solver.seq, 0.5)
         assert 0.0 < value < 1.0
         assert last < 1e-10 * value
 
     def test_not_converged_raises(self):
         # stronger selection slows the series well below the 1e-10 bar at 30
-        t = build_moment_table(SINGLE, 29, 29)
-        seq = build_polynomials(t, 30)
+        seq = build_polynomials(build_moment_table(SINGLE, 30))
         with pytest.raises(NotConverged):
-            fixation_probability(seq, 0.5, 30)
+            fixation_probability(seq, 0.5)
+
+    def test_order_one_series_is_its_one_term(self):
+        # h_0 = 1, so H_1(x) = x and the series is its one term 2x / (e^2 - 1)
+        seq = build_polynomials(build_moment_table(SINGLE, 1))
+        xs = np.array([0.25, 1.0])
+        values, lasts = fixation_series(seq, xs)
+        assert values == pytest.approx(2.0 * xs / math.expm1(2.0), rel=1e-15)
+        assert lasts.tolist() == values.tolist()
 
     def test_grid_series_equals_pointwise_values(self, mild_selective_coupling):
         solver = build_fixation_solver(mild_selective_coupling, nmax=30)
         xs = np.linspace(0.0, 1.0, 101)
-        values, lasts = fixation_series(solver.seq, xs, 30)
-        pointwise = [fixation_probability(solver.seq, float(x), 30) for x in xs]
+        values, lasts = fixation_series(solver.seq, xs)
+        pointwise = [fixation_probability(solver.seq, float(x)) for x in xs]
         assert values.tolist() == [p for p, _ in pointwise]
         assert lasts.tolist() == [last for _, last in pointwise]
         assert values.tolist() == [solver.p(float(x)) for x in xs]
 
     def test_grid_series_returns_unconverged_partial_sums(self):
-        seq = build_polynomials(build_moment_table(SINGLE, 29, 29), 30)
-        values, lasts = fixation_series(seq, np.array([0.25, 0.5]), 30)
+        seq = build_polynomials(build_moment_table(SINGLE, 30))
+        values, lasts = fixation_series(seq, np.array([0.25, 0.5]))
         assert np.all(lasts > SERIES_TOL * np.abs(values))
         with pytest.raises(ValueError):
-            fixation_series(seq, np.array([0.5, 1.5]), 30)
+            fixation_series(seq, np.array([0.5, 1.5]))
 
     def test_agrees_with_absorption_oracle(self, mild_selective_coupling):
         solver = build_fixation_solver(mild_selective_coupling, nmax=30)
@@ -291,10 +298,10 @@ class TestHarmonicity:
         assert harmonicity_residual(solver.seq, mild_selective_coupling, 101) < 1e-6
 
     def test_residual_shrinks_with_order(self):
-        t = build_moment_table(SINGLE, 29, 29)
-        seq = build_polynomials(t, 30)
+        # the lower orders are prefixes of the order-30 sequence
+        seq = build_polynomials(build_moment_table(SINGLE, 30))
         residuals = [
-            harmonicity_residual(seq, SINGLE, 51, nmax=n) for n in (10, 20, 30)
+            harmonicity_residual(PolySeq(seq.coeffs[: n + 1]), SINGLE, 51) for n in (10, 20, 30)
         ]
         assert residuals[1] <= residuals[0] * 1.1
         assert residuals[2] <= residuals[1] * 1.1
@@ -302,9 +309,9 @@ class TestHarmonicity:
 
     def test_series_polynomial_evaluates_like_terms(self, mild_selective_coupling):
         solver = build_fixation_solver(mild_selective_coupling, nmax=20)
-        coeffs = fixation_series_coeffs(solver.seq, 20)
+        coeffs = fixation_series_coeffs(solver.seq)
         for x in (0.1, 0.5, 0.9):
-            direct = fixation_probability(solver.seq, x, 20)[0]
+            direct = fixation_probability(solver.seq, x)[0]
             assert np.polynomial.polynomial.polyval(x, coeffs) == pytest.approx(
                 direct, rel=1e-12
             )
@@ -314,8 +321,8 @@ class TestHarmonicity:
 def scalar_triangle(name: str, nmax: int) -> tuple:
     """The moment table of an edge coupling and the triangle of the scalar
     triple loop on it, built once and shared by the tests."""
-    table = build_moment_table(EDGE_COUPLINGS[name], nmax - 1, nmax - 1)
-    return table, reference_build_polynomials(table, nmax)
+    table = build_moment_table(EDGE_COUPLINGS[name], nmax)
+    return table, reference_build_polynomials(table)
 
 
 class TestFastPathsMatchScalarLoops:
@@ -328,12 +335,14 @@ class TestFastPathsMatchScalarLoops:
         table, ref = scalar_triangle(name, nmax)
         overflow = [n for n, a in enumerate(ref) if not np.isfinite(a).all()]
         if overflow:
-            # the orders below the first overflow are kept, the rest refused
+            # the orders below the first overflow are kept, the rest refused;
+            # the kept ones are those of the table's leading block
             n = overflow[0]
             with pytest.raises(NotConverged, match=f"h_{n} "):
-                build_polynomials(table, nmax)
-            ref, nmax = ref[:n], n - 1
-        got = build_polynomials(table, nmax).coeffs
+                build_polynomials(table)
+            ref = ref[:n]
+            table = dataclasses.replace(table, M=table.M[: n - 1, : n - 1], q=table.q[: n - 1])
+        got = build_polynomials(table).coeffs
         assert len(got) == len(ref)
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()

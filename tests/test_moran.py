@@ -25,7 +25,6 @@ from lambda_asg.moran import (
     generator_matrix,
     jump_rates,
     record_events,
-    sample_event_jumps,
     simulate,
     simulate_final_counts,
 )
@@ -175,7 +174,10 @@ class TestSimulate:
         probs = {k: up[k] / total for k in range(1, len(up))}
         probs.update({-k: down[k] / total for k in range(1, len(down))})
         probs[0] = 1.0 - sum(probs.values())
-        jumps = sample_event_jumps(cfg, i, 200_000, seed=17)
+        # 200 000 single events at the pinned count, on a stream no library
+        # consumer keys (tag 15)
+        pinned = np.full(200_000, i, dtype=np.int64)
+        jumps = _event_updates(pinned, N, example_coupling, substream(17, 15, 0)) - i
         counts = {int(v): int(c) for v, c in zip(*np.unique(jumps, return_counts=True))}
         assert merged_chisquare_pvalue(counts, probs, len(jumps)) > 1e-3
 
@@ -296,18 +298,6 @@ class TestEventUpdates:
         got = _event_updates(np.full(5000, 4, dtype=np.int64), 10, c, np.random.default_rng(85))
         # an advantaged reproducer leaves no disadvantaged individual
         assert got.min() == 0 and np.all(got[got < 4] == 0)
-
-    @pytest.mark.parametrize("count", [-1, 13])
-    def test_jump_oracle_refuses_a_count_outside_0_to_n(self, example_coupling, count):
-        cfg = MoranConfig(N=12, coupling=example_coupling, initial_count=5)
-        with pytest.raises(ValueError, match=rf"count must lie in \[0, 12\], got {count}"):
-            sample_event_jumps(cfg, count, 10, seed=1)
-
-    @pytest.mark.parametrize("n_events", [0, -1])
-    def test_jump_oracle_needs_an_event(self, example_coupling, n_events):
-        cfg = MoranConfig(N=12, coupling=example_coupling, initial_count=5)
-        with pytest.raises(ValueError, match=f"n_events must be >= 1, got {n_events}"):
-            sample_event_jumps(cfg, 5, n_events, seed=1)
 
 
 MILD = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
@@ -531,6 +521,13 @@ class TestFrequencyPath:
         assert p.value_at(100.0) == 2
         with pytest.raises(ValueError):
             p.value_at(-0.1)
+
+    def test_a_nan_time_is_refused_by_name(self):
+        # searchsorted puts NaN after every time, which read the last value
+        p = FrequencyPath(times=np.array([0.0, 1.0]), values=np.array([3, 4]))
+        with pytest.raises(ValueError) as info:
+            p.value_at(float("nan"))
+        assert str(info.value) == "t must be >= 0.0, got nan"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -51,8 +51,9 @@ ASG, CLI, LIMITS = "src/lambda_asg/asg.py", "src/lambda_asg/cli.py", "src/lambda
 ERRORS, MEASURES, MORAN = (
     "src/lambda_asg/errors.py", "src/lambda_asg/measures.py", "src/lambda_asg/moran.py"
 )
+FIXATION = "src/lambda_asg/fixation.py"
 TEST_ASG, TEST_MORAN = ("tests/test_asg.py",), ("tests/test_moran.py",)
-TEST_ERRORS = ("tests/test_errors.py",)
+TEST_ERRORS, TEST_FIXATION = ("tests/test_errors.py",), ("tests/test_fixation.py",)
 
 MUTANTS = [
     Mutant("window_side", ASG,
@@ -132,6 +133,23 @@ MUTANTS = [
            "", ("tests/test_cli.py",)),
     Mutant("inversion_count_strict", MEASURES,
            "count += u >= edge", "count += u > edge", ("tests/test_measures.py", *TEST_MORAN)),
+    Mutant("series_weight_shifted", FIXATION,
+           "2.0**n / math.factorial(n)", "2.0**n / math.factorial(n + 1)", TEST_FIXATION),
+    Mutant("diagonal_seed_from_one", FIXATION,
+           "a[n] = float(q[n - 1] / M[n - 1, 0] * prev[n - 1])",
+           "a[n] = float((q[n - 1] / M[n - 1, 0] if n > 1 else 1.0) * prev[n - 1])",
+           TEST_FIXATION),
+    Mutant("order_zero_accepted", FIXATION,
+           'check_range("nmax", nmax, 1, MAX_ORDER)', 'check_range("nmax", nmax, 0, MAX_ORDER)',
+           (*TEST_FIXATION, *TEST_ERRORS)),
+    Mutant("order_checked_after_the_moments", FIXATION,
+           '    check_range("nmax", nmax, 1, MAX_ORDER)\n'
+           "    w, y, z = coupling.masses, coupling.ys, coupling.zs\n",
+           "    w, y, z = coupling.masses, coupling.ys, coupling.zs\n"
+           '    check_range("nmax", nmax, 1, MAX_ORDER)\n', TEST_FIXATION),
+    Mutant("series_drops_its_last_order", FIXATION,
+           "    last = np.zeros_like(xs)\n    for n in range(1, seq.nmax + 1):\n",
+           "    last = np.zeros_like(xs)\n    for n in range(1, seq.nmax):\n", TEST_FIXATION),
 ]
 
 
