@@ -137,9 +137,17 @@ def _horner(c: np.ndarray, x, out: np.ndarray | None = None):
 
 @dataclass(frozen=True)
 class PolySeq:
-    """Coefficient triangle: ``coeffs[n][r]`` multiplies x^r in h_n."""
+    """Coefficient triangle: ``coeffs[n][r]`` multiplies x^r in h_n.
+
+    Raises:
+        ValueError: for an order outside ``[1, MAX_ORDER]``, so that a
+            sequence cut to order 0 is not read as a converged p = 0.
+    """
 
     coeffs: list[np.ndarray]
+
+    def __post_init__(self):
+        check_range("nmax", self.nmax, 1, MAX_ORDER)
 
     @property
     def nmax(self) -> int:

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from lambda_asg import asg, duality, fixation, limits, measures, moran, rng
+from lambda_asg import asg, duality, fixation, limits, measures, moran, paths, rng
 from lambda_asg.errors import check_range
 from lambda_asg.measures import CoupledMeasure
 
@@ -20,8 +20,11 @@ NEUTRAL = CoupledMeasure.from_atoms([(0.4, 0.0, 0.8)])
 # an order inside the range of build_moment_table, not on a bound, so that a
 # mutant of the rule is caught by a test and not at collection
 SEQ = fixation.build_polynomials(fixation.build_moment_table(MILD, 4))
+# an order whose series converges on all of [0, 1]
+SOLVER = fixation.build_fixation_solver(MILD, 30)
 REALIZATION = asg.generate_asg(5, MILD, 0.5, seed=1)
 SAMPLES = np.array([0.1, 0.5, 0.9]), np.array([0.2, 0.6])
+PATH = paths.FrequencyPath(times=np.array([0.0, 1.0]), values=np.array([3, 4]))
 
 # entry point, argument name, bounds (hi None for a lower bound alone), and
 # whether the argument is a float; each call puts the value in that argument
@@ -67,6 +70,9 @@ RANGES = {
         lambda v: fixation.fixation_series(SEQ, np.array([0.5, v])), "x", 0, 1, True),
     "fixation.build_fixation_solver": (
         lambda v: fixation.build_fixation_solver(MILD, v), "nmax", 1, fixation.MAX_ORDER, False),
+    "fixation.FixationSolver.p": (SOLVER.p, "x", 0, 1, True),
+    "fixation.PolySeq": (
+        lambda v: fixation.PolySeq([np.ones(1)] * (v + 1)), "nmax", 1, fixation.MAX_ORDER, False),
     "fixation.p_neutral": (fixation.p_neutral, "x", 0, 1, True),
     "fixation.harmonicity_residual":
         (lambda v: fixation.harmonicity_residual(SEQ, MILD, v), "grid", 1, None, False),
@@ -108,7 +114,11 @@ RANGES = {
         lambda v: moran.simulate(CFG, 0.5, 1, replicate=v), "replicate", 0, None, False),
     "moran.simulate_final_counts":
         (lambda v: moran.simulate_final_counts(CFG, 0.5, v, 1), "replicates", 1, None, False),
+    "paths.FrequencyPath.value_at": (PATH.value_at, "t", 0.0, None, True),
     "rng.substream": (lambda v: rng.substream(v, 1), "seed", 0, None, False),
+    "rng.batched": (
+        lambda v: rng.batched(v, 1, (0,), lambda n, gen: np.zeros(n)), "replicates", 1, None,
+        False),
 }
 
 
@@ -189,6 +199,14 @@ def test_a_series_of_order_zero_is_refused_not_converged():
         with pytest.raises(ValueError) as info:
             build(MILD, 0)
         assert str(info.value) == "nmax must lie in [1, 170], got 0"
+
+
+def test_a_sequence_cut_to_order_zero_is_refused():
+    # the first coefficient alone is h_0, a series with no term
+    with pytest.raises(ValueError) as info:
+        fixation.PolySeq(SEQ.coeffs[:1])
+    assert str(info.value) == "nmax must lie in [1, 170], got 0"
+    assert fixation.PolySeq(SEQ.coeffs[:2]).nmax == 1
 
 
 def test_a_grid_names_its_first_x_outside_the_range():

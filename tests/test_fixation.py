@@ -59,6 +59,28 @@ class TestMomentTable:
         assert t.M[1, 0] == pytest.approx(1 / 3)
         assert t.q[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("nmax", [1, 2, 7, 30])
+    def test_the_table_sets_every_order(self, mild_selective_coupling, nmax):
+        table = build_moment_table(mild_selective_coupling, nmax)
+        assert table.M.shape == (nmax, nmax) and table.q.shape == (nmax,)
+        assert table.nmax == nmax
+        solver = build_fixation_solver(mild_selective_coupling, nmax)
+        assert solver.table.M.tobytes() == table.M.tobytes()
+        assert solver.table.q.tobytes() == table.q.tobytes()
+        assert solver.seq.nmax == nmax and len(solver.seq.coeffs) == nmax + 1
+        assert fixation_series_coeffs(solver.seq).shape == (nmax + 2,)
+
+    @pytest.mark.parametrize("n", [1, 10, 29])
+    def test_a_leading_block_gives_a_prefix_of_the_sequence(self, n):
+        # a lower order of one table is a prefix, bit for bit, of the
+        # sequence of its full order
+        table = build_moment_table(SINGLE, 30)
+        full = build_polynomials(table).coeffs
+        block = dataclasses.replace(table, M=table.M[:n, :n], q=table.q[:n])
+        got = build_polynomials(block).coeffs
+        assert len(got) == n + 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, full))
+
     def test_neutral_gap_vanishes(self, neutral_coupling):
         t = build_moment_table(neutral_coupling, 5)
         assert np.all(t.q == 0.0)

@@ -147,6 +147,9 @@ MUTANTS = [
            "    w, y, z = coupling.masses, coupling.ys, coupling.zs\n",
            "    w, y, z = coupling.masses, coupling.ys, coupling.zs\n"
            '    check_range("nmax", nmax, 1, MAX_ORDER)\n', TEST_FIXATION),
+    Mutant("sequence_order_zero_accepted", FIXATION,
+           'check_range("nmax", self.nmax, 1, MAX_ORDER)',
+           'check_range("nmax", self.nmax, 0, MAX_ORDER)', TEST_ERRORS),
     Mutant("series_drops_its_last_order", FIXATION,
            "    last = np.zeros_like(xs)\n    for n in range(1, seq.nmax + 1):\n",
            "    last = np.zeros_like(xs)\n    for n in range(1, seq.nmax):\n", TEST_FIXATION),
