@@ -27,8 +27,8 @@ no output directory and writes nothing: it returns its exit code and its
 artifacts, and ``cmd_run`` writes them and then ``manifest.json`` (config echo,
 seed rule, wall time, artifact names), so a run that raises writes no
 artifact.  An unknown key is refused by name at every level of a config.
-Exit codes: 0 success, 1 validation error (a usage error included), 2
-numerical acceptance failure.
+Exit codes: 0 success, 1 validation error (a usage error included) or a
+request too large for memory, 2 numerical acceptance failure.
 """
 
 from __future__ import annotations
@@ -216,12 +216,15 @@ def _check_dense(name: str, N: int) -> None:
         )
 
 
-def _path_artifacts(paths, value_label: str) -> dict:
-    """Path r as the artifact ``path_<r>.csv`` with columns (time, value_label)."""
-    return {
-        f"path_{r:03d}.csv": (["time", value_label], zip(fp.times, fp.values))
+def _run_artifacts(finals, paths, label: str) -> dict:
+    """A recorded run: path r as ``path_<r>.csv`` with columns (time, label),
+    and the finals as ``finals.csv`` with columns (replicate, final_<label>)."""
+    artifacts = {
+        f"path_{r:03d}.csv": (["time", label], zip(fp.times, fp.values))
         for r, fp in enumerate(paths)
     }
+    artifacts["finals.csv"] = (["replicate", f"final_{label}"], enumerate(finals))
+    return artifacts
 
 
 def run_moran_sim(
@@ -234,8 +237,7 @@ def run_moran_sim(
         _check_dense("N (absorption: true)", N)
     cfg = moran.MoranConfig(N=N, coupling=coupling, initial_count=count0)
     finals, paths = moran.simulate_replicates(cfg, horizon, replicates, seed, max_paths)
-    artifacts = _path_artifacts(paths, "count")
-    artifacts["finals.csv"] = (["replicate", "final_count"], enumerate(finals))
+    artifacts = _run_artifacts(finals, paths, "count")
     artifacts["summary.json"] = {
         "N": N, "initial_count": count0, "horizon": horizon,
         "replicates": replicates,
@@ -294,8 +296,7 @@ def run_sde_sim(
 ) -> tuple[int, dict]:
     cfg = limits.SdeConfig(coupling=coupling, x0=x0, horizon=horizon)
     finals, paths = limits.sde_replicates(cfg, replicates, seed, max_paths)
-    artifacts = _path_artifacts(paths, "value")
-    artifacts["finals.csv"] = (["replicate", "final_value"], enumerate(finals))
+    artifacts = _run_artifacts(finals, paths, "value")
     artifacts["summary.json"] = {
         "x0": x0, "horizon": horizon, "replicates": replicates,
         "mean_final": float(finals.mean()),
@@ -361,6 +362,7 @@ def run_fixation(
         exit_code, values = 0, np.array([fixation.p_neutral(x) for x in xs])
         payload = {
             "neutral": True, "nmax": 0, "harmonicity_residual": 0.0, "identity_residual": 0.0,
+            "converged": True,
         }
         artifacts = {
             "fixation.csv": (header, ([x, p, 0.0, 0.0] for x, p in zip(xs, values))),
@@ -405,9 +407,7 @@ def run_line_count_sim(
     finals, paths = asg.line_count_replicates(
         N, coupling, n0, horizon, replicates, seed, max_paths
     )
-    artifacts = _path_artifacts(paths, "count")
-    artifacts["finals.csv"] = (["replicate", "final_count"], enumerate(finals))
-    return 0, artifacts
+    return 0, _run_artifacts(finals, paths, "count")
 
 
 def run_coupling_report(coupling, seed, threads: int) -> tuple[int, dict]:
@@ -559,6 +559,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except LambdaAsgError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -173,15 +173,6 @@ def _rounds(x: np.ndarray, lo, hi, budget, update) -> Iterator[int]:
     ``update`` the same entries, in the same ascending order, as a scan of
     the whole array would.
     """
-    if len(x) == 1:
-        # one entry is handed to update as a Python scalar (see _size)
-        for step in range(int(budget[0])):
-            v = x.item(0)
-            if not lo < v < hi:
-                return
-            x[0] = update(v)
-            yield step
-        return
     idx = ((budget > 0) & (x > lo) & (x < hi)).nonzero()[0]
     left = budget[idx]
     step = 0
@@ -262,6 +253,22 @@ def _event_times(rng: np.random.Generator, k: int, horizon: float) -> np.ndarray
     return times
 
 
+def _path(
+    rng: np.random.Generator, count: int, horizon: float, values: list, dtype
+) -> FrequencyPath:
+    """The recorded path of a run of ``count`` events: the start and every
+    change of the list ``values``, the run's value at the start and after
+    each event, at the event times that :func:`_event_times` draws for all
+    ``count`` events.  ``values`` may end early, where the run stopped and
+    held still, and its items beyond ``count + 1`` are not read."""
+    stamps, held = [0.0], values[:1]
+    for t, before, after in zip(_event_times(rng, count, horizon).tolist(), values, values[1:]):
+        if after != before:
+            stamps.append(t)
+            held.append(after)
+    return FrequencyPath(times=np.array(stamps), values=np.array(held, dtype=dtype))
+
+
 def record_events(
     x: np.ndarray, lo, hi, rate: float, horizon: float, update,
     rng: np.random.Generator, keep: int,
@@ -272,50 +279,36 @@ def record_events(
     :func:`_event_counts` call for all), then :func:`_rounds` applies the
     events.  Given its count k, an entry's event times are k sorted uniforms
     on [0, horizon], independent of the events (order statistics of a
-    Poisson process), so they are drawn after the rounds by
-    :func:`_event_times`, for each recorded entry in turn: the final values
-    do not depend on ``keep``.
-    Returns ``x`` and the paths of its first ``keep`` entries, recorded at
-    change points.
+    Poisson process), so they are drawn after the rounds by :func:`_path`,
+    for each recorded entry in turn: the final values do not depend on
+    ``keep``.  Returns ``x`` and the paths of its first ``keep`` entries,
+    recorded at change points.
 
-    A one-entry ``x`` draws the same numbers on a route of Python scalars:
-    one count, its values collected in a list as :func:`_rounds` hands them
-    to ``update``, and one path built from them.
+    A one-entry ``x`` draws the same numbers on a route of Python scalars
+    (see :func:`_size`): one count, and a loop that hands ``update`` the
+    value while it stays inside ``(lo, hi)``.
     """
     check_horizon(horizon)
     if len(x) == 1:
-        count = _event_counts(rng, rate, horizon)
-        values = [x.item(0)]
-        values += [x.item(0) for _ in _rounds(x, lo, hi, (count,), update)]
-        if not keep:
-            return x, []
-        # the start and every change; the values hold still after the last
-        stamps, held = [0.0], values[:1]
-        for t, before, after in zip(_event_times(rng, count, horizon).tolist(), values, values[1:]):
-            if after != before:
-                stamps.append(t)
-                held.append(after)
-        return x, [FrequencyPath(times=np.array(stamps), values=np.array(held, dtype=x.dtype))]
-    counts = _event_counts(rng, rate, horizon, len(x))
-    kept = counts[:keep].tolist()
-    top = max(kept, default=0)
-    seen = [x[:keep].copy()]
-    for step in _rounds(x, lo, hi, counts, update):
-        if step < top:
-            seen.append(x[:keep].copy())
-    # the recorded entries hold still after the last round
-    seen += [x[:keep]] * (top + 1 - len(seen))
-    values = np.array(seen)
-    # the start and every change
-    marks = np.empty(values.shape, dtype=bool)
-    marks[0] = True
-    np.not_equal(values[1:], values[:-1], out=marks[1:])
-    paths = []
-    for j, k in enumerate(kept):
-        mark = marks[: k + 1, j]
-        times = np.concatenate(([0.0], _event_times(rng, k, horizon)))[mark]
-        paths.append(FrequencyPath(times=times, values=values[: k + 1, j][mark]))
-    return x, paths
+        counts = [_event_counts(rng, rate, horizon)]
+        v = x.item(0)
+        runs = [[v]]
+        for _ in range(counts[0]):
+            if not lo < v < hi:
+                break
+            v = update(v)
+            runs[0].append(v)
+        x[0] = v
+    else:
+        counts = _event_counts(rng, rate, horizon, len(x))
+        top = counts[:keep].max(initial=0)
+        seen = [x[:keep].copy()]
+        for step in _rounds(x, lo, hi, counts, update):
+            if step < top:
+                seen.append(x[:keep].copy())
+        # row j of runs is entry j's values after each round
+        runs = np.array(seen).T.tolist()
+    return x, [_path(rng, k, horizon, run, x.dtype) for k, run in zip(counts[:keep], runs)]
 
 
 def _moran_run(

@@ -429,9 +429,8 @@ def reference_potential_ancestors(asg, sample, from_time, to_time):
 
 
 def reference_rounds(x: np.ndarray, lo, hi, budget, update):
-    """The many-entry branch of :func:`lambda_asg.moran._rounds` as a scan of
-    every entry in every round: the live entries are found afresh from the
-    budget and the values."""
+    """:func:`lambda_asg.moran._rounds` as a scan of every entry in every
+    round: the live entries are found afresh from the budget and the values."""
     for step in range(int(budget.max(initial=0))):
         idx = ((budget > step) & (x > lo) & (x < hi)).nonzero()[0]
         if not len(idx):

@@ -46,6 +46,18 @@ def files_in(outdir):
     return sorted(p.name for p in outdir.iterdir()) if outdir.exists() else []
 
 
+def fresh_python(*args):
+    """``python *args`` in a fresh process that imports this package, so that
+    a numpy warning or a traceback would reach its stderr."""
+    src = str(Path(lambda_asg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -168,6 +180,8 @@ class TestRun:
         assert h == pytest.approx([i / 50 for i in range(51)], abs=1e-14)
         payload = json.loads((tmp_path / "out" / "fixation.json").read_text())
         assert payload["neutral"] is True
+        # p(x) = x is exact
+        assert payload["converged"] is True
         assert payload["max_abs_diff_vs_absorption"] < 1e-14
 
     def test_fixation_with_oracle_comparison(self, tmp_path):
@@ -739,35 +753,41 @@ def test_usage_errors_exit_one(capsys, argv):
 
 
 def test_bare_command_exits_one_and_help_zero():
-    src = str(Path(lambda_asg.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     for args, code, stream in (([], 1, "stderr"), (["--help"], 0, "stdout")):
-        out = subprocess.run(
-            [sys.executable, "-m", "lambda_asg.cli", *args], env=env,
-            capture_output=True, text=True, timeout=120,
-        )
+        out = fresh_python("-m", "lambda_asg.cli", *args)
         assert out.returncode == code
         assert getattr(out, stream).startswith("usage: lambda-asg")
 
 
 def test_overflowing_total_mass_prints_one_config_error_line(tmp_path):
-    # in a fresh process, so that a numpy warning or a traceback would reach stderr
     cfg = write_config(tmp_path, "c.json", {
         "experiment": "coupling_report", "measures": BAD_MEASURES["coupling_total_mass_overflows"],
         "seed": 1, "output_dir": str(tmp_path / "out"),
     })
-    src = str(Path(lambda_asg.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
-    out = subprocess.run(
-        [sys.executable, "-m", "lambda_asg.cli", "run", cfg], env=env,
-        capture_output=True, text=True, timeout=120,
-    )
+    out = fresh_python("-m", "lambda_asg.cli", "run", cfg)
     assert out.returncode == 1
     assert out.stderr == "config error: measures.coupling: total mass must be finite\n"
+    assert files_in(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("experiment, measures_spec, params", [
+    ("coupling_report", {
+        "lambda_minus": {"density": {"kind": "beta", "params": [2, 2], "grid": 10**15}},
+        "lambda_plus": PAIR["lambda_plus"],
+    }, {}),
+    ("sde_sim", SELECTIVE, {"x0": 0.5, "horizon": 1.0, "replicates": 10**15}),
+], ids=["beta_grid_1e15", "sde_replicates_1e15"])
+def test_a_request_too_large_for_memory_prints_one_error_line(
+    tmp_path, experiment, measures_spec, params
+):
+    # each asks numpy for an array of 10**15 floats, about 7 PiB
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": experiment, "measures": measures_spec, "params": params, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    out = fresh_python("-m", "lambda_asg.cli", "run", cfg)
+    assert out.returncode == 1
+    assert re.fullmatch(r"error: out of memory: Unable to allocate [^\n]+\n", out.stderr)
     assert files_in(tmp_path / "out") == []
 
 
@@ -995,15 +1015,9 @@ class TestCheck:
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about a second of start-up; only tests may load it
-    src = str(Path(lambda_asg.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     code = "import sys, lambda_asg.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
-    )
+    out = fresh_python("-c", code)
+    assert out.returncode == 0
     assert out.stdout.strip() == "False"
 
 

@@ -454,8 +454,9 @@ SINGLE_PATHS = {
 
 
 class TestOneRowRoute:
-    """A one-entry run of ``record_events`` against the recorder on arrays
-    that it replaced (``helpers.reference_record_events``), bit for bit."""
+    """Runs of ``record_events``, of one entry (its Python-scalar route) and
+    of many, against the recorder on arrays
+    (``helpers.reference_record_events``), bit for bit."""
 
     # 1e-3: nearly every path has no event; 40: every coupling's mean is
     # above POISSON_TABLE_MEAN, so the count is numpy's poisson
@@ -480,17 +481,17 @@ class TestOneRowRoute:
 
     @pytest.mark.parametrize("horizon", [3.0, 20.0])
     @pytest.mark.parametrize("start", ["inside", "lo", "hi"])
-    @pytest.mark.parametrize("keep", [0, 1])
+    @pytest.mark.parametrize("entries, keep", [(1, 0), (1, 1), (5, 0), (5, 2), (5, 5)])
     @pytest.mark.parametrize("rule", sorted(EVENT_RULES))
-    def test_run_matches_the_array_route(self, rule, keep, start, horizon):
-        # the final value, the path and where the stream is left; a start on
-        # lo or hi applies no event, and a mean of 40 draws by poisson
+    def test_run_matches_the_array_route(self, rule, entries, keep, start, horizon):
+        # the final values, the paths and where the stream is left; a start
+        # on lo or hi applies no event, and a mean of 40 draws by poisson
         x0, lo, hi, update = EVENT_RULES[rule]
         x0 = {"inside": x0, "lo": lo, "hi": hi}[start]
         for seed in range(30):
             runs = []
             for record in (record_events, reference_record_events):
-                x, rng = np.array([x0]), np.random.default_rng(seed)
+                x, rng = np.full(entries, x0), np.random.default_rng(seed)
                 x, paths = record(x, lo, hi, 2.0, horizon, lambda v: update(v, rng), rng, keep)
                 runs.append((x, paths, rng.random()))
             (x_a, paths_a, next_a), (x_b, paths_b, next_b) = runs

@@ -102,13 +102,18 @@ MUTANTS = [
     Mutant("minus_reproducer_reads_y_plus_z", MORAN,
            "c.ys[a] + c.zs[a] * (minus ^ True)", "c.ys[a] + c.zs[a]",
            TEST_MORAN),
-    Mutant("one_row_marks_every_event", MORAN,
-           "            if after != before:\n", "            if True:\n", TEST_MORAN),
+    Mutant("path_marks_every_event", MORAN,
+           "        if after != before:\n", "        if True:\n", TEST_MORAN),
+    Mutant("array_route_records_row_zero", MORAN,
+           "        runs = np.array(seen).T.tolist()\n",
+           "        runs = np.array(seen)[:, :1].T.tolist() * keep\n", TEST_MORAN),
     Mutant("one_row_count_by_poisson", MORAN,
-           "        count = _event_counts(rng, rate, horizon)\n",
-           "        count = rng.poisson(rate * horizon)\n", TEST_MORAN),
+           "        counts = [_event_counts(rng, rate, horizon)]\n",
+           "        counts = [rng.poisson(rate * horizon)]\n", TEST_MORAN),
     Mutant("one_row_stop_dropped", MORAN,
-           "            if not lo < v < hi:\n                return\n", "", TEST_MORAN),
+           "            if not lo < v < hi:\n                break\n", "", TEST_MORAN),
+    Mutant("one_row_steps_from_lo", MORAN,
+           "            if not lo < v < hi:\n", "            if not lo <= v < hi:\n", TEST_MORAN),
     Mutant("poisson_table_last_entry_not_one", MORAN, "    cdf[-1] = 1.0\n", "", TEST_MORAN),
     Mutant("zero_horizon_accepted", ERRORS, "    if value <= 0:\n", "    if value < 0:\n",
            TEST_MORAN),
