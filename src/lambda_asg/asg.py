@@ -30,7 +30,7 @@ from .moran import _event_counts, _event_mean, _event_times, _size, record_event
 from .paths import FrequencyPath
 from .rates import MixtureRows
 from .rng import (
-    TAG_ASG, TAG_CONSISTENCY, TAG_LINECOUNT, TAG_LINECOUNT_PATH, batched, substream,
+    TAG_ASG, TAG_CONSISTENCY, TAG_LINECOUNT, TAG_LINECOUNT_PATH, alone, batched, substream,
 )
 
 OUTCOME_NONE = 0
@@ -75,32 +75,6 @@ class AsgRealization:
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-@dataclass(frozen=True)
-class TypeAssignment:
-    """Types of all N individuals; True marks the disadvantaged type."""
-
-    minus: np.ndarray
-
-    @classmethod
-    def all_minus(cls, N: int) -> "TypeAssignment":
-        return cls(minus=np.ones(N, dtype=bool))
-
-    @classmethod
-    def all_plus(cls, N: int) -> "TypeAssignment":
-        return cls(minus=np.zeros(N, dtype=bool))
-
-    @classmethod
-    def from_minus_set(cls, N: int, members: Iterable[int]) -> "TypeAssignment":
-        return cls(minus=_mask(N, members))
-
-    @property
-    def minus_count(self) -> int:
-        return int(self.minus.sum())
-
-    def __len__(self) -> int:
-        return len(self.minus)
 
 
 def _mask(N: int, individuals: Iterable[int]) -> np.ndarray:
@@ -268,13 +242,20 @@ def _draw_labels(
         out[r, c] = OUTCOME_SELECTIVE * _below(k, e, hs[a], ls[a]) - _below(k, e, hy[a], ly[a])
 
 
-def propagate_forward(asg: AsgRealization, init: TypeAssignment) -> TypeAssignment:
-    """Push types through every event, from the first, by :func:`_forward_rounds`."""
-    if len(init) != asg.N:
-        raise ValueError("type assignment length must equal N")
-    minus = init.minus.copy()
-    _forward_rounds(_realization_rounds(asg, range(len(asg))), minus[None])
-    return TypeAssignment(minus=minus)
+def propagate_forward(asg: AsgRealization, minus: Iterable[int]) -> set[int]:
+    """The disadvantaged individuals after every event, from the first, of a
+    population whose disadvantaged individuals at the start are ``minus``
+    (any iterable of indices, possibly empty): types pushed forward by
+    :func:`_forward_rounds`.
+
+    Raises:
+        ValueError: for an individual that is not an integer index in
+            0..N-1, as :func:`potential_ancestors` refuses a sample member;
+            so a bool mask is refused by its first entry.
+    """
+    types = _mask(asg.N, minus)
+    _forward_rounds(_realization_rounds(asg, range(len(asg))), types[None])
+    return {int(i) for i in np.nonzero(types)[0]}
 
 
 def _realization_rounds(asg: AsgRealization, events: range) -> Iterator[Round]:
@@ -477,9 +458,7 @@ def simulate_line_count(
     the one-replicate case of :func:`line_count_replicates` on stream
     ``(seed, TAG_LINECOUNT_PATH, replicate)``."""
     check_range("n0", n0, 1, N)
-    check_range("replicate", replicate, 0)
-    rng = substream(seed, TAG_LINECOUNT_PATH, replicate)
-    return _ancestor_run(1, rng, N, coupling, n0, horizon, N + 1, keep=1)[1][0]
+    return alone(seed, TAG_LINECOUNT_PATH, replicate, _ancestor_run, N, coupling, n0, horizon, N + 1)
 
 
 def line_count_replicates(

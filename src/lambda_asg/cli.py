@@ -294,8 +294,7 @@ def run_sde_sim(
     coupling, seed, threads: int, *, x0: float, horizon: float,
     replicates: int = 1, max_paths: int = 10,
 ) -> tuple[int, dict]:
-    cfg = limits.SdeConfig(coupling=coupling, x0=x0, horizon=horizon)
-    finals, paths = limits.sde_replicates(cfg, replicates, seed, max_paths)
+    finals, paths = limits.sde_replicates(coupling, x0, horizon, replicates, seed, max_paths)
     artifacts = _run_artifacts(finals, paths, "value")
     artifacts["summary.json"] = {
         "x0": x0, "horizon": horizon, "replicates": replicates,

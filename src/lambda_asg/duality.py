@@ -80,9 +80,11 @@ def generator_duality_residuals(Ns: list[int], coupling: CoupledMeasure) -> list
     table is built.
 
     Raises:
-        ValueError: for an N below 2.
+        ValueError: for an empty ``Ns`` or an N below 2.
         SizeLimit: for an N above :data:`MAX_DUALITY_N`.
     """
+    if len(Ns) == 0:
+        raise ValueError("Ns must list at least one N")
     for N in Ns:
         check_range("N", N, 2)
         if N > MAX_DUALITY_N:

@@ -39,6 +39,7 @@ from .rng import (
     TAG_SDE,
     TAG_SDE_ABSORPTION,
     TAG_SDE_PATH,
+    alone,
     batched,
     substream,
 )
@@ -50,17 +51,6 @@ ABSORPTION_THRESHOLD = 1e-9
 # bootstrap resamples drawn per block; a block's histograms take
 # BOOTSTRAP_BLOCK x bins x 8 bytes
 BOOTSTRAP_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class SdeConfig:
-    coupling: CoupledMeasure
-    x0: float
-    horizon: float
-
-    def __post_init__(self) -> None:
-        check_range("x0", self.x0, 0, 1)
-        check_horizon(self.horizon)
 
 
 @dataclass(frozen=True)
@@ -133,7 +123,9 @@ def _sde_run(
     )
 
 
-def simulate_sde(cfg: SdeConfig, seed: int, replicate: int = 0) -> FrequencyPath:
+def simulate_sde(
+    coupling: CoupledMeasure, x0: float, horizon: float, seed: int, replicate: int = 0
+) -> FrequencyPath:
     """Exact event-driven path of the limiting frequency in [0, 1].
 
     Jumps multiply the distance to the approached boundary, so the path hits
@@ -141,9 +133,8 @@ def simulate_sde(cfg: SdeConfig, seed: int, replicate: int = 0) -> FrequencyPath
     at change points and is constant once absorbed.  The one-replicate case
     of :func:`sde_replicates` on stream ``(seed, TAG_SDE_PATH, replicate)``.
     """
-    check_range("replicate", replicate, 0)
-    rng = substream(seed, TAG_SDE_PATH, replicate)
-    return _sde_run(1, rng, cfg.coupling, cfg.x0, cfg.horizon, keep=1)[1][0]
+    check_range("x0", x0, 0, 1)
+    return alone(seed, TAG_SDE_PATH, replicate, _sde_run, coupling, x0, horizon)
 
 
 def sde_final_values(
@@ -162,13 +153,14 @@ def sde_final_values(
 
 
 def sde_replicates(
-    cfg: SdeConfig, replicates: int, seed: int, max_paths: int
+    coupling: CoupledMeasure, x0: float, horizon: float, replicates: int, seed: int,
+    max_paths: int,
 ) -> tuple[np.ndarray, list[FrequencyPath]]:
     """The values of :func:`sde_final_values` and the paths of its first
     ``max_paths`` replicates: path r ends at value r."""
+    check_range("x0", x0, 0, 1)
     return batched(
-        replicates, seed, (TAG_SDE,), _sde_run, cfg.coupling, cfg.x0, cfg.horizon,
-        paths=max_paths,
+        replicates, seed, (TAG_SDE,), _sde_run, coupling, x0, horizon, paths=max_paths
     )
 
 
@@ -236,9 +228,9 @@ def simulate_limit_chain(
     """
     check_range("n0", n0, 1)
     check_range("state_cap", state_cap, 1)
-    check_range("replicate", replicate, 0)
-    rng = substream(seed, TAG_CHAIN_PATH, replicate)
-    path = _ancestor_run(1, rng, None, coupling, n0, horizon, state_cap + 1, keep=1)[1][0]
+    path = alone(
+        seed, TAG_CHAIN_PATH, replicate, _ancestor_run, None, coupling, n0, horizon, state_cap + 1
+    )
     if path.final > state_cap:
         raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     return path
@@ -463,8 +455,14 @@ def convergence_study(
     ``floor(x0 N) / N`` and reports the distance of the two time-T samples
     with a bootstrap standard error, both from one count of the two samples
     over their merged bins (:func:`_merged_counts`).
+
+    Raises:
+        ValueError: if ``schemes`` is empty or not ordered by strictly
+            increasing N, before any draw.
     """
     check_horizon(T, "t")
+    if len(schemes) == 0:
+        raise ValueError("schemes must list at least one truncation scheme")
     sizes = [s.N for s in schemes]
     if any(m >= n for m, n in zip(sizes, sizes[1:])):
         raise ValueError(f"schemes must be ordered by strictly increasing N, got {sizes}")

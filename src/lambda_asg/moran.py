@@ -24,7 +24,7 @@ from .errors import SingularSystem, SizeLimit, check_horizon, check_range
 from .measures import CoupledMeasure, invert_cdf
 from .paths import FrequencyPath
 from .rates import MixtureRows
-from .rng import TAG_MORAN, TAG_MORAN_PATH, batched, substream
+from .rng import TAG_MORAN, TAG_MORAN_PATH, alone, batched
 
 MAX_DENSE_N = 2000
 # largest N for the dense matrix duality check B D = D A^T
@@ -329,9 +329,7 @@ def simulate(cfg: MoranConfig, horizon: float, seed: int, replicate: int = 0) ->
     once absorbed.  The one-replicate case of :func:`simulate_replicates` on
     stream ``(seed, TAG_MORAN_PATH, replicate)``.
     """
-    check_range("replicate", replicate, 0)
-    rng = substream(seed, TAG_MORAN_PATH, replicate)
-    return _moran_run(1, rng, cfg, horizon, keep=1)[1][0]
+    return alone(seed, TAG_MORAN_PATH, replicate, _moran_run, cfg, horizon)
 
 
 def simulate_final_counts(

@@ -94,16 +94,19 @@ class MixtureRows:
 
 
 class AncestorChain:
-    """Cumulative jump rows ``cum`` and total rates ``total`` of the limit
+    """Total rates ``total`` and the jump table ``window`` of the limit
     ancestor count on states ``0..size``, from
-    :meth:`MixtureRows.ancestor_rates`.  Row s runs over the targets from
-    the top down: index k is target ``size + 1 - k``, so a row is 0 above its
-    branch (target s + 1), accumulates the targets s + 1 down to 2 and is 1
-    from target 1 on.  A row whose total is 0 is 1 throughout, so it must
-    never be sampled: it would send the count to ``size + 1``.  The rows grow
-    on demand by rebuilding at the larger size.
+    :meth:`MixtureRows.ancestor_rates`; both grow on demand by rebuilding at
+    the larger size.
 
-    ``window`` holds the same entries from the branch down, one row per
+    :meth:`grow` builds them from the cumulative jump rows ``cum``, which it
+    does not keep.  Row s of ``cum`` runs over the targets from the top
+    down: index k is target ``size + 1 - k``, so a row is 0 above its branch
+    (target s + 1), accumulates the targets s + 1 down to 2 and is 1 from
+    target 1 on.  A row whose total is 0 is 1 throughout, so it must never be
+    sampled: it would send the count to ``size + 1``.
+
+    ``window`` holds the entries of ``cum`` from the branch down, one row per
     offset: ``window[j, s] = cum[s, min(size - s + j, size)]``, entry j of
     row s below its zeros, and 1 past its own targets (j >= s).  A uniform
     u then jumps s to ``s + 1 - sum_{j < s} (u >= window[j, s])``, the
@@ -120,10 +123,10 @@ class AncestorChain:
             return
         rates = MixtureRows(self.coupling, range(size + 1)).ancestor_rates(size, None)
         self.total = rates.sum(axis=1)
-        self.cum = np.divide(
+        cum = np.divide(
             np.cumsum(rates[:, ::-1], axis=1), self.total[:, None],
             out=np.ones_like(rates), where=self.total[:, None] > 0.0,
         )
-        self.cum[:, size:] = 1.0
+        cum[:, size:] = 1.0
         states = np.arange(size + 1)
-        self.window = self.cum[states, np.minimum(size - states + states[:, None], size)]
+        self.window = cum[states, np.minimum(size - states + states[:, None], size)]

@@ -18,7 +18,7 @@ of replicates 0..k-1, whose event times the chunk draws from its own stream
 after its events, so path r ends at the run's value r.  The single-path
 functions (``moran.simulate``, ``limits.simulate_sde``,
 ``asg.simulate_line_count``, ``limits.simulate_limit_chain``) run replicate r
-alone on stream ``(seed, path tag, r)``.
+alone on stream ``(seed, path tag, r)``, through :func:`alone`.
 """
 
 from __future__ import annotations
@@ -67,6 +67,17 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     check_range("seed", seed, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.default_rng(ss)
+
+
+def alone(seed: int, tag: int, replicate: int, run, *args):
+    """The one kept path of ``run(1, rng, *args, 1)``: replicate ``replicate``
+    run alone on stream ``(seed, tag, replicate)``.
+
+    Raises:
+        ValueError: if ``replicate < 0``.
+    """
+    check_range("replicate", replicate, 0)
+    return run(1, substream(seed, tag, replicate), *args, 1)[1][0]
 
 
 def batched(

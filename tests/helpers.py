@@ -18,6 +18,7 @@ from lambda_asg.measures import MASS_DROP, CoupledMeasure, FiniteMeasure1D
 from lambda_asg.moran import _event_counts, _event_times
 from lambda_asg.paths import FrequencyPath
 from lambda_asg.quadrature import gauss_legendre_01
+from lambda_asg.rates import MixtureRows
 
 
 def random_ordered_pair(
@@ -492,10 +493,28 @@ def reference_moran_event(counts: np.ndarray, N: int, c: CoupledMeasure, rng) ->
     return counts + np.array(signs) * rng.binomial(trials, probs)
 
 
+def chain_cum(coupling: CoupledMeasure, size: int) -> np.ndarray:
+    """The cumulative jump rows of the limit ancestor count on states
+    ``0..size``, built as :meth:`lambda_asg.rates.AncestorChain.grow` builds
+    them before it keeps their window: row s over the targets from the top
+    down, index k being target ``size + 1 - k``, 0 above the branch and 1
+    from target 1 on (1 throughout for a row whose total is 0)."""
+    rates = MixtureRows(coupling, range(size + 1)).ancestor_rates(size, None)
+    total = rates.sum(axis=1)
+    cum = np.divide(
+        np.cumsum(rates[:, ::-1], axis=1), total[:, None],
+        out=np.ones_like(rates), where=total[:, None] > 0.0,
+    )
+    cum[:, size:] = 1.0
+    return cum
+
+
 def reference_chain_chunk(table, n0, horizon, n_paths, rng, state_cap) -> np.ndarray:
     """:func:`lambda_asg.limits._chain_chunk` with a full-length live mask and
-    clock, comparing each uniform with every column of its ``cum`` row."""
+    clock, comparing each uniform with every column of its row of
+    :func:`chain_cum` at the table's size."""
     states = np.full(n_paths, n0, dtype=np.int64)
+    cum = chain_cum(table.coupling, len(table.total) - 1)
     t = np.zeros(n_paths)
     active = np.ones(n_paths, dtype=bool)
     while active.any():
@@ -503,6 +522,7 @@ def reference_chain_chunk(table, n0, horizon, n_paths, rng, state_cap) -> np.nda
         s = states[idx]
         if int(s.max()) >= len(table.total) - 1:
             table.grow(2 * int(s.max()))
+            cum = chain_cum(table.coupling, len(table.total) - 1)
         totals = table.total[s]
         draws = rng.exponential(1.0, size=len(idx))
         with np.errstate(divide="ignore"):
@@ -514,7 +534,7 @@ def reference_chain_chunk(table, n0, horizon, n_paths, rng, state_cap) -> np.nda
         if len(live) == 0:
             continue
         u = rng.random(len(live))
-        states[live] = len(table.total) - (u[:, None] >= table.cum[states[live]]).sum(axis=1)
+        states[live] = len(table.total) - (u[:, None] >= cum[states[live]]).sum(axis=1)
         if int(states[live].max()) > state_cap:
             raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     return states

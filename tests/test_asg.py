@@ -22,7 +22,6 @@ from lambda_asg.asg import (
     OUTCOME_NONE,
     OUTCOME_SELECTIVE,
     AsgRealization,
-    TypeAssignment,
     _ancestor_events,
     _backward_rounds,
     _realization_rounds,
@@ -304,32 +303,25 @@ class TestLabelRule:
 class TestPropagation:
     def test_all_minus_closed(self, example_coupling):
         asg = generate_asg(10, example_coupling, horizon=5.0, seed=6)
-        out = propagate_forward(asg, TypeAssignment.all_minus(10))
-        assert out.minus_count == 10
+        assert propagate_forward(asg, range(10)) == set(range(10))
 
     def test_all_plus_closed(self, example_coupling):
         asg = generate_asg(10, example_coupling, horizon=5.0, seed=7)
-        out = propagate_forward(asg, TypeAssignment.all_plus(10))
-        assert out.minus_count == 0
+        assert propagate_forward(asg, set()) == set()
 
     def test_selective_arrow_from_disadvantaged_is_inert(self):
         asg = one_event_realization(4, reproducer=0, outcome_pairs=[(2, OUTCOME_SELECTIVE)])
-        init = TypeAssignment.from_minus_set(4, {0, 2})
-        out = propagate_forward(asg, init)
-        assert out.minus[2]  # unchanged: the reproducer carried no advantage
+        # unchanged: the reproducer carried no advantage
+        assert propagate_forward(asg, {0, 2}) == {0, 2}
 
     def test_selective_arrow_from_advantaged_converts(self):
         asg = one_event_realization(4, reproducer=0, outcome_pairs=[(2, OUTCOME_SELECTIVE)])
-        out = propagate_forward(asg, TypeAssignment.from_minus_set(4, {2, 3}))
-        assert not out.minus[2]
-        assert out.minus[3]
+        assert propagate_forward(asg, {2, 3}) == {3}
 
     def test_neutral_arrow_copies_either_type(self):
         asg = one_event_realization(4, reproducer=1, outcome_pairs=[(3, OUTCOME_NEUTRAL)])
-        out = propagate_forward(asg, TypeAssignment.from_minus_set(4, {1}))
-        assert out.minus[3]
-        out = propagate_forward(asg, TypeAssignment.from_minus_set(4, {3}))
-        assert not out.minus[3]
+        assert propagate_forward(asg, {1}) == {1, 3}
+        assert propagate_forward(asg, {3}) == set()
 
     @pytest.mark.parametrize("name", sorted(SWEEP_COUPLINGS) + ["example"])
     @pytest.mark.parametrize("N", [2, 9, 40])
@@ -339,8 +331,8 @@ class TestPropagation:
         for seed in range(3):
             realization = generate_asg(N, coupling, 3.0, seed=seed)
             init = rng.random(N) < 0.5
-            out = propagate_forward(realization, TypeAssignment(minus=init))
-            assert np.array_equal(out.minus, reference_propagate_forward(realization, init))
+            assert propagate_forward(realization, np.flatnonzero(init)) == \
+                set(np.flatnonzero(reference_propagate_forward(realization, init)).tolist())
 
 
 class TestPotentialAncestors:
@@ -397,7 +389,7 @@ class TestPotentialAncestors:
         with pytest.raises(ValueError, match=re.escape(message)):
             potential_ancestors(asg, {0, index}, 1.0, 0.0)
         with pytest.raises(ValueError, match=re.escape(message)):
-            TypeAssignment.from_minus_set(5, [index])
+            propagate_forward(asg, [index])
 
     @pytest.mark.parametrize("index", [1.5, 2.0, True, np.float64(1.0), np.bool_(True)])
     def test_individuals_that_are_not_integers_refused(self, index):
@@ -408,14 +400,22 @@ class TestPotentialAncestors:
         with pytest.raises(ValueError, match=re.escape(message)):
             potential_ancestors(asg, [index], 1.0, 0.0)
         with pytest.raises(ValueError, match=re.escape(message)):
-            TypeAssignment.from_minus_set(5, [0, index])
+            propagate_forward(asg, [0, index])
 
     def test_numpy_integer_individuals_accepted(self):
         asg = one_event_realization(5, reproducer=4, outcome_pairs=[(1, OUTCOME_NEUTRAL)])
         sample = np.array([1, 2], dtype=np.int32)
         assert potential_ancestors(asg, sample, 2.0, 0.0) == {2, 4}
-        minus = TypeAssignment.from_minus_set(5, np.array([0, 3], dtype=np.int64))
-        assert np.array_equal(minus.minus, [True, False, False, True, False])
+        # the advantaged reproducer 4 converts individual 1, already advantaged
+        assert propagate_forward(asg, np.array([0, 3], dtype=np.int64)) == {0, 3}
+
+    def test_forward_refuses_a_bool_mask(self):
+        # a mask of the N types, the shape the sweep once took, is refused by
+        # its first entry rather than read as the indices 0 and 1
+        asg = one_event_realization(5, reproducer=4, outcome_pairs=[(1, OUTCOME_NEUTRAL)])
+        message = "is not an integer index: need 0 <= i < N = 5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            propagate_forward(asg, np.array([True, False, False, True, False]))
 
 
 class TestLineCountRates:
@@ -680,8 +680,7 @@ class TestEventsOnTheWindowEdges:
     def test_an_event_at_time_zero_propagates(self):
         asg = one_event_realization(4, reproducer=0, outcome_pairs=[(1, OUTCOME_NEUTRAL)])
         at_zero = dataclasses.replace(asg, times=np.array([0.0]))
-        out = propagate_forward(at_zero, TypeAssignment.from_minus_set(4, {0}))
-        assert out.minus.tolist() == [True, True, False, False]
+        assert propagate_forward(at_zero, {0}) == {0, 1}
 
     @pytest.mark.parametrize("N", [2, 5, 12])
     def test_forward_matches_the_reference(self, N):
@@ -689,8 +688,8 @@ class TestEventsOnTheWindowEdges:
         for _ in range(30):
             realization = grid_realization(rng, N, int(rng.integers(1, 12)))
             init = rng.random(N) < 0.5
-            out = propagate_forward(realization, TypeAssignment(minus=init))
-            assert np.array_equal(out.minus, reference_propagate_forward(realization, init))
+            assert propagate_forward(realization, np.flatnonzero(init)) == \
+                set(np.flatnonzero(reference_propagate_forward(realization, init)).tolist())
 
     @pytest.mark.parametrize("N", [2, 5, 12])
     def test_ancestors_match_the_reference(self, N):
@@ -708,8 +707,7 @@ class TestEventsOnTheWindowEdges:
         # the rounds of a realization are made one at a time: a pass over
         # 5000 events peaks at a few kB (a list of rounds would take ~1.5 MB)
         realization = grid_realization(np.random.default_rng(3), 2, 5000)
-        init = TypeAssignment(minus=np.array([True, False]))
-        for rule in (lambda: propagate_forward(realization, init),
+        for rule in (lambda: propagate_forward(realization, {0}),
                      lambda: potential_ancestors(realization, {0}, 2.0, 0.0)):
             tracemalloc.start()
             try:

@@ -372,14 +372,12 @@ class TestDeterminism:
             "output_dir": str(tmp_path / "out"),
         })
         assert main(["run", cfg]) == 0
-        from lambda_asg.limits import SdeConfig, sde_replicates
+        from lambda_asg.limits import sde_replicates
         from lambda_asg.measures import coupling_from_config
 
         coupling = coupling_from_config(SELECTIVE["coupling"])
         # path 0 is row 0 of the finals run
-        _, (path,) = sde_replicates(
-            SdeConfig(coupling=coupling, x0=1 / 3, horizon=1.0), 20, 13, 1
-        )
+        _, (path,) = sde_replicates(coupling, 1 / 3, 1.0, 20, 13, 1)
         rows = read_rows(tmp_path / "out" / "path_000.csv")
         assert len(rows) == len(path)
         for row, t, v in zip(rows, path.times, path.values):

@@ -111,6 +111,15 @@ class TestGeneratorDuality:
         assert generator_duality_residuals(Ns, example_coupling) == [
             generator_duality_check(N, example_coupling) for N in Ns
         ]
+        # an array of sizes is read like a list, not refused as ambiguous
+        assert generator_duality_residuals(np.array(Ns), example_coupling) == \
+            generator_duality_residuals(Ns, example_coupling)
+
+    def test_residuals_refuse_an_empty_list_by_name(self, example_coupling):
+        # max() of no sizes would fail naming no argument
+        with pytest.raises(ValueError) as info:
+            generator_duality_residuals([], example_coupling)
+        assert str(info.value) == "Ns must list at least one N"
 
     def test_constant_column_in_kernel(self, example_coupling):
         # D[., 0] is constant, so the column-0 residual is a pure row-sum

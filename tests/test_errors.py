@@ -76,7 +76,9 @@ RANGES = {
     "fixation.p_neutral": (fixation.p_neutral, "x", 0, 1, True),
     "fixation.harmonicity_residual":
         (lambda v: fixation.harmonicity_residual(SEQ, MILD, v), "grid", 1, None, False),
-    "limits.SdeConfig": (lambda v: limits.SdeConfig(MILD, v, 1.0), "x0", 0, 1, True),
+    "limits.simulate_sde.x0": (lambda v: limits.simulate_sde(MILD, v, 1.0, 1), "x0", 0, 1, True),
+    "limits.sde_replicates":
+        (lambda v: limits.sde_replicates(MILD, v, 1.0, 2, 1, 1), "x0", 0, 1, True),
     "limits.sde_final_values": (lambda v: limits.sde_final_values(MILD, v, 0.5, 2, 1), "x0", 0, 1, True),
     "limits.sde_absorption": (lambda v: limits.sde_absorption(MILD, v, 2, 1), "x0", 0, 1, True),
     # from x0 = 0 a path is absorbed before any event
@@ -94,7 +96,7 @@ RANGES = {
         lambda v: limits.simulate_limit_chain(MILD, 2, 0.5, 1, replicate=v),
         "replicate", 0, None, False),
     "limits.simulate_sde": (
-        lambda v: limits.simulate_sde(limits.SdeConfig(MILD, 0.5, 0.5), 1, replicate=v),
+        lambda v: limits.simulate_sde(MILD, 0.5, 0.5, 1, replicate=v),
         "replicate", 0, None, False),
     "limits.chain_final_states":
         (lambda v: limits.chain_final_states(MILD, v, 0.5, 2, 1), "n0", 1, None, False),

@@ -15,7 +15,6 @@ from lambda_asg import limits
 from lambda_asg.errors import NotConverged, SizeLimit, StateCapReached
 from lambda_asg.limits import (
     BOOTSTRAP_BLOCK,
-    SdeConfig,
     TruncationScheme,
     _chain_chunk,
     _merged_counts,
@@ -42,12 +41,16 @@ STAIRCASE = CoupledMeasure.from_atoms([
 ])
 
 
-class TestSdeConfig:
+class TestSdeArguments:
     def test_validation(self, example_coupling):
-        with pytest.raises(ValueError):
-            SdeConfig(coupling=example_coupling, x0=1.4, horizon=1.0)
-        with pytest.raises(ValueError):
-            SdeConfig(coupling=example_coupling, x0=0.5, horizon=-1.0)
+        for sde in (
+            lambda x0, horizon: simulate_sde(example_coupling, x0, horizon, seed=1),
+            lambda x0, horizon: sde_replicates(example_coupling, x0, horizon, 2, 1, 1),
+        ):
+            with pytest.raises(ValueError):
+                sde(1.4, 1.0)
+            with pytest.raises(ValueError):
+                sde(0.5, -1.0)
 
     @pytest.mark.parametrize("x0", [-0.5, 1.5])
     def test_batched_routines_check_x0(self, example_coupling, x0):
@@ -55,28 +58,27 @@ class TestSdeConfig:
         with pytest.raises(ValueError, match=message):
             sde_final_values(example_coupling, x0, 1.0, 10, seed=1)
         with pytest.raises(ValueError, match=message):
+            sde_replicates(example_coupling, x0, 1.0, 10, 1, 1)
+        with pytest.raises(ValueError, match=message):
             sde_absorption(example_coupling, x0, 10, seed=1)
 
 
 class TestSdePaths:
     def test_absorbing_starts_stay_fixed(self, example_coupling):
         for x0 in (0.0, 1.0):
-            cfg = SdeConfig(coupling=example_coupling, x0=x0, horizon=5.0)
-            path = simulate_sde(cfg, seed=1)
+            path = simulate_sde(example_coupling, x0, 5.0, seed=1)
             assert len(path) == 1
             assert path.final == x0
 
     def test_stays_in_unit_interval(self, example_coupling):
-        cfg = SdeConfig(coupling=example_coupling, x0=0.5, horizon=20.0)
         for seed in range(20):
-            path = simulate_sde(cfg, seed=seed)
+            path = simulate_sde(example_coupling, 0.5, 20.0, seed=seed)
             assert path.values.min() >= 0.0
             assert path.values.max() <= 1.0
 
     def test_deterministic(self, example_coupling):
-        cfg = SdeConfig(coupling=example_coupling, x0=0.5, horizon=5.0)
-        a = simulate_sde(cfg, seed=3)
-        b = simulate_sde(cfg, seed=3)
+        a = simulate_sde(example_coupling, 0.5, 5.0, seed=3)
+        b = simulate_sde(example_coupling, 0.5, 5.0, seed=3)
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.values, b.values)
 
@@ -86,8 +88,8 @@ class TestSdePaths:
         gentle = CoupledMeasure.from_atoms([(0.3, 0.1, 1.0), (0.5, 0.2, 0.5)])
         grid = np.linspace(0.0, 8.0, 30)
         for seed in range(10):
-            lo = simulate_sde(SdeConfig(coupling=gentle, x0=0.3, horizon=8.0), seed=seed)
-            hi = simulate_sde(SdeConfig(coupling=gentle, x0=0.6, horizon=8.0), seed=seed)
+            lo = simulate_sde(gentle, 0.3, 8.0, seed=seed)
+            hi = simulate_sde(gentle, 0.6, 8.0, seed=seed)
             assert len(lo) == len(hi)
             for t in grid:
                 assert lo.value_at(t) <= hi.value_at(t) + 1e-12
@@ -129,16 +131,14 @@ class TestSdePaths:
         (5, "c0a29548b840e8c1e6663f4146c7888f30e2f4c09a8f26c432d14e4932db0461"),
     ], ids=["4", "5"])
     def test_path_draws_pinned(self, mild_selective_coupling, seed, expected):
-        cfg = SdeConfig(coupling=mild_selective_coupling, x0=0.4, horizon=5.0)
-        path = simulate_sde(cfg, seed=seed)
+        path = simulate_sde(mild_selective_coupling, 0.4, 5.0, seed=seed)
         assert digest(path.times, path.values) == expected
 
     def test_recorded_event_times_are_a_poisson_process(self, mild_selective_coupling):
         # every event moves an interior value, so each path records all of
         # its events: a Poisson count, at uniform times given the count
         c, horizon, replicates = mild_selective_coupling, 1.5, 4000
-        cfg = SdeConfig(coupling=c, x0=0.4, horizon=horizon)
-        finals, paths = sde_replicates(cfg, replicates, 17, replicates)
+        finals, paths = sde_replicates(c, 0.4, horizon, replicates, 17, replicates)
         assert [p.final for p in paths] == finals.tolist()
         counts = np.array([len(p) - 1 for p in paths])
         mean = c.total_mass * horizon
@@ -659,6 +659,16 @@ class TestConvergence:
         schemes = [TruncationScheme(alpha=0.4, N=n) for n in (100, 50)]
         with pytest.raises(ValueError):
             convergence_study(STAIRCASE, 0.5, schemes, 1.0, 100, seed=17)
+
+    def test_refuses_no_scheme_before_any_draw(self, monkeypatch):
+        # with no level the study would draw its whole SDE sample, then return []
+        def draw(*args, **kwargs):
+            raise AssertionError("the SDE sample was drawn")
+
+        monkeypatch.setattr(limits, "sde_final_values", draw)
+        with pytest.raises(ValueError) as info:
+            convergence_study(STAIRCASE, 0.5, [], 1.0, 10, 1, 2)
+        assert str(info.value) == "schemes must list at least one truncation scheme"
 
     def test_refuses_a_repeated_size(self):
         schemes = [TruncationScheme(alpha=0.4, N=n) for n in (10, 20, 20)]

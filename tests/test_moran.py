@@ -312,10 +312,11 @@ EVENT_RULES = {
 
 class TestRecorder:
     @pytest.mark.parametrize("rule", sorted(EVENT_RULES))
-    def test_one_entry_draws_as_a_row_of_a_batch(self, rule):
-        # alone, the entry takes numpy's scalar draws; as the one live row of
-        # a batch it takes array draws: the same values, and the streams end
-        # in the same state
+    def test_one_entry_array_draws_as_the_live_row_of_a_batch(self, rule):
+        # a one-entry array and the one live row of a two-entry batch (the
+        # other row has no events) both run the array loop of _rounds: the
+        # same values, and the streams end in the same state; the scalar
+        # route of a one-entry run is TestOneRowRoute's
         x0, lo, hi, update = EVENT_RULES[rule]
         alone, batch = np.random.default_rng(3), np.random.default_rng(3)
         one, two = np.array([x0]), np.array([x0, x0])
@@ -363,7 +364,8 @@ HORIZON_ENTRIES = {
     "ancestry_consistency_check": lambda c, h, tmp: asg.ancestry_consistency_check(6, c, h, 2, 1),
     "pathwise_duality_check":
         lambda c, h, tmp: duality.pathwise_duality_check(6, c, h, 3, 2, 2, 1),
-    "SdeConfig": lambda c, h, tmp: limits.SdeConfig(coupling=c, x0=0.5, horizon=h),
+    "simulate_sde": lambda c, h, tmp: limits.simulate_sde(c, 0.5, h, 1),
+    "sde_replicates": lambda c, h, tmp: limits.sde_replicates(c, 0.5, h, 2, 1, 1),
     "simulate_final_counts": lambda c, h, tmp: simulate_final_counts(
         MoranConfig(N=6, coupling=c, initial_count=3), h, 2, 1
     ),
@@ -447,7 +449,7 @@ ROW_COUPLINGS = {
 # every single-path simulator, on a coupling, a horizon and a replicate
 SINGLE_PATHS = {
     "moran": lambda c, h, r: simulate(MoranConfig(N=12, coupling=c, initial_count=5), h, 6, r),
-    "sde": lambda c, h, r: limits.simulate_sde(limits.SdeConfig(c, 0.4, h), 6, r),
+    "sde": lambda c, h, r: limits.simulate_sde(c, 0.4, h, 6, r),
     "line_count": lambda c, h, r: asg.simulate_line_count(12, c, 4, h, 6, r),
     "limit_chain": lambda c, h, r: limits.simulate_limit_chain(c, 4, h, 6, replicate=r),
 }
@@ -457,6 +459,15 @@ class TestOneRowRoute:
     """Runs of ``record_events``, of one entry (its Python-scalar route) and
     of many, against the recorder on arrays
     (``helpers.reference_record_events``), bit for bit."""
+
+    @pytest.mark.parametrize("simulator", sorted(SINGLE_PATHS))
+    def test_replicates_draw_from_their_own_streams(self, simulator):
+        # rng.alone keys replicate r's stream by r, so replicate 3 is not a
+        # copy of replicate 0
+        one, other = (SINGLE_PATHS[simulator](MILD, 2.0, r) for r in (0, 3))
+        assert len(one) > 1 and len(other) > 1
+        assert not (np.array_equal(one.times, other.times)
+                    and np.array_equal(one.values, other.values))
 
     # 1e-3: nearly every path has no event; 40: every coupling's mean is
     # above POISSON_TABLE_MEAN, so the count is numpy's poisson

@@ -57,6 +57,17 @@ def test_batched_keeps_one_chunk_in_process(pool_workers):
     assert pool_workers == []
 
 
+def _one_draw(n, stream, scale, keep):
+    return np.zeros(n), [scale * stream.random()][:keep]
+
+
+def test_alone_runs_one_replicate_on_its_own_stream():
+    # replicate r is the one kept path of a one-row run on stream (seed, tag, r)
+    for r in range(3):
+        assert rng.alone(8, 99, r, _one_draw, 2.0) == 2.0 * rng.substream(8, 99, r).random()
+    assert rng.alone(8, 99, 1, _one_draw, 1.0) != rng.alone(8, 99, 0, _one_draw, 1.0)
+
+
 def test_batched_runs_a_closure_on_threads(pool_workers):
     k = 3
 
@@ -144,7 +155,10 @@ def test_each_stream_key_has_one_consumer(tmp_path, monkeypatch):
         keys.setdefault((seed, *key), set()).add(consumer[0])
         return make(seed, *key)
 
-    for module in (rng, moran, asg, limits):
+    # rng.alone and rng.batched open every stream of these runs; asg and limits
+    # bind substream for their other consumers, and are watched in case a
+    # single path opened its own
+    for module in (rng, asg, limits):
         monkeypatch.setattr(module, "substream", record)
     coupling = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
     runs = {
@@ -164,8 +178,7 @@ def test_each_stream_key_has_one_consumer(tmp_path, monkeypatch):
     singles = {
         "moran.simulate": lambda r: moran.simulate(
             moran.MoranConfig(N=10, coupling=coupling, initial_count=5), 1.0, 5, r),
-        "limits.simulate_sde": lambda r: limits.simulate_sde(
-            limits.SdeConfig(coupling=coupling, x0=0.5, horizon=1.0), 5, r),
+        "limits.simulate_sde": lambda r: limits.simulate_sde(coupling, 0.5, 1.0, 5, r),
         "asg.simulate_line_count": lambda r: asg.simulate_line_count(10, coupling, 3, 1.0, 5, r),
         "limits.simulate_limit_chain": lambda r: limits.simulate_limit_chain(
             coupling, 3, 1.0, 5, replicate=r),

@@ -51,7 +51,7 @@ ASG, CLI, LIMITS = "src/lambda_asg/asg.py", "src/lambda_asg/cli.py", "src/lambda
 ERRORS, MEASURES, MORAN = (
     "src/lambda_asg/errors.py", "src/lambda_asg/measures.py", "src/lambda_asg/moran.py"
 )
-FIXATION = "src/lambda_asg/fixation.py"
+FIXATION, RNG = "src/lambda_asg/fixation.py", "src/lambda_asg/rng.py"
 TEST_ASG, TEST_MORAN = ("tests/test_asg.py",), ("tests/test_moran.py",)
 TEST_ERRORS, TEST_FIXATION = ("tests/test_errors.py",), ("tests/test_fixation.py",)
 
@@ -63,10 +63,10 @@ MUTANTS = [
            'hi = int(np.searchsorted(asg.times, from_time, side="right"))',
            'hi = int(np.searchsorted(asg.times, from_time, side="left"))', TEST_ASG),
     Mutant("windowed_forward", ASG,
-           "_forward_rounds(_realization_rounds(asg, range(len(asg))), minus[None])",
+           "_forward_rounds(_realization_rounds(asg, range(len(asg))), types[None])",
            "_forward_rounds(_realization_rounds(asg, range(\n"
            '        int(np.searchsorted(asg.times, 0.0, side="right")), len(asg)\n'
-           "    )), minus[None])", TEST_ASG),
+           "    )), types[None])", TEST_ASG),
     Mutant("backward_reproducer_join", ASG,
            "members[np.arange(L), :, reproducers] |= rows",
            "members[np.arange(L), :, reproducers] ^= rows", TEST_ASG),
@@ -155,6 +155,9 @@ MUTANTS = [
     Mutant("sequence_order_zero_accepted", FIXATION,
            'check_range("nmax", self.nmax, 1, MAX_ORDER)',
            'check_range("nmax", self.nmax, 0, MAX_ORDER)', TEST_ERRORS),
+    Mutant("single_paths_share_replicate_zero", RNG,
+           "run(1, substream(seed, tag, replicate), *args, 1)",
+           "run(1, substream(seed, tag, 0), *args, 1)", ("tests/test_rng.py", *TEST_MORAN)),
     Mutant("series_drops_its_last_order", FIXATION,
            "    last = np.zeros_like(xs)\n    for n in range(1, seq.nmax + 1):\n",
            "    last = np.zeros_like(xs)\n    for n in range(1, seq.nmax):\n", TEST_FIXATION),
