@@ -18,6 +18,8 @@ is added.  The count of potential ancestors is Markov: its rates (see
 
 from __future__ import annotations
 
+import itertools
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -208,6 +210,12 @@ def _draw_labels(
     of one more word, in row-major order, and reads ``u < p`` as ``e < lo``.
     So every label has the law of a 53-bit float comparison, from one byte
     but for a tie, of probability at most 2/256.
+
+    The labels are worked a tile of rows at a time.  A tile searches its
+    bytes for ties with a threshold only if one of its rows' atoms has a low
+    part above 0 there (a dyadic p has none).  When ``out`` is a strided
+    view (the records of a streamed log), a tile's labels are worked in one
+    contiguous buffer and copied into ``out`` once.
     """
     n, N = out.shape
     hy, ly = _thresholds(ys)
@@ -215,23 +223,30 @@ def _draw_labels(
     rows = max(TILE_LABELS // N // 8, 1) * 8
     below = np.empty((min(rows, n), N), dtype=bool)
     tie = np.empty_like(below)
+    labels = None if out.flags.c_contiguous else np.empty_like(below, dtype=np.uint8)
     ties, tied_bytes = [np.empty(0, np.intp)], [np.empty(0, np.uint8)]
     for r0 in range(0, n, rows):
         m = min(rows, n - r0)
         words = bits.random_raw(-(-m * N // 8)).astype("<u8", copy=False)
         k = words.view(np.uint8)[: m * N].reshape(m, N)
-        y, s = hy[atoms[r0 : r0 + m], None], hs[atoms[r0 : r0 + m], None]
-        o, b, t = out[r0 : r0 + m], below[:m], tie[:m]
+        a = atoms[r0 : r0 + m]
+        y, s = hy[a, None], hs[a, None]
+        o = out[r0 : r0 + m] if labels is None else labels[:m]
+        b = below[:m]
         np.less(k, s, out=o.view(bool))
         o += o
         np.less(k, y, out=b)
         o -= b.view(np.uint8)
-        np.equal(k, y, out=b)
-        np.equal(k, s, out=t)
-        b |= t
-        idx = np.flatnonzero(b)
-        ties.append(idx + r0 * N)
-        tied_bytes.append(k.ravel()[idx])
+        if labels is not None:
+            out[r0 : r0 + m] = o
+        tie_y, tie_s = (ly[a] > 0).any(), (ls[a] > 0).any()
+        if tie_y or tie_s:
+            np.equal(k, y if tie_y else s, out=b)
+            if tie_y and tie_s:
+                b |= np.equal(k, s, out=tie[:m])
+            idx = np.flatnonzero(b)
+            ties.append(idx + r0 * N)
+            tied_bytes.append(k.ravel()[idx])
     r, c = np.divmod(np.concatenate(ties), N)
     k, a = np.concatenate(tied_bytes), atoms[r]
     # a byte equal to a threshold's top byte is a tie only if its low part is not 0
@@ -540,11 +555,26 @@ def _packed(records: np.ndarray, columns: tuple[np.ndarray, ...]) -> np.ndarray:
     return head
 
 
+def _write_file(path, chunks: Iterable) -> None:
+    """Write the byte ``chunks`` to ``path``, the one way the package writes a
+    file.  An existing regular file is rewritten in place from offset 0 and
+    then cut to the written length, also when a chunk raises: it keeps its
+    inode (mode, hard links, a symlink's target) and ends up holding only the
+    new bytes, as after ``open(path, "wb")``, without the cost of truncating
+    it first.  Any other path (a missing file, ``os.devnull``, a FIFO) is
+    opened with ``"wb"``."""
+    in_place = os.path.isfile(path)
+    with open(path, "r+b" if in_place else "wb") as fh:
+        try:
+            fh.writelines(chunks)
+        finally:
+            if in_place:
+                fh.truncate()
+
+
 def _write_log(path: str, N: int, horizon: float, records: Iterable[np.ndarray]) -> None:
     """Write the 16-byte header (magic, N, horizon), then the record arrays."""
-    with open(path, "wb") as fh:
-        fh.write(LOG_MAGIC + struct.pack("<Id", N, horizon))
-        fh.writelines(records)
+    _write_file(path, itertools.chain([LOG_MAGIC + struct.pack("<Id", N, horizon)], records))
 
 
 def write_event_log(asg: AsgRealization, path: str) -> None:
@@ -629,7 +659,9 @@ def stream_asg_to_log(
     into its records, which are written before the next block is drawn, so
     at most ``BLOCK_LABELS`` labels are held at once, for realizations beyond
     the in-memory cap.  The log holds the bytes that ``write_event_log``
-    writes for :func:`generate_asg` with the same seed.
+    writes for :func:`generate_asg` with the same seed.  An existing log at
+    ``path`` is rewritten in place and cut to the new length
+    (:func:`_write_file`), which saves truncating it first.
     """
     check_range("N", N, 2)
     check_horizon(horizon)

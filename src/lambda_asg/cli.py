@@ -149,17 +149,22 @@ def resolve_measures(cfg: dict) -> tuple[measures.CoupledMeasure, dict]:
 # -- output helpers ------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    return "%.17g" % value if isinstance(value, (float, np.floating)) else str(value)
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
     """``header`` and ``rows`` as comma-separated lines ending in ``\\r\\n``,
-    a float as ``%.17g`` and any other value as ``str``.  The runners' names
+    a float as ``%.17g`` and any other value as ``%s`` (``str``): one ``%``
+    format per row, built once per tuple of value types.  The runners' names
     and numbers never need quoting, so these are ``csv.writer``'s bytes."""
-    with open(path, "w", newline="") as fh:
-        for row in itertools.chain([header], rows):
-            fh.write(",".join(map(_fmt, row)) + "\r\n")
+    formats: dict[tuple, str] = {}
+    lines = []
+    for row in itertools.chain([header], rows):
+        row = tuple(row)
+        types = tuple(map(type, row))
+        if types not in formats:
+            formats[types] = ",".join(
+                "%.17g" if issubclass(t, (float, np.floating)) else "%s" for t in types
+            ) + "\r\n"
+        lines.append(formats[types] % row)
+    asg._write_file(path, ["".join(lines).encode()])
 
 
 def _json_default(value):
@@ -171,9 +176,8 @@ def _json_default(value):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    )
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    asg._write_file(path, [text.encode()])
 
 
 # -- experiments ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 import struct
 import tracemalloc
@@ -242,11 +243,12 @@ class StubBits:
 
 
 # (y, z): y = 0, y = 1, y + z = 1, z = 0, dyadic (a 2**-9 threshold ties
-# at byte 0), just below 1, non-dyadic and tiny
+# at byte 0), just below 1, non-dyadic, tiny, and a non-dyadic y with a
+# dyadic y + z (0.1 + 0.15 is 0.25 in floats)
 LABEL_ATOMS = [
     (0.0, 0.3), (0.0, 0.0), (1.0, 0.0), (0.3, 0.7), (0.0, 1.0), (0.4, 0.0),
     (0.25, 0.5), (2**-9, 2**-8), (1 - 2**-53, 0.0), (1 / 3, 0.2), (0.1, 0.2),
-    (1e-300, 0.2), (1e-300, 0.0),
+    (1e-300, 0.2), (1e-300, 0.0), (0.1, 0.15),
 ]
 # atoms of the chi-square test, about 10**6 labels each: at y = 1/3, a label
 # law off by a whole byte (1/256) is about 8 standard deviations out
@@ -271,6 +273,33 @@ class TestLabelRule:
             expected = 2 * (u < y + z) - (u < y)
             assert out[0].tolist() == expected.tolist(), e
             assert bits.served == len(byte_words) + ties
+
+    def test_strided_records_label_as_a_contiguous_out(self, monkeypatch):
+        # tiles of 16 rows: one tile per atom of LABEL_ATOMS (thresholds that
+        # cannot tie, y or y + z that can, or both), then tiles of random
+        # atoms; the log's strided records, a contiguous out and one tile for
+        # the whole block read the same bytes and give the same labels
+        N = 37
+        ys, zs = (np.array(col) for col in zip(*LABEL_ATOMS))
+        atoms = np.concatenate([
+            np.repeat(np.arange(len(ys)), 16),
+            np.random.default_rng(3).integers(0, len(ys), 16 * 5),
+        ])
+        words = np.random.default_rng(4).integers(0, 2**64, 10**5, dtype=np.uint64)
+
+        def labels(out):
+            bits = StubBits(words)
+            asg_module._draw_labels(bits, ys, zs, atoms, out)
+            return out.tobytes(), bits.served
+
+        whole = labels(np.empty((len(atoms), N), np.uint8))
+        monkeypatch.setattr(asg_module, "TILE_LABELS", 16 * N)
+        records = np.zeros(len(atoms), dtype=asg_module._record_dtype(N))
+        assert not records["outcome"].flags.c_contiguous
+        assert labels(records["outcome"]) == whole
+        assert labels(np.empty((len(atoms), N), np.uint8)) == whole
+        # some labels tied and drew their low bits
+        assert whole[1] > -(-len(atoms) * N // 8)
 
     def test_each_atom_labels_by_its_probabilities(self):
         coupling = CoupledMeasure.from_atoms([(y, z, 1.0) for y, z in CHI_ATOMS])
@@ -853,8 +882,63 @@ class TestEventLog:
         assert (count > BLOCK_LABELS // N) == several_blocks
         assert streamed.read_bytes() == written.read_bytes()
 
+    def test_stream_over_a_longer_log_writes_a_fresh_log(self, tmp_path, example_coupling):
+        # a log of another N, longer than the new one, is rewritten in place
+        fresh, reused = tmp_path / "fresh.asg", tmp_path / "reused.asg"
+        stream_asg_to_log(50, example_coupling, 40.0, 3, str(reused))
+        old_size = reused.stat().st_size
+        count = stream_asg_to_log(6, example_coupling, 20.0, 4, str(reused))
+        stream_asg_to_log(6, example_coupling, 20.0, 4, str(fresh))
+        assert reused.stat().st_size < old_size
+        assert reused.read_bytes() == fresh.read_bytes()
+        back = read_event_log(str(reused))
+        assert (back.N, len(back)) == (6, count)
+
     def test_stream_rejects_bad_size(self, tmp_path, example_coupling):
         with pytest.raises(ValueError):
             stream_asg_to_log(1, example_coupling, 1.0, 1, str(tmp_path / "a.asg"))
         with pytest.raises(ValueError):
             stream_asg_to_log(4, example_coupling, 0.0, 1, str(tmp_path / "b.asg"))
+
+
+class TestFileWriter:
+    @pytest.mark.parametrize("old", [b"x" * 1000, b"abc"], ids=["longer", "shorter"])
+    def test_an_existing_file_holds_exactly_the_new_bytes(self, tmp_path, old):
+        path = tmp_path / "f"
+        path.write_bytes(old)
+        asg_module._write_file(path, [b"new ", b"bytes"])
+        assert path.read_bytes() == b"new bytes"
+
+    @pytest.mark.parametrize("old", [b"x" * 1000, None], ids=["existing", "missing"])
+    def test_a_write_that_raises_leaves_its_prefix(self, tmp_path, old):
+        path = tmp_path / "f"
+        if old is not None:
+            path.write_bytes(old)
+
+        def chunks():
+            yield b"first"
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            asg_module._write_file(path, chunks())
+        assert path.read_bytes() == b"first"
+
+    def test_the_file_is_rewritten_in_place(self, tmp_path):
+        # mode, inode and a hard link survive, as with open(path, "wb")
+        path, link = tmp_path / "f", tmp_path / "link"
+        path.write_bytes(b"x" * 100)
+        path.chmod(0o640)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        asg_module._write_file(path, [b"new"])
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == b"new"
+
+    def test_a_symlink_target_is_rewritten(self, tmp_path):
+        target, path = tmp_path / "target", tmp_path / "f"
+        target.write_bytes(b"x" * 100)
+        path.symlink_to(target)
+        asg_module._write_file(path, [b"new"])
+        assert path.is_symlink()
+        assert target.read_bytes() == b"new"

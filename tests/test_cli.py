@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import typing
 import warnings
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 
 import lambda_asg
 
-from lambda_asg import duality, fixation, moran
+from lambda_asg import cli, duality, fixation, moran
 from lambda_asg.asg import _chunk_size
 from lambda_asg.cli import MINIMUM, RUNNERS, main, write_csv
 from lambda_asg.fixation import build_fixation_solver, harmonicity_values
@@ -856,6 +857,38 @@ def test_write_csv_matches_the_csv_module(tmp_path):
     write_csv(tmp_path / "got.csv", header, iter(rows))
     reference_write_csv(tmp_path / "want.csv", header, rows)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_csv_formats_a_mixed_row_as_the_join_of_its_values(tmp_path):
+    # each float as %.17g and anything else as str, joined by commas
+    row = [3, np.float64(0.1), np.int64(-4), True, 10**20, "name", None, 1 / 3]
+    write_csv(tmp_path / "got.csv", ["a"], [row, row[::-1]])
+    want = "a\r\n" + "".join(
+        ",".join("%.17g" % v if isinstance(v, (float, np.floating)) else str(v) for v in r)
+        + "\r\n" for r in (row, row[::-1])
+    )
+    assert (tmp_path / "got.csv").read_bytes() == want.encode()
+
+
+def test_a_run_into_a_used_directory_writes_a_fresh_directory_s_bytes(tmp_path, monkeypatch):
+    # the second run's artifacts are shorter than the first's (11 grid rows
+    # against 1001): each is rewritten in place and cut to its length
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(time=lambda: 0.0))
+    runs = {}
+    for name, grid in (("big", 1001), ("small", 11)):
+        runs[name] = write_config(tmp_path, f"{name}.json", {
+            "experiment": "fixation", "measures": SELECTIVE, "seed": 1,
+            "params": {"nmax": 30, "grid": grid},
+        })
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    assert main(["run", runs["big"], "--output-dir", str(used)]) == 0
+    big = (used / "fixation.csv").stat().st_size
+    assert main(["run", runs["small"], "--output-dir", str(used)]) == 0
+    assert main(["run", runs["small"], "--output-dir", str(fresh)]) == 0
+    assert (used / "fixation.csv").stat().st_size < big
+    assert files_in(used) == files_in(fresh)
+    for name in files_in(fresh):
+        assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("output_dir", ["file", "file/out"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lambda_asg.duality as duality_module
 from helpers import (
     random_coupling,
     random_ordered_pair,
@@ -25,6 +26,7 @@ from lambda_asg.duality import (
     sampling_function,
     sampling_matrix,
 )
+from lambda_asg.limits import chain_final_states
 from lambda_asg.measures import CoupledMeasure, quantile_coupling
 from lambda_asg.moran import MoranConfig, generator_matrix
 from lambda_asg.rng import TAG_PATHWISE, substream
@@ -241,6 +243,22 @@ class TestLimitMomentDuality:
             mild_selective_coupling, x=0.5, n=2, t=1.0, replicates=100_000, seed=6
         )
         assert abs(report.z) < 4.0
+
+    @pytest.mark.parametrize("x, n, t", [
+        (0.3, 1, 0.5), (0.5, 2, 1.0), (0.7, 3, 1.0), (0.5, 3, 0.5),
+        (0.0, 2, 1.0), (1e-300, 2, 1.0), (1.0, 3, 0.5), (0.123456789, 3, 1.0),
+    ])
+    def test_table_of_powers_is_a_pow_per_replicate(self, monkeypatch, x, n, t):
+        # the moment coupling and settings of the benchmark, and the edges of
+        # x: x**A_t read from one table of powers has the bits of np.power
+        coupling = CoupledMeasure.from_atoms([(0.3, 0.1, 1.0), (0.6, 0.2, 0.5)])
+        sides = []
+        monkeypatch.setattr(duality_module, "_report", lambda lhs, rhs, params: sides.append(rhs))
+        limit_moment_duality_check(coupling, x, n, t, 20_000, seed=5)
+        counts = chain_final_states(coupling, n, t, 20_000, 5)
+        assert counts.max() > n
+        expected = np.power(x, counts.astype(float))
+        assert np.array_equal(sides[0].view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_needs_a_replicate(self, example_coupling, replicates):

@@ -78,6 +78,11 @@ MUTANTS = [
            "return (k < hi) | ((k == hi) & (e <= lo))", TEST_ASG),
     Mutant("p_one_clip_removed", ASG,
            "hi = np.minimum(T >> LOW_BITS, 255)", "hi = T >> LOW_BITS", TEST_ASG),
+    Mutant("tie_search_reads_only_y", ASG,
+           "tie_y, tie_s = (ly[a] > 0).any(), (ls[a] > 0).any()",
+           "tie_y, tie_s = (ly[a] > 0).any(), (ly[a] > 0).any()", TEST_ASG),
+    Mutant("writer_keeps_the_old_tail", ASG,
+           "                fh.truncate()\n", "                pass\n", TEST_ASG),
     Mutant("log_reproducer_bound", ASG,
            'reproducer < N, f"reproducer', 'reproducer <= N, f"reproducer', TEST_ASG),
     Mutant("log_label_bound", ASG,
