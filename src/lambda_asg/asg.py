@@ -19,14 +19,13 @@ is added.  The count of potential ancestors is Markov: its rates (see
 from __future__ import annotations
 
 import itertools
-import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import SizeLimit, check_horizon, check_range
+from .errors import SizeLimit, check_horizon, check_range, write_file
 from .measures import ORDER_TOL, CoupledMeasure
 from .moran import _event_counts, _event_mean, _event_times, _size, record_events
 from .paths import FrequencyPath
@@ -555,26 +554,9 @@ def _packed(records: np.ndarray, columns: tuple[np.ndarray, ...]) -> np.ndarray:
     return head
 
 
-def _write_file(path, chunks: Iterable) -> None:
-    """Write the byte ``chunks`` to ``path``, the one way the package writes a
-    file.  An existing regular file is rewritten in place from offset 0 and
-    then cut to the written length, also when a chunk raises: it keeps its
-    inode (mode, hard links, a symlink's target) and ends up holding only the
-    new bytes, as after ``open(path, "wb")``, without the cost of truncating
-    it first.  Any other path (a missing file, ``os.devnull``, a FIFO) is
-    opened with ``"wb"``."""
-    in_place = os.path.isfile(path)
-    with open(path, "r+b" if in_place else "wb") as fh:
-        try:
-            fh.writelines(chunks)
-        finally:
-            if in_place:
-                fh.truncate()
-
-
 def _write_log(path: str, N: int, horizon: float, records: Iterable[np.ndarray]) -> None:
     """Write the 16-byte header (magic, N, horizon), then the record arrays."""
-    _write_file(path, itertools.chain([LOG_MAGIC + struct.pack("<Id", N, horizon)], records))
+    write_file(path, itertools.chain([LOG_MAGIC + struct.pack("<Id", N, horizon)], records))
 
 
 def write_event_log(asg: AsgRealization, path: str) -> None:
@@ -659,9 +641,7 @@ def stream_asg_to_log(
     into its records, which are written before the next block is drawn, so
     at most ``BLOCK_LABELS`` labels are held at once, for realizations beyond
     the in-memory cap.  The log holds the bytes that ``write_event_log``
-    writes for :func:`generate_asg` with the same seed.  An existing log at
-    ``path`` is rewritten in place and cut to the new length
-    (:func:`_write_file`), which saves truncating it first.
+    writes for :func:`generate_asg` with the same seed.
     """
     check_range("N", N, 2)
     check_horizon(horizon)

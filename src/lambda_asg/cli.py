@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, asg, duality, fixation, limits, measures, moran
-from .errors import LambdaAsgError, NotConverged, check_range
+from .errors import LambdaAsgError, NotConverged, check_range, write_file
 from .rng import SEED_RULE
 
 
@@ -152,19 +152,21 @@ def resolve_measures(cfg: dict) -> tuple[measures.CoupledMeasure, dict]:
 def write_csv(path: Path, header: list[str], rows) -> None:
     """``header`` and ``rows`` as comma-separated lines ending in ``\\r\\n``,
     a float as ``%.17g`` and any other value as ``%s`` (``str``): one ``%``
-    format per row, built once per tuple of value types.  The runners' names
-    and numbers never need quoting, so these are ``csv.writer``'s bytes."""
+    format per row, built once per tuple of value types.  Rows are written
+    as they are formatted.  The runners' names and numbers never need
+    quoting, so these are ``csv.writer``'s bytes."""
     formats: dict[tuple, str] = {}
-    lines = []
-    for row in itertools.chain([header], rows):
+
+    def line(row) -> bytes:
         row = tuple(row)
         types = tuple(map(type, row))
         if types not in formats:
             formats[types] = ",".join(
                 "%.17g" if issubclass(t, (float, np.floating)) else "%s" for t in types
             ) + "\r\n"
-        lines.append(formats[types] % row)
-    asg._write_file(path, ["".join(lines).encode()])
+        return (formats[types] % row).encode()
+
+    write_file(path, map(line, itertools.chain([header], rows)))
 
 
 def _json_default(value):
@@ -177,7 +179,7 @@ def _json_default(value):
 
 def write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    asg._write_file(path, [text.encode()])
+    write_file(path, [text.encode()])
 
 
 # -- experiments ---------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Exception types raised by the lambda_asg toolkit, and the two rules that
-refuse an out-of-range argument.
+"""Exception types raised by the lambda_asg toolkit, the two rules that
+refuse an out-of-range argument, and the one file writer.
 
 Every count, order and frequency argument outside its range raises a
 ``ValueError`` from :func:`check_range`, which names the argument, its bound
@@ -7,6 +7,9 @@ and the value: ``N must be >= 2, got 1`` for a lower bound alone, ``n0 must
 lie in [1, 10], got 11`` for a closed range.  A horizon that is not a
 positive finite number is refused by :func:`check_horizon`.  Both are
 negated inclusive comparisons, so NaN is refused too.
+
+Every file the package writes (an event log, a CSV or JSON artifact, a
+manifest) is written by :func:`write_file`.
 """
 
 import math
@@ -28,6 +31,13 @@ def check_horizon(value: float, name: str = "horizon") -> None:
         raise ValueError(f"{name} must be positive, got {value}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def write_file(path, chunks) -> None:
+    """Write the byte ``chunks`` to ``path``, truncated first: the one place
+    the package opens a file for writing."""
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 class LambdaAsgError(Exception):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import re
 import struct
 import tracemalloc
@@ -883,7 +882,7 @@ class TestEventLog:
         assert streamed.read_bytes() == written.read_bytes()
 
     def test_stream_over_a_longer_log_writes_a_fresh_log(self, tmp_path, example_coupling):
-        # a log of another N, longer than the new one, is rewritten in place
+        # a log of another N, longer than the new one, is truncated first
         fresh, reused = tmp_path / "fresh.asg", tmp_path / "reused.asg"
         stream_asg_to_log(50, example_coupling, 40.0, 3, str(reused))
         old_size = reused.stat().st_size
@@ -900,45 +899,3 @@ class TestEventLog:
         with pytest.raises(ValueError):
             stream_asg_to_log(4, example_coupling, 0.0, 1, str(tmp_path / "b.asg"))
 
-
-class TestFileWriter:
-    @pytest.mark.parametrize("old", [b"x" * 1000, b"abc"], ids=["longer", "shorter"])
-    def test_an_existing_file_holds_exactly_the_new_bytes(self, tmp_path, old):
-        path = tmp_path / "f"
-        path.write_bytes(old)
-        asg_module._write_file(path, [b"new ", b"bytes"])
-        assert path.read_bytes() == b"new bytes"
-
-    @pytest.mark.parametrize("old", [b"x" * 1000, None], ids=["existing", "missing"])
-    def test_a_write_that_raises_leaves_its_prefix(self, tmp_path, old):
-        path = tmp_path / "f"
-        if old is not None:
-            path.write_bytes(old)
-
-        def chunks():
-            yield b"first"
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError, match="boom"):
-            asg_module._write_file(path, chunks())
-        assert path.read_bytes() == b"first"
-
-    def test_the_file_is_rewritten_in_place(self, tmp_path):
-        # mode, inode and a hard link survive, as with open(path, "wb")
-        path, link = tmp_path / "f", tmp_path / "link"
-        path.write_bytes(b"x" * 100)
-        path.chmod(0o640)
-        os.link(path, link)
-        inode = path.stat().st_ino
-        asg_module._write_file(path, [b"new"])
-        assert path.stat().st_mode & 0o777 == 0o640
-        assert path.stat().st_ino == inode
-        assert link.read_bytes() == b"new"
-
-    def test_a_symlink_target_is_rewritten(self, tmp_path):
-        target, path = tmp_path / "target", tmp_path / "f"
-        target.write_bytes(b"x" * 100)
-        path.symlink_to(target)
-        asg_module._write_file(path, [b"new"])
-        assert path.is_symlink()
-        assert target.read_bytes() == b"new"

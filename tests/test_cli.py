@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 import typing
 import warnings
@@ -870,9 +871,23 @@ def test_write_csv_formats_a_mixed_row_as_the_join_of_its_values(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == want.encode()
 
 
+def test_write_csv_streams_its_rows(tmp_path):
+    # 10**5 rows (about 2.6 MB of text) are written as they are formatted:
+    # the file is never held in memory whole
+    rows = ((i, i / 7) for i in range(10**5))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", ["i", "x"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csv").stat().st_size > 2 * 10**6
+    assert peak < 2**19
+
+
 def test_a_run_into_a_used_directory_writes_a_fresh_directory_s_bytes(tmp_path, monkeypatch):
     # the second run's artifacts are shorter than the first's (11 grid rows
-    # against 1001): each is rewritten in place and cut to its length
+    # against 1001): each is truncated and rewritten
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(time=lambda: 0.0))
     runs = {}
     for name, grid in (("big", 1001), ("small", 11)):

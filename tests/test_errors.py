@@ -1,6 +1,7 @@
 """The one range rule: every count, order and frequency argument of the
 library is refused by ``errors.check_range``, naming the argument, its bound
-and the value, and a value on a bound is accepted."""
+and the value, and a value on a bound is accepted.  And the one file writer,
+``errors.write_file``."""
 
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from lambda_asg import asg, duality, fixation, limits, measures, moran, paths, rng
-from lambda_asg.errors import check_range
+from lambda_asg.errors import check_range, write_file
 from lambda_asg.measures import CoupledMeasure
 
 MILD = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
@@ -215,3 +216,38 @@ def test_a_grid_names_its_first_x_outside_the_range():
     with pytest.raises(ValueError) as info:
         fixation.fixation_series(SEQ, np.array([[0.5, 1.25], [-1.0, 0.0]]))
     assert str(info.value) == "x must lie in [0, 1], got 1.25"
+
+
+class TestFileWriter:
+    @pytest.mark.parametrize("old", [b"x" * 1000, b"abc"], ids=["longer", "shorter"])
+    def test_an_existing_file_holds_exactly_the_new_bytes(self, tmp_path, old):
+        path = tmp_path / "f"
+        path.write_bytes(old)
+        write_file(path, [b"new ", b"bytes"])
+        assert path.read_bytes() == b"new bytes"
+
+    @pytest.mark.parametrize("old", [b"x" * 1000, None], ids=["existing", "missing"])
+    def test_a_write_that_raises_leaves_its_prefix(self, tmp_path, old):
+        path = tmp_path / "f"
+        if old is not None:
+            path.write_bytes(old)
+
+        def chunks():
+            yield b"first"
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            write_file(path, chunks())
+        assert path.read_bytes() == b"first"
+
+    def test_an_existing_file_keeps_its_inode(self, tmp_path):
+        # mode and a hard link survive the truncation
+        path, link = tmp_path / "f", tmp_path / "link"
+        path.write_bytes(b"x" * 100)
+        path.chmod(0o640)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        write_file(path, [b"new"])
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == b"new"

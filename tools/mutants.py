@@ -81,8 +81,6 @@ MUTANTS = [
     Mutant("tie_search_reads_only_y", ASG,
            "tie_y, tie_s = (ly[a] > 0).any(), (ls[a] > 0).any()",
            "tie_y, tie_s = (ly[a] > 0).any(), (ly[a] > 0).any()", TEST_ASG),
-    Mutant("writer_keeps_the_old_tail", ASG,
-           "                fh.truncate()\n", "                pass\n", TEST_ASG),
     Mutant("log_reproducer_bound", ASG,
            'reproducer < N, f"reproducer', 'reproducer <= N, f"reproducer', TEST_ASG),
     Mutant("log_label_bound", ASG,
@@ -126,6 +124,8 @@ MUTANTS = [
            "    if not math.isfinite(value):\n"
            '        raise ValueError(f"{name} must be positive and finite, got {value}")\n',
            "", TEST_MORAN),
+    Mutant("writer_keeps_the_old_bytes", ERRORS,
+           'with open(path, "wb") as fh:', 'with open(path, "ab") as fh:', TEST_ERRORS),
     Mutant("lower_bound_strict", ERRORS,
            "        if not value >= lo:\n", "        if not value > lo:\n", TEST_ERRORS),
     Mutant("lower_bound_nan_accepted", ERRORS,
