@@ -231,12 +231,11 @@ def build_polynomials(table: MomentTable) -> PolySeq:
 def build_fixation_solver(coupling: CoupledMeasure, nmax: int = 30) -> "FixationSolver":
     """Convenience: the moment table of order ``nmax`` plus its polynomials."""
     table = build_moment_table(coupling, nmax)
-    return FixationSolver(coupling=coupling, table=table, seq=build_polynomials(table))
+    return FixationSolver(table=table, seq=build_polynomials(table))
 
 
 @dataclass(frozen=True)
 class FixationSolver:
-    coupling: CoupledMeasure
     table: MomentTable
     seq: PolySeq
 

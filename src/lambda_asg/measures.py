@@ -449,8 +449,7 @@ def marginal_mismatch(
 
 
 # how a config error names a type
-KIND_NAMES = {float: "a number", int: "an int", bool: "a bool", str: "a string",
-              dict: "an object", type(None): "null"}
+KIND_NAMES = {float: "a number", int: "an int", bool: "a bool", str: "a string", dict: "an object"}
 
 
 def _typed(name: str, value, kind):
@@ -464,18 +463,14 @@ def _typed(name: str, value, kind):
         if not items:
             raise ValueError(f"{name} must be a non-empty list, got []")
         return [_typed(name, item, typing.get_args(kind)[0]) for item in items]
-    kinds = typing.get_args(kind) or (kind,)
-    for k in kinds:
-        if isinstance(value, bool) and k is not bool:
-            continue
-        if k is float and isinstance(value, int):
-            if abs(value) > sys.float_info.max:
-                # beyond the float range: an infinity, refused as one
-                return math.inf if value > 0 else -math.inf
-            return float(value)
-        if isinstance(value, k):
-            return value
-    raise ValueError(f"{name} must be {' or '.join(map(KIND_NAMES.get, kinds))}, got {value!r}")
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) > sys.float_info.max:
+            # beyond the float range: an infinity, refused as one
+            return math.inf if value > 0 else -math.inf
+        return float(value)
+    if isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
+        return value
+    raise ValueError(f"{name} must be {KIND_NAMES[kind]}, got {value!r}")
 
 
 def _numbers(values, where: str, names: tuple[str, ...]) -> list[float]:

@@ -1,4 +1,5 @@
 import csv
+import functools
 import importlib
 import inspect
 import json
@@ -258,7 +259,7 @@ class TestRun:
         cfg = write_config(tmp_path, "c.json", {
             "experiment": "moran_sim",
             "measures": PAIR,
-            "params": {"N": 20, "initial_count": 10, "horizon": 2.0,
+            "params": {"N": 20, "x0": 0.5, "horizon": 2.0,
                        "replicates": 50, "max_paths": 2},
             "seed": 5,
             "output_dir": str(tmp_path / "out"),
@@ -351,7 +352,7 @@ class TestDeterminism:
         base = {
             "experiment": "duality_pathwise",
             "measures": PAIR,
-            "params": {"N": N, "t": t, "initial_count": 250, "n": 2,
+            "params": {"N": N, "t": t, "x0": 0.5, "n": 2,
                        "replicates": replicates},
             "seed": 12,
         }
@@ -419,7 +420,7 @@ PINNED_RUNS = {
                      "b61f7504a7ffd44815dbfcb94df34b868c4c0bb94f7bb82ba6896e0dc055fe30"),
     "duality_matrix": (PAIR, {"N": [4, 8]},
                        "c732be50eac06460521999dc2f565598b515f61d9fa5b9ea7bd66c5c799f7177"),
-    "duality_pathwise": (PAIR, {"N": 6, "t": 0.5, "initial_count": 3, "n": 2,
+    "duality_pathwise": (PAIR, {"N": 6, "t": 0.5, "x0": 0.5, "n": 2,
                                 "replicates": 200},
                          "98a96665febb3c01387e93137a4d5674ca27300596c2bf4a9eabeeb2568fc9ed"),
     "sde_sim": (SELECTIVE, {"x0": 0.4, "horizon": 1.0, "replicates": 50,
@@ -530,9 +531,6 @@ BAD_PARAMS = {
     "fixation_grid_not_an_int": ("fixation", {"grid": 5.5}),
     "moran_absorption_string": (
         "moran_sim", {"N": 10, "horizon": 1.0, "x0": 0.5, "absorption": "false"},
-    ),
-    "moran_x0_and_initial_count": (
-        "moran_sim", {"N": 10, "horizon": 1.0, "x0": 0.5, "initial_count": 5},
     ),
     "asg_N_float": ("asg_pathwise", {"N": 6.9, "horizon": 1.0, "replicates": 5}),
     "asg_N_string": ("asg_pathwise", {"N": "6", "horizon": 1.0, "replicates": 5}),
@@ -666,8 +664,7 @@ FLOAT_PARAMS = [
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("experiment, name", FLOAT_PARAMS, ids=[".".join(c) for c in FLOAT_PARAMS])
 def test_non_finite_float_params_are_refused_by_name(tmp_path, capsys, experiment, name, value):
-    # JSON's NaN and Infinity parse as floats; an exit gate such as
-    # max_final_ks must not be switched off by one
+    # JSON's NaN and Infinity parse as floats, and no float param takes one
     cfg = write_config(tmp_path, "c.json", {
         "experiment": experiment, "measures": SELECTIVE,
         "params": {**REQUIRED.get(experiment, {}), name: value}, "seed": 1,
@@ -675,6 +672,48 @@ def test_non_finite_float_params_are_refused_by_name(tmp_path, capsys, experimen
     })
     assert main(["run", cfg]) == 1
     assert capsys.readouterr().err == f"config error: {name} must be finite, got {value}\n"
+    assert files_in(tmp_path / "out") == []
+
+
+# settings that were removed: four moved or switched off an exit-2 gate, which
+# is now fixed, and initial_count gave the start a second way (x0 = c / N)
+REMOVED_PARAMS = [
+    ("duality_matrix", "tolerance", 1.0),
+    ("limit_duality", "tolerance", 1.0),
+    ("duality_pathwise", "z_max", 100.0),
+    ("moment_duality", "z_max", 100.0),
+    ("convergence", "max_final_ks", 0.5),
+    ("moran_sim", "initial_count", 5),
+    ("duality_pathwise", "initial_count", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, name, value", REMOVED_PARAMS, ids=[f"{e}.{n}" for e, n, _ in REMOVED_PARAMS]
+)
+def test_removed_params_are_refused_as_unknown(tmp_path, capsys, monkeypatch, experiment, name,
+                                               value):
+    runner, calls = RUNNERS[experiment], []
+
+    @functools.wraps(runner)
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return runner(*args, **kwargs)
+
+    monkeypatch.setitem(RUNNERS, experiment, spy)
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": experiment, "measures": SELECTIVE,
+        "params": {**REQUIRED.get(experiment, {}), name: value}, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    valid = ", ".join(
+        p.name for p in inspect.signature(runner).parameters.values() if p.kind is p.KEYWORD_ONLY
+    )
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: unknown params {name}; valid names: {valid}\n"
+    )
+    assert calls == []
     assert files_in(tmp_path / "out") == []
 
 
@@ -1050,6 +1089,13 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert not report["valid"] and "exactly one" in report["issues"][0]
 
+    def test_coupling_spec_reports_its_atoms_and_mass(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"measures": SELECTIVE, "seed": 0})
+        assert main(["check", cfg]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "valid": True, "issues": [], "coupling_atoms": 2, "total_mass": 1.4,
+        }
+
     def test_half_a_pair_names_the_missing_measure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "measures": {"lambda_minus": PAIR["lambda_minus"]}, "seed": 0,
@@ -1057,6 +1103,41 @@ class TestCheck:
         assert main(["check", cfg]) == 1
         report = json.loads(capsys.readouterr().out)
         assert not report["valid"] and "lambda_plus" in report["issues"][0]
+
+
+def test_a_config_that_is_a_directory_is_unreadable(tmp_path, capsys, monkeypatch):
+    # the default output_dir is out/ under the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config: ") and "Is a directory" in err
+    assert files_in(tmp_path) == []
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([{"experiment": "coupling_report"}], "config root must be a JSON object"),
+    ({"measures": SELECTIVE, "seed": 1}, "missing required field 'experiment'"),
+], ids=["root_a_list", "no_experiment"])
+def test_a_config_without_its_frame_is_refused(tmp_path, capsys, monkeypatch, payload, message):
+    # the default output_dir is out/ under the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert files_in(tmp_path) == ["c.json"]
+
+
+def test_run_on_an_unordered_pair_exits_one_and_writes_nothing(tmp_path, capsys):
+    reversed_pair = {"lambda_minus": PAIR["lambda_plus"], "lambda_plus": PAIR["lambda_minus"]}
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "coupling_report", "measures": reversed_pair, "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: tail mass of lambda_minus exceeds lambda_plus at x=0.5\n"
+    )
+    assert files_in(tmp_path / "out") == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -1,6 +1,7 @@
 """The one range rule: every count, order and frequency argument of the
 library is refused by ``errors.check_range``, naming the argument, its bound
-and the value, and a value on a bound is accepted.  And the one file writer,
+and the value, and a value on a bound is accepted.  Every other refusal of
+the library raises its own type and message.  And the one file writer,
 ``errors.write_file``."""
 
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from lambda_asg import asg, duality, fixation, limits, measures, moran, paths, rng
-from lambda_asg.errors import check_range, write_file
+from lambda_asg.errors import NearSingular, OrderViolation, check_range, write_file
 from lambda_asg.measures import CoupledMeasure
 
 MILD = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
@@ -251,3 +252,57 @@ class TestFileWriter:
         assert path.stat().st_mode & 0o777 == 0o640
         assert path.stat().st_ino == inode
         assert link.read_bytes() == b"new"
+
+
+# -- refusals outside the range rule ---------------------------------------------
+
+# one atom whose second pivot, y^2 / (2 q) with q = z = 0.5, falls just below
+# the fixation recursion's PIVOT_TOL = 1e-13
+TINY_PIVOT = CoupledMeasure.from_atoms([(math.sqrt(1.5e-13 * 0.5), 0.5, 1.0)])
+EMPTY_LINE = measures.FiniteMeasure1D.from_atoms([])
+# the lower measure puts mass 1 on [0.5, 1], the upper only 0.5
+UNORDERED = (
+    measures.FiniteMeasure1D.from_atoms([(0.6, 1.0)]),
+    measures.FiniteMeasure1D.from_atoms([(0.3, 0.5), (0.7, 0.5)]),
+)
+
+# entry point, exception type and message of each refusal
+REFUSALS = {
+    "asg.generate_asg.no_seed_nor_generator": (
+        lambda: asg.generate_asg(5, MILD, 0.5), ValueError,
+        "pass a seed or an explicit generator"),
+    "asg.potential_ancestors.empty_sample": (
+        lambda: asg.potential_ancestors(REALIZATION, [], 0.5, 0.0), ValueError,
+        "sample must be nonempty"),
+    "fixation.build_polynomials.small_pivot": (
+        lambda: fixation.build_fixation_solver(TINY_PIVOT, 4), NearSingular,
+        "pivot 7.500e-14 below 1e-13 at n=2, j=0"),
+    "limits.sde_absorption.no_atoms": (
+        lambda: limits.sde_absorption(CoupledMeasure.from_atoms([]), 0.5, 2, 1), ValueError,
+        "absorption needs a coupling with events"),
+    "measures.FiniteMeasure1D.scaled.negative": (
+        lambda: UNORDERED[1].scaled(-1.0), ValueError, "scale factor must be nonnegative"),
+    "measures.CoupledMeasure.scaled.negative": (
+        lambda: MILD.scaled(-0.5), ValueError, "scale factor must be nonnegative"),
+    "measures.normalize_pair.unordered": (
+        lambda: measures.normalize_pair(*UNORDERED), OrderViolation,
+        "tail mass of lambda_minus exceeds lambda_plus at x=0.6"),
+    "measures.quantile_coupling.zero_mass": (
+        lambda: measures.quantile_coupling(EMPTY_LINE, EMPTY_LINE), ValueError,
+        "cannot couple zero-mass measures"),
+    "measures.measure_from_config.not_beta": (
+        lambda: measures.measure_from_config({"density": {"kind": "gamma", "params": [2, 2]}}),
+        ValueError, "density must be {'kind': 'beta', ...}, got {'kind': 'gamma', 'params': [2, 2]}"),
+    "paths.FrequencyPath.empty": (
+        lambda: paths.FrequencyPath(times=np.zeros(0), values=np.zeros(0, dtype=np.int64)),
+        ValueError, "a path needs at least its initial point"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REFUSALS))
+def test_each_refusal_names_its_cause(entry):
+    call, kind, message = REFUSALS[entry]
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == message

@@ -290,6 +290,16 @@ class TestNormalizePair:
         with pytest.raises(ZeroMass):
             normalize_pair(empty, empty)
 
+    def test_marginal_mismatch_skips_the_compensator_at_zero(self):
+        # the coupling's y marginal holds the compensator, mass 0.5 at 0,
+        # which lambda_minus does not: location 0 is not compared
+        lm, lp = FiniteMeasure1D.point_mass(0.5, 0.5), FiniteMeasure1D.point_mass(0.5, 1.0)
+        coupling = normalize_pair(lm, lp).coupling()
+        assert coupling.y_marginal().locations.tolist() == [0.0, 0.5]
+        assert marginal_mismatch(coupling, lm, lp) == 0.0
+        # a mismatch off 0 is still seen
+        assert marginal_mismatch(coupling, lm.scaled(0.5), lp) == pytest.approx(0.25)
+
 
 class TestIntegration:
     def test_constant(self):

@@ -118,6 +118,21 @@ class TestAbsorption:
             absorption_probability(MoranConfig(N=5, coupling=empty, initial_count=0))
         assert "1, 2, 3, 4" in str(exc.value)
 
+    def test_only_the_stuck_states_are_reported(self):
+        # the rates out of 1 and 3 are a subnormal y's last bits; out of 2
+        # both underflow to 0, so 2 alone reaches no boundary
+        tiny = CoupledMeasure.from_atoms([(5e-324, 0.0, 0.6)])
+        with pytest.raises(SingularSystem) as exc:
+            absorption_probability(MoranConfig(N=4, coupling=tiny, initial_count=0))
+        assert str(exc.value).endswith("to an absorbing boundary: [2]")
+
+    def test_a_boundary_is_reached_through_the_interior(self):
+        # 1 -> 2 -> 0 reaches 0 through 2; 3 <-> 4 is closed; 5 is a boundary
+        Q = np.zeros((6, 6))
+        Q[1, 2] = Q[2, 0] = Q[3, 4] = Q[4, 3] = 1.0
+        np.fill_diagonal(Q, -Q.sum(axis=1))
+        assert moran._states_not_reaching_boundary(Q) == [3, 4]
+
 
 class TestSimulate:
     def test_zero_mass_constant(self):

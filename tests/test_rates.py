@@ -1,13 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import binom
 
 from lambda_asg.asg import line_count_rates
 from lambda_asg.duality import _line_count_rows, line_count_generator
-from lambda_asg.limits import limit_chain_rates
-from lambda_asg.measures import CoupledMeasure
+from lambda_asg.errors import NotConverged
+from lambda_asg.fixation import build_fixation_solver, fixation_series
+from lambda_asg.limits import frequency_generator, limit_chain_rates
+from lambda_asg.measures import (
+    CoupledMeasure, FiniteMeasure1D, marginal_mismatch, normalize_pair, transport_cost,
+)
 from lambda_asg.moran import (
-    MAX_DUALITY_N, MoranConfig, _generator_rows, generator_matrix, jump_rates,
+    MAX_DUALITY_N, MoranConfig, _generator_rows, absorption_probability, generator_matrix,
+    jump_rates,
 )
 from lambda_asg.rates import AncestorChain, MixtureRows
 
@@ -302,6 +309,14 @@ class TestAncestorChain:
             assert np.all(chain.window[s:, s] == 1.0)
         assert np.array_equal(chain.window, AncestorChain(example_coupling, 20).window)
 
+    def test_a_smaller_size_leaves_the_table_as_it_is(self, example_coupling):
+        chain = AncestorChain(example_coupling, 20)
+        total, window = chain.total, chain.window
+        chain.grow(5)
+        chain.grow(20)
+        assert chain.total is total and chain.window is window
+        assert len(chain.total) == 21
+
     def test_limit_chain_grows_on_demand(self, example_coupling):
         chain = AncestorChain(example_coupling, 4)
         chain.grow(9)
@@ -309,3 +324,130 @@ class TestAncestorChain:
         fresh = AncestorChain(example_coupling, 57)
         assert np.array_equal(chain.total, fresh.total)
         assert np.array_equal(chain.window, fresh.window)
+
+
+# -- the law reads only the pair ------------------------------------------------
+#
+# Every law-level formula reads y alone (Lambda-) or y + z alone (Lambda+),
+# never the two jointly, so every ordered coupling of one pair drives the same
+# count chains, limit generator and fixation probability.  Only the ASG's
+# pathwise construction sees the coupling.
+
+# (lambda_minus, lambda_plus, whether the fixation series converges at order 30)
+LAW_PAIRS = {
+    # the series diverges here: its last term at x = 0.1 is 0.55
+    "two_atoms": (
+        FiniteMeasure1D.from_atoms([(0.2, 0.5), (0.4, 0.5)]),
+        FiniteMeasure1D.from_atoms([(0.5, 0.5), (0.6, 0.5)]), False,
+    ),
+    # lambda_minus is lighter: normalize_pair adds an atom of mass 0.2 at 0
+    "lighter_minus": (
+        FiniteMeasure1D.from_atoms([(0.4, 0.4), (0.5, 0.4)]),
+        FiniteMeasure1D.from_atoms([(0.3, 0.2), (0.55, 0.4), (0.6, 0.4)]), True,
+    ),
+    # rate scale 1.5
+    "three_atoms": (
+        FiniteMeasure1D.from_atoms([(0.1, 0.5), (0.2, 0.5), (0.3, 0.5)]),
+        FiniteMeasure1D.from_atoms([(0.21, 0.5), (0.25, 0.5), (0.33, 0.5)]), True,
+    ),
+}
+LAW_XS = np.linspace(0.0, 1.0, 11)
+
+
+def crossed_plan(lower, upper):
+    """A transport plan ``(y, s, mass)`` from ``lower`` to ``upper`` with
+    s >= y: each y from the top down takes the smallest s left, so the low y
+    keep the high s.  Feasible whenever the pair is ordered."""
+    left = dict(zip(upper.locations.tolist(), upper.masses.tolist()))
+    plan = []
+    for y, mass in sorted(zip(lower.locations.tolist(), lower.masses.tolist()), reverse=True):
+        for s in sorted(left):
+            take = min(mass, left[s])
+            if s >= y and take > 0.0:
+                plan.append((y, s, take))
+                left[s] -= take
+                mass -= take
+    return plan
+
+
+def law_couplings(lm, lp):
+    """The quantile, crossed and split couplings of the normalized pair, each
+    run at the pair's rate scale; split is the half-and-half mix of the other
+    two."""
+    record = normalize_pair(lm, lp)
+    quantile = record.coupling()
+    scale = record.rate_scale
+    quantile_plan = [
+        (y, y + z, m / scale) for y, z, m in zip(quantile.ys, quantile.zs, quantile.masses)
+    ]
+    crossed = crossed_plan(record.mu_minus, record.mu_plus)
+    split = [(y, s, m / 2) for y, s, m in quantile_plan + crossed]
+    return [quantile] + [
+        CoupledMeasure.from_atoms((y, s - y, m * scale) for y, s, m in plan)
+        for plan in (crossed, split)
+    ]
+
+
+def law_oracles(coupling, converges):
+    """Every law-level oracle of ``coupling``, by name."""
+    solver = build_fixation_solver(coupling)
+    out = {
+        "generator": generator_matrix(MoranConfig(40, coupling, 0)),
+        "absorption": absorption_probability(MoranConfig(200, coupling, 0)),
+        "line_count": line_count_generator(40, coupling),
+        # each m's coalescence rates, then its branch rate
+        "limit_chain": np.concatenate([np.append(*limit_chain_rates(coupling, m))
+                                       for m in range(1, 31)]),
+        "frequency": frequency_generator(coupling, lambda v: v**5, LAW_XS),
+        "series": np.concatenate(fixation_series(solver.seq, LAW_XS)),
+    }
+    if converges:
+        out["p"] = np.array([solver.p(x) for x in LAW_XS])
+    else:
+        with pytest.raises(NotConverged):
+            solver.p(0.1)
+    return out
+
+
+def marginal_generator(lm, lp, N):
+    """The Moran generator at N from the two marginals alone: i -> i + k at
+    ``x Binom(N - i, Lambda-)(k)``, i -> i - k at ``(1 - x) Binom(i, Lambda+)(k)``."""
+    Q = np.zeros((N + 1, N + 1))
+    for i in range(1, N):
+        x, up, down = i / N, np.arange(1, N - i + 1), np.arange(1, i + 1)
+        Q[i, i + up] = x * (binom.pmf(up[:, None], N - i, lm.locations) @ lm.masses)
+        Q[i, i - down] = (1.0 - x) * (binom.pmf(down[:, None], i, lp.locations) @ lp.masses)
+        Q[i, i] = -Q[i].sum()
+    return Q
+
+
+class TestLawReadsOnlyThePair:
+    @pytest.mark.parametrize("pair", sorted(LAW_PAIRS))
+    def test_couplings_share_their_marginals_and_differ_jointly(self, pair):
+        lm, lp, _ = LAW_PAIRS[pair]
+        couplings = law_couplings(lm, lp)
+        assert [marginal_mismatch(c, lm, lp) for c in couplings] == pytest.approx(
+            [0.0] * 3, abs=1e-15
+        )
+        # the pathwise side sees the coupling: three different transport costs
+        costs = [transport_cost(c) for c in couplings]
+        assert min(abs(a - b) for a, b in itertools.combinations(costs, 2)) > 1e-3
+
+    @pytest.mark.parametrize("pair", sorted(LAW_PAIRS))
+    def test_every_law_oracle_agrees_across_couplings(self, pair):
+        lm, lp, converges = LAW_PAIRS[pair]
+        first, *others = [law_oracles(c, converges) for c in law_couplings(lm, lp)]
+        for other in others:
+            assert other.keys() == first.keys()
+            for name in first:
+                tol = 1e-12 if name in ("series", "p") else 1e-14
+                assert np.max(np.abs(other[name] - first[name])) <= tol, name
+
+    @pytest.mark.parametrize("pair", sorted(LAW_PAIRS))
+    def test_generator_reads_lambda_minus_up_and_lambda_plus_down(self, pair):
+        # invariance alone would pass a kernel that read one marginal for both
+        lm, lp, _ = LAW_PAIRS[pair]
+        reference = marginal_generator(lm, lp, 40)
+        for coupling in law_couplings(lm, lp):
+            Q = generator_matrix(MoranConfig(40, coupling, 0))
+            assert np.max(np.abs(Q - reference)) <= 1e-14

@@ -89,6 +89,17 @@ def test_mutants_kills_a_toy_mutant_on_a_copy(tmp_path, capsys):
     assert (tmp_path / "src" / "toy" / "__init__.py").read_text() == source
 
 
+def test_a_node_id_names_the_test_that_kills(tmp_path, capsys):
+    # both tests fail on the mutant; the node id runs the second alone
+    toy_package(tmp_path)
+    with open(tmp_path / "tests" / "test_toy.py", "a") as fh:
+        fh.write("\n\ndef test_double_again():\n    assert double(4) == 8\n")
+    node = "tests/test_toy.py::test_double_again"
+    mutant = mutants.Mutant("triple", "src/toy/__init__.py", "2 * x", "3 * x", (node,))
+    assert mutants.run([mutant], root=tmp_path) == 0
+    assert capsys.readouterr().out.split()[3] == node
+
+
 def test_mutants_refuse_text_that_does_not_occur_once(tmp_path):
     toy_package(tmp_path)
     mutant = mutants.Mutant("stale", "src/toy/__init__.py", "4 * x", "5 * x", ("tests/test_toy.py",))
@@ -99,7 +110,12 @@ def test_mutants_refuse_text_that_does_not_occur_once(tmp_path):
 def test_every_mutant_matches_its_file_once():
     for m in mutants.MUTANTS:
         assert (ROOT / m.file).read_text().count(m.old) == 1, m.name
-        assert all((ROOT / test).exists() for test in m.tests), m.name
+        # a test is a file or a pytest node id, file::Class::test
+        for test in m.tests:
+            path, *names = test.split("::")
+            assert (ROOT / path).exists(), m.name
+            source = (ROOT / path).read_text()
+            assert all(f"class {n}" in source or f"def {n}(" in source for n in names), test
 
 
 def test_every_public_name_resolves():

@@ -3,8 +3,11 @@
 
 Each mutant replaces one exact piece of text (it must occur once) in one
 file of a temporary copy of ``src/`` and ``tests/`` (and ``README.md``, which
-tests read), never in the working tree, and runs the mutant's test files
-there with ``pytest -x``, one mutant at a time, under a per-mutant timeout.
+tests read), never in the working tree, and runs the mutant's tests there
+with ``pytest -x``, one mutant at a time, under a per-mutant timeout.  A
+mutant's tests are test files or pytest node ids (``file::Class::test``); a
+node id names the test meant to kill it, so the report names that test and
+not the first failure in file order.
 The digest pins (tests named ``*pinned*``) run only if every other test
 passes, so a mutant is reported as:
 
@@ -43,7 +46,7 @@ class Mutant(NamedTuple):
     file: str            # relative to the root
     old: str             # must occur exactly once in the file
     new: str
-    tests: tuple[str, ...]
+    tests: tuple[str, ...]  # test files or pytest node ids, relative to the root
     equivalent: str | None = None  # why no test can tell it apart, if so
 
 
@@ -51,7 +54,9 @@ ASG, CLI, LIMITS = "src/lambda_asg/asg.py", "src/lambda_asg/cli.py", "src/lambda
 ERRORS, MEASURES, MORAN = (
     "src/lambda_asg/errors.py", "src/lambda_asg/measures.py", "src/lambda_asg/moran.py"
 )
-FIXATION, RNG = "src/lambda_asg/fixation.py", "src/lambda_asg/rng.py"
+FIXATION, RATES, RNG = (
+    "src/lambda_asg/fixation.py", "src/lambda_asg/rates.py", "src/lambda_asg/rng.py"
+)
 TEST_ASG, TEST_MORAN = ("tests/test_asg.py",), ("tests/test_moran.py",)
 TEST_ERRORS, TEST_FIXATION = ("tests/test_errors.py",), ("tests/test_fixation.py",)
 
@@ -80,7 +85,8 @@ MUTANTS = [
            "hi = np.minimum(T >> LOW_BITS, 255)", "hi = T >> LOW_BITS", TEST_ASG),
     Mutant("tie_search_reads_only_y", ASG,
            "tie_y, tie_s = (ly[a] > 0).any(), (ls[a] > 0).any()",
-           "tie_y, tie_s = (ly[a] > 0).any(), (ly[a] > 0).any()", TEST_ASG),
+           "tie_y, tie_s = (ly[a] > 0).any(), (ly[a] > 0).any()",
+           ("tests/test_asg.py::TestLabelRule::test_bytes_and_ties_are_the_float_comparison",)),
     Mutant("log_reproducer_bound", ASG,
            'reproducer < N, f"reproducer', 'reproducer <= N, f"reproducer', TEST_ASG),
     Mutant("log_label_bound", ASG,
@@ -117,6 +123,10 @@ MUTANTS = [
            "            if not lo < v < hi:\n                break\n", "", TEST_MORAN),
     Mutant("one_row_steps_from_lo", MORAN,
            "            if not lo < v < hi:\n", "            if not lo <= v < hi:\n", TEST_MORAN),
+    Mutant("moran_row_reads_y_for_s", RATES,
+           "np.multiply(1.0 - x, self.s[i][:0:-1], out=row[:i])",
+           "np.multiply(1.0 - x, self.y[i][:0:-1], out=row[:i])",
+           ("tests/test_rates.py::TestLawReadsOnlyThePair",)),
     Mutant("poisson_table_last_entry_not_one", MORAN, "    cdf[-1] = 1.0\n", "", TEST_MORAN),
     Mutant("zero_horizon_accepted", ERRORS, "    if value <= 0:\n", "    if value < 0:\n",
            TEST_MORAN),
