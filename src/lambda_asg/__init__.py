@@ -28,7 +28,6 @@ from .measures import (
     FiniteMeasure1D,
     NormalizationRecord,
     coupling_from_pair,
-    integrate,
     normalize_pair,
     quantile_coupling,
     stochastic_order_leq,
@@ -41,7 +40,7 @@ __all__ = [
     "__version__",
     "asg", "duality", "fixation", "limits", "measures", "moran",
     "CoupledMeasure", "FiniteMeasure1D", "NormalizationRecord",
-    "coupling_from_pair", "integrate", "normalize_pair", "quantile_coupling",
+    "coupling_from_pair", "normalize_pair", "quantile_coupling",
     "stochastic_order_leq", "transport_cost",
     "LambdaAsgError", "OrderViolation", "ZeroMass", "SizeLimit",
     "SingularSystem", "StateCapReached",

@@ -455,7 +455,9 @@ def _ancestor_run(
     horizon: float, hi: int, keep: int = 0,
 ) -> tuple[np.ndarray, list[FrequencyPath]]:
     """:func:`lambda_asg.moran.record_events` on n ancestor counts from n0 by
-    :func:`_ancestor_events`; a count stops at ``hi`` and above."""
+    :func:`_ancestor_events`; a count stops at ``hi`` and above.  The one
+    place n0 is checked: in [1, N], or at least 1 in the limit."""
+    check_range("n0", n0, 1, N)
     # without a selective gap one line is absorbing
     lo = int(coupling.selective_mass() == 0.0)
     return record_events(
@@ -471,7 +473,6 @@ def simulate_line_count(
     """Potential-ancestor count of ``n0`` lines among N, drawn event by event:
     the one-replicate case of :func:`line_count_replicates` on stream
     ``(seed, TAG_LINECOUNT_PATH, replicate)``."""
-    check_range("n0", n0, 1, N)
     return alone(seed, TAG_LINECOUNT_PATH, replicate, _ancestor_run, N, coupling, n0, horizon, N + 1)
 
 
@@ -482,7 +483,6 @@ def line_count_replicates(
     """Time-``horizon`` potential-ancestor counts of ``replicates`` replicates,
     drawn a chunk at a time from stream ``(seed, TAG_LINECOUNT, c)``, and the
     paths of the first ``max_paths``: path r ends at count r."""
-    check_range("n0", n0, 1, N)
     return batched(
         replicates, seed, (TAG_LINECOUNT,), _ancestor_run,
         N, coupling, n0, horizon, N + 1, paths=max_paths,

@@ -203,12 +203,6 @@ def _params(runner, cfg: dict) -> dict:
     return {name: _field(params, name, hints[name], default) for name, default in declared.items()}
 
 
-def _initial_count(N: int, x0: float) -> int:
-    """The starting count ``round(x0 N)`` of the frequency ``x0``."""
-    check_range("x0", x0, 0, 1)
-    return int(round(x0 * N))
-
-
 def _check_dense(name: str, N: int) -> None:
     """Refuse a size above the dense oracle's limit before any work is done."""
     if N > moran.MAX_DENSE_N:
@@ -232,7 +226,7 @@ def run_moran_sim(
     coupling, seed, threads: int, *, N: int, horizon: float, x0: float,
     replicates: int = 1, max_paths: int = 10, absorption: bool = False,
 ) -> tuple[int, dict]:
-    count0 = _initial_count(N, x0)
+    count0 = moran.initial_count(N, x0)
     if absorption:
         _check_dense("N (absorption: true)", N)
     cfg = moran.MoranConfig(N=N, coupling=coupling, initial_count=count0)
@@ -282,7 +276,7 @@ def run_duality_pathwise(
     replicates: int = 10000,
 ) -> tuple[int, dict]:
     report = duality.pathwise_duality_check(
-        N, coupling, t, _initial_count(N, x0), n, replicates, seed, threads=threads
+        N, coupling, t, moran.initial_count(N, x0), n, replicates, seed, threads=threads
     )
     return (0 if abs(report.z) < Z_MAX else 2), {"report.json": report.to_dict()}
 
@@ -350,40 +344,36 @@ def run_fixation(
         raise ValueError("compare_absorption_N must be 0 (off) or at least 2, got 1")
     _check_dense("compare_absorption_N", compare_absorption_N)
     xs = np.linspace(0.0, 1.0, grid)
-    header = ["x", "p", "last_term", "residual"]
     if coupling.selective_mass() == 0.0:
         warnings.warn("coupling has no selective gap; emitting the neutral p(x) = x")
-        exit_code, values = 0, np.array([fixation.p_neutral(x) for x in xs])
-        payload = {
-            "neutral": True, "nmax": 0, "harmonicity_residual": 0.0, "identity_residual": 0.0,
-            "converged": True,
-        }
-        artifacts = {
-            "fixation.csv": (header, ([x, p, 0.0, 0.0] for x, p in zip(xs, values))),
-            "fixation.json": payload,
-        }
+        values = np.array([fixation.p_neutral(x) for x in xs])
+        lasts = residuals = np.zeros(grid)
+        payload = {"neutral": True, "nmax": 0, "identity_residual": 0.0}
+        polynomials = {}
     else:
         solver = fixation.build_fixation_solver(coupling, nmax=nmax)
         residuals = fixation.harmonicity_values(solver.seq, coupling, xs)
         values, lasts = fixation.fixation_series(solver.seq, xs)
-        # rows whose series has not converged keep their partial sums; exit 2
-        exit_code = 2 if np.any(fixation.unconverged(values, lasts)) else 0
         payload = {
             "neutral": False,
             "nmax": nmax,
             "tilde_mass": solver.table.tilde_mass,
-            "harmonicity_residual": float(np.abs(residuals).max()),
             "identity_residual": fixation.defining_identity_residual(solver.seq, coupling),
-            "converged": exit_code == 0,
         }
-        artifacts = {
-            "fixation.csv": (header, zip(xs, values, lasts, np.abs(residuals))),
-            "fixation.json": payload,
-            "polynomials.json": {
-                "nmax": nmax,
-                "coefficients": [a.tolist() for a in solver.seq.coeffs],
-            },
-        }
+        polynomials = {"polynomials.json": {
+            "nmax": nmax,
+            "coefficients": [a.tolist() for a in solver.seq.coeffs],
+        }}
+    # rows whose series has not converged keep their partial sums; exit 2
+    exit_code = 2 if np.any(fixation.unconverged(values, lasts)) else 0
+    payload["harmonicity_residual"] = float(np.abs(residuals).max())
+    payload["converged"] = exit_code == 0
+    artifacts = {
+        "fixation.csv": (["x", "p", "last_term", "residual"],
+                         zip(xs, values, lasts, np.abs(residuals))),
+        "fixation.json": payload,
+        **polynomials,
+    }
     if compare_absorption_N:
         h = moran.absorption_probability(
             moran.MoranConfig(N=compare_absorption_N, coupling=coupling, initial_count=0)

@@ -16,7 +16,6 @@ hit neutrally and branches to m + 1 on selective-only events (rates in
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from .asg import _ancestor_run, _count_rates
 from .errors import NotConverged, SizeLimit, StateCapReached, check_horizon, check_range
 from .measures import CoupledMeasure
 from .moran import (
-    MAX_DENSE_N, MoranConfig, _rounds, _size, record_events, simulate_final_counts,
+    MAX_DENSE_N, MoranConfig, _rounds, _size, initial_count, record_events, simulate_final_counts,
 )
 from .paths import FrequencyPath
 from .rates import AncestorChain
@@ -116,7 +115,9 @@ def _sde_run(
     n: int, rng: np.random.Generator, coupling: CoupledMeasure, x0: float, horizon: float,
     keep: int = 0,
 ) -> tuple[np.ndarray, list[FrequencyPath]]:
-    """:func:`lambda_asg.moran.record_events` on n replicates of the SDE."""
+    """:func:`lambda_asg.moran.record_events` on n replicates of the SDE
+    from ``x0``, the one place x0 is checked."""
+    check_range("x0", x0, 0, 1)
     return record_events(
         np.full(n, float(x0)), 0.0, 1.0, coupling.total_mass, horizon,
         lambda v: _sde_events(v, coupling, rng), rng, keep,
@@ -133,7 +134,6 @@ def simulate_sde(
     at change points and is constant once absorbed.  The one-replicate case
     of :func:`sde_replicates` on stream ``(seed, TAG_SDE_PATH, replicate)``.
     """
-    check_range("x0", x0, 0, 1)
     return alone(seed, TAG_SDE_PATH, replicate, _sde_run, coupling, x0, horizon)
 
 
@@ -146,7 +146,6 @@ def sde_final_values(
     key: tuple[int, ...] = (TAG_SDE,),
 ) -> np.ndarray:
     """Time-``horizon`` marginal of the SDE over many replicates (vectorized)."""
-    check_range("x0", x0, 0, 1)
     return batched(
         replicates, seed, key, lambda n, rng: _sde_run(n, rng, coupling, x0, horizon)[0]
     )
@@ -158,7 +157,6 @@ def sde_replicates(
 ) -> tuple[np.ndarray, list[FrequencyPath]]:
     """The values of :func:`sde_final_values` and the paths of its first
     ``max_paths`` replicates: path r ends at value r."""
-    check_range("x0", x0, 0, 1)
     return batched(
         replicates, seed, (TAG_SDE,), _sde_run, coupling, x0, horizon, paths=max_paths
     )
@@ -226,7 +224,6 @@ def simulate_limit_chain(
         StateCapReached: if the path exceeds ``state_cap`` (diagnostic guard
             against branching explosion).
     """
-    check_range("n0", n0, 1)
     check_range("state_cap", state_cap, 1)
     path = alone(
         seed, TAG_CHAIN_PATH, replicate, _ancestor_run, None, coupling, n0, horizon, state_cap + 1
@@ -242,27 +239,23 @@ def chain_final_states(
     horizon: float,
     replicates: int,
     seed: int,
-    state_cap: int = 10**6,
 ) -> np.ndarray:
     """Time-``horizon`` marginal of the limit chain over many replicates.
 
     The rate table grows with the largest count up to states
-    ``0..MAX_DENSE_N``, the limit of the dense generators.
+    ``0..MAX_DENSE_N``, the limit of the dense generators, which is the
+    chain's only cap.
 
     Raises:
-        StateCapReached: if a count exceeds ``state_cap``, ``n0`` included.
         SizeLimit: if a count reaches ``MAX_DENSE_N``, ``n0`` included: its
             next step would need a larger table.
     """
     check_range("n0", n0, 1)
-    check_range("state_cap", state_cap, 1)
     check_horizon(horizon)
-    if n0 > state_cap:
-        raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     table = AncestorChain(coupling, min(max(n0 + 8, 16), MAX_DENSE_N))
     return batched(
         replicates, seed, (TAG_LIMIT_CHAIN,),
-        lambda n, rng: _chain_chunk(table, n0, horizon, n, rng, state_cap),
+        lambda n, rng: _chain_chunk(table, n0, horizon, n, rng),
     )
 
 
@@ -272,7 +265,6 @@ def _chain_chunk(
     horizon: float,
     n_paths: int,
     rng: np.random.Generator,
-    state_cap: int,
 ) -> np.ndarray:
     """Final states of n_paths chains from n0 at a finite ``horizon``.
 
@@ -336,8 +328,6 @@ def _chain_chunk(
             np.subtract(s[:n], hit, out=s[:n])
         states[idx[:n]] = s[:n]
         top = int(s[:n].max())
-        if top > state_cap:
-            raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     return states
 
 
@@ -452,7 +442,8 @@ def convergence_study(
 
     One SDE sample is drawn from the full coupling; each scheme simulates the
     finite model of size N driven by the truncated coupling from
-    ``floor(x0 N) / N`` and reports the distance of the two time-T samples
+    ``initial_count(N, x0) / N`` (:func:`lambda_asg.moran.initial_count`)
+    and reports the distance of the two time-T samples
     with a bootstrap standard error, both from one count of the two samples
     over their merged bins (:func:`_merged_counts`).
 
@@ -473,8 +464,7 @@ def convergence_study(
     for level, scheme in enumerate(schemes):
         truncated = truncate_measure(coupling, scheme)
         cfg = MoranConfig(
-            N=scheme.N, coupling=truncated,
-            initial_count=int(math.floor(x0 * scheme.N)),
+            N=scheme.N, coupling=truncated, initial_count=initial_count(scheme.N, x0)
         )
         counts = simulate_final_counts(
             cfg, T, replicates, seed, key=(TAG_CONVERGENCE_MORAN, level)

@@ -300,11 +300,6 @@ def transport_cost(coupling: CoupledMeasure) -> float:
     return float(np.dot(coupling.masses, coupling.zs**2))
 
 
-def integrate(coupling: CoupledMeasure, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-    """Integral of f(y, z) against the coupling."""
-    return coupling.integrate(f)
-
-
 def stochastic_order_leq(a: FiniteMeasure1D, b: FiniteMeasure1D) -> bool:
     """True iff a[x, 1] <= b[x, 1] + ORDER_TOL for every x.
 

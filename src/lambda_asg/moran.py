@@ -54,6 +54,13 @@ class MoranConfig:
         check_range("initial_count", self.initial_count, 0, self.N)
 
 
+def initial_count(N: int, x0: float) -> int:
+    """The starting count ``round(x0 N)`` of the frequency ``x0`` (half to
+    even): the one rule that starts a population of N from a frequency."""
+    check_range("x0", x0, 0, 1)
+    return int(round(x0 * N))
+
+
 def jump_rates(cfg: MoranConfig, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Transition rates out of ``count`` disadvantaged individuals.
 

@@ -12,7 +12,7 @@ from math import comb
 import numpy as np
 
 from lambda_asg.asg import OUTCOME_NEUTRAL, OUTCOME_NONE, AsgRealization
-from lambda_asg.errors import OrderViolation, StateCapReached, check_horizon
+from lambda_asg.errors import OrderViolation, check_horizon
 from lambda_asg.fixation import IDENTITY_GRID, _QUAD_ORDER
 from lambda_asg.measures import MASS_DROP, CoupledMeasure, FiniteMeasure1D
 from lambda_asg.moran import _event_counts, _event_times
@@ -368,6 +368,30 @@ def merged_chisquare_pvalue(
     return float(chisquare(obs_arr, exp_arr).pvalue)
 
 
+def two_sample_chisquare_pvalue(a: np.ndarray, b: np.ndarray, min_expected: float = 5.0) -> float:
+    """Chi-square homogeneity p-value of two samples of integer counts.
+
+    The 2 x K table counts each sample per value; runs of consecutive
+    values are merged, from the lowest up, until both rows expect at least
+    ``min_expected`` in the cell, and a short last run joins the cell
+    before it.  One cell left gives no evidence of a difference: 1.0."""
+    from scipy.stats import chi2_contingency
+
+    hi = int(max(a.max(), b.max())) + 1
+    table = np.array([np.bincount(a, minlength=hi), np.bincount(b, minlength=hi)])
+    share = min(len(a), len(b)) / (len(a) + len(b))
+    cells, run = [], np.zeros(2, dtype=np.int64)
+    for column in table.T:
+        run = run + column
+        if run.sum() * share >= min_expected:
+            cells.append(run)
+            run = np.zeros(2, dtype=np.int64)
+    if len(cells) < 2:
+        return 1.0
+    cells[-1] = cells[-1] + run
+    return float(chi2_contingency(np.array(cells).T, correction=False).pvalue)
+
+
 def digest(*arrays: np.ndarray) -> str:
     """SHA-256 over the dtype and bytes of each array, to pin a realization."""
     h = hashlib.sha256()
@@ -509,7 +533,7 @@ def chain_cum(coupling: CoupledMeasure, size: int) -> np.ndarray:
     return cum
 
 
-def reference_chain_chunk(table, n0, horizon, n_paths, rng, state_cap) -> np.ndarray:
+def reference_chain_chunk(table, n0, horizon, n_paths, rng) -> np.ndarray:
     """:func:`lambda_asg.limits._chain_chunk` with a full-length live mask and
     clock, comparing each uniform with every column of its row of
     :func:`chain_cum` at the table's size."""
@@ -535,8 +559,6 @@ def reference_chain_chunk(table, n0, horizon, n_paths, rng, state_cap) -> np.nda
             continue
         u = rng.random(len(live))
         states[live] = len(table.total) - (u[:, None] >= cum[states[live]]).sum(axis=1)
-        if int(states[live].max()) > state_cap:
-            raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
     return states
 
 

@@ -443,6 +443,19 @@ PINNED_RUNS = {
 }
 
 
+def artifact_digest(out: Path) -> str:
+    """The digest of every artifact in ``out`` but the manifest, names
+    included, after checking that the manifest lists them all."""
+    artifacts = sorted(p for p in out.iterdir() if p.name != "manifest.json")
+    assert artifacts
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [p.name for p in artifacts]
+    return digest(*(
+        np.frombuffer(p.name.encode() + b"\0" + p.read_bytes(), dtype=np.uint8)
+        for p in artifacts
+    ))
+
+
 @pytest.mark.parametrize("experiment", sorted(PINNED_RUNS))
 def test_artifacts_are_pinned(tmp_path, experiment):
     spec, params, expected = PINNED_RUNS[experiment]
@@ -451,14 +464,24 @@ def test_artifacts_are_pinned(tmp_path, experiment):
         "output_dir": str(tmp_path / "out"),
     })
     assert main(["run", cfg]) == 0
-    artifacts = sorted(p for p in (tmp_path / "out").iterdir() if p.name != "manifest.json")
-    assert artifacts
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["outputs"] == [p.name for p in artifacts]
-    assert digest(*(
-        np.frombuffer(p.name.encode() + b"\0" + p.read_bytes(), dtype=np.uint8)
-        for p in artifacts
-    )) == expected
+    assert artifact_digest(tmp_path / "out") == expected
+
+
+def test_neutral_fixation_artifacts_are_pinned(tmp_path):
+    # the neutral branch of run_fixation: p(x) = x with zero last terms and
+    # residuals, no polynomials.json, and the absorption oracle at N = 50
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "fixation",
+        "measures": {"coupling": {"atoms": [[0.4, 0.0, 0.8], [0.7, 0.0, 0.6]]}},
+        "params": {"grid": 11, "compare_absorption_N": 50},
+        "seed": 2,
+        "output_dir": str(tmp_path / "out"),
+    })
+    with pytest.warns(UserWarning, match="neutral"):
+        assert main(["run", cfg]) == 0
+    assert artifact_digest(tmp_path / "out") == (
+        "36e6b8ddc8a3fc4aeaececb25c6cd23ac851b1b03ac767daf64de503bd7091c4"
+    )
 
 
 BAD_MEASURES = {

@@ -102,9 +102,6 @@ RANGES = {
         "replicate", 0, None, False),
     "limits.chain_final_states":
         (lambda v: limits.chain_final_states(MILD, v, 0.5, 2, 1), "n0", 1, None, False),
-    "limits.chain_final_states.state_cap": (
-        lambda v: limits.chain_final_states(NEUTRAL, 1, 0.5, 2, 1, state_cap=v),
-        "state_cap", 1, None, False),
     "limits.ks_bootstrap_stderr": (
         lambda v: limits.ks_bootstrap_stderr(*SAMPLES, v, np.random.default_rng(0)),
         "resamples", 2, None, False),
@@ -113,6 +110,7 @@ RANGES = {
     "moran.MoranConfig.N": (lambda v: moran.MoranConfig(v, MILD, 0), "N", 2, None, False),
     "moran.MoranConfig.initial_count":
         (lambda v: moran.MoranConfig(5, MILD, v), "initial_count", 0, 5, False),
+    "moran.initial_count": (lambda v: moran.initial_count(10, v), "x0", 0, 1, True),
     "moran.jump_rates": (lambda v: moran.jump_rates(CFG, v), "count", 0, 5, False),
     "moran.simulate": (
         lambda v: moran.simulate(CFG, 0.5, 1, replicate=v), "replicate", 0, None, False),

@@ -11,7 +11,7 @@ from helpers import (
     reference_ks_counted,
     reference_pooled_ranks,
 )
-from lambda_asg import limits
+from lambda_asg import limits, moran
 from lambda_asg.errors import NotConverged, SizeLimit, StateCapReached
 from lambda_asg.limits import (
     BOOTSTRAP_BLOCK,
@@ -168,6 +168,29 @@ class TestSdePaths:
         )
 
 
+class TestSdeEvents:
+    @pytest.mark.parametrize("atoms", [
+        [(0.3, 0.1, 1.0), (0.6, 0.2, 0.5)],
+        [(0.0, 0.5, 0.7), (1.0, 0.0, 0.2), (0.25, 0.75, 0.4)],  # y = 0, y = 1, y + z = 1
+    ], ids=["mild", "edges"])
+    def test_matches_the_scalar_rule_on_the_same_draws(self, atoms):
+        # an atom per value, then a uniform per value; the reference reads
+        # them from a copy of the generator and applies the rule one value
+        # at a time: up by y (1 - v) if u < v, else down by (y + z) v
+        c = CoupledMeasure.from_atoms(atoms)
+        vals = np.random.default_rng(45).random(3000)
+        vals[:3] = 0.0, 1.0, 0.5
+        rng, ref_rng = np.random.default_rng(46), np.random.default_rng(46)
+        got = limits._sde_events(vals, c, rng)
+        a, u = c.sample_atoms(ref_rng, len(vals)), ref_rng.random(len(vals))
+        ref = [
+            v + c.ys[k] * (1.0 - v) if w < v else v - (c.ys[k] + c.zs[k]) * v
+            for v, k, w in zip(vals.tolist(), a.tolist(), u.tolist())
+        ]
+        assert got.tolist() == ref
+        assert rng.random() == ref_rng.random()
+
+
 class TestFrequencyGenerator:
     def test_identity_loses_the_selective_drift(self, example_coupling, mild_selective_coupling):
         # x -> x: the neutral jumps cancel and only -x (1 - x) z is left
@@ -308,19 +331,21 @@ class TestLimitChain:
 
     @pytest.mark.parametrize("horizon, atoms", [
         (float("nan"), [(1e-6, 0.5, 50.0)]),
+        (float("inf"), [(1e-6, 0.5, 50.0)]),
         (float("inf"), [(0.3, 0.0, 1.0)]),
     ])
-    def test_batch_refuses_nonfinite_horizon(self, horizon, atoms):
-        # a nan horizon never ends a path, and an infinite one lets the
-        # absorbed count 1 of a neutral coupling jump past its table; the
-        # small cap makes either fail fast instead of running on
+    def test_batch_refuses_nonfinite_horizon(self, horizon, atoms, monkeypatch):
+        # unchecked, a nan horizon ends every path at once, at n0; an
+        # infinite one lets a branching count run up to the dense limit,
+        # made small here so that it fails fast, and keeps the absorbed
+        # count 1 of a neutral coupling, whose clock is then inf, stepping
+        # 1 -> 2 -> 1 for ever
+        monkeypatch.setattr(limits, "MAX_DENSE_N", 50)
         coupling = CoupledMeasure.from_atoms(atoms)
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
-            chain_final_states(coupling, 2, horizon, 5, seed=1, state_cap=50)
+            chain_final_states(coupling, 2, horizon, 5, seed=1)
 
-    def test_batch_refuses_a_start_above_the_cap(self, example_coupling):
-        with pytest.raises(StateCapReached, match="exceeded cap 2"):
-            chain_final_states(example_coupling, 5, 0.01, 10, seed=1, state_cap=2)
+    def test_path_refuses_a_start_above_the_cap(self, example_coupling):
         with pytest.raises(StateCapReached, match="exceeded cap 2"):
             simulate_limit_chain(example_coupling, 5, 0.01, seed=1, state_cap=2)
 
@@ -328,8 +353,6 @@ class TestLimitChain:
         # y near zero kills coalescence, so the count is close to a pure
         # birth process at the total mass rate and must hit the cap
         explosive = CoupledMeasure.from_atoms([(1e-6, 0.5, 50.0)])
-        with pytest.raises(StateCapReached):
-            chain_final_states(explosive, 10, 50.0, 100, seed=11, state_cap=200)
         with pytest.raises(StateCapReached):
             simulate_limit_chain(explosive, 10, 50.0, seed=11, state_cap=200)
 
@@ -395,12 +418,12 @@ class TestCompactedChain:
     states, the same table growth and the same draws from the stream."""
 
     @staticmethod
-    def _both(coupling, n0, horizon, n_paths, state_cap=10**6):
+    def _both(coupling, n0, horizon, n_paths):
         runs = []
         for chunk in (_chain_chunk, reference_chain_chunk):
             table = AncestorChain(coupling, max(n0 + 8, 16))
             rng = np.random.default_rng(21)
-            runs.append((chunk(table, n0, horizon, n_paths, rng, state_cap),
+            runs.append((chunk(table, n0, horizon, n_paths, rng),
                          len(table.total), rng.random()))
         return runs
 
@@ -440,35 +463,11 @@ class TestCompactedChain:
         for chunk in (_chain_chunk, reference_chain_chunk):
             table = AncestorChain(coupling, 16)
             rng = _EdgeUniforms(np.random.default_rng(23), edges)
-            runs.append((chunk(table, 4, 1.0, 5000, rng, 10**6), rng.drawn, len(table.total)))
+            runs.append((chunk(table, 4, 1.0, 5000, rng), rng.drawn, len(table.total)))
         (a, drawn_a, size_a), (b, drawn_b, size_b) = runs
         assert np.array_equal(a, b)
         assert (drawn_a, size_a) == (drawn_b, size_b)
         assert drawn_a > len(edges)
-
-    def test_cap_right_after_the_table_grows(self):
-        # the first step grows the table (17 is its last state), and the
-        # first branch then passes the cap
-        explosive = CoupledMeasure.from_atoms([(1e-6, 0.5, 50.0)])
-        after = []
-        for chunk in (_chain_chunk, reference_chain_chunk):
-            table = AncestorChain(explosive, 17)
-            rng = np.random.default_rng(12)
-            with pytest.raises(StateCapReached, match="exceeded cap 17"):
-                chunk(table, 17, 50.0, 100, rng, 17)
-            after.append((len(table.total), rng.random()))
-        assert after[0] == after[1]
-        assert after[0][0] == 35
-
-    def test_cap_raises_at_the_same_draw(self):
-        explosive = CoupledMeasure.from_atoms([(1e-6, 0.5, 50.0)])
-        after = []
-        for chunk in (_chain_chunk, reference_chain_chunk):
-            rng = np.random.default_rng(11)
-            with pytest.raises(StateCapReached, match="exceeded cap 200"):
-                chunk(AncestorChain(explosive, 18), 10, 50.0, 100, rng, 200)
-            after.append(rng.random())
-        assert after[0] == after[1]
 
 
 class TestKs:
@@ -654,6 +653,20 @@ class TestConvergence:
         rows = convergence_study(STAIRCASE, 0.5, schemes, 2.0, 30_000, seed=16, bootstrap=100)
         ks = [r["ks"] for r in rows]
         assert ks[0] > ks[1] > ks[2]
+
+    def test_starts_each_level_at_the_rounded_count(self, monkeypatch):
+        # 0.58 * 50 is 28.999999999999996 and 0.58 * 100 is 57.99999999999999:
+        # floor would start the levels at 28 and 57
+        starts = []
+
+        def spy(cfg, *args, **kwargs):
+            starts.append((cfg.N, cfg.initial_count))
+            return moran.simulate_final_counts(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(limits, "simulate_final_counts", spy)
+        schemes = [TruncationScheme(alpha=0.4, N=n) for n in (50, 100)]
+        convergence_study(STAIRCASE, 0.58, schemes, 0.5, 50, seed=18, bootstrap=2)
+        assert starts == [(50, 29), (100, 58)]
 
     def test_requires_ordered_sizes(self):
         schemes = [TruncationScheme(alpha=0.4, N=n) for n in (100, 50)]

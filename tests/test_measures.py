@@ -20,7 +20,6 @@ from lambda_asg.measures import (
     CoupledMeasure,
     FiniteMeasure1D,
     coupling_from_pair,
-    integrate,
     marginal_mismatch,
     measure_from_beta_density,
     normalize_pair,
@@ -304,18 +303,18 @@ class TestNormalizePair:
 class TestIntegration:
     def test_constant(self):
         c = CoupledMeasure.from_atoms([(0.5, 0.25, 1.0)])
-        assert integrate(c, lambda y, z: np.ones_like(y)) == 1.0
+        assert c.integrate(lambda y, z: np.ones_like(y)) == 1.0
 
     def test_gap_mean_two_ways(self, example_pair, example_coupling):
         lm, lp = example_pair
-        direct = integrate(example_coupling, lambda y, z: z)
+        direct = example_coupling.integrate(lambda y, z: z)
         via_marginals = lp.mean() - lm.mean()
         assert direct == pytest.approx(3 / 8, abs=1e-15)
         assert direct == pytest.approx(via_marginals, abs=1e-12)
 
     def test_size_biased_mass(self):
         c = CoupledMeasure.from_atoms([(0.5, 0.25, 1.0)])
-        assert integrate(c, lambda y, z: y**2 + z) == pytest.approx(0.5)
+        assert c.integrate(lambda y, z: y**2 + z) == pytest.approx(0.5)
 
     def test_marginal_identity_polynomials(self):
         # coupling integrals of f(y) and f(y+z) recover the pair's integrals
@@ -331,8 +330,8 @@ class TestIntegration:
                 continue
             c = coupling_from_pair(lm, lp)
             for deg in range(1, 9):
-                lhs_y = integrate(c, lambda y, z: y**deg)
-                lhs_s = integrate(c, lambda y, z: (y + z) ** deg)
+                lhs_y = c.integrate(lambda y, z: y**deg)
+                lhs_s = c.integrate(lambda y, z: (y + z) ** deg)
                 assert lhs_y == pytest.approx(
                     lm.integrate(lambda x: x**deg), abs=1e-12
                 )

@@ -23,6 +23,7 @@ from lambda_asg.moran import (
     _rounds,
     absorption_probability,
     generator_matrix,
+    initial_count,
     jump_rates,
     record_events,
     simulate,
@@ -132,6 +133,13 @@ class TestAbsorption:
         Q[1, 2] = Q[2, 0] = Q[3, 4] = Q[4, 3] = 1.0
         np.fill_diagonal(Q, -Q.sum(axis=1))
         assert moran._states_not_reaching_boundary(Q) == [3, 4]
+
+
+@pytest.mark.parametrize("N", [10, 20, 50, 100, 200, 400, 800])
+def test_initial_count_returns_the_count_of_its_frequency(N):
+    # c / N * N lands just below c for 66 of these pairs, which floor (or
+    # int) would start one lower
+    assert [initial_count(N, c / N) for c in range(N + 1)] == list(range(N + 1))
 
 
 class TestSimulate:

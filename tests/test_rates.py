@@ -2,19 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, ks_2samp
 
-from lambda_asg.asg import line_count_rates
-from lambda_asg.duality import _line_count_rows, line_count_generator
+from lambda_asg.asg import ancestry_consistency_check, line_count_rates, line_count_replicates
+from lambda_asg.cli import Z_MAX
+from lambda_asg.duality import _line_count_rows, line_count_generator, pathwise_duality_check
 from lambda_asg.errors import NotConverged
 from lambda_asg.fixation import build_fixation_solver, fixation_series
-from lambda_asg.limits import frequency_generator, limit_chain_rates
+from lambda_asg.limits import (
+    chain_final_states, frequency_generator, limit_chain_rates, sde_final_values,
+)
 from lambda_asg.measures import (
     CoupledMeasure, FiniteMeasure1D, marginal_mismatch, normalize_pair, transport_cost,
 )
 from lambda_asg.moran import (
     MAX_DUALITY_N, MoranConfig, _generator_rows, absorption_probability, generator_matrix,
-    jump_rates,
+    initial_count, jump_rates, simulate_final_counts,
 )
 from lambda_asg.rates import AncestorChain, MixtureRows
 
@@ -25,6 +28,7 @@ from helpers import (
     reference_generator_rows,
     reference_line_count_rows,
     reference_moran_row,
+    two_sample_chisquare_pvalue,
 )
 
 # y = 0, y = 1 and y + z = 1 put success probabilities 0 and 1 in both tables
@@ -352,6 +356,7 @@ LAW_PAIRS = {
     ),
 }
 LAW_XS = np.linspace(0.0, 1.0, 11)
+LAW_REPLICATES = 20_000
 
 
 def crossed_plan(lower, upper):
@@ -409,6 +414,19 @@ def law_oracles(coupling, converges):
     return out
 
 
+def law_finals(coupling, seed):
+    """Time-1 finals of LAW_REPLICATES replicates of every Monte Carlo kernel
+    that reads a coupling, by name."""
+    return {
+        "moran": simulate_final_counts(
+            MoranConfig(40, coupling, initial_count(40, 0.5)), 1.0, LAW_REPLICATES, seed
+        ),
+        "line_count": line_count_replicates(20, coupling, 5, 1.0, LAW_REPLICATES, seed, 0)[0],
+        "limit_chain": chain_final_states(coupling, 3, 1.0, LAW_REPLICATES, seed),
+        "sde": sde_final_values(coupling, 0.5, 1.0, LAW_REPLICATES, seed),
+    }
+
+
 def marginal_generator(lm, lp, N):
     """The Moran generator at N from the two marginals alone: i -> i + k at
     ``x Binom(N - i, Lambda-)(k)``, i -> i - k at ``(1 - x) Binom(i, Lambda+)(k)``."""
@@ -442,6 +460,27 @@ class TestLawReadsOnlyThePair:
             for name in first:
                 tol = 1e-12 if name in ("series", "p") else 1e-14
                 assert np.max(np.abs(other[name] - first[name])) <= tol, name
+
+    @pytest.mark.parametrize("pair", sorted(LAW_PAIRS))
+    def test_monte_carlo_finals_agree_across_couplings(self, pair):
+        # each coupling draws from its own seed: on one shared seed the
+        # batched limit chain, whose table reads only the rates, gives the
+        # same finals on every coupling, and the samples are not independent
+        lm, lp, _ = LAW_PAIRS[pair]
+        quantile, crossed, _ = law_couplings(lm, lp)
+        finals = [law_finals(c, seed) for c, seed in ((quantile, 41), (crossed, 42))]
+        for name in ("moran", "line_count", "limit_chain"):
+            assert two_sample_chisquare_pvalue(finals[0][name], finals[1][name]) > 1e-3, name
+        assert ks_2samp(finals[0]["sde"], finals[1]["sde"]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("pair", sorted(LAW_PAIRS))
+    def test_pathwise_checks_pass_on_every_coupling(self, pair):
+        lm, lp, _ = LAW_PAIRS[pair]
+        for coupling in law_couplings(lm, lp):
+            checked, violations = ancestry_consistency_check(8, coupling, 1.0, 200, seed=43)
+            assert checked == 1600 and violations == 0
+            report = pathwise_duality_check(10, coupling, 0.5, initial_count(10, 0.5), 2, 2000, 44)
+            assert abs(report.z) < Z_MAX
 
     @pytest.mark.parametrize("pair", sorted(LAW_PAIRS))
     def test_generator_reads_lambda_minus_up_and_lambda_plus_down(self, pair):

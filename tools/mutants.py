@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
 
 
 ASG, CLI, LIMITS = "src/lambda_asg/asg.py", "src/lambda_asg/cli.py", "src/lambda_asg/limits.py"
+DUALITY = "src/lambda_asg/duality.py"
 ERRORS, MEASURES, MORAN = (
     "src/lambda_asg/errors.py", "src/lambda_asg/measures.py", "src/lambda_asg/moran.py"
 )
@@ -95,14 +96,24 @@ MUTANTS = [
            "np.diff(t, prepend=0.0, append=horizon)",
            "np.diff(t, prepend=-np.inf, append=horizon)", TEST_ASG),
     Mutant("neutral_comparison_dropped", CLI,
-           '            "fixation.json": payload,\n        }\n    else:',
-           '            "fixation.json": payload,\n        }\n'
-           "        return exit_code, artifacts\n    else:", ("tests/test_cli.py",)),
+           "        polynomials = {}\n    else:",
+           "        polynomials, compare_absorption_N = {}, 0\n    else:", ("tests/test_cli.py",)),
+    Mutant("sampling_factor_shifted", DUALITY,
+           "np.maximum(i - (n - 1), 0.0)", "np.maximum(i - n, 0.0)", ("tests/test_duality.py",)),
     Mutant("table_cap_off_by_one", LIMITS,
            "table.grow(min(2 * top, MAX_DENSE_N))",
            "table.grow(min(2 * top, MAX_DENSE_N - 1))", ("tests/test_limits.py",)),
     Mutant("table_limit_checked_late", LIMITS,
            "if top >= MAX_DENSE_N:", "if top > MAX_DENSE_N:", ("tests/test_limits.py",)),
+    Mutant("ks_shared_values_merged", LIMITS,
+           "(holder[1:] != holder[:-1]) | (holder[1:] == 3)", "(holder[1:] != holder[:-1])",
+           ("tests/test_limits.py",)),
+    Mutant("sde_gap_shrunk", LIMITS,
+           "c.ys[a] + c.zs[a] * (up ^ True)", "c.ys[a] + 0.99 * c.zs[a] * (up ^ True)",
+           ("tests/test_limits.py::TestSdeEvents",)),
+    Mutant("initial_count_truncates", MORAN,
+           "    return int(round(x0 * N))\n", "    return int(x0 * N)\n",
+           ("tests/test_moran.py::test_initial_count_returns_the_count_of_its_frequency",)),
     Mutant("moran_reproducer_on_the_edge", MORAN,
            "minus = rng.random(n) * N < counts", "minus = rng.random(n) * N <= counts",
            TEST_MORAN,
