@@ -30,7 +30,6 @@ from .measures import (
     coupling_from_pair,
     normalize_pair,
     quantile_coupling,
-    stochastic_order_leq,
     transport_cost,
 )
 
@@ -41,7 +40,7 @@ __all__ = [
     "asg", "duality", "fixation", "limits", "measures", "moran",
     "CoupledMeasure", "FiniteMeasure1D", "NormalizationRecord",
     "coupling_from_pair", "normalize_pair", "quantile_coupling",
-    "stochastic_order_leq", "transport_cost",
+    "transport_cost",
     "LambdaAsgError", "OrderViolation", "ZeroMass", "SizeLimit",
     "SingularSystem", "StateCapReached",
     "DegenerateSelection", "NearSingular", "NotConverged",

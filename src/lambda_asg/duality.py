@@ -28,26 +28,28 @@ from .rates import MixtureRows
 from .rng import TAG_PATHWISE, batched
 
 
+def _sampling_rows(N: int, i, n: int) -> np.ndarray:
+    """``S(i, m)`` for m = 0..n, one row per entry of the counts ``i``, taken
+    as floats: the one recurrence that every reader of S shares."""
+    i = np.asarray(i, dtype=float)
+    D = np.empty((len(i), n + 1))
+    D[:, 0] = 1.0
+    for m in range(n):
+        D[:, m + 1] = D[:, m] * np.maximum(i - m, 0.0) / (N - m)
+    return D
+
+
 def sampling_function(N: int, i: int, n: int) -> float:
-    """``C(i, n) / C(N, n)`` via the stable product form; 0 when n > i."""
+    """``C(i, n) / C(N, n)`` via the stable product form; 0 when n > i.  The
+    entry ``sampling_matrix(N)[i, n]``, bit for bit."""
     check_range("i", i, 0, N)
     check_range("n", n, 0, N)
-    value = 1.0
-    for m in range(n):
-        value *= (i - m) / (N - m)
-        if value == 0.0:
-            break
-    return max(value, 0.0)
+    return float(_sampling_rows(N, [i], n)[0, n])
 
 
 def sampling_matrix(N: int) -> np.ndarray:
     """Matrix D with D[i, n] = sampling_function(N, i, n)."""
-    D = np.zeros((N + 1, N + 1))
-    D[:, 0] = 1.0
-    i = np.arange(N + 1, dtype=float)
-    for n in range(1, N + 1):
-        D[:, n] = D[:, n - 1] * np.maximum(i - (n - 1), 0.0) / (N - (n - 1))
-    return D
+    return _sampling_rows(N, np.arange(N + 1), N)
 
 
 def line_count_generator(N: int, coupling: CoupledMeasure) -> np.ndarray:
@@ -190,9 +192,8 @@ def pathwise_duality_check(
         ),
         chunk=_chunk_size(N, 2, coupling.total_mass * T), threads=threads,
     )
-    # S(., n) and S(i, .) read from the scalar function's values
-    lhs = np.array([sampling_function(N, i, sample_size) for i in range(N + 1)])[counts[:, 0]]
-    rhs = np.array([sampling_function(N, initial_count, a) for a in range(N + 1)])[counts[:, 1]]
+    lhs = _sampling_rows(N, np.arange(N + 1), sample_size)[:, -1][counts[:, 0]]
+    rhs = _sampling_rows(N, [initial_count], N)[0][counts[:, 1]]
     return _report(lhs, rhs, {
         "N": N, "T": T, "initial_count": initial_count,
         "sample_size": sample_size, "seed": seed,

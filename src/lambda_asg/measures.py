@@ -149,10 +149,6 @@ class FiniteMeasure1D:
         """
         return _from_columns(cls, atoms, ("atom locations", "atom masses"), _tidy_line)
 
-    @classmethod
-    def point_mass(cls, location: float, mass: float = 1.0) -> "FiniteMeasure1D":
-        return cls.from_atoms([(location, mass)])
-
     def __len__(self) -> int:
         return len(self.locations)
 
@@ -300,18 +296,13 @@ def transport_cost(coupling: CoupledMeasure) -> float:
     return float(np.dot(coupling.masses, coupling.zs**2))
 
 
-def stochastic_order_leq(a: FiniteMeasure1D, b: FiniteMeasure1D) -> bool:
-    """True iff a[x, 1] <= b[x, 1] + ORDER_TOL for every x.
+def order_violation_witness(a: FiniteMeasure1D, b: FiniteMeasure1D) -> float | None:
+    """Return an x with a[x, 1] > b[x, 1] + ORDER_TOL, or None if the order
+    ``a <= b`` holds.  ``ORDER_TOL`` is the one order tolerance of the package.
 
     Tail masses are piecewise constant with breakpoints at atom locations, so
     checking every atom location of either measure (plus x = 0) is exhaustive.
     """
-    return order_violation_witness(a, b) is None
-
-
-def order_violation_witness(a: FiniteMeasure1D, b: FiniteMeasure1D) -> float | None:
-    """Return an x with a[x, 1] > b[x, 1] + ORDER_TOL, or None if the order
-    holds.  ``ORDER_TOL`` is the one order tolerance of the package."""
     xs = np.unique(np.concatenate([[0.0], a.locations, b.locations]))
     for x in xs:
         if a.tail_mass(x) > b.tail_mass(x) + ORDER_TOL:

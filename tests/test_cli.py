@@ -1204,6 +1204,17 @@ def test_readme_documents_every_param():
         assert rows == expected, name
 
 
+def test_readme_library_tour_runs(capsys):
+    # the tour's code runs as printed, so a public name it uses that is
+    # removed or renamed fails here
+    tour = README.read_text().split("\n## Library quick tour\n")[1]
+    code = tour.split("```python\n")[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    residual, p = map(float, capsys.readouterr().out.split())
+    assert residual < 1e-10
+    assert 0.0 < p < 1.0
+
+
 def test_readme_references_resolve():
     # every `module.name` of a lambda_asg module names something that exists;
     # file names such as `cli.py` are skipped

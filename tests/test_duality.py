@@ -70,12 +70,14 @@ class TestSamplingFunction:
             exact = Fraction(math.comb(i, n), math.comb(N, n))
             assert sampling_function(N, i, n) == pytest.approx(float(exact), rel=1e-13)
 
-    def test_matrix_agrees_with_scalar(self):
-        N = 17
+    @pytest.mark.parametrize("N", [2, 6, 17, 20, 50, 300])
+    def test_matrix_agrees_with_scalar(self, N):
+        # one recurrence, so the exact check and the Monte Carlo check read
+        # the same bits.  A scalar call takes n numpy steps, so at N = 300
+        # every count is checked at a few sample sizes, not all 90 601 entries
         D = sampling_matrix(N)
-        for i in range(N + 1):
-            for n in range(N + 1):
-                assert D[i, n] == pytest.approx(sampling_function(N, i, n), abs=1e-15)
+        for n in range(N + 1) if N <= 50 else (1, 2, 5, 20, 60):
+            assert [sampling_function(N, i, n) for i in range(N + 1)] == D[:, n].tolist(), n
 
     def test_monotonicity(self):
         D = sampling_matrix(20)
@@ -168,7 +170,7 @@ class TestPathwiseDuality:
                     assert np.all(sample.sum(axis=1) == sample_size)
                     slow = reference_pathwise_counts(*draws, 1.5)
                     assert np.array_equal(_pathwise_counts(*draws), slow)
-                    # the check reads S at these counts from the scalar function
+                    # the check's S at these counts is the scalar function's
                     report = pathwise_duality_check(*args, 50, seed)
                     assert report.lhs == np.mean(
                         [sampling_function(N, x, sample_size) for x in slow[:, 0]]
@@ -176,6 +178,19 @@ class TestPathwiseDuality:
                     assert report.rhs == np.mean(
                         [sampling_function(N, initial_count, a) for a in slow[:, 1]]
                     )
+
+    def test_means_read_the_matrix_entries(self, example_coupling):
+        # one chunk, so the counts are those of chunk 0's stream; an S that
+        # divides before it multiplies moves both means here in the last bit
+        N, T, initial_count, sample_size, replicates, seed = 20, 1.5, 15, 6, 200, 0
+        assert replicates <= _chunk_size(N, 2, example_coupling.total_mass * T)
+        args = (N, example_coupling, T, initial_count, sample_size)
+        draws = _pathwise_draws(replicates, substream(seed, TAG_PATHWISE, 0), *args)
+        final, ancestors = _pathwise_counts(*draws).T
+        D = sampling_matrix(N)
+        report = pathwise_duality_check(*args, replicates, seed)
+        assert report.lhs == D[final, sample_size].mean()
+        assert report.rhs == D[initial_count, ancestors].mean()
 
     def test_threads_reproduce(self, example_coupling, pool_workers):
         # 1600 replicates at N = 500 are three chunks, so two workers run

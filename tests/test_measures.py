@@ -14,7 +14,7 @@ from helpers import (
     FixedUniforms, plan_cost, random_coupling, random_ordered_pair, reference_quantile_coupling,
     reference_transport_vertices, transport_vertices,
 )
-from lambda_asg import measures
+from lambda_asg import measures, moran
 from lambda_asg.errors import OrderViolation, ZeroMass
 from lambda_asg.measures import (
     CoupledMeasure,
@@ -25,7 +25,6 @@ from lambda_asg.measures import (
     normalize_pair,
     order_violation_witness,
     quantile_coupling,
-    stochastic_order_leq,
     transport_cost,
 )
 
@@ -106,17 +105,17 @@ class TestFiniteMeasure:
 class TestStochasticOrder:
     def test_example_pair_ordered(self, example_pair):
         lm, lp = example_pair
-        assert stochastic_order_leq(lm, lp)
+        assert order_violation_witness(lm, lp) is None
 
     def test_reflexive(self):
-        m = FiniteMeasure1D.point_mass(0.5)
-        assert stochastic_order_leq(m, m)
+        m = FiniteMeasure1D.from_atoms([(0.5, 1.0)])
+        assert order_violation_witness(m, m) is None
 
     def test_point_masses_ordered_by_location(self):
-        hi = FiniteMeasure1D.point_mass(0.75)
-        lo = FiniteMeasure1D.point_mass(0.5)
-        assert not stochastic_order_leq(hi, lo)
-        assert stochastic_order_leq(lo, hi)
+        hi = FiniteMeasure1D.from_atoms([(0.75, 1.0)])
+        lo = FiniteMeasure1D.from_atoms([(0.5, 1.0)])
+        assert order_violation_witness(hi, lo) is not None
+        assert order_violation_witness(lo, hi) is None
 
     def test_witness_is_a_violation(self, example_pair):
         lm, lp = example_pair
@@ -136,7 +135,7 @@ class TestStochasticOrder:
                 zip(rng.integers(0, 33, 3) / 32, rng.dirichlet(np.ones(3)))
             )
             brute = all(a.tail_mass(x) <= b.tail_mass(x) + 1e-12 for x in grid)
-            assert stochastic_order_leq(a, b) == brute
+            assert (order_violation_witness(a, b) is None) == brute
 
 
 class TestQuantileCoupling:
@@ -154,14 +153,14 @@ class TestQuantileCoupling:
             assert got[key] == pytest.approx(mass, abs=1e-15)
 
     def test_identical_measures_give_zero_gap(self):
-        m = FiniteMeasure1D.point_mass(0.5)
+        m = FiniteMeasure1D.from_atoms([(0.5, 1.0)])
         c = quantile_coupling(m, m)
         assert len(c) == 1
         assert c.ys[0] == 0.5 and c.zs[0] == 0.0 and c.masses[0] == 1.0
 
     def test_two_point_masses(self):
         c = quantile_coupling(
-            FiniteMeasure1D.point_mass(0.25), FiniteMeasure1D.point_mass(0.75)
+            FiniteMeasure1D.from_atoms([(0.25, 1.0)]), FiniteMeasure1D.from_atoms([(0.75, 1.0)])
         )
         assert len(c) == 1
         assert (c.ys[0], c.zs[0], c.masses[0]) == (0.25, 0.5, 1.0)
@@ -169,13 +168,13 @@ class TestQuantileCoupling:
     def test_unordered_pair_raises(self):
         with pytest.raises(OrderViolation):
             quantile_coupling(
-                FiniteMeasure1D.point_mass(0.75), FiniteMeasure1D.point_mass(0.5)
+                FiniteMeasure1D.from_atoms([(0.75, 1.0)]), FiniteMeasure1D.from_atoms([(0.5, 1.0)])
             )
 
     def test_unequal_mass_rejected(self):
         with pytest.raises(ValueError):
             quantile_coupling(
-                FiniteMeasure1D.point_mass(0.25, 0.5), FiniteMeasure1D.point_mass(0.5)
+                FiniteMeasure1D.from_atoms([(0.25, 0.5)]), FiniteMeasure1D.from_atoms([(0.5, 1.0)])
             )
 
     def test_marginals_exact_on_random_pairs(self):
@@ -246,7 +245,7 @@ class TestQuantileCoupling:
         b = FiniteMeasure1D.from_atoms(
             (l / 16, w / sum(w_b)) for l, w in zip(locs_b, w_b)
         )
-        ordered = stochastic_order_leq(a, b)
+        ordered = order_violation_witness(a, b) is None
         try:
             c = quantile_coupling(a, b)
             assert ordered
@@ -265,7 +264,7 @@ class TestNormalizePair:
 
     def test_half_mass_lower(self):
         rec = normalize_pair(
-            FiniteMeasure1D.point_mass(0.5, 0.5), FiniteMeasure1D.point_mass(0.5, 1.0)
+            FiniteMeasure1D.from_atoms([(0.5, 0.5)]), FiniteMeasure1D.from_atoms([(0.5, 1.0)])
         )
         assert rec.c == pytest.approx(0.5)
         assert rec.rate_scale == pytest.approx(1.0)
@@ -282,7 +281,7 @@ class TestNormalizePair:
         assert rec.rate_scale == pytest.approx(2.0)
         assert rec.mu_plus.total_mass == pytest.approx(1.0, abs=1e-12)
         assert rec.mu_minus.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert stochastic_order_leq(rec.mu_minus, rec.mu_plus)
+        assert order_violation_witness(rec.mu_minus, rec.mu_plus) is None
 
     def test_zero_mass_rejected(self):
         empty = FiniteMeasure1D.from_atoms([])
@@ -292,7 +291,7 @@ class TestNormalizePair:
     def test_marginal_mismatch_skips_the_compensator_at_zero(self):
         # the coupling's y marginal holds the compensator, mass 0.5 at 0,
         # which lambda_minus does not: location 0 is not compared
-        lm, lp = FiniteMeasure1D.point_mass(0.5, 0.5), FiniteMeasure1D.point_mass(0.5, 1.0)
+        lm, lp = FiniteMeasure1D.from_atoms([(0.5, 0.5)]), FiniteMeasure1D.from_atoms([(0.5, 1.0)])
         coupling = normalize_pair(lm, lp).coupling()
         assert coupling.y_marginal().locations.tolist() == [0.0, 0.5]
         assert marginal_mismatch(coupling, lm, lp) == 0.0
@@ -326,7 +325,7 @@ class TestIntegration:
             lm, lp = random_ordered_pair(rng, total_mass=1.0)
             lm = lm.scaled(rng.uniform(0.3, 1.0))
             lp = lp.scaled(total / lp.total_mass)
-            if not stochastic_order_leq(lm, lp):
+            if order_violation_witness(lm, lp) is not None:
                 continue
             c = coupling_from_pair(lm, lp)
             for deg in range(1, 9):
@@ -406,6 +405,15 @@ class TestCoupledMeasureInvariants:
     def test_nonfinite_rejected(self, atom, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             CoupledMeasure.from_atoms([(0.2, 0.2, 1.0), atom])
+
+    def test_roundoff_off_the_simplex_is_clamped(self):
+        # z is clamped to 1 - y, so y + z is a probability: the Moran kernel
+        # draws a binomial at y + z, which numpy refuses above 1
+        c = CoupledMeasure.from_atoms([(0.6, 0.4 + 5e-13, 1.0)])
+        assert c.zs[0] == 1.0 - c.ys[0]
+        assert c.ys[0] + c.zs[0] <= 1.0
+        cfg = moran.MoranConfig(N=10, coupling=c, initial_count=5)
+        assert moran.simulate_final_counts(cfg, 1.0, 20, seed=0).shape == (20,)
 
     def test_origin_atoms_stripped(self):
         c = CoupledMeasure.from_atoms([(0.0, 0.0, 0.4), (0.5, 0.1, 0.6)])

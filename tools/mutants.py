@@ -88,6 +88,9 @@ MUTANTS = [
            "tie_y, tie_s = (ly[a] > 0).any(), (ls[a] > 0).any()",
            "tie_y, tie_s = (ly[a] > 0).any(), (ly[a] > 0).any()",
            ("tests/test_asg.py::TestLabelRule::test_bytes_and_ties_are_the_float_comparison",)),
+    Mutant("ancestor_gap_shrunk", ASG,
+           "s = y + c.zs[a]", "s = y + 0.9 * c.zs[a]",
+           ("tests/test_asg.py::TestAncestorEventRule::test_one_event_law",)),
     Mutant("log_reproducer_bound", ASG,
            'reproducer < N, f"reproducer', 'reproducer <= N, f"reproducer', TEST_ASG),
     Mutant("log_label_bound", ASG,
@@ -99,7 +102,20 @@ MUTANTS = [
            "        polynomials = {}\n    else:",
            "        polynomials, compare_absorption_N = {}, 0\n    else:", ("tests/test_cli.py",)),
     Mutant("sampling_factor_shifted", DUALITY,
-           "np.maximum(i - (n - 1), 0.0)", "np.maximum(i - n, 0.0)", ("tests/test_duality.py",)),
+           "np.maximum(i - m, 0.0)", "np.maximum(i - m - 1, 0.0)", ("tests/test_duality.py",)),
+    Mutant("chain_clock_scaled", LIMITS,
+           "np.add(t[:n], dt, out=t[:n])", "np.add(t[:n], 0.98 * dt, out=t[:n])",
+           ("tests/test_limits.py::TestCompactedChain::test_moment_settings",)),
+    Mutant("truncation_reads_y", LIMITS,
+           "keep = coupling.ys**2 > scheme.N", "keep = coupling.ys > scheme.N",
+           ("tests/test_limits.py::TestTruncation",)),
+    Mutant("ks_one_sided", LIMITS,
+           "return np.abs(gap, out=gap).max(axis=-1)", "return gap.max(axis=-1)",
+           ("tests/test_limits.py::TestKs::test_handles_ties",)),
+    Mutant("bootstrap_ddof_zero", LIMITS,
+           "return float(stats.std(ddof=1))", "return float(stats.std(ddof=0))",
+           ("tests/test_limits.py::TestKsCounting::"
+            "test_bootstrap_matches_sorted_reference_with_the_same_draws",)),
     Mutant("table_cap_off_by_one", LIMITS,
            "table.grow(min(2 * top, MAX_DENSE_N))",
            "table.grow(min(2 * top, MAX_DENSE_N - 1))", ("tests/test_limits.py",)),
@@ -138,6 +154,22 @@ MUTANTS = [
            "np.multiply(1.0 - x, self.s[i][:0:-1], out=row[:i])",
            "np.multiply(1.0 - x, self.y[i][:0:-1], out=row[:i])",
            ("tests/test_rates.py::TestLawReadsOnlyThePair",)),
+    Mutant("rates_gap_shrunk", RATES,
+           "p = np.concatenate([c.ys, c.ys + c.zs])",
+           "p = np.concatenate([c.ys, c.ys + 0.9 * c.zs])",
+           ("tests/test_rates.py::TestMixtureTables::test_rows_match_scipy",)),
+    Mutant("branch_reads_y_only", RATES,
+           "self.branch = (powers[:, : len(c)] - powers[:, len(c) :]) @ c.masses",
+           "self.branch = powers[:, : len(c)] @ c.masses",
+           ("tests/test_rates.py::TestMixtureTables::test_rows_match_scipy",)),
+    Mutant("ancestor_branch_ignores_inside", RATES,
+           "row[n + 1] = (1.0 - x) * self.branch[n]", "row[n + 1] = self.branch[n]",
+           ("tests/test_rates.py::TestAncestorRates::"
+            "test_finite_n_truncations_are_leading_rows",)),
+    Mutant("simplex_z_unclamped", MEASURES,
+           "zs = np.minimum(np.clip(zs, 0.0, 1.0), 1.0 - ys)", "zs = np.clip(zs, 0.0, 1.0)",
+           ("tests/test_measures.py::TestCoupledMeasureInvariants::"
+            "test_roundoff_off_the_simplex_is_clamped",)),
     Mutant("poisson_table_last_entry_not_one", MORAN, "    cdf[-1] = 1.0\n", "", TEST_MORAN),
     Mutant("zero_horizon_accepted", ERRORS, "    if value <= 0:\n", "    if value < 0:\n",
            TEST_MORAN),
@@ -184,6 +216,9 @@ MUTANTS = [
     Mutant("single_paths_share_replicate_zero", RNG,
            "run(1, substream(seed, tag, replicate), *args, 1)",
            "run(1, substream(seed, tag, 0), *args, 1)", ("tests/test_rng.py", *TEST_MORAN)),
+    Mutant("q_recursion_reads_a", FIXATION,
+           "S[j] += B * S[j - 1]", "S[j] += A * S[j - 1]",
+           ("tests/test_fixation.py::TestMomentTable::test_matches_exact_rational",)),
     Mutant("series_drops_its_last_order", FIXATION,
            "    last = np.zeros_like(xs)\n    for n in range(1, seq.nmax + 1):\n",
            "    last = np.zeros_like(xs)\n    for n in range(1, seq.nmax):\n", TEST_FIXATION),
