@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SizeLimit, check_horizon, check_range, write_file
 from .measures import ORDER_TOL, CoupledMeasure
-from .moran import _event_counts, _event_mean, _event_times, _size, record_events
+from .moran import _event_counts, _event_times, _size, record_events
 from .paths import FrequencyPath
 from .rates import MixtureRows
 from .rng import (
@@ -97,17 +97,26 @@ def _mask(N: int, individuals: Iterable[int]) -> np.ndarray:
     return mask
 
 
+def _realization(
+    N: int, coupling: CoupledMeasure, horizon: float, seed: int
+) -> tuple[np.random.Generator, int]:
+    """The stream ``(seed, TAG_ASG, 0)`` of a realization and its event count
+    E, drawn first by :func:`lambda_asg.moran._event_counts`, the count rule
+    of every event stream; N and the horizon are checked before it is opened.
+    :func:`generate_asg` and :func:`stream_asg_to_log` both open their
+    stream here."""
+    check_range("N", N, 2)
+    check_horizon(horizon)
+    rng = substream(seed, TAG_ASG, 0)
+    return rng, _event_counts(rng, coupling.total_mass, horizon)
+
+
 def generate_asg(
-    N: int,
-    coupling: CoupledMeasure,
-    horizon: float,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    N: int, coupling: CoupledMeasure, horizon: float, seed: int
 ) -> AsgRealization:
     """Draw one realization of the event stream on [0, horizon].
 
-    The event count is one ``poisson`` draw at the coupling's total mass
-    times the horizon (:func:`lambda_asg.moran._event_mean`) and the times are
+    The event count comes from :func:`_realization` and the times are
     sorted uniforms (:func:`lambda_asg.moran._event_times`), drawn before
     the marks; the reproducer is uniform, the strength pair is an atom drawn
     by mass, and each individual's arrow label is independently neutral w.p. y and
@@ -121,13 +130,7 @@ def generate_asg(
             ``MAX_IN_MEMORY_OUTCOMES`` labels; use :func:`stream_asg_to_log`.
         ValueError: if mass * horizon is above ``moran.MAX_EVENT_MEAN``.
     """
-    check_range("N", N, 2)
-    check_horizon(horizon)
-    if rng is None:
-        if seed is None:
-            raise ValueError("pass a seed or an explicit generator")
-        rng = substream(seed, TAG_ASG, 0)
-    E = rng.poisson(_event_mean(coupling.total_mass, horizon))
+    rng, E = _realization(N, coupling, horizon, seed)
     if E * N > MAX_IN_MEMORY_OUTCOMES:
         raise SizeLimit(
             f"{E} events x {N} individuals exceed the in-memory cap; "
@@ -643,10 +646,7 @@ def stream_asg_to_log(
     the in-memory cap.  The log holds the bytes that ``write_event_log``
     writes for :func:`generate_asg` with the same seed.
     """
-    check_range("N", N, 2)
-    check_horizon(horizon)
-    rng = substream(seed, TAG_ASG, 0)
-    E = rng.poisson(_event_mean(coupling.total_mass, horizon))
+    rng, E = _realization(N, coupling, horizon, seed)
     records = np.empty(min(_block_events(N), E), dtype=_record_dtype(N))
     blocks = _mark_blocks(
         rng, E, N, coupling, _event_times(rng, E, horizon), records["outcome"]

@@ -46,6 +46,10 @@ from .rng import (
 
 # an absorption run stops a path once it is within this distance of 0 or 1
 ABSORPTION_THRESHOLD = 1e-9
+# events an absorption run applies to a path before it gives up (NotConverged)
+ABSORPTION_MAX_EVENTS = 10**5
+# largest count of a single limit-chain path (StateCapReached above it)
+PATH_STATE_CAP = 10**6
 
 # bootstrap resamples drawn per block; a block's histograms take
 # BOOTSTRAP_BLOCK x bins x 8 bytes
@@ -167,7 +171,6 @@ def sde_absorption(
     x0: float,
     replicates: int,
     seed: int,
-    max_events: int = 10**5,
 ) -> np.ndarray:
     """Run each replicate until it is within ``ABSORPTION_THRESHOLD`` of 0 or 1.
 
@@ -175,24 +178,23 @@ def sde_absorption(
     disadvantaged type).  Time plays no role, so events are applied directly.
 
     Raises:
-        NotConverged: if some path is still interior after ``max_events``
-            (at least 1) events.
+        NotConverged: if some path is still interior after
+            ``ABSORPTION_MAX_EVENTS`` events.
     """
     check_range("x0", x0, 0, 1)
-    check_range("max_events", max_events, 1)
     if coupling.total_mass <= 0.0:
         raise ValueError("absorption needs a coupling with events")
     lo, hi = ABSORPTION_THRESHOLD, 1.0 - ABSORPTION_THRESHOLD
 
     def run(n: int, rng: np.random.Generator) -> np.ndarray:
-        vals, budget = np.full(n, float(x0)), np.full(n, max_events)
+        vals, budget = np.full(n, float(x0)), np.full(n, ABSORPTION_MAX_EVENTS)
         # each round applies its events to vals in place; nothing is recorded
         for _ in _rounds(vals, lo, hi, budget, lambda v: _sde_events(v, coupling, rng)):
             pass
         if ((vals > lo) & (vals < hi)).any():
             raise NotConverged(
-                f"paths still interior after {max_events} events; "
-                "increase max_events or check the coupling"
+                f"paths still interior after {ABSORPTION_MAX_EVENTS} events; "
+                "raise limits.ABSORPTION_MAX_EVENTS or check the coupling"
             )
         return vals >= hi
 
@@ -215,21 +217,18 @@ def simulate_limit_chain(
     n0: int,
     horizon: float,
     seed: int,
-    state_cap: int = 10**6,
     replicate: int = 0,
 ) -> FrequencyPath:
     """One path of the limit ancestor chain (values >= 1), drawn event by event.
 
     Raises:
-        StateCapReached: if the path exceeds ``state_cap`` (diagnostic guard
-            against branching explosion).
+        StateCapReached: if the path exceeds ``PATH_STATE_CAP`` (diagnostic
+            guard against branching explosion).
     """
-    check_range("state_cap", state_cap, 1)
-    path = alone(
-        seed, TAG_CHAIN_PATH, replicate, _ancestor_run, None, coupling, n0, horizon, state_cap + 1
-    )
-    if path.final > state_cap:
-        raise StateCapReached(f"ancestor count exceeded cap {state_cap}")
+    cap = PATH_STATE_CAP
+    path = alone(seed, TAG_CHAIN_PATH, replicate, _ancestor_run, None, coupling, n0, horizon, cap + 1)
+    if path.final > cap:
+        raise StateCapReached(f"ancestor count exceeded cap {cap} (limits.PATH_STATE_CAP)")
     return path
 
 
@@ -448,8 +447,8 @@ def convergence_study(
     over their merged bins (:func:`_merged_counts`).
 
     Raises:
-        ValueError: if ``schemes`` is empty or not ordered by strictly
-            increasing N, before any draw.
+        ValueError: if ``schemes`` is empty, not ordered by strictly
+            increasing N or starts below N = 2, before any draw.
     """
     check_horizon(T, "t")
     if len(schemes) == 0:
@@ -457,6 +456,7 @@ def convergence_study(
     sizes = [s.N for s in schemes]
     if any(m >= n for m, n in zip(sizes, sizes[1:])):
         raise ValueError(f"schemes must be ordered by strictly increasing N, got {sizes}")
+    check_range("N", sizes[0], 2)
     sde = sde_final_values(
         coupling, x0, T, replicates, seed, key=(TAG_CONVERGENCE_SDE,)
     )

@@ -211,11 +211,21 @@ def _poisson_cdf(mean: float) -> np.ndarray:
     return cdf
 
 
-def _event_mean(rate: float, horizon: float) -> float:
-    """The expected event count ``rate * horizon`` of one Poisson draw.
+def _event_counts(
+    rng: np.random.Generator, rate: float, horizon: float, size: int | None = None
+) -> np.ndarray | int:
+    """Poisson(rate * horizon) event counts of the rows of a run, one per
+    entry of ``size``, or one Python int without it (one row, or an ASG
+    realization): the count rule of every event stream.
+
+    With a mean up to ``POISSON_TABLE_MEAN`` each count takes one uniform,
+    inverted through the mean's CDF table (:func:`_poisson_cdf`) by
+    :func:`~lambda_asg.measures.invert_cdf`, the rule of the atom draws; so
+    one count is the count of a one-entry array.  A larger mean is one
+    ``poisson`` call.
 
     Raises:
-        ValueError: if it is negative, NaN or above ``MAX_EVENT_MEAN``,
+        ValueError: if the mean is negative, NaN or above ``MAX_EVENT_MEAN``,
             naming the horizon and the expected event count.
     """
     mean = rate * horizon
@@ -229,22 +239,6 @@ def _event_mean(rate: float, horizon: float) -> float:
             f"horizon {horizon:g} gives {mean:.3g} expected events (mass * horizon), "
             f"more than the {MAX_EVENT_MEAN:.0e} that can be drawn; shorten the horizon"
         )
-    return mean
-
-
-def _event_counts(
-    rng: np.random.Generator, rate: float, horizon: float, size: int | None = None
-) -> np.ndarray | int:
-    """Poisson(rate * horizon) event counts of the rows of a run, one per
-    entry of ``size``, or one Python int without it.
-
-    With a mean up to ``POISSON_TABLE_MEAN`` each count takes one uniform,
-    inverted through the mean's CDF table (:func:`_poisson_cdf`) by
-    :func:`~lambda_asg.measures.invert_cdf`, the rule of the atom draws; so
-    one count is the count of a one-entry array.  A larger mean is one
-    ``poisson`` call.  The mean is checked by :func:`_event_mean`.
-    """
-    mean = _event_mean(rate, horizon)
     if mean > POISSON_TABLE_MEAN:
         return rng.poisson(mean, size)
     return invert_cdf(_poisson_cdf(mean), rng.random(size))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 import struct
@@ -38,7 +39,8 @@ from lambda_asg.asg import (
 from lambda_asg.errors import SizeLimit
 from lambda_asg.limits import limit_chain_rates, simulate_limit_chain
 from lambda_asg.measures import CoupledMeasure
-from lambda_asg.rng import TAG_CONSISTENCY, substream
+from lambda_asg.moran import _event_counts
+from lambda_asg.rng import TAG_ASG, TAG_CONSISTENCY, substream
 
 HALF = CoupledMeasure.from_atoms([(0.5, 0.0, 1.0)])
 SEL_ONLY = CoupledMeasure.from_atoms([(0.0, 0.5, 1.0)])
@@ -75,7 +77,7 @@ def reference_generate_asg(N, coupling, horizon, rng):
     word for each label whose byte ties with either threshold, in row-major
     order.  A byte's label comes from per-atom tables of
     :func:`reference_byte_rule`, a tie's from exact integer comparisons."""
-    E = rng.poisson(coupling.total_mass * horizon)
+    E = _event_counts(rng, coupling.total_mass, horizon)
     times = np.sort(rng.random(E)) * horizon
     rules = [
         (reference_byte_rule(y), reference_byte_rule(y + z))
@@ -174,6 +176,26 @@ class TestGeneration:
         mean = np.mean(counts)
         se = np.std(counts) / np.sqrt(len(counts))
         assert abs(mean - rate * horizon) < 3 * se
+        values, freqs = np.unique(counts, return_counts=True)
+        top = int(values.max()) + 1
+        probs = {k: poisson.pmf(k, rate * horizon) for k in range(top)}
+        probs[top] = poisson.sf(top - 1, rate * horizon)
+        observed = dict(zip(values.tolist(), freqs.tolist()))
+        assert merged_chisquare_pvalue(observed, probs, len(counts)) > 1e-3
+
+    def test_realizations_are_pinned(self, tmp_path, example_coupling):
+        # a count above POISSON_TABLE_MEAN is one poisson call: a streamed log
+        # of two blocks at mean 4000; at mean 27 the count is one uniform
+        # inverted through the CDF table, and EDGES has labels that tie
+        path = tmp_path / "a.log"
+        assert stream_asg_to_log(300, example_coupling, 4000.0, 7, str(path)) == 3910
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e983dcff5dc0e482383a7caee5deb5e4e671640dce224cbac4fd40b3c37078ad"
+        )
+        write_event_log(generate_asg(50, EDGES, 10.0, seed=3), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "30f0095d48ffb072b3725880be2c2964e2feb222649f6a6dbcbde4859ed9a87f"
+        )
 
     def test_outcome_frequencies(self, example_coupling):
         asg = generate_asg(200, example_coupling, horizon=50.0, seed=3)
@@ -191,20 +213,24 @@ class TestGeneration:
     @pytest.mark.parametrize(
         "N, horizon", [(2, 0.01), (4, 3.0), (37, 20.0), (200, 60.0), (4096, 600.0)]
     )
-    def test_same_draws_as_reference(self, example_coupling, N, horizon):
+    def test_same_draws_as_reference(self, monkeypatch, example_coupling, N, horizon):
         # the generator's labels are OUTCOME_SELECTIVE * (u < y + z) - (u < y)
         assert OUTCOME_NONE == 0 and OUTCOME_NEUTRAL == OUTCOME_SELECTIVE - 1
+        # the generator's stream, kept to check that it draws no more than the reference
+        opened = []
+        monkeypatch.setattr(
+            asg_module, "substream", lambda *key: opened.append(substream(*key)) or opened[-1]
+        )
         sizes = []
         for coupling in (example_coupling, CoupledMeasure.from_atoms([]), EDGES):
             for seed in range(6):
-                ref_rng = np.random.default_rng(seed)
+                ref_rng = substream(seed, TAG_ASG, 0)
                 expected = reference_generate_asg(N, coupling, horizon, ref_rng)
-                rng = np.random.default_rng(seed)
-                asg = generate_asg(N, coupling, horizon, rng=rng)
+                asg = generate_asg(N, coupling, horizon, seed=seed)
                 got = (asg.times, asg.reproducers, asg.ys, asg.zs, asg.outcomes)
                 for a, b in zip(got, expected):
                     assert np.array_equal(a, b)
-                assert rng.random() == ref_rng.random()
+                assert opened.pop().random() == ref_rng.random()
                 sizes.append(len(asg))
         if horizon < 0.1:
             assert 0 in sizes[:6]  # no event before the horizon, at positive mass
@@ -534,7 +560,7 @@ class TestLineCountSimulation:
         rng = np.random.default_rng(31)
         from_sweeps = np.empty(reps, dtype=int)
         for r in range(reps):
-            asg = generate_asg(N, example_coupling, T, rng=rng)
+            asg = generate_asg(N, example_coupling, T, seed=20_000 + r)
             sample = rng.permutation(N)[:n0]
             from_sweeps[r] = len(potential_ancestors(asg, sample, T, 0.0))
         from_chain = np.array([

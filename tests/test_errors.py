@@ -16,9 +16,6 @@ from lambda_asg.measures import CoupledMeasure
 
 MILD = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
 CFG = moran.MoranConfig(N=5, coupling=MILD, initial_count=2)
-# without a selective gap the limit chain never branches: from 1 it stays
-# within a state cap of 1
-NEUTRAL = CoupledMeasure.from_atoms([(0.4, 0.0, 0.8)])
 # an order inside the range of build_moment_table, not on a bound, so that a
 # mutant of the rule is caught by a test and not at collection
 SEQ = fixation.build_polynomials(fixation.build_moment_table(MILD, 4))
@@ -83,17 +80,10 @@ RANGES = {
         (lambda v: limits.sde_replicates(MILD, v, 1.0, 2, 1, 1), "x0", 0, 1, True),
     "limits.sde_final_values": (lambda v: limits.sde_final_values(MILD, v, 0.5, 2, 1), "x0", 0, 1, True),
     "limits.sde_absorption": (lambda v: limits.sde_absorption(MILD, v, 2, 1), "x0", 0, 1, True),
-    # from x0 = 0 a path is absorbed before any event
-    "limits.sde_absorption.max_events": (
-        lambda v: limits.sde_absorption(MILD, 0.0, 2, 1, max_events=v),
-        "max_events", 1, None, False),
     "limits.TruncationScheme": (lambda v: limits.TruncationScheme(0.25, v), "N", 1, None, False),
     "limits.limit_chain_rates": (lambda v: limits.limit_chain_rates(MILD, v), "m", 1, None, False),
     "limits.simulate_limit_chain":
         (lambda v: limits.simulate_limit_chain(MILD, v, 0.5, 1), "n0", 1, None, False),
-    "limits.simulate_limit_chain.state_cap": (
-        lambda v: limits.simulate_limit_chain(NEUTRAL, 1, 0.5, 1, state_cap=v),
-        "state_cap", 1, None, False),
     "limits.simulate_limit_chain.replicate": (
         lambda v: limits.simulate_limit_chain(MILD, 2, 0.5, 1, replicate=v),
         "replicate", 0, None, False),
@@ -266,9 +256,6 @@ UNORDERED = (
 
 # entry point, exception type and message of each refusal
 REFUSALS = {
-    "asg.generate_asg.no_seed_nor_generator": (
-        lambda: asg.generate_asg(5, MILD, 0.5), ValueError,
-        "pass a seed or an explicit generator"),
     "asg.potential_ancestors.empty_sample": (
         lambda: asg.potential_ancestors(REALIZATION, [], 0.5, 0.0), ValueError,
         "sample must be nonempty"),

@@ -112,19 +112,19 @@ class TestSdePaths:
         # selection disfavors the tracked type: below the neutral value 0.5
         assert 0.0 < p < 0.5
 
-    def test_absorption_on_the_last_allowed_event(self):
+    def test_absorption_on_the_last_allowed_event(self, monkeypatch):
         # y = 1: every event moves the path to 0 or 1
+        monkeypatch.setattr(limits, "ABSORPTION_MAX_EVENTS", 1)
         sweep = CoupledMeasure.from_atoms([(1.0, 0.0, 1.0)])
-        hit_top = sde_absorption(sweep, 0.5, 1000, seed=7, max_events=1)
+        hit_top = sde_absorption(sweep, 0.5, 1000, seed=7)
         assert 0.4 < hit_top.mean() < 0.6
 
-    def test_absorption_budget_exhausted(self):
+    def test_absorption_budget_exhausted(self, monkeypatch):
         # y < 1 and z = 0: jumps only shrink the distance to a boundary
-        with pytest.raises(NotConverged):
-            sde_absorption(
-                CoupledMeasure.from_atoms([(0.3, 0.0, 1.0)]), 0.5, 100, seed=7,
-                max_events=5,
-            )
+        monkeypatch.setattr(limits, "ABSORPTION_MAX_EVENTS", 5)
+        message = "after 5 events; raise limits.ABSORPTION_MAX_EVENTS"
+        with pytest.raises(NotConverged, match=message):
+            sde_absorption(CoupledMeasure.from_atoms([(0.3, 0.0, 1.0)]), 0.5, 100, seed=7)
 
     @pytest.mark.parametrize("seed, expected", [
         (4, "ef2500f4e0cc2e86daab037d193d020886840ed3dbe1ba82d0f3b751c6ce99f6"),
@@ -345,16 +345,18 @@ class TestLimitChain:
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             chain_final_states(coupling, 2, horizon, 5, seed=1)
 
-    def test_path_refuses_a_start_above_the_cap(self, example_coupling):
-        with pytest.raises(StateCapReached, match="exceeded cap 2"):
-            simulate_limit_chain(example_coupling, 5, 0.01, seed=1, state_cap=2)
+    def test_path_refuses_a_start_above_the_cap(self, monkeypatch, example_coupling):
+        monkeypatch.setattr(limits, "PATH_STATE_CAP", 2)
+        with pytest.raises(StateCapReached, match=r"exceeded cap 2 \(limits.PATH_STATE_CAP\)"):
+            simulate_limit_chain(example_coupling, 5, 0.01, seed=1)
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
         # y near zero kills coalescence, so the count is close to a pure
         # birth process at the total mass rate and must hit the cap
+        monkeypatch.setattr(limits, "PATH_STATE_CAP", 200)
         explosive = CoupledMeasure.from_atoms([(1e-6, 0.5, 50.0)])
         with pytest.raises(StateCapReached):
-            simulate_limit_chain(explosive, 10, 50.0, seed=11, state_cap=200)
+            simulate_limit_chain(explosive, 10, 50.0, seed=11)
 
     def test_the_table_stops_at_the_dense_limit(self):
         # a pure branching count from 1990 reaches MAX_DENSE_N within a few
@@ -682,6 +684,18 @@ class TestConvergence:
         with pytest.raises(ValueError) as info:
             convergence_study(STAIRCASE, 0.5, [], 1.0, 10, 1, 2)
         assert str(info.value) == "schemes must list at least one truncation scheme"
+
+    def test_refuses_one_individual_before_any_draw(self, monkeypatch):
+        # a truncation scheme takes N = 1, the Moran model does not; the
+        # study would draw its whole SDE sample before the first level refused it
+        def draw(*args, **kwargs):
+            raise AssertionError("the SDE sample was drawn")
+
+        monkeypatch.setattr(limits, "sde_final_values", draw)
+        schemes = [TruncationScheme(alpha=0.4, N=n) for n in (1, 10)]
+        with pytest.raises(ValueError) as info:
+            convergence_study(STAIRCASE, 0.5, schemes, 1.0, 10, 1, 2)
+        assert str(info.value) == "N must be >= 2, got 1"
 
     def test_refuses_a_repeated_size(self):
         schemes = [TruncationScheme(alpha=0.4, N=n) for n in (10, 20, 20)]

@@ -52,6 +52,13 @@ class TestFiniteMeasure:
         with pytest.raises(ValueError, match="atom masses must be finite"):
             FiniteMeasure1D.from_atoms([(0.5, np.inf)])
 
+    def test_tail_mass_holds_an_atom_on_its_edge(self):
+        # [x, 1] is closed, and an x a rounding step above the atom still holds it
+        m = FiniteMeasure1D.from_atoms([(0.5, 1.0)])
+        assert m.tail_mass(0.5) == 1.0
+        assert m.tail_mass(np.nextafter(0.5, 1.0)) == 1.0
+        assert m.tail_mass(0.5 + 1e-14) == 0.0
+
     def test_total_mass_matches_sum(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

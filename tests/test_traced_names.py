@@ -6,6 +6,7 @@ a renamed or deleted function would make the benchmark fail.  The file needs
 only the standard library, so it is loaded here by path.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -30,6 +31,32 @@ REPLICATE_COUNTERS = sorted(
 )
 
 
+def constant_arg_reads() -> list[tuple[str, int, str]]:
+    """``(span, pos, name)`` of each ``_arg(args, kwargs, pos, "name")`` call
+    with a constant position in a ``COUNTERS`` entry, or in a function of
+    the file that the entry names."""
+    tree = ast.parse(TRACING.read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    counters = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["COUNTERS"]
+    )
+    reads = []
+    for key, value in zip(counters.keys, counters.values):
+        named = [defs[n.id] for n in ast.walk(value) if isinstance(n, ast.Name) and n.id in defs]
+        for node in [value, *named]:
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_arg"
+                    and isinstance(call.args[2], ast.Constant)
+                ):
+                    reads.append((key.value, call.args[2].value, call.args[3].value))
+    return reads
+
+
+ARG_READS = constant_arg_reads()
+
+
 @pytest.mark.parametrize("module_name", sorted(TRACED))
 def test_traced_names_are_public_functions(module_name):
     module = importlib.import_module(f"lambda_asg.{module_name}")
@@ -49,3 +76,18 @@ def test_replicate_counters_read_the_replicates_argument(span):
     params = tuple(inspect.signature(fn).parameters)
     counter = TRACING_MODULE.COUNTERS[span][1]
     assert counter(params, {}, None) == {"replicates": "replicates"}
+
+
+def test_counters_read_arguments_by_position():
+    # the list below is not empty: path, cfg, a, b and resamples at least
+    assert len(ARG_READS) >= 5
+
+
+@pytest.mark.parametrize(
+    "span, pos, name", ARG_READS, ids=[f"{span}-{name}" for span, _, name in ARG_READS]
+)
+def test_counters_read_the_argument_at_their_position(span, pos, name):
+    # a counter reads ``name`` at ``pos`` when it is passed by position
+    module_name, fn_name = span.split(".")
+    fn = getattr(importlib.import_module(f"lambda_asg.{module_name}"), fn_name)
+    assert tuple(inspect.signature(fn).parameters)[pos] == name

@@ -88,6 +88,10 @@ MUTANTS = [
            "tie_y, tie_s = (ly[a] > 0).any(), (ls[a] > 0).any()",
            "tie_y, tie_s = (ly[a] > 0).any(), (ly[a] > 0).any()",
            ("tests/test_asg.py::TestLabelRule::test_bytes_and_ties_are_the_float_comparison",)),
+    Mutant("realization_mass_scaled", ASG,
+           "return rng, _event_counts(rng, coupling.total_mass, horizon)",
+           "return rng, _event_counts(rng, 1.1 * coupling.total_mass, horizon)",
+           ("tests/test_asg.py::TestGeneration::test_same_draws_as_reference",)),
     Mutant("ancestor_gap_shrunk", ASG,
            "s = y + c.zs[a]", "s = y + 0.9 * c.zs[a]",
            ("tests/test_asg.py::TestAncestorEventRule::test_one_event_law",)),
@@ -101,11 +105,17 @@ MUTANTS = [
     Mutant("neutral_comparison_dropped", CLI,
            "        polynomials = {}\n    else:",
            "        polynomials, compare_absorption_N = {}, 0\n    else:", ("tests/test_cli.py",)),
+    Mutant("S_denominator_shifted", DUALITY,
+           "/ (N - m)", "/ (N - m + 1)",
+           ("tests/test_duality.py::TestSamplingFunction::test_small_case",)),
     Mutant("sampling_factor_shifted", DUALITY,
            "np.maximum(i - m, 0.0)", "np.maximum(i - m - 1, 0.0)", ("tests/test_duality.py",)),
     Mutant("chain_clock_scaled", LIMITS,
            "np.add(t[:n], dt, out=t[:n])", "np.add(t[:n], 0.98 * dt, out=t[:n])",
            ("tests/test_limits.py::TestCompactedChain::test_moment_settings",)),
+    Mutant("chain_jump_stays", LIMITS,
+           "np.add(s_next[:n], 1, out=s[:n])", "np.add(s_next[:n], 0, out=s[:n])",
+           ("tests/test_limits.py::TestLimitChain::test_batch_matches_path_distribution",)),
     Mutant("truncation_reads_y", LIMITS,
            "keep = coupling.ys**2 > scheme.N", "keep = coupling.ys > scheme.N",
            ("tests/test_limits.py::TestTruncation",)),
@@ -138,6 +148,9 @@ MUTANTS = [
     Mutant("minus_reproducer_reads_y_plus_z", MORAN,
            "c.ys[a] + c.zs[a] * (minus ^ True)", "c.ys[a] + c.zs[a]",
            TEST_MORAN),
+    Mutant("event_times_shrunk", MORAN,
+           "    times *= horizon\n", "    times *= 0.999 * horizon\n",
+           ("tests/test_asg.py::TestGeneration::test_same_draws_as_reference",)),
     Mutant("path_marks_every_event", MORAN,
            "        if after != before:\n", "        if True:\n", TEST_MORAN),
     Mutant("array_route_records_row_zero", MORAN,
@@ -194,6 +207,18 @@ MUTANTS = [
            "    if isinstance(value, float) and not math.isfinite(value):\n"
            '        raise ValueError(f"{name} must be finite, got {value}")\n',
            "", ("tests/test_cli.py",)),
+    Mutant("y_marginal", MEASURES,
+           "return FiniteMeasure1D.from_atoms(zip(self.ys, self.masses))",
+           "return FiniteMeasure1D.from_atoms(zip(self.ys + 0.5 * self.zs, self.masses))",
+           ("tests/test_measures.py::TestQuantileCoupling::test_marginals_exact_on_random_pairs",)),
+    Mutant("sum_marginal", MEASURES,
+           "return FiniteMeasure1D.from_atoms(zip(self.ys + self.zs, self.masses))",
+           "return FiniteMeasure1D.from_atoms(zip(self.ys + 0.5 * self.zs, self.masses))",
+           ("tests/test_measures.py::TestQuantileCoupling::test_marginals_exact_on_random_pairs",)),
+    Mutant("tail_mass_slop_flipped", MEASURES,
+           "self.locations >= x - 1e-15", "self.locations > x + 1e-15",
+           ("tests/test_measures.py::TestFiniteMeasure::"
+            "test_tail_mass_holds_an_atom_on_its_edge",)),
     Mutant("inversion_count_strict", MEASURES,
            "count += u >= edge", "count += u > edge", ("tests/test_measures.py", *TEST_MORAN)),
     Mutant("series_weight_shifted", FIXATION,
@@ -216,6 +241,9 @@ MUTANTS = [
     Mutant("single_paths_share_replicate_zero", RNG,
            "run(1, substream(seed, tag, replicate), *args, 1)",
            "run(1, substream(seed, tag, 0), *args, 1)", ("tests/test_rng.py", *TEST_MORAN)),
+    Mutant("moment_M_reads_y_once", FIXATION,
+           "M += (wa * ya * ya / tilde_mass)", "M += (wa * ya / tilde_mass)",
+           ("tests/test_fixation.py::TestMomentTable::test_single_atom_values",)),
     Mutant("q_recursion_reads_a", FIXATION,
            "S[j] += B * S[j - 1]", "S[j] += A * S[j - 1]",
            ("tests/test_fixation.py::TestMomentTable::test_matches_exact_rational",)),
