@@ -107,6 +107,16 @@ def reference_generate_asg(N, coupling, horizon, rng):
     return (times, *(np.concatenate(col) for col in zip(*blocks)))
 
 
+def poisson_fit_pvalue(counts, mean):
+    """The merged chi-square p-value of event counts against Poisson(mean),
+    its tail beyond the largest count in one cell."""
+    values, freqs = np.unique(counts, return_counts=True)
+    top = int(values.max()) + 1
+    probs = {k: poisson.pmf(k, mean) for k in range(top)}
+    probs[top] = poisson.sf(top - 1, mean)
+    return merged_chisquare_pvalue(dict(zip(values.tolist(), freqs.tolist())), probs, len(counts))
+
+
 def reference_consistency(N, coupling, horizon, replicates, seed):
     """The consistency check by the scalar per-event references, on the
     replicates the batched check draws: one forward pass and one backward
@@ -176,12 +186,7 @@ class TestGeneration:
         mean = np.mean(counts)
         se = np.std(counts) / np.sqrt(len(counts))
         assert abs(mean - rate * horizon) < 3 * se
-        values, freqs = np.unique(counts, return_counts=True)
-        top = int(values.max()) + 1
-        probs = {k: poisson.pmf(k, rate * horizon) for k in range(top)}
-        probs[top] = poisson.sf(top - 1, rate * horizon)
-        observed = dict(zip(values.tolist(), freqs.tolist()))
-        assert merged_chisquare_pvalue(observed, probs, len(counts)) > 1e-3
+        assert poisson_fit_pvalue(counts, rate * horizon) > 1e-3
 
     def test_realizations_are_pinned(self, tmp_path, example_coupling):
         # a count above POISSON_TABLE_MEAN is one poisson call: a streamed log
@@ -651,12 +656,7 @@ class TestRoundDraws:
         rounds = asg_module._draw_rounds(np.random.default_rng(70), 20_000, 5, example_coupling, 1.5)
         assert np.all(np.diff(rounds.counts) <= 0)
         assert len(rounds.reproducers) == rounds.counts.sum() == rounds.widths.sum()
-        values, counts = np.unique(rounds.counts, return_counts=True)
-        top = int(values.max()) + 1
-        probs = {k: poisson.pmf(k, mean) for k in range(top)}
-        probs[top] = poisson.sf(top - 1, mean)
-        observed = dict(zip(values.tolist(), counts.tolist()))
-        assert merged_chisquare_pvalue(observed, probs, len(rounds.counts)) > 1e-3
+        assert poisson_fit_pvalue(rounds.counts, mean) > 1e-3
 
     def test_marks_follow_the_coupling(self):
         # per event: its atom, and the labels of two individuals, which are
