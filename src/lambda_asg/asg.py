@@ -379,8 +379,8 @@ def _chunk_size(N: int, rows: int, mean: float) -> int:
 def _draw_rounds(
     rng: np.random.Generator, n: int, N: int, coupling: CoupledMeasure, horizon: float
 ) -> EventRounds:
-    """Events of n replicates: ``poisson`` counts, then the marks of all
-    events, round by round, from :func:`_mark_blocks`.
+    """Events of n replicates: counts by :func:`lambda_asg.moran._event_counts`,
+    then the marks of all events, round by round, from :func:`_mark_blocks`.
 
     Raises:
         SizeLimit: if one replicate would hold more than
