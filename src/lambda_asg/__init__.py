@@ -26,9 +26,7 @@ from .errors import (
 from .measures import (
     CoupledMeasure,
     FiniteMeasure1D,
-    NormalizationRecord,
     coupling_from_pair,
-    normalize_pair,
     quantile_coupling,
     transport_cost,
 )
@@ -38,9 +36,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "asg", "duality", "fixation", "limits", "measures", "moran",
-    "CoupledMeasure", "FiniteMeasure1D", "NormalizationRecord",
-    "coupling_from_pair", "normalize_pair", "quantile_coupling",
-    "transport_cost",
+    "CoupledMeasure", "FiniteMeasure1D",
+    "coupling_from_pair", "quantile_coupling", "transport_cost",
     "LambdaAsgError", "OrderViolation", "ZeroMass", "SizeLimit",
     "SingularSystem", "StateCapReached",
     "DegenerateSelection", "NearSingular", "NotConverged",

@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, asg, duality, fixation, limits, measures, moran
-from .errors import LambdaAsgError, NotConverged, check_range, write_file
+from .errors import LambdaAsgError, NotConverged, OrderViolation, check_range, write_file
 from .rng import SEED_RULE
 
 
@@ -472,31 +472,28 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def check_measures(cfg: dict) -> dict:
-    """Validate measure specs: ordering, coupling construction, marginals."""
+    """Validate measure specs: a pair is coupled by the call ``run`` makes,
+    so an order refusal is ``run``'s message, and the coupling's marginals
+    are checked against the pair."""
     parsed = _parse_measures(cfg)
     report: dict = {"valid": True, "issues": []}
     if isinstance(parsed, measures.CoupledMeasure):
         return {**report, "coupling_atoms": len(parsed), "total_mass": parsed.total_mass}
     lm, lp = parsed
-    witness = measures.order_violation_witness(lm, lp)
-    if witness is not None:
-        report["valid"] = False
-        report["issues"].append(
-            f"stochastic order violated: lambda_minus[x,1] > lambda_plus[x,1] at x={witness}"
-        )
-        report["order_witness"] = witness
-        return report
-    record = measures.normalize_pair(lm, lp)
-    coupling = record.coupling()
+    try:
+        coupling = measures.coupling_from_pair(lm, lp)
+    except OrderViolation as exc:
+        return {"valid": False, "issues": [str(exc)], "order_witness": exc.witness}
     mismatch = measures.marginal_mismatch(coupling, lm, lp)
     report.update({
-        "rate_scale": record.rate_scale,
-        "zero_compensator_mass": record.c,
+        "rate_scale": lp.total_mass,
+        # the mass of the coupling's compensating atoms at y = 0
+        "zero_compensator_mass": max(lp.total_mass - lm.total_mass, 0.0),
         "coupling_atoms": len(coupling),
         "coupling": [[y, z, m] for y, z, m in zip(coupling.ys, coupling.zs, coupling.masses)],
         "marginal_mismatch": mismatch,
     })
-    if mismatch > 1e-12:
+    if mismatch > 1e-12 * lp.total_mass:
         report["valid"] = False
         report["issues"].append(f"coupling marginals off by {mismatch}")
     return report

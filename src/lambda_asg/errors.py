@@ -46,7 +46,13 @@ class LambdaAsgError(Exception):
 
 class OrderViolation(LambdaAsgError):
     """The two measures are not stochastically ordered, so no monotone
-    coupling with a nonnegative gap coordinate exists."""
+    coupling with a nonnegative gap coordinate exists.  ``witness`` is an x
+    at which the lower measure's tail mass exceeds the upper's, or None when
+    the refusal is a crossing of the inverse CDFs."""
+
+    def __init__(self, message: str, witness: float | None = None) -> None:
+        super().__init__(message)
+        self.witness = witness
 
 
 class ZeroMass(LambdaAsgError):

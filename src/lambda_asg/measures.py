@@ -310,74 +310,38 @@ def order_violation_witness(a: FiniteMeasure1D, b: FiniteMeasure1D) -> float | N
     return None
 
 
-@dataclass(frozen=True)
-class NormalizationRecord:
-    """Probability-measure reduction of an ordered finite pair.
-
-    ``mu_plus = lambda_plus / |lambda_plus|`` and
-    ``mu_minus = lambda_minus / |lambda_plus| + c * delta_0`` with
-    ``c = 1 - |lambda_minus| / |lambda_plus|``.  The original model is the
-    normalized one run at event rate ``rate_scale = |lambda_plus|``; the
-    compensating atom at 0 produces events that replace nobody.
-    """
-
-    mu_minus: FiniteMeasure1D
-    mu_plus: FiniteMeasure1D
-    c: float
-    rate_scale: float
-
-    def coupling(self) -> "CoupledMeasure":
-        """The quantile coupling of the normalized pair, run at ``rate_scale``."""
-        return quantile_coupling(self.mu_minus, self.mu_plus).scaled(self.rate_scale)
-
-
-def normalize_pair(lm: FiniteMeasure1D, lp: FiniteMeasure1D) -> NormalizationRecord:
-    """Reduce an ordered pair of finite measures to probability measures.
-
-    Raises:
-        ZeroMass: if ``lp`` has zero total mass.
-        OrderViolation: if the pair is not ordered (tail masses).
-    """
-    if lp.total_mass <= 0.0:
-        raise ZeroMass("lambda_plus must have positive total mass")
-    w = order_violation_witness(lm, lp)
-    if w is not None:
-        raise OrderViolation(f"tail mass of lambda_minus exceeds lambda_plus at x={w}")
-    scale = lp.total_mass
-    c = 1.0 - lm.total_mass / scale
-    c = max(c, 0.0)  # order at x=0 guarantees c >= 0 up to roundoff
-    minus_atoms = list(zip(lm.locations, lm.masses / scale))
-    if c > MASS_DROP:
-        minus_atoms.append((0.0, c))
-    return NormalizationRecord(
-        mu_minus=FiniteMeasure1D.from_atoms(minus_atoms),
-        mu_plus=lp.scaled(1.0 / scale),
-        c=c,
-        rate_scale=scale,
-    )
-
-
 def quantile_coupling(a: FiniteMeasure1D, b: FiniteMeasure1D) -> CoupledMeasure:
-    """Monotone (inverse-CDF) coupling of an ordered pair of equal total mass.
+    """Monotone (inverse-CDF) coupling of an ordered pair of probability measures.
 
-    Splits [0, total_mass] at the merged breakpoints of both cumulative-mass
+    Splits [0, 1] at the merged breakpoints of both cumulative-mass
     functions; each u-interval of length m contributes one atom
     ``(F_a^{-1}, F_b^{-1} - F_a^{-1})`` of mass m, with both inverse CDFs read
-    at once over all intervals by ``searchsorted``.  Intended for probability measures; any pair of equal total
-    mass works after the same construction on [0, total_mass].
+    at once over all intervals by ``searchsorted``.
+
+    This is the package's one order check, judged on the pair it couples:
+    first the tail masses (:func:`order_violation_witness`, so a heavier
+    ``a`` is refused at x = 0), then the total masses, then the crossing of
+    the inverse CDFs.  Its tolerances (``ORDER_TOL`` on tail masses, 1e-9 on
+    the totals and on a crossing gap) are absolute and sized for unit mass:
+    an ordered finite pair of any other mass is coupled by
+    :func:`coupling_from_pair`, which normalizes it first.
 
     Raises:
         OrderViolation: if the inputs are not stochastically ordered (a
-            nonnegative gap coordinate would be impossible).
+            nonnegative gap coordinate would be impossible); its ``witness``
+            is the x of a tail-mass refusal, None for a crossing.
         ValueError: if total masses differ beyond tolerance or are zero.
     """
-    if abs(a.total_mass - b.total_mass) > 1e-9:
-        raise ValueError("quantile coupling needs equal total masses; normalize first")
-    if a.total_mass <= 0.0:
-        raise ValueError("cannot couple zero-mass measures")
     w = order_violation_witness(a, b)
     if w is not None:
-        raise OrderViolation(f"tail mass of the lower measure exceeds the upper at x={w}")
+        raise OrderViolation(f"tail mass of lambda_minus exceeds lambda_plus at x={w}", w)
+    if abs(a.total_mass - b.total_mass) > 1e-9:
+        raise ValueError(
+            "quantile coupling needs equal total masses; "
+            "couple a finite pair by coupling_from_pair"
+        )
+    if a.total_mass <= 0.0:
+        raise ValueError("cannot couple zero-mass measures")
     cums = [np.cumsum(a.masses), np.cumsum(b.masses)]
     breaks = np.unique(np.concatenate(cums))
     starts = np.concatenate([[0.0], breaks[:-1]])
@@ -397,12 +361,29 @@ def quantile_coupling(a: FiniteMeasure1D, b: FiniteMeasure1D) -> CoupledMeasure:
 
 
 def coupling_from_pair(lm: FiniteMeasure1D, lp: FiniteMeasure1D) -> CoupledMeasure:
-    """Full pipeline: normalize an ordered finite pair, couple, restore rate.
+    """The selective coupling of an ordered finite pair: the quantile
+    coupling of the probability pair ``mu_minus = lm / |lp| + c * delta_0``,
+    ``mu_plus = lp / |lp|`` with ``c = 1 - |lm| / |lp|``, scaled back by |lp|.
 
     The result drives every event-driven process at total event rate
-    ``|lambda_plus|`` (minus any stripped (0,0) no-op atoms).
+    ``|lambda_plus|`` (minus any stripped (0,0) no-op atoms); the
+    compensating atom at 0 produces events that replace nobody.
+
+    Raises:
+        ZeroMass: if ``lp`` has zero total mass.
+        OrderViolation: if the pair is not ordered, judged once by
+            :func:`quantile_coupling` on the normalized pair.
     """
-    return normalize_pair(lm, lp).coupling()
+    if lp.total_mass <= 0.0:
+        raise ZeroMass("lambda_plus must have positive total mass")
+    scale = lp.total_mass
+    # a heavier lm leaves c at 0 and is refused at x = 0 by the order check
+    c = max(1.0 - lm.total_mass / scale, 0.0)
+    minus_atoms = list(zip(lm.locations, lm.masses / scale))
+    if c > MASS_DROP:
+        minus_atoms.append((0.0, c))
+    mu_minus = FiniteMeasure1D.from_atoms(minus_atoms)
+    return quantile_coupling(mu_minus, lp.scaled(1.0 / scale)).scaled(scale)
 
 
 def marginal_mismatch(

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 import struct
@@ -24,7 +25,9 @@ from lambda_asg.asg import (
     OUTCOME_SELECTIVE,
     AsgRealization,
     _ancestor_events,
+    _backward,
     _backward_rounds,
+    _forward,
     _realization_rounds,
     ancestry_consistency_check,
     generate_asg,
@@ -40,6 +43,7 @@ from lambda_asg.errors import SizeLimit
 from lambda_asg.limits import limit_chain_rates, simulate_limit_chain
 from lambda_asg.measures import CoupledMeasure
 from lambda_asg.moran import _event_counts
+from lambda_asg.rates import MixtureRows
 from lambda_asg.rng import TAG_ASG, TAG_CONSISTENCY, substream
 
 HALF = CoupledMeasure.from_atoms([(0.5, 0.0, 1.0)])
@@ -516,6 +520,66 @@ class TestAncestorEventRule:
         observed = dict(zip(values.tolist(), counts.tolist()))
         assert set(observed) <= {k for k, p in probs.items() if p > 0.0}
         assert merged_chisquare_pvalue(observed, probs, draws) > 1e-3
+
+
+def every_event(N, coupling):
+    """Every one-event case at N, as the arguments of ``_forward`` and
+    ``_backward`` plus the rate of each case: every starting configuration
+    (``starts``, all 2^N type or member vectors), every reproducer and every
+    label vector, weighted by ``mass * P(labels) / N`` summed over atoms."""
+    labels = np.array(list(itertools.product(range(3), repeat=N)), dtype=np.uint8)
+    c = coupling
+    probs = np.stack([1.0 - c.ys - c.zs, c.ys, c.zs], axis=1)
+    weight = (c.masses[:, None] * probs[:, labels].prod(axis=2)).sum(axis=0) / N
+    starts = (np.arange(2**N)[:, None] >> np.arange(N) & 1).astype(bool)
+    runs = N * len(starts)  # one run of label vectors per start and reproducer
+    return (
+        starts,
+        np.repeat(starts, N * len(labels), axis=0),
+        np.tile(np.repeat(np.arange(N), len(labels)), len(starts)),
+        np.tile(labels, (runs, 1)),
+        np.tile(weight, runs),
+    )
+
+
+def enumerated_rows(starts, after, weights, width):
+    """Rate rows of the count, one per starting configuration: the weights of
+    its cases summed (pairwise, by numpy) by the count ``after`` they end at,
+    the diagonal zeroed."""
+    after, weights = after.reshape(len(starts), -1), weights.reshape(len(starts), -1)
+    rows = np.stack([np.where(after == j, weights, 0.0).sum(axis=1) for j in range(width)], 1)
+    rows[np.arange(len(starts)), starts.sum(axis=1)] = 0.0
+    return rows
+
+
+class TestOneEventEnumeration:
+    # the count after one event read forward (from i disadvantaged
+    # individuals) or backward (from n members), summed over every case, is
+    # the rate row of its chain from every configuration with that count:
+    # the configuration chain lumps onto the count chains
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_forward_rows_are_moran_rows(self, N):
+        starts, minus, reproducers, outcomes, weights = every_event(N, EDGES)
+        _forward(minus, reproducers, outcomes)
+        rows = enumerated_rows(starts, minus.sum(axis=1), weights, N + 1)
+        table = MixtureRows(EDGES, range(N + 1))
+        for start, row in zip(starts, rows):
+            want = table.moran_row(N, int(start.sum()))
+            np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_backward_rows_are_ancestor_rows(self, N):
+        starts, members, reproducers, outcomes, weights = every_event(N, EDGES)
+        members = members[:, None, :]
+        _backward(members, reproducers, outcomes)
+        rows = enumerated_rows(starts, members[:, 0].sum(axis=1), weights, N + 2)
+        table = MixtureRows(EDGES, range(N + 1))
+        for start, row in zip(starts, rows):
+            n = int(start.sum())
+            want = np.zeros(N + 2)
+            if n:
+                table.ancestor_row(n, N, out=want[: n + 2])
+            np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-14)
 
 
 class TestLineCountSimulation:

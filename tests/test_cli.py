@@ -1119,6 +1119,13 @@ class TestCheck:
             "valid": True, "issues": [], "coupling_atoms": 2, "total_mass": 1.4,
         }
 
+    def test_ordered_pair_at_large_total_mass_is_valid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"measures": scaled_pair(PAIR, 1e9), "seed": 0})
+        assert main(["check", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["rate_scale"] == pytest.approx(1e9)
+        assert report["issues"] == []
+
     def test_half_a_pair_names_the_missing_measure(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "measures": {"lambda_minus": PAIR["lambda_minus"]}, "seed": 0,
@@ -1126,6 +1133,45 @@ class TestCheck:
         assert main(["check", cfg]) == 1
         report = json.loads(capsys.readouterr().out)
         assert not report["valid"] and "lambda_plus" in report["issues"][0]
+
+
+def scaled_pair(pair: dict, total: float) -> dict:
+    """``pair`` with every atom mass times ``total``."""
+    return {name: {"atoms": [[x, m * total] for x, m in spec["atoms"]]}
+            for name, spec in pair.items()}
+
+
+# the tail masses of lambda_minus stay within ORDER_TOL of lambda_plus's at
+# unit mass, but its top 8e-13 lies above all of lambda_plus: the inverse
+# CDFs cross (at total mass 1e-3 that atom is dust and is dropped)
+CROSSING = {
+    "lambda_minus": {"atoms": [[0.4, 1.0 - 8e-13], [0.9, 8e-13]]},
+    "lambda_plus": {"atoms": [[0.5, 1.0]]},
+}
+VERDICT_PAIRS = {
+    "ordered": PAIR,
+    "reversed": {"lambda_minus": PAIR["lambda_plus"], "lambda_plus": PAIR["lambda_minus"]},
+    "crossing": CROSSING,
+}
+
+
+@pytest.mark.parametrize("total", [1e-3, 1.0, 1e4, 1e9])
+@pytest.mark.parametrize("kind", sorted(VERDICT_PAIRS))
+def test_run_and_check_give_one_verdict(tmp_path, capsys, kind, total):
+    cfg = write_config(tmp_path, "c.json", {
+        "experiment": "coupling_report", "measures": scaled_pair(VERDICT_PAIRS[kind], total),
+        "seed": 1, "output_dir": str(tmp_path / "out"),
+    })
+    code = main(["run", cfg])
+    err = capsys.readouterr().err
+    assert main(["check", cfg]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] == (code == 0)
+    # the crossing pair's crossing atom is dust at total mass 1e-3
+    assert code == (0 if kind == "ordered" or (kind, total) == ("crossing", 1e-3) else 1)
+    if code:
+        assert err.startswith("error: ")
+        assert report["issues"] == [err[len("error: "):].rstrip("\n")]
 
 
 def test_a_config_that_is_a_directory_is_unreadable(tmp_path, capsys, monkeypatch):

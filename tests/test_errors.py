@@ -269,9 +269,18 @@ REFUSALS = {
         lambda: UNORDERED[1].scaled(-1.0), ValueError, "scale factor must be nonnegative"),
     "measures.CoupledMeasure.scaled.negative": (
         lambda: MILD.scaled(-0.5), ValueError, "scale factor must be nonnegative"),
-    "measures.normalize_pair.unordered": (
-        lambda: measures.normalize_pair(*UNORDERED), OrderViolation,
+    "measures.coupling_from_pair.unordered": (
+        lambda: measures.coupling_from_pair(*UNORDERED), OrderViolation,
         "tail mass of lambda_minus exceeds lambda_plus at x=0.6"),
+    # the tail masses are read before the totals: a heavier lower measure is
+    # refused at x = 0, not for its mass
+    "measures.quantile_coupling.heavier_lower": (
+        lambda: measures.quantile_coupling(UNORDERED[0].scaled(2.0), UNORDERED[0]),
+        OrderViolation, "tail mass of lambda_minus exceeds lambda_plus at x=0.0"),
+    "measures.quantile_coupling.unequal_mass": (
+        lambda: measures.quantile_coupling(
+            measures.FiniteMeasure1D.from_atoms([(0.3, 0.5)]), UNORDERED[0]), ValueError,
+        "quantile coupling needs equal total masses; couple a finite pair by coupling_from_pair"),
     "measures.quantile_coupling.zero_mass": (
         lambda: measures.quantile_coupling(EMPTY_LINE, EMPTY_LINE), ValueError,
         "cannot couple zero-mass measures"),

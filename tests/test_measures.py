@@ -22,7 +22,6 @@ from lambda_asg.measures import (
     coupling_from_pair,
     marginal_mismatch,
     measure_from_beta_density,
-    normalize_pair,
     order_violation_witness,
     quantile_coupling,
     transport_cost,
@@ -215,9 +214,12 @@ class TestQuantileCoupling:
     def test_matches_the_reference_sweep(self):
         rng = np.random.default_rng(20240801)
         for lm, lp in self.tied_pairs(rng, 400):
-            rec = normalize_pair(lm, lp)
-            got = quantile_coupling(rec.mu_minus, rec.mu_plus)
-            want = reference_quantile_coupling(rec.mu_minus, rec.mu_plus)
+            # the unit-mass pair coupling_from_pair couples, read off its marginals
+            coupling, scale = coupling_from_pair(lm, lp), lp.total_mass
+            mu_minus, mu_plus = (m.scaled(1.0 / scale) for m in
+                                 (coupling.y_marginal(), coupling.sum_marginal()))
+            got = quantile_coupling(mu_minus, mu_plus)
+            want = reference_quantile_coupling(mu_minus, mu_plus)
             for field in ("ys", "zs", "masses"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
 
@@ -261,49 +263,88 @@ class TestQuantileCoupling:
             assert not ordered
 
 
-class TestNormalizePair:
-    def test_probability_pair_is_identity(self, example_pair):
-        lm, lp = example_pair
-        rec = normalize_pair(lm, lp)
-        assert rec.c == pytest.approx(0.0, abs=1e-15)
-        assert rec.rate_scale == pytest.approx(1.0)
-        assert rec.mu_minus.locations.tolist() == lm.locations.tolist()
-
-    def test_half_mass_lower(self):
-        rec = normalize_pair(
-            FiniteMeasure1D.from_atoms([(0.5, 0.5)]), FiniteMeasure1D.from_atoms([(0.5, 1.0)])
+def split_pairs(rng, count):
+    """Ordered pairs of equal mass: lambda_plus is lambda_minus with one atom
+    split into 2 to 6 pieces at or above its location, so the two totals
+    agree only up to rounding."""
+    for _ in range(count):
+        lm = FiniteMeasure1D.from_atoms(
+            zip(rng.uniform(0.0, 1.0, 3), rng.dirichlet(np.ones(3)))
         )
-        assert rec.c == pytest.approx(0.5)
-        assert rec.rate_scale == pytest.approx(1.0)
-        assert rec.mu_plus.locations.tolist() == [0.5]
-        # compensating atom at zero plus the original one
-        assert rec.mu_minus.locations.tolist() == [0.0, 0.5]
-        assert rec.mu_minus.masses.tolist() == pytest.approx([0.5, 0.5])
+        k = int(rng.integers(len(lm)))
+        pieces = int(rng.integers(2, 7))
+        split = zip(rng.uniform(lm.locations[k], 1.0, pieces),
+                    lm.masses[k] * rng.dirichlet(np.ones(pieces)))
+        rest = [(x, m) for j, (x, m) in enumerate(zip(lm.locations, lm.masses)) if j != k]
+        yield lm, FiniteMeasure1D.from_atoms([*rest, *split])
 
-    def test_faster_reproduction(self):
+
+class TestCouplingFromPair:
+    def test_probability_pair_is_the_quantile_coupling(self, example_pair):
+        got, want = coupling_from_pair(*example_pair), quantile_coupling(*example_pair)
+        for field in ("ys", "zs", "masses"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_lighter_lower_gets_a_compensator_at_zero(self):
+        # c = 0.5 of |lambda_plus|, coupled to the lowest half of lambda_plus
+        lm, lp = FiniteMeasure1D.from_atoms([(0.5, 0.5)]), FiniteMeasure1D.from_atoms([(0.5, 1.0)])
+        c = coupling_from_pair(lm, lp)
+        assert c.ys.tolist() == [0.0, 0.5] and c.zs.tolist() == [0.5, 0.0]
+        assert c.masses.tolist() == pytest.approx([0.5, 0.5])
+        # at rate scale 2 the compensator is c * |lambda_plus| = 0.5 * 2
         base = FiniteMeasure1D.from_atoms([(0.3, 0.5), (0.8, 0.5)])
-        doubled = base.scaled(2.0)
-        rec = normalize_pair(base, doubled)
-        assert rec.c == pytest.approx(0.5)
-        assert rec.rate_scale == pytest.approx(2.0)
-        assert rec.mu_plus.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert rec.mu_minus.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert order_violation_witness(rec.mu_minus, rec.mu_plus) is None
+        c = coupling_from_pair(base, base.scaled(2.0))
+        assert c.masses[c.ys == 0.0].tolist() == pytest.approx([1.0])
+        assert c.zs[c.ys == 0.0].tolist() == [0.3]
+
+    def test_total_mass_is_that_of_lambda_plus(self):
+        rng = np.random.default_rng(11)
+        for total in (0.37, 1.0, 2.5, 7e3):
+            for _ in range(20):
+                lm, lp = random_ordered_pair(rng, total_mass=total)
+                lm = lm.scaled(rng.uniform(0.3, 1.0))
+                c = coupling_from_pair(lm, lp)
+                assert c.total_mass == pytest.approx(lp.total_mass, rel=1e-14)
+                assert marginal_mismatch(c, lm, lp) < 1e-12 * total
 
     def test_zero_mass_rejected(self):
         empty = FiniteMeasure1D.from_atoms([])
         with pytest.raises(ZeroMass):
-            normalize_pair(empty, empty)
+            coupling_from_pair(empty, empty)
 
     def test_marginal_mismatch_skips_the_compensator_at_zero(self):
         # the coupling's y marginal holds the compensator, mass 0.5 at 0,
         # which lambda_minus does not: location 0 is not compared
         lm, lp = FiniteMeasure1D.from_atoms([(0.5, 0.5)]), FiniteMeasure1D.from_atoms([(0.5, 1.0)])
-        coupling = normalize_pair(lm, lp).coupling()
+        coupling = coupling_from_pair(lm, lp)
         assert coupling.y_marginal().locations.tolist() == [0.0, 0.5]
         assert marginal_mismatch(coupling, lm, lp) == 0.0
         # a mismatch off 0 is still seen
         assert marginal_mismatch(coupling, lm.scaled(0.5), lp) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("mass", [1e6, 1e8])
+    def test_beta_pair_couples_at_large_mass(self, mass):
+        # ordered at every mass; the raw totals differ by rounding, which an
+        # absolute tolerance on the raw pair read as a violation at x = 0
+        lm = measure_from_beta_density(2, 5, mass=mass)
+        lp = measure_from_beta_density(2, 3, mass=mass)
+        c = coupling_from_pair(lm, lp)
+        assert c.total_mass == pytest.approx(mass, rel=1e-14)
+        assert marginal_mismatch(c, lm, lp) < 1e-12 * mass
+
+    @pytest.mark.parametrize("k", [1e-6, 1e4, 1e8])
+    def test_scale_invariant(self, k):
+        # the order is judged at unit mass, so scaling the pair scales the
+        # coupling, atom by atom; an atom's mass is a difference of cumulative
+        # masses, so its rounding is relative to the total
+        rng = np.random.default_rng(5)
+        pairs = [*(random_ordered_pair(rng) for _ in range(100)), *split_pairs(rng, 100)]
+        for lm, lp in pairs:
+            got = coupling_from_pair(lm.scaled(k), lp.scaled(k))
+            want = coupling_from_pair(lm, lp).scaled(k)
+            for field, total in (("ys", 1.0), ("zs", 1.0), ("masses", want.total_mass)):
+                np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                           rtol=0.0, atol=1e-14 * total)
 
 
 class TestIntegration:

@@ -13,7 +13,7 @@ from lambda_asg.limits import (
     chain_final_states, frequency_generator, limit_chain_rates, sde_final_values,
 )
 from lambda_asg.measures import (
-    CoupledMeasure, FiniteMeasure1D, marginal_mismatch, normalize_pair, transport_cost,
+    CoupledMeasure, FiniteMeasure1D, coupling_from_pair, marginal_mismatch, transport_cost,
 )
 from lambda_asg.moran import (
     MAX_DUALITY_N, MoranConfig, _generator_rows, absorption_probability, generator_matrix,
@@ -344,7 +344,7 @@ LAW_PAIRS = {
         FiniteMeasure1D.from_atoms([(0.2, 0.5), (0.4, 0.5)]),
         FiniteMeasure1D.from_atoms([(0.5, 0.5), (0.6, 0.5)]), False,
     ),
-    # lambda_minus is lighter: normalize_pair adds an atom of mass 0.2 at 0
+    # lambda_minus is lighter: coupling_from_pair adds an atom of mass 0.2 at 0
     "lighter_minus": (
         FiniteMeasure1D.from_atoms([(0.4, 0.4), (0.5, 0.4)]),
         FiniteMeasure1D.from_atoms([(0.3, 0.2), (0.55, 0.4), (0.6, 0.4)]), True,
@@ -376,16 +376,16 @@ def crossed_plan(lower, upper):
 
 
 def law_couplings(lm, lp):
-    """The quantile, crossed and split couplings of the normalized pair, each
-    run at the pair's rate scale; split is the half-and-half mix of the other
-    two."""
-    record = normalize_pair(lm, lp)
-    quantile = record.coupling()
-    scale = record.rate_scale
+    """The quantile, crossed and split couplings of the normalized pair (the
+    quantile coupling's marginals over |lambda_plus|), each run at the pair's
+    rate scale; split is the half-and-half mix of the other two."""
+    quantile = coupling_from_pair(lm, lp)
+    scale = lp.total_mass
     quantile_plan = [
         (y, y + z, m / scale) for y, z, m in zip(quantile.ys, quantile.zs, quantile.masses)
     ]
-    crossed = crossed_plan(record.mu_minus, record.mu_plus)
+    crossed = crossed_plan(quantile.y_marginal().scaled(1.0 / scale),
+                           quantile.sum_marginal().scaled(1.0 / scale))
     split = [(y, s, m / 2) for y, s, m in quantile_plan + crossed]
     return [quantile] + [
         CoupledMeasure.from_atoms((y, s - y, m * scale) for y, s, m in plan)

@@ -60,6 +60,8 @@ FIXATION, RATES, RNG = (
 )
 TEST_ASG, TEST_MORAN = ("tests/test_asg.py",), ("tests/test_moran.py",)
 TEST_ERRORS, TEST_FIXATION = ("tests/test_errors.py",), ("tests/test_fixation.py",)
+# the rate rows of one event, enumerated case by case
+ENUMERATION = "tests/test_asg.py::TestOneEventEnumeration::"
 
 MUTANTS = [
     Mutant("window_side", ASG,
@@ -75,10 +77,12 @@ MUTANTS = [
            "    )), types[None])", TEST_ASG),
     Mutant("backward_reproducer_join", ASG,
            "members[np.arange(L), :, reproducers] |= rows",
-           "members[np.arange(L), :, reproducers] ^= rows", TEST_ASG),
+           "members[np.arange(L), :, reproducers] ^= rows",
+           (ENUMERATION + "test_backward_rows_are_ancestor_rows",)),
     Mutant("forward_neutral_read_as_selective", ASG,
            "minus |= carrier & (outcomes == OUTCOME_NEUTRAL)",
-           "minus |= carrier & (outcomes == OUTCOME_SELECTIVE)", TEST_ASG),
+           "minus |= carrier & (outcomes == OUTCOME_SELECTIVE)",
+           (ENUMERATION + "test_forward_rows_are_moran_rows",)),
     Mutant("tie_low_bits_inclusive", ASG,
            "return (k < hi) | ((k == hi) & (e < lo))",
            "return (k < hi) | ((k == hi) & (e <= lo))", TEST_ASG),
@@ -183,6 +187,19 @@ MUTANTS = [
            "zs = np.minimum(np.clip(zs, 0.0, 1.0), 1.0 - ys)", "zs = np.clip(zs, 0.0, 1.0)",
            ("tests/test_measures.py::TestCoupledMeasureInvariants::"
             "test_roundoff_off_the_simplex_is_clamped",)),
+    Mutant("raw_pair_order_check", MEASURES,
+           "    scale = lp.total_mass\n",
+           "    if order_violation_witness(lm, lp) is not None:\n"
+           '        raise OrderViolation("raw pair refused")\n'
+           "    scale = lp.total_mass\n",
+           ("tests/test_measures.py::TestCouplingFromPair::"
+            "test_beta_pair_couples_at_large_mass",)),
+    Mutant("compensator_dropped", MEASURES, "    if c > MASS_DROP:\n", "    if c > 1.0:\n",
+           ("tests/test_measures.py::TestCouplingFromPair::"
+            "test_lighter_lower_gets_a_compensator_at_zero",)),
+    Mutant("check_gate_absolute", CLI,
+           "mismatch > 1e-12 * lp.total_mass", "mismatch > 1e-12",
+           ("tests/test_cli.py::TestCheck::test_ordered_pair_at_large_total_mass_is_valid",)),
     Mutant("poisson_table_last_entry_not_one", MORAN, "    cdf[-1] = 1.0\n", "", TEST_MORAN),
     Mutant("zero_horizon_accepted", ERRORS, "    if value <= 0:\n", "    if value < 0:\n",
            TEST_MORAN),
