@@ -6,7 +6,8 @@ target unconditionally, *selective* (probability z) replaces it only when the
 reproducer carries the advantaged type.  Individuals are indexed 0..N-1.
 A label compares one 53-bit uniform with y and y + z, exactly, reading the
 uniform's top byte and, only when that byte ties with a threshold's top byte
-(probability at most 2/256), its 45 low bits.
+(probability at most 2/256), its 45 low bits; a threshold ties only when it
+falls strictly inside a byte, so p = 0 and p = 1 draw no low bits.
 
 Forward in time the events propagate types (advantaged through both arrow
 kinds, disadvantaged through neutral only); backward in time they drive the
@@ -181,12 +182,11 @@ def _joined(blocks: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
 
 
 def _thresholds(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(hi, lo)`` of each ``T = ceil(p * 2**53)``, at most 2**53: the uint8
-    top byte ``hi = T >> 45``, clipped to 255 at ``T = 2**53``, and the rest
-    ``lo = T - hi * 2**45``, so ``lo = 2**45`` at the clip."""
+    """``(hi, lo)`` of each ``T = ceil(p * 2**53)``, at most 2**53: the top
+    byte ``hi = T >> 45``, 256 at p = 1, and the rest ``lo = T mod 2**45``,
+    which is 0 at p = 0 and at p = 1."""
     T = np.minimum(np.ceil(p * 2.0**53), 2.0**53).astype(np.int64)
-    hi = np.minimum(T >> LOW_BITS, 255)
-    return hi.astype(np.uint8), T - (hi << LOW_BITS)
+    return T >> LOW_BITS, T & ((1 << LOW_BITS) - 1)
 
 
 def _below(k: np.ndarray, e: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -207,21 +207,34 @@ def _draw_labels(
     label first draws u's top byte k: one byte of the block's
     ``bits.random_raw`` words, read little-endian, row by row.  By
     :func:`_thresholds`, k < hi decides u < p, and k > hi decides against,
-    except when k == hi and lo > 0: a tie.  After all the block's bytes, each
-    label that ties with either threshold draws u's low bits e, the top 45
-    of one more word, in row-major order, and reads ``u < p`` as ``e < lo``.
-    So every label has the law of a 53-bit float comparison, from one byte
-    but for a tie, of probability at most 2/256.
+    except when k == hi and lo > 0, that is when T falls strictly inside
+    byte k: a tie.  After all the block's bytes, each label that ties with
+    either threshold draws u's low bits e, the top 45 of one more word, in
+    row-major order, and reads ``u < p`` as ``e < lo``.  So every label has
+    the law of a 53-bit float comparison, from one byte but for a tie, of
+    probability at most 2/256; p = 0 and p = 1 never tie and draw no low
+    bits.
 
-    The labels are worked a tile of rows at a time.  A tile searches its
-    bytes for ties with a threshold only if one of its rows' atoms has a low
-    part above 0 there (a dyadic p has none).  When ``out`` is a strided
-    view (the records of a streamed log), a tile's labels are worked in one
-    contiguous buffer and copied into ``out`` once.
+    The bytes are compared as uint8: u < y as ``k < min(hi, 255)`` and
+    u < y + z as ``k <= max(hi, 1) - 1``, which at y + z = 1 is byte 255.
+    The two ends no byte expresses are set on whole rows: every label of an
+    atom at y = 1 is neutral, and every label of an atom at y + z = 0 is
+    none.  The labels are worked a tile of rows at a time.  A tile searches
+    its bytes for ties with a threshold only if one of its rows' atoms has a
+    low part above 0 there (a dyadic p has none), and a call whose atoms
+    have neither ties nor ends checks no tile for them.  When ``out`` is a
+    strided view (the records of a streamed log), a tile's labels are
+    worked in one contiguous buffer and copied into ``out`` once.
     """
     n, N = out.shape
     hy, ly = _thresholds(ys)
     hs, ls = _thresholds(ys + zs)
+    below_y = np.minimum(hy, 255).astype(np.uint8)
+    below_s = (np.maximum(hs, 1) - 1).astype(np.uint8)
+    tie_byte_s = np.minimum(hs, 255).astype(np.uint8)
+    one, zero = hy > 255, (hs == 0) & (ls == 0)
+    ends = (one | zero).any()
+    may_tie = (ly > 0).any() or (ls > 0).any()
     rows = max(TILE_LABELS // N // 8, 1) * 8
     below = np.empty((min(rows, n), N), dtype=bool)
     tie = np.empty_like(below)
@@ -232,17 +245,23 @@ def _draw_labels(
         words = bits.random_raw(-(-m * N // 8)).astype("<u8", copy=False)
         k = words.view(np.uint8)[: m * N].reshape(m, N)
         a = atoms[r0 : r0 + m]
-        y, s = hy[a, None], hs[a, None]
+        y = below_y[a, None]
         o = out[r0 : r0 + m] if labels is None else labels[:m]
         b = below[:m]
-        np.less(k, s, out=o.view(bool))
+        np.less_equal(k, below_s[a, None], out=o.view(bool))
         o += o
         np.less(k, y, out=b)
         o -= b.view(np.uint8)
+        if ends:
+            o[one[a]] = OUTCOME_NEUTRAL
+            o[zero[a]] = OUTCOME_NONE
         if labels is not None:
             out[r0 : r0 + m] = o
+        if not may_tie:
+            continue
         tie_y, tie_s = (ly[a] > 0).any(), (ls[a] > 0).any()
         if tie_y or tie_s:
+            s = tie_byte_s[a, None]
             np.equal(k, y if tie_y else s, out=b)
             if tie_y and tie_s:
                 b |= np.equal(k, s, out=tie[:m])

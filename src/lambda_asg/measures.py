@@ -30,7 +30,8 @@ import numpy as np
 from .errors import OrderViolation, ZeroMass, check_range
 from .quadrature import gauss_legendre_01
 
-# Atoms lighter than this are numerical noise and dropped on construction.
+# Atoms of at most this share of a measure's total mass are numerical noise
+# and dropped on construction.
 MASS_DROP = 1e-15
 # Absolute tolerance for tail-mass comparisons in the stochastic order.
 ORDER_TOL = 1e-12
@@ -120,13 +121,21 @@ def _scaled(masses: np.ndarray, factor: float) -> np.ndarray:
         return masses * factor
 
 
+def _dust(ms: np.ndarray) -> float:
+    """The largest dust mass of a measure with the atom masses ``ms``:
+    ``MASS_DROP`` times their total, summed scaled so that it stays finite
+    when the total overflows (which the reader then refuses)."""
+    return float((MASS_DROP * ms).sum())
+
+
 def _tidy_line(locs: np.ndarray, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coordinate rules of a measure on [0, 1]: locations in range, then
     duplicates merged, then dust dropped."""
     if np.any(locs < 0.0) or np.any(locs > 1.0):
         raise ValueError("atom locations must lie in [0, 1]")
+    dust = _dust(ms)
     keys, ms = _merge_atoms(locs, ms)
-    keep = ms > MASS_DROP
+    keep = ms > dust
     return keys[keep, 0], ms[keep]
 
 
@@ -211,7 +220,7 @@ def _tidy_simplex(ys: np.ndarray, zs: np.ndarray, ms: np.ndarray) -> tuple[np.nd
         raise ValueError("atoms must satisfy y + z <= 1")
     ys = np.clip(ys, 0.0, 1.0)
     zs = np.minimum(np.clip(zs, 0.0, 1.0), 1.0 - ys)
-    keep = (ms > MASS_DROP) & ~((ys == 0.0) & (zs == 0.0))
+    keep = (ms > _dust(ms)) & ~((ys == 0.0) & (zs == 0.0))
     keys, ms = _merge_atoms(np.column_stack([ys[keep], zs[keep]]), ms[keep])
     return keys[:, 0].copy(), keys[:, 1].copy(), ms
 

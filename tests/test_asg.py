@@ -58,15 +58,14 @@ def reference_byte_rule(p):
     """The exact ``T = ceil(p * 2**53)`` of a label probability p, and per top
     byte k of a 53-bit uniform: 1 when every integer ``k * 2**45 + e`` (e
     below 2**45) is below T, 0 when none is, and None (a tie, read from e)
-    otherwise; the top byte of p = 1, byte 255, is a tie too, as its
-    threshold byte 256 does not fit a byte."""
+    otherwise."""
     T = math.ceil(Fraction(float(p)) * 2**53)
     rule = []
     for k in range(256):
         first, stop = k * 2**45, (k + 1) * 2**45
         if T <= first:
             rule.append(0)
-        elif stop < T or (stop == T and T < 2**53):
+        elif stop <= T:
             rule.append(1)
         else:
             rule.append(None)
@@ -199,11 +198,11 @@ class TestGeneration:
         path = tmp_path / "a.log"
         assert stream_asg_to_log(300, example_coupling, 4000.0, 7, str(path)) == 3910
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "e983dcff5dc0e482383a7caee5deb5e4e671640dce224cbac4fd40b3c37078ad"
+            "8a42c1ae329c5c0488d2b4f768f1ca6a2646fd553454ff4d08caa72b1617cc0d"
         )
         write_event_log(generate_asg(50, EDGES, 10.0, seed=3), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "30f0095d48ffb072b3725880be2c2964e2feb222649f6a6dbcbde4859ed9a87f"
+            "8389b2864dfe3bc2c81a041005ce32b3cab9172fa227b5644701ade386a7caf4"
         )
 
     def test_outcome_frequencies(self, example_coupling):
@@ -334,6 +333,21 @@ class TestLabelRule:
         assert labels(np.empty((len(atoms), N), np.uint8)) == whole
         # some labels tied and drew their low bits
         assert whole[1] > -(-len(atoms) * N // 8)
+
+    def test_dyadic_atoms_and_ends_draw_one_byte_per_label(self, example_coupling):
+        # the example coupling's four atoms are multiples of 1/4, one at
+        # y + z = 1: every label is decided by its byte, and a block draws no
+        # word beyond its bytes
+        c = example_coupling
+        assert len(c) == 4 and (c.ys + c.zs).max() == 1.0
+        bits = StubBits(np.random.default_rng(5).integers(0, 2**64, 9000, dtype=np.uint64))
+        atoms = np.arange(64) % len(c)
+        out = np.empty((64, 1000), np.uint8)
+        asg_module._draw_labels(bits, c.ys, c.zs, atoms, out)
+        assert bits.served == 64 * 1000 // 8
+        u = bits.words[:8000].astype("<u8").view(np.uint8).reshape(64, 1000) / 256.0
+        y, s = c.ys[atoms, None], (c.ys + c.zs)[atoms, None]
+        assert np.array_equal(out, 2 * (u < s) - (u < y))
 
     def test_each_atom_labels_by_its_probabilities(self):
         coupling = CoupledMeasure.from_atoms([(y, z, 1.0) for y, z in CHI_ATOMS])
@@ -580,6 +594,35 @@ class TestOneEventEnumeration:
             if n:
                 table.ancestor_row(n, N, out=want[: n + 2])
             np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-14)
+
+
+class TestOneEventPathwiseDuality:
+    # one event read forward and backward, for every type or member vector,
+    # reproducer and label vector: by induction over events, these give the
+    # forward/backward consistency of every event sequence at these N
+    @pytest.mark.parametrize("N", range(2, 6))
+    def test_advantaged_exactly_when_an_ancestor_is(self, N):
+        starts, minus, reproducers, outcomes, _ = every_event(N, EDGES)
+        _forward(minus, reproducers, outcomes)
+        # the ancestors of each individual, one member row each, per case
+        cases = len(reproducers) // len(starts)
+        ancestors = np.tile(np.eye(N, dtype=bool), (cases, 1, 1))
+        _backward(ancestors, reproducers[:cases], outcomes[:cases])
+        advantaged = (ancestors[None] & ~starts[:, None, None, :]).any(axis=3)
+        assert np.array_equal(~minus.reshape(len(starts), cases, N), advantaged)
+
+    @pytest.mark.parametrize("N", range(2, 6))
+    def test_ancestors_of_a_set_are_the_union_of_its_members(self, N):
+        starts, _, reproducers, outcomes, _ = every_event(N, EDGES)
+        cases = len(reproducers) // len(starts)
+        reproducers, outcomes = reproducers[:cases], outcomes[:cases]
+        # every set as one member row per case, and every singleton
+        sets = np.tile(starts, (cases, 1, 1))
+        singletons = np.tile(np.eye(N, dtype=bool), (cases, 1, 1))
+        _backward(sets, reproducers, outcomes)
+        _backward(singletons, reproducers, outcomes)
+        union = (starts[None, :, :, None] & singletons[:, None]).any(axis=2)
+        assert np.array_equal(sets, union)
 
 
 class TestLineCountSimulation:

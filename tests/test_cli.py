@@ -1143,7 +1143,7 @@ def scaled_pair(pair: dict, total: float) -> dict:
 
 # the tail masses of lambda_minus stay within ORDER_TOL of lambda_plus's at
 # unit mass, but its top 8e-13 lies above all of lambda_plus: the inverse
-# CDFs cross (at total mass 1e-3 that atom is dust and is dropped)
+# CDFs cross at every total mass (dust is a share of the total)
 CROSSING = {
     "lambda_minus": {"atoms": [[0.4, 1.0 - 8e-13], [0.9, 8e-13]]},
     "lambda_plus": {"atoms": [[0.5, 1.0]]},
@@ -1167,8 +1167,7 @@ def test_run_and_check_give_one_verdict(tmp_path, capsys, kind, total):
     assert main(["check", cfg]) == code
     report = json.loads(capsys.readouterr().out)
     assert report["valid"] == (code == 0)
-    # the crossing pair's crossing atom is dust at total mass 1e-3
-    assert code == (0 if kind == "ordered" or (kind, total) == ("crossing", 1e-3) else 1)
+    assert code == (0 if kind == "ordered" else 1)
     if code:
         assert err.startswith("error: ")
         assert report["issues"] == [err[len("error: "):].rstrip("\n")]

@@ -39,6 +39,17 @@ class TestFiniteMeasure:
         m = FiniteMeasure1D.from_atoms([(0.5, 1.0), (0.7, 1e-16)])
         assert len(m) == 1
 
+    @pytest.mark.parametrize("k", [1e-6, 1e4, 1e8])
+    def test_dust_is_a_share_of_the_total(self, k):
+        # an atom of 5e-16 of the total is dust at every total mass, one of
+        # 2e-13 is kept at every total mass, and a zero mass is dropped
+        atoms = [(0.1, 0.6), (0.5, 0.4 - 2e-13), (0.7, 2e-13), (0.9, 5e-16), (0.3, 0.0)]
+        unit = FiniteMeasure1D.from_atoms(atoms)
+        scaled = FiniteMeasure1D.from_atoms((x, k * m) for x, m in atoms)
+        assert unit.locations.tolist() == [0.1, 0.5, 0.7]
+        assert np.array_equal(scaled.locations, unit.locations)
+        np.testing.assert_allclose(scaled.masses, k * unit.masses, rtol=1e-15, atol=0.0)
+
     def test_rejects_bad_atoms(self):
         with pytest.raises(ValueError):
             FiniteMeasure1D.from_atoms([(1.5, 1.0)])
@@ -85,7 +96,8 @@ class TestFiniteMeasure:
         ref = np.diff(edges) * (dens @ weights)
         ref *= 2.0 / ref.sum()
         m = measure_from_beta_density(a, b, grid=128, mass=2.0)
-        keep = ref > 1e-15  # atoms below the dust threshold are dropped
+        # atoms of at most MASS_DROP = 1e-15 of the total are dropped as dust
+        keep = ref > 1e-15 * ref.sum()
         assert np.array_equal(m.locations, (0.5 * (edges[:-1] + edges[1:]))[keep])
         assert np.allclose(m.masses, ref[keep], rtol=1e-14, atol=0.0)
 
@@ -462,6 +474,20 @@ class TestCoupledMeasureInvariants:
         assert c.ys[0] + c.zs[0] <= 1.0
         cfg = moran.MoranConfig(N=10, coupling=c, initial_count=5)
         assert moran.simulate_final_counts(cfg, 1.0, 20, seed=0).shape == (20,)
+
+    @pytest.mark.parametrize("k", [1e-6, 1e4, 1e8])
+    def test_dust_is_a_share_of_the_total(self, k):
+        # the total before dropping holds the stripped (0, 0) atom: 5e-16 of
+        # it is dust at every total mass, and 2e-13 of it is kept
+        atoms = [
+            (0.2, 0.3, 0.3), (0.5, 0.5, 0.4 - 2e-13), (0.1, 0.0, 2e-13), (0.7, 0.1, 5e-16),
+            (0.0, 0.0, 0.3),
+        ]
+        unit = CoupledMeasure.from_atoms(atoms)
+        scaled = CoupledMeasure.from_atoms((y, z, k * m) for y, z, m in atoms)
+        assert list(zip(unit.ys.tolist(), unit.zs.tolist())) == [(0.1, 0.0), (0.2, 0.3), (0.5, 0.5)]
+        assert np.array_equal(scaled.ys, unit.ys) and np.array_equal(scaled.zs, unit.zs)
+        np.testing.assert_allclose(scaled.masses, k * unit.masses, rtol=1e-15, atol=0.0)
 
     def test_origin_atoms_stripped(self):
         c = CoupledMeasure.from_atoms([(0.0, 0.0, 0.4), (0.5, 0.1, 0.6)])

@@ -60,8 +60,11 @@ FIXATION, RATES, RNG = (
 )
 TEST_ASG, TEST_MORAN = ("tests/test_asg.py",), ("tests/test_moran.py",)
 TEST_ERRORS, TEST_FIXATION = ("tests/test_errors.py",), ("tests/test_fixation.py",)
-# the rate rows of one event, enumerated case by case
+# the rate rows of one event, and its pathwise duality, enumerated case by case
 ENUMERATION = "tests/test_asg.py::TestOneEventEnumeration::"
+PATHWISE = "tests/test_asg.py::TestOneEventPathwiseDuality::"
+# each label of a row of every byte, against the float comparison
+LABEL_BYTES = "tests/test_asg.py::TestLabelRule::test_bytes_and_ties_are_the_float_comparison"
 
 MUTANTS = [
     Mutant("window_side", ASG,
@@ -78,20 +81,29 @@ MUTANTS = [
     Mutant("backward_reproducer_join", ASG,
            "members[np.arange(L), :, reproducers] |= rows",
            "members[np.arange(L), :, reproducers] ^= rows",
-           (ENUMERATION + "test_backward_rows_are_ancestor_rows",)),
+           (ENUMERATION + "test_backward_rows_are_ancestor_rows",
+            PATHWISE + "test_ancestors_of_a_set_are_the_union_of_its_members")),
     Mutant("forward_neutral_read_as_selective", ASG,
            "minus |= carrier & (outcomes == OUTCOME_NEUTRAL)",
            "minus |= carrier & (outcomes == OUTCOME_SELECTIVE)",
-           (ENUMERATION + "test_forward_rows_are_moran_rows",)),
+           (ENUMERATION + "test_forward_rows_are_moran_rows",
+            PATHWISE + "test_advantaged_exactly_when_an_ancestor_is")),
     Mutant("tie_low_bits_inclusive", ASG,
            "return (k < hi) | ((k == hi) & (e < lo))",
            "return (k < hi) | ((k == hi) & (e <= lo))", TEST_ASG),
-    Mutant("p_one_clip_removed", ASG,
-           "hi = np.minimum(T >> LOW_BITS, 255)", "hi = T >> LOW_BITS", TEST_ASG),
+    Mutant("sum_byte_strict", ASG,
+           "np.less_equal(k, below_s[a, None], out=o.view(bool))",
+           "np.less(k, below_s[a, None], out=o.view(bool))", (LABEL_BYTES,)),
+    Mutant("y_one_rows_dropped", ASG, "            o[one[a]] = OUTCOME_NEUTRAL\n", "",
+           (LABEL_BYTES,)),
+    Mutant("sum_zero_rows_dropped", ASG, "            o[zero[a]] = OUTCOME_NONE\n", "",
+           (LABEL_BYTES,)),
+    Mutant("call_tie_flag_reads_only_y", ASG,
+           "may_tie = (ly > 0).any() or (ls > 0).any()",
+           "may_tie = (ly > 0).any() or (ly > 0).any()", (LABEL_BYTES,)),
     Mutant("tie_search_reads_only_y", ASG,
            "tie_y, tie_s = (ly[a] > 0).any(), (ls[a] > 0).any()",
-           "tie_y, tie_s = (ly[a] > 0).any(), (ly[a] > 0).any()",
-           ("tests/test_asg.py::TestLabelRule::test_bytes_and_ties_are_the_float_comparison",)),
+           "tie_y, tie_s = (ly[a] > 0).any(), (ly[a] > 0).any()", (LABEL_BYTES,)),
     Mutant("realization_mass_scaled", ASG,
            "return rng, _event_counts(rng, coupling.total_mass, horizon)",
            "return rng, _event_counts(rng, 1.1 * coupling.total_mass, horizon)",
@@ -194,6 +206,11 @@ MUTANTS = [
            "    scale = lp.total_mass\n",
            ("tests/test_measures.py::TestCouplingFromPair::"
             "test_beta_pair_couples_at_large_mass",)),
+    Mutant("dust_absolute", MEASURES,
+           "return float((MASS_DROP * ms).sum())", "return MASS_DROP",
+           ("tests/test_measures.py::TestFiniteMeasure::test_dust_is_a_share_of_the_total",
+            "tests/test_measures.py::TestCoupledMeasureInvariants::"
+            "test_dust_is_a_share_of_the_total")),
     Mutant("compensator_dropped", MEASURES, "    if c > MASS_DROP:\n", "    if c > 1.0:\n",
            ("tests/test_measures.py::TestCouplingFromPair::"
             "test_lighter_lower_gets_a_compensator_at_zero",)),
