@@ -13,7 +13,6 @@ Subpackages:
 
 from . import asg, duality, fixation, limits, measures, moran
 from .errors import (
-    DegenerateSelection,
     LambdaAsgError,
     NearSingular,
     NotConverged,
@@ -40,5 +39,5 @@ __all__ = [
     "coupling_from_pair", "quantile_coupling", "transport_cost",
     "LambdaAsgError", "OrderViolation", "ZeroMass", "SizeLimit",
     "SingularSystem", "StateCapReached",
-    "DegenerateSelection", "NearSingular", "NotConverged",
+    "NearSingular", "NotConverged",
 ]

@@ -42,7 +42,6 @@ import os
 import sys
 import time
 import typing
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,26 +343,15 @@ def run_fixation(
         raise ValueError("compare_absorption_N must be 0 (off) or at least 2, got 1")
     _check_dense("compare_absorption_N", compare_absorption_N)
     xs = np.linspace(0.0, 1.0, grid)
-    if coupling.selective_mass() == 0.0:
-        warnings.warn("coupling has no selective gap; emitting the neutral p(x) = x")
-        values = np.array([fixation.p_neutral(x) for x in xs])
-        lasts = residuals = np.zeros(grid)
-        payload = {"neutral": True, "nmax": 0, "identity_residual": 0.0}
-        polynomials = {}
-    else:
-        solver = fixation.build_fixation_solver(coupling, nmax=nmax)
-        residuals = fixation.harmonicity_values(solver.seq, coupling, xs)
-        values, lasts = fixation.fixation_series(solver.seq, xs)
-        payload = {
-            "neutral": False,
-            "nmax": nmax,
-            "tilde_mass": solver.table.tilde_mass,
-            "identity_residual": fixation.defining_identity_residual(solver.seq, coupling),
-        }
-        polynomials = {"polynomials.json": {
-            "nmax": nmax,
-            "coefficients": [a.tolist() for a in solver.seq.coeffs],
-        }}
+    solver = fixation.build_fixation_solver(coupling, nmax=nmax)
+    residuals = fixation.harmonicity_values(solver.seq, coupling, xs)
+    values, lasts = fixation.fixation_series(solver.seq, xs)
+    payload = {
+        "neutral": coupling.selective_mass() == 0.0,
+        "nmax": nmax,
+        "tilde_mass": solver.table.tilde_mass,
+        "identity_residual": fixation.defining_identity_residual(solver.seq, coupling),
+    }
     # rows whose series has not converged keep their partial sums; exit 2
     exit_code = 2 if np.any(fixation.unconverged(values, lasts)) else 0
     payload["harmonicity_residual"] = float(np.abs(residuals).max())
@@ -372,7 +360,10 @@ def run_fixation(
         "fixation.csv": (["x", "p", "last_term", "residual"],
                          zip(xs, values, lasts, np.abs(residuals))),
         "fixation.json": payload,
-        **polynomials,
+        "polynomials.json": {
+            "nmax": nmax,
+            "coefficients": [a.tolist() for a in solver.seq.coeffs],
+        },
     }
     if compare_absorption_N:
         h = moran.absorption_probability(

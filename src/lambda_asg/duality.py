@@ -23,7 +23,7 @@ from . import limits
 from .asg import EventRounds, _backward_rounds, _chunk_size, _draw_rounds, _forward_rounds
 from .errors import SizeLimit, check_horizon, check_range
 from .measures import CoupledMeasure
-from .moran import MAX_DUALITY_N, _generator_rows
+from .moran import MAX_DENSE_N, MAX_DUALITY_N, _generator_rows
 from .rates import MixtureRows
 from .rng import TAG_PATHWISE, batched
 
@@ -227,9 +227,11 @@ def limit_generator_duality(
     Applies the frequency generator to x -> x^n and the limit ancestor chain's
     generator, with rates from :mod:`lambda_asg.rates`, to n -> x^n; both
     reduce to the same atom sums, so the residual is pure floating-point error.
-    ``n_max`` lies in [1, 12] and the x-grid has ``grid >= 1`` points.
+    ``n_max`` lies in [1, ``MAX_DENSE_N``], the bound of every rate table
+    (the rows come from the Pascal recurrence, which holds the residual near
+    4e-16 at every order), and the x-grid has ``grid >= 1`` points.
     """
-    check_range("n_max", n_max, 1, 12)
+    check_range("n_max", n_max, 1, MAX_DENSE_N)
     check_range("grid", grid, 1)
     xs = np.linspace(0.0, 1.0, grid)
     c = coupling

@@ -56,7 +56,9 @@ class OrderViolation(LambdaAsgError):
 
 
 class ZeroMass(LambdaAsgError):
-    """An operation required a measure with positive total mass."""
+    """An operation required a measure with positive total mass, such as
+    the size-biased mass ``integral (y^2 + z)`` of the fixation series,
+    which is zero for a coupling with no events."""
 
 
 class SizeLimit(LambdaAsgError):
@@ -70,11 +72,6 @@ class SingularSystem(LambdaAsgError):
 
 class StateCapReached(LambdaAsgError):
     """A line-counting path exceeded the configured state cap."""
-
-
-class DegenerateSelection(LambdaAsgError):
-    """The selective-gap coordinate vanishes, so the fixation recursion
-    would divide by zero; use the neutral fixation formula instead."""
 
 
 class NearSingular(LambdaAsgError):

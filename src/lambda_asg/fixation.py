@@ -30,6 +30,10 @@ The diagonal of the recursion is seeded with the ratio product starting at
 index 0 (``a[n][n] = prod_{i=0}^{n-1} q[i] / M[i][0]``); starting at 1 would
 contradict the recursion at n = 1 unless q[0] = M[0][0].  The identity oracle
 above adjudicates this choice.
+
+A neutral coupling (z = 0 on every atom) needs no case of its own: its
+forcing ``q`` vanishes, so ``h_n = 1/(n+1)``, ``H_n(x) = x`` and the series
+sums to the martingale answer p(x) = x, converged from order 17.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSelection, NearSingular, NotConverged, ZeroMass, check_range
+from .errors import NearSingular, NotConverged, ZeroMass, check_range
 from .limits import frequency_generator
 from .measures import CoupledMeasure
 from .quadrature import gauss_legendre_01
@@ -97,13 +101,17 @@ def build_moment_table(coupling: CoupledMeasure, nmax: int) -> MomentTable:
     Raises:
         ValueError: for an order outside ``[1, MAX_ORDER]`` (the series weight
             needs n! as a float), before any moment is computed.
-        ZeroMass: if the size-biased mass vanishes (no atom with y^2 + z > 0).
+        ZeroMass: if the size-biased mass vanishes (no atom with y^2 + z > 0),
+            as for a coupling with no events.
     """
     check_range("nmax", nmax, 1, MAX_ORDER)
     w, y, z = coupling.masses, coupling.ys, coupling.zs
     tilde_mass = float(w @ (y * y + z))
     if tilde_mass <= 0.0:
-        raise ZeroMass("size-biased coupling has zero mass")
+        raise ZeroMass(
+            "size-biased coupling has zero mass: no atom has y^2 + z > 0, so no "
+            "event moves the frequency; give the coupling an atom with y > 0 or z > 0"
+        )
     M = np.zeros((nmax, nmax))
     nodes, wts = gauss_legendre_01(_QUAD_ORDER)
     base = 2.0 * nodes * wts
@@ -171,17 +179,14 @@ def build_polynomials(table: MomentTable) -> PolySeq:
     The weights ``comb(r, j) M[j, r - j - 1]`` are tabulated once; each inner sum
     adds its terms one at a time in increasing r, starting at 0.0.
 
+    A vanishing ``q[j]`` (no selective gap) forces nothing: the pivot
+    ``denoms[j] / (n q[j])`` is then infinite, never small.
+
     Raises:
-        DegenerateSelection: if some q[j] is not positive (the
-            selective gap vanishes; use :func:`p_neutral`).
         NearSingular: if a back-substitution pivot falls below tolerance.
         NotConverged: if a coefficient overflows to a non-finite value.
     """
     M, q, nmax = table.M, table.q, table.nmax
-    if np.any(q <= 0.0):
-        raise DegenerateSelection(
-            "q vanishes: the coupling has no selective gap in the needed range"
-        )
     # weights[j][r] = comb(r, j) * M[j, r - j - 1], read for r >= j + 2; the
     # inner loops run on Python floats, the double operations of numpy
     # scalars without their overhead
@@ -193,8 +198,8 @@ def build_polynomials(table: MomentTable) -> PolySeq:
     denoms_list = denoms.tolist()
     coeffs = [np.array([1.0])]
     # the recursion may overflow: quietly, since a non-finite coefficient is
-    # refused below (Python floats never warn)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # refused below (Python floats never warn); a pivot over q = 0 is inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(1, nmax + 1):
             prev = coeffs[n - 1]
             if abs(M[n - 1, 0]) < PIVOT_TOL:
@@ -302,13 +307,6 @@ def fixation_probability(seq: PolySeq, x: float) -> tuple[float, float]:
             f"last series term {last:.3e} exceeds {SERIES_TOL} of p({x}) = {value:.6e}"
         )
     return value, last
-
-
-def p_neutral(x: float) -> float:
-    """Fixation probability when the selective gap vanishes: the frequency is
-    a bounded martingale, so p(x) = x."""
-    check_range("x", x, 0, 1)
-    return float(x)
 
 
 def harmonicity_values(seq: PolySeq, coupling: CoupledMeasure, xs: np.ndarray) -> np.ndarray:

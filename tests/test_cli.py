@@ -162,12 +162,59 @@ class TestRun:
             "seed": 2,
             "output_dir": str(tmp_path / "out"),
         })
-        with pytest.warns(UserWarning, match="neutral"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["run", cfg]) == 0
         rows = read_rows(tmp_path / "out" / "fixation.csv")
         assert len(rows) == 11
         for row in rows:
             assert float(row["p"]) == pytest.approx(float(row["x"]), abs=1e-15)
+        # the series' own polynomials, h_n = 1/(n+1)
+        polynomials = json.loads((tmp_path / "out" / "polynomials.json").read_text())
+        assert polynomials["nmax"] == 30
+        assert [a[0] for a in polynomials["coefficients"]] == [1 / (n + 1) for n in range(31)]
+
+    @pytest.mark.parametrize("nmax, code", [(10, 2), (30, 0)])
+    def test_neutral_fixation_exits_by_the_series_convergence(self, tmp_path, nmax, code):
+        # p(x) = x is the limit of the series, converged from order 17
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": "fixation",
+            "measures": NEUTRAL,
+            "params": {"grid": 11, "nmax": nmax},
+            "seed": 2,
+            "output_dir": str(tmp_path / "out"),
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", cfg]) == code
+        payload = json.loads((tmp_path / "out" / "fixation.json").read_text())
+        assert payload["neutral"] is True
+        assert payload["nmax"] == nmax
+        assert payload["converged"] is (code == 0)
+
+    def test_fixation_of_a_coupling_with_no_events_is_refused(self, tmp_path, capsys):
+        # no atom has y^2 + z > 0: no event moves the frequency, so there is
+        # no fixation to compute, and no p(x) = x to claim
+        cfg = write_config(tmp_path, "c.json", {
+            "experiment": "fixation",
+            "measures": {"coupling": {"atoms": []}},
+            "seed": 2,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["run", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: size-biased coupling has zero mass: ")
+        assert "give the coupling an atom with y > 0 or z > 0" in err
+        assert not (tmp_path / "out").exists()
+        # the coupling itself is valid: its report and its check pass
+        assert main(["check", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+        report = write_config(tmp_path, "r.json", {
+            "experiment": "coupling_report", "measures": {"coupling": {"atoms": []}},
+            "seed": 2, "output_dir": str(tmp_path / "report"),
+        })
+        assert main(["run", report]) == 0
+        assert json.loads((tmp_path / "report" / "coupling.json").read_text())["atoms"] == []
 
     def test_neutral_fixation_keeps_the_oracle_comparison(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -177,13 +224,14 @@ class TestRun:
             "seed": 2,
             "output_dir": str(tmp_path / "out"),
         })
-        with pytest.warns(UserWarning, match="neutral"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["run", cfg]) == 0
         h = [float(row["h"]) for row in read_rows(tmp_path / "out" / "absorption.csv")]
         assert h == pytest.approx([i / 50 for i in range(51)], abs=1e-14)
         payload = json.loads((tmp_path / "out" / "fixation.json").read_text())
         assert payload["neutral"] is True
-        # p(x) = x is exact
+        # the series converges to p(x) = x
         assert payload["converged"] is True
         assert payload["max_abs_diff_vs_absorption"] < 1e-14
 
@@ -468,8 +516,9 @@ def test_artifacts_are_pinned(tmp_path, experiment):
 
 
 def test_neutral_fixation_artifacts_are_pinned(tmp_path):
-    # the neutral branch of run_fixation: p(x) = x with zero last terms and
-    # residuals, no polynomials.json, and the absorption oracle at N = 50
+    # a neutral coupling through the series: p(x) = x to rounding, its
+    # last terms and residuals, polynomials.json with h_n = 1/(n+1), and the
+    # absorption oracle at N = 50
     cfg = write_config(tmp_path, "c.json", {
         "experiment": "fixation",
         "measures": {"coupling": {"atoms": [[0.4, 0.0, 0.8], [0.7, 0.0, 0.6]]}},
@@ -477,10 +526,11 @@ def test_neutral_fixation_artifacts_are_pinned(tmp_path):
         "seed": 2,
         "output_dir": str(tmp_path / "out"),
     })
-    with pytest.warns(UserWarning, match="neutral"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["run", cfg]) == 0
     assert artifact_digest(tmp_path / "out") == (
-        "36e6b8ddc8a3fc4aeaececb25c6cd23ac851b1b03ac767daf64de503bd7091c4"
+        "84cb391adebe5b7b3915647715dc7e421651d0ba0ff723ceb35acd90aba20eb6"
     )
 
 

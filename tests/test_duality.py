@@ -244,6 +244,11 @@ class TestLimitGeneratorDuality:
             lm, lp = random_ordered_pair(rng)
             assert limit_generator_duality(quantile_coupling(lm, lp), 10, 51) < 1e-10
 
+    @pytest.mark.parametrize("coupling", ["mild_selective_coupling", "example_coupling"])
+    def test_high_orders_stay_at_rounding(self, coupling, request):
+        # the Pascal rows hold the residual near 4e-16 far past the old bound of 12
+        assert limit_generator_duality(request.getfixturevalue(coupling), 80, 101) < 1e-13
+
 
 class TestLimitMomentDuality:
     def test_absorbed_start_exact(self, example_coupling):

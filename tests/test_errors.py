@@ -60,7 +60,8 @@ RANGES = {
     "duality.limit_moment_duality_check":
         (lambda v: duality.limit_moment_duality_check(MILD, 0.5, v, 0.5, 2, 1), "n", 1, None, False),
     "duality.limit_generator_duality.n_max":
-        (lambda v: duality.limit_generator_duality(MILD, v, 11), "n_max", 1, 12, False),
+        (lambda v: duality.limit_generator_duality(MILD, v, 11), "n_max", 1, moran.MAX_DENSE_N,
+         False),
     "duality.limit_generator_duality.grid":
         (lambda v: duality.limit_generator_duality(MILD, 3, v), "grid", 1, None, False),
     "fixation.build_moment_table": (
@@ -72,7 +73,6 @@ RANGES = {
     "fixation.FixationSolver.p": (SOLVER.p, "x", 0, 1, True),
     "fixation.PolySeq": (
         lambda v: fixation.PolySeq([np.ones(1)] * (v + 1)), "nmax", 1, fixation.MAX_ORDER, False),
-    "fixation.p_neutral": (fixation.p_neutral, "x", 0, 1, True),
     "fixation.harmonicity_residual":
         (lambda v: fixation.harmonicity_residual(SEQ, MILD, v), "grid", 1, None, False),
     "limits.simulate_sde.x0": (lambda v: limits.simulate_sde(MILD, v, 1.0, 1), "x0", 0, 1, True),

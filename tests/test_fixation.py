@@ -14,7 +14,7 @@ from helpers import (
     reference_build_polynomials,
     reference_identity_residual,
 )
-from lambda_asg.errors import DegenerateSelection, NearSingular, NotConverged, ZeroMass
+from lambda_asg.errors import NearSingular, NotConverged, ZeroMass
 from lambda_asg.fixation import (
     IDENTITY_ATOMS,
     SERIES_TOL,
@@ -28,7 +28,6 @@ from lambda_asg.fixation import (
     fixation_series,
     fixation_series_coeffs,
     harmonicity_residual,
-    p_neutral,
     unconverged,
 )
 from lambda_asg.measures import CoupledMeasure
@@ -47,6 +46,13 @@ EDGE_COUPLINGS = {
     "y1": CoupledMeasure.from_atoms([(1.0, 0.0, 0.3), (0.3, 0.2, 1.0)]),
     "fix_a": FIX_A,
     "strong": STRONG,
+}
+# z = 0 on every atom: the series' forcing q vanishes
+NEUTRAL_COUPLINGS = {
+    "two": CoupledMeasure.from_atoms([(0.4, 0.0, 0.8), (0.7, 0.0, 0.6)]),
+    "fixture": CoupledMeasure.from_atoms([(0.3, 0.0, 0.7), (0.6, 0.0, 0.3)]),
+    "y1": CoupledMeasure.from_atoms([(1.0, 0.0, 1.0)]),
+    "small_y": CoupledMeasure.from_atoms([(0.05, 0.0, 3.0)]),
 }
 
 
@@ -128,10 +134,13 @@ class TestPolynomialRecursion:
         assert seq.coeffs[1][1] == pytest.approx(1.0)
         assert seq.coeffs[1][0] == pytest.approx(0.0, abs=1e-14)
 
-    def test_neutral_raises_degenerate(self, neutral_coupling):
-        t = build_moment_table(neutral_coupling, 3)
-        with pytest.raises(DegenerateSelection):
-            build_polynomials(t)
+    @pytest.mark.parametrize("coupling", NEUTRAL_COUPLINGS.values(), ids=NEUTRAL_COUPLINGS)
+    def test_neutral_polynomials_are_constants(self, coupling):
+        # q = 0 forces nothing: h_n = 1/(n+1) exactly, so H_n(x) = x
+        seq = build_polynomials(build_moment_table(coupling, 30))
+        for n, a in enumerate(seq.coeffs):
+            assert a[0] == 1.0 / (n + 1)
+            assert np.all(a[1:] == 0.0)
 
     def test_order_above_170_is_refused_by_its_bound(self):
         # the series weight 2^n / n! needs n! as a float, and 171! overflows one
@@ -286,21 +295,26 @@ class TestFixationProbability:
 
 
 class TestNeutralRoute:
-    def test_identity(self):
-        assert p_neutral(0.0) == 0.0
-        assert p_neutral(1.0) == 1.0
-        assert p_neutral(0.3) == 0.3
-
     def test_matches_neutral_absorption(self, neutral_coupling):
         N = 200
         h = absorption_probability(
             MoranConfig(N=N, coupling=neutral_coupling, initial_count=0)
         )
-        assert abs(p_neutral(0.3) - h[60]) < 1e-2
+        solver = build_fixation_solver(neutral_coupling, nmax=30)
+        assert abs(solver.p(0.3) - h[60]) < 1e-2
 
-    def test_rejects_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            p_neutral(1.5)
+    @pytest.mark.parametrize("coupling", NEUTRAL_COUPLINGS.values(), ids=NEUTRAL_COUPLINGS)
+    def test_series_is_the_identity_without_a_warning(self, coupling):
+        # the martingale answer p(x) = x, from the one series pipeline
+        xs = np.linspace(0.0, 1.0, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solver = build_fixation_solver(coupling, nmax=30)
+            values, lasts = fixation_series(solver.seq, xs)
+            assert not unconverged(values, lasts).any()
+            assert np.abs(values - xs).max() <= 1e-15
+            assert harmonicity_residual(solver.seq, coupling, 101) <= 1e-15
+            assert defining_identity_residual(solver.seq, coupling) <= 1e-15
 
 
 class TestHarmonicity:

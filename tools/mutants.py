@@ -118,14 +118,17 @@ MUTANTS = [
     Mutant("log_times_from_zero", ASG,
            "np.diff(t, prepend=0.0, append=horizon)",
            "np.diff(t, prepend=-np.inf, append=horizon)", TEST_ASG),
-    Mutant("neutral_comparison_dropped", CLI,
-           "        polynomials = {}\n    else:",
-           "        polynomials, compare_absorption_N = {}, 0\n    else:", ("tests/test_cli.py",)),
+    Mutant("neutral_field_fixed_false", CLI,
+           '"neutral": coupling.selective_mass() == 0.0,', '"neutral": False,',
+           ("tests/test_cli.py::TestRun::test_neutral_fixation_exits_by_the_series_convergence",)),
     Mutant("S_denominator_shifted", DUALITY,
            "/ (N - m)", "/ (N - m + 1)",
            ("tests/test_duality.py::TestSamplingFunction::test_small_case",)),
     Mutant("sampling_factor_shifted", DUALITY,
            "np.maximum(i - m, 0.0)", "np.maximum(i - m - 1, 0.0)", ("tests/test_duality.py",)),
+    Mutant("limit_duality_bound_twelve", DUALITY,
+           'check_range("n_max", n_max, 1, MAX_DENSE_N)', 'check_range("n_max", n_max, 1, 12)',
+           ("tests/test_duality.py::TestLimitGeneratorDuality::test_high_orders_stay_at_rounding",)),
     Mutant("chain_clock_scaled", LIMITS,
            "np.add(t[:n], dt, out=t[:n])", "np.add(t[:n], 0.98 * dt, out=t[:n])",
            ("tests/test_limits.py::TestCompactedChain::test_moment_settings",)),
@@ -281,6 +284,13 @@ MUTANTS = [
     Mutant("q_recursion_reads_a", FIXATION,
            "S[j] += B * S[j - 1]", "S[j] += A * S[j - 1]",
            ("tests/test_fixation.py::TestMomentTable::test_matches_exact_rational",)),
+    Mutant("neutral_refusal_restored", FIXATION,
+           "    M, q, nmax = table.M, table.q, table.nmax\n",
+           "    M, q, nmax = table.M, table.q, table.nmax\n"
+           "    if np.any(q <= 0.0):\n"
+           '        raise NearSingular("q vanishes")\n',
+           ("tests/test_fixation.py::TestPolynomialRecursion::"
+            "test_neutral_polynomials_are_constants",)),
     Mutant("series_drops_its_last_order", FIXATION,
            "    last = np.zeros_like(xs)\n    for n in range(1, seq.nmax + 1):\n",
            "    last = np.zeros_like(xs)\n    for n in range(1, seq.nmax):\n", TEST_FIXATION),
