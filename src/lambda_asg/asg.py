@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -58,8 +58,8 @@ TILE_LABELS = 1 << 16
 LOW_BITS = 45
 
 # One round of events: (width, reproducers, outcomes), the e-th events of the
-# first ``width`` replicates, read by :func:`_forward_rounds` and
-# :func:`_backward_rounds`.
+# first ``width`` replicates, built by :func:`_event_rounds` and read by
+# :func:`_forward_rounds` and :func:`_backward_rounds`.
 Round = tuple[int, np.ndarray, np.ndarray]
 
 
@@ -138,7 +138,9 @@ def generate_asg(
             "stream to disk with stream_asg_to_log"
         )
     times = _event_times(rng, E, horizon)
-    return AsgRealization(N, horizon, *_joined(_mark_blocks(rng, E, N, coupling, times)))
+    reproducers, atoms, outcomes = _joined(_mark_blocks(rng, E, N, coupling))
+    ys, zs = coupling.ys[atoms], coupling.zs[atoms]
+    return AsgRealization(N, horizon, times, reproducers, ys, zs, outcomes)
 
 
 def _block_events(N: int) -> int:
@@ -149,15 +151,16 @@ def _block_events(N: int) -> int:
 
 def _mark_blocks(
     rng: np.random.Generator, E: int, N: int, coupling: CoupledMeasure,
-    times: np.ndarray | None = None, outcomes: np.ndarray | None = None,
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """Columns (times, reproducers, ys, zs, outcomes) of E events, a block of
-    at most ``_block_events(N)`` events at a time; one empty block when E = 0.
-    Without the E event ``times`` (of a realization, drawn by
-    :func:`lambda_asg.moran._event_times` after its count), a block has no
-    times column.  With ``outcomes``, a ``(_block_events(N), N)`` uint8
-    buffer, each block's labels are written into its first rows, which the
-    next block overwrites; else each block gets a new array.
+    outcomes: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The marks ``(reproducers, atoms, labels)`` of E events, a block of at
+    most ``_block_events(N)`` events at a time; one empty block when E = 0.
+    ``atoms`` are indices into the coupling's atoms: a caller that stores
+    the strength pairs gathers ``coupling.ys[atoms]`` and
+    ``coupling.zs[atoms]`` itself.  With ``outcomes``, a
+    ``(_block_events(N), N)`` uint8 buffer, each block's labels are written
+    into its first rows, which the next block overwrites; else each block
+    gets a new array.
 
     A block draws its reproducers (``integers``), atoms (``sample_atoms``)
     and then its labels by :func:`_draw_labels`, in that order.
@@ -165,13 +168,10 @@ def _mark_blocks(
     for start in range(0, max(E, 1), _block_events(N)):
         n = min(_block_events(N), E - start)
         reproducers = rng.integers(0, N, size=n)
-        atom_idx = coupling.sample_atoms(rng, n)
-        ys = coupling.ys[atom_idx]
-        zs = coupling.zs[atom_idx]
+        atoms = coupling.sample_atoms(rng, n)
         labels = np.empty((n, N), np.uint8) if outcomes is None else outcomes[:n]
-        _draw_labels(rng.bit_generator, coupling.ys, coupling.zs, atom_idx, labels)
-        marks = (reproducers, ys, zs, labels)
-        yield marks if times is None else (times[start : start + n], *marks)
+        _draw_labels(rng.bit_generator, coupling.ys, coupling.zs, atoms, labels)
+        yield reproducers, atoms, labels
 
 
 def _joined(blocks: Iterable[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
@@ -282,7 +282,7 @@ def propagate_forward(asg: AsgRealization, minus: Iterable[int]) -> set[int]:
     """The disadvantaged individuals after every event, from the first, of a
     population whose disadvantaged individuals at the start are ``minus``
     (any iterable of indices, possibly empty): types pushed forward by
-    :func:`_forward_rounds`.
+    :func:`_forward_rounds`, one event per round.
 
     Raises:
         ValueError: for an individual that is not an integer index in
@@ -290,15 +290,20 @@ def propagate_forward(asg: AsgRealization, minus: Iterable[int]) -> set[int]:
             so a bool mask is refused by its first entry.
     """
     types = _mask(asg.N, minus)
-    _forward_rounds(_realization_rounds(asg, range(len(asg))), types[None])
+    rounds = _event_rounds(itertools.repeat(1, len(asg)), asg.reproducers, asg.outcomes)
+    _forward_rounds(rounds, types[None])
     return {int(i) for i in np.nonzero(types)[0]}
 
 
-def _realization_rounds(asg: AsgRealization, events: range) -> Iterator[Round]:
-    """The realization's events at ``events``, in that order, as
-    one-replicate rounds of width 1, one at a time."""
-    for e in events:
-        yield 1, asg.reproducers[e : e + 1], asg.outcomes[e : e + 1]
+def _event_rounds(widths: Iterable[int], reproducers, outcomes) -> Iterator[Round]:
+    """Rounds of ``widths`` consecutive rows of the event columns
+    ``reproducers`` and ``outcomes``, in row order, made one at a time: the
+    one source of rounds for both sweeps, for a chunk of replicates and, at
+    width 1, for a realization."""
+    start = 0
+    for width in widths:
+        yield width, reproducers[start : start + width], outcomes[start : start + width]
+        start += width
 
 
 def _forward(minus: np.ndarray, reproducers: np.ndarray, outcomes: np.ndarray) -> None:
@@ -321,7 +326,8 @@ def potential_ancestors(
 ) -> set[int]:
     """Potential ancestors at ``to_time`` of a sample alive at ``from_time``.
 
-    Sweeps the events in (to_time, from_time] backward by :func:`_backward_rounds`.
+    Sweeps the events in (to_time, from_time] backward by
+    :func:`_backward_rounds`, one event per round, last event first.
 
     Raises:
         ValueError: unless ``0 <= to_time <= from_time <= horizon``, naming
@@ -334,7 +340,8 @@ def potential_ancestors(
         raise ValueError("sample must be nonempty")
     lo = int(np.searchsorted(asg.times, to_time, side="right"))
     hi = int(np.searchsorted(asg.times, from_time, side="right"))
-    _backward_rounds(_realization_rounds(asg, range(hi - 1, lo - 1, -1)), members)
+    window = asg.reproducers[lo:hi][::-1], asg.outcomes[lo:hi][::-1]
+    _backward_rounds(_event_rounds(itertools.repeat(1, hi - lo), *window), members)
     return {int(i) for i in np.nonzero(members[0, 0])[0]}
 
 
@@ -359,34 +366,6 @@ def _backward(members: np.ndarray, reproducers: np.ndarray, outcomes: np.ndarray
 # -- replicates drawn a chunk at a time ----------------------------------------
 
 
-class EventRounds(NamedTuple):
-    """The events of a chunk of replicates on [0, horizon], without times.
-
-    The checks built on it read the whole window, so only the order of a
-    replicate's events matters: a replicate is a realization of
-    :func:`generate_asg` without its times.  Replicates are
-    ordered by event count, most first (they are exchangeable), so the
-    replicates with an e-th event are the first ``widths[e]``: round e is
-    their e-th events, stored at rows ``sum(widths[:e]) + j`` of the columns
-    for replicate j.
-    """
-
-    counts: np.ndarray       # (n,) events per replicate, nonincreasing
-    widths: np.ndarray       # (max count,) replicates with an e-th event
-    reproducers: np.ndarray  # (E,) int64 in [0, N)
-    ys: np.ndarray           # (E,)
-    zs: np.ndarray           # (E,)
-    outcomes: np.ndarray     # (E, N) uint8
-
-    def rounds(self) -> list[Round]:
-        """``(width, reproducers, outcomes)`` of each round, in event order."""
-        stops = np.cumsum(self.widths).tolist()
-        return [
-            (stop - start, self.reproducers[start:stop], self.outcomes[start:stop])
-            for start, stop in zip([0] + stops, stops)
-        ]
-
-
 def _chunk_size(N: int, rows: int, mean: float) -> int:
     """Replicates per chunk when each replicate carries ``rows`` boolean rows
     of N and ``mean`` expected events: about ``BLOCK_LABELS`` labels and
@@ -397,9 +376,18 @@ def _chunk_size(N: int, rows: int, mean: float) -> int:
 
 def _draw_rounds(
     rng: np.random.Generator, n: int, N: int, coupling: CoupledMeasure, horizon: float
-) -> EventRounds:
-    """Events of n replicates: counts by :func:`lambda_asg.moran._event_counts`,
-    then the marks of all events, round by round, from :func:`_mark_blocks`.
+) -> list[Round]:
+    """The rounds of n replicates on [0, horizon], in event order and
+    without times: counts by :func:`lambda_asg.moran._event_counts`, then
+    the marks of all events, round by round, from :func:`_mark_blocks`.
+
+    The checks built on them read the whole window, so only the order of a
+    replicate's events matters: a replicate is a realization of
+    :func:`generate_asg` without its times.  Replicates are ordered by event
+    count, most first (they are exchangeable), so the replicates with an
+    e-th event are the first ``width`` of round e, and replicate j's events
+    are row j of every round wider than j.  When no replicate has an event,
+    there is no round.
 
     Raises:
         SizeLimit: if one replicate would hold more than
@@ -411,9 +399,9 @@ def _draw_rounds(
             f"a replicate of {counts[0]} events x {N} individuals exceeds the "
             "in-memory cap; shorten the horizon or lower N"
         )
-    marks = _joined(_mark_blocks(rng, int(counts.sum()), N, coupling))
+    reproducers, _, outcomes = _joined(_mark_blocks(rng, int(counts.sum()), N, coupling))
     widths = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
-    return EventRounds(counts, widths, *marks)
+    return list(_event_rounds(widths.tolist(), reproducers, outcomes))
 
 
 def _forward_rounds(rounds: Iterable[Round], minus: np.ndarray) -> np.ndarray:
@@ -513,18 +501,18 @@ def line_count_replicates(
 
 def _consistency_draws(
     n: int, rng: np.random.Generator, N: int, coupling: CoupledMeasure, horizon: float
-) -> tuple[EventRounds, np.ndarray]:
-    """The events of n replicates, then their ``(n, N)`` initial types."""
+) -> tuple[list[Round], np.ndarray]:
+    """The rounds of n replicates, then their ``(n, N)`` initial types."""
     return _draw_rounds(rng, n, N, coupling, horizon), rng.random((n, N)) < 0.5
 
 
-def _consistency_violations(rounds: EventRounds, minus: np.ndarray) -> np.ndarray:
+def _consistency_violations(rounds: list[Round], minus: np.ndarray) -> np.ndarray:
     """Violations per replicate: individuals whose final type disagrees with
     their potential ancestors' initial types."""
     n, N = minus.shape
-    final = _forward_rounds(rounds.rounds(), minus.copy())
+    final = _forward_rounds(rounds, minus.copy())
     # row i of replicate j holds the potential ancestors of its individual i
-    ancestors = _backward_rounds(reversed(rounds.rounds()), np.tile(np.eye(N, dtype=bool), (n, 1, 1)))
+    ancestors = _backward_rounds(reversed(rounds), np.tile(np.eye(N, dtype=bool), (n, 1, 1)))
     plus_reachable = (ancestors & ~minus[:, None, :]).any(axis=2)
     return (plus_reachable == final).sum(axis=1)
 
@@ -569,7 +557,9 @@ def _record_dtype(N: int) -> np.dtype:
 def _packed(records: np.ndarray, columns: tuple[np.ndarray, ...]) -> np.ndarray:
     """The first ``len(columns[0])`` log records, holding the columns in field
     order (times, reproducers, ys, zs and, unless already there, outcomes), a
-    contiguous array that a file writes without a copy."""
+    contiguous array that a file writes without a copy.  The ys and zs are
+    the strength pairs themselves, not a block's atom indices, which
+    :func:`stream_asg_to_log` gathers into pairs first."""
     head = records[: len(columns[0])]
     for name, column in zip(head.dtype.names, columns):
         head[name] = column
@@ -662,13 +652,17 @@ def stream_asg_to_log(
     log records, reused by every block: a block's labels are drawn straight
     into its records, which are written before the next block is drawn, so
     at most ``BLOCK_LABELS`` labels are held at once, for realizations beyond
-    the in-memory cap.  The log holds the bytes that ``write_event_log``
-    writes for :func:`generate_asg` with the same seed.
+    the in-memory cap.  Each block's records get their event times, sliced
+    from the times at the block's start, and the strength pairs of its atom
+    indices.  The log holds the bytes that ``write_event_log`` writes for
+    :func:`generate_asg` with the same seed.
     """
     rng, E = _realization(N, coupling, horizon, seed)
-    records = np.empty(min(_block_events(N), E), dtype=_record_dtype(N))
-    blocks = _mark_blocks(
-        rng, E, N, coupling, _event_times(rng, E, horizon), records["outcome"]
-    )
-    _write_log(path, N, horizon, (_packed(records, block[:4]) for block in blocks))
+    times, size = _event_times(rng, E, horizon), _block_events(N)
+    records = np.empty(min(size, E), dtype=_record_dtype(N))
+    blocks = _mark_blocks(rng, E, N, coupling, records["outcome"])
+    _write_log(path, N, horizon, (
+        _packed(records, (times[s : s + size], r, coupling.ys[a], coupling.zs[a]))
+        for s, (r, a, _) in zip(itertools.count(0, size), blocks)
+    ))
     return E

@@ -81,8 +81,8 @@ def load_config(path: str) -> dict:
 
 
 def _field(cfg: dict, name: str, kind, default=inspect.Parameter.empty):
-    """``cfg[name]`` checked by :func:`lambda_asg.measures._typed`, as finite
-    if it is a float, as an int64 if it is an int (or a list of them), and by
+    """``cfg[name]`` checked by :func:`lambda_asg.measures._typed` (so an int,
+    or a list of them, is an int64), as finite if it is a float, and by
     ``MINIMUM``; ``default`` if it is absent, and a ValueError if it is
     absent and has no default."""
     if name not in cfg:
@@ -93,11 +93,6 @@ def _field(cfg: dict, name: str, kind, default=inspect.Parameter.empty):
     # JSON's NaN and Infinity parse as floats
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
-    # numpy takes ints of 64 bits and overflows on a larger one; the seed
-    # keeps to the same rule
-    for item in value if isinstance(value, list) else [value]:
-        if isinstance(item, int) and not -(2**63) <= item < 2**63:
-            raise ValueError(f"{name} must lie in the int64 range [-2**63, 2**63), got {item}")
     if name in MINIMUM:
         check_range(name, value, MINIMUM[name])
     return value

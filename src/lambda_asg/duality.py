@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import limits
-from .asg import EventRounds, _backward_rounds, _chunk_size, _draw_rounds, _forward_rounds
+from .asg import Round, _backward_rounds, _chunk_size, _draw_rounds, _forward_rounds
 from .errors import SizeLimit, check_horizon, check_range
 from .measures import CoupledMeasure
 from .moran import MAX_DENSE_N, MAX_DUALITY_N, _generator_rows
@@ -140,8 +140,8 @@ def _subsets(rng: np.random.Generator, n: int, N: int, k: int) -> np.ndarray:
 def _pathwise_draws(
     n: int, rng: np.random.Generator, N: int, coupling: CoupledMeasure, T: float,
     initial_count: int, sample_size: int,
-) -> tuple[EventRounds, np.ndarray, np.ndarray]:
-    """The events of n replicates, then their initial disadvantaged sets and
+) -> tuple[list[Round], np.ndarray, np.ndarray]:
+    """The rounds of n replicates, then their initial disadvantaged sets and
     their samples, as ``(n, N)`` masks."""
     return (
         _draw_rounds(rng, n, N, coupling, T),
@@ -151,13 +151,14 @@ def _pathwise_draws(
 
 
 def _pathwise_counts(
-    rounds: EventRounds, minus: np.ndarray, sample: np.ndarray
+    rounds: list[Round], minus: np.ndarray, sample: np.ndarray
 ) -> np.ndarray:
     """``(n, 2)`` rows ``(X_T, A_T)``: the disadvantaged count once ``minus``
-    is propagated forward, and the ancestor count of ``sample`` swept back.
-    Both masks are updated in place."""
-    final = _forward_rounds(rounds.rounds(), minus).sum(axis=1)
-    ancestors = _backward_rounds(reversed(rounds.rounds()), sample[:, None, :]).sum(axis=(1, 2))
+    is propagated forward through the rounds in order, and the ancestor
+    count of ``sample`` swept back through them reversed.  Both masks are
+    updated in place."""
+    final = _forward_rounds(rounds, minus).sum(axis=1)
+    ancestors = _backward_rounds(reversed(rounds), sample[:, None, :]).sum(axis=(1, 2))
     return np.column_stack([final, ancestors])
 
 
@@ -229,13 +230,17 @@ def limit_generator_duality(
     reduce to the same atom sums, so the residual is pure floating-point error.
     ``n_max`` lies in [1, ``MAX_DENSE_N``], the bound of every rate table
     (the rows come from the Pascal recurrence, which holds the residual near
-    4e-16 at every order), and the x-grid has ``grid >= 1`` points.
+    4e-16 at every order), and the x-grid has ``grid >= 1`` points.  The
+    powers x^k that the count side reads, k <= n_max + 1, are tabulated
+    once, so it costs O(grid * n_max^2) multiply-adds and O(grid * n_max)
+    powers.
     """
     check_range("n_max", n_max, 1, MAX_DENSE_N)
     check_range("grid", grid, 1)
     xs = np.linspace(0.0, 1.0, grid)
     c = coupling
     rates = MixtureRows(c, range(n_max + 1)).ancestor_rates(n_max, None)
+    powers = xs[:, None] ** np.arange(n_max + 2)
     worst = 0.0
     for n in range(1, n_max + 1):
         # frequency side: the limit generator applied to x -> x^n
@@ -243,6 +248,8 @@ def limit_generator_duality(
         # count side: the limit chain's branch sends x^n to x^{n+1}, its
         # coalescence to n - j lines sends it to x^{n-j}
         targets = np.concatenate([[n + 1], np.arange(n - 1, 0, -1)])
-        ah = (xs[:, None] ** targets - xs[:, None] ** n) @ rates[n, targets]
+        # x^n keeps its scalar exponent: numpy's scalar route (a square at
+        # n = 2) may differ from the table's array pow in the last bit
+        ah = (powers[:, targets] - xs[:, None] ** n) @ rates[n, targets]
         worst = max(worst, float(np.abs(bh - ah).max()))
     return worst

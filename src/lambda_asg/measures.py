@@ -431,9 +431,10 @@ KIND_NAMES = {float: "a number", int: "an int", bool: "a bool", str: "a string",
 def _typed(name: str, value, kind):
     """``value`` if it has type ``kind``, else a ValueError naming ``name``.
     Nothing is cast: an int is also a float (and read as one), a bool is not
-    an int, and ``list[int]`` takes a non-empty list of ints or one bare int.
-    The one type rule of every config value: the CLI's fields and params and
-    the numbers of a measure spec."""
+    an int, an int must lie in the int64 range, and ``list[int]`` takes a
+    non-empty list of ints or one bare int.  The one type rule of every
+    config value: the CLI's fields and params and the numbers of a measure
+    spec."""
     if typing.get_origin(kind) is list:
         items = value if isinstance(value, list) else [value]
         if not items:
@@ -445,6 +446,9 @@ def _typed(name: str, value, kind):
             return math.inf if value > 0 else -math.inf
         return float(value)
     if isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
+        # numpy takes ints of 64 bits and overflows on a larger one
+        if kind is int and not -(2**63) <= value < 2**63:
+            raise ValueError(f"{name} must lie in the int64 range [-2**63, 2**63), got {value}")
         return value
     raise ValueError(f"{name} must be {KIND_NAMES[kind]}, got {value!r}")
 

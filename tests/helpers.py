@@ -402,17 +402,19 @@ def digest(*arrays: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def replicate_realization(rounds, j: int, horizon: float) -> AsgRealization:
-    """Replicate j of a chunk's event rounds as a realization for the public
-    API: its e-th event is row ``sum(widths[:e]) + j`` of the columns, placed
-    at increasing times inside (0, horizon)."""
-    K = int(rounds.counts[j])
-    rows = np.concatenate([[0], np.cumsum(rounds.widths)])[:K] + j
+def replicate_realization(rounds, j: int, N: int, horizon: float) -> AsgRealization:
+    """Replicate j of a chunk's rounds, among N individuals, as a realization
+    for the public API: its events are row j of every round wider than j,
+    placed at increasing times inside (0, horizon).  A chunk keeps no
+    strength pairs, so y and z read NaN; the sweeps never read them."""
+    events = [(r[j], o[j]) for width, r, o in rounds if width > j]
+    K = len(events)
     return AsgRealization(
-        N=rounds.outcomes.shape[1], horizon=horizon,
+        N=N, horizon=horizon,
         times=horizon * np.arange(1, K + 1) / (K + 1),
-        reproducers=rounds.reproducers[rows], ys=rounds.ys[rows], zs=rounds.zs[rows],
-        outcomes=rounds.outcomes[rows],
+        reproducers=np.array([r for r, _ in events], dtype=np.int64),
+        ys=np.full(K, np.nan), zs=np.full(K, np.nan),
+        outcomes=np.array([o for _, o in events], dtype=np.uint8).reshape(K, N),
     )
 
 

@@ -27,8 +27,10 @@ from lambda_asg.asg import (
     _ancestor_events,
     _backward,
     _backward_rounds,
+    _event_rounds,
     _forward,
-    _realization_rounds,
+    _joined,
+    _mark_blocks,
     ancestry_consistency_check,
     generate_asg,
     line_count_rates,
@@ -133,7 +135,7 @@ def reference_consistency(N, coupling, horizon, replicates, seed):
             N, coupling, horizon,
         )
         for j, init in enumerate(minus):
-            realization = replicate_realization(rounds, j, horizon)
+            realization = replicate_realization(rounds, j, N, horizon)
             final = reference_propagate_forward(realization, init)
             for i in range(N):
                 ancestors = reference_potential_ancestors(realization, {i}, horizon, 0.0)
@@ -758,22 +760,39 @@ class TestConsistency:
 
 
 class TestRoundDraws:
+    def test_rounds_are_consecutive_rows(self):
+        reproducers = np.arange(6)
+        outcomes = np.arange(12, dtype=np.uint8).reshape(6, 2)
+        rounds = list(_event_rounds([3, 2, 1], reproducers, outcomes))
+        assert [width for width, _, _ in rounds] == [3, 2, 1]
+        assert [r.tolist() for _, r, _ in rounds] == [[0, 1, 2], [3, 4], [5]]
+        assert all(np.array_equal(o, outcomes[r]) for _, r, o in rounds)
+
+    def test_a_chunk_without_events_has_no_round(self):
+        empty = CoupledMeasure.from_atoms([])
+        assert asg_module._draw_rounds(np.random.default_rng(0), 5, 4, empty, 1.0) == []
+
     def test_event_counts_are_poisson(self, example_coupling):
         mean = example_coupling.total_mass * 1.5
         rounds = asg_module._draw_rounds(np.random.default_rng(70), 20_000, 5, example_coupling, 1.5)
-        assert np.all(np.diff(rounds.counts) <= 0)
-        assert len(rounds.reproducers) == rounds.counts.sum() == rounds.widths.sum()
-        assert poisson_fit_pvalue(rounds.counts, mean) > 1e-3
+        widths = np.array([width for width, _, _ in rounds])
+        assert np.all(np.diff(widths) <= 0)
+        assert all(len(r) == len(o) == width for width, r, o in rounds)
+        # replicate j has an event in every round wider than j
+        counts = (widths[:, None] > np.arange(20_000)).sum(axis=0)
+        assert counts.sum() == widths.sum()
+        assert poisson_fit_pvalue(counts, mean) > 1e-3
 
     def test_marks_follow_the_coupling(self):
         # per event: its atom, and the labels of two individuals, which are
         # independent given the atom; the reproducer is uniform
         N = 7
-        rounds = asg_module._draw_rounds(np.random.default_rng(71), 20_000, N, EDGES, 1.0)
-        same = (rounds.ys[:, None] == EDGES.ys) & (rounds.zs[:, None] == EDGES.zs)
-        assert np.all(same.sum(axis=1) == 1)
-        atom = same.argmax(axis=1)
-        first, last = rounds.outcomes[:, 0], rounds.outcomes[:, -1]
+        # the draws of a chunk: its event counts, then the marks of all events
+        rng = np.random.default_rng(71)
+        E = int(_event_counts(rng, EDGES.total_mass, 1.0, 20_000).sum())
+        reproducers, atom, outcomes = _joined(_mark_blocks(rng, E, N, EDGES))
+        assert len(reproducers) == len(atom) == len(outcomes) == E
+        first, last = outcomes[:, 0], outcomes[:, -1]
         probs = {}
         for a, (y, z, m) in enumerate(zip(EDGES.ys, EDGES.zs, EDGES.masses)):
             label = {OUTCOME_NEUTRAL: y, OUTCOME_SELECTIVE: z, OUTCOME_NONE: 1.0 - y - z}
@@ -782,12 +801,11 @@ class TestRoundDraws:
                     probs[(a * 3 + l1) * 3 + l2] = m / EDGES.total_mass * p1 * p2
         keys, counts = np.unique((atom * 3 + first) * 3 + last, return_counts=True)
         observed = dict(zip(keys.tolist(), counts.tolist()))
-        E = len(atom)
         assert E > 50_000
         assert set(observed) <= {k for k, p in probs.items() if p > 0.0}
         assert merged_chisquare_pvalue(observed, probs, E) > 1e-3
-        reproducers = dict(enumerate(np.bincount(rounds.reproducers, minlength=N).tolist()))
-        assert merged_chisquare_pvalue(reproducers, dict.fromkeys(range(N), 1 / N), E) > 1e-3
+        per_individual = dict(enumerate(np.bincount(reproducers, minlength=N).tolist()))
+        assert merged_chisquare_pvalue(per_individual, dict.fromkeys(range(N), 1 / N), E) > 1e-3
 
     def test_one_replicate_above_the_cap_is_refused(self):
         big = CoupledMeasure.from_atoms([(0.5, 0.0, 2000.0)])
@@ -804,7 +822,10 @@ class TestMatrixSweep:
             realization = generate_asg(N, coupling, 3.0, seed=seed)
             for from_time, to_time in ((3.0, 0.0), (2.0, 0.5)):
                 lo, hi = np.searchsorted(realization.times, [to_time, from_time], side="right")
-                window = _realization_rounds(realization, range(hi - 1, lo - 1, -1))
+                window = _event_rounds(
+                    itertools.repeat(1, hi - lo),
+                    realization.reproducers[lo:hi][::-1], realization.outcomes[lo:hi][::-1],
+                )
                 rows = _backward_rounds(window, np.eye(N, dtype=bool)[None])[0]
                 for i in range(N):
                     got = {int(j) for j in np.nonzero(rows[i])[0]}

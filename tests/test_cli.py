@@ -557,6 +557,11 @@ BAD_MEASURES = {
         "lambda_minus": {"density": {"kind": "beta", "params": [2, 2], "grid": 5.7}},
         "lambda_plus": PAIR["lambda_plus"],
     },
+    # a measure spec's ints keep to the params' int64 rule
+    "beta_grid_beyond_int64": {
+        "lambda_minus": {"density": {"kind": "beta", "params": [2, 2], "grid": 2**64}},
+        "lambda_plus": PAIR["lambda_plus"],
+    },
     "beta_one_param": {
         "lambda_minus": {"density": {"kind": "beta", "params": [2]}},
         "lambda_plus": PAIR["lambda_plus"],
@@ -660,6 +665,8 @@ MESSAGES = {
     "atom_mass_nan": "atom masses must be finite",
     "beta_grid_string": "measures.lambda_minus: density.grid must be an int, got 'abc'",
     "beta_grid_float": "measures.lambda_minus: density.grid must be an int, got 5.7",
+    "beta_grid_beyond_int64": "measures.lambda_minus: density.grid must lie in the int64 range "
+                              f"[-2**63, 2**63), got {2**64}",
     "beta_one_param": "measures.lambda_minus: density.params must be [a, b], got [2]",
     "coupling_atom_short": "measures.coupling: atoms[1] must be [y, z, mass], got [0.2, 0.1]",
     "atom_long": "measures.lambda_minus: atoms[0] must be [loc, mass], got [0.25, 0.5, 9]",

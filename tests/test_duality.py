@@ -31,6 +31,9 @@ from lambda_asg.measures import CoupledMeasure, quantile_coupling
 from lambda_asg.moran import MoranConfig, generator_matrix
 from lambda_asg.rng import TAG_PATHWISE, substream
 
+# the fixation tests' first coupling
+FIX_A = CoupledMeasure.from_atoms([(0.4, 0.15, 0.8), (0.7, 0.1, 0.6)])
+
 
 def reference_pathwise_counts(rounds, minus, sample, T):
     """``(X_T, A_T)`` of each drawn replicate by the scalar per-event
@@ -39,7 +42,7 @@ def reference_pathwise_counts(rounds, minus, sample, T):
     ``_pathwise_counts``."""
     rows = []
     for j in range(len(minus)):
-        asg = replicate_realization(rounds, j, T)
+        asg = replicate_realization(rounds, j, minus.shape[1], T)
         forward = reference_propagate_forward(asg, minus[j])
         ancestors = reference_potential_ancestors(asg, np.nonzero(sample[j])[0], T, 0.0)
         rows.append((int(forward.sum()), len(ancestors)))
@@ -248,6 +251,11 @@ class TestLimitGeneratorDuality:
     def test_high_orders_stay_at_rounding(self, coupling, request):
         # the Pascal rows hold the residual near 4e-16 far past the old bound of 12
         assert limit_generator_duality(request.getfixturevalue(coupling), 80, 101) < 1e-13
+
+    def test_order_1000_stays_at_rounding(self):
+        # the powers are tabulated once, so the count side of order 1000 at
+        # 101 points costs well under a second
+        assert limit_generator_duality(FIX_A, 1000, 101) < 1e-13
 
 
 class TestLimitMomentDuality:

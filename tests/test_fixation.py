@@ -221,6 +221,17 @@ class TestHorner:
 
 
 class TestFixationProbability:
+    @pytest.mark.parametrize("coupling", [
+        FIX_A, FIX_B,
+        CoupledMeasure.from_atoms([(0.3, 0.1, 1.0), (0.6, 0.2, 0.5)]),
+        NEUTRAL_COUPLINGS["two"],
+    ], ids=["fix_a", "fix_b", "moment", "neutral"])
+    def test_ends_are_exact_at_zero_and_rounded_at_one(self, coupling):
+        # every H_n(0) is 0; p(1) is the sum of the series weights, 1 - 2^-53
+        solver = build_fixation_solver(coupling, nmax=30)
+        assert solver.p(0.0) == 0.0
+        assert abs(1.0 - solver.p(1.0)) <= 2**-52
+
     def test_boundaries(self, mild_selective_coupling):
         solver = build_fixation_solver(mild_selective_coupling, nmax=30)
         assert solver.p(0.0) == 0.0

@@ -74,10 +74,23 @@ MUTANTS = [
            'hi = int(np.searchsorted(asg.times, from_time, side="right"))',
            'hi = int(np.searchsorted(asg.times, from_time, side="left"))', TEST_ASG),
     Mutant("windowed_forward", ASG,
-           "_forward_rounds(_realization_rounds(asg, range(len(asg))), types[None])",
-           "_forward_rounds(_realization_rounds(asg, range(\n"
-           '        int(np.searchsorted(asg.times, 0.0, side="right")), len(asg)\n'
-           "    )), types[None])", TEST_ASG),
+           "rounds = _event_rounds(itertools.repeat(1, len(asg)), asg.reproducers, asg.outcomes)",
+           'lo = int(np.searchsorted(asg.times, 0.0, side="right"))\n'
+           "    rounds = _event_rounds(\n"
+           "        itertools.repeat(1, len(asg) - lo), asg.reproducers[lo:], asg.outcomes[lo:]\n"
+           "    )", TEST_ASG),
+    Mutant("round_start_fixed", ASG, "        start += width\n", "",
+           ("tests/test_asg.py::TestRoundDraws::test_rounds_are_consecutive_rows",)),
+    Mutant("window_not_reversed", ASG,
+           "window = asg.reproducers[lo:hi][::-1], asg.outcomes[lo:hi][::-1]",
+           "window = asg.reproducers[lo:hi], asg.outcomes[lo:hi]",
+           ("tests/test_asg.py::TestMatrixSweep::test_samples_match_reference",)),
+    Mutant("consistency_backward_reads_forward", ASG,
+           "_backward_rounds(reversed(rounds),", "_backward_rounds(rounds,",
+           ("tests/test_asg.py::TestConsistency::test_matches_per_individual_reference",)),
+    Mutant("pathwise_backward_reads_forward", DUALITY,
+           "_backward_rounds(reversed(rounds),", "_backward_rounds(rounds,",
+           ("tests/test_duality.py::TestPathwiseDuality::test_replicate_matches_public_api",)),
     Mutant("backward_reproducer_join", ASG,
            "members[np.arange(L), :, reproducers] |= rows",
            "members[np.arange(L), :, reproducers] ^= rows",
